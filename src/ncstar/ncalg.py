@@ -9,7 +9,9 @@ provides:
 * degree-bounded quotient certification by exact sparse Gaussian elimination,
 * two-leg tensor polynomials with leg-wise reduction, and
 * degree-bounded two-sided ideal membership with an explicit linear
-  combination as evidence.
+  combination as evidence.  The product span m1 * r * m2 behind it
+  (`BoundedSpan`) is built once per presentation and bound and reused for
+  every target; `ideal_membership_bounded` is the one-shot form.
 
 Everything here is pure and exact; no floating point enters this module.
 """
@@ -24,7 +26,7 @@ from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse_scalar, scala
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "Rule", "RewriteSystem",
-    "RewriteTrace", "QuotientBasis", "Certificate",
+    "RewriteTrace", "QuotientBasis", "BoundedSpan", "Certificate",
     "mul", "add", "star", "comultiply_generator", "apply_tensor_hom",
     "build_rewrite_system", "rewrite", "replay_rewrite",
     "build_quotient_basis", "is_zero_tensor", "ideal_membership_bounded",
@@ -526,12 +528,19 @@ class RewriteSystem:
 
 
 def _rref_insert(pivots: dict, row: dict, combo: Optional[dict] = None):
-    """Insert one row into an exact RREF pivot table.  Mutates pivots."""
+    """Insert one row into an exact RREF pivot table.  Mutates pivots.
+
+    Consumes row and combo: they are reduced in place, and a row whose lead
+    coefficient is already 1 is stored as the new pivot without a copy.
+    """
     while row:
         lead = max(row, key=word_key)
         c = row[lead]
         hit = pivots.get(lead)
         if hit is None:
+            if c == ONE:
+                pivots[lead] = (row, combo)
+                return lead
             inv = ONE / c
             norm_row = {w: v * inv for w, v in row.items()}
             norm_combo = None if combo is None else {k: v * inv for k, v in combo.items()}
@@ -854,30 +863,26 @@ class QuotientBasis:
         self.presentation = presentation
         self.degree_bound = degree_bound
         letters = _roster_letters(presentation)
-        count = sum(len(letters) ** d for d in range(degree_bound + 1))
-        if count > entry_cap:
-            raise DimensionCap(f"{count} monomials exceed the configured cap {entry_cap}")
-        self.monomials = words_up_to(letters, degree_bound)
+        # the number of words of degree <= bound; the words themselves are never needed
+        self.monomial_count = sum(len(letters) ** d for d in range(degree_bound + 1))
+        if self.monomial_count > entry_cap:
+            raise DimensionCap(f"{self.monomial_count} monomials exceed the configured cap {entry_cap}")
         self._pivots: dict = {}
         self._entry_cap = entry_cap
         self._entries = 0
         self.relation_rows = 0
-        seen = set()
-        for rel in presentation.all_relations():
-            for poly in (rel.poly, rel.poly.star()):
-                key = frozenset((w, c.exact_str()) for w, c in poly.items())
-                if key in seen or poly.is_zero():
-                    continue
-                seen.add(key)
-                if poly.degree() > degree_bound:
-                    continue
-                self._insert(dict(poly.terms))
-                self.relation_rows += 1
+        for _, poly in _star_closed_relations(presentation):
+            if poly.degree() > degree_bound:
+                continue
+            self._insert(dict(poly.terms))
+            self.relation_rows += 1
         self._residue_cache: dict = {}
 
     def _insert(self, row: dict):
-        _rref_insert(self._pivots, row)
-        self._entries = sum(len(r) for r, _ in self._pivots.values())
+        # pivot rows never change once stored, so a running count is exact
+        lead = _rref_insert(self._pivots, row)
+        if lead is not None:
+            self._entries += len(self._pivots[lead][0])
         if self._entries > self._entry_cap:
             raise DimensionCap(f"relation span exceeded {self._entry_cap} sparse entries")
 
@@ -916,7 +921,7 @@ class QuotientBasis:
             "degree_bound": self.degree_bound,
             "relation_rows": self.relation_rows,
             "rank": self.rank,
-            "monomials": len(self.monomials),
+            "monomials": self.monomial_count,
         }
 
 
@@ -995,72 +1000,107 @@ def is_zero_tensor(t: TensorPoly, left: QuotientBasis, right: QuotientBasis) -> 
     )
 
 
+class BoundedSpan:
+    """The span of all products m1 * r * m2 of total degree <= product_bound.
+
+    r runs over the star-closed relations of one presentation and m1, m2 over
+    words in its letters; this is a Macaulay matrix in the sense of F4.  The
+    echelon table is built once, at construction, and every certify() call
+    reduces against it.  With provenance, each pivot also tracks the exact
+    combination of products it stands for, so ProvedZero can carry evidence.
+    """
+
+    def __init__(self, pres, product_bound: int, *, provenance: bool = False,
+                 entry_cap: int = 2_000_000):
+        self.product_bound = product_bound
+        self.provenance = provenance
+        letters = _roster_letters(pres)
+        pads: dict = {}
+        self._pivots: dict = {}
+        entries = 0
+        for rid, rpoly in _star_closed_relations(pres):
+            deg_r = rpoly.degree()
+            if deg_r > product_bound:
+                continue
+            pad = product_bound - deg_r
+            words = pads.get(pad)
+            if words is None:
+                words = pads[pad] = words_up_to(letters, pad)
+            for m1 in words:
+                rest = pad - len(m1)
+                # words is length-sorted, so its prefix of length <= rest is
+                # exactly words_up_to(letters, rest), in the same order
+                for m2 in words:
+                    if len(m2) > rest:
+                        break
+                    row = {m1 + w + m2: c for w, c in rpoly.terms.items()}
+                    combo = {(rid, m1, m2): ONE} if provenance else None
+                    _rref_insert(self._pivots, row, combo)
+                    entries += len(row)
+                    if entries > entry_cap:
+                        raise DimensionCap(f"product span exceeded {entry_cap} sparse entries")
+
+    def certify(self, p: Poly) -> Certificate:
+        """Membership of p in the span.
+
+        ProvedZero evidence (with provenance) carries the exact linear
+        combination, with cleared denominators, so the certificate shows
+        integer coefficients such as the factor 2 in the vanishing
+        column-product computation.
+        """
+        _check_product_degree(p, self.product_bound)
+        used: dict = {}
+
+        def on_use(lead, c, prow, pcombo):
+            if pcombo:
+                for k, v in pcombo.items():
+                    cur = used.get(k)
+                    s = c * v if cur is None else cur + c * v
+                    if s.is_zero():
+                        used.pop(k, None)
+                    else:
+                        used[k] = s
+
+        residue = _rref_reduce(self._pivots, dict(p.terms), on_use if self.provenance else None)
+        if residue:
+            return Certificate(INCONCLUSIVE,
+                               detail=f"{len(residue)} monomial(s) outside the bounded product span")
+        if not self.provenance:
+            return Certificate(PROVED_ZERO, zero_evidence={
+                "kind": "linear-combination", "product_bound": self.product_bound, "terms": None})
+        mult = 1
+        for c in used.values():
+            mult = mult * c.q // gcd(mult, c.q)
+        mult_scalar = GaussianRational(mult)
+        terms = [
+            {"relation": rid, "left": word_str(m1), "right": word_str(m2),
+             "coefficient": (c * mult_scalar).exact_str()}
+            for (rid, m1, m2), c in sorted(used.items(), key=lambda kv: (kv[0][0], word_key(kv[0][1]), word_key(kv[0][2])))
+        ]
+        return Certificate(PROVED_ZERO, zero_evidence={
+            "kind": "linear-combination",
+            "product_bound": self.product_bound,
+            "lhs_multiple": str(mult),
+            "terms": terms,
+        })
+
+
+def _check_product_degree(p: Poly, product_bound: int):
+    if p.degree() > product_bound:
+        raise ValueError(f"degree {p.degree()} exceeds product bound {product_bound}")
+
+
 def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
                              want_combination: bool = True,
                              entry_cap: int = 2_000_000) -> Certificate:
-    """Membership of p in the span of m1 * r * m2, total degree <= product_bound.
+    """One-shot membership of p in the span of m1 * r * m2, total degree <= product_bound.
 
-    ProvedZero evidence carries the exact linear combination (with cleared
-    denominators, so the certificate shows integer coefficients such as the
-    factor 2 in the vanishing column-product computation).
+    Builds a BoundedSpan for this single query; callers with several targets
+    over one presentation should build the span once and certify each.
     """
-    if p.degree() > product_bound:
-        raise ValueError(f"degree {p.degree()} exceeds product bound {product_bound}")
-    letters = _roster_letters(pres)
-    gens = _star_closed_relations(pres)
-    pivots: dict = {}
-    entries = 0
-    for rid, rpoly in gens:
-        deg_r = rpoly.degree()
-        if deg_r > product_bound:
-            continue
-        pad = product_bound - deg_r
-        left_words = words_up_to(letters, pad)
-        for m1 in left_words:
-            rest = pad - len(m1)
-            for m2 in words_up_to(letters, rest):
-                row_poly = Poly.from_word(m1) * rpoly * Poly.from_word(m2) if (m1 or m2) else rpoly
-                if row_poly.is_zero():
-                    continue
-                combo = {(rid, m1, m2): ONE} if want_combination else None
-                _rref_insert(pivots, dict(row_poly.terms), combo)
-                entries += len(row_poly.terms)
-                if entries > entry_cap:
-                    raise DimensionCap(f"product span exceeded {entry_cap} sparse entries")
-    used: dict = {}
-
-    def on_use(lead, c, prow, pcombo):
-        if pcombo:
-            for k, v in pcombo.items():
-                cur = used.get(k)
-                s = c * v if cur is None else cur + c * v
-                if s.is_zero():
-                    used.pop(k, None)
-                else:
-                    used[k] = s
-
-    residue = _rref_reduce(pivots, dict(p.terms), on_use if want_combination else None)
-    if residue:
-        return Certificate(INCONCLUSIVE,
-                           detail=f"{len(residue)} monomial(s) outside the bounded product span")
-    if not want_combination:
-        return Certificate(PROVED_ZERO, zero_evidence={
-            "kind": "linear-combination", "product_bound": product_bound, "terms": None})
-    mult = 1
-    for c in used.values():
-        mult = mult * c.q // gcd(mult, c.q)
-    mult_scalar = GaussianRational(mult)
-    terms = [
-        {"relation": rid, "left": word_str(m1), "right": word_str(m2),
-         "coefficient": (c * mult_scalar).exact_str()}
-        for (rid, m1, m2), c in sorted(used.items(), key=lambda kv: (kv[0][0], word_key(kv[0][1]), word_key(kv[0][2])))
-    ]
-    return Certificate(PROVED_ZERO, zero_evidence={
-        "kind": "linear-combination",
-        "product_bound": product_bound,
-        "lhs_multiple": str(mult),
-        "terms": terms,
-    })
+    _check_product_degree(p, product_bound)
+    return BoundedSpan(pres, product_bound, provenance=want_combination,
+                       entry_cap=entry_cap).certify(p)
 
 
 def _star_closed_relations(pres):
@@ -1068,7 +1108,7 @@ def _star_closed_relations(pres):
     seen = set()
     for rel in pres.all_relations():
         for rid, poly in ((rel.rid, rel.poly), (f"star({rel.rid})", rel.poly.star())):
-            key = frozenset((w, c.exact_str()) for w, c in poly.items())
+            key = frozenset(poly.terms.items())
             if key in seen or poly.is_zero():
                 continue
             seen.add(key)

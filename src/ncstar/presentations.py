@@ -231,7 +231,7 @@ class Presentation:
 def _canonical_poly_key(poly: Poly):
     lead = max(poly.terms, key=lambda w: (len(w), w))
     inv = ONE / poly.terms[lead]
-    return frozenset((w, (c * inv).exact_str()) for w, c in poly.items())
+    return frozenset((w, c * inv) for w, c in poly.items())
 
 
 class _RelationBuilder:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import repmodels
-from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
+from .ncalg import (BoundedSpan, Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
                     PROVED_ZERO, Poly, TensorPoly, apply_tensor_hom,
                     build_quotient_basis, comultiply_generator,
                     ideal_membership_bounded, is_zero_tensor,
@@ -434,6 +434,8 @@ def verify_regularization_consistency(pair: CommutationPair,
     The forced-normality relations rest on operator-theoretic facts, not on
     finite-degree algebra, so Inconclusive results here are reported rather
     than failed; the conclusive cases are the merge relations that do reduce.
+    All added relations are certified against one product span of the base
+    sphere, built when the first of them needs it.
     """
     report = VerificationReport("regularization-consistency", pair.to_json_dict())
     reg = regularize(pair)
@@ -442,15 +444,16 @@ def verify_regularization_consistency(pair: CommutationPair,
         return report
     base = sphere_presentation(pair)
     target = sphere_presentation(reg)
-    base_keys = {frozenset((w, c.exact_str()) for w, c in r.poly.items())
-                 for r in base.all_relations()}
+    base_keys = {frozenset(r.poly.terms.items()) for r in base.all_relations()}
+    span = None
     for rel in target.all_relations():
-        key = frozenset((w, c.exact_str()) for w, c in rel.poly.items())
-        if key in base_keys:
+        if frozenset(rel.poly.terms.items()) in base_keys:
             continue
 
         def thunk(rel=rel):
-            return ideal_membership_bounded(rel.poly, base, product_bound,
-                                            want_combination=False)
+            nonlocal span
+            if span is None:
+                span = BoundedSpan(base, product_bound)
+            return span.certify(rel.poly)
         _timed(report, rel.rid, f"added relation {rel.describe()}", thunk)
     return report

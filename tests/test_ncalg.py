@@ -230,7 +230,7 @@ def test_free_sphere_relation_span_rank_two():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     qb = build_quotient_basis(pres, 2)
     assert qb.rank == 2
-    assert len(qb.monomials) == 21  # 1 + 4 + 16
+    assert qb.descriptor()["monomials"] == 21  # 1 + 4 + 16
 
 
 def test_classical_single_generator_reduce():
@@ -368,6 +368,54 @@ def test_membership_degree_guard():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     with pytest.raises(ValueError):
         ideal_membership_bounded(x1 * x1 * x1, pres, 2)
+
+
+def _span_targets(pres, bound):
+    rels = [r.poly for r in pres.all_relations()]
+    half = GaussianRational(1, 0, 2)
+    targets = [
+        rels[0],
+        rels[-1].scale(half) + rels[0].scale(GaussianRational(-3)),
+        x1 * x2.star(),
+        x1 * rels[0] * x2.star(),
+        x2.star() * rels[-1] + rels[0] * x1.scale(half),
+    ]
+    return [p for p in targets if p.degree() <= bound]
+
+
+@pytest.mark.parametrize("pair,family,bound", [
+    ((ZERO2, OFF2), P.unitary_qg_presentation, 2),
+    ((OFF2, ZERO2), P.sphere_presentation, 2),
+    ((OFF2, ZERO2), P.sphere_presentation, 3),
+    ((OFF2, OFF2), P.sphere_presentation, 4),
+])
+def test_bounded_span_reuse_matches_one_shot(pair, family, bound):
+    pres = family(P.validate_pair(*pair))
+    targets = _span_targets(pres, bound)
+    if family is P.unitary_qg_presentation:
+        targets.append(u(1, 1) * u(2, 1, True) + u(1, 2) * u(2, 2, True))
+    proved = 0
+    for provenance in (True, False):
+        span = A.BoundedSpan(pres, bound, provenance=provenance)
+        for p in targets:
+            cert = span.certify(p)
+            assert cert == ideal_membership_bounded(p, pres, bound, want_combination=provenance)
+            if cert.status == A.PROVED_ZERO:
+                proved += 1
+                if provenance:
+                    assert replay_combination(p, pres, cert.zero_evidence)
+            # the degree guard holds on every query, not only on the first
+            with pytest.raises(ValueError):
+                span.certify(x1 * x1 * x1 * x1 * x1)
+    assert 0 < proved < 2 * len(targets)
+
+
+def test_bounded_span_dimension_cap_at_build():
+    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
+    with pytest.raises(A.DimensionCap):
+        A.BoundedSpan(pres, 4, entry_cap=10)
+    with pytest.raises(A.DimensionCap):
+        ideal_membership_bounded(x1, pres, 4, entry_cap=10)
 
 
 def test_oracle_agreement_sample():
