@@ -51,6 +51,8 @@ class RunConfig:
             raise ValueError("product_bound is capped at 4")
         if self.format not in ("json", "text"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be 0 (all cores) or positive, not {self.jobs}")
 
     def effective_jobs(self) -> int:
         if self.jobs > 0:
@@ -260,8 +262,15 @@ def _parse_phases(tokens):
         parts = tok.split(",")
         if len(parts) != 2:
             raise ValueError(f"phase sample {tok!r} must look like z1,z2")
-        samples.append((complex(parts[0]), complex(parts[1])))
+        samples.append((_phase(tok, parts[0]), _phase(tok, parts[1])))
     return samples
+
+
+def _phase(tok, part):
+    try:
+        return complex(part)
+    except ValueError:
+        raise ValueError(f"phase sample {tok!r}: {part!r} is not a complex number") from None
 
 
 def cmd_witness(args, config: RunConfig) -> int:

@@ -877,6 +877,13 @@ class QuotientBasis:
             self._insert(dict(poly.terms))
             self.relation_rows += 1
         self._residue_cache: dict = {}
+        self._descriptor = {
+            "presentation": getattr(presentation, "label", presentation.kind),
+            "degree_bound": degree_bound,
+            "relation_rows": self.relation_rows,
+            "rank": self.rank,
+            "monomials": self.monomial_count,
+        }
 
     def _insert(self, row: dict):
         # pivot rows never change once stored, so a running count is exact
@@ -916,13 +923,9 @@ class QuotientBasis:
         return q
 
     def descriptor(self) -> dict:
-        return {
-            "presentation": getattr(self.presentation, "label", self.presentation.kind),
-            "degree_bound": self.degree_bound,
-            "relation_rows": self.relation_rows,
-            "rank": self.rank,
-            "monomials": self.monomial_count,
-        }
+        # built once in __init__ (the span never changes after it); every caller
+        # gets its own copy, so editing one certificate cannot change another
+        return dict(self._descriptor)
 
 
 def build_quotient_basis(pres, bound: int = 2, **kw) -> QuotientBasis:

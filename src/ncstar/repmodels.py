@@ -361,8 +361,8 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
     most 16 times; the final seed is recorded on the model.
     """
     if dim < 3:
-        raise ValueError("dim must be at least 3: the four products cannot be "
-                         "independent in dimension 2")
+        raise ValueError(f"dim must be at least 3, got {dim}: the four products "
+                         "cannot be independent below dimension 3")
     pair = validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
     x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)

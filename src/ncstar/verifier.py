@@ -12,6 +12,11 @@ certifies that the image vanishes leg-wise in the tensor quotient:
   product x1 x2* for the mixed pair, while a 4x4 model shows the product is
   nonzero in the sphere itself.
 
+The coproduct and the two actions share one routine, `_verify_hom`.  A
+relation's image depends only on its polynomial, n and the map, never on the
+pair, so the routine builds each image once per process and reuses it for
+every later pair.
+
 Inconclusive is never conflated with failure: it means the bounded certificate
 search did not settle the claim.
 """
@@ -123,6 +128,35 @@ def _timed(report: VerificationReport, name: str, description: str, thunk, expec
 # coproduct and action replays
 # ---------------------------------------------------------------------------
 
+# A relation's image depends only on its polynomial, n, the image family and
+# the side, never on the (epsilon, eta) pair, and sweeps meet the same few
+# hundred relations again and again; so each image is built once per process.
+_IMAGE_CACHE: dict = {}
+
+
+def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
+                left, right) -> None:
+    """Push each relation through the *-homomorphism `images` and reduce its image.
+
+    `family` is (name, n, side) and names the assignment; with the relation's
+    terms it keys the image cache.  Each relation becomes one timed check; a
+    nonempty side prefixes its name ("alpha:rid") and its description.
+    """
+    side = family[2]
+    lg, rg = left.presentation.generators, right.presentation.generators
+    for rel in relations:
+        def thunk(rel=rel):
+            key = family + (frozenset(rel.poly.terms.items()),)
+            t = _IMAGE_CACHE.get(key)
+            if t is None:
+                t = _IMAGE_CACHE[key] = apply_tensor_hom(rel.poly, images, lg, rg)
+            return is_zero_tensor(t, left, right)
+        if side:
+            _timed(report, f"{side}:{rel.rid}", f"{side} image of {rel.describe()}", thunk)
+        else:
+            _timed(report, rel.rid, rel.describe(), thunk)
+
+
 def _coproduct_images(n: int) -> dict:
     return {Letter("u", i, j): comultiply_generator(i, j, n)
             for i in range(1, n + 1) for j in range(1, n + 1)}
@@ -138,14 +172,8 @@ def verify_comultiplication(pair: CommutationPair, bound: int = 2) -> Verificati
     pres = unitary_qg_presentation(pair)
     report = VerificationReport("hopf", pair.to_json_dict())
     basis = build_quotient_basis(pres, bound)
-    images = _coproduct_images(pair.n)
-
-
-    for rel in pres.all_relations():
-        def thunk(rel=rel):
-            t = apply_tensor_hom(rel.poly, images, pres.generators, pres.generators)
-            return is_zero_tensor(t, basis, basis)
-        _timed(report, rel.rid, rel.describe(), thunk)
+    _verify_hom(report, pres.all_relations(), _coproduct_images(pair.n),
+                ("hopf", pair.n, ""), basis, basis)
     return report
 
 
@@ -183,16 +211,10 @@ def verify_sphere_action(pair: CommutationPair, side: str = "both",
     sph = sphere_presentation(pair)
     left = build_quotient_basis(qg, bound)
     right = build_quotient_basis(sph, bound)
-
-
-    sides = ("alpha", "beta") if side == "both" else (side,)
-    for s in sides:
+    for s in (("alpha", "beta") if side == "both" else (side,)):
         images = _sphere_action_images(pair.n, qg.generators, sph.generators, s)
-        for rel in sph.all_relations():
-            def thunk(rel=rel, images=images):
-                t = apply_tensor_hom(rel.poly, images, qg.generators, sph.generators)
-                return is_zero_tensor(t, left, right)
-            _timed(report, f"{s}:{rel.rid}", f"{s} image of {rel.describe()}", thunk)
+        _verify_hom(report, sph.all_relations(), images, ("sphere", pair.n, s),
+                    left, right)
     return report
 
 
@@ -215,21 +237,15 @@ def verify_tuple_action(epsilon, side: str = "both", bound: int = 2) -> Verifica
         raise ValueError(f"side must be alpha, beta, or both, not {side!r}")
     qg = orthogonal_qg_presentation(epsilon)
     tup = tuple_space_presentation(epsilon)
-    report = VerificationReport("tuple-action", {"n": qg.source_pair.n,
+    n = qg.source_pair.n
+    report = VerificationReport("tuple-action", {"n": n,
                                                  "epsilon": [list(r) for r in qg.source_pair.epsilon]})
     left = build_quotient_basis(qg, bound)
     right = build_quotient_basis(tup, bound)
-
-
-    n = qg.source_pair.n
-    sides = ("alpha", "beta") if side == "both" else (side,)
-    for s in sides:
+    for s in (("alpha", "beta") if side == "both" else (side,)):
         images = _tuple_action_images(n, qg.generators, tup.generators, s)
-        for rel in tup.all_relations():
-            def thunk(rel=rel, images=images):
-                t = apply_tensor_hom(rel.poly, images, qg.generators, tup.generators)
-                return is_zero_tensor(t, left, right)
-            _timed(report, f"{s}:{rel.rid}", f"{s} image of {rel.describe()}", thunk)
+        _verify_hom(report, tup.all_relations(), images, ("tuple", n, s),
+                    left, right)
     return report
 
 

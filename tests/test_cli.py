@@ -35,6 +35,13 @@ def test_config_validation():
         RunConfig(svd_threshold=0.0)
 
 
+def test_negative_jobs_rejected(capsys):
+    with pytest.raises(ValueError):
+        RunConfig(jobs=-1)
+    assert run_cli("sweep", "--n", "2", "--jobs", "-1") == 2
+    assert "jobs must be 0 (all cores) or positive, not -1" in capsys.readouterr().err
+
+
 def test_config_hash_stable_and_sensitive():
     a = RunConfig()
     b = RunConfig()
@@ -186,6 +193,17 @@ def test_witness_single_suite_json(capsys):
 def test_witness_degenerate_phases_exit_1(capsys):
     assert run_cli("witness", "torus", "--phases", "1,1", "1,1") == 1
     assert "rank" in capsys.readouterr().err
+
+
+def test_witness_malformed_phase_names_token(capsys):
+    assert run_cli("witness", "torus", "--phases", "1,x") == 2
+    assert "phase sample '1,x': 'x' is not a complex number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["0", "-2", "2"])
+def test_witness_small_dim_names_dim(dim, capsys):
+    assert run_cli("witness", "free-unitary", "--dim", dim) == 2
+    assert f"dim must be at least 3, got {dim}" in capsys.readouterr().err
 
 
 def test_witness_unknown_suite_exit_2():

@@ -6,7 +6,8 @@ import pytest
 from ncstar import presentations as P
 from ncstar import repmodels as R
 from ncstar import verifier as V
-from ncstar.ncalg import INCONCLUSIVE, PROVED_NONZERO, PROVED_ZERO
+from ncstar.ncalg import (INCONCLUSIVE, PROVED_NONZERO, PROVED_ZERO, Poly, apply_tensor_hom,
+                          build_quotient_basis, is_zero_tensor)
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -103,6 +104,103 @@ def test_tuple_action_epsilon_one_exercises_zero_cases():
     report = V.verify_tuple_action(OFF2)
     zero_checks = [c for c in report.checks if "Rt-zero" in c.name]
     assert zero_checks and all(c.passed for c in zero_checks)
+
+
+# ---------------------------------------------------------------------------
+# the shared relation-image cache
+# ---------------------------------------------------------------------------
+
+def _run_target(target, pair):
+    if target == "hopf":
+        return V.verify_comultiplication(pair)
+    if target == "sphere-action":
+        return V.verify_sphere_action(pair)
+    return V.verify_tuple_action(pair.epsilon)
+
+
+def _direct_checks(target, pair):
+    """(name, certificate) per relation, by apply_tensor_hom + is_zero_tensor alone."""
+    n = pair.n
+    if target == "hopf":
+        pres = P.unitary_qg_presentation(pair)
+        basis = build_quotient_basis(pres)
+        images = V._coproduct_images(n)
+        return [(r.rid, is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators,
+                                                        pres.generators), basis, basis))
+                for r in pres.all_relations()]
+    if target == "sphere-action":
+        pair = pair if P.is_regular(pair).is_regular else P.regularize(pair)
+        qg, tgt = P.unitary_qg_presentation(pair), P.sphere_presentation(pair)
+        image_family = V._sphere_action_images
+    else:
+        qg, tgt = P.orthogonal_qg_presentation(pair.epsilon), P.tuple_space_presentation(pair.epsilon)
+        image_family = V._tuple_action_images
+    left, right = build_quotient_basis(qg), build_quotient_basis(tgt)
+    out = []
+    for side in ("alpha", "beta"):
+        images = image_family(n, qg.generators, tgt.generators, side)
+        out += [(f"{side}:{r.rid}",
+                 is_zero_tensor(apply_tensor_hom(r.poly, images, qg.generators, tgt.generators),
+                                left, right))
+                for r in tgt.all_relations()]
+    return out
+
+
+def _checks(report):
+    return [(c.name, c.certificate) for c in report.checks]
+
+
+@pytest.mark.parametrize("target", ["hopf", "sphere-action", "tuple-action"])
+def test_image_cache_cold_warm_and_direct_agree(target, monkeypatch):
+    pairs = P.enumerate_pairs(1) + P.enumerate_pairs(2)
+    cold = {}
+    for pair in pairs:
+        monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+        cold[pair] = _checks(_run_target(target, pair))
+    # one cache, warmed by every pair above, serves every pair again
+    for pair in pairs:
+        warm = _checks(_run_target(target, pair))
+        assert warm == cold[pair] == _direct_checks(target, pair), pair.compact()
+
+
+def _cached_images(family_name):
+    return {key: image for key, image in V._IMAGE_CACHE.items() if key[0] == family_name}
+
+
+def test_image_cache_keeps_sides_apart(monkeypatch):
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    pair = _pair(OFF2, ONES2)
+    V.verify_sphere_action(pair)
+    qg, sph = P.unitary_qg_presentation(pair), P.sphere_presentation(pair)
+    cached = _cached_images("sphere")
+    shared = {key[3] for key in cached if key[2] == "alpha"} & {key[3] for key in cached if key[2] == "beta"}
+    assert shared == {frozenset(r.poly.terms.items()) for r in sph.all_relations()}
+    assert any(cached[("sphere", 2, "alpha", k)] != cached[("sphere", 2, "beta", k)] for k in shared)
+    for (_, n, side, terms), image in cached.items():
+        images = V._sphere_action_images(n, qg.generators, sph.generators, side)
+        assert image == apply_tensor_hom(Poly(dict(terms)), images, qg.generators, sph.generators)
+
+
+def test_image_cache_keeps_sizes_apart(monkeypatch):
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    V.verify_comultiplication(_pair(OFF2, ONES2))
+    eps3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    V.verify_comultiplication(_pair(eps3, [[1] * 3] * 3))
+    cached = _cached_images("hopf")
+    shared = {key[3] for key in cached if key[1] == 2} & {key[3] for key in cached if key[1] == 3}
+    assert shared  # the same relation polynomial occurs at n = 2 and n = 3
+    for (_, n, _, terms), image in cached.items():
+        gens = P.unitary_qg_presentation(P.enumerate_pairs(n)[0]).generators
+        assert image.left_roster == gens
+        assert image == apply_tensor_hom(Poly(dict(terms)), V._coproduct_images(n), gens, gens)
+
+
+def test_basis_descriptor_is_copied_per_certificate():
+    report = V.verify_comultiplication(_pair(OFF2, ONES2))
+    first, second = (c.certificate.zero_evidence for c in report.checks[:2])
+    assert first["left_basis"] == second["left_basis"] == first["right_basis"]
+    first["left_basis"]["rank"] = -1
+    assert second["left_basis"]["rank"] > 0 and first["right_basis"]["rank"] > 0
 
 
 # ---------------------------------------------------------------------------
