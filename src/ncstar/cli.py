@@ -6,7 +6,8 @@ Exit codes are stable across output formats:
 * 1 -- some check failed or stayed inconclusive (including witness rank
        shortfalls and degenerate sample sets),
 * 2 -- usage or input errors (unparseable pair files, unknown suites,
-       out-of-range sweep sizes).
+       out-of-range sweep sizes, a bad NCSTAR_JOBS, a --bound whose relation
+       span exceeds its size cap).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__, presentations, verifier
+from .ncalg import DimensionCap
 from .presentations import (CommutationPair, PairValidationError, TooLarge,
                             enumerate_pairs, is_regular, load_pair,
                             pair_from_json_dict, regularize)
@@ -28,9 +30,7 @@ from .repmodels import DegenerateSamples, WitnessInvalid
 
 @dataclass
 class RunConfig:
-    degree_bound: int = 2
-    product_bound: int = 2
-    step_limit: int = 100_000
+    degree_bound: int = 2  # total degree of the relation products m1*r*m2 spanned
     residual_tolerance: float = 1e-9
     svd_threshold: float = 1e-6
     seed: int = 0
@@ -39,16 +39,11 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self):
-        for name in ("degree_bound", "product_bound", "step_limit"):
+        for name in ("degree_bound", "residual_tolerance", "svd_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        for name in ("residual_tolerance", "svd_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.product_bound < self.degree_bound:
-            raise ValueError("product_bound must be at least degree_bound")
-        if self.product_bound > 4:
-            raise ValueError("product_bound is capped at 4")
+        if self.degree_bound > 4:
+            raise ValueError(f"bound {self.degree_bound} is above the cap of 4")
         if self.format not in ("json", "text"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.jobs < 0:
@@ -59,7 +54,13 @@ class RunConfig:
             return self.jobs
         env = os.environ.get("NCSTAR_JOBS")
         if env:
-            return max(1, int(env))
+            try:
+                jobs = int(env)
+            except ValueError:
+                jobs = 0
+            if jobs < 1:
+                raise ValueError(f"NCSTAR_JOBS must be a positive integer, not {env!r}")
+            return jobs
         return max(1, os.cpu_count() or 1)
 
     def hash(self) -> str:
@@ -133,23 +134,21 @@ def cmd_regularize(args, config: RunConfig) -> int:
     return 0
 
 
-def _run_verify_target(target: str, pair, config: RunConfig):
-    if target == "hopf":
-        return verifier.verify_comultiplication(pair, config.degree_bound)
-    if target == "sphere-action":
-        return verifier.verify_sphere_action(pair, "both", config.degree_bound)
-    if target == "tuple-action":
-        return verifier.verify_tuple_action(pair.epsilon, "both", config.degree_bound)
-    if target == "noninjectivity":
-        return verifier.verify_noninjectivity_example()
-    raise KeyError(target)
+# target -> (pair, bound) -> report.  Each entry reads verifier.verify_* when it
+# runs, not when this module is imported, so a rebound module attribute is seen.
+_TARGETS = {
+    "hopf": lambda pair, bound: verifier.verify_comultiplication(pair, bound),
+    "sphere-action": lambda pair, bound: verifier.verify_sphere_action(pair, "both", bound),
+    "tuple-action": lambda pair, bound: verifier.verify_tuple_action(pair.epsilon, "both", bound),
+    "noninjectivity": lambda pair, bound: verifier.verify_noninjectivity_example(),
+}
 
 
 def cmd_verify(args, config: RunConfig) -> int:
     if args.target != "noninjectivity" and not args.input:
         raise PairValidationError(f"target {args.target} requires --input PAIRFILE")
     pair = load_pair(args.input) if args.input else None
-    report = _run_verify_target(args.target, pair, config)
+    report = _TARGETS[args.target](pair, config.degree_bound)
     payload = config.envelope()
     payload["task"] = f"verify:{args.target}"
     payload["report"] = report.to_json_dict(include_timings=args.timings)
@@ -160,14 +159,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 def _sweep_worker(task):
     target, pair_dict, bound = task
     pair = pair_from_json_dict(pair_dict)
-    if target == "hopf":
-        report = verifier.verify_comultiplication(pair, bound)
-    elif target == "sphere-action":
-        report = verifier.verify_sphere_action(pair, "both", bound)
-    elif target == "tuple-action":
-        report = verifier.verify_tuple_action(pair.epsilon, "both", bound)
-    else:
-        raise KeyError(target)
+    report = _TARGETS[target](pair, bound)
     statuses = {}
     for c in report.checks:
         statuses[c.certificate.status] = statuses.get(c.certificate.status, 0) + 1
@@ -303,10 +295,9 @@ def cmd_witness(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--bound", type=int, default=2, help="degree bound for quotient reduction")
-    parser.add_argument("--product-bound", type=int, default=None,
-                        help="bound for two-sided product spans (default: degree bound, max 4)")
-    parser.add_argument("--steps", type=int, default=100_000, help="rewrite step limit")
+    parser.add_argument("--bound", type=int, default=2,
+                        help="total degree of the relation products m1*r*m2 each check "
+                             "reduces against (default 2, max 4)")
     parser.add_argument("--tol", type=float, default=1e-9, help="residual tolerance for witnesses")
     parser.add_argument("--svd-threshold", type=float, default=1e-6, help="singular value threshold")
     parser.add_argument("--seed", type=int, default=0, help="seed for pseudo-random witnesses")
@@ -322,8 +313,6 @@ def _add_common(parser: argparse.ArgumentParser):
 def _config_from(args) -> RunConfig:
     return RunConfig(
         degree_bound=args.bound,
-        product_bound=args.product_bound if args.product_bound else max(2, args.bound),
-        step_limit=args.steps,
         residual_tolerance=args.tol,
         svd_threshold=args.svd_threshold,
         seed=args.seed,
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run one verification target")
-    p.add_argument("target", choices=("hopf", "sphere-action", "tuple-action", "noninjectivity"))
+    p.add_argument("target", choices=tuple(_TARGETS))
     p.add_argument("--input", default="", help="pair JSON file (not needed for noninjectivity)")
     _add_common(p)
 
@@ -390,6 +379,10 @@ def main(argv=None) -> int:
     except (WitnessInvalid, DegenerateSamples) as exc:
         print(f"witness error: {exc}", file=sys.stderr)
         return 1
+    except DimensionCap as exc:
+        print(f"error: the relation span at --bound {config.degree_bound} is too large: {exc}",
+              file=sys.stderr)
+        return 2
     except (PairValidationError, TooLarge, KeyError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,12 +6,15 @@ provides:
 
 * oriented degree-2 rewriting with delta-sum (syzygy) linear passes and a
   replayable trace,
-* degree-bounded quotient certification by exact sparse Gaussian elimination,
-* two-leg tensor polynomials with leg-wise reduction, and
-* degree-bounded two-sided ideal membership with an explicit linear
-  combination as evidence.  The product span m1 * r * m2 behind it
-  (`BoundedSpan`) is built once per presentation and bound and reused for
-  every target; `ideal_membership_bounded` is the one-shot form.
+* one degree-bounded relation span, `BoundedSpan`: the span of all products
+  m1 * r * m2 of total degree <= bound, brought to echelon form once per
+  presentation by exact sparse Gaussian elimination (`build_quotient_basis`
+  is the name verifications build it through),
+* two-leg tensor polynomials, certified zero by reducing each leg against a
+  span, and
+* degree-bounded two-sided ideal membership against the same span, with an
+  explicit linear combination as evidence when the span tracks provenance;
+  `ideal_membership_bounded` is the one-shot form.
 
 Everything here is pure and exact; no floating point enters this module.
 """
@@ -26,7 +29,7 @@ from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse_scalar, scala
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "Rule", "RewriteSystem",
-    "RewriteTrace", "QuotientBasis", "BoundedSpan", "Certificate",
+    "RewriteTrace", "BoundedSpan", "Certificate",
     "mul", "add", "star", "comultiply_generator", "apply_tensor_hom",
     "build_rewrite_system", "rewrite", "replay_rewrite",
     "build_quotient_basis", "is_zero_tensor", "ideal_membership_bounded",
@@ -847,92 +850,6 @@ def _starless_rules(pres):
 
 
 # ---------------------------------------------------------------------------
-# degree-bounded quotient bases
-# ---------------------------------------------------------------------------
-
-class QuotientBasis:
-    """Linear reduction data modulo the span of all degree-<=bound relations.
-
-    The span is star-closed: it contains each presentation relation together
-    with its star, so reduce(star(p)) vanishes exactly when reduce(p) does.
-    """
-
-    def __init__(self, presentation, degree_bound: int = 2, *, entry_cap: int = 2_000_000):
-        if degree_bound < 2:
-            raise ValueError("degree bound must be at least 2")
-        self.presentation = presentation
-        self.degree_bound = degree_bound
-        letters = _roster_letters(presentation)
-        # the number of words of degree <= bound; the words themselves are never needed
-        self.monomial_count = sum(len(letters) ** d for d in range(degree_bound + 1))
-        if self.monomial_count > entry_cap:
-            raise DimensionCap(f"{self.monomial_count} monomials exceed the configured cap {entry_cap}")
-        self._pivots: dict = {}
-        self._entry_cap = entry_cap
-        self._entries = 0
-        self.relation_rows = 0
-        for _, poly in _star_closed_relations(presentation):
-            if poly.degree() > degree_bound:
-                continue
-            self._insert(dict(poly.terms))
-            self.relation_rows += 1
-        self._residue_cache: dict = {}
-        self._descriptor = {
-            "presentation": getattr(presentation, "label", presentation.kind),
-            "degree_bound": degree_bound,
-            "relation_rows": self.relation_rows,
-            "rank": self.rank,
-            "monomials": self.monomial_count,
-        }
-
-    def _insert(self, row: dict):
-        # pivot rows never change once stored, so a running count is exact
-        lead = _rref_insert(self._pivots, row)
-        if lead is not None:
-            self._entries += len(self._pivots[lead][0])
-        if self._entries > self._entry_cap:
-            raise DimensionCap(f"relation span exceeded {self._entry_cap} sparse entries")
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def residue_word(self, w: Word):
-        """Reduced coordinates of a single word, as a list of (word, coeff)."""
-        res = self._residue_cache.get(w)
-        if res is None:
-            row = _rref_reduce(self._pivots, {w: ONE})
-            res = list(row.items())
-            self._residue_cache[w] = res
-        return res
-
-    def reduce(self, p: Poly) -> Poly:
-        out: dict = {}
-        for w, c in p.items():
-            if len(w) > self.degree_bound:
-                raise ValueError(f"word degree {len(w)} exceeds basis bound {self.degree_bound}")
-            for m, v in self.residue_word(w):
-                cur = out.get(m)
-                s = c * v if cur is None else cur + c * v
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        q = Poly.__new__(Poly)
-        q.terms = out
-        return q
-
-    def descriptor(self) -> dict:
-        # built once in __init__ (the span never changes after it); every caller
-        # gets its own copy, so editing one certificate cannot change another
-        return dict(self._descriptor)
-
-
-def build_quotient_basis(pres, bound: int = 2, **kw) -> QuotientBasis:
-    return QuotientBasis(pres, bound, **kw)
-
-
-# ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
@@ -959,7 +876,7 @@ class Certificate:
         return out
 
 
-def is_zero_tensor(t: TensorPoly, left: QuotientBasis, right: QuotientBasis) -> Certificate:
+def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Certificate:
     """Leg-wise quotient reduction of a tensor element.
 
     ProvedZero is sound because both spans contain only genuine relations; a
@@ -1003,29 +920,50 @@ def is_zero_tensor(t: TensorPoly, left: QuotientBasis, right: QuotientBasis) -> 
     )
 
 
+# ---------------------------------------------------------------------------
+# bounded product spans
+# ---------------------------------------------------------------------------
+
 class BoundedSpan:
-    """The span of all products m1 * r * m2 of total degree <= product_bound.
+    """The span of all products m1 * r * m2 of total degree <= bound.
 
     r runs over the star-closed relations of one presentation and m1, m2 over
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
-    echelon table is built once, at construction, and every certify() call
-    reduces against it.  With provenance, each pivot also tracks the exact
-    combination of products it stands for, so ProvedZero can carry evidence.
+    echelon table is built once, at construction.  Tensor legs reduce single
+    words against it through a per-word residue cache (`residue_word`), and
+    `certify` decides membership of one polynomial.  With provenance, each
+    pivot also tracks the exact combination of products it stands for, so
+    ProvedZero can carry evidence.  Every relation of the presentations here
+    has degree 2, so at bound 2 the span is that of the relations themselves.
     """
 
-    def __init__(self, pres, product_bound: int, *, provenance: bool = False,
+    def __init__(self, presentation, bound: int, *, provenance: bool = False,
                  entry_cap: int = 2_000_000):
-        self.product_bound = product_bound
+        if bound < 2:
+            raise ValueError("degree bound must be at least 2")
+        self.presentation = presentation
+        self.bound = bound
         self.provenance = provenance
-        letters = _roster_letters(pres)
-        pads: dict = {}
+        letters = _roster_letters(presentation)
+        # the number of words of degree <= bound; the words themselves are never needed
+        monomials = sum(len(letters) ** d for d in range(bound + 1))
+        if monomials > entry_cap:
+            raise DimensionCap(f"{monomials} monomials up to degree {bound} exceed "
+                               f"the configured cap {entry_cap}")
         self._pivots: dict = {}
-        entries = 0
-        for rid, rpoly in _star_closed_relations(pres):
-            deg_r = rpoly.degree()
-            if deg_r > product_bound:
+        self._residue_cache: dict = {}
+        self._entry_cap = entry_cap
+        self._entries = 0
+        self._rows = 0
+        pads: dict = {}
+        for rid, rpoly in _star_closed_relations(presentation):
+            pad = bound - rpoly.degree()
+            if pad < 0:
                 continue
-            pad = product_bound - deg_r
+            if pad == 0:
+                # the relation's own row
+                self._insert(dict(rpoly.terms), rid, (), ())
+                continue
             words = pads.get(pad)
             if words is None:
                 words = pads[pad] = words_up_to(letters, pad)
@@ -1036,12 +974,44 @@ class BoundedSpan:
                 for m2 in words:
                     if len(m2) > rest:
                         break
-                    row = {m1 + w + m2: c for w, c in rpoly.terms.items()}
-                    combo = {(rid, m1, m2): ONE} if provenance else None
-                    _rref_insert(self._pivots, row, combo)
-                    entries += len(row)
-                    if entries > entry_cap:
-                        raise DimensionCap(f"product span exceeded {entry_cap} sparse entries")
+                    self._insert({m1 + w + m2: c for w, c in rpoly.terms.items()}, rid, m1, m2)
+        # the span never changes after construction; every caller of
+        # descriptor() gets its own copy, so editing one certificate cannot
+        # change another
+        self._descriptor = {
+            "presentation": getattr(presentation, "label", presentation.kind),
+            "degree_bound": bound,
+            "relation_rows": self._rows,
+            "rank": self.rank,
+            "monomials": monomials,
+        }
+
+    def _insert(self, row: dict, rid: str, m1: Word, m2: Word):
+        combo = {(rid, m1, m2): ONE} if self.provenance else None
+        _rref_insert(self._pivots, row, combo)
+        self._rows += 1
+        # row is consumed: what is left of it is the new pivot row, and pivot
+        # rows never change once stored, so a running count is exact
+        self._entries += len(row)
+        if self._entries > self._entry_cap:
+            raise DimensionCap(f"product span at bound {self.bound} exceeded "
+                               f"{self._entry_cap} sparse entries")
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def descriptor(self) -> dict:
+        return dict(self._descriptor)
+
+    def residue_word(self, w: Word):
+        """Reduced coordinates of a single word, as a list of (word, coeff)."""
+        res = self._residue_cache.get(w)
+        if res is None:
+            row = _rref_reduce(self._pivots, {w: ONE})
+            res = list(row.items())
+            self._residue_cache[w] = res
+        return res
 
     def certify(self, p: Poly) -> Certificate:
         """Membership of p in the span.
@@ -1051,7 +1021,7 @@ class BoundedSpan:
         integer coefficients such as the factor 2 in the vanishing
         column-product computation.
         """
-        _check_product_degree(p, self.product_bound)
+        _check_product_degree(p, self.bound)
         used: dict = {}
 
         def on_use(lead, c, prow, pcombo):
@@ -1070,7 +1040,7 @@ class BoundedSpan:
                                detail=f"{len(residue)} monomial(s) outside the bounded product span")
         if not self.provenance:
             return Certificate(PROVED_ZERO, zero_evidence={
-                "kind": "linear-combination", "product_bound": self.product_bound, "terms": None})
+                "kind": "linear-combination", "product_bound": self.bound, "terms": None})
         mult = 1
         for c in used.values():
             mult = mult * c.q // gcd(mult, c.q)
@@ -1082,10 +1052,15 @@ class BoundedSpan:
         ]
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "linear-combination",
-            "product_bound": self.product_bound,
+            "product_bound": self.bound,
             "lhs_multiple": str(mult),
             "terms": terms,
         })
+
+
+def build_quotient_basis(pres, bound: int = 2, **kw) -> BoundedSpan:
+    """The span every verification reduces against: products of total degree <= bound."""
+    return BoundedSpan(pres, bound, **kw)
 
 
 def _check_product_degree(p: Poly, product_bound: int):

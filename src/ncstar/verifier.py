@@ -1,8 +1,9 @@
 """Certificate-level replays of the structural facts about the presented algebras.
 
-Each verification builds degree-bounded quotient bases for the algebras
-involved, pushes every defining relation through the map under test, and
-certifies that the image vanishes leg-wise in the tensor quotient:
+Each verification builds a degree-bounded relation span (`build_quotient_basis`)
+for each algebra involved, pushes every defining relation through the map
+under test, and certifies that the image vanishes leg-wise in the tensor
+quotient:
 
 * the coproduct u_ij -> sum_k u_ik (x) u_kj respects every quantum-unitary
   relation (so the pair really carries a quantum group structure),
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import repmodels
-from .ncalg import (BoundedSpan, Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
+from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
                     PROVED_ZERO, Poly, TensorPoly, apply_tensor_hom,
                     build_quotient_basis, comultiply_generator,
                     ideal_membership_bounded, is_zero_tensor,
@@ -469,7 +470,7 @@ def verify_regularization_consistency(pair: CommutationPair,
         def thunk(rel=rel):
             nonlocal span
             if span is None:
-                span = BoundedSpan(base, product_bound)
+                span = build_quotient_basis(base, product_bound)
             return span.certify(rel.poly)
         _timed(report, rel.rid, f"added relation {rel.describe()}", thunk)
     return report

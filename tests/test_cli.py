@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from ncstar import verifier
 from ncstar.cli import RunConfig, main
+from ncstar.ncalg import DimensionCap
 
 
 def run_cli(*argv):
@@ -27,10 +29,8 @@ def pair_file(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(degree_bound=0)
-    with pytest.raises(ValueError):
-        RunConfig(product_bound=1, degree_bound=2)
-    with pytest.raises(ValueError):
-        RunConfig(product_bound=5, degree_bound=2)
+    with pytest.raises(ValueError, match="bound 5 is above the cap of 4"):
+        RunConfig(degree_bound=5)
     with pytest.raises(ValueError):
         RunConfig(svd_threshold=0.0)
 
@@ -55,6 +55,55 @@ def test_jobs_env_override(monkeypatch):
     assert RunConfig().effective_jobs() == 3
     monkeypatch.delenv("NCSTAR_JOBS")
     assert RunConfig(jobs=2).effective_jobs() == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_jobs_env_must_be_positive_integer(value, monkeypatch, capsys):
+    monkeypatch.setenv("NCSTAR_JOBS", value)
+    assert run_cli("sweep", "--n", "1") == 2
+    assert f"NCSTAR_JOBS must be a positive integer, not {value!r}" in capsys.readouterr().err
+    # an explicit --jobs never reads the variable
+    assert run_cli("sweep", "--n", "1", "--jobs", "1") == 0
+
+
+def test_bound_above_cap_exit_2(pair_file, capsys):
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    assert run_cli("verify", "hopf", "--input", path, "--bound", "5") == 2
+    err = capsys.readouterr().err
+    assert "bound 5 is above the cap of 4" in err
+    assert "product_bound" not in err
+
+
+@pytest.mark.parametrize("flag", ["--product-bound", "--steps"])
+def test_removed_flags_are_usage_errors(flag, pair_file):
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    assert run_cli("verify", "hopf", "--input", path, flag, "4") == 2
+
+
+def test_dimension_cap_exit_2(pair_file, monkeypatch, capsys):
+    def too_large(pres, bound=2, **kw):
+        raise DimensionCap("product span exceeded 10 sparse entries")
+    monkeypatch.setattr(verifier, "build_quotient_basis", too_large)
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    assert run_cli("verify", "hopf", "--input", path, "--bound", "3") == 2
+    err = capsys.readouterr().err
+    assert "--bound 3" in err and "Traceback" not in err
+    assert run_cli("sweep", "--n", "1", "--jobs", "1") == 2
+
+
+def test_verify_and_sweep_share_the_target_table(pair_file, monkeypatch):
+    # both commands look the verifier entry point up when they run
+    calls = []
+    real = verifier.verify_tuple_action
+
+    def spy(epsilon, side, bound):
+        calls.append(bound)
+        return real(epsilon, side, bound)
+    monkeypatch.setattr(verifier, "verify_tuple_action", spy)
+    path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]]})
+    assert run_cli("verify", "tuple-action", "--input", path, "--bound", "3") == 0
+    assert run_cli("sweep", "--n", "2", "--targets", "tuple-action", "--jobs", "1") == 0
+    assert calls == [3, 2, 2]  # n = 2 has two epsilon matrices
 
 
 # ---------------------------------------------------------------------------

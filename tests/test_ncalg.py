@@ -237,14 +237,14 @@ def test_classical_single_generator_reduce():
     pres = P.sphere_presentation(P.validate_pair([[0]], [[1]]))
     qb = build_quotient_basis(pres, 2)
     x = Poly.generator(Letter("x", 1, 0))
-    assert qb.reduce(x.star() * x - Poly.one()).is_zero()
+    assert qb.certify(x.star() * x - Poly.one()).status == A.PROVED_ZERO
 
 
 def test_unitary_free_syzygy_row_reduces():
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
     qb = build_quotient_basis(pres, 2)
     row = u(1, 1) * u(2, 1, True) + u(1, 2) * u(2, 2, True)  # delta_12 = 0
-    assert qb.reduce(row).is_zero()
+    assert qb.certify(row).status == A.PROVED_ZERO
 
 
 def _test_matrix_presentations():
@@ -262,8 +262,8 @@ def test_quotient_star_compatibility():
     for pres in _test_matrix_presentations():
         qb = build_quotient_basis(pres, 2)
         for rel in pres.all_relations():
-            assert qb.reduce(rel.poly).is_zero()
-            assert qb.reduce(rel.poly.star()).is_zero()
+            assert qb.certify(rel.poly).status == A.PROVED_ZERO
+            assert qb.certify(rel.poly.star()).status == A.PROVED_ZERO
 
 
 def test_rewrite_rule_soundness_against_linear_span():
@@ -274,7 +274,28 @@ def test_rewrite_rule_soundness_against_linear_span():
         for rule in rs.ordered_rules:
             lhs = Poly.from_word(rule.pattern)
             rhs = Poly.zero() if rule.replacement is None else Poly.from_word(rule.replacement)
-            assert qb.reduce(lhs - rhs).is_zero(), rule.rule_id
+            assert qb.certify(lhs - rhs).status == A.PROVED_ZERO, rule.rule_id
+
+
+def test_span_grows_with_bound():
+    # the bound is the total degree of the products m1 * r * m2, so a larger
+    # bound spans more than the relations themselves
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    assert build_quotient_basis(pres, 3).rank > build_quotient_basis(pres, 2).rank
+
+
+def test_degree_three_product_needs_bound_three():
+    pres = P.sphere_presentation(P.validate_pair(OFF2, ZERO2))
+    p = x1 * pres.all_relations()[0].poly
+    assert p.degree() == 3
+    b2, b3 = build_quotient_basis(pres, 2), build_quotient_basis(pres, 3)
+    assert b3.certify(p).status == A.PROVED_ZERO
+    with pytest.raises(ValueError):
+        b2.certify(p)
+    # on a tensor leg the degree-2 span leaves x1 * r standing, the degree-3 one kills it
+    t = TensorPoly.of(p, Poly.one(), left_roster=pres.generators, right_roster=pres.generators)
+    assert is_zero_tensor(t, b2, b2).status == A.INCONCLUSIVE
+    assert is_zero_tensor(t, b3, b3).status == A.PROVED_ZERO
 
 
 def test_dimension_cap():
@@ -287,7 +308,7 @@ def test_reduce_rejects_overweight_words():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     qb = build_quotient_basis(pres, 2)
     with pytest.raises(ValueError):
-        qb.reduce(x1 * x1 * x1)
+        qb.certify(x1 * x1 * x1)
 
 
 # ---------------------------------------------------------------------------

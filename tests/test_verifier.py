@@ -35,6 +35,18 @@ def test_comultiplication_proved_zero(eps, eta):
     assert len(report.checks) > 0
 
 
+def test_reports_at_bound_three_stay_proved_zero():
+    # the bound-3 span contains the bound-2 span, so no certificate can be lost
+    for n in (1, 2):
+        pairs = P.enumerate_pairs(n)
+        for pair in pairs:
+            assert V.verify_comultiplication(pair, 3).overall == PROVED_ZERO, pair.compact()
+            if P.is_regular(pair).is_regular:
+                assert V.verify_sphere_action(pair, "both", 3).overall == PROVED_ZERO, pair.compact()
+        for eps in {pair.epsilon for pair in pairs}:
+            assert V.verify_tuple_action(eps, "both", 3).overall == PROVED_ZERO, eps
+
+
 def test_comultiplication_free_pair_checks_are_unitarity_only():
     report = V.verify_comultiplication(_pair(ZERO2, ZERO2))
     assert all(c.name.startswith("sum:") for c in report.checks)
