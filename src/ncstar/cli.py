@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -25,7 +24,6 @@ from .ncalg import DimensionCap
 from .presentations import (CommutationPair, PairValidationError, TooLarge,
                             enumerate_pairs, is_regular, load_pair,
                             pair_from_json_dict, regularize)
-from .repmodels import DegenerateSamples, WitnessInvalid
 
 
 @dataclass
@@ -208,6 +206,7 @@ def run_sweep(n: int, targets, config: RunConfig, sample: int = 0) -> dict:
     tasks = sweep_tasks(n, targets, config, sample)
     jobs = config.effective_jobs()
     if jobs > 1 and len(tasks) > 4:
+        import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_worker, tasks, chunksize=8)
     else:
@@ -268,14 +267,20 @@ def _phase(tok, part):
 def cmd_witness(args, config: RunConfig) -> int:
     if args.suite != "all" and args.suite not in verifier.INDEPENDENCE_SUITES:
         raise KeyError(f"unknown witness suite {args.suite!r}")
-    report = verifier.verify_independence_suite(
-        args.suite,
-        svd_threshold=config.svd_threshold,
-        residual_tolerance=config.residual_tolerance,
-        seed=config.seed,
-        dim=args.dim,
-        torus_samples=_parse_phases(args.phases),
-    )
+    samples = _parse_phases(args.phases)
+    from .repmodels import DegenerateSamples, WitnessInvalid
+    try:
+        report = verifier.verify_independence_suite(
+            args.suite,
+            svd_threshold=config.svd_threshold,
+            residual_tolerance=config.residual_tolerance,
+            seed=config.seed,
+            dim=args.dim,
+            torus_samples=samples,
+        )
+    except (WitnessInvalid, DegenerateSamples) as exc:
+        print(f"witness error: {exc}", file=sys.stderr)
+        return 1
     payload = config.envelope()
     payload["task"] = "witness"
     payload["report"] = report.to_json_dict(include_timings=args.timings)
@@ -294,32 +299,37 @@ def cmd_witness(args, config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--bound", type=int, default=2,
-                        help="total degree of the relation products m1*r*m2 each check "
-                             "reduces against (default 2, max 4)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="residual tolerance for witnesses")
-    parser.add_argument("--svd-threshold", type=float, default=1e-6, help="singular value threshold")
-    parser.add_argument("--seed", type=int, default=0, help="seed for pseudo-random witnesses")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="parallel workers (default: NCSTAR_JOBS or all cores)")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--output", default="", help="write the report to this path instead of stdout")
-    parser.add_argument("--timings", action="store_true",
-                        help="include per-check timings in JSON reports "
-                             "(off by default so identical runs emit identical bytes)")
+# RunConfig field -> (flag, argparse options).  Every subcommand takes --format
+# and --output, plus the flags it reads.  A flag left off the command line
+# leaves no attribute, so RunConfig's own default holds.
+_FLAGS = {
+    "degree_bound": ("--bound", dict(type=int, metavar="BOUND",
+                                     help="total degree of the relation products m1*r*m2 "
+                                          "each check reduces against (default 2, max 4)")),
+    "residual_tolerance": ("--tol", dict(type=float, metavar="TOL",
+                                         help="residual tolerance for witnesses (default 1e-9)")),
+    "svd_threshold": ("--svd-threshold", dict(type=float,
+                                              help="singular value threshold (default 1e-6)")),
+    "seed": ("--seed", dict(type=int, help="seed for pseudo-random witnesses and sweep samples "
+                                           "(default 0)")),
+    "jobs": ("--jobs", dict(type=int, help="parallel workers (default: NCSTAR_JOBS or all cores)")),
+    "format": ("--format", dict(choices=("json", "text"), help="report format (default text)")),
+    "output": ("--output", dict(help="write the report to this path instead of stdout")),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *fields, timings=False):
+    for name in fields + ("format", "output"):
+        flag, options = _FLAGS[name]
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **options)
+    if timings:
+        parser.add_argument("--timings", action="store_true",
+                            help="include per-check timings in JSON reports "
+                                 "(off by default so identical runs emit identical bytes)")
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        degree_bound=args.bound,
-        residual_tolerance=args.tol,
-        svd_threshold=args.svd_threshold,
-        seed=args.seed,
-        jobs=args.jobs,
-        output=args.output,
-        format=args.format,
-    )
+    return RunConfig(**{name: getattr(args, name) for name in _FLAGS if hasattr(args, name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,26 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regularize", help="validate a pair file and enforce the regularity conventions")
     p.add_argument("--input", required=True, help="pair JSON file")
     p.add_argument("--pair-output", default="", help="write the regularized pair here")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("verify", help="run one verification target")
     p.add_argument("target", choices=tuple(_TARGETS))
     p.add_argument("--input", default="", help="pair JSON file (not needed for noninjectivity)")
-    _add_common(p)
+    _add_flags(p, "degree_bound", timings=True)
 
     p = sub.add_parser("sweep", help="run targets over every pair of a given size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", default="", help="comma-separated subset of "
                                                  + ",".join(SWEEP_TARGETS))
     p.add_argument("--sample", type=int, default=0, help="sample size (required for n=4)")
-    _add_common(p)
+    _add_flags(p, "degree_bound", "seed", "jobs")
 
     p = sub.add_parser("witness", help="run independence witness suites")
     p.add_argument("suite", help="suite name or 'all': " + ", ".join(verifier.INDEPENDENCE_SUITES))
     p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness")
     p.add_argument("--phases", nargs="*", default=None,
                    help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j)")
-    _add_common(p)
+    _add_flags(p, "residual_tolerance", "svd_threshold", "seed", timings=True)
     return parser
 
 
@@ -376,9 +386,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args, config)
-    except (WitnessInvalid, DegenerateSamples) as exc:
-        print(f"witness error: {exc}", file=sys.stderr)
-        return 1
     except DimensionCap as exc:
         print(f"error: the relation span at --bound {config.degree_bound} is too large: {exc}",
               file=sys.stderr)

@@ -6,6 +6,15 @@ models keep an exact backing over Q(sqrt(2), i) so that residuals which vanish
 mathematically are reported as exactly 0; seeded pseudo-random models live in
 ordinary double precision.
 
+Exact evaluation is sparse: the witness matrices are mostly zero, so products
+and sums run over each row's nonzero entries only, and a word's product starts
+from its first letter's matrix.  An entry is skipped only when it is exactly
+zero (`QuadExact.is_zero`), never by a float tolerance, so every exact result
+equals the dense product.
+
+This module, and with it numpy, is imported only by the commands that evaluate
+a model (`witness` and `verify noninjectivity`).
+
 A model may be a *probe*: it fails some presentation relations on purpose and
 records those violations.  Probe models are barred from any claim that depends
 on the relations they violate, but remain usable for the pure commutation and
@@ -30,7 +39,7 @@ __all__ = [
     "probe_pair_model", "noninjectivity_sphere_model", "corrected_sphere_model",
     "torus_model", "free_unitary_model", "o2plus_model",
     "point_model_sphere", "point_model_tuple", "direct_sum",
-    "model_residuals", "evaluate", "check_independence",
+    "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
     "diagonal_sphere_model", "diagonal_unitary_model", "signed_point_model",
     "witness_models_for",
     "WitnessInvalid", "UnassignedGenerator", "PresentationMismatch",
@@ -123,20 +132,25 @@ class IndependenceResult:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _exact_matmul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
+def _exact_rows(a) -> list:
+    """Sparse rows of an exact matrix: one {column: entry} dict per row, exact zeros left out."""
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
+
+
+def _exact_matmul(a: list, b: list) -> list:
+    """Product of two sparse-row matrices; only nonzero entries are ever multiplied."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Q_ZERO
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return tuple(tuple(r) for r in out)
+    for row in a:
+        acc = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if not v.is_zero()})
+    return out
+
+
+def _exact_dense(rows: list, width: int):
+    return tuple(tuple(row.get(j, Q_ZERO) for j in range(width)) for row in rows)
 
 
 def _exact_star(a):
@@ -144,39 +158,46 @@ def _exact_star(a):
     return tuple(tuple(a[j][i].conjugate() for j in range(n)) for i in range(n))
 
 
-def _exact_identity(dim):
-    return tuple(tuple(Q_ONE if i == j else Q_ZERO for j in range(dim)) for i in range(dim))
-
-
-def _exact_zero(dim):
-    return tuple(tuple(Q_ZERO for _ in range(dim)) for _ in range(dim))
-
-
 def _exact_to_complex(a) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+
+
+def operator_norm(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m, 2))
 
 
 def evaluate(p: Poly, model: MatrixModel):
     """Evaluate a polynomial in the model; words become matrix products.
 
     Models with an exact backing are evaluated over Q(sqrt(2), i) and converted
-    to a complex array afterwards, so values like 1/2 come out bit-exact.
+    to a complex array afterwards, so values like 1/2 come out bit-exact.  The
+    exact products run over sparse rows: an entry is skipped only when it is
+    exactly zero (`QuadExact.is_zero`), so the result equals the dense product.
     Returns (matrix, exact_matrix_or_None).
     """
     if model.exact is not None:
-        acc = _exact_zero(model.dim)
+        letters = {}  # letter -> sparse rows of its (starred) matrix
+        acc = [{} for _ in range(model.dim)]
         for w, c in p.items():
-            term = _exact_identity(model.dim)
+            term = None
             for letter in w:
-                m = model.exact.get(letter.base())
+                m = letters.get(letter)
                 if m is None:
-                    raise UnassignedGenerator(f"model {model.label!r} assigns nothing to {word_str((letter.base(),))}")
-                if letter.starred and letter.tag not in HERMITIAN_TAGS:
-                    m = _exact_star(m)
-                term = _exact_matmul(term, m)
+                    m = model.exact.get(letter.base())
+                    if m is None:
+                        raise UnassignedGenerator(f"model {model.label!r} assigns nothing to {word_str((letter.base(),))}")
+                    if letter.starred and letter.tag not in HERMITIAN_TAGS:
+                        m = _exact_star(m)
+                    m = letters[letter] = _exact_rows(m)
+                term = m if term is None else _exact_matmul(term, m)
+            if term is None:
+                term = [{i: Q_ONE} for i in range(model.dim)]
             qc = QuadExact.from_gaussian(c)
-            acc = tuple(tuple(acc[i][j] + qc * term[i][j] for j in range(model.dim)) for i in range(model.dim))
-        return _exact_to_complex(acc), acc
+            for row, out in zip(term, acc):
+                for j, x in row.items():
+                    out[j] = out[j] + qc * x if j in out else qc * x
+        exact = _exact_dense(acc, model.dim)
+        return _exact_to_complex(exact), exact
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for w, c in p.items():
         term = np.eye(model.dim, dtype=complex)
@@ -203,33 +224,43 @@ def model_residuals(model: MatrixModel, presentation: Optional[Presentation] = N
         if exact is not None and all(x.is_zero() for row in exact for x in row):
             res = 0.0
         else:
-            res = float(np.linalg.norm(mat, 2))
+            res = operator_norm(mat)
         rows.append((rel.describe(), res))
         worst = max(worst, res)
     return ResidualReport(tuple(rows), worst)
+
+
+def gated_residuals(model: MatrixModel, gate: object = "all") -> ResidualReport:
+    """Residual report of the gated relations; raise WitnessInvalid if one exceeds tolerance.
+
+    gate: "all" checks every presentation relation of the model, and a list of
+    Relations checks just those (used for probe models whose claims only rely
+    on a relation subset).
+    """
+    if gate == "all":
+        report = model_residuals(model)
+    else:
+        sub = Presentation(model.presentation.kind, model.presentation.generators,
+                           tuple(gate), (), model.presentation.source_pair)
+        report = model_residuals(model, sub)
+    if report.max > model.residual_tolerance:
+        desc, res = report.worst()
+        raise WitnessInvalid(
+            f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}")
+    return report
 
 
 def check_independence(family: Sequence[Poly], model: MatrixModel,
                        threshold: float = 1e-6, gate: object = "all") -> IndependenceResult:
     """Numerical rank of the flattened family via singular values.
 
-    gate: "all" checks every presentation relation of the model first, "none"
-    skips the soundness gate, and a list of Relations checks just those (used
-    for probe models whose claims only rely on a relation subset).
+    gate: "none" skips the soundness gate; anything else is passed to
+    `gated_residuals` first.
     """
     if not family:
         raise ValueError("family must be nonempty")
     if gate != "none":
-        if gate == "all":
-            report = model_residuals(model)
-        else:
-            sub = Presentation(model.presentation.kind, model.presentation.generators,
-                               tuple(gate), (), model.presentation.source_pair)
-            report = model_residuals(model, sub)
-        if report.max > model.residual_tolerance:
-            desc, res = report.worst()
-            raise WitnessInvalid(
-                f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}")
+        gated_residuals(model, gate)
     rows = [evaluate_matrix(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())

@@ -18,19 +18,21 @@ relation's image depends only on its polynomial, n and the map, never on the
 pair, so the routine builds each image once per process and reuses it for
 every later pair.
 
+The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
+the non-injectivity witness check and the independence suites import them, so
+the purely algebraic tasks never pay for numpy.
+
 Inconclusive is never conflated with failure: it means the bounded certificate
 search did not settle the claim.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
-from . import repmodels
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
                     PROVED_ZERO, Poly, TensorPoly, apply_tensor_hom,
                     build_quotient_basis, comultiply_generator,
@@ -309,6 +311,7 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
     def check_nonzero():
         if not guard_ok:
             return Certificate(INCONCLUSIVE, detail="guard: witness model targets the mixed pair")
+        from . import repmodels
         model = repmodels.noninjectivity_sphere_model()
         residuals = repmodels.model_residuals(model)
         if residuals.max > model.residual_tolerance:
@@ -317,7 +320,7 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
         x1 = Poly.generator(Letter("x", 1, 0))
         x2s = Poly.generator(Letter("x", 2, 0, True))
         image, _ = repmodels.evaluate(x1 * x2s, model)
-        norm = float(np.linalg.norm(image, 2))
+        norm = repmodels.operator_norm(image)
         diag = [float(image[i, i].real) for i in range(model.dim)]
         return Certificate(PROVED_NONZERO, nonzero_evidence={
             "model": model.label,
@@ -343,34 +346,41 @@ def _x(i, star=False):
     return Poly.generator(Letter("x", i, 0, star))
 
 
-def _suite_probe_products(svd_threshold, seed, dim):
-    model = repmodels.probe_pair_model()
+# Each builder takes (probe, seed, dim, torus samples), where probe() returns the
+# probe pair model shared by the two probe suites of one call, and returns
+# (model, family, labels, expected rank, gate).
+
+def _suite_probe_products(probe, seed, dim, samples):
+    model = probe()
     gate = [r for r in model.presentation.relations if r.rid.startswith("eps")]
     fam = [_x(1, True) * _x(2), _x(1) * _x(2, True), _x(2, True) * _x(1), _x(2) * _x(1, True)]
     names = ["x1*.x2", "x1.x2*", "x2*.x1", "x2.x1*"]
     return model, fam, names, 4, gate
 
 
-def _suite_unit_squares(svd_threshold, seed, dim):
-    model = repmodels.probe_pair_model()
+def _suite_unit_squares(probe, seed, dim, samples):
+    model = probe()
     gate = [r for r in model.presentation.relations if r.rid.startswith("eps")]
     fam = [_x(2, True) * _x(2), _x(2) * _x(2, True), Poly.one()]
     return model, fam, ["x2*.x2", "x2.x2*", "1"], 3, gate
 
 
-def _suite_torus(svd_threshold, seed, dim, samples=None):
+def _suite_torus(probe, seed, dim, samples):
+    from . import repmodels
     model = repmodels.torus_model(samples or ((1, 1), (1, 1j)))
     fam = [_x(1, True) * _x(2), _x(1) * _x(2, True)]
     return model, fam, ["x1*.x2", "x1.x2*"], 2, "all"
 
 
-def _suite_free_unitary(svd_threshold, seed, dim):
+def _suite_free_unitary(probe, seed, dim, samples):
+    from . import repmodels
     model = repmodels.free_unitary_model(dim, seed)
     fam = [_x(1, True) * _x(2), _x(1) * _x(2, True), _x(2, True) * _x(1), _x(2) * _x(1, True)]
     return model, fam, ["x1*.x2", "x1.x2*", "x2*.x1", "x2.x1*"], 4, "all"
 
 
-def _suite_o2plus(svd_threshold, seed, dim):
+def _suite_o2plus(probe, seed, dim, samples):
+    from . import repmodels
     model = repmodels.o2plus_model()
     v11 = Poly.generator(Letter("ou", 1, 1))
     v21 = Poly.generator(Letter("ou", 2, 1))
@@ -394,8 +404,10 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
     """Run named witness suites: build the model, gate on residuals, test rank.
 
     Each check reports the singular values; ProvedNonzero means the family
-    reached its expected rank above the threshold.
+    reached its expected rank above the threshold.  A model's residuals are
+    computed once per suite and serve both the gate and `residual_max`.
     """
+    from . import repmodels
     if suites == "all":
         names = list(INDEPENDENCE_SUITES)
     elif isinstance(suites, str):
@@ -403,20 +415,18 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
     else:
         names = list(suites)
     report = VerificationReport("witness", {"suites": names, "seed": seed, "dim": dim})
+    probe = functools.cache(repmodels.probe_pair_model)
     for name in names:
         builder = INDEPENDENCE_SUITES.get(name)
         if builder is None:
             raise KeyError(f"unknown witness suite {name!r}")
 
-        def thunk(builder=builder, name=name):
-            if name == "torus":
-                model, fam, labels, expected, gate = builder(svd_threshold, seed, dim, torus_samples)
-            else:
-                model, fam, labels, expected, gate = builder(svd_threshold, seed, dim)
+        def thunk(builder=builder):
+            model, fam, labels, expected, gate = builder(probe, seed, dim, torus_samples)
             if residual_tolerance != model.residual_tolerance:
                 model = replace(model, residual_tolerance=residual_tolerance)
-            result = repmodels.check_independence(fam, model, svd_threshold, gate=gate)
-            residual_max = repmodels.model_residuals(model).max if gate == "all" else None
+            residuals = repmodels.gated_residuals(model, gate)
+            result = repmodels.check_independence(fam, model, svd_threshold, gate="none")
             evidence = {
                 "model": model.label,
                 "dim": model.dim,
@@ -428,8 +438,8 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
             }
             if model.seed_used is not None:
                 evidence["seed"] = model.seed_used
-            if residual_max is not None:
-                evidence["residual_max"] = residual_max
+            if gate == "all":
+                evidence["residual_max"] = residuals.max
             if result.rank == expected:
                 return Certificate(PROVED_NONZERO, nonzero_evidence=evidence,
                                    detail=f"rank {result.rank}/{expected}")

@@ -1,6 +1,11 @@
 """CLI behavior: exit codes, file handling, deterministic JSON."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +287,110 @@ def test_verify_writes_output_file(tmp_path, pair_file):
     payload = json.loads(out.read_text())
     assert payload["report"]["overall"] == "ProvedZero"
     assert payload["tool"] == "ncstar" and payload["config_hash"]
+
+
+# ---------------------------------------------------------------------------
+# per-subcommand flags
+# ---------------------------------------------------------------------------
+
+_FLAG_ARGS = {"--bound": ["3"], "--tol": ["1e-8"], "--svd-threshold": ["1e-5"],
+              "--seed": ["1"], "--jobs": ["1"], "--timings": []}
+_FLAG_FIELDS = {"--bound": ("degree_bound", 3), "--tol": ("residual_tolerance", 1e-8),
+                "--svd-threshold": ("svd_threshold", 1e-5), "--seed": ("seed", 1),
+                "--jobs": ("jobs", 1)}
+
+
+def _run_with_flag(argv, flag, accepted, tmp_path):
+    """An accepted flag runs and lands in the envelope config; any other is a usage error."""
+    out = tmp_path / "report.json"
+    code = run_cli(*argv, flag, *_FLAG_ARGS[flag], "--format", "json", "--output", str(out))
+    if flag not in accepted:
+        assert code == 2 and not out.exists()
+        return
+    assert code == 0
+    payload = json.loads(out.read_text())
+    want = RunConfig(format="json")
+    if flag in _FLAG_FIELDS:
+        name, value = _FLAG_FIELDS[flag]
+        setattr(want, name, value)
+    assert payload["config"] == want.envelope()["config"]
+    assert payload["config_hash"] == want.hash()
+
+
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+def test_regularize_flags(flag, pair_file, tmp_path):
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    _run_with_flag(["regularize", "--input", path], flag, (), tmp_path)
+
+
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+def test_verify_flags(flag, pair_file, tmp_path):
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    _run_with_flag(["verify", "tuple-action", "--input", path], flag,
+                   ("--bound", "--timings"), tmp_path)
+
+
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+def test_sweep_flags(flag, tmp_path):
+    _run_with_flag(["sweep", "--n", "1", "--targets", "tuple-action"], flag,
+                   ("--bound", "--seed", "--jobs"), tmp_path)
+
+
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+def test_witness_flags(flag, tmp_path):
+    _run_with_flag(["witness", "o2plus"], flag,
+                   ("--tol", "--svd-threshold", "--seed", "--timings"), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# cold commands: the matrix models load only where they are evaluated
+# ---------------------------------------------------------------------------
+
+_COLD_SCRIPT = r"""
+import contextlib, io, sys
+
+HEAVY = ("numpy", "ncstar.repmodels", "multiprocessing")
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+pair, out = sys.argv[1], sys.argv[2]
+assert loaded() == [], f"loaded before ncstar: {loaded()}"
+import ncstar.cli as cli
+assert loaded() == [], f"loaded by import ncstar.cli: {loaded()}"
+for argv in (["verify", "hopf"], ["verify", "tuple-action"], ["regularize"]):
+    assert cli.main(argv + ["--input", pair, "--output", out]) == 0, argv
+assert loaded() == [], f"loaded by an algebraic command: {loaded()}"
+assert cli.main(["witness", "all", "--output", out]) == 0
+assert cli.main(["verify", "noninjectivity", "--output", out]) == 0
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["witness", "torus", "--phases", "1,1", "1,1"])
+assert code == 1 and err.getvalue().startswith("witness error:"), (code, err.getvalue())
+print("ok")
+"""
+
+
+def test_cold_commands_load_numpy_only_for_models(pair_file, tmp_path):
+    path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]], "eta": [[0, 0], [0, 0]]})
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT, path, str(tmp_path / "out.txt")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+# sha256 of the default JSON reports, taken from the dense exact evaluation;
+# the sparse one must reproduce them byte for byte
+_PINNED_SHA256 = {
+    ("witness", "all"): "f17e07d0604bfe025d8c2483938df25b600512c9724cce52708e4917270556b7",
+    ("verify", "noninjectivity"): "f3ef8275fd987b0b28387ef1b8acf8e0fba6b686d78429a8aa14a17ab8404151",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_SHA256))
+def test_default_model_reports_are_pinned(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--format", "json", "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SHA256[argv]

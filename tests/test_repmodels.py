@@ -1,12 +1,16 @@
 """Matrix models: exact residuals, witness values, independence ranks."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncstar import repmodels as R
 from ncstar import presentations as P
 from ncstar.ncalg import Letter, Poly
-from ncstar.scalars import GaussianRational
+from ncstar.scalars import GaussianRational, Q_ONE, Q_ZERO, QuadExact
 
 x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)
 g = Poly.generator
@@ -336,3 +340,115 @@ def test_witness_models_are_valid(kind):
         pres = P.tuple_space_presentation([[0, 1], [1, 0]])
     for model in R.witness_models_for(pres):
         assert R.model_residuals(model, pres).max <= 1e-9, model.label
+
+
+# ---------------------------------------------------------------------------
+# sparse exact evaluation
+# ---------------------------------------------------------------------------
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# mostly exact zeros, like the witness matrices
+_entry = st.one_of(st.just(Q_ZERO), st.just(Q_ZERO), st.just(Q_ZERO),
+                   st.builds(QuadExact, _small, _small, _small, _small))
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_entry, min_size=cols, max_size=cols).map(tuple),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+def _dense_matmul(a, b):
+    """Reference: every entry multiplied, zeros included."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = Q_ZERO
+            for t in range(len(b)):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _identity(dim):
+    return tuple(tuple(Q_ONE if i == j else Q_ZERO for j in range(dim)) for i in range(dim))
+
+
+def _zero(dim):
+    return tuple(tuple(Q_ZERO for _ in range(dim)) for _ in range(dim))
+
+
+@st.composite
+def _matrix_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_matrix(n, k)), draw(_matrix(k, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_pairs())
+@example((_zero(3), _zero(3)))
+@example(((((QuadExact(0, Fraction(1, 2)),),), ((QuadExact(0, Fraction(1, 2)),),))))
+@example((_identity(4), _identity(4)))
+@example((_identity(2), ((QuadExact(1, 2, 3, 4), Q_ZERO), (Q_ZERO, QuadExact(0, 0, -1)))))
+def test_sparse_exact_matmul_equals_dense_product(ab):
+    a, b = ab
+    product = R._exact_matmul(R._exact_rows(a), R._exact_rows(b))
+    assert R._exact_dense(product, len(b[0])) == _dense_matmul(a, b)
+
+
+@st.composite
+def _exact_models_and_polys(draw):
+    dim = draw(st.integers(1, 4))
+    exact = {x1g: draw(_matrix(dim, dim)), x2g: draw(_matrix(dim, dim))}
+    letters = [Letter("x", i, 0, s) for i in (1, 2) for s in (False, True)]
+    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda c: c != GaussianRational(0))
+    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=4))
+    return exact, Poly(terms)
+
+
+def _dense_evaluate(p, exact, dim):
+    """Reference: each word from the identity, dense products and sums."""
+    acc = _zero(dim)
+    for w, c in p.items():
+        term = _identity(dim)
+        for letter in w:
+            m = exact[letter.base()]
+            if letter.starred:
+                m = tuple(tuple(m[j][i].conjugate() for j in range(dim)) for i in range(dim))
+            term = _dense_matmul(term, m)
+        qc = QuadExact.from_gaussian(c)
+        acc = tuple(tuple(acc[i][j] + qc * term[i][j] for j in range(dim)) for i in range(dim))
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_models_and_polys())
+def test_sparse_exact_evaluate_equals_dense_reference(case):
+    exact, p = case
+    dim = len(exact[x1g])
+    pres = P.sphere_presentation(P.validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]]))
+    model = R.MatrixModel(pres, dim, {g: R._exact_to_complex(m) for g, m in exact.items()}, exact)
+    image, got = R.evaluate(p, model)
+    want = _dense_evaluate(p, exact, dim)
+    assert got == want
+    assert np.array_equal(image, R._exact_to_complex(want))
+
+
+def test_exactly_vanishing_relations_report_zero():
+    # x_i = (sqrt2/2) diag(z_i): the normalization sums vanish exactly, but
+    # the same relations in double precision leave a rounding residue
+    m = R.torus_model(((1, 1), (1, 1j), (-1, -1j)))
+    rep = R.model_residuals(m)
+    assert rep.max == 0.0
+    assert all(r == 0.0 for _, r in rep.per_relation)
+    floats = R.model_residuals(replace(m, exact=None))
+    assert 0.0 < floats.max < 1e-12
+    # a relation that vanishes only by cancellation between its terms
+    sq = g(x1g).star() * g(x1g) + g(x2g).star() * g(x2g) - Poly.one()
+    assert all(x.is_zero() for row in R.evaluate(sq, m)[1] for x in row)
+    # a relation that does not vanish keeps a nonzero exact image and residual
+    probe = R.probe_pair_model()
+    assert dict(R.model_residuals(probe).per_relation)["Σ x_i* x_i = 1"] == 1.0
