@@ -4,8 +4,6 @@ Words are tuples of star-decorated letters; polynomials map words to exact
 Gaussian-rational coefficients.  On top of the free *-algebra the module
 provides:
 
-* oriented degree-2 rewriting with delta-sum (syzygy) linear passes and a
-  replayable trace,
 * one degree-bounded relation span, `BoundedSpan`: the span of all products
   m1 * r * m2 of total degree <= bound, brought to echelon form once per
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
@@ -21,17 +19,15 @@ Everything here is pure and exact; no floating point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse_scalar, scalar
 
 __all__ = [
-    "Letter", "Word", "Poly", "TensorPoly", "Rule", "RewriteSystem",
-    "RewriteTrace", "BoundedSpan", "Certificate",
-    "mul", "add", "star", "comultiply_generator", "apply_tensor_hom",
-    "build_rewrite_system", "rewrite", "replay_rewrite",
+    "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
+    "comultiply_generator", "apply_tensor_hom",
     "build_quotient_basis", "is_zero_tensor", "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
     "RosterMismatch", "DimensionCap",
@@ -55,9 +51,9 @@ class DimensionCap(RuntimeError):
 class Letter(NamedTuple):
     """One star-decorated generator occurrence.
 
-    Sorting a Letter compares (tag, row, col, starred), which is exactly the
-    letter order the rewrite rules are oriented by: unstarred < starred and
-    single-index generators carry col = 0.
+    Sorting a Letter compares (tag, row, col, starred), which is the letter
+    order every echelon table leads by: unstarred < starred and single-index
+    generators carry col = 0.
     """
 
     tag: str
@@ -253,18 +249,6 @@ def poly_str(p: Poly) -> str:
     return out
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def star(p: Poly) -> Poly:
-    return p.star()
-
-
 # ---------------------------------------------------------------------------
 # tensor polynomials
 # ---------------------------------------------------------------------------
@@ -410,125 +394,8 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# rewrite systems
+# exact echelon tables (the elimination behind BoundedSpan)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Rule:
-    """Oriented rule: a two-letter pattern rewrites to a single word or to zero."""
-
-    rule_id: str
-    pattern: tuple
-    replacement: Optional[Word]  # None encodes the zero polynomial
-    kind: str
-
-    def describe(self) -> str:
-        rhs = "0" if self.replacement is None else word_str(self.replacement)
-        return f"{word_str(self.pattern)} -> {rhs}"
-
-
-@dataclass
-class RewriteTrace:
-    steps: list = field(default_factory=list)
-    completed: bool = True
-
-    def record_rule(self, rule: Rule, position: int, word: Word, terms_after: int):
-        self.steps.append({
-            "kind": "rule", "rule": rule.rule_id, "position": position,
-            "word": word_str(word), "terms": terms_after,
-        })
-
-    def record_syzygy(self, relation_id: str, coefficient: GaussianRational):
-        self.steps.append({
-            "kind": "syzygy", "relation": relation_id,
-            "left": "1", "right": "1",
-            "coefficient": coefficient.exact_str(),
-        })
-
-    def to_json_dict(self) -> dict:
-        return {"steps": list(self.steps), "completed": self.completed}
-
-
-class RewriteSystem:
-    """Rule table plus delta-sum syzygies for one presentation.
-
-    canonical_column is min{k : eta_kk = 0} when the presentation is a unitary
-    quantum group with at least one non-normal column; the fourfold relations
-    rewrite toward the star-first word at that index.
-    """
-
-    def __init__(self, presentation, ordered_rules, syzygies, letter_order, canonical_column):
-        self.presentation = presentation
-        self.ordered_rules = tuple(ordered_rules)
-        self.syzygies = tuple(syzygies)
-        self.letter_order = tuple(letter_order)
-        self.canonical_column = canonical_column
-        self.rule_table = {r.pattern: r for r in self.ordered_rules}
-        self.rules_by_id = {r.rule_id: r for r in self.ordered_rules}
-        self._nf_cache: dict = {}
-        self._syzygy_rref = None
-
-    # -- single-word normalization -------------------------------------------------
-    def normalize_word(self, w: Word, budget: int):
-        """Fully rewrite one word.  Returns (word or None, chain, steps_used).
-
-        A chain longer than the budget aborts with the partially rewritten
-        word; completed normalizations are cached and re-count their chain
-        length so the step accounting stays input-deterministic.
-        """
-        cached = self._nf_cache.get(w)
-        if cached is not None:
-            return cached[0], cached[1], len(cached[1])
-        chain = []
-        cur = w
-        while True:
-            hit = None
-            for pos in range(len(cur) - 1):
-                rule = self.rule_table.get((cur[pos], cur[pos + 1]))
-                if rule is not None:
-                    hit = (pos, rule)
-                    break
-            if hit is None:
-                break
-            pos, rule = hit
-            chain.append((rule.rule_id, pos, cur))
-            if rule.replacement is None:
-                cur = None
-                break
-            cur = cur[:pos] + rule.replacement + cur[pos + 2:]
-            if len(chain) > budget:
-                return cur, tuple(chain), len(chain)
-        self._nf_cache[w] = (cur, tuple(chain))
-        return cur, tuple(chain), len(chain)
-
-    def normal_form(self, p: Poly, budget: int = 100000) -> Poly:
-        out: dict = {}
-        for w, c in p.items():
-            nf, _, _ = self.normalize_word(w, budget)
-            if nf is None:
-                continue
-            cur = out.get(nf)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(nf, None)
-            else:
-                out[nf] = s
-        q = Poly.__new__(Poly)
-        q.terms = out
-        return q
-
-    # -- syzygy pass ---------------------------------------------------------------
-    def syzygy_rref(self):
-        """RREF of the rule-normalized syzygy polynomials, with provenance."""
-        if self._syzygy_rref is None:
-            pivots: dict = {}
-            for rel in self.syzygies:
-                row = self.normal_form(rel.poly).terms
-                combo = {rel.rid: ONE}
-                _rref_insert(pivots, dict(row), combo)
-            self._syzygy_rref = pivots
-        return self._syzygy_rref
-
 
 def _rref_insert(pivots: dict, row: dict, combo: Optional[dict] = None):
     """Insert one row into an exact RREF pivot table.  Mutates pivots.
@@ -595,258 +462,12 @@ def _rref_reduce(pivots: dict, row: dict, on_use=None) -> dict:
                 row[w] = s
 
 
-def rewrite(p: Poly, rs: RewriteSystem, max_steps: int = 100000):
-    """Rule saturation plus syzygy linear passes, iterated to a fixpoint.
-
-    Returns (reduced Poly, RewriteTrace).  Hitting the step budget flags the
-    trace incomplete; callers downgrade such results to Inconclusive.
-    """
-    trace = RewriteTrace()
-    steps = 0
-    cur = p
-    for _round in range(64):
-        # rule phase: normalize every word (largest first, leftmost position first)
-        out: dict = {}
-        pending = sorted(cur.terms, key=word_key, reverse=True)
-        for wi, w in enumerate(pending):
-            c = cur.terms[w]
-            nf, chain, used = rs.normalize_word(w, max_steps - steps)
-            steps += used
-            for rule_id, pos, before in chain:
-                trace.record_rule(rs.rules_by_id[rule_id], pos, before,
-                                  0 if rs.rules_by_id[rule_id].replacement is None else 1)
-            if nf is not None:
-                cc = out.get(nf)
-                s = c if cc is None else cc + c
-                if s.is_zero():
-                    out.pop(nf, None)
-                else:
-                    out[nf] = s
-            if steps > max_steps:
-                # best-effort partial result: keep the untouched tail as-is
-                trace.completed = False
-                for ww in pending[wi + 1:]:
-                    out[ww] = out.get(ww, ZERO) + cur.terms[ww]
-                return Poly(out), trace
-        ruled = Poly.__new__(Poly)
-        ruled.terms = out
-
-        # syzygy pass: one linear reduction against the normalized delta-sum span
-        pivots = rs.syzygy_rref()
-        row = dict(ruled.terms)
-        used_combo: dict = {}
-
-        def on_use(lead, c, prow, pcombo):
-            nonlocal steps
-            steps += 1
-            if pcombo:
-                for rid, v in pcombo.items():
-                    cur_v = used_combo.get(rid)
-                    s = c * v if cur_v is None else cur_v + c * v
-                    if s.is_zero():
-                        used_combo.pop(rid, None)
-                    else:
-                        used_combo[rid] = s
-
-        _rref_reduce(pivots, row, on_use)
-        for rid in sorted(used_combo):
-            trace.record_syzygy(rid, used_combo[rid])
-        reduced = Poly.__new__(Poly)
-        reduced.terms = row
-        if reduced == cur:
-            return reduced, trace
-        cur = reduced
-        if steps > max_steps:
-            trace.completed = False
-            return cur, trace
-    trace.completed = False
-    return cur, trace
-
-
-def replay_rewrite(p: Poly, rs: RewriteSystem, trace: RewriteTrace) -> Poly:
-    """Mechanically re-apply a recorded trace; raises if any step fails to apply.
-
-    Rule steps name a word present in the current polynomial and a position;
-    syzygy steps subtract coefficient times the rule-normalized delta-sum
-    polynomial they cite.  The arithmetic is exact, so a ProvedZero trace must
-    replay to the literal zero polynomial.
-    """
-    cur = dict(p.terms)
-
-    def _find(word_text):
-        for w in cur:
-            if word_str(w) == word_text:
-                return w
-        raise ValueError(f"trace step refers to absent word {word_text}")
-
-    for step in trace.steps:
-        if step["kind"] == "rule":
-            rule = rs.rules_by_id[step["rule"]]
-            w = _find(step["word"])
-            pos = step["position"]
-            if w[pos:pos + 2] != rule.pattern:
-                raise ValueError(f"rule {rule.rule_id} does not apply at position {pos} of {word_str(w)}")
-            c = cur.pop(w)
-            if rule.replacement is not None:
-                nw = w[:pos] + rule.replacement + w[pos + 2:]
-                s = cur.get(nw, ZERO) + c
-                if s.is_zero():
-                    cur.pop(nw, None)
-                else:
-                    cur[nw] = s
-        else:
-            rel = next(r for r in rs.syzygies if r.rid == step["relation"])
-            c = parse_scalar(step["coefficient"])
-            for w, v in rs.normal_form(rel.poly).terms.items():
-                s = cur.get(w, ZERO) - c * v
-                if s.is_zero():
-                    cur.pop(w, None)
-                else:
-                    cur[w] = s
-    q = Poly.__new__(Poly)
-    q.terms = cur
-    return q
-
-
-# ---------------------------------------------------------------------------
-# rule construction per presentation family
-# ---------------------------------------------------------------------------
-
-def build_rewrite_system(pres) -> RewriteSystem:
-    kind = pres.kind
-    if kind == "complex-sphere":
-        rules, k0 = _sphere_rules(pres)
-    elif kind == "unitary-qg":
-        rules, k0 = _unitary_rules(pres)
-    elif kind in ("orthogonal-qg", "tuple-space"):
-        rules, k0 = _starless_rules(pres)
-    else:
-        raise ValueError(f"unknown presentation kind {kind!r}")
-    # zero rules first, then substitutions, then oriented commutations/exchanges
-    precedence = {"zero": 0, "column-canon": 1, "row-canon": 1}
-    rules.sort(key=lambda r: (precedence.get(r.kind, 2), r.pattern))
-    letters = _roster_letters(pres)
-    syz = tuple(m for fam in pres.sum_families for m in fam.members)
-    return RewriteSystem(pres, rules, syz, letters, k0)
-
-
 def _roster_letters(pres) -> list:
     letters = list(pres.generators)
     if pres.generators and pres.generators[0].tag not in HERMITIAN_TAGS:
         letters += [g.star() for g in pres.generators]
     letters.sort()
     return letters
-
-
-def _oriented(rules: list, kind: str, lhs: Word, rhs: Word, require_smaller=True):
-    if lhs == rhs:
-        return
-    if require_smaller and not word_key(rhs) < word_key(lhs):
-        return
-    rules.append(Rule(f"{kind}[{word_str(lhs)}->{word_str(rhs)}]", lhs, rhs, kind))
-
-
-def _zero_rule(rules: list, lhs: Word):
-    rules.append(Rule(f"zero[{word_str(lhs)}]", lhs, None, "zero"))
-
-
-def _sphere_rules(pres):
-    pair = pres.source_pair
-    n, eps, eta = pair.n, pair.epsilon, pair.eta
-    rules: list = []
-    for a in range(1, n + 1):
-        for c in range(1, n + 1):
-            xa = Letter("x", a, 0)
-            xc = Letter("x", c, 0)
-            if a != c and eps[a - 1][c - 1]:
-                for s in (False, True):
-                    l1 = Letter("x", a, 0, s)
-                    l2 = Letter("x", c, 0, s)
-                    _oriented(rules, "eps-comm", (l1, l2), (l2, l1))
-            if eta[a - 1][c - 1]:
-                w_star_first = (xa.star(), xc)
-                w_plain_first = (xc, xa.star())
-                if word_key(w_plain_first) < word_key(w_star_first):
-                    _oriented(rules, "eta-comm", w_star_first, w_plain_first)
-                else:
-                    _oriented(rules, "eta-comm", w_plain_first, w_star_first)
-    return rules, None
-
-
-def _unitary_rules(pres):
-    pair = pres.source_pair
-    n, eps, eta = pair.n, pair.epsilon, pair.eta
-    free_cols = [k for k in range(1, n + 1) if eta[k - 1][k - 1] == 0]
-    k0 = free_cols[0] if free_cols else None
-    rules: list = []
-    idx = range(1, n + 1)
-
-    def u(r, c, s=False):
-        return Letter("u", r, c, s)
-
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                for d in idx:
-                    e_rows = eps[a - 1][c - 1]
-                    e_cols = eps[b - 1][d - 1]
-                    # same-star shapes carry the epsilon exchange relations
-                    for s in (False, True):
-                        lhs = (u(a, b, s), u(c, d, s))
-                        if e_rows and e_cols:
-                            _oriented(rules, "eps-comm", lhs, (u(c, d, s), u(a, b, s)))
-                        elif e_rows:
-                            _oriented(rules, "eps-xrow", lhs, (u(c, b, s), u(a, d, s)))
-                        elif e_cols:
-                            _oriented(rules, "eps-xcol", lhs, (u(a, d, s), u(c, b, s)))
-                    h_rows = eta[a - 1][c - 1]
-                    h_cols = eta[b - 1][d - 1]
-                    # star-first mixed shape u_ab* u_cd
-                    lhs = (u(a, b, True), u(c, d))
-                    if h_rows and h_cols:
-                        _oriented(rules, "eta-comm", lhs, (u(c, d), u(a, b, True)))
-                    elif h_rows and not h_cols and b != d:
-                        _zero_rule(rules, lhs)
-                    elif h_cols and not h_rows and a != c:
-                        _zero_rule(rules, lhs)
-                    elif h_rows and b == d and eta[b - 1][b - 1] == 0:
-                        _oriented(rules, "column-canon", lhs, (u(a, k0, True), u(c, k0)), require_smaller=False)
-                    elif a == c and h_cols and eta[a - 1][a - 1] == 0:
-                        _oriented(rules, "row-canon", lhs, (u(k0, b, True), u(k0, d)), require_smaller=False)
-                    # plain-first mixed shape u_ab u_cd*
-                    lhs = (u(a, b), u(c, d, True))
-                    if h_rows and h_cols:
-                        _oriented(rules, "eta-comm", lhs, (u(c, d, True), u(a, b)))
-                    elif h_rows and not h_cols and b != d:
-                        _zero_rule(rules, lhs)
-                    elif h_cols and not h_rows and a != c:
-                        _zero_rule(rules, lhs)
-                    elif h_rows and b == d and eta[b - 1][b - 1] == 0:
-                        # u_ab u_cb* is the plain-first fourfold word with roles swapped
-                        _oriented(rules, "column-canon", lhs, (u(c, k0, True), u(a, k0)), require_smaller=False)
-                    elif a == c and h_cols and eta[a - 1][a - 1] == 0:
-                        _oriented(rules, "row-canon", lhs, (u(k0, d, True), u(k0, b)), require_smaller=False)
-    return rules, k0
-
-
-def _starless_rules(pres):
-    pair = pres.source_pair
-    n, eps = pair.n, pair.epsilon
-    tag = "ou" if pres.kind == "orthogonal-qg" else "tx"
-    rules: list = []
-    idx = range(1, n + 1)
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                for d in idx:
-                    lhs = (Letter(tag, a, b), Letter(tag, c, d))
-                    e_rows = eps[a - 1][c - 1]
-                    e_cols = eps[b - 1][d - 1]
-                    if e_rows and e_cols:
-                        _oriented(rules, "eps-comm", lhs, (Letter(tag, c, d), Letter(tag, a, b)))
-                    elif e_rows or e_cols:
-                        _zero_rule(rules, lhs)
-    return rules, None
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +717,6 @@ def _star_closed_relations(pres):
 
 def replay_combination(p: Poly, pres, evidence: dict) -> bool:
     """Exactly recompute lhs_multiple * p == sum coeff_i * (m1_i r_i m2_i)."""
-    from .scalars import parse_scalar
     rels = dict(_star_closed_relations(pres))
     letters = {word_str((l,)): l for l in _roster_letters(pres)}
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
-from .ncalg import Letter, Poly, poly_str, word_str
-from .scalars import GaussianRational, MINUS_ONE, ONE
+from .ncalg import Letter, Poly, poly_str
+from .scalars import ONE
 
 
 class PairValidationError(ValueError):
@@ -44,15 +43,7 @@ class BadEntry(PairValidationError):
     pass
 
 
-class EmptySubset(ValueError):
-    pass
-
-
-class IndexOutOfRange(ValueError):
-    pass
-
-
-class DuplicateIndex(ValueError):
+class MalformedPairFile(PairValidationError):
     pass
 
 
@@ -63,8 +54,14 @@ class TooLarge(ValueError):
 Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 
-def _freeze(m) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in m)
+def _freeze(m, name: str = "matrix") -> Matrix:
+    """m as nested tuples; m must be a list of rows, each itself a list."""
+    if not isinstance(m, (list, tuple)):
+        raise SizeMismatch(f"{name} must be a list of rows, not {m!r}")
+    for i, row in enumerate(m, start=1):
+        if not isinstance(row, (list, tuple)):
+            raise SizeMismatch(f"{name} row {i} must be a list, not {row!r}")
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ class CommutationPair:
 
 def validate_pair(epsilon, eta) -> CommutationPair:
     """Validate raw matrices; the raised error names the offending index."""
-    eps = _freeze(epsilon)
-    et = _freeze(eta)
+    eps = _freeze(epsilon, "epsilon")
+    et = _freeze(eta, "eta")
     n = len(eps)
     if n < 1:
         raise SizeMismatch("epsilon must be a nonempty square matrix")
@@ -102,8 +99,9 @@ def validate_pair(epsilon, eta) -> CommutationPair:
             if len(row) != n:
                 raise SizeMismatch(f"{name} row {i} has length {len(row)}, expected {n}")
             for j, x in enumerate(row, start=1):
-                if x not in (0, 1):
-                    raise BadEntry(f"{name}[{i},{j}] = {x} is not in {{0, 1}}")
+                # type(), not isinstance(): True is an int, but not an entry
+                if type(x) is not int or x not in (0, 1):
+                    raise BadEntry(f"{name}[{i},{j}] = {x!r} is not in {{0, 1}}")
     for name, m in (("epsilon", eps), ("eta", et)):
         for i in range(n):
             for j in range(i + 1, n):
@@ -223,9 +221,6 @@ class Presentation:
     @property
     def label(self) -> str:
         return f"{self.kind}[n={self.source_pair.n};{self.source_pair.compact()}]"
-
-    def generator_set(self) -> frozenset:
-        return frozenset(self.generators)
 
 
 def _canonical_poly_key(poly: Poly):
@@ -359,7 +354,7 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
 
 
 def _validate_epsilon(epsilon) -> CommutationPair:
-    eps = _freeze(epsilon)
+    eps = _freeze(epsilon, "epsilon")
     n = len(eps)
     zeros = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     return validate_pair(eps, zeros)
@@ -425,44 +420,6 @@ def tuple_space_presentation(epsilon) -> Presentation:
     return Presentation("tuple-space", gens, tuple(rb.relations), fams, pair)
 
 
-@dataclass(frozen=True)
-class RestrictedSphere:
-    """A sphere presentation on a coordinate subset plus the generator mapping.
-
-    generator_map sends each original generator to its new position or to None
-    for coordinates that are killed.
-    """
-
-    presentation: Presentation
-    pair: CommutationPair
-    generator_map: dict
-
-
-def restrict_presentation(pres: Presentation, keep: Sequence[int]) -> RestrictedSphere:
-    if pres.kind != "complex-sphere":
-        raise ValueError("restriction is defined for sphere presentations")
-    keep = list(keep)
-    if not keep:
-        raise EmptySubset("keep must name at least one coordinate")
-    n = pres.source_pair.n
-    for i in keep:
-        if not (1 <= i <= n):
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    if len(set(keep)) != len(keep):
-        raise DuplicateIndex(f"repeated index in {keep}")
-    eps = tuple(tuple(pres.source_pair.epsilon[a - 1][b - 1] for b in keep) for a in keep)
-    eta = tuple(tuple(pres.source_pair.eta[a - 1][b - 1] for b in keep) for a in keep)
-    sub = validate_pair(eps, eta)
-    mapping = {}
-    for i in range(1, n + 1):
-        old = Letter("x", i, 0)
-        if i in keep:
-            mapping[old] = Letter("x", keep.index(i) + 1, 0)
-        else:
-            mapping[old] = None
-    return RestrictedSphere(sphere_presentation(sub), sub, mapping)
-
-
 def enumerate_pairs(n: int, regular_only: bool = False, cap: int = 100_000) -> list:
     """All valid pairs of size n in lexicographic order of flattened entries."""
     if n < 1:
@@ -496,10 +453,14 @@ def enumerate_pairs(n: int, regular_only: bool = False, cap: int = 100_000) -> l
 # ---------------------------------------------------------------------------
 
 def pair_from_json_dict(data: dict) -> CommutationPair:
+    if not isinstance(data, dict):
+        raise MalformedPairFile(f"a pair file must hold a JSON object, not {type(data).__name__}")
     if "epsilon" not in data:
-        raise PairValidationError("pair file is missing the 'epsilon' matrix")
-    eps = data["epsilon"]
+        raise MalformedPairFile("pair file is missing the 'epsilon' matrix")
+    eps = _freeze(data["epsilon"], "epsilon")
     n = data.get("n", len(eps))
+    if type(n) is not int:
+        raise SizeMismatch(f"n must be an integer, not {n!r}")
     if n != len(eps):
         raise SizeMismatch(f"declared n={n} but epsilon has {len(eps)} rows")
     eta = data.get("eta")

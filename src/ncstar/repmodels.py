@@ -31,14 +31,14 @@ import numpy as np
 from .ncalg import HERMITIAN_TAGS, Letter, Poly, word_str
 from .presentations import (CommutationPair, Presentation,
                             orthogonal_qg_presentation, sphere_presentation,
-                            tuple_space_presentation, validate_pair)
+                            validate_pair)
 from .scalars import Q_ONE, Q_ZERO, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
 
 __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model", "corrected_sphere_model",
     "torus_model", "free_unitary_model", "o2plus_model",
-    "point_model_sphere", "point_model_tuple", "direct_sum",
+    "point_model_sphere", "direct_sum",
     "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
     "diagonal_sphere_model", "diagonal_unitary_model", "signed_point_model",
     "witness_models_for",
@@ -463,23 +463,6 @@ def point_model_sphere(k: int, n: int, phase=1,
     assignment = {Letter("x", i, 0): np.array([[complex(phase) if i == k else 0j]])
                   for i in range(1, n + 1)}
     return MatrixModel(pres, 1, assignment, label=f"sphere-point-{k}")
-
-
-def point_model_tuple(k: int, n: int, epsilon=None) -> MatrixModel:
-    """One-dimensional tuple-space point: the identity character x_ij -> delta_ij.
-
-    Evaluating column k picks out x_kk -> 1 and x_k'k -> 0 for k' != k; the
-    remaining columns carry the same character so that every column sum holds
-    exactly (a literal all-other-zero assignment would break them).
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside 1..{n}")
-    if epsilon is None:
-        epsilon = [[0] * n for _ in range(n)]
-    pres = tuple_space_presentation(epsilon)
-    exact = {Letter("tx", i, j): ((Q_ONE if i == j else Q_ZERO,),)
-             for i in range(1, n + 1) for j in range(1, n + 1)}
-    return _finish_exact_model(pres, 1, exact, f"tuple-point-{k}")
 
 
 def direct_sum(models: Sequence[MatrixModel]) -> MatrixModel:

@@ -137,6 +137,25 @@ def test_regularize_malformed_exit_2(pair_file, capsys):
     assert "(1,2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload,names", [
+    (5, "JSON object"),
+    ({"epsilon": 5}, "epsilon must be a list"),
+    ({"epsilon": [[0, None], [None, 0]]}, "epsilon[1,2] = None"),
+    ({"epsilon": [[0, 1], [1, 0]], "eta": 3}, "eta must be a list"),
+    ({"epsilon": [[0, 1], [1, 0]], "n": 2.0}, "n must be an integer"),
+    ({"epsilon": [[0, 1.5], [1.5, 0]]}, "epsilon[1,2] = 1.5"),
+    ({"epsilon": [[0, "1"], ["1", 0]]}, "epsilon[1,2] = '1'"),
+    ({"epsilon": [[0, True], [True, 0]]}, "epsilon[1,2] = True"),
+], ids=["scalar-file", "scalar-matrix", "null-entry", "scalar-eta", "float-n",
+        "float-entry", "string-entry", "bool-entry"])
+def test_verify_malformed_pair_file_exit_2(payload, names, pair_file, capsys):
+    path = pair_file("p.json", payload)
+    assert run_cli("verify", "hopf", "--input", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+
+
 def test_regularize_missing_file():
     assert run_cli("regularize", "--input", "/nonexistent/pair.json") == 2
 

@@ -1,7 +1,9 @@
 """Heavier module invariants that go beyond the per-operation unit tests."""
 
-import pytest
+import importlib
+import pkgutil
 
+import ncstar
 from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar.cli import RunConfig, run_sweep
@@ -34,7 +36,7 @@ def test_regularization_consistency_all_n_le_3():
             if INCONCLUSIVE in statuses:
                 inconclusive_pairs += 1
     assert checked > 400  # 1 + 11 + 414 non-regular pairs at n = 1, 2, 3
-    # the conclusive cases exist (the merge-type pairs) and so do the open ones
+    # the conclusive cases exist (mostly forced normality) and so do the open ones
     assert 0 < inconclusive_pairs < checked
 
 
@@ -44,3 +46,14 @@ def test_sweep_results_independent_of_job_count():
     body1 = run_sweep(2, ("hopf", "tuple-action"), config1)
     body2 = run_sweep(2, ("hopf", "tuple-action"), config2)
     assert body1 == body2
+
+
+def test_every_all_entry_resolves():
+    """A name deleted from a module must leave its __all__ too."""
+    modules = [importlib.import_module(f"ncstar.{m.name}") for m in pkgutil.iter_modules(ncstar.__path__)]
+    exported = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert {mod.__name__ for mod in exported} >= {"ncstar.ncalg", "ncstar.repmodels", "ncstar.verifier"}
+    for mod in exported:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"{mod.__name__}.__all__ names {missing}"
+        exec(f"from {mod.__name__} import *", {})

@@ -1,17 +1,16 @@
-"""Word algebra, rewriting, quotient bases, tensor reduction, ideal membership."""
+"""Word algebra, quotient bases, tensor reduction, ideal membership."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import span_reference
 from ncstar import ncalg as A
 from ncstar import presentations as P
-from ncstar.ncalg import (Certificate, Letter, Poly, TensorPoly,
-                          build_quotient_basis, build_rewrite_system,
+from ncstar.ncalg import (Letter, Poly, TensorPoly, build_quotient_basis,
                           comultiply_generator, ideal_membership_bounded,
-                          is_zero_tensor, replay_combination, replay_rewrite,
-                          rewrite, word_str)
+                          is_zero_tensor, replay_combination)
 from ncstar.scalars import GaussianRational, I as IMAG, ONE
 
 ZERO2 = [[0, 0], [0, 0]]
@@ -37,7 +36,7 @@ def test_star_reverses_and_toggles():
 
 
 def test_commutator_construction():
-    rel = A.mul(x1, x2) + A.mul(x2.scale(GaussianRational(-1)), x1)
+    rel = x1 * x2 + x2.scale(GaussianRational(-1)) * x1
     assert rel == x1 * x2 - x2 * x1
     assert rel.degree() == 2
 
@@ -127,102 +126,6 @@ def test_tensor_roster_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# rewrite systems
-# ---------------------------------------------------------------------------
-
-def test_free_pair_has_no_rules():
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
-    rs = build_rewrite_system(pres)
-    assert rs.ordered_rules == ()
-    assert len(rs.syzygies) == 16
-    assert rs.canonical_column == 1
-
-
-def test_mixed_pair_has_column_rules_at_k0_one():
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
-    rs = build_rewrite_system(pres)
-    assert rs.canonical_column == 1
-    kinds = {r.kind for r in rs.ordered_rules}
-    assert "column-canon" in kinds and "row-canon" in kinds
-
-
-def test_orthogonal_zero_rules():
-    pres = P.orthogonal_qg_presentation(OFF2)
-    rs = build_rewrite_system(pres)
-    zero_patterns = {r.pattern for r in rs.ordered_rules if r.kind == "zero"}
-    assert (Letter("ou", 1, 1), Letter("ou", 2, 1)) in zero_patterns
-
-
-def test_rewrite_delta_sum_to_zero():
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
-    rs = build_rewrite_system(pres)
-    p = u(1, 1, True) * u(1, 1) + u(1, 2, True) * u(1, 2) - Poly.one()
-    red, trace = rewrite(p, rs)
-    assert red.is_zero() and trace.completed
-
-
-def test_rewrite_column_product_stays_canonical():
-    # eta_12 = 1, eta_11 = 0, eta_22 = 1: k0 = 1 and no syzygy collapses X(1,2)
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, [[0, 1], [1, 1]]))
-    rs = build_rewrite_system(pres)
-    assert rs.canonical_column == 1
-    p = u(1, 1, True) * u(2, 1)
-    red, trace = rewrite(p, rs)
-    assert red == p
-    assert [s for s in trace.steps if s["kind"] == "rule"] == []
-
-
-def test_rewrite_star_first_canonicalization():
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, [[0, 1], [1, 1]]))
-    rs = build_rewrite_system(pres)
-    p = u(2, 1) * u(1, 1, True)
-    red, trace = rewrite(p, rs)
-    assert red == u(1, 1, True) * u(2, 1)
-    assert trace.steps[0]["kind"] == "rule"
-    assert "column-canon" in trace.steps[0]["rule"]
-
-
-def test_rewrite_collapses_vanishing_column_product():
-    # for the fully mixed pair the conjugate-unitarity sum makes X(1,2) itself zero
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
-    rs = build_rewrite_system(pres)
-    red, trace = rewrite(Poly.from_word((Letter("u", 1, 1, True), Letter("u", 2, 1))), rs)
-    assert red.is_zero()
-    assert any(s["kind"] == "syzygy" for s in trace.steps)
-
-
-def test_rewrite_trace_replays_exactly():
-    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, ONES2))
-    rs = build_rewrite_system(pres)
-    p = u(2, 2) * u(1, 1) - u(1, 2, True) * u(2, 1) + u(1, 1, True) * u(1, 1)
-    red, trace = rewrite(p, rs)
-    assert replay_rewrite(p, rs, trace) == red
-
-
-def test_rewrite_step_limit_flags_incomplete():
-    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, ONES2))
-    rs = build_rewrite_system(pres)
-    p = u(2, 2) * u(1, 1) * u(2, 1) * u(1, 2)
-    red, trace = rewrite(p, rs, max_steps=1)
-    assert not trace.completed
-
-
-def test_rewrite_terminates_on_degree_four_words():
-    import random
-    rng = random.Random(7)
-    presentations = [P.unitary_qg_presentation(p) for p in P.enumerate_pairs(2)]
-    presentations += [P.unitary_qg_presentation(p) for p in P.enumerate_pairs(3)[::37]]
-    presentations += [P.sphere_presentation(p) for p in P.enumerate_pairs(3)[5::61]]
-    for pres in presentations:
-        rs = build_rewrite_system(pres)
-        letters = list(pres.generators) + [g.star() for g in pres.generators]
-        for _ in range(8):
-            w = tuple(rng.choice(letters) for _ in range(4))
-            red, trace = rewrite(Poly.from_word(w), rs, max_steps=100_000)
-            assert trace.completed, f"budget blown on {word_str(w)} over {pres.label}"
-
-
-# ---------------------------------------------------------------------------
 # quotient bases
 # ---------------------------------------------------------------------------
 
@@ -264,17 +167,6 @@ def test_quotient_star_compatibility():
         for rel in pres.all_relations():
             assert qb.certify(rel.poly).status == A.PROVED_ZERO
             assert qb.certify(rel.poly.star()).status == A.PROVED_ZERO
-
-
-def test_rewrite_rule_soundness_against_linear_span():
-    # every oriented rule's pattern-minus-image lies in the degree-2 relation span
-    for pres in _test_matrix_presentations():
-        rs = build_rewrite_system(pres)
-        qb = build_quotient_basis(pres, 2)
-        for rule in rs.ordered_rules:
-            lhs = Poly.from_word(rule.pattern)
-            rhs = Poly.zero() if rule.replacement is None else Poly.from_word(rule.replacement)
-            assert qb.certify(lhs - rhs).status == A.PROVED_ZERO, rule.rule_id
 
 
 def test_span_grows_with_bound():
@@ -374,6 +266,17 @@ def test_membership_vanishing_column_product_sum():
     cert = ideal_membership_bounded(p, pres, 2)
     assert cert.status == A.PROVED_ZERO
     assert replay_combination(p, pres, cert.zero_evidence)
+    # the delta sum at (1,1) vanishes, and so does the column product
+    # X(1,2) = u11*.u21 itself: with both columns free a unitarity sum collapses it
+    span = A.BoundedSpan(pres, 2)
+    assert span.certify(u(1, 1, True) * u(1, 1) + u(1, 2, True) * u(1, 2)
+                        - Poly.one()).status == A.PROVED_ZERO
+    assert span.certify(u(1, 1, True) * u(2, 1)).status == A.PROVED_ZERO
+    # with x2 normal (eta_22 = 1) no unitarity sum collapses X(1,2), though
+    # column 1 still swaps it to u21.u11*
+    normal = A.BoundedSpan(P.unitary_qg_presentation(P.validate_pair(ZERO2, [[0, 1], [1, 1]])), 2)
+    assert normal.certify(u(1, 1, True) * u(2, 1)).status == A.INCONCLUSIVE
+    assert normal.certify(u(1, 1, True) * u(2, 1) - u(2, 1) * u(1, 1, True)).status == A.PROVED_ZERO
 
 
 def test_membership_inconclusive_for_nonzero_product():
@@ -444,7 +347,7 @@ def test_oracle_agreement_sample():
     rng = random.Random(11)
     pair = P.validate_pair(ZERO2, OFF2)
     pres = P.unitary_qg_presentation(pair)
-    rs = build_rewrite_system(pres)
+    basis = span_reference.relation_basis(pres)
     rels = pres.all_relations()
     letters = list(pres.generators) + [g.star() for g in pres.generators]
     for trial in range(60):
@@ -456,12 +359,8 @@ def test_oracle_agreement_sample():
             terms = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))):
                      GaussianRational(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))}
             poly = Poly(terms)
-        red, trace = rewrite(poly, rs)
         cert = ideal_membership_bounded(poly, pres, 2, want_combination=False)
-        if red.is_zero():
-            assert cert.status == A.PROVED_ZERO
-        if cert.status == A.PROVED_ZERO:
-            assert red.is_zero()
+        assert (cert.status == A.PROVED_ZERO) == span_reference.in_span(basis, poly), poly
 
 
 def test_certificate_json_shape():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncstar import presentations as P
-from ncstar.ncalg import Letter, Poly, word_str
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -39,8 +38,9 @@ def test_validate_rejects_bad_diagonal():
 
 
 def test_validate_rejects_bad_entry():
-    with pytest.raises(P.BadEntry, match=r"eta\[1,2\]"):
-        P.validate_pair(ZERO2, [[0, 2], [2, 0]])
+    for entry in (2, 1.5, "1"):
+        with pytest.raises(P.BadEntry, match=r"eta\[1,2\]"):
+            P.validate_pair(ZERO2, [[0, entry], [entry, 0]])
 
 
 def test_validate_rejects_size_mismatch():
@@ -161,7 +161,7 @@ def test_sphere_probe_pair_single_commutator():
 def test_sphere_relations_degree_and_roster():
     for pair in P.enumerate_pairs(2):
         pres = P.sphere_presentation(pair)
-        roster = pres.generator_set()
+        roster = frozenset(pres.generators)
         for rel in pres.all_relations():
             assert rel.poly.degree() <= 2
             for w in rel.poly.words():
@@ -200,7 +200,7 @@ def test_unitary_mixed_pair_families():
 
 def test_unitary_relations_degree_and_roster():
     pres = P.unitary_qg_presentation(P.validate_pair(OFF2, [[1, 0], [0, 0]]))
-    roster = pres.generator_set()
+    roster = frozenset(pres.generators)
     for rel in pres.all_relations():
         assert rel.poly.degree() <= 2
         for w in rel.poly.words():
@@ -210,7 +210,7 @@ def test_unitary_relations_degree_and_roster():
 @pytest.mark.parametrize("builder", [P.orthogonal_qg_presentation, P.tuple_space_presentation])
 def test_starless_relations_degree_and_roster(builder):
     pres = builder([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    roster = pres.generator_set()
+    roster = frozenset(pres.generators)
     for rel in pres.all_relations():
         assert rel.poly.degree() <= 2
         for w in rel.poly.words():
@@ -264,54 +264,6 @@ def test_tuple_space_free_only_sums():
     pres = P.tuple_space_presentation(ZERO2)
     assert pres.relations == ()
     assert len(pres.sum_families[0].members) == 4
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-def test_restrict_to_two_coordinates():
-    eps = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    eta = [[1, 0, 1], [0, 0, 1], [1, 1, 0]]
-    pres = P.sphere_presentation(P.validate_pair(eps, eta))
-    k, l = 2, 3
-    res = P.restrict_presentation(pres, [k, l])
-    assert res.pair.epsilon[0][1] == eps[k - 1][l - 1]
-    assert res.pair.eta[0][1] == eta[k - 1][l - 1]
-    assert res.pair.eta[0][0] == eta[k - 1][k - 1]
-    assert res.pair.eta[1][1] == eta[l - 1][l - 1]
-    assert res.generator_map[Letter("x", 2, 0)] == Letter("x", 1, 0)
-    assert res.generator_map[Letter("x", 1, 0)] is None
-
-
-def test_restrict_identity():
-    pair = P.validate_pair(OFF2, ZERO2)
-    pres = P.sphere_presentation(pair)
-    res = P.restrict_presentation(pres, [1, 2])
-    assert res.pair == pair
-    assert all(res.generator_map[g] == g for g in pres.generators)
-
-
-def test_restrict_four_of_four():
-    n = 4
-    eps = [[0] * n for _ in range(n)]
-    eps[0][2] = eps[2][0] = 1
-    eps[1][3] = eps[3][1] = 1
-    eta = [[0] * n for _ in range(n)]
-    pres = P.sphere_presentation(P.validate_pair(eps, eta))
-    res = P.restrict_presentation(pres, [1, 2, 3, 4])
-    assert res.pair.n == 4
-    assert res.presentation.kind == "complex-sphere"
-
-
-def test_restrict_errors():
-    pres = P.sphere_presentation(P.validate_pair(OFF2, ZERO2))
-    with pytest.raises(P.EmptySubset):
-        P.restrict_presentation(pres, [])
-    with pytest.raises(P.IndexOutOfRange):
-        P.restrict_presentation(pres, [3])
-    with pytest.raises(P.DuplicateIndex):
-        P.restrict_presentation(pres, [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -222,15 +222,6 @@ def test_point_model_sphere_values():
     assert R.model_residuals(m).max == 0.0
 
 
-def test_point_model_tuple_delta_check():
-    m = R.point_model_tuple(1, 2)
-    col11 = sum((g(Letter("tx", i, 1)) * g(Letter("tx", i, 1)) for i in (1, 2)), Poly.zero())
-    col12 = sum((g(Letter("tx", i, 1)) * g(Letter("tx", i, 2)) for i in (1, 2)), Poly.zero())
-    assert R.evaluate_matrix(col11, m)[0, 0] == 1.0
-    assert R.evaluate_matrix(col12, m)[0, 0] == 0.0
-    assert R.model_residuals(m).max == 0.0
-
-
 def test_point_model_commutators_vanish():
     pair = P.validate_pair([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
                            [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
