@@ -5,9 +5,10 @@ Exit codes are stable across output formats:
 * 0 -- everything requested was certified,
 * 1 -- some check failed or stayed inconclusive (including witness rank
        shortfalls and degenerate sample sets),
-* 2 -- usage or input errors (unparseable pair files, unknown suites,
-       out-of-range sweep sizes, a bad NCSTAR_JOBS, a --bound whose relation
-       span exceeds its size cap).
+* 2 -- usage or input errors (unparseable pair files, a path that cannot
+       be read or written, unknown suites, out-of-range sweep sizes, a
+       non-finite tolerance, a negative seed or sample, a bad NCSTAR_JOBS, a
+       --bound whose relation span exceeds its size cap).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -38,8 +40,13 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("degree_bound", "residual_tolerance", "svd_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{_field(name)} must be finite, not {value}")
+            if value <= 0:
+                raise ValueError(f"{_field(name)} must be strictly positive")
+        if self.seed < 0:
+            raise ValueError(f"{_field('seed')} must be non-negative, not {self.seed}")
         if self.degree_bound > 4:
             raise ValueError(f"bound {self.degree_bound} is above the cap of 4")
         if self.format not in ("json", "text"):
@@ -227,6 +234,8 @@ def cmd_sweep(args, config: RunConfig) -> int:
     for t in targets:
         if t not in SWEEP_TARGETS:
             raise KeyError(f"unknown sweep target {t!r}")
+    if args.sample < 0:
+        raise ValueError(f"--sample must be non-negative, not {args.sample}")
     if args.n > 4:
         raise TooLarge(f"sweeps are capped at n=4; got n={args.n}")
     if args.n == 4 and not args.sample:
@@ -318,6 +327,11 @@ _FLAGS = {
 }
 
 
+def _field(name: str) -> str:
+    """A RunConfig field as messages name it: the field and its flag."""
+    return f"{name} ({_FLAGS[name][0]})"
+
+
 def _add_flags(parser: argparse.ArgumentParser, *fields, timings=False):
     for name in fields + ("format", "output"):
         flag, options = _FLAGS[name]
@@ -390,7 +404,7 @@ def main(argv=None) -> int:
         print(f"error: the relation span at --bound {config.degree_bound} is too large: {exc}",
               file=sys.stderr)
         return 2
-    except (PairValidationError, TooLarge, KeyError, FileNotFoundError,
+    except (PairValidationError, TooLarge, KeyError, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse_scalar, scalar
+from .scalars import GaussianRational, MINUS_ONE, ONE, parse_scalar, scalar
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
-    "comultiply_generator", "apply_tensor_hom",
+    "apply_tensor_hom",
     "build_quotient_basis", "is_zero_tensor", "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
     "RosterMismatch", "DimensionCap",
@@ -133,10 +133,6 @@ class Poly:
         return cls({(): ONE})
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls({(): scalar(c)})
-
-    @classmethod
     def from_word(cls, w: Word, c=ONE) -> "Poly":
         return cls({tuple(w): scalar(c)})
 
@@ -149,9 +145,6 @@ class Poly:
 
     def words(self):
         return self.terms.keys()
-
-    def coefficient(self, w: Word) -> GaussianRational:
-        return self.terms.get(tuple(w), ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -358,15 +351,6 @@ class TensorPoly:
             for (a, b), c in sorted(self.terms.items(), key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1])))
         ]
         return "TensorPoly(" + " + ".join(parts) + ")"
-
-
-def comultiply_generator(i: int, j: int, n: int, tag: str = "u") -> TensorPoly:
-    """The n-term coproduct image of u_ij: sum_k u_ik (x) u_kj."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"index ({i},{j}) out of range for size {n}")
-    roster = tuple(Letter(tag, r, c) for r in range(1, n + 1) for c in range(1, n + 1))
-    terms = {((Letter(tag, i, k),), (Letter(tag, k, j),)): ONE for k in range(1, n + 1)}
-    return TensorPoly(terms, left_roster=roster, right_roster=roster)
 
 
 def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> TensorPoly:

@@ -234,14 +234,14 @@ class _RelationBuilder:
         self.relations = []
         self._seen = set()
 
-    def add(self, rid: str, poly: Poly, description: str = ""):
+    def add(self, rid: str, poly: Poly):
         if poly.is_zero():
             return
         key = _canonical_poly_key(poly)
         if key in self._seen:
             return
         self._seen.add(key)
-        self.relations.append(Relation(rid, poly, description or f"{poly_str(poly)} = 0"))
+        self.relations.append(Relation(rid, poly))
 
 
 def _gen(tag: str, i: int, j: int = 0) -> Poly:
@@ -353,6 +353,23 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
     return Presentation("unitary-qg", gens, tuple(rb.relations), fams, pair)
 
 
+def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) -> None:
+    """The epsilon-conditioned exchange family of n x n self-adjoint generators g.
+
+    For each (i,j;k,l): if eps_ij and eps_kl, g_ik g_jl = g_jl g_ik; if just one
+    of them is 1, g_ik g_jl = 0.  The orthogonal group and the tuple space both
+    carry it.
+    """
+    idx = range(1, len(eps) + 1)
+    for i, j, k, l in itertools.product(idx, repeat=4):
+        a, b = _gen(tag, i, k), _gen(tag, j, l)
+        ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
+        if ei and ek:
+            rb.add(f"{prefix}-comm({i},{j};{k},{l})", a * b - b * a)
+        elif ei or ek:
+            rb.add(f"{prefix}-zero({i},{j};{k},{l})", a * b)
+
+
 def _validate_epsilon(epsilon) -> CommutationPair:
     eps = _freeze(epsilon, "epsilon")
     n = len(eps)
@@ -366,20 +383,11 @@ def orthogonal_qg_presentation(epsilon) -> Presentation:
     n, eps = pair.n, pair.epsilon
     gens = tuple(Letter("ou", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
     rb = _RelationBuilder()
+    _epsilon_family(rb, "ou", "Ro", eps)
 
     def v(i, j):
         return Poly.generator(Letter("ou", i, j))
 
-    idx = range(1, n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
-                    if ei and ek:
-                        rb.add(f"Ro-comm({i},{j};{k},{l})", v(i, k) * v(j, l) - v(j, l) * v(i, k))
-                    elif ei or ek:
-                        rb.add(f"Ro-zero({i},{j};{k},{l})", v(i, k) * v(j, l))
     fams = (
         _delta_sum_family("sum:row-orth", n, lambda i, j, k: v(i, k) * v(j, k)),
         _delta_sum_family("sum:col-orth", n, lambda i, j, k: v(k, i) * v(k, j)),
@@ -393,20 +401,12 @@ def tuple_space_presentation(epsilon) -> Presentation:
     n, eps = pair.n, pair.epsilon
     gens = tuple(Letter("tx", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
     rb = _RelationBuilder()
+    _epsilon_family(rb, "tx", "Rt", eps)
 
     def x(i, j):
         return Poly.generator(Letter("tx", i, j))
 
     idx = range(1, n + 1)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
-                    if ei and ek:
-                        rb.add(f"Rt-comm({i},{j};{k},{l})", x(i, k) * x(j, l) - x(j, l) * x(i, k))
-                    elif ei or ek:
-                        rb.add(f"Rt-zero({i},{j};{k},{l})", x(i, k) * x(j, l))
     col = []
     for k in idx:
         for l in idx:

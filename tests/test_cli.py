@@ -38,6 +38,12 @@ def test_config_validation():
         RunConfig(degree_bound=5)
     with pytest.raises(ValueError):
         RunConfig(svd_threshold=0.0)
+    for name in ("residual_tolerance", "svd_threshold"):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} .* must be finite"):
+                RunConfig(**{name: value})
+    with pytest.raises(ValueError, match="^seed .* must be non-negative, not -1"):
+        RunConfig(seed=-1)
 
 
 def test_negative_jobs_rejected(capsys):
@@ -160,6 +166,20 @@ def test_regularize_missing_file():
     assert run_cli("regularize", "--input", "/nonexistent/pair.json") == 2
 
 
+@pytest.mark.parametrize("argv,culprit", [
+    (["verify", "hopf", "--input", "{dir}"], "{dir}"),
+    (["verify", "noninjectivity", "--output", "{dir}"], "{dir}"),
+    (["regularize", "--input", "{pair}", "--pair-output", "{dir}"], "{dir}"),
+    (["regularize", "--input", "{pair}/x"], "{pair}/x"),
+], ids=["input-dir", "output-dir", "pair-output-dir", "input-under-file"])
+def test_unusable_path_exit_2(argv, culprit, pair_file, tmp_path, capsys):
+    paths = {"dir": tmp_path, "pair": pair_file("p.json", {"epsilon": [[0, 1], [1, 0]]})}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(culprit.format(**paths)) in err
+
+
 def test_regularize_eta_omitted(pair_file, capsys):
     path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]]})
     assert run_cli("regularize", "--input", path) == 0
@@ -277,6 +297,20 @@ def test_witness_malformed_phase_names_token(capsys):
 def test_witness_small_dim_names_dim(dim, capsys):
     assert run_cli("witness", "free-unitary", "--dim", dim) == 2
     assert f"dim must be at least 3, got {dim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["witness", "all", "--tol", "inf"], "--tol"),
+    (["witness", "all", "--tol", "nan"], "--tol"),
+    (["witness", "all", "--svd-threshold", "nan"], "--svd-threshold"),
+    (["witness", "all", "--seed", "-1"], "--seed"),
+    (["sweep", "--n", "2", "--sample", "-3"], "--sample"),
+], ids=["tol-inf", "tol-nan", "svd-threshold-nan", "negative-seed", "negative-sample"])
+def test_bad_numeric_flag_exit_2(argv, flag, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
 
 
 def test_witness_unknown_suite_exit_2():

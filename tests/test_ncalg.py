@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import span_reference
 from ncstar import ncalg as A
 from ncstar import presentations as P
+from ncstar import verifier as V
 from ncstar.ncalg import (Letter, Poly, TensorPoly, build_quotient_basis,
-                          comultiply_generator, ideal_membership_bounded,
-                          is_zero_tensor, replay_combination)
+                          ideal_membership_bounded, is_zero_tensor, replay_combination)
 from ncstar.scalars import GaussianRational, I as IMAG, ONE
 
 ZERO2 = [[0, 0], [0, 0]]
@@ -79,8 +79,15 @@ def test_algebra_associativity(p, q, r):
 # comultiplication
 # ---------------------------------------------------------------------------
 
+def _coproduct(n):
+    """Roster and coproduct u_ij -> sum_k u_ik (x) u_kj of the free pair of size n."""
+    zero = [[0] * n for _ in range(n)]
+    pres = P.unitary_qg_presentation(P.validate_pair(zero, zero))
+    return pres.generators, V._coaction_images(pres, pres, "alpha")
+
+
 def test_comultiply_generator_n2():
-    t = comultiply_generator(1, 1, 2)
+    t = _coproduct(2)[1][Letter("u", 1, 1)]
     expected = {
         ((Letter("u", 1, 1),), (Letter("u", 1, 1),)): ONE,
         ((Letter("u", 1, 2),), (Letter("u", 2, 1),)): ONE,
@@ -89,20 +96,13 @@ def test_comultiply_generator_n2():
 
 
 def test_comultiply_generator_n1():
-    t = comultiply_generator(1, 1, 1)
+    t = _coproduct(1)[1][Letter("u", 1, 1)]
     assert list(t.terms) == [((Letter("u", 1, 1),), (Letter("u", 1, 1),))]
-
-
-def test_comultiply_out_of_range():
-    with pytest.raises(ValueError):
-        comultiply_generator(0, 1, 2)
 
 
 def test_coproduct_of_degree_two_word_has_n_squared_terms():
     n = 3
-    roster = tuple(Letter("u", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    images = {Letter("u", i, j): comultiply_generator(i, j, n)
-              for i in range(1, n + 1) for j in range(1, n + 1)}
+    roster, images = _coproduct(n)
     p = u(1, 2, True) * u(2, 3)
     t = A.apply_tensor_hom(p, images, roster, roster)
     assert len(t.terms) == n * n
@@ -226,8 +226,7 @@ def test_coproduct_images_of_starred_commutation_vanish_classical():
     pair = P.validate_pair(OFF2, ONES2)
     pres = P.unitary_qg_presentation(pair)
     qb = build_quotient_basis(pres, 2)
-    images = {Letter("u", i, j): comultiply_generator(i, j, 2)
-              for i in (1, 2) for j in (1, 2)}
+    images = V._coaction_images(pres, pres, "alpha")
     for i, j, k, l in itertools.product((1, 2), repeat=4):
         rel = u(i, k, True) * u(j, l) - u(j, l) * u(i, k, True)
         t = A.apply_tensor_hom(rel, images, pres.generators, pres.generators)

@@ -1,13 +1,16 @@
 """End-to-end verification reports: coproduct, actions, anchor, suites."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from ncstar import presentations as P
 from ncstar import repmodels as R
 from ncstar import verifier as V
-from ncstar.ncalg import (INCONCLUSIVE, PROVED_NONZERO, PROVED_ZERO, Poly, apply_tensor_hom,
-                          build_quotient_basis, is_zero_tensor)
+from ncstar.ncalg import (INCONCLUSIVE, Letter, PROVED_NONZERO, PROVED_ZERO, Poly,
+                          apply_tensor_hom, build_quotient_basis, is_zero_tensor)
+from ncstar.scalars import GaussianRational
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -131,27 +134,23 @@ def _run_target(target, pair):
 
 
 def _direct_checks(target, pair):
-    """(name, certificate) per relation, by apply_tensor_hom + is_zero_tensor alone."""
-    n = pair.n
+    """(name, certificate) per relation, by the coaction images, apply_tensor_hom and
+    is_zero_tensor alone."""
     if target == "hopf":
-        pres = P.unitary_qg_presentation(pair)
-        basis = build_quotient_basis(pres)
-        images = V._coproduct_images(n)
-        return [(r.rid, is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators,
-                                                        pres.generators), basis, basis))
-                for r in pres.all_relations()]
-    if target == "sphere-action":
+        qg = tgt = P.unitary_qg_presentation(pair)
+        sides = ("",)
+    elif target == "sphere-action":
         pair = pair if P.is_regular(pair).is_regular else P.regularize(pair)
         qg, tgt = P.unitary_qg_presentation(pair), P.sphere_presentation(pair)
-        image_family = V._sphere_action_images
+        sides = ("alpha", "beta")
     else:
         qg, tgt = P.orthogonal_qg_presentation(pair.epsilon), P.tuple_space_presentation(pair.epsilon)
-        image_family = V._tuple_action_images
+        sides = ("alpha", "beta")
     left, right = build_quotient_basis(qg), build_quotient_basis(tgt)
     out = []
-    for side in ("alpha", "beta"):
-        images = image_family(n, qg.generators, tgt.generators, side)
-        out += [(f"{side}:{r.rid}",
+    for side in sides:
+        images = V._coaction_images(qg, tgt, side or "alpha")
+        out += [(f"{side}:{r.rid}" if side else r.rid,
                  is_zero_tensor(apply_tensor_hom(r.poly, images, qg.generators, tgt.generators),
                                 left, right))
                 for r in tgt.all_relations()]
@@ -189,7 +188,7 @@ def test_image_cache_keeps_sides_apart(monkeypatch):
     assert shared == {frozenset(r.poly.terms.items()) for r in sph.all_relations()}
     assert any(cached[("sphere", 2, "alpha", k)] != cached[("sphere", 2, "beta", k)] for k in shared)
     for (_, n, side, terms), image in cached.items():
-        images = V._sphere_action_images(n, qg.generators, sph.generators, side)
+        images = V._coaction_images(qg, sph, side)
         assert image == apply_tensor_hom(Poly(dict(terms)), images, qg.generators, sph.generators)
 
 
@@ -202,9 +201,50 @@ def test_image_cache_keeps_sizes_apart(monkeypatch):
     shared = {key[3] for key in cached if key[1] == 2} & {key[3] for key in cached if key[1] == 3}
     assert shared  # the same relation polynomial occurs at n = 2 and n = 3
     for (_, n, _, terms), image in cached.items():
-        gens = P.unitary_qg_presentation(P.enumerate_pairs(n)[0]).generators
+        pres = P.unitary_qg_presentation(P.enumerate_pairs(n)[0])
+        gens = pres.generators
         assert image.left_roster == gens
-        assert image == apply_tensor_hom(Poly(dict(terms)), V._coproduct_images(n), gens, gens)
+        assert image == apply_tensor_hom(Poly(dict(terms)), V._coaction_images(pres, pres, "alpha"),
+                                         gens, gens)
+
+
+def _literal_coactions(n):
+    """The five coactions, each written out on its own: map name -> generator -> image words."""
+    r = range(1, n + 1)
+    u, ou, x, tx = (functools.partial(Letter, tag) for tag in ("u", "ou", "x", "tx"))
+    return {
+        # coproduct: u_ik -> sum_j u_ij (x) u_jk
+        ("hopf", "alpha"): {u(i, k): {((u(i, j),), (u(j, k),)) for j in r} for i in r for k in r},
+        # sphere alpha: x_i -> sum_j u_ij (x) x_j
+        ("sphere", "alpha"): {x(i, 0): {((u(i, j),), (x(j, 0),)) for j in r} for i in r},
+        # sphere beta: x_i -> sum_j u_ji (x) x_j
+        ("sphere", "beta"): {x(i, 0): {((u(j, i),), (x(j, 0),)) for j in r} for i in r},
+        # tuple alpha: x_ik -> sum_j v_ij (x) x_jk
+        ("tuple", "alpha"): {tx(i, k): {((ou(i, j),), (tx(j, k),)) for j in r}
+                             for i in r for k in r},
+        # tuple beta: x_ik -> sum_j v_ji (x) x_jk
+        ("tuple", "beta"): {tx(i, k): {((ou(j, i),), (tx(j, k),)) for j in r}
+                            for i in r for k in r},
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coaction_images_match_literal_maps(n):
+    zero = [[0] * n for _ in range(n)]
+    pair = _pair(zero, zero)
+    unitary = P.unitary_qg_presentation(pair)
+    spaces = {
+        "hopf": (unitary, unitary),
+        "sphere": (unitary, P.sphere_presentation(pair)),
+        "tuple": (P.orthogonal_qg_presentation(zero), P.tuple_space_presentation(zero)),
+    }
+    for (name, side), expected in _literal_coactions(n).items():
+        qg, space = spaces[name]
+        images = V._coaction_images(qg, space, side)
+        assert {g: set(t.terms) for g, t in images.items()} == expected, (name, side)
+        for t in images.values():
+            assert set(t.terms.values()) == {GaussianRational(1)}
+            assert (t.left_roster, t.right_roster) == (qg.generators, space.generators)
 
 
 def test_basis_descriptor_is_copied_per_certificate():
