@@ -7,8 +7,9 @@ Exit codes are stable across output formats:
        shortfalls and degenerate sample sets),
 * 2 -- usage or input errors (unparseable pair files, a path that cannot
        be read or written, unknown suites, out-of-range sweep sizes, a
-       non-finite tolerance, a negative seed or sample, a bad NCSTAR_JOBS, a
-       --bound whose relation span exceeds its size cap).
+       repeated sweep target, a --dim above its cap, a phase off the unit
+       circle, a non-finite tolerance, a negative seed or sample, a bad
+       NCSTAR_JOBS, a --bound whose relation span exceeds its size cap).
 """
 
 from __future__ import annotations
@@ -231,9 +232,11 @@ def run_sweep(n: int, targets, config: RunConfig, sample: int = 0) -> dict:
 
 def cmd_sweep(args, config: RunConfig) -> int:
     targets = args.targets.split(",") if args.targets else list(SWEEP_TARGETS)
-    for t in targets:
+    for k, t in enumerate(targets):
         if t not in SWEEP_TARGETS:
             raise KeyError(f"unknown sweep target {t!r}")
+        if t in targets[:k]:
+            raise ValueError(f"--targets names {t!r} more than once")
     if args.sample < 0:
         raise ValueError(f"--sample must be non-negative, not {args.sample}")
     if args.n > 4:
@@ -273,9 +276,17 @@ def _phase(tok, part):
         raise ValueError(f"phase sample {tok!r}: {part!r} is not a complex number") from None
 
 
+# The free-unitary witness holds dim x dim matrices and a 4 x dim**2 family:
+# at --dim 1024 a run takes seconds, far above it minutes or more memory than
+# a machine has.
+MAX_WITNESS_DIM = 1024
+
+
 def cmd_witness(args, config: RunConfig) -> int:
     if args.suite != "all" and args.suite not in verifier.INDEPENDENCE_SUITES:
         raise KeyError(f"unknown witness suite {args.suite!r}")
+    if args.dim > MAX_WITNESS_DIM:
+        raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
     samples = _parse_phases(args.phases)
     from .repmodels import DegenerateSamples, WitnessInvalid
     try:
@@ -372,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="run independence witness suites")
     p.add_argument("suite", help="suite name or 'all': " + ", ".join(verifier.INDEPENDENCE_SUITES))
-    p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness")
+    p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness "
+                                                      f"(3 to {MAX_WITNESS_DIM})")
     p.add_argument("--phases", nargs="*", default=None,
                    help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j)")
     _add_flags(p, "residual_tolerance", "svd_threshold", "seed", timings=True)

@@ -9,7 +9,8 @@ provides:
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
   is the name verifications build it through),
 * two-leg tensor polynomials, certified zero by reducing each leg against a
-  span, and
+  span (`is_zero_tensor`); `TensorPoly` is a plain value with no arithmetic,
+  and relation images are built by `apply_tensor_hom` alone, and
 * degree-bounded two-sided ideal membership against the same span, with an
   explicit linear combination as evidence when the span tracks provenance;
   `ideal_membership_bounded` is the one-shot form.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .scalars import GaussianRational, MINUS_ONE, ONE, parse_scalar, scalar
+from .scalars import GaussianRational, ONE, parse_scalar, scalar
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
@@ -143,9 +144,6 @@ class Poly:
     def items(self):
         return self.terms.items()
 
-    def words(self):
-        return self.terms.keys()
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -250,7 +248,8 @@ class TensorPoly:
     """Element of the algebraic tensor product of two word algebras.
 
     terms maps (left word, right word) to a coefficient; each leg references
-    only its own roster.
+    only its own roster.  A value type: images are built by `apply_tensor_hom`
+    and reduced by `is_zero_tensor`.
     """
 
     __slots__ = ("terms", "left_roster", "right_roster")
@@ -263,80 +262,11 @@ class TensorPoly:
         else:
             self.terms = {}
 
-    @classmethod
-    def unit(cls, left_roster=(), right_roster=()) -> "TensorPoly":
-        return cls({((), ()): ONE}, left_roster=left_roster, right_roster=right_roster)
-
-    @classmethod
-    def of(cls, p: Poly, q: Poly, *, left_roster=(), right_roster=()) -> "TensorPoly":
-        terms = {}
-        for w1, c1 in p.items():
-            for w2, c2 in q.items():
-                terms[(w1, w2)] = c1 * c2
-        return cls(terms, left_roster=left_roster, right_roster=right_roster)
-
-    def _check(self, other: "TensorPoly"):
-        if self.left_roster != other.left_roster or self.right_roster != other.right_roster:
-            raise RosterMismatch("tensor legs built over different rosters")
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def items(self):
         return self.terms.items()
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        t = TensorPoly.__new__(TensorPoly)
-        t.terms = out
-        t.left_roster = self.left_roster
-        t.right_roster = self.right_roster
-        return t
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, c) -> "TensorPoly":
-        c = scalar(c)
-        t = TensorPoly.__new__(TensorPoly)
-        t.terms = {} if c.is_zero() else {k: v * c for k, v in self.terms.items()}
-        t.left_roster = self.left_roster
-        t.right_roster = self.right_roster
-        return t
-
-    def __mul__(self, other: "TensorPoly") -> "TensorPoly":
-        self._check(other)
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                c = c1 * c2
-                cur = out.get(k)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        t = TensorPoly.__new__(TensorPoly)
-        t.terms = out
-        t.left_roster = self.left_roster
-        t.right_roster = self.right_roster
-        return t
-
-    def star(self) -> "TensorPoly":
-        t = TensorPoly.__new__(TensorPoly)
-        t.terms = {(star_word(a), star_word(b)): c.conjugate() for (a, b), c in self.terms.items()}
-        t.left_roster = self.left_roster
-        t.right_roster = self.right_roster
-        return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorPoly):
@@ -356,25 +286,45 @@ class TensorPoly:
 def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> TensorPoly:
     """Extend a generator assignment Letter -> TensorPoly to p as a *-homomorphism.
 
-    Starred letters map to the star of the assigned image; words map to the
-    leg-wise product of their letters' images.
+    Each word expands over plain {(left word, right word): coefficient} dicts:
+    a starred letter takes the leg-wise star of its image, with conjugated
+    coefficients, and a word maps to the leg-wise product of its letters'
+    images.  Every image must be built over the two given rosters.
     """
-    out = TensorPoly({}, left_roster=left_roster, right_roster=right_roster)
-    unit = TensorPoly.unit(left_roster, right_roster)
-    cache: dict = {}
+    rosters = (tuple(left_roster), tuple(right_roster))
+    letters: dict = {}
+    out: dict = {}
     for w, c in p.items():
-        img = unit
+        acc = {((), ()): c}
         for l in w:
-            li = cache.get(l)
-            if li is None:
-                base_img = images.get(l.base())
-                if base_img is None:
+            img = letters.get(l)
+            if img is None:
+                base = images.get(l.base())
+                if base is None:
                     raise RosterMismatch(f"no image assigned for generator {letter_str(l.base())}")
-                li = base_img.star() if (l.starred and l.tag not in HERMITIAN_TAGS) else base_img
-                cache[l] = li
-            img = img * li
-        out = out + img.scale(c)
-    return out
+                if (base.left_roster, base.right_roster) != rosters:
+                    raise RosterMismatch(f"image of {letter_str(l.base())} built over other rosters")
+                img = base.terms
+                if l.starred and l.tag not in HERMITIAN_TAGS:
+                    img = {(star_word(a), star_word(b)): v.conjugate() for (a, b), v in img.items()}
+                letters[l] = img
+            prod: dict = {}
+            for (a1, b1), c1 in acc.items():
+                for (a2, b2), c2 in img.items():
+                    _add_term(prod, (a1 + a2, b1 + b2), c1 * c2)
+            acc = prod
+        for k, v in acc.items():
+            _add_term(out, k, v)
+    return TensorPoly(out, left_roster=rosters[0], right_roster=rosters[1])
+
+
+def _add_term(acc: dict, k, v) -> None:
+    cur = acc.get(k)
+    s = v if cur is None else cur + v
+    if s.is_zero():
+        acc.pop(k, None)
+    else:
+        acc[k] = s
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ equals the dense product.
 This module, and with it numpy, is imported only by the commands that evaluate
 a model (`witness` and `verify noninjectivity`).
 
-A model may be a *probe*: it fails some presentation relations on purpose and
-records those violations.  Probe models are barred from any claim that depends
-on the relations they violate, but remain usable for the pure commutation and
+A model may be a *probe*: it fails some presentation relations on purpose.
+Its violations are derived, on first read, from one residual report against
+its tolerance.  Probe models are barred from any claim that depends on the
+relations they violate, but remain usable for the pure commutation and
 independence computations they were written down for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,8 +82,6 @@ class MatrixModel:
     exact: Optional[dict] = None  # Letter -> tuple of tuples of QuadExact
     residual_tolerance: float = 1e-9
     label: str = ""
-    probe: bool = False
-    violations: tuple = ()
     seed_used: Optional[int] = None
 
     def matrix(self, letter: Letter) -> np.ndarray:
@@ -93,18 +93,15 @@ class MatrixModel:
             return m.conj().T
         return m
 
-    def to_json_dict(self) -> dict:
-        def enc(m):
-            return [[[repr(float(x.real)), repr(float(x.imag))] for x in row] for row in m]
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "probe": self.probe,
-            "violations": list(self.violations),
-            "presentation": self.presentation.label,
-            "seed": self.seed_used,
-            "assignment": {word_str((g,)): enc(self.assignment[g]) for g in sorted(self.assignment)},
-        }
+    @cached_property
+    def violations(self) -> tuple:
+        """The relations whose residual exceeds the tolerance, computed on first read."""
+        return tuple(desc for desc, r in model_residuals(self).per_relation
+                     if r > self.residual_tolerance)
+
+    @property
+    def probe(self) -> bool:
+        return bool(self.violations)
 
 
 @dataclass(frozen=True)
@@ -119,13 +116,7 @@ class ResidualReport:
 @dataclass(frozen=True)
 class IndependenceResult:
     rank: int
-    expected: int
     singular_values: tuple
-    threshold: float
-
-    @property
-    def independent(self) -> bool:
-        return self.rank == self.expected
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +255,16 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
     rows = [evaluate_matrix(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())
-    return IndependenceResult(rank, len(family), tuple(float(s) for s in sv), threshold)
+    return IndependenceResult(rank, tuple(float(s) for s in sv))
 
 
 # ---------------------------------------------------------------------------
 # the hand-built models
 # ---------------------------------------------------------------------------
 
-def _finish_exact_model(pres, dim, exact_assignment, label, seed=None,
-                        tolerance=1e-9) -> MatrixModel:
+def _finish_exact_model(pres, dim, exact_assignment, label, seed=None) -> MatrixModel:
     assignment = {g: _exact_to_complex(m) for g, m in exact_assignment.items()}
-    model = MatrixModel(pres, dim, assignment, exact_assignment,
-                        residual_tolerance=tolerance, label=label, seed_used=seed)
-    report = model_residuals(model)
-    if report.max > tolerance:
-        violations = tuple(desc for desc, r in report.per_relation if r > tolerance)
-        model = replace(model, probe=True, violations=violations)
-    return model
+    return MatrixModel(pres, dim, assignment, exact_assignment, label=label, seed_used=seed)
 
 
 def _probe_pair_matrices():
@@ -354,7 +338,8 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j)),
         raise DegenerateSamples("need at least 2 phase samples")
     for z1, z2 in samples:
         for z in (z1, z2):
-            if abs(abs(complex(z)) - 1.0) > 1e-12:
+            # written so that nan fails too: every comparison with nan is false
+            if not abs(abs(complex(z)) - 1.0) <= 1e-12:
                 raise ValueError(f"phase {z} is not on the unit circle")
     if pair is None:
         pair = validate_pair([[0, 1], [1, 0]], [[1, 1], [1, 1]])
@@ -500,15 +485,9 @@ def direct_sum(models: Sequence[MatrixModel]) -> MatrixModel:
                     rows.append(tuple([Q_ZERO] * pos + list(row) + [Q_ZERO] * (dim - pos - m.dim)))
                 pos += m.dim
             exact[g] = tuple(rows)
-    merged = MatrixModel(first.presentation, dim, assignment, exact,
-                         residual_tolerance=first.residual_tolerance,
-                         label="(+)".join(m.label for m in models))
-    report = model_residuals(merged)
-    if report.max > merged.residual_tolerance:
-        merged = replace(merged, probe=True,
-                         violations=tuple(d for d, r in report.per_relation
-                                          if r > merged.residual_tolerance))
-    return merged
+    return MatrixModel(first.presentation, dim, assignment, exact,
+                       residual_tolerance=first.residual_tolerance,
+                       label="(+)".join(m.label for m in models))
 
 
 # ---------------------------------------------------------------------------

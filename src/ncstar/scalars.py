@@ -225,5 +225,4 @@ class QuadExact:
 
 Q_ZERO = QuadExact()
 Q_ONE = QuadExact(1)
-Q_I = QuadExact(0, 0, 1, 0)
 Q_SQRT2_OVER_2 = QuadExact(0, Fraction(1, 2), 0, 0)

@@ -111,13 +111,6 @@ class VerificationReport:
             "notices": list(self.notices),
         }
 
-    def summary_line(self) -> str:
-        counts = {}
-        for c in self.checks:
-            counts[c.certificate.status] = counts.get(c.certificate.status, 0) + 1
-        body = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        return f"{self.task}: {self.overall} ({body})"
-
 
 def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
     t0 = time.perf_counter_ns()

@@ -10,7 +10,7 @@ from ncstar import repmodels as R
 from ncstar.ncalg import (Poly, TensorPoly, build_quotient_basis,
                           ideal_membership_bounded, is_zero_tensor,
                           replay_combination)
-from ncstar.scalars import GaussianRational
+from ncstar.scalars import GaussianRational, ZERO
 
 def _letters(pres):
     out = list(pres.generators)
@@ -64,20 +64,22 @@ def test_tensor_zero_soundness_fuzz():
         return float(np.linalg.norm(total, 2))
 
     for _ in range(20):
-        t = TensorPoly({}, left_roster=qg.generators, right_roster=sph.generators)
+        terms = {}  # (left word, right word) -> coefficient
         for _ in range(rng.randint(1, 3)):
             side = rng.random() < 0.5
             if side:
                 rel = rng.choice(qg.all_relations()).poly
                 w = tuple(rng.choice(sph_letters) for _ in range(rng.randint(0, 2)))
-                piece = TensorPoly.of(rel, Poly.from_word(w),
-                                      left_roster=qg.generators, right_roster=sph.generators)
+                legs = (rel, Poly.from_word(w))
             else:
                 rel = rng.choice(sph.all_relations()).poly
                 w = tuple(rng.choice(qg_letters) for _ in range(rng.randint(0, 2)))
-                piece = TensorPoly.of(Poly.from_word(w), rel,
-                                      left_roster=qg.generators, right_roster=sph.generators)
-            t = t + piece.scale(GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)))
+                legs = (Poly.from_word(w), rel)
+            c = GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+            for wl, cl in legs[0].items():
+                for wr, cr in legs[1].items():
+                    terms[wl, wr] = terms.get((wl, wr), ZERO) + c * cl * cr
+        t = TensorPoly(terms, left_roster=qg.generators, right_roster=sph.generators)
         cert = is_zero_tensor(t, left, right)
         assert cert.status == "ProvedZero"
         assert tensor_eval_norm(t) < 1e-9

@@ -313,6 +313,19 @@ def test_bad_numeric_flag_exit_2(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv,culprit", [
+    (["sweep", "--n", "2", "--targets", "hopf,hopf"], "'hopf'"),
+    (["witness", "torus", "--phases", "nan,1", "1,1j"], "nan"),
+    (["witness", "free-unitary", "--dim", "100000000"], "--dim"),
+], ids=["repeated-target", "nan-phase", "huge-dim"])
+def test_bad_input_exit_2_names_it(argv, culprit, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert culprit in captured.err
+
+
 def test_witness_unknown_suite_exit_2():
     assert run_cli("witness", "bogus") == 2
 

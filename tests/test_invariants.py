@@ -1,7 +1,9 @@
 """Heavier module invariants that go beyond the per-operation unit tests."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import ncstar
 from ncstar import presentations as P
@@ -57,3 +59,17 @@ def test_every_all_entry_resolves():
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names {missing}"
         exec(f"from {mod.__name__} import *", {})
+
+
+def test_benchmark_tracer_names_stay_bound():
+    """perfbench/tracer.py wraps package functions by name; each must still exist.
+
+    Loading the tracer reads every traced name, and assert_clean() checks that
+    each is its original object and that verifier and ncalg share
+    apply_tensor_hom, so a rename fails here instead of in every benchmark run.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tracer.assert_clean()

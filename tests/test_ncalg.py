@@ -10,7 +10,8 @@ from ncstar import ncalg as A
 from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar.ncalg import (Letter, Poly, TensorPoly, build_quotient_basis,
-                          ideal_membership_bounded, is_zero_tensor, replay_combination)
+                          ideal_membership_bounded, is_zero_tensor, replay_combination,
+                          star_word)
 from ncstar.scalars import GaussianRational, I as IMAG, ONE
 
 ZERO2 = [[0, 0], [0, 0]]
@@ -23,6 +24,12 @@ x2 = Poly.generator(Letter("x", 2, 0))
 
 def u(i, j, s=False):
     return Poly.generator(Letter("u", i, j, s))
+
+
+def tensor(p, q, roster=()):
+    """p (x) q, with both legs over one roster."""
+    terms = {(w1, w2): c1 * c2 for w1, c1 in p.items() for w2, c2 in q.items()}
+    return TensorPoly(terms, left_roster=roster, right_roster=roster)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +119,82 @@ def test_coproduct_of_degree_two_word_has_n_squared_terms():
     assert key in t.terms
 
 
-def test_tensor_star_is_legwise():
-    t = TensorPoly.of(x1, x2.star())
-    s = t.star()
-    assert ((Letter("x", 1, 0, True),), (Letter("x", 2, 0),)) in s.terms
+# A naive reference for apply_tensor_hom: tensor elements as plain
+# {(left word, right word): coefficient} dicts, with the algebra written out
+# term by term.
+
+def _ref_add(s, t):
+    out = dict(s)
+    for k, c in t.items():
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def test_tensor_roster_mismatch():
-    ta = TensorPoly.of(x1, x1, left_roster=(Letter("x", 1, 0),), right_roster=(Letter("x", 1, 0),))
-    tb = TensorPoly.of(x1, x1, left_roster=(Letter("x", 2, 0),), right_roster=(Letter("x", 1, 0),))
+def _ref_mul(s, t):
+    out = {}
+    for (a1, b1), c1 in s.items():
+        for (a2, b2), c2 in t.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _ref_star(t):
+    return {(star_word(a), star_word(b)): c.conjugate() for (a, b), c in t.items()}
+
+
+def _ref_hom(p, images):
+    out = {}
+    for w, c in p.items():
+        term = {((), ()): c}
+        for l in w:
+            img = images[l.base()].terms
+            term = _ref_mul(term, _ref_star(img) if l.starred else img)
+        out = _ref_add(out, term)
+    return out
+
+
+HOM_ROSTER = (Letter("x", 1, 0), Letter("x", 2, 0))
+HOM_LETTERS = [g.star() if s else g for g in HOM_ROSTER for s in (False, True)]
+
+
+@st.composite
+def random_images(draw):
+    """An image for each roster letter, with non-real Gaussian coefficients."""
+    images = {}
+    for g in HOM_ROSTER:
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            legs = tuple(tuple(draw(st.sampled_from(HOM_LETTERS)) for _ in range(draw(st.integers(0, 2))))
+                         for _ in range(2))
+            terms[legs] = GaussianRational(draw(st.integers(-2, 2)),
+                                           draw(st.sampled_from([-2, -1, 1, 2])),
+                                           draw(st.integers(1, 2)))
+        images[g] = TensorPoly(terms, left_roster=HOM_ROSTER, right_roster=HOM_ROSTER)
+    return images
+
+
+@given(random_images(), random_polys(HOM_LETTERS, max_degree=3, max_terms=3),
+       random_polys(HOM_LETTERS, max_degree=3, max_terms=3))
+@settings(max_examples=60, deadline=None)
+def test_apply_tensor_hom_is_a_star_homomorphism(images, p, q):
+    def hom(r):
+        return A.apply_tensor_hom(r, images, HOM_ROSTER, HOM_ROSTER).terms
+
+    assert hom(p) == _ref_hom(p, images)
+    assert hom(p * q) == _ref_mul(hom(p), hom(q))
+    assert hom(p.star()) == _ref_star(hom(p))
+    assert hom(p + q) == _ref_add(hom(p), hom(q))
+
+
+def test_apply_tensor_hom_needs_every_image_on_its_rosters():
+    p = x1 * x2.star()
+    image = tensor(x1, x2, HOM_ROSTER)
+    with pytest.raises(A.RosterMismatch, match="no image assigned for generator x2"):
+        A.apply_tensor_hom(p, {HOM_ROSTER[0]: image}, HOM_ROSTER, HOM_ROSTER)
+    other = tensor(x1, x2, HOM_ROSTER[:1])
     with pytest.raises(A.RosterMismatch):
-        ta + tb
+        A.apply_tensor_hom(p, {HOM_ROSTER[0]: image, HOM_ROSTER[1]: other}, HOM_ROSTER, HOM_ROSTER)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +257,7 @@ def test_degree_three_product_needs_bound_three():
     with pytest.raises(ValueError):
         b2.certify(p)
     # on a tensor leg the degree-2 span leaves x1 * r standing, the degree-3 one kills it
-    t = TensorPoly.of(p, Poly.one(), left_roster=pres.generators, right_roster=pres.generators)
+    t = tensor(p, Poly.one(), pres.generators)
     assert is_zero_tensor(t, b2, b2).status == A.INCONCLUSIVE
     assert is_zero_tensor(t, b3, b3).status == A.PROVED_ZERO
 
@@ -217,7 +289,7 @@ def test_zero_tensor_is_proved_zero():
 def test_free_generator_tensor_inconclusive():
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
     qb = build_quotient_basis(pres, 2)
-    t = TensorPoly.of(u(1, 1), u(1, 1), left_roster=pres.generators, right_roster=pres.generators)
+    t = tensor(u(1, 1), u(1, 1), pres.generators)
     cert = is_zero_tensor(t, qb, qb)
     assert cert.status == A.INCONCLUSIVE
 
@@ -238,8 +310,7 @@ def test_tensor_roster_mismatch_against_basis():
     pres_s = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     qb_u = build_quotient_basis(pres_u, 2)
     qb_s = build_quotient_basis(pres_s, 2)
-    t = TensorPoly.of(u(1, 1), u(1, 1), left_roster=pres_u.generators,
-                      right_roster=pres_u.generators)
+    t = tensor(u(1, 1), u(1, 1), pres_u.generators)
     with pytest.raises(A.RosterMismatch):
         is_zero_tensor(t, qb_u, qb_s)
 

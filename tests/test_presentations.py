@@ -164,7 +164,7 @@ def test_sphere_relations_degree_and_roster():
         roster = frozenset(pres.generators)
         for rel in pres.all_relations():
             assert rel.poly.degree() <= 2
-            for w in rel.poly.words():
+            for w in rel.poly.terms:
                 assert all(l.base() in roster for l in w)
 
 
@@ -203,7 +203,7 @@ def test_unitary_relations_degree_and_roster():
     roster = frozenset(pres.generators)
     for rel in pres.all_relations():
         assert rel.poly.degree() <= 2
-        for w in rel.poly.words():
+        for w in rel.poly.terms:
             assert all(l.base() in roster for l in w)
 
 
@@ -213,7 +213,7 @@ def test_starless_relations_degree_and_roster(builder):
     roster = frozenset(pres.generators)
     for rel in pres.all_relations():
         assert rel.poly.degree() <= 2
-        for w in rel.poly.words():
+        for w in rel.poly.terms:
             assert all(l.base() in roster for l in w)
 
 
@@ -246,7 +246,7 @@ def test_orthogonal_n2_zero_relations():
 def test_orthogonal_letters_starless():
     pres = P.orthogonal_qg_presentation(OFF2)
     for rel in pres.all_relations():
-        for w in rel.poly.words():
+        for w in rel.poly.terms:
             assert all(not l.starred for l in w)
     g = pres.generators[0]
     assert g.star() == g  # self-adjoint letters

@@ -355,9 +355,3 @@ def test_report_json_shape():
     assert all({"relation", "status", "micros"} <= set(c) for c in d["checks"])
     d2 = report.to_json_dict(include_timings=False)
     assert all("micros" not in c for c in d2["checks"])
-
-
-def test_summary_line():
-    report = V.verify_comultiplication(_pair(ZERO2, ZERO2))
-    assert "hopf" in report.summary_line()
-    assert "ProvedZero" in report.summary_line()
