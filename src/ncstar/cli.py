@@ -271,9 +271,14 @@ def _parse_phases(tokens):
 
 def _phase(tok, part):
     try:
-        return complex(part)
+        z = complex(part)
     except ValueError:
         raise ValueError(f"phase sample {tok!r}: {part!r} is not a complex number") from None
+    # the tolerance of repmodels.torus_model, which checks again for API callers;
+    # written so that nan fails too: every comparison with nan is false
+    if not abs(abs(z) - 1.0) <= 1e-12:
+        raise ValueError(f"--phases sample {tok!r}: {part!r} is not on the unit circle")
+    return z
 
 
 # The free-unitary witness holds dim x dim matrices and a 4 x dim**2 family:

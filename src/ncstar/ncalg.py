@@ -7,7 +7,14 @@ provides:
 * one degree-bounded relation span, `BoundedSpan`: the span of all products
   m1 * r * m2 of total degree <= bound, brought to echelon form once per
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
-  is the name verifications build it through),
+  is the name verifications build it through).  The elimination runs on
+  integers: a word is keyed by its integer code over the sorted letter
+  roster (`_WordCodes`), which sorts like the word, and a coefficient is an
+  int, or a Fraction where it is not integral.  Every relation is real, so
+  the span is real, and a query with Gaussian coefficients reduces its real
+  and imaginary parts separately; `GaussianRational` appears again only at
+  the certificate boundary (the lhs multiple, the evidence coefficients and
+  the Inconclusive detail),
 * two-leg tensor polynomials, certified zero by reducing each leg against a
   span (`is_zero_tensor`); `TensorPoly` is a plain value with no arithmetic,
   and relation images are built by `apply_tensor_hom` alone, and
@@ -21,7 +28,8 @@ Everything here is pure and exact; no floating point enters this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .scalars import GaussianRational, ONE, parse_scalar, scalar
@@ -101,17 +109,6 @@ def word_key(w: Word):
 
 def star_word(w: Word) -> Word:
     return tuple(l.star() for l in reversed(w))
-
-
-def words_up_to(letters: Sequence[Letter], bound: int) -> list:
-    """All words of degree <= bound over the given letters, ascending order."""
-    out = [()]
-    layer = [()]
-    for _ in range(bound):
-        layer = [w + (l,) for w in layer for l in letters]
-        out.extend(layer)
-    out.sort(key=word_key)
-    return out
 
 
 class Poly:
@@ -262,9 +259,6 @@ class TensorPoly:
         else:
             self.terms = {}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self):
         return self.terms.items()
 
@@ -328,72 +322,134 @@ def _add_term(acc: dict, k, v) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact echelon tables (the elimination behind BoundedSpan)
+# integer word codes and exact echelon tables (the elimination behind BoundedSpan)
 # ---------------------------------------------------------------------------
 
-def _rref_insert(pivots: dict, row: dict, combo: Optional[dict] = None):
-    """Insert one row into an exact RREF pivot table.  Mutates pivots.
+class _WordCodes:
+    """Integer codes for the words over one sorted letter roster.
 
-    Consumes row and combo: they are reduced in place, and a row whose lead
-    coefficient is already 1 is stored as the new pivot without a copy.
+    With s letters, a word of length d gets offset(d) plus its base-s value,
+    where offset(d) counts the words shorter than d.  Codes order words
+    exactly as `word_key` does, so an echelon table keyed by codes leads by
+    the same words as one keyed by the words themselves.
+    """
+
+    __slots__ = ("letters", "index", "base")
+
+    def __init__(self, letters: Sequence[Letter]):
+        self.letters = tuple(letters)
+        self.index = {l: k for k, l in enumerate(self.letters)}
+        self.base = len(self.letters)
+
+    def offset(self, d: int) -> int:
+        s = self.base
+        return d if s == 1 else (s ** d - 1) // (s - 1)
+
+    def code(self, w: Word) -> Optional[int]:
+        """The code of w, or None when a letter of w is not in the roster."""
+        v = 0
+        for l in w:
+            k = self.index.get(l)
+            if k is None:
+                return None
+            v = v * self.base + k
+        return self.offset(len(w)) + v
+
+    def word(self, key) -> Word:
+        """The word a code stands for; any other key is a word already."""
+        if not isinstance(key, int):
+            return key
+        d = 0
+        while self.offset(d + 1) <= key:
+            d += 1
+        v = key - self.offset(d)
+        out = []
+        for _ in range(d):
+            v, k = divmod(v, self.base)
+            out.append(self.letters[k])
+        return tuple(reversed(out))
+
+
+def _parts(c: GaussianRational):
+    """Real and imaginary part of c, each an int, or a Fraction when not integral."""
+    if c.q == 1:
+        return c.a, c.b
+    re, im = Fraction(c.a, c.q), Fraction(c.b, c.q)
+    return (re.numerator if re.denominator == 1 else re,
+            im.numerator if im.denominator == 1 else im)
+
+
+def _eliminate(row: dict, c, prow: dict) -> None:
+    """row -= c * prow, in place, dropping zeros and keeping integral values ints."""
+    get = row.get
+    for w, v in prow.items():
+        s = get(w, 0) - c * v
+        if s.__class__ is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
+            row[w] = s
+        else:
+            del row[w]
+
+
+def _scale(row: dict, x) -> None:
+    """row *= x, in place, keeping integral values ints."""
+    for w, v in row.items():
+        v = v * x
+        row[w] = v.numerator if v.denominator == 1 else v
+
+
+def _accumulate(acc: dict, x: int, r1: list, r2: list) -> None:
+    """acc += x * (r1 (x) r2) over pairs of keys, with int values, dropping zeros."""
+    for m1, n1 in r1:
+        x1 = x * n1
+        for m2, n2 in r2:
+            k = (m1, m2)
+            s = acc.get(k, 0) + x1 * n2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def _rref_insert(pivots: dict, row: dict, combo: Optional[dict] = None):
+    """Insert one row {code: coefficient} into an exact echelon pivot table.
+
+    Mutates pivots and consumes row and combo: they are reduced and scaled
+    in place and stored as the new pivot, whose lead coefficient is 1.
     """
     while row:
-        lead = max(row, key=word_key)
+        lead = max(row)
         c = row[lead]
         hit = pivots.get(lead)
         if hit is None:
-            if c == ONE:
-                pivots[lead] = (row, combo)
-                return lead
-            inv = ONE / c
-            norm_row = {w: v * inv for w, v in row.items()}
-            norm_combo = None if combo is None else {k: v * inv for k, v in combo.items()}
-            pivots[lead] = (norm_row, norm_combo)
+            if c != 1:
+                # a lead of -1 is negated, any other is inverted
+                inv = -1 if c == -1 else 1 / Fraction(c)
+                _scale(row, inv)
+                if combo is not None:
+                    _scale(combo, inv)
+            pivots[lead] = (row, combo)
             return lead
         prow, pcombo = hit
-        del row[lead]
-        for w, v in prow.items():
-            if w == lead:
-                continue
-            cur = row.get(w)
-            s = -(c * v) if cur is None else cur - c * v
-            if s.is_zero():
-                row.pop(w, None)
-            else:
-                row[w] = s
+        # prow leads with coefficient 1, so this removes lead from row
+        _eliminate(row, c, prow)
         if combo is not None and pcombo is not None:
-            for k, v in pcombo.items():
-                cur = combo.get(k)
-                s = -(c * v) if cur is None else cur - c * v
-                if s.is_zero():
-                    combo.pop(k, None)
-                else:
-                    combo[k] = s
+            _eliminate(combo, c, pcombo)
     return None
 
 
 def _rref_reduce(pivots: dict, row: dict, on_use=None) -> dict:
     """Reduce a row against the pivot table; returns the residue (mutates row)."""
     while True:
-        lead = None
-        for w in row:
-            if w in pivots and (lead is None or word_key(w) > word_key(lead)):
-                lead = w
+        lead = max((w for w in row if w in pivots), default=None)
         if lead is None:
             return row
-        c = row.pop(lead)
+        c = row[lead]
         prow, pcombo = pivots[lead]
         if on_use is not None:
-            on_use(lead, c, prow, pcombo)
-        for w, v in prow.items():
-            if w == lead:
-                continue
-            cur = row.get(w)
-            s = -(c * v) if cur is None else cur - c * v
-            if s.is_zero():
-                row.pop(w, None)
-            else:
-                row[w] = s
+            on_use(c, pcombo)
+        _eliminate(row, c, prow)
 
 
 def _roster_letters(pres) -> list:
@@ -436,42 +492,55 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 
     ProvedZero is sound because both spans contain only genuine relations; a
     nonzero reduction is merely Inconclusive until a matrix witness exists.
+    Both spans are real, so the real and the imaginary part of t reduce
+    separately, each to int numerators keyed by pairs of word codes.
     """
     if t.left_roster and tuple(t.left_roster) != tuple(left.presentation.generators):
         raise RosterMismatch("left leg roster does not match the left basis")
     if t.right_roster and tuple(t.right_roster) != tuple(right.presentation.generators):
         raise RosterMismatch("right leg roster does not match the right basis")
-    acc: dict = {}
+    # int numerators of the real and the imaginary part, over one common denominator
+    acc_re: dict = {}
+    acc_im: dict = {}
+    denominator = 1
+    # residue_word's own cache, read here first: nearly every word is a hit
+    cached1, cached2 = left._residue_cache.get, right._residue_cache.get
     for (w1, w2), c in t.items():
-        r1 = left.residue_word(w1)
+        d1, r1 = cached1(w1) or left.residue_word(w1)
         if not r1:
             continue
-        r2 = right.residue_word(w2)
+        d2, r2 = cached2(w2) or right.residue_word(w2)
         if not r2:
             continue
-        for m1, c1 in r1:
-            cc1 = c * c1
-            for m2, c2 in r2:
-                k = (m1, m2)
-                v = cc1 * c2
-                cur = acc.get(k)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-    if not acc:
+        d = d1 * d2 * c.q
+        if denominator % d:
+            # a new denominator: bring every value so far onto the common one
+            f = d // gcd(denominator, d)
+            denominator *= f
+            for acc in (acc_re, acc_im):
+                for k in acc:
+                    acc[k] *= f
+        x = denominator // d
+        if c.a:
+            _accumulate(acc_re, c.a * x, r1, r2)
+        if c.b:
+            _accumulate(acc_im, c.b * x, r1, r2)
+    if not acc_re and not acc_im:
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "tensor-quotient",
             "left_basis": left.descriptor(),
             "right_basis": right.descriptor(),
             "terms": len(t.terms),
         })
-    sample = min(acc, key=lambda k: (word_key(k[0]), word_key(k[1])))
+    survivors = {(left._codes.word(k1), right._codes.word(k2)): (k1, k2)
+                 for k1, k2 in set(acc_re) | set(acc_im)}
+    sample = min(survivors, key=lambda k: (word_key(k[0]), word_key(k[1])))
+    key = survivors[sample]
+    coefficient = GaussianRational(acc_re.get(key, 0), acc_im.get(key, 0), denominator)
     return Certificate(
         INCONCLUSIVE,
-        detail=(f"{len(acc)} coordinate(s) survive leg-wise reduction, "
-                f"e.g. {word_str(sample[0])} ⊗ {word_str(sample[1])} with coefficient {acc[sample]}"),
+        detail=(f"{len(survivors)} coordinate(s) survive leg-wise reduction, "
+                f"e.g. {word_str(sample[0])} ⊗ {word_str(sample[1])} with coefficient {coefficient}"),
     )
 
 
@@ -484,7 +553,9 @@ class BoundedSpan:
 
     r runs over the star-closed relations of one presentation and m1, m2 over
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
-    echelon table is built once, at construction.  Tensor legs reduce single
+    echelon table is built once, at construction, over integer word codes
+    (`_WordCodes`) with int coefficients, or Fraction ones where a value is
+    not integral; every relation must be real.  Tensor legs reduce single
     words against it through a per-word residue cache (`residue_word`), and
     `certify` decides membership of one polynomial.  With provenance, each
     pivot also tracks the exact combination of products it stands for, so
@@ -499,9 +570,9 @@ class BoundedSpan:
         self.presentation = presentation
         self.bound = bound
         self.provenance = provenance
-        letters = _roster_letters(presentation)
+        codes = self._codes = _WordCodes(_roster_letters(presentation))
         # the number of words of degree <= bound; the words themselves are never needed
-        monomials = sum(len(letters) ** d for d in range(bound + 1))
+        monomials = codes.offset(bound + 1)
         if monomials > entry_cap:
             raise DimensionCap(f"{monomials} monomials up to degree {bound} exceed "
                                f"the configured cap {entry_cap}")
@@ -510,26 +581,35 @@ class BoundedSpan:
         self._entry_cap = entry_cap
         self._entries = 0
         self._rows = 0
-        pads: dict = {}
+        power = [codes.base ** d for d in range(bound + 1)]
+        offset = [codes.offset(d) for d in range(bound + 1)]
         for rid, rpoly in _star_closed_relations(presentation):
+            row = {}
+            for w, c in rpoly.items():
+                re, im = _parts(c)
+                if im:
+                    raise ValueError(f"relation {rid} has the non-real coefficient {c}; "
+                                     "a relation span is built over real relations only")
+                row[codes.code(w)] = re
             pad = bound - rpoly.degree()
-            if pad < 0:
-                continue
             if pad == 0:
                 # the relation's own row
-                self._insert(dict(rpoly.terms), rid, (), ())
+                self._insert(row, rid, 0, 0)
                 continue
-            words = pads.get(pad)
-            if words is None:
-                words = pads[pad] = words_up_to(letters, pad)
-            for m1 in words:
-                rest = pad - len(m1)
-                # words is length-sorted, so its prefix of length <= rest is
-                # exactly words_up_to(letters, rest), in the same order
-                for m2 in words:
-                    if len(m2) > rest:
-                        break
-                    self._insert({m1 + w + m2: c for w, c in rpoly.terms.items()}, rid, m1, m2)
+            # each term as (length, base-s value, coefficient); m1 and m2 run over
+            # the words of length <= pad in ascending order, and m1 * w * m2 has
+            # the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
+            terms = [(len(w), k - codes.offset(len(w)), c)
+                     for w, (k, c) in zip(rpoly.terms, row.items())]
+            for d1 in range(pad + 1):
+                for v1 in range(power[d1]):
+                    head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
+                    for d2 in range(pad - d1 + 1):
+                        p2 = power[d2]
+                        shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
+                        for v2 in range(p2):
+                            self._insert({k + v2: c for k, c in shifted}, rid,
+                                         offset[d1] + v1, offset[d2] + v2)
         # the span never changes after construction; every caller of
         # descriptor() gets its own copy, so editing one certificate cannot
         # change another
@@ -541,8 +621,8 @@ class BoundedSpan:
             "monomials": monomials,
         }
 
-    def _insert(self, row: dict, rid: str, m1: Word, m2: Word):
-        combo = {(rid, m1, m2): ONE} if self.provenance else None
+    def _insert(self, row: dict, rid: str, m1: int, m2: int):
+        combo = {(rid, m1, m2): 1} if self.provenance else None
         _rref_insert(self._pivots, row, combo)
         self._rows += 1
         # row is consumed: what is left of it is the new pivot row, and pivot
@@ -560,50 +640,64 @@ class BoundedSpan:
         return dict(self._descriptor)
 
     def residue_word(self, w: Word):
-        """Reduced coordinates of a single word, as a list of (word, coeff)."""
+        """Reduced coordinates of a single word, as (d, [(key, n), ...]).
+
+        The word reduces to (1/d) * sum n * key, with int numerators n over one
+        common denominator d.  A key is a word code; a word with a letter
+        outside the roster has no code and is its own residue, keyed by the
+        word itself.
+        """
         res = self._residue_cache.get(w)
         if res is None:
-            row = _rref_reduce(self._pivots, {w: ONE})
-            res = list(row.items())
-            self._residue_cache[w] = res
+            k = self._codes.code(w)
+            row = {w: 1} if k is None else _rref_reduce(self._pivots, {k: 1})
+            d = lcm(*(v.denominator for v in row.values()))
+            res = self._residue_cache[w] = (d, [(m, v.numerator * (d // v.denominator))
+                                                for m, v in row.items()])
         return res
 
     def certify(self, p: Poly) -> Certificate:
         """Membership of p in the span.
 
-        ProvedZero evidence (with provenance) carries the exact linear
-        combination, with cleared denominators, so the certificate shows
-        integer coefficients such as the factor 2 in the vanishing
+        The span is real, so the real and the imaginary part of p reduce
+        separately.  ProvedZero evidence (with provenance) carries the exact
+        linear combination, with cleared denominators, so the certificate
+        shows integer coefficients such as the factor 2 in the vanishing
         column-product computation.
         """
         _check_product_degree(p, self.bound)
-        used: dict = {}
-
-        def on_use(lead, c, prow, pcombo):
-            if pcombo:
-                for k, v in pcombo.items():
-                    cur = used.get(k)
-                    s = c * v if cur is None else cur + c * v
-                    if s.is_zero():
-                        used.pop(k, None)
-                    else:
-                        used[k] = s
-
-        residue = _rref_reduce(self._pivots, dict(p.terms), on_use if self.provenance else None)
-        if residue:
-            return Certificate(INCONCLUSIVE,
-                               detail=f"{len(residue)} monomial(s) outside the bounded product span")
+        parts = ({}, {})
+        outside = 0
+        for w, c in p.items():
+            k = self._codes.code(w)
+            if k is None:
+                outside += 1
+                continue
+            for part, x in zip(parts, _parts(c)):
+                if x:
+                    part[k] = x
+        used = ({}, {})
+        residue = set()
+        for part, combo in zip(parts, used):
+            on_use = None
+            if self.provenance:
+                def on_use(c, pcombo, combo=combo):
+                    _eliminate(combo, -c, pcombo)
+            residue.update(_rref_reduce(self._pivots, part, on_use))
+        if residue or outside:
+            return Certificate(INCONCLUSIVE, detail=f"{len(residue) + outside} monomial(s) "
+                                                    "outside the bounded product span")
         if not self.provenance:
             return Certificate(PROVED_ZERO, zero_evidence={
                 "kind": "linear-combination", "product_bound": self.bound, "terms": None})
-        mult = 1
-        for c in used.values():
-            mult = mult * c.q // gcd(mult, c.q)
-        mult_scalar = GaussianRational(mult)
+        keys = sorted(set(used[0]) | set(used[1]))
+        coefficients = [(used[0].get(k, 0), used[1].get(k, 0)) for k in keys]
+        mult = lcm(*(x.denominator for pair in coefficients for x in pair))
+        word = self._codes.word
         terms = [
-            {"relation": rid, "left": word_str(m1), "right": word_str(m2),
-             "coefficient": (c * mult_scalar).exact_str()}
-            for (rid, m1, m2), c in sorted(used.items(), key=lambda kv: (kv[0][0], word_key(kv[0][1]), word_key(kv[0][2])))
+            {"relation": rid, "left": word_str(word(m1)), "right": word_str(word(m2)),
+             "coefficient": GaussianRational.from_fractions(re * mult, im * mult).exact_str()}
+            for (rid, m1, m2), (re, im) in zip(keys, coefficients)
         ]
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "linear-combination",

@@ -122,8 +122,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
-I = GaussianRational(0, 1)
 
 
 def scalar(value) -> GaussianRational:
@@ -167,6 +165,16 @@ def pretty_scalar(c: GaussianRational) -> str:
     return body if c.q == 1 else f"{body}/{c.q}"
 
 
+# _QUAD_PRODUCT[p][q] = (k, f): basis element p times q is f times basis element k,
+# over the basis 1, r, i, ri of Q(sqrt2, i) with r = sqrt2 (r*r = 2, i*i = -1).
+_QUAD_PRODUCT = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, 2), (3, 1), (2, 2)),
+    ((2, 1), (3, 1), (0, -1), (1, -1)),
+    ((3, 1), (2, 2), (1, -1), (0, -2)),
+)
+
+
 class QuadExact:
     """Element (a + b*sqrt(2)) + (c + d*sqrt(2))*i of Q(sqrt(2), i)."""
 
@@ -192,14 +200,16 @@ class QuadExact:
         return QuadExact(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: "QuadExact") -> "QuadExact":
-        # (x1 + y1 i)(x2 + y2 i) with x, y in Q(sqrt2); (a+b r)(a'+b' r) = aa'+2bb' + (ab'+a'b) r
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        re_a = a1 * a2 + 2 * b1 * b2 - (c1 * c2 + 2 * d1 * d2)
-        re_b = a1 * b2 + b1 * a2 - (c1 * d2 + d1 * c2)
-        im_a = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-        im_b = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-        return QuadExact(re_a, re_b, im_a, im_b)
+        # Over the basis 1, r, i, ri (r = sqrt2), multiply only nonzero
+        # components: every witness entry (1, i, sqrt2/2) has just one.
+        out = [0, 0, 0, 0]
+        ys = [(q, y) for q, y in enumerate((other.a, other.b, other.c, other.d)) if y]
+        for p, x in enumerate((self.a, self.b, self.c, self.d)):
+            if x:
+                for q, y in ys:
+                    k, f = _QUAD_PRODUCT[p][q]
+                    out[k] += f * (x * y)
+        return QuadExact(*out)
 
     def conjugate(self) -> "QuadExact":
         return QuadExact(self.a, self.b, -self.c, -self.d)

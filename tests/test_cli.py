@@ -315,9 +315,10 @@ def test_bad_numeric_flag_exit_2(argv, flag, capsys):
 
 @pytest.mark.parametrize("argv,culprit", [
     (["sweep", "--n", "2", "--targets", "hopf,hopf"], "'hopf'"),
-    (["witness", "torus", "--phases", "nan,1", "1,1j"], "nan"),
+    (["witness", "torus", "--phases", "nan,1", "1,1j"], "--phases sample 'nan,1': 'nan'"),
+    (["witness", "torus", "--phases", "1,1", "2,1j"], "--phases sample '2,1j': '2' is not on the unit circle"),
     (["witness", "free-unitary", "--dim", "100000000"], "--dim"),
-], ids=["repeated-target", "nan-phase", "huge-dim"])
+], ids=["repeated-target", "nan-phase", "off-circle-phase", "huge-dim"])
 def test_bad_input_exit_2_names_it(argv, culprit, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Word algebra, quotient bases, tensor reduction, ideal membership."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -12,7 +13,9 @@ from ncstar import verifier as V
 from ncstar.ncalg import (Letter, Poly, TensorPoly, build_quotient_basis,
                           ideal_membership_bounded, is_zero_tensor, replay_combination,
                           star_word)
-from ncstar.scalars import GaussianRational, I as IMAG, ONE
+from ncstar.scalars import GaussianRational, ONE
+
+IMAG = GaussianRational(0, 1)
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -444,3 +447,119 @@ def test_certificate_json_shape():
     for term in ev["terms"]:
         assert set(term) == {"relation", "left", "right", "coefficient"}
         assert term["coefficient"].endswith("i")
+
+
+# ---------------------------------------------------------------------------
+# the integer-coded span kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rosters_and_words(draw):
+    """A sorted letter roster and some words of length <= bound over it."""
+    letters = draw(st.lists(st.builds(Letter, st.sampled_from(["u", "x", "ou"]), st.integers(1, 3),
+                                      st.integers(0, 3), st.booleans()),
+                            min_size=1, max_size=7, unique=True))
+    bound = draw(st.integers(2, 4))
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=bound).map(tuple),
+                          min_size=1, max_size=12))
+    return sorted(letters), words
+
+
+@given(rosters_and_words())
+@settings(max_examples=80, deadline=None)
+def test_word_code_round_trips_and_orders_like_word_key(case):
+    letters, words = case
+    codes = A._WordCodes(letters)
+    for w in words:
+        assert codes.word(codes.code(w)) == w
+    for w1, w2 in itertools.product(words, repeat=2):
+        assert (codes.code(w1) < codes.code(w2)) == (A.word_key(w1) < A.word_key(w2))
+        assert (codes.code(w1) == codes.code(w2)) == (w1 == w2)
+
+
+_REFERENCE_PRESENTATIONS = [
+    family(P.validate_pair(*pair))
+    for pair in ((ZERO2, OFF2), (OFF2, ONES2), (OFF2, [[0, 1], [1, 1]]))
+    for family in (P.unitary_qg_presentation, P.sphere_presentation)
+]
+_REFERENCE_SPANS = [(pres, A.BoundedSpan(pres, 2, provenance=True), span_reference.relation_basis(pres))
+                    for pres in _REFERENCE_PRESENTATIONS]
+_GAUSSIAN = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 3))
+
+
+@given(st.sampled_from(_REFERENCE_SPANS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_certify_matches_reference_on_nonreal_polys(case, data):
+    """The span is real; a Gaussian p reduces by its real and imaginary part."""
+    pres, span, basis = case
+    rels = [r.poly for r in pres.all_relations()]
+    p = Poly.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        p = p + data.draw(st.sampled_from(rels)).scale(data.draw(_GAUSSIAN))
+    if data.draw(st.booleans()):
+        letters = A._roster_letters(pres)
+        p = p + data.draw(random_polys(letters, max_degree=2, max_terms=2))
+    cert = span.certify(p)
+    assert (cert.status == A.PROVED_ZERO) == span_reference.in_span(basis, p)
+    if cert.status == A.PROVED_ZERO:
+        assert replay_combination(p, pres, cert.zero_evidence)
+
+
+def test_word_with_foreign_letter_is_its_own_residue():
+    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
+    span = build_quotient_basis(pres, 2)
+    y = Letter("y", 1, 0)
+    w = (Letter("x", 1, 0), y)
+    assert span.residue_word(w) == (1, [(w, 1)])
+    rel = pres.all_relations()[0].poly
+    cert = span.certify(rel + Poly.from_word(w, GaussianRational(2)))
+    assert cert.detail == "1 monomial(s) outside the bounded product span"
+    t = TensorPoly({((y,), ()): GaussianRational(1, 0, 2)})
+    assert is_zero_tensor(t, span, span).detail == (
+        "1 coordinate(s) survive leg-wise reduction, e.g. y1 ⊗ 1 with coefficient 1/2")
+
+
+def test_span_over_nonreal_relation_raises():
+    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
+    twisted = P.Relation("twisted", x1 * x2 - (x2 * x1).scale(IMAG))
+    pres = dataclasses.replace(pres, relations=pres.relations + (twisted,))
+    with pytest.raises(ValueError, match="relation twisted has the non-real coefficient -i"):
+        A.BoundedSpan(pres, 2)
+
+
+@pytest.mark.parametrize("scales,detail", [
+    ((GaussianRational(1, 0, 3), ONE),
+     "3 coordinate(s) survive leg-wise reduction, e.g. 1 ⊗ u13 with coefficient 1/6"),
+    ((GaussianRational(1, 2, 3), IMAG),
+     "3 coordinate(s) survive leg-wise reduction, e.g. 1 ⊗ u13 with coefficient (1+2i)/6"),
+], ids=["real", "nonreal"])
+def test_inconclusive_tensor_detail_is_pinned(scales, detail):
+    # with x1 normal, the unitarity sums give u12.u12* = (1 - u11.u11*) / 2
+    zero3 = [[0] * 3 for _ in range(3)]
+    pres = P.unitary_qg_presentation(P.validate_pair(zero3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    span = build_quotient_basis(pres, 2)
+    assert span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))[0] == 2
+    c1, c2 = scales
+    terms = {}
+    for p, q, c in ((u(1, 2) * u(1, 2, True), u(1, 3), c1), (u(1, 1) * u(1, 1, True), u(1, 3), c2),
+                    (u(2, 3), u(3, 2, True) * u(1, 1), c2)):
+        terms.update(tensor(p.scale(c), q).terms)
+    t = TensorPoly(terms, left_roster=pres.generators, right_roster=pres.generators)
+    assert is_zero_tensor(t, span, span).detail == detail
+
+
+def test_span_kernel_makes_no_gaussian_arithmetic(monkeypatch):
+    """Building a span and reducing a prebuilt image stays off GaussianRational."""
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    images = V._coaction_images(pres, pres, "alpha")
+    tensors = [A.apply_tensor_hom(r.poly, images, pres.generators, pres.generators)
+               for r in pres.all_relations()]
+    calls = []
+    for op in ("__mul__", "__add__", "__truediv__"):
+        def counted(a, b, fn=getattr(GaussianRational, op), op=op):
+            calls.append(op)
+            return fn(a, b)
+        monkeypatch.setattr(GaussianRational, op, counted)
+    span = build_quotient_basis(pres, 2)
+    assert all(is_zero_tensor(t, span, span).status == A.PROVED_ZERO for t in tensors)
+    assert calls == []

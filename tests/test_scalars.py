@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ncstar.scalars import (GaussianRational, I, MINUS_ONE, ONE, Q_ONE,
+from ncstar.scalars import (GaussianRational, ONE, Q_ONE,
                             Q_SQRT2_OVER_2, Q_ZERO, QuadExact, ZERO,
                             parse_scalar, pretty_scalar, scalar)
+
+I = GaussianRational(0, 1)
+MINUS_ONE = GaussianRational(-1)
 
 small = st.integers(min_value=-50, max_value=50)
 nonzero_den = st.integers(min_value=1, max_value=20)
@@ -88,3 +91,23 @@ def test_quad_from_gaussian():
     g = GaussianRational(1, 3, 2)
     q = QuadExact.from_gaussian(g)
     assert complex(q) == complex(g)
+
+
+def _full_product(x, y):
+    """The dense product formula over Q(sqrt2, i): all 16 component products."""
+    a1, b1, c1, d1 = x.a, x.b, x.c, x.d
+    a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+    return QuadExact(a1 * a2 + 2 * b1 * b2 - (c1 * c2 + 2 * d1 * d2),
+                     a1 * b2 + b1 * a2 - (c1 * d2 + d1 * c2),
+                     a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                     a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+# components that are often zero, as every witness entry's are
+_sparse = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+quads = st.builds(QuadExact, _sparse, _sparse, _sparse, _sparse)
+
+
+@given(quads, quads)
+def test_quad_sparse_product_matches_full_formula(x, y):
+    assert x * y == _full_product(x, y)
