@@ -146,13 +146,15 @@ _TARGETS = {
     "hopf": lambda pair, bound: verifier.verify_comultiplication(pair, bound),
     "sphere-action": lambda pair, bound: verifier.verify_sphere_action(pair, "both", bound),
     "tuple-action": lambda pair, bound: verifier.verify_tuple_action(pair.epsilon, "both", bound),
-    "noninjectivity": lambda pair, bound: verifier.verify_noninjectivity_example(),
+    "noninjectivity": lambda pair, bound: verifier.verify_noninjectivity_example(pair),
 }
 
 
 def cmd_verify(args, config: RunConfig) -> int:
     if args.target != "noninjectivity" and not args.input:
         raise PairValidationError(f"target {args.target} requires --input PAIRFILE")
+    if args.target == "noninjectivity" and hasattr(args, "degree_bound"):
+        raise ValueError("target noninjectivity takes no --bound: its certificate is fixed at degree 2")
     pair = load_pair(args.input) if args.input else None
     report = _TARGETS[args.target](pair, config.degree_bound)
     payload = config.envelope()

@@ -1,20 +1,19 @@
 """Exact noncommutative *-polynomial engine.
 
 Words are tuples of star-decorated letters; polynomials map words to exact
-Gaussian-rational coefficients.  On top of the free *-algebra the module
-provides:
+rational coefficients: a Python int, or a Fraction where a value is not
+integral.  Every relation here has rational coefficients, so the word algebra
+runs over Q, and star only reverses and stars words.  On top of the free
+*-algebra the module provides:
 
 * one degree-bounded relation span, `BoundedSpan`: the span of all products
   m1 * r * m2 of total degree <= bound, brought to echelon form once per
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
   is the name verifications build it through).  The elimination runs on
   integers: a word is keyed by its integer code over the sorted letter
-  roster (`_WordCodes`), which sorts like the word, and a coefficient is an
-  int, or a Fraction where it is not integral.  Every relation is real, so
-  the span is real, and a query with Gaussian coefficients reduces its real
-  and imaginary parts separately; `GaussianRational` appears again only at
-  the certificate boundary (the lhs multiple, the evidence coefficients and
-  the Inconclusive detail),
+  roster (`_WordCodes`), which sorts like the word, with the coefficients
+  of the polynomials themselves; `GaussianRational` appears only at the
+  certificate boundary, to format and parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
   span (`is_zero_tensor`); `TensorPoly` is a plain value with no arithmetic,
   and relation images are built by `apply_tensor_hom` alone, and
@@ -32,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .scalars import GaussianRational, ONE, parse_scalar, scalar
+from .scalars import GaussianRational, parse_scalar
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
@@ -111,14 +110,23 @@ def star_word(w: Word) -> Word:
     return tuple(l.star() for l in reversed(w))
 
 
+def _rational(c):
+    """c as an exact rational: an int, or a Fraction where c is not integral."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
 class Poly:
-    """Finite map Word -> GaussianRational with no zero coefficients stored."""
+    """Finite map Word -> int or Fraction with no zero coefficients stored."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
         if terms:
-            self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+            self.terms = {w: c for w, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -128,15 +136,15 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(): ONE})
+        return cls({(): 1})
 
     @classmethod
-    def from_word(cls, w: Word, c=ONE) -> "Poly":
-        return cls({tuple(w): scalar(c)})
+    def from_word(cls, w: Word, c=1) -> "Poly":
+        return cls({tuple(w): _rational(c)})
 
     @classmethod
     def generator(cls, l: Letter) -> "Poly":
-        return cls({(l,): ONE})
+        return cls({(l,): 1})
 
     def items(self):
         return self.terms.items()
@@ -152,7 +160,7 @@ class Poly:
         for w, c in other.terms.items():
             cur = out.get(w)
             s = c if cur is None else cur + c
-            if s.is_zero():
+            if not s:
                 out.pop(w, None)
             else:
                 out[w] = s
@@ -169,15 +177,15 @@ class Poly:
         return p
 
     def scale(self, c) -> "Poly":
-        c = scalar(c)
-        if c.is_zero():
+        c = _rational(c)
+        if not c:
             return Poly.zero()
         p = Poly.__new__(Poly)
         p.terms = {w: v * c for w, v in self.terms.items()}
         return p
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, GaussianRational)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
@@ -186,7 +194,7 @@ class Poly:
                 c = c1 * c2
                 cur = out.get(w)
                 s = c if cur is None else cur + c
-                if s.is_zero():
+                if not s:
                     out.pop(w, None)
                 else:
                     out[w] = s
@@ -195,13 +203,12 @@ class Poly:
         return p
 
     def __rmul__(self, other) -> "Poly":
-        if isinstance(other, (int, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def star(self) -> "Poly":
+        """Reverse and star every word; conjugation is the identity on Q."""
         p = Poly.__new__(Poly)
-        p.terms = {star_word(w): c.conjugate() for w, c in self.terms.items()}
+        p.terms = {star_word(w): c for w, c in self.terms.items()}
         return p
 
     def __eq__(self, other) -> bool:
@@ -255,7 +262,7 @@ class TensorPoly:
         self.left_roster = tuple(left_roster)
         self.right_roster = tuple(right_roster)
         if terms:
-            self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+            self.terms = {k: c for k, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -281,9 +288,10 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
     """Extend a generator assignment Letter -> TensorPoly to p as a *-homomorphism.
 
     Each word expands over plain {(left word, right word): coefficient} dicts:
-    a starred letter takes the leg-wise star of its image, with conjugated
-    coefficients, and a word maps to the leg-wise product of its letters'
-    images.  Every image must be built over the two given rosters.
+    a starred letter takes the leg-wise star of its image (the coefficients
+    are rational, so they stay as they are), and a word maps to the leg-wise
+    product of its letters' images.  Every image must be built over the two
+    given rosters.
     """
     rosters = (tuple(left_roster), tuple(right_roster))
     letters: dict = {}
@@ -300,7 +308,7 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
                     raise RosterMismatch(f"image of {letter_str(l.base())} built over other rosters")
                 img = base.terms
                 if l.starred and l.tag not in HERMITIAN_TAGS:
-                    img = {(star_word(a), star_word(b)): v.conjugate() for (a, b), v in img.items()}
+                    img = {(star_word(a), star_word(b)): v for (a, b), v in img.items()}
                 letters[l] = img
             prod: dict = {}
             for (a1, b1), c1 in acc.items():
@@ -315,7 +323,7 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
 def _add_term(acc: dict, k, v) -> None:
     cur = acc.get(k)
     s = v if cur is None else cur + v
-    if s.is_zero():
+    if not s:
         acc.pop(k, None)
     else:
         acc[k] = s
@@ -368,15 +376,6 @@ class _WordCodes:
             v, k = divmod(v, self.base)
             out.append(self.letters[k])
         return tuple(reversed(out))
-
-
-def _parts(c: GaussianRational):
-    """Real and imaginary part of c, each an int, or a Fraction when not integral."""
-    if c.q == 1:
-        return c.a, c.b
-    re, im = Fraction(c.a, c.q), Fraction(c.b, c.q)
-    return (re.numerator if re.denominator == 1 else re,
-            im.numerator if im.denominator == 1 else im)
 
 
 def _eliminate(row: dict, c, prow: dict) -> None:
@@ -492,16 +491,15 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 
     ProvedZero is sound because both spans contain only genuine relations; a
     nonzero reduction is merely Inconclusive until a matrix witness exists.
-    Both spans are real, so the real and the imaginary part of t reduce
-    separately, each to int numerators keyed by pairs of word codes.
+    t reduces to int numerators over one common denominator, keyed by pairs
+    of word codes.
     """
     if t.left_roster and tuple(t.left_roster) != tuple(left.presentation.generators):
         raise RosterMismatch("left leg roster does not match the left basis")
     if t.right_roster and tuple(t.right_roster) != tuple(right.presentation.generators):
         raise RosterMismatch("right leg roster does not match the right basis")
-    # int numerators of the real and the imaginary part, over one common denominator
-    acc_re: dict = {}
-    acc_im: dict = {}
+    # int numerators over one common denominator
+    acc: dict = {}
     denominator = 1
     # residue_word's own cache, read here first: nearly every word is a hit
     cached1, cached2 = left._residue_cache.get, right._residue_cache.get
@@ -512,31 +510,24 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
         d2, r2 = cached2(w2) or right.residue_word(w2)
         if not r2:
             continue
-        d = d1 * d2 * c.q
+        d = d1 * d2 * c.denominator
         if denominator % d:
             # a new denominator: bring every value so far onto the common one
             f = d // gcd(denominator, d)
             denominator *= f
-            for acc in (acc_re, acc_im):
-                for k in acc:
-                    acc[k] *= f
-        x = denominator // d
-        if c.a:
-            _accumulate(acc_re, c.a * x, r1, r2)
-        if c.b:
-            _accumulate(acc_im, c.b * x, r1, r2)
-    if not acc_re and not acc_im:
+            for k in acc:
+                acc[k] *= f
+        _accumulate(acc, c.numerator * (denominator // d), r1, r2)
+    if not acc:
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "tensor-quotient",
             "left_basis": left.descriptor(),
             "right_basis": right.descriptor(),
             "terms": len(t.terms),
         })
-    survivors = {(left._codes.word(k1), right._codes.word(k2)): (k1, k2)
-                 for k1, k2 in set(acc_re) | set(acc_im)}
+    survivors = {(left._codes.word(k1), right._codes.word(k2)): (k1, k2) for k1, k2 in acc}
     sample = min(survivors, key=lambda k: (word_key(k[0]), word_key(k[1])))
-    key = survivors[sample]
-    coefficient = GaussianRational(acc_re.get(key, 0), acc_im.get(key, 0), denominator)
+    coefficient = Fraction(acc[survivors[sample]], denominator)
     return Certificate(
         INCONCLUSIVE,
         detail=(f"{len(survivors)} coordinate(s) survive leg-wise reduction, "
@@ -555,12 +546,13 @@ class BoundedSpan:
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
     echelon table is built once, at construction, over integer word codes
     (`_WordCodes`) with int coefficients, or Fraction ones where a value is
-    not integral; every relation must be real.  Tensor legs reduce single
-    words against it through a per-word residue cache (`residue_word`), and
-    `certify` decides membership of one polynomial.  With provenance, each
-    pivot also tracks the exact combination of products it stands for, so
-    ProvedZero can carry evidence.  Every relation of the presentations here
-    has degree 2, so at bound 2 the span is that of the relations themselves.
+    not integral; a relation with any other coefficient is refused.  Tensor
+    legs reduce single words against it through a per-word residue cache
+    (`residue_word`), and `certify` decides membership of one polynomial.
+    With provenance, each pivot also tracks the exact combination of products
+    it stands for, so ProvedZero can carry evidence.  Every relation of the
+    presentations here has degree 2, so at bound 2 the span is that of the
+    relations themselves.
     """
 
     def __init__(self, presentation, bound: int, *, provenance: bool = False,
@@ -586,11 +578,10 @@ class BoundedSpan:
         for rid, rpoly in _star_closed_relations(presentation):
             row = {}
             for w, c in rpoly.items():
-                re, im = _parts(c)
-                if im:
-                    raise ValueError(f"relation {rid} has the non-real coefficient {c}; "
-                                     "a relation span is built over real relations only")
-                row[codes.code(w)] = re
+                if not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"relation {rid} has the coefficient {c!r}; a relation "
+                                     "span takes int or Fraction coefficients only")
+                row[codes.code(w)] = c
             pad = bound - rpoly.degree()
             if pad == 0:
                 # the relation's own row
@@ -659,45 +650,38 @@ class BoundedSpan:
     def certify(self, p: Poly) -> Certificate:
         """Membership of p in the span.
 
-        The span is real, so the real and the imaginary part of p reduce
-        separately.  ProvedZero evidence (with provenance) carries the exact
-        linear combination, with cleared denominators, so the certificate
-        shows integer coefficients such as the factor 2 in the vanishing
+        ProvedZero evidence (with provenance) carries the exact linear
+        combination, with cleared denominators, so the certificate shows
+        integer coefficients such as the factor 2 in the vanishing
         column-product computation.
         """
         _check_product_degree(p, self.bound)
-        parts = ({}, {})
+        row = {}
         outside = 0
         for w, c in p.items():
             k = self._codes.code(w)
             if k is None:
                 outside += 1
-                continue
-            for part, x in zip(parts, _parts(c)):
-                if x:
-                    part[k] = x
-        used = ({}, {})
-        residue = set()
-        for part, combo in zip(parts, used):
-            on_use = None
-            if self.provenance:
-                def on_use(c, pcombo, combo=combo):
-                    _eliminate(combo, -c, pcombo)
-            residue.update(_rref_reduce(self._pivots, part, on_use))
+            else:
+                row[k] = _rational(c)
+        used: dict = {}
+        on_use = None
+        if self.provenance:
+            def on_use(c, pcombo):
+                _eliminate(used, -c, pcombo)
+        residue = _rref_reduce(self._pivots, row, on_use)
         if residue or outside:
             return Certificate(INCONCLUSIVE, detail=f"{len(residue) + outside} monomial(s) "
                                                     "outside the bounded product span")
         if not self.provenance:
             return Certificate(PROVED_ZERO, zero_evidence={
                 "kind": "linear-combination", "product_bound": self.bound, "terms": None})
-        keys = sorted(set(used[0]) | set(used[1]))
-        coefficients = [(used[0].get(k, 0), used[1].get(k, 0)) for k in keys]
-        mult = lcm(*(x.denominator for pair in coefficients for x in pair))
+        mult = lcm(*(x.denominator for x in used.values()))
         word = self._codes.word
         terms = [
             {"relation": rid, "left": word_str(word(m1)), "right": word_str(word(m2)),
-             "coefficient": GaussianRational.from_fractions(re * mult, im * mult).exact_str()}
-            for (rid, m1, m2), (re, im) in zip(keys, coefficients)
+             "coefficient": GaussianRational.from_fractions(used[rid, m1, m2] * mult).exact_str()}
+            for rid, m1, m2 in sorted(used)
         ]
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "linear-combination",
@@ -744,7 +728,11 @@ def _star_closed_relations(pres):
 
 
 def replay_combination(p: Poly, pres, evidence: dict) -> bool:
-    """Exactly recompute lhs_multiple * p == sum coeff_i * (m1_i r_i m2_i)."""
+    """Exactly recompute lhs_multiple * p == sum coeff_i * (m1_i r_i m2_i).
+
+    Every relation is rational, so a coefficient with a nonzero imaginary
+    part cannot be part of a valid combination.
+    """
     rels = dict(_star_closed_relations(pres))
     letters = {word_str((l,)): l for l in _roster_letters(pres)}
 
@@ -759,6 +747,8 @@ def replay_combination(p: Poly, pres, evidence: dict) -> bool:
         m1 = parse_word(term["left"])
         m2 = parse_word(term["right"])
         c = parse_scalar(term["coefficient"])
-        total = total + (Poly.from_word(m1) * rpoly * Poly.from_word(m2)).scale(c)
+        if c.b:
+            return False
+        total = total + (Poly.from_word(m1) * rpoly * Poly.from_word(m2)).scale(c.re)
     mult = int(evidence["lhs_multiple"])
     return total == p.scale(mult)

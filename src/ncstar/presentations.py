@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .ncalg import Letter, Poly, poly_str
-from .scalars import ONE
 
 
 class PairValidationError(ValueError):
@@ -224,9 +224,13 @@ class Presentation:
 
 
 def _canonical_poly_key(poly: Poly):
+    """poly's terms scaled so that its leading coefficient is 1, as the span scales a pivot."""
     lead = max(poly.terms, key=lambda w: (len(w), w))
-    inv = ONE / poly.terms[lead]
-    return frozenset((w, c * inv) for w, c in poly.items())
+    c = poly.terms[lead]
+    if c == 1:
+        return frozenset(poly.items())
+    inv = -1 if c == -1 else 1 / Fraction(c)
+    return frozenset((w, v * inv) for w, v in poly.items())
 
 
 class _RelationBuilder:
@@ -320,10 +324,8 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
                     if hi and hk:
                         rb.add(f"Reta-comm({i},{j};{k},{l})",
                                u(i, k, True) * u(j, l) - u(j, l) * u(i, k, True))
-                    elif hi and not hk and k != l:
-                        rb.add(f"Reta-zero({i},{j};{k},{l}):su", u(i, k, True) * u(j, l))
-                        rb.add(f"Reta-zero({i},{j};{k},{l}):us", u(i, k) * u(j, l, True))
-                    elif hk and not hi and i != j:
+                    elif (hi and k != l) or (hk and i != j):
+                        # exactly one of hi, hk is set here
                         rb.add(f"Reta-zero({i},{j};{k},{l}):su", u(i, k, True) * u(j, l))
                         rb.add(f"Reta-zero({i},{j};{k},{l}):us", u(i, k) * u(j, l, True))
     # fourfold equalities: column products u_ik* u_jk and row products u_ki* u_kj

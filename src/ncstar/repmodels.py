@@ -183,7 +183,7 @@ def evaluate(p: Poly, model: MatrixModel):
                 term = m if term is None else _exact_matmul(term, m)
             if term is None:
                 term = [{i: Q_ONE} for i in range(model.dim)]
-            qc = QuadExact.from_gaussian(c)
+            qc = QuadExact(c)
             for row, out in zip(term, acc):
                 for j, x in row.items():
                     out[j] = out[j] + qc * x if j in out else qc * x
@@ -202,15 +202,17 @@ def evaluate_matrix(p: Poly, model: MatrixModel) -> np.ndarray:
     return evaluate(p, model)[0]
 
 
-def model_residuals(model: MatrixModel, presentation: Optional[Presentation] = None) -> ResidualReport:
-    """Operator-norm residual of every relation (expanded sums included).
+def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) -> ResidualReport:
+    """Operator-norm residual of each relation, by default every relation of
+    the model's presentation (expanded sums included).
 
     Exactly-zero evaluations report 0.0 regardless of floating point.
     """
-    pres = presentation or model.presentation
+    if relations is None:
+        relations = model.presentation.all_relations()
     rows = []
     worst = 0.0
-    for rel in pres.all_relations():
+    for rel in relations:
         mat, exact = evaluate(rel.poly, model)
         if exact is not None and all(x.is_zero() for row in exact for x in row):
             res = 0.0
@@ -228,12 +230,7 @@ def gated_residuals(model: MatrixModel, gate: object = "all") -> ResidualReport:
     Relations checks just those (used for probe models whose claims only rely
     on a relation subset).
     """
-    if gate == "all":
-        report = model_residuals(model)
-    else:
-        sub = Presentation(model.presentation.kind, model.presentation.generators,
-                           tuple(gate), (), model.presentation.source_pair)
-        report = model_residuals(model, sub)
+    report = model_residuals(model, None if gate == "all" else gate)
     if report.max > model.residual_tolerance:
         desc, res = report.worst()
         raise WitnessInvalid(
@@ -242,16 +239,14 @@ def gated_residuals(model: MatrixModel, gate: object = "all") -> ResidualReport:
 
 
 def check_independence(family: Sequence[Poly], model: MatrixModel,
-                       threshold: float = 1e-6, gate: object = "all") -> IndependenceResult:
+                       threshold: float = 1e-6) -> IndependenceResult:
     """Numerical rank of the flattened family via singular values.
 
-    gate: "none" skips the soundness gate; anything else is passed to
-    `gated_residuals` first.
+    The model's residuals are not checked here: a caller whose claim needs
+    them valid calls `gated_residuals` first.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    if gate != "none":
-        gated_residuals(model, gate)
     rows = [evaluate_matrix(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())
@@ -361,7 +356,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j)),
                             label="torus-diagonal")
     fam = [Poly.generator(Letter("x", 1, 0, True)) * Poly.generator(Letter("x", 2, 0)),
            Poly.generator(Letter("x", 1, 0)) * Poly.generator(Letter("x", 2, 0, True))]
-    probe_rank = check_independence(fam, model, gate="none")
+    probe_rank = check_independence(fam, model)
     if probe_rank.rank < 2:
         raise DegenerateSamples(
             f"samples {samples} only span rank {probe_rank.rank} on the conjugate products")
@@ -399,7 +394,7 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
         model = MatrixModel(pres, dim,
                             {x1g: half * us[0], x2g: half * us[1]},
                             label=f"free-unitary-{dim}d", seed_used=s)
-        if check_independence(fam, model, gate="none").rank == 4:
+        if check_independence(fam, model).rank == 4:
             return model
     raise DegenerateSamples("no independent draw within 16 seeded attempts")
 

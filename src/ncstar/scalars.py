@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic for the symbolic engine and the constructed matrix models.
+"""Exact scalars for certificates and for the constructed matrix models.
 
-Two small number types live here:
+The word algebra itself runs over Q with plain ints and Fractions
+(`ncstar.ncalg`).  Two small number types live here:
 
 * :class:`GaussianRational` -- complex numbers with rational real and imaginary
-  part, stored as an integer triple ``(a + b*i) / q``.  This is the coefficient
-  field of the word algebra; every certificate replays over it with no rounding.
+  part, stored as an integer triple ``(a + b*i) / q``.  This is the certificate
+  scalar: evidence coefficients are written as ``a/b+c/d i`` by
+  :meth:`GaussianRational.exact_str` and read back by :func:`parse_scalar`.
 * :class:`QuadExact` -- elements of the field Q(sqrt(2), i).  The hand-built
   matrix models have entries like sqrt(2)/2 whose squares must come out as an
   exact 1/2, so their residual checks run over this field instead of floats.
@@ -124,17 +126,6 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-def scalar(value) -> GaussianRational:
-    """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, int):
-        return GaussianRational(value)
-    if isinstance(value, Fraction):
-        return GaussianRational(value.numerator, 0, value.denominator)
-    raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
-
 def parse_scalar(text: str) -> GaussianRational:
     """Inverse of :meth:`GaussianRational.exact_str`."""
     body = text.strip()
@@ -185,10 +176,6 @@ class QuadExact:
         self.b = Fraction(b)
         self.c = Fraction(c)
         self.d = Fraction(d)
-
-    @classmethod
-    def from_gaussian(cls, g: GaussianRational) -> "QuadExact":
-        return cls(g.re, 0, g.im, 0)
 
     def __add__(self, other: "QuadExact") -> "QuadExact":
         return QuadExact(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)

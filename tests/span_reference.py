@@ -1,21 +1,11 @@
 """Reference check for bound-2 relation-span membership.
 
-Decides whether p is a C-linear combination of a presentation's relations and
+Decides whether p is a Q-linear combination of a presentation's relations and
 their stars, by exact Fraction elimination written here, so that it shares no
-elimination code with `ncstar.ncalg`.  Every relation has real coefficients,
-so p lies in their complex span exactly when Re(p) and Im(p) each lie in
-their rational span.
+elimination code with `ncstar.ncalg`.
 """
 
 from fractions import Fraction
-
-
-def _re(c) -> Fraction:
-    return Fraction(c.a, c.q)
-
-
-def _im(c) -> Fraction:
-    return Fraction(c.b, c.q)
 
 
 def _reduce(basis, row: dict) -> dict:
@@ -35,8 +25,7 @@ def relation_basis(pres) -> list:
     for rel in pres.all_relations():
         for poly in (rel.poly, rel.poly.star()):
             assert poly.degree() == 2, f"{rel.rid}: bound 2 spans only degree-2 relations"
-            assert not any(_im(c) for c in poly.terms.values()), f"{rel.rid} has a non-real coefficient"
-            row = _reduce(basis, {w: _re(c) for w, c in poly.terms.items()})
+            row = _reduce(basis, {w: Fraction(c) for w, c in poly.terms.items()})
             if row:
                 pivot = next(iter(row))
                 inv = 1 / row[pivot]
@@ -45,5 +34,5 @@ def relation_basis(pres) -> list:
 
 
 def in_span(basis, p) -> bool:
-    """Whether p is a C-linear combination of the rows of basis."""
-    return not any(_reduce(basis, {w: part(c) for w, c in p.terms.items()}) for part in (_re, _im))
+    """Whether p is a Q-linear combination of the rows of basis."""
+    return not _reduce(basis, {w: Fraction(c) for w, c in p.terms.items()})

@@ -8,6 +8,7 @@ the byte-determinism check (criterion 9 repeats it).
 import json
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ncstar import repmodels as R
 from ncstar import verifier as V
 from ncstar.cli import RunConfig, SWEEP_TARGETS, main as cli_main, run_sweep
 from ncstar.ncalg import Poly
-from ncstar.scalars import GaussianRational
 
 CONFIG = RunConfig(format="json")
 
@@ -195,15 +195,15 @@ def _random_poly(rng, letters, rels):
         poly = Poly.zero()
         for _ in range(rng.randint(1, 3)):
             poly = poly + rng.choice(rels).poly.scale(
-                GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)))
+                Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
         return poly
     terms = {}
     for _ in range(rng.randint(1, 4)):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-        terms[w] = GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+        terms[w] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
     poly = Poly(terms)
     if kind == 2 and rels:
-        poly = poly + rng.choice(rels).poly.scale(GaussianRational(rng.randint(-2, 2)))
+        poly = poly + rng.choice(rels).poly.scale(rng.randint(-2, 2))
     return poly
 
 

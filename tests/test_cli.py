@@ -202,6 +202,31 @@ def test_verify_noninjectivity(capsys):
     assert checks["x1x2*-nonzero"]["evidence"]["nonzero_evidence"]["image_norm"] == 0.5
 
 
+@pytest.mark.parametrize("payload,code,statuses", [
+    ({"n": 2, "epsilon": [[0, 0], [0, 0]], "eta": [[0, 1], [1, 0]]}, 0,
+     ["ProvedZero", "ProvedNonzero"]),
+    # the column product still vanishes, but the witness is no model of this sphere
+    ({"n": 2, "epsilon": [[0, 1], [1, 0]], "eta": [[0, 1], [1, 0]]}, 1,
+     ["ProvedZero", "Inconclusive"]),
+    ({"n": 2, "epsilon": [[0, 0], [0, 0]], "eta": [[0, 0], [0, 0]]}, 1,
+     ["Inconclusive", "Inconclusive"]),
+], ids=["mixed", "commuting", "free"])
+def test_verify_noninjectivity_reads_its_input(payload, code, statuses, pair_file, capsys):
+    path = pair_file("p.json", payload)
+    assert run_cli("verify", "noninjectivity", "--input", path, "--format", "json") == code
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["pair"] == payload
+    assert [c["status"] for c in report["checks"]] == statuses
+
+
+def test_verify_noninjectivity_rejects_bound(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "noninjectivity", "--bound", "3", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--bound" in err
+    assert not out.exists()
+
+
 def test_verify_sphere_action_nonregular_notice(pair_file, capsys):
     path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]], "eta": [[0, 1], [1, 0]]})
     assert run_cli("verify", "sphere-action", "--input", path, "--format", "json") == 0

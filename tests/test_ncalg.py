@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,7 @@ from ncstar import verifier as V
 from ncstar.ncalg import (Letter, Poly, TensorPoly, build_quotient_basis,
                           ideal_membership_bounded, is_zero_tensor, replay_combination,
                           star_word)
-from ncstar.scalars import GaussianRational, ONE
-
-IMAG = GaussianRational(0, 1)
+from ncstar.scalars import GaussianRational
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -46,13 +45,21 @@ def test_star_reverses_and_toggles():
 
 
 def test_commutator_construction():
-    rel = x1 * x2 + x2.scale(GaussianRational(-1)) * x1
+    rel = x1 * x2 + x2.scale(-1) * x1
     assert rel == x1 * x2 - x2 * x1
     assert rel.degree() == 2
 
 
-def test_star_antilinear():
-    assert (x1.scale(IMAG)).star() == x1.star().scale(-IMAG)
+@pytest.mark.parametrize("bad", [1.0, 1j, GaussianRational(1)], ids=["float", "complex", "gaussian"])
+def test_only_exact_rationals_enter_a_poly(bad):
+    with pytest.raises(TypeError):
+        Poly.from_word((Letter("x", 1, 0),), bad)
+    with pytest.raises(TypeError):
+        x1.scale(bad)
+    with pytest.raises(TypeError):
+        x1 * bad
+    # an integral Fraction is stored as an int
+    assert x1.scale(Fraction(4, 2)).terms == {(Letter("x", 1, 0),): 2}
 
 
 @st.composite
@@ -63,9 +70,8 @@ def random_polys(draw, letters=None, max_degree=2, max_terms=4):
     for _ in range(draw(st.integers(1, max_terms))):
         deg = draw(st.integers(0, max_degree))
         w = tuple(draw(st.sampled_from(letters)) for _ in range(deg))
-        c = GaussianRational(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)),
-                             draw(st.integers(1, 2)))
-        if not c.is_zero():
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        if c:
             terms[w] = c
     return Poly(terms)
 
@@ -99,8 +105,8 @@ def _coproduct(n):
 def test_comultiply_generator_n2():
     t = _coproduct(2)[1][Letter("u", 1, 1)]
     expected = {
-        ((Letter("u", 1, 1),), (Letter("u", 1, 1),)): ONE,
-        ((Letter("u", 1, 2),), (Letter("u", 2, 1),)): ONE,
+        ((Letter("u", 1, 1),), (Letter("u", 1, 1),)): 1,
+        ((Letter("u", 1, 2),), (Letter("u", 2, 1),)): 1,
     }
     assert t.terms == expected
 
@@ -130,7 +136,7 @@ def _ref_add(s, t):
     out = dict(s)
     for k, c in t.items():
         out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    return {k: c for k, c in out.items() if c}
 
 
 def _ref_mul(s, t):
@@ -139,11 +145,11 @@ def _ref_mul(s, t):
         for (a2, b2), c2 in t.items():
             k = (a1 + a2, b1 + b2)
             out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    return {k: c for k, c in out.items() if c}
 
 
 def _ref_star(t):
-    return {(star_word(a), star_word(b)): c.conjugate() for (a, b), c in t.items()}
+    return {(star_word(a), star_word(b)): c for (a, b), c in t.items()}
 
 
 def _ref_hom(p, images):
@@ -163,16 +169,14 @@ HOM_LETTERS = [g.star() if s else g for g in HOM_ROSTER for s in (False, True)]
 
 @st.composite
 def random_images(draw):
-    """An image for each roster letter, with non-real Gaussian coefficients."""
+    """An image for each roster letter, with nonzero Fraction coefficients."""
     images = {}
     for g in HOM_ROSTER:
         terms = {}
         for _ in range(draw(st.integers(1, 3))):
             legs = tuple(tuple(draw(st.sampled_from(HOM_LETTERS)) for _ in range(draw(st.integers(0, 2))))
                          for _ in range(2))
-            terms[legs] = GaussianRational(draw(st.integers(-2, 2)),
-                                           draw(st.sampled_from([-2, -1, 1, 2])),
-                                           draw(st.integers(1, 2)))
+            terms[legs] = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(1, 2)))
         images[g] = TensorPoly(terms, left_roster=HOM_ROSTER, right_roster=HOM_ROSTER)
     return images
 
@@ -330,6 +334,16 @@ def test_membership_trivial_for_relations():
         assert replay_combination(rel.poly, pres, cert.zero_evidence)
 
 
+def test_replay_refuses_a_nonreal_evidence_coefficient():
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    p = pres.all_relations()[0].poly
+    evidence = ideal_membership_bounded(p, pres, 2).zero_evidence
+    assert evidence["terms"][0]["coefficient"] == "1/1+0/1i"
+    assert replay_combination(p, pres, evidence)
+    evidence["terms"][0]["coefficient"] = "1/1+1/1i"
+    assert not replay_combination(p, pres, evidence)
+
+
 def test_membership_vanishing_column_product_sum():
     # u11.u21* + u12.u22* is the uu*-sum at (1,2), so it collapses to twice the
     # canonical column product and certifies as zero with the factor visible
@@ -369,10 +383,10 @@ def test_membership_degree_guard():
 
 def _span_targets(pres, bound):
     rels = [r.poly for r in pres.all_relations()]
-    half = GaussianRational(1, 0, 2)
+    half = Fraction(1, 2)
     targets = [
         rels[0],
-        rels[-1].scale(half) + rels[0].scale(GaussianRational(-3)),
+        rels[-1].scale(half) + rels[0].scale(-3),
         x1 * x2.star(),
         x1 * rels[0] * x2.star(),
         x2.star() * rels[-1] + rels[0] * x1.scale(half),
@@ -427,10 +441,10 @@ def test_oracle_agreement_sample():
         if trial % 2 == 0:
             poly = Poly.zero()
             for _ in range(rng.randint(1, 3)):
-                poly = poly + rng.choice(rels).poly.scale(GaussianRational(rng.randint(-2, 2)))
+                poly = poly + rng.choice(rels).poly.scale(rng.randint(-2, 2))
         else:
             terms = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))):
-                     GaussianRational(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))}
+                     rng.randint(-2, 2) for _ in range(rng.randint(1, 3))}
             poly = Poly(terms)
         cert = ideal_membership_bounded(poly, pres, 2, want_combination=False)
         assert (cert.status == A.PROVED_ZERO) == span_reference.in_span(basis, poly), poly
@@ -484,18 +498,17 @@ _REFERENCE_PRESENTATIONS = [
 ]
 _REFERENCE_SPANS = [(pres, A.BoundedSpan(pres, 2, provenance=True), span_reference.relation_basis(pres))
                     for pres in _REFERENCE_PRESENTATIONS]
-_GAUSSIAN = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 3))
+_RATIONAL = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
 @given(st.sampled_from(_REFERENCE_SPANS), st.data())
 @settings(max_examples=80, deadline=None)
-def test_certify_matches_reference_on_nonreal_polys(case, data):
-    """The span is real; a Gaussian p reduces by its real and imaginary part."""
+def test_certify_matches_reference_on_rational_polys(case, data):
     pres, span, basis = case
     rels = [r.poly for r in pres.all_relations()]
     p = Poly.zero()
     for _ in range(data.draw(st.integers(1, 3))):
-        p = p + data.draw(st.sampled_from(rels)).scale(data.draw(_GAUSSIAN))
+        p = p + data.draw(st.sampled_from(rels)).scale(data.draw(_RATIONAL))
     if data.draw(st.booleans()):
         letters = A._roster_letters(pres)
         p = p + data.draw(random_polys(letters, max_degree=2, max_terms=2))
@@ -512,27 +525,29 @@ def test_word_with_foreign_letter_is_its_own_residue():
     w = (Letter("x", 1, 0), y)
     assert span.residue_word(w) == (1, [(w, 1)])
     rel = pres.all_relations()[0].poly
-    cert = span.certify(rel + Poly.from_word(w, GaussianRational(2)))
+    cert = span.certify(rel + Poly.from_word(w, 2))
     assert cert.detail == "1 monomial(s) outside the bounded product span"
-    t = TensorPoly({((y,), ()): GaussianRational(1, 0, 2)})
+    t = TensorPoly({((y,), ()): Fraction(1, 2)})
     assert is_zero_tensor(t, span, span).detail == (
         "1 coordinate(s) survive leg-wise reduction, e.g. y1 ⊗ 1 with coefficient 1/2")
 
 
-def test_span_over_nonreal_relation_raises():
+def test_span_over_float_relation_raises():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
-    twisted = P.Relation("twisted", x1 * x2 - (x2 * x1).scale(IMAG))
-    pres = dataclasses.replace(pres, relations=pres.relations + (twisted,))
-    with pytest.raises(ValueError, match="relation twisted has the non-real coefficient -i"):
+    # Poly's own constructor checks nothing but zeros, so a float gets in here
+    inexact = P.Relation("inexact", Poly({(Letter("x", 1, 0), Letter("x", 2, 0)): 1,
+                                          (Letter("x", 2, 0), Letter("x", 1, 0)): -0.5}))
+    pres = dataclasses.replace(pres, relations=pres.relations + (inexact,))
+    with pytest.raises(ValueError, match="relation inexact has the coefficient -0.5"):
         A.BoundedSpan(pres, 2)
 
 
 @pytest.mark.parametrize("scales,detail", [
-    ((GaussianRational(1, 0, 3), ONE),
+    ((Fraction(1, 3), 1),
      "3 coordinate(s) survive leg-wise reduction, e.g. 1 ⊗ u13 with coefficient 1/6"),
-    ((GaussianRational(1, 2, 3), IMAG),
-     "3 coordinate(s) survive leg-wise reduction, e.g. 1 ⊗ u13 with coefficient (1+2i)/6"),
-], ids=["real", "nonreal"])
+    ((Fraction(-2, 3), 2),
+     "3 coordinate(s) survive leg-wise reduction, e.g. 1 ⊗ u13 with coefficient -1/3"),
+], ids=["real", "negative"])
 def test_inconclusive_tensor_detail_is_pinned(scales, detail):
     # with x1 normal, the unitarity sums give u12.u12* = (1 - u11.u11*) / 2
     zero3 = [[0] * 3 for _ in range(3)]
@@ -549,17 +564,24 @@ def test_inconclusive_tensor_detail_is_pinned(scales, detail):
 
 
 def test_span_kernel_makes_no_gaussian_arithmetic(monkeypatch):
-    """Building a span and reducing a prebuilt image stays off GaussianRational."""
-    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
-    images = V._coaction_images(pres, pres, "alpha")
-    tensors = [A.apply_tensor_hom(r.poly, images, pres.generators, pres.generators)
-               for r in pres.all_relations()]
+    """The whole traffic path stays off GaussianRational arithmetic: the four
+    presentation families, the coaction images, the spans, tensor reduction
+    and a regularization pass."""
     calls = []
-    for op in ("__mul__", "__add__", "__truediv__"):
+    for op in ("__mul__", "__add__", "__sub__", "__truediv__"):
         def counted(a, b, fn=getattr(GaussianRational, op), op=op):
             calls.append(op)
             return fn(a, b)
         monkeypatch.setattr(GaussianRational, op, counted)
-    span = build_quotient_basis(pres, 2)
-    assert all(is_zero_tensor(t, span, span).status == A.PROVED_ZERO for t in tensors)
+    pair = P.validate_pair(ZERO2, OFF2)
+    unitary, sphere = P.unitary_qg_presentation(pair), P.sphere_presentation(pair)
+    orthogonal, tuples = P.orthogonal_qg_presentation(OFF2), P.tuple_space_presentation(OFF2)
+    for qg, space in ((unitary, unitary), (unitary, sphere), (orthogonal, tuples)):
+        left, right = build_quotient_basis(qg, 2), build_quotient_basis(space, 2)
+        for side in ("alpha", "beta"):
+            images = V._coaction_images(qg, space, side)
+            for r in space.all_relations():
+                t = A.apply_tensor_hom(r.poly, images, qg.generators, space.generators)
+                assert is_zero_tensor(t, left, right).status == A.PROVED_ZERO, r.rid
+    assert V.verify_regularization_consistency(P.validate_pair(OFF2, OFF2)).checks
     assert calls == []

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: the Gaussian rationals and the sqrt(2) field."""
+"""Exact scalars: the certificate's Gaussian rationals and the sqrt(2) field."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ncstar.scalars import (GaussianRational, ONE, Q_ONE,
                             Q_SQRT2_OVER_2, Q_ZERO, QuadExact, ZERO,
-                            parse_scalar, pretty_scalar, scalar)
+                            parse_scalar, pretty_scalar)
 
 I = GaussianRational(0, 1)
 MINUS_ONE = GaussianRational(-1)
@@ -27,7 +27,6 @@ def test_basic_values():
     assert (ONE + MINUS_ONE).is_zero()
     assert I * I == MINUS_ONE
     assert complex(GaussianRational(1, 1, 2)) == 0.5 + 0.5j
-    assert scalar(Fraction(3, 4)).re == Fraction(3, 4)
 
 
 def test_division_exact():
@@ -85,12 +84,6 @@ def test_quad_complex_structure():
     assert (z - z).is_zero()
     w = QuadExact(0, 1, 0, 0)
     assert abs(complex(w * w) - 2.0) == 0.0
-
-
-def test_quad_from_gaussian():
-    g = GaussianRational(1, 3, 2)
-    q = QuadExact.from_gaussian(g)
-    assert complex(q) == complex(g)
 
 
 def _full_product(x, y):
