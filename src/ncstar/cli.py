@@ -425,7 +425,8 @@ def main(argv=None) -> int:
         return 2
     except (PairValidationError, TooLarge, KeyError, OSError,
             json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

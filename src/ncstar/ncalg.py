@@ -119,16 +119,24 @@ def _rational(c):
     raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
 
 
+def _rational_terms(terms: Optional[dict]) -> dict:
+    """terms with each coefficient passed through `_rational` and the zeros left out."""
+    if not terms:
+        return {}
+    exact = {k: _rational(c) for k, c in terms.items()}
+    return {k: c for k, c in exact.items() if c}
+
+
 class Poly:
-    """Finite map Word -> int or Fraction with no zero coefficients stored."""
+    """Finite map Word -> int or Fraction with no zero coefficients stored.
+
+    The constructor refuses any other coefficient type with a TypeError.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        if terms:
-            self.terms = {w: c for w, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.terms = _rational_terms(terms)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -136,15 +144,21 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(): 1})
+        p = cls.__new__(cls)
+        p.terms = {(): 1}
+        return p
 
     @classmethod
     def from_word(cls, w: Word, c=1) -> "Poly":
-        return cls({tuple(w): _rational(c)})
+        return cls({tuple(w): c})
 
     @classmethod
     def generator(cls, l: Letter) -> "Poly":
-        return cls({(l,): 1})
+        # built without the constructor's check: sweeps make hundreds of
+        # thousands of generators, and 1 is exact
+        p = cls.__new__(cls)
+        p.terms = {(l,): 1}
+        return p
 
     def items(self):
         return self.terms.items()
@@ -261,10 +275,7 @@ class TensorPoly:
     def __init__(self, terms: Optional[dict] = None, *, left_roster=(), right_roster=()):
         self.left_roster = tuple(left_roster)
         self.right_roster = tuple(right_roster)
-        if terms:
-            self.terms = {k: c for k, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.terms = _rational_terms(terms)
 
     def items(self):
         return self.terms.items()
@@ -546,7 +557,7 @@ class BoundedSpan:
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
     echelon table is built once, at construction, over integer word codes
     (`_WordCodes`) with int coefficients, or Fraction ones where a value is
-    not integral; a relation with any other coefficient is refused.  Tensor
+    not integral (a `Poly` holds no other kind).  Tensor
     legs reduce single words against it through a per-word residue cache
     (`residue_word`), and `certify` decides membership of one polynomial.
     With provenance, each pivot also tracks the exact combination of products
@@ -576,12 +587,7 @@ class BoundedSpan:
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
         for rid, rpoly in _star_closed_relations(presentation):
-            row = {}
-            for w, c in rpoly.items():
-                if not isinstance(c, (int, Fraction)):
-                    raise ValueError(f"relation {rid} has the coefficient {c!r}; a relation "
-                                     "span takes int or Fraction coefficients only")
-                row[codes.code(w)] = c
+            row = {codes.code(w): c for w, c in rpoly.items()}
             pad = bound - rpoly.degree()
             if pad == 0:
                 # the relation's own row

@@ -200,23 +200,15 @@ class Relation:
 
 
 @dataclass(frozen=True)
-class SumFamily:
-    """A delta-sum schema, e.g. for each (i,j): sum_k u_ik* u_jk - delta_ij."""
-
-    label: str
-    members: tuple  # tuple[Relation, ...]
-
-
-@dataclass(frozen=True)
 class Presentation:
     kind: str  # complex-sphere | unitary-qg | orthogonal-qg | tuple-space
     generators: tuple  # tuple[Letter, ...], unstarred
     relations: tuple  # tuple[Relation, ...]
-    sum_families: tuple  # tuple[SumFamily, ...]
+    sums: tuple  # tuple[Relation, ...]: the normalization and delta-sum relations
     source_pair: CommutationPair
 
     def all_relations(self) -> tuple:
-        return self.relations + tuple(m for fam in self.sum_families for m in fam.members)
+        return self.relations + self.sums
 
     @property
     def label(self) -> str:
@@ -272,14 +264,13 @@ def sphere_presentation(pair: CommutationPair) -> Presentation:
         xi = Letter("x", i, 0)
         star_sum = star_sum + Poly.generator(xi.star()) * Poly.generator(xi)
         plain_sum = plain_sum + Poly.generator(xi) * Poly.generator(xi.star())
-    fams = (
-        SumFamily("sum:x*x", (Relation("sum:x*x", star_sum - Poly.one(), "Σ x_i* x_i = 1"),)),
-        SumFamily("sum:xx*", (Relation("sum:xx*", plain_sum - Poly.one(), "Σ x_i x_i* = 1"),)),
-    )
-    return Presentation("complex-sphere", gens, tuple(rb.relations), fams, pair)
+    sums = (Relation("sum:x*x", star_sum - Poly.one(), "Σ x_i* x_i = 1"),
+            Relation("sum:xx*", plain_sum - Poly.one(), "Σ x_i x_i* = 1"))
+    return Presentation("complex-sphere", gens, tuple(rb.relations), sums, pair)
 
 
-def _delta_sum_family(label: str, n: int, word_maker) -> SumFamily:
+def _delta_sums(label: str, n: int, word_maker) -> tuple:
+    """For each (i,j): sum_k word_maker(i, j, k) - delta_ij, e.g. sum_k u_ik* u_jk - delta_ij."""
     members = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -290,7 +281,7 @@ def _delta_sum_family(label: str, n: int, word_maker) -> SumFamily:
                 total = total - Poly.one()
             members.append(Relation(f"{label}({i},{j})", total,
                                     f"{label} entry ({i},{j})"))
-    return SumFamily(label, tuple(members))
+    return tuple(members)
 
 
 def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
@@ -346,13 +337,11 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
                                u(i, k, True) * u(j, k) - u(i, k0, True) * u(j, k0))
                         rb.add(f"rowprod-tie({i},{j};{k})",
                                u(k, i, True) * u(k, j) - u(k0, i, True) * u(k0, j))
-    fams = (
-        _delta_sum_family("sum:u*u", n, lambda i, j, k: u(k, i, True) * u(k, j)),
-        _delta_sum_family("sum:uu*", n, lambda i, j, k: u(i, k) * u(j, k, True)),
-        _delta_sum_family("sum:conj(u)conj(u)*", n, lambda i, j, k: u(i, k, True) * u(j, k)),
-        _delta_sum_family("sum:conj(u)*conj(u)", n, lambda i, j, k: u(k, i) * u(k, j, True)),
-    )
-    return Presentation("unitary-qg", gens, tuple(rb.relations), fams, pair)
+    sums = (_delta_sums("sum:u*u", n, lambda i, j, k: u(k, i, True) * u(k, j))
+            + _delta_sums("sum:uu*", n, lambda i, j, k: u(i, k) * u(j, k, True))
+            + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: u(i, k, True) * u(j, k))
+            + _delta_sums("sum:conj(u)*conj(u)", n, lambda i, j, k: u(k, i) * u(k, j, True)))
+    return Presentation("unitary-qg", gens, tuple(rb.relations), sums, pair)
 
 
 def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) -> None:
@@ -390,11 +379,9 @@ def orthogonal_qg_presentation(epsilon) -> Presentation:
     def v(i, j):
         return Poly.generator(Letter("ou", i, j))
 
-    fams = (
-        _delta_sum_family("sum:row-orth", n, lambda i, j, k: v(i, k) * v(j, k)),
-        _delta_sum_family("sum:col-orth", n, lambda i, j, k: v(k, i) * v(k, j)),
-    )
-    return Presentation("orthogonal-qg", gens, tuple(rb.relations), fams, pair)
+    sums = (_delta_sums("sum:row-orth", n, lambda i, j, k: v(i, k) * v(j, k))
+            + _delta_sums("sum:col-orth", n, lambda i, j, k: v(k, i) * v(k, j)))
+    return Presentation("orthogonal-qg", gens, tuple(rb.relations), sums, pair)
 
 
 def tuple_space_presentation(epsilon) -> Presentation:
@@ -418,8 +405,7 @@ def tuple_space_presentation(epsilon) -> Presentation:
             if k == l:
                 total = total - Poly.one()
             col.append(Relation(f"sum:col-orth({k},{l})", total, f"column orthonormality ({k},{l})"))
-    fams = (SumFamily("sum:col-orth", tuple(col)),)
-    return Presentation("tuple-space", gens, tuple(rb.relations), fams, pair)
+    return Presentation("tuple-space", gens, tuple(rb.relations), tuple(col), pair)
 
 
 def enumerate_pairs(n: int, regular_only: bool = False, cap: int = 100_000) -> list:

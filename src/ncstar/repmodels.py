@@ -31,21 +31,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ncalg import HERMITIAN_TAGS, Letter, Poly, word_str
-from .presentations import (CommutationPair, Presentation,
-                            orthogonal_qg_presentation, sphere_presentation,
-                            validate_pair)
+from .presentations import (Presentation, orthogonal_qg_presentation,
+                            sphere_presentation, validate_pair)
 from .scalars import Q_ONE, Q_ZERO, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
 
 __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
-    "probe_pair_model", "noninjectivity_sphere_model", "corrected_sphere_model",
-    "torus_model", "free_unitary_model", "o2plus_model",
-    "point_model_sphere", "direct_sum",
+    "probe_pair_model", "noninjectivity_sphere_model",
+    "torus_model", "free_unitary_model", "o2plus_model", "direct_sum",
     "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
-    "diagonal_sphere_model", "diagonal_unitary_model", "signed_point_model",
-    "witness_models_for",
     "WitnessInvalid", "UnassignedGenerator", "PresentationMismatch",
-    "DegenerateSamples", "ModelUnattainable",
+    "DegenerateSamples",
 ]
 
 
@@ -63,10 +59,6 @@ class PresentationMismatch(ValueError):
 
 class DegenerateSamples(ValueError):
     pass
-
-
-class ModelUnattainable(RuntimeError):
-    """No finite-dimensional model can satisfy the requested constraints."""
 
 
 _EXACT_PHASES = {1: Q_ONE, -1: -Q_ONE, 1j: Q(0, 0, 1, 0), -1j: Q(0, 0, -1, 0)}
@@ -257,9 +249,9 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
 # the hand-built models
 # ---------------------------------------------------------------------------
 
-def _finish_exact_model(pres, dim, exact_assignment, label, seed=None) -> MatrixModel:
+def _finish_exact_model(pres, dim, exact_assignment, label) -> MatrixModel:
     assignment = {g: _exact_to_complex(m) for g, m in exact_assignment.items()}
-    return MatrixModel(pres, dim, assignment, exact_assignment, label=label, seed_used=seed)
+    return MatrixModel(pres, dim, assignment, exact_assignment, label=label)
 
 
 def _probe_pair_matrices():
@@ -304,24 +296,7 @@ def noninjectivity_sphere_model() -> MatrixModel:
     return _finish_exact_model(pres, 4, exact, "noninjectivity-4x4")
 
 
-def corrected_sphere_model() -> MatrixModel:
-    """Requested repair of the probe pair; provably unattainable, so it raises.
-
-    A finite-dimensional pair A, B with AB = BA and both normalization sums
-    A*A + B*B = AA* + BB* = 1 is simultaneously unitarily triangularizable, and
-    the two diagonal conditions force every strictly-upper column to vanish,
-    so A and B are normal.  Commutation then transfers across stars, making
-    AB* = B*A, and the four products {A*B, AB*, B*A, BA*} have rank at most 3.
-    A model that is non-normal, satisfies all relations to 1e-9, and exhibits
-    rank 4 therefore does not exist in any finite dimension; see
-    scripts/search_corrected_model.py for the numerical search that maps the
-    trade-off empirically.
-    """
-    raise ModelUnattainable(corrected_sphere_model.__doc__)
-
-
-def torus_model(samples: Sequence = ((1, 1), (1, 1j)),
-                pair: Optional[CommutationPair] = None) -> MatrixModel:
+def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     """Diagonal two-coordinate model from phase samples: x_i = (sqrt2/2) diag(z_i).
 
     All entries commute and are normal, so every two-coordinate sphere relation
@@ -336,9 +311,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j)),
             # written so that nan fails too: every comparison with nan is false
             if not abs(abs(complex(z)) - 1.0) <= 1e-12:
                 raise ValueError(f"phase {z} is not on the unit circle")
-    if pair is None:
-        pair = validate_pair([[0, 1], [1, 0]], [[1, 1], [1, 1]])
-    pres = sphere_presentation(pair)
+    pres = sphere_presentation(validate_pair([[0, 1], [1, 0]], [[1, 1], [1, 1]]))
     dim = len(samples)
     exactable = all(z1 in _EXACT_PHASES and z2 in _EXACT_PHASES for z1, z2 in samples)
     if exactable:
@@ -428,23 +401,6 @@ def o2plus_model() -> MatrixModel:
     return replace(direct_sum([m1, m2]), label="o2plus-point-plus-anticommuting")
 
 
-def point_model_sphere(k: int, n: int, phase=1,
-                       pair: Optional[CommutationPair] = None) -> MatrixModel:
-    """One-dimensional sphere point: x_k maps to the sample phase, others to 0."""
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside 1..{n}")
-    if pair is None:
-        pair = validate_pair([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
-    pres = sphere_presentation(pair)
-    if phase in _EXACT_PHASES:
-        exact = {Letter("x", i, 0): ((_EXACT_PHASES[phase] if i == k else Q_ZERO,),)
-                 for i in range(1, n + 1)}
-        return _finish_exact_model(pres, 1, exact, f"sphere-point-{k}")
-    assignment = {Letter("x", i, 0): np.array([[complex(phase) if i == k else 0j]])
-                  for i in range(1, n + 1)}
-    return MatrixModel(pres, 1, assignment, label=f"sphere-point-{k}")
-
-
 def direct_sum(models: Sequence[MatrixModel]) -> MatrixModel:
     """Block-diagonal sum; any relation's residual is the max over the parts."""
     if not models:
@@ -483,65 +439,3 @@ def direct_sum(models: Sequence[MatrixModel]) -> MatrixModel:
     return MatrixModel(first.presentation, dim, assignment, exact,
                        residual_tolerance=first.residual_tolerance,
                        label="(+)".join(m.label for m in models))
-
-
-# ---------------------------------------------------------------------------
-# cross-validation witnesses for arbitrary presentations
-# ---------------------------------------------------------------------------
-
-def diagonal_sphere_model(pair: CommutationPair, seed: int = 0, dim: int = 2) -> MatrixModel:
-    """Commuting normal diagonal model, valid for every sphere presentation."""
-    n = pair.n
-    rng = np.random.default_rng(seed)
-    pres = sphere_presentation(pair)
-    scale = 1.0 / np.sqrt(n)
-    assignment = {}
-    for i in range(1, n + 1):
-        phases = np.exp(2j * np.pi * rng.random(dim))
-        assignment[Letter("x", i, 0)] = scale * np.diag(phases)
-    return MatrixModel(pres, dim, assignment, label=f"sphere-diagonal-{n}", seed_used=seed)
-
-
-def diagonal_unitary_model(pair: CommutationPair, seed: int = 0, dim: int = 2) -> MatrixModel:
-    """Diagonal-phase model u_ij = delta_ij z_i, valid for every unitary presentation."""
-    from .presentations import unitary_qg_presentation
-    n = pair.n
-    rng = np.random.default_rng(seed)
-    pres = unitary_qg_presentation(pair)
-    phases = np.exp(2j * np.pi * rng.random((n, dim)))
-    assignment = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                assignment[Letter("u", i, j)] = np.diag(phases[i - 1])
-            else:
-                assignment[Letter("u", i, j)] = np.zeros((dim, dim), dtype=complex)
-    return MatrixModel(pres, dim, assignment, label=f"unitary-diagonal-{n}", seed_used=seed)
-
-
-def signed_point_model(pres: Presentation, seed: int = 0) -> MatrixModel:
-    """Signed identity character for orthogonal-qg or tuple-space presentations."""
-    n = pres.source_pair.n
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([Q_ONE, -Q_ONE], size=n)
-    tag = "ou" if pres.kind == "orthogonal-qg" else "tx"
-    exact = {Letter(tag, i, j): ((signs[i - 1] if i == j else Q_ZERO,),)
-             for i in range(1, n + 1) for j in range(1, n + 1)}
-    return _finish_exact_model(pres, 1, exact, f"{pres.kind}-signed-point", seed=seed)
-
-
-def witness_models_for(pres: Presentation, seed: int = 0) -> list:
-    """Valid witness models available for cross-checking ProvedZero claims."""
-    pair = pres.source_pair
-    if pres.kind == "complex-sphere":
-        models = [diagonal_sphere_model(pair, seed)]
-        models += [point_model_sphere(k, pair.n, pair=pair) for k in range(1, pair.n + 1)]
-        return models
-    if pres.kind == "unitary-qg":
-        return [diagonal_unitary_model(pair, seed), diagonal_unitary_model(pair, seed + 1)]
-    if pres.kind in ("orthogonal-qg", "tuple-space"):
-        models = [signed_point_model(pres, seed), signed_point_model(pres, seed + 1)]
-        if pres.kind == "orthogonal-qg" and pair.n == 2 and all(x == 0 for row in pair.epsilon for x in row):
-            models.append(o2plus_model())
-        return models
-    raise ValueError(f"unknown presentation kind {pres.kind!r}")

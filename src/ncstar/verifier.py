@@ -67,15 +67,14 @@ class CheckResult:
     def passed(self) -> bool:
         return self.certificate.status == self.expected
 
-    def to_json_dict(self, include_timings=True, include_evidence=True) -> dict:
+    def to_json_dict(self, include_timings=True) -> dict:
         out = {"relation": self.name, "status": self.certificate.status}
         if self.expected != PROVED_ZERO:
             out["expected"] = self.expected
-        if include_evidence:
-            ev = self.certificate.to_json_dict()
-            ev.pop("status", None)
-            if ev:
-                out["evidence"] = ev
+        ev = self.certificate.to_json_dict()
+        ev.pop("status", None)
+        if ev:
+            out["evidence"] = ev
         if include_timings:
             out["micros"] = self.micros
         return out
@@ -101,11 +100,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self, include_timings=True, include_evidence=True) -> dict:
+    def to_json_dict(self, include_timings=True) -> dict:
         return {
             "task": self.task,
             "pair": self.subject,
-            "checks": [c.to_json_dict(include_timings, include_evidence) for c in self.checks],
+            "checks": [c.to_json_dict(include_timings) for c in self.checks],
             "overall": self.overall,
             "passed": self.passed,
             "notices": list(self.notices),
@@ -366,19 +365,14 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
                               residual_tolerance: float = 1e-9,
                               seed: int = 0, dim: int = 4,
                               torus_samples=None) -> VerificationReport:
-    """Run named witness suites: build the model, gate on residuals, test rank.
+    """Run one named witness suite, or "all": build the model, gate on residuals, test rank.
 
     Each check reports the singular values; ProvedNonzero means the family
     reached its expected rank above the threshold.  A model's residuals are
     computed once per suite and serve both the gate and `residual_max`.
     """
     from . import repmodels
-    if suites == "all":
-        names = list(INDEPENDENCE_SUITES)
-    elif isinstance(suites, str):
-        names = [suites]
-    else:
-        names = list(suites)
+    names = list(INDEPENDENCE_SUITES) if suites == "all" else [suites]
     report = VerificationReport("witness", {"suites": names, "seed": seed, "dim": dim})
     probe = functools.cache(repmodels.probe_pair_model)
     for name in names:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import span_reference
+import witness_models as W
 from ncstar import ncalg as A
 from ncstar import presentations as P
 from ncstar import repmodels as R
@@ -225,7 +226,7 @@ def test_criterion_7_oracle_equivalence():
         letters = list(pres.generators)
         if pres.generators[0].tag not in A.HERMITIAN_TAGS:
             letters += [g.star() for g in pres.generators]
-        models = R.witness_models_for(pres, seed=0)
+        models = W.witness_models_for(pres, seed=0)
         for _ in range(30):
             poly = _random_poly(rng, letters, rels)
             total += 1

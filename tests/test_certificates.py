@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import witness_models as W
 from ncstar import ncalg as A
 from ncstar import presentations as P
 from ncstar import repmodels as R
@@ -52,8 +53,8 @@ def test_tensor_zero_soundness_fuzz():
     right = build_quotient_basis(sph, 2)
     qg_letters = _letters(qg)
     sph_letters = _letters(sph)
-    qg_model = R.diagonal_unitary_model(pair, seed=1)
-    sph_model = R.diagonal_sphere_model(pair, seed=1)
+    qg_model = W.diagonal_unitary_model(pair, seed=1)
+    sph_model = W.diagonal_sphere_model(pair, seed=1)
 
     def tensor_eval_norm(t):
         total = np.zeros((qg_model.dim * sph_model.dim,) * 2, dtype=complex)

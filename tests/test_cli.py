@@ -268,10 +268,12 @@ def test_sweep_sphere_action_regular_subset(capsys):
     assert payload["totals"]["tasks"] == 5  # the regular pairs only
 
 
-def test_sweep_guards():
+def test_sweep_guards(capsys):
     assert run_cli("sweep", "--n", "5") == 2
     assert run_cli("sweep", "--n", "4") == 2  # needs --sample
+    capsys.readouterr()
     assert run_cli("sweep", "--n", "2", "--targets", "bogus") == 2
+    assert capsys.readouterr().err == "error: unknown sweep target 'bogus'\n"
 
 
 def test_sweep_n4_sample(capsys):
@@ -352,8 +354,9 @@ def test_bad_input_exit_2_names_it(argv, culprit, capsys):
     assert culprit in captured.err
 
 
-def test_witness_unknown_suite_exit_2():
+def test_witness_unknown_suite_exit_2(capsys):
     assert run_cli("witness", "bogus") == 2
+    assert capsys.readouterr().err == "error: unknown witness suite 'bogus'\n"
 
 
 def test_witness_json_byte_identical(tmp_path):
@@ -480,9 +483,29 @@ _PINNED_SHA256 = {
     ("verify", "noninjectivity"): "f3ef8275fd987b0b28387ef1b8acf8e0fba6b686d78429a8aa14a17ab8404151",
 }
 
+# the algebraic reports; the three verify targets run on a non-regular n = 3
+# pair, so sphere-action also pins the regularization notice
+_NONREGULAR_N3 = {"n": 3, "epsilon": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                  "eta": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
+_PINNED_ALGEBRAIC_SHA256 = {
+    ("sweep", "--n", "2", "--jobs", "1"):
+        "c2672a975a575c362314f3e6c90a43cb5b636071355e10ec253d59992efe690d",
+    ("verify", "hopf"): "a61296736d17f8be3cd48b7441cc17f5b7ef145246c181f8f83c0d618a6f3c27",
+    ("verify", "sphere-action"): "3af139f083097df0267da1538e6eb145332d1beb0c4447995bac80a3c9245e28",
+    ("verify", "tuple-action"): "ddd0aff968d60546f92defd0675e661d309662ed72ceaa0728767f498f520b6a",
+}
+
 
 @pytest.mark.parametrize("argv", list(_PINNED_SHA256))
 def test_default_model_reports_are_pinned(argv, tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(*argv, "--format", "json", "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_ALGEBRAIC_SHA256))
+def test_default_algebraic_reports_are_pinned(argv, pair_file, tmp_path):
+    out = tmp_path / "report.json"
+    extra = ("--input", pair_file("pair.json", _NONREGULAR_N3)) if argv[0] == "verify" else ()
+    assert run_cli(*argv, *extra, "--format", "json", "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_ALGEBRAIC_SHA256[argv]

@@ -1,5 +1,6 @@
 """Heavier module invariants that go beyond the per-operation unit tests."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -73,3 +74,43 @@ def test_benchmark_tracer_names_stay_bound():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     tracer.assert_clean()
+
+
+def _references_outside_own_definition(tree) -> set:
+    """Every name a module reads, by bare name or as an attribute, except where
+    the name is read inside a top-level definition of that same name."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = None
+        if name is not None and name != owner:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(node, owner)
+    return found
+
+
+def test_every_exported_name_has_a_caller():
+    """No package API exists only for tests: each name in the __all__ of ncalg,
+    repmodels and verifier is read somewhere in the package outside its own
+    definition, or by the benchmark harness."""
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "ncstar").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    referenced = set()
+    for path in sources:
+        referenced |= _references_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    for module in ("ncalg", "repmodels", "verifier"):
+        mod = importlib.import_module(f"ncstar.{module}")
+        unread = [name for name in mod.__all__ if name not in referenced]
+        assert not unread, f"ncstar.{module}.__all__ names {unread}, which only tests read"

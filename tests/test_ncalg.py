@@ -1,6 +1,5 @@
 """Word algebra, quotient bases, tensor reduction, ideal membership."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -532,14 +531,17 @@ def test_word_with_foreign_letter_is_its_own_residue():
         "1 coordinate(s) survive leg-wise reduction, e.g. y1 ⊗ 1 with coefficient 1/2")
 
 
-def test_span_over_float_relation_raises():
-    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
-    # Poly's own constructor checks nothing but zeros, so a float gets in here
-    inexact = P.Relation("inexact", Poly({(Letter("x", 1, 0), Letter("x", 2, 0)): 1,
-                                          (Letter("x", 2, 0), Letter("x", 1, 0)): -0.5}))
-    pres = dataclasses.replace(pres, relations=pres.relations + (inexact,))
-    with pytest.raises(ValueError, match="relation inexact has the coefficient -0.5"):
-        A.BoundedSpan(pres, 2)
+def test_raw_constructors_refuse_inexact_coefficients():
+    w = (Letter("x", 1, 0), Letter("x", 2, 0))
+    for bad in (-0.5, 1j):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            Poly({w: 1, w[::-1]: bad})
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        TensorPoly({(w, ()): 0.5})
+    # a zero of the wrong type is refused too, not dropped
+    with pytest.raises(TypeError):
+        Poly({w: 0.0})
+    assert Poly({w: Fraction(4, 2), w[::-1]: 0}).terms == {w: 2}
 
 
 @pytest.mark.parametrize("scales,detail", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import witness_models as W
 from ncstar import repmodels as R
 from ncstar import presentations as P
 from ncstar.ncalg import Letter, Poly
@@ -100,23 +101,6 @@ def test_noninjectivity_model_is_exact_witness():
     image, exact = R.evaluate(g(x1g) * g(x2g).star(), m)
     assert image[3, 3] == 0.5  # bit-exact
     assert np.count_nonzero(image) == 1
-
-
-# ---------------------------------------------------------------------------
-# corrected model: the documented obstruction
-# ---------------------------------------------------------------------------
-
-def test_corrected_sphere_model_documents_unattainability():
-    with pytest.raises(R.ModelUnattainable, match="triangularizable"):
-        R.corrected_sphere_model()
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="no finite-dimensional non-normal commuting pair satisfies both "
-                          "normalization sums; see corrected_sphere_model docstring")
-def test_corrected_sphere_model_spec_post():
-    m = R.corrected_sphere_model()
-    assert R.model_residuals(m).max <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +199,7 @@ def test_o2plus_product_difference():
 # ---------------------------------------------------------------------------
 
 def test_point_model_sphere_values():
-    m = R.point_model_sphere(2, 3)
+    m = W.point_model_sphere(2, 3)
     total = Poly.zero()
     for i in (1, 2, 3):
         xi = g(Letter("x", i, 0))
@@ -227,7 +211,7 @@ def test_point_model_sphere_values():
 def test_point_model_commutators_vanish():
     pair = P.validate_pair([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
                            [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    m = R.point_model_sphere(2, 3, pair=pair)
+    m = W.point_model_sphere(2, 3, pair)
     comm = g(Letter("x", 1, 0)) * g(Letter("x", 2, 0)) - g(Letter("x", 2, 0)) * g(Letter("x", 1, 0))
     assert np.all(R.evaluate_matrix(comm, m) == 0)
     assert R.model_residuals(m).max == 0.0
@@ -248,7 +232,7 @@ def test_direct_sum_duplicates_blocks():
 
 def test_direct_sum_residual_is_max_of_parts():
     probe = R.probe_pair_model()
-    valid_pair_model = R.torus_model(pair=probe.presentation.source_pair)
+    valid_pair_model = W.point_model_sphere(1, 2, probe.presentation.source_pair)
     s = R.direct_sum([probe, valid_pair_model])
     assert s.probe
     assert R.model_residuals(s).max == 1.0
@@ -319,7 +303,7 @@ def test_witness_models_are_valid(kind):
         pres = P.orthogonal_qg_presentation([[0, 1], [1, 0]])
     else:
         pres = P.tuple_space_presentation([[0, 1], [1, 0]])
-    for model in R.witness_models_for(pres):
+    for model in W.witness_models_for(pres):
         assert R.model_residuals(model, pres.all_relations()).max <= 1e-9, model.label
 
 

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+import witness_models as W
 from ncstar import presentations as P
 from ncstar import repmodels as R
 from ncstar import verifier as V
@@ -335,7 +336,7 @@ def test_regularization_consistency_single_generator_conclusive():
 def test_proved_zero_relations_vanish_in_witness_models():
     pair = _pair(ZERO2, OFF2)
     for pres in (P.unitary_qg_presentation(pair), P.sphere_presentation(pair)):
-        models = R.witness_models_for(pres)
+        models = W.witness_models_for(pres)
         for model in models:
             assert R.model_residuals(model, pres.all_relations()).max <= 1e-9
         for rel in pres.all_relations():
