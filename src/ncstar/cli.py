@@ -9,7 +9,8 @@ Exit codes are stable across output formats:
        be read or written, unknown suites, out-of-range sweep sizes, a
        repeated sweep target, a --dim above its cap, a phase off the unit
        circle, a non-finite tolerance, a negative seed or sample, a bad
-       NCSTAR_JOBS, a --bound whose relation span exceeds its size cap).
+       NCSTAR_JOBS, a --bound outside 2..4 or one whose relation span
+       exceeds its size cap).
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self):
-        for name in ("degree_bound", "residual_tolerance", "svd_threshold"):
+        if not 2 <= self.degree_bound <= 4:
+            side = "above the cap of 4" if self.degree_bound > 4 else "below the minimum of 2"
+            raise ValueError(f"{_field('degree_bound')}: bound {self.degree_bound} is {side}")
+        for name in ("residual_tolerance", "svd_threshold"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{_field(name)} must be finite, not {value}")
@@ -48,8 +52,6 @@ class RunConfig:
                 raise ValueError(f"{_field(name)} must be strictly positive")
         if self.seed < 0:
             raise ValueError(f"{_field('seed')} must be non-negative, not {self.seed}")
-        if self.degree_bound > 4:
-            raise ValueError(f"bound {self.degree_bound} is above the cap of 4")
         if self.format not in ("json", "text"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.jobs < 0:
@@ -332,7 +334,7 @@ def cmd_witness(args, config: RunConfig) -> int:
 _FLAGS = {
     "degree_bound": ("--bound", dict(type=int, metavar="BOUND",
                                      help="total degree of the relation products m1*r*m2 "
-                                          "each check reduces against (default 2, max 4)")),
+                                          "each check reduces against (2 to 4, default 2)")),
     "residual_tolerance": ("--tol", dict(type=float, metavar="TOL",
                                          help="residual tolerance for witnesses (default 1e-9)")),
     "svd_threshold": ("--svd-threshold", dict(type=float,

@@ -44,6 +44,10 @@ __all__ = [
 # Letter tags whose generators are self-adjoint; star() leaves them unstarred.
 HERMITIAN_TAGS = frozenset({"ou", "tx"})
 
+# The most monomials, and sparse pivot entries, one relation span may hold;
+# read each time a span is built.
+SPAN_ENTRY_CAP = 2_000_000
+
 # Display names for tags (the orthogonal family prints as u, the tuple family as x).
 _TAG_DISPLAY = {"x": "x", "u": "u", "ou": "u", "tx": "x"}
 
@@ -318,7 +322,7 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
                 if (base.left_roster, base.right_roster) != rosters:
                     raise RosterMismatch(f"image of {letter_str(l.base())} built over other rosters")
                 img = base.terms
-                if l.starred and l.tag not in HERMITIAN_TAGS:
+                if l.starred:
                     img = {(star_word(a), star_word(b)): v for (a, b), v in img.items()}
                 letters[l] = img
             prod: dict = {}
@@ -463,11 +467,8 @@ def _rref_reduce(pivots: dict, row: dict, on_use=None) -> dict:
 
 
 def _roster_letters(pres) -> list:
-    letters = list(pres.generators)
-    if pres.generators and pres.generators[0].tag not in HERMITIAN_TAGS:
-        letters += [g.star() for g in pres.generators]
-    letters.sort()
-    return letters
+    """The generators and their stars, sorted; a self-adjoint generator is its own star."""
+    return sorted({l for g in pres.generators for l in (g, g.star())})
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +567,7 @@ class BoundedSpan:
     relations themselves.
     """
 
-    def __init__(self, presentation, bound: int, *, provenance: bool = False,
-                 entry_cap: int = 2_000_000):
+    def __init__(self, presentation, bound: int, *, provenance: bool = False):
         if bound < 2:
             raise ValueError("degree bound must be at least 2")
         self.presentation = presentation
@@ -576,12 +576,12 @@ class BoundedSpan:
         codes = self._codes = _WordCodes(_roster_letters(presentation))
         # the number of words of degree <= bound; the words themselves are never needed
         monomials = codes.offset(bound + 1)
+        entry_cap = self._entry_cap = SPAN_ENTRY_CAP
         if monomials > entry_cap:
             raise DimensionCap(f"{monomials} monomials up to degree {bound} exceed "
                                f"the configured cap {entry_cap}")
         self._pivots: dict = {}
         self._residue_cache: dict = {}
-        self._entry_cap = entry_cap
         self._entries = 0
         self._rows = 0
         power = [codes.base ** d for d in range(bound + 1)]
@@ -697,9 +697,9 @@ class BoundedSpan:
         })
 
 
-def build_quotient_basis(pres, bound: int = 2, **kw) -> BoundedSpan:
+def build_quotient_basis(pres, bound: int = 2) -> BoundedSpan:
     """The span every verification reduces against: products of total degree <= bound."""
-    return BoundedSpan(pres, bound, **kw)
+    return BoundedSpan(pres, bound)
 
 
 def _check_product_degree(p: Poly, product_bound: int):
@@ -708,16 +708,14 @@ def _check_product_degree(p: Poly, product_bound: int):
 
 
 def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
-                             want_combination: bool = True,
-                             entry_cap: int = 2_000_000) -> Certificate:
+                             want_combination: bool = True) -> Certificate:
     """One-shot membership of p in the span of m1 * r * m2, total degree <= product_bound.
 
     Builds a BoundedSpan for this single query; callers with several targets
     over one presentation should build the span once and certify each.
     """
     _check_product_degree(p, product_bound)
-    return BoundedSpan(pres, product_bound, provenance=want_combination,
-                       entry_cap=entry_cap).certify(p)
+    return BoundedSpan(pres, product_bound, provenance=want_combination).certify(p)
 
 
 def _star_closed_relations(pres):

@@ -10,6 +10,11 @@ regularity conventions, and constructs the presentations of
 * the partial-commutation quantum orthogonal group (self-adjoint entries), and
 * the quantum space of sphere tuples it acts on.
 
+Every relation is stated as the paper writes it, as a word equation: two
+words for lhs = rhs (x_i x_j = x_j x_i), one word for lhs = 0, or a sum of
+words equal to delta for the normalizations.  Its polynomial is written down
+from those words directly, with no polynomial arithmetic.
+
 All values are immutable; every operation here is a pure function.
 """
 
@@ -18,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ncalg import Letter, Poly, poly_str
 
@@ -215,33 +219,28 @@ class Presentation:
         return f"{self.kind}[n={self.source_pair.n};{self.source_pair.compact()}]"
 
 
-def _canonical_poly_key(poly: Poly):
-    """poly's terms scaled so that its leading coefficient is 1, as the span scales a pivot."""
-    lead = max(poly.terms, key=lambda w: (len(w), w))
-    c = poly.terms[lead]
-    if c == 1:
-        return frozenset(poly.items())
-    inv = -1 if c == -1 else 1 / Fraction(c)
-    return frozenset((w, v * inv) for w, v in poly.items())
-
-
 class _RelationBuilder:
     def __init__(self):
         self.relations = []
         self._seen = set()
 
-    def add(self, rid: str, poly: Poly):
-        if poly.is_zero():
+    def add(self, rid: str, lhs: tuple, rhs=None):
+        """The word equation lhs = rhs, or lhs = 0; dropped if trivial or already present up to sign."""
+        if lhs == rhs:
             return
-        key = _canonical_poly_key(poly)
+        key = lhs if rhs is None else frozenset((lhs, rhs))
         if key in self._seen:
             return
         self._seen.add(key)
-        self.relations.append(Relation(rid, poly))
+        self.relations.append(Relation(rid, Poly({lhs: 1} if rhs is None else {lhs: 1, rhs: -1})))
 
 
-def _gen(tag: str, i: int, j: int = 0) -> Poly:
-    return Poly.generator(Letter(tag, i, j))
+def _sum_relation(rid: str, words, delta: bool, description: str) -> Relation:
+    """The relation "sum of the words = delta", delta being 0 or 1."""
+    terms = dict.fromkeys(words, 1)
+    if delta:
+        terms[()] = -1
+    return Relation(rid, Poly(terms), description)
 
 
 def sphere_presentation(pair: CommutationPair) -> Presentation:
@@ -252,36 +251,23 @@ def sphere_presentation(pair: CommutationPair) -> Presentation:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if eps[i - 1][j - 1]:
-                rb.add(f"eps({i},{j})", _gen("x", i) * _gen("x", j) - _gen("x", j) * _gen("x", i))
+                rb.add(f"eps({i},{j})", (gens[i - 1], gens[j - 1]), (gens[j - 1], gens[i - 1]))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if eta[i - 1][j - 1]:
-                xi_star = Poly.generator(Letter("x", i, 0, True))
-                rb.add(f"eta({i},{j})", xi_star * _gen("x", j) - _gen("x", j) * xi_star)
-    star_sum = Poly.zero()
-    plain_sum = Poly.zero()
-    for i in range(1, n + 1):
-        xi = Letter("x", i, 0)
-        star_sum = star_sum + Poly.generator(xi.star()) * Poly.generator(xi)
-        plain_sum = plain_sum + Poly.generator(xi) * Poly.generator(xi.star())
-    sums = (Relation("sum:x*x", star_sum - Poly.one(), "Σ x_i* x_i = 1"),
-            Relation("sum:xx*", plain_sum - Poly.one(), "Σ x_i x_i* = 1"))
+                xi_star = gens[i - 1].star()
+                rb.add(f"eta({i},{j})", (xi_star, gens[j - 1]), (gens[j - 1], xi_star))
+    sums = (_sum_relation("sum:x*x", [(x.star(), x) for x in gens], True, "Σ x_i* x_i = 1"),
+            _sum_relation("sum:xx*", [(x, x.star()) for x in gens], True, "Σ x_i x_i* = 1"))
     return Presentation("complex-sphere", gens, tuple(rb.relations), sums, pair)
 
 
 def _delta_sums(label: str, n: int, word_maker) -> tuple:
-    """For each (i,j): sum_k word_maker(i, j, k) - delta_ij, e.g. sum_k u_ik* u_jk - delta_ij."""
-    members = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            total = Poly.zero()
-            for k in range(1, n + 1):
-                total = total + word_maker(i, j, k)
-            if i == j:
-                total = total - Poly.one()
-            members.append(Relation(f"{label}({i},{j})", total,
-                                    f"{label} entry ({i},{j})"))
-    return tuple(members)
+    """For each (i,j): sum_k word_maker(i, j, k) = delta_ij, e.g. sum_k u_ik* u_jk = delta_ij."""
+    idx = range(1, n + 1)
+    return tuple(_sum_relation(f"{label}({i},{j})", [word_maker(i, j, k) for k in idx], i == j,
+                               f"{label} entry ({i},{j})")
+                 for i in idx for j in idx)
 
 
 def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
@@ -291,34 +277,28 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
     rb = _RelationBuilder()
 
     def u(i, j, s=False):
-        return Poly.generator(Letter("u", i, j, s))
+        return Letter("u", i, j, s)
 
     idx = range(1, n + 1)
     # plain exchange family: three epsilon-conditioned cases
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
-                    if ei and ek:
-                        rb.add(f"Reps-comm({i},{j};{k},{l})", u(i, k) * u(j, l) - u(j, l) * u(i, k))
-                    elif ei and not ek:
-                        rb.add(f"Reps-xrow({i},{j};{k},{l})", u(i, k) * u(j, l) - u(j, k) * u(i, l))
-                    elif ek and not ei:
-                        rb.add(f"Reps-xcol({i},{j};{k},{l})", u(i, k) * u(j, l) - u(i, l) * u(j, k))
+    for i, j, k, l in itertools.product(idx, repeat=4):
+        ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
+        if ei and ek:
+            rb.add(f"Reps-comm({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, l), u(i, k)))
+        elif ei:
+            rb.add(f"Reps-xrow({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, k), u(i, l)))
+        elif ek:
+            rb.add(f"Reps-xcol({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(i, l), u(j, k)))
     # starred commutation family
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    hi, hk = eta[i - 1][j - 1], eta[k - 1][l - 1]
-                    if hi and hk:
-                        rb.add(f"Reta-comm({i},{j};{k},{l})",
-                               u(i, k, True) * u(j, l) - u(j, l) * u(i, k, True))
-                    elif (hi and k != l) or (hk and i != j):
-                        # exactly one of hi, hk is set here
-                        rb.add(f"Reta-zero({i},{j};{k},{l}):su", u(i, k, True) * u(j, l))
-                        rb.add(f"Reta-zero({i},{j};{k},{l}):us", u(i, k) * u(j, l, True))
+    for i, j, k, l in itertools.product(idx, repeat=4):
+        hi, hk = eta[i - 1][j - 1], eta[k - 1][l - 1]
+        if hi and hk:
+            rb.add(f"Reta-comm({i},{j};{k},{l})",
+                   (u(i, k, True), u(j, l)), (u(j, l), u(i, k, True)))
+        elif (hi and k != l) or (hk and i != j):
+            # exactly one of hi, hk is set here
+            rb.add(f"Reta-zero({i},{j};{k},{l}):su", (u(i, k, True), u(j, l)))
+            rb.add(f"Reta-zero({i},{j};{k},{l}):us", (u(i, k), u(j, l, True)))
     # fourfold equalities: column products u_ik* u_jk and row products u_ki* u_kj
     free = [k for k in idx if eta[k - 1][k - 1] == 0]
     if free:
@@ -329,18 +309,18 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
                     continue
                 for k in free:
                     rb.add(f"colprod-swap({i},{j};{k})",
-                           u(i, k, True) * u(j, k) - u(j, k) * u(i, k, True))
+                           (u(i, k, True), u(j, k)), (u(j, k), u(i, k, True)))
                     rb.add(f"rowprod-swap({i},{j};{k})",
-                           u(k, i, True) * u(k, j) - u(k, j) * u(k, i, True))
+                           (u(k, i, True), u(k, j)), (u(k, j), u(k, i, True)))
                     if k != k0:
                         rb.add(f"colprod-tie({i},{j};{k})",
-                               u(i, k, True) * u(j, k) - u(i, k0, True) * u(j, k0))
+                               (u(i, k, True), u(j, k)), (u(i, k0, True), u(j, k0)))
                         rb.add(f"rowprod-tie({i},{j};{k})",
-                               u(k, i, True) * u(k, j) - u(k0, i, True) * u(k0, j))
-    sums = (_delta_sums("sum:u*u", n, lambda i, j, k: u(k, i, True) * u(k, j))
-            + _delta_sums("sum:uu*", n, lambda i, j, k: u(i, k) * u(j, k, True))
-            + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: u(i, k, True) * u(j, k))
-            + _delta_sums("sum:conj(u)*conj(u)", n, lambda i, j, k: u(k, i) * u(k, j, True)))
+                               (u(k, i, True), u(k, j)), (u(k0, i, True), u(k0, j)))
+    sums = (_delta_sums("sum:u*u", n, lambda i, j, k: (u(k, i, True), u(k, j)))
+            + _delta_sums("sum:uu*", n, lambda i, j, k: (u(i, k), u(j, k, True)))
+            + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: (u(i, k, True), u(j, k)))
+            + _delta_sums("sum:conj(u)*conj(u)", n, lambda i, j, k: (u(k, i), u(k, j, True))))
     return Presentation("unitary-qg", gens, tuple(rb.relations), sums, pair)
 
 
@@ -353,12 +333,12 @@ def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) ->
     """
     idx = range(1, len(eps) + 1)
     for i, j, k, l in itertools.product(idx, repeat=4):
-        a, b = _gen(tag, i, k), _gen(tag, j, l)
+        a, b = Letter(tag, i, k), Letter(tag, j, l)
         ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
         if ei and ek:
-            rb.add(f"{prefix}-comm({i},{j};{k},{l})", a * b - b * a)
+            rb.add(f"{prefix}-comm({i},{j};{k},{l})", (a, b), (b, a))
         elif ei or ek:
-            rb.add(f"{prefix}-zero({i},{j};{k},{l})", a * b)
+            rb.add(f"{prefix}-zero({i},{j};{k},{l})", (a, b))
 
 
 def _validate_epsilon(epsilon) -> CommutationPair:
@@ -377,10 +357,10 @@ def orthogonal_qg_presentation(epsilon) -> Presentation:
     _epsilon_family(rb, "ou", "Ro", eps)
 
     def v(i, j):
-        return Poly.generator(Letter("ou", i, j))
+        return Letter("ou", i, j)
 
-    sums = (_delta_sums("sum:row-orth", n, lambda i, j, k: v(i, k) * v(j, k))
-            + _delta_sums("sum:col-orth", n, lambda i, j, k: v(k, i) * v(k, j)))
+    sums = (_delta_sums("sum:row-orth", n, lambda i, j, k: (v(i, k), v(j, k)))
+            + _delta_sums("sum:col-orth", n, lambda i, j, k: (v(k, i), v(k, j))))
     return Presentation("orthogonal-qg", gens, tuple(rb.relations), sums, pair)
 
 
@@ -393,28 +373,26 @@ def tuple_space_presentation(epsilon) -> Presentation:
     _epsilon_family(rb, "tx", "Rt", eps)
 
     def x(i, j):
-        return Poly.generator(Letter("tx", i, j))
+        return Letter("tx", i, j)
 
     idx = range(1, n + 1)
-    col = []
-    for k in idx:
-        for l in idx:
-            total = Poly.zero()
-            for i in idx:
-                total = total + x(i, k) * x(i, l)
-            if k == l:
-                total = total - Poly.one()
-            col.append(Relation(f"sum:col-orth({k},{l})", total, f"column orthonormality ({k},{l})"))
-    return Presentation("tuple-space", gens, tuple(rb.relations), tuple(col), pair)
+    col = tuple(_sum_relation(f"sum:col-orth({k},{l})", [(x(i, k), x(i, l)) for i in idx], k == l,
+                              f"column orthonormality ({k},{l})")
+                for k in idx for l in idx)
+    return Presentation("tuple-space", gens, tuple(rb.relations), col, pair)
 
 
-def enumerate_pairs(n: int, regular_only: bool = False, cap: int = 100_000) -> list:
+# the most candidate pairs enumerate_pairs will list: 2^16 at n = 4
+_PAIR_CAP = 100_000
+
+
+def enumerate_pairs(n: int) -> list:
     """All valid pairs of size n in lexicographic order of flattened entries."""
     if n < 1:
         raise ValueError("n must be positive")
     count = 2 ** (n * n)
-    if count > cap:
-        raise TooLarge(f"{count} candidate pairs exceed the cap of {cap} (n={n})")
+    if count > _PAIR_CAP:
+        raise TooLarge(f"{count} candidate pairs exceed the cap of {_PAIR_CAP} (n={n})")
     off = [(i, j) for i in range(n) for j in range(i + 1, n)]
     diag = list(range(n))
     pairs = []
@@ -431,8 +409,6 @@ def enumerate_pairs(n: int, regular_only: bool = False, cap: int = 100_000) -> l
                     eta[i][i] = b
                 pairs.append(CommutationPair(n, _freeze(eps), _freeze(eta)))
     pairs.sort(key=lambda p: p.flat())
-    if regular_only:
-        pairs = [p for p in pairs if is_regular(p).is_regular]
     return pairs
 
 

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ncalg import HERMITIAN_TAGS, Letter, Poly, word_str
+from .ncalg import Letter, Poly, word_str
 from .presentations import (Presentation, orthogonal_qg_presentation,
                             sphere_presentation, validate_pair)
 from .scalars import Q_ONE, Q_ZERO, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
@@ -38,7 +38,7 @@ from .scalars import Q_ONE, Q_ZERO, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
 __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model",
-    "torus_model", "free_unitary_model", "o2plus_model", "direct_sum",
+    "torus_model", "free_unitary_model", "o2plus_model", "direct_sum", "CONJUGATE_PRODUCTS",
     "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
     "WitnessInvalid", "UnassignedGenerator", "PresentationMismatch",
     "DegenerateSamples",
@@ -81,7 +81,7 @@ class MatrixModel:
         m = self.assignment.get(base)
         if m is None:
             raise UnassignedGenerator(f"model {self.label!r} assigns nothing to {word_str((base,))}")
-        if letter.starred and letter.tag not in HERMITIAN_TAGS:
+        if letter.starred:
             return m.conj().T
         return m
 
@@ -169,7 +169,7 @@ def evaluate(p: Poly, model: MatrixModel):
                     m = model.exact.get(letter.base())
                     if m is None:
                         raise UnassignedGenerator(f"model {model.label!r} assigns nothing to {word_str((letter.base(),))}")
-                    if letter.starred and letter.tag not in HERMITIAN_TAGS:
+                    if letter.starred:
                         m = _exact_star(m)
                     m = letters[letter] = _exact_rows(m)
                 term = m if term is None else _exact_matmul(term, m)
@@ -249,6 +249,15 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
 # the hand-built models
 # ---------------------------------------------------------------------------
 
+_X1, _X2 = Letter("x", 1, 0), Letter("x", 2, 0)
+
+# The witness family x1* x2, x1 x2*, x2* x1, x2 x1* of two sphere coordinates.
+# The probe and free unitary models separate all four; the torus, whose
+# coordinates commute, separates the first two.
+CONJUGATE_PRODUCTS = tuple(Poly.from_word(w) for w in (
+    (_X1.star(), _X2), (_X1, _X2.star()), (_X2.star(), _X1), (_X2, _X1.star())))
+
+
 def _finish_exact_model(pres, dim, exact_assignment, label) -> MatrixModel:
     assignment = {g: _exact_to_complex(m) for g, m in exact_assignment.items()}
     return MatrixModel(pres, dim, assignment, exact_assignment, label=label)
@@ -327,9 +336,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
         x2 = np.diag([half * complex(z2) for _, z2 in samples])
         model = MatrixModel(pres, dim, {Letter("x", 1, 0): x1, Letter("x", 2, 0): x2},
                             label="torus-diagonal")
-    fam = [Poly.generator(Letter("x", 1, 0, True)) * Poly.generator(Letter("x", 2, 0)),
-           Poly.generator(Letter("x", 1, 0)) * Poly.generator(Letter("x", 2, 0, True))]
-    probe_rank = check_independence(fam, model)
+    probe_rank = check_independence(CONJUGATE_PRODUCTS[:2], model)
     if probe_rank.rank < 2:
         raise DegenerateSamples(
             f"samples {samples} only span rank {probe_rank.rank} on the conjugate products")
@@ -349,11 +356,6 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
                          "cannot be independent below dimension 3")
     pair = validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
-    x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)
-    fam = [Poly.generator(x1g.star()) * Poly.generator(x2g),
-           Poly.generator(x1g) * Poly.generator(x2g.star()),
-           Poly.generator(x2g.star()) * Poly.generator(x1g),
-           Poly.generator(x2g) * Poly.generator(x1g.star())]
     for attempt in range(16):
         s = seed + attempt
         rng = np.random.default_rng(s)
@@ -365,9 +367,9 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
             us.append(q)
         half = complex(np.sqrt(0.5))
         model = MatrixModel(pres, dim,
-                            {x1g: half * us[0], x2g: half * us[1]},
+                            {_X1: half * us[0], _X2: half * us[1]},
                             label=f"free-unitary-{dim}d", seed_used=s)
-        if check_independence(fam, model).rank == 4:
+        if check_independence(CONJUGATE_PRODUCTS, model).rank == 4:
             return model
     raise DegenerateSamples("no independent draw within 16 seeded attempts")
 

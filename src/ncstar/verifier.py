@@ -319,10 +319,10 @@ def _x(i, star=False):
 # the model, so its expected rank is its length.
 
 def _suite_probe_products(probe, seed, dim, samples):
+    from . import repmodels
     model = probe()
     gate = [r for r in model.presentation.relations if r.rid.startswith("eps")]
-    fam = [_x(1, True) * _x(2), _x(1) * _x(2, True), _x(2, True) * _x(1), _x(2) * _x(1, True)]
-    return model, fam, gate
+    return model, repmodels.CONJUGATE_PRODUCTS, gate
 
 
 def _suite_unit_squares(probe, seed, dim, samples):
@@ -334,14 +334,12 @@ def _suite_unit_squares(probe, seed, dim, samples):
 def _suite_torus(probe, seed, dim, samples):
     from . import repmodels
     model = repmodels.torus_model(samples or ((1, 1), (1, 1j)))
-    return model, [_x(1, True) * _x(2), _x(1) * _x(2, True)], "all"
+    return model, repmodels.CONJUGATE_PRODUCTS[:2], "all"
 
 
 def _suite_free_unitary(probe, seed, dim, samples):
     from . import repmodels
-    model = repmodels.free_unitary_model(dim, seed)
-    fam = [_x(1, True) * _x(2), _x(1) * _x(2, True), _x(2, True) * _x(1), _x(2) * _x(1, True)]
-    return model, fam, "all"
+    return repmodels.free_unitary_model(dim, seed), repmodels.CONJUGATE_PRODUCTS, "all"
 
 
 def _suite_o2plus(probe, seed, dim, samples):

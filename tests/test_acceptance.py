@@ -86,7 +86,7 @@ def test_criterion_2_sphere_action(sweep_run):
     levels, _, _, _ = sweep_run
     failures = []
     for n in (1, 2, 3):
-        expected = len(P.enumerate_pairs(n, regular_only=True))
+        expected = sum(P.is_regular(p).is_regular for p in P.enumerate_pairs(n))
         rows = _results(levels, n, "sphere-action")
         if len(rows) != expected:
             failures.append(f"n={n}: {len(rows)} regular pairs, expected {expected}")

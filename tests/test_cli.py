@@ -345,7 +345,8 @@ def test_bad_numeric_flag_exit_2(argv, flag, capsys):
     (["witness", "torus", "--phases", "nan,1", "1,1j"], "--phases sample 'nan,1': 'nan'"),
     (["witness", "torus", "--phases", "1,1", "2,1j"], "--phases sample '2,1j': '2' is not on the unit circle"),
     (["witness", "free-unitary", "--dim", "100000000"], "--dim"),
-], ids=["repeated-target", "nan-phase", "off-circle-phase", "huge-dim"])
+    (["sweep", "--n", "1", "--bound", "1", "--jobs", "1"], "--bound"),
+], ids=["repeated-target", "nan-phase", "off-circle-phase", "huge-dim", "bound-1"])
 def test_bad_input_exit_2_names_it(argv, culprit, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()

@@ -268,10 +268,11 @@ def test_degree_three_product_needs_bound_three():
     assert is_zero_tensor(t, b3, b3).status == A.PROVED_ZERO
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(A, "SPAN_ENTRY_CAP", 10)
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
     with pytest.raises(A.DimensionCap):
-        build_quotient_basis(pres, 2, entry_cap=10)
+        build_quotient_basis(pres, 2)
 
 
 def test_reduce_rejects_overweight_words():
@@ -420,12 +421,13 @@ def test_bounded_span_reuse_matches_one_shot(pair, family, bound):
     assert 0 < proved < 2 * len(targets)
 
 
-def test_bounded_span_dimension_cap_at_build():
+def test_bounded_span_dimension_cap_at_build(monkeypatch):
+    monkeypatch.setattr(A, "SPAN_ENTRY_CAP", 10)
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     with pytest.raises(A.DimensionCap):
-        A.BoundedSpan(pres, 4, entry_cap=10)
+        A.BoundedSpan(pres, 4)
     with pytest.raises(A.DimensionCap):
-        ideal_membership_bounded(x1, pres, 4, entry_cap=10)
+        ideal_membership_bounded(x1, pres, 4)
 
 
 def test_oracle_agreement_sample():

@@ -94,7 +94,7 @@ def test_sphere_action_regularizes_with_notice():
 
 
 def test_sphere_action_regular_pairs_n2_exhaustive():
-    for pair in P.enumerate_pairs(2, regular_only=True):
+    for pair in [p for p in P.enumerate_pairs(2) if P.is_regular(p).is_regular]:
         report = V.verify_sphere_action(pair)
         assert report.passed, pair.compact()
         assert not report.notices
