@@ -10,7 +10,7 @@ Exit codes are stable across output formats:
        repeated sweep target, a --dim above its cap, a phase off the unit
        circle, a non-finite tolerance, a negative seed or sample, a bad
        NCSTAR_JOBS, a --bound outside 2..4 or one whose relation span
-       exceeds its size cap).
+       exceeds its size cap, a verify pair above MAX_VERIFY_N).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, presentations, verifier
 from .ncalg import DimensionCap
@@ -71,30 +72,33 @@ class RunConfig:
             return jobs
         return max(1, os.cpu_count() or 1)
 
+    def _recorded(self) -> dict:
+        """The fields a report records: all but the output path."""
+        return {k: v for k, v in asdict(self).items() if k != "output"}
+
     def hash(self) -> str:
-        body = {k: v for k, v in asdict(self).items() if k != "output"}
-        body["version"] = __version__
+        body = {**self._recorded(), "version": __version__}
         return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
 
     def envelope(self) -> dict:
         return {
             "tool": "ncstar",
             "version": __version__,
-            "config": {k: v for k, v in asdict(self).items() if k != "output"},
+            "config": self._recorded(),
             "config_hash": self.hash(),
         }
 
 
-def _emit(config: RunConfig, payload: dict, text_lines) -> None:
+def _emit(config: RunConfig, task: str, body: dict, text_lines) -> None:
     if config.format == "json":
-        body = json.dumps(payload, indent=2) + "\n"
+        out = json.dumps({**config.envelope(), "task": task, **body}, indent=2) + "\n"
     else:
-        body = "\n".join(text_lines) + "\n"
+        out = "\n".join(text_lines) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            fh.write(out)
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(out)
 
 
 def _report_lines(report) -> list:
@@ -118,9 +122,7 @@ def cmd_regularize(args, config: RunConfig) -> int:
     pair = load_pair(args.input)
     before = is_regular(pair)
     fixed = regularize(pair)
-    payload = config.envelope()
-    payload["task"] = "regularize"
-    payload["report"] = {
+    report = {
         "input_pair": pair.to_json_dict(),
         "was_regular": before.is_regular,
         "violations_convention_A": [list(v) for v in before.violations_convention_A],
@@ -138,18 +140,41 @@ def cmd_regularize(args, config: RunConfig) -> int:
         f"output eta: {[list(r) for r in fixed.eta]}",
         f"output epsilon: {[list(r) for r in fixed.epsilon]}",
     ]
-    _emit(config, payload, lines)
+    _emit(config, "regularize", {"report": report}, lines)
     return 0
 
 
-# target -> (pair, bound) -> report.  Each entry reads verifier.verify_* when it
-# runs, not when this module is imported, so a rebound module attribute is seen.
+class _Target(NamedTuple):
+    run: Callable  # (pair, bound) -> VerificationReport
+    sweep: Optional[Callable]  # a sweep level's pairs -> the ones it runs; None: never swept
+
+
+def _tuple_space_pairs(pairs) -> list:
+    """One (epsilon, 0) pair per epsilon, in first-seen order."""
+    epsilons = dict.fromkeys(p.epsilon for p in pairs)
+    return [CommutationPair(len(e), e, ((0,) * len(e),) * len(e)) for e in epsilons]
+
+
+# Each row looks up the verifier function and `is_regular` when it runs, not
+# when this module is imported, so a rebound module attribute is seen.
 _TARGETS = {
-    "hopf": lambda pair, bound: verifier.verify_comultiplication(pair, bound),
-    "sphere-action": lambda pair, bound: verifier.verify_sphere_action(pair, "both", bound),
-    "tuple-action": lambda pair, bound: verifier.verify_tuple_action(pair.epsilon, "both", bound),
-    "noninjectivity": lambda pair, bound: verifier.verify_noninjectivity_example(pair),
+    "hopf": _Target(lambda pair, bound: verifier.verify_comultiplication(pair, bound),
+                    lambda pairs: pairs),
+    "sphere-action": _Target(
+        lambda pair, bound: verifier.verify_sphere_action(pair, "both", bound),
+        lambda pairs: [p for p in pairs if is_regular(p).is_regular]),
+    "tuple-action": _Target(
+        lambda pair, bound: verifier.verify_tuple_action(pair.epsilon, "both", bound),
+        _tuple_space_pairs),
+    "noninjectivity": _Target(lambda pair, bound: verifier.verify_noninjectivity_example(pair),
+                              None),
 }
+
+SWEEP_TARGETS = tuple(name for name, target in _TARGETS.items() if target.sweep)
+
+# On the pair with every entry 1 at --bound 2, hopf at n = 11 takes about 20 s
+# and 1.5 GB on a 2-core host; at n = 12 it needs 2.5 GB.
+MAX_VERIFY_N = 11
 
 
 def cmd_verify(args, config: RunConfig) -> int:
@@ -158,18 +183,18 @@ def cmd_verify(args, config: RunConfig) -> int:
     if args.target == "noninjectivity" and hasattr(args, "degree_bound"):
         raise ValueError("target noninjectivity takes no --bound: its certificate is fixed at degree 2")
     pair = load_pair(args.input) if args.input else None
-    report = _TARGETS[args.target](pair, config.degree_bound)
-    payload = config.envelope()
-    payload["task"] = f"verify:{args.target}"
-    payload["report"] = report.to_json_dict(include_timings=args.timings)
-    _emit(config, payload, _report_lines(report))
+    if pair is not None and pair.n > MAX_VERIFY_N:
+        raise TooLarge(f"verify is capped at n={MAX_VERIFY_N}; got n={pair.n}")
+    report = _TARGETS[args.target].run(pair, config.degree_bound)
+    _emit(config, f"verify:{args.target}",
+          {"report": report.to_json_dict(include_timings=args.timings)}, _report_lines(report))
     return 0 if report.passed else 1
 
 
 def _sweep_worker(task):
     target, pair_dict, bound = task
     pair = pair_from_json_dict(pair_dict)
-    report = _TARGETS[target](pair, bound)
+    report = _TARGETS[target].run(pair, bound)
     statuses = {}
     for c in report.checks:
         statuses[c.certificate.status] = statuses.get(c.certificate.status, 0) + 1
@@ -184,9 +209,6 @@ def _sweep_worker(task):
     }
 
 
-SWEEP_TARGETS = ("hopf", "sphere-action", "tuple-action")
-
-
 def sweep_tasks(n: int, targets, config: RunConfig, sample: int = 0) -> list:
     """Deterministic task list for one sweep level."""
     pairs = enumerate_pairs(n)
@@ -194,24 +216,8 @@ def sweep_tasks(n: int, targets, config: RunConfig, sample: int = 0) -> list:
         import random
         rng = random.Random(config.seed)
         pairs = sorted(rng.sample(pairs, min(sample, len(pairs))), key=lambda p: p.flat())
-    tasks = []
-    for target in targets:
-        if target == "hopf":
-            chosen = pairs
-        elif target == "sphere-action":
-            chosen = [p for p in pairs if is_regular(p).is_regular]
-        elif target == "tuple-action":
-            zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-            seen = set()
-            chosen = []
-            for p in pairs:
-                if p.epsilon not in seen:
-                    seen.add(p.epsilon)
-                    chosen.append(CommutationPair(n, p.epsilon, zero))
-        else:
-            raise KeyError(f"unknown sweep target {target!r}")
-        tasks.extend((target, p.to_json_dict(), config.degree_bound) for p in chosen)
-    return tasks
+    return [(target, p.to_json_dict(), config.degree_bound)
+            for target in targets for p in _TARGETS[target].sweep(pairs)]
 
 
 def run_sweep(n: int, targets, config: RunConfig, sample: int = 0) -> dict:
@@ -248,16 +254,13 @@ def cmd_sweep(args, config: RunConfig) -> int:
     if args.n == 4 and not args.sample:
         raise TooLarge("n=4 sweeps require --sample N")
     body = run_sweep(args.n, targets, config, args.sample)
-    payload = config.envelope()
-    payload["task"] = "sweep"
-    payload.update(body)
     lines = [
         f"{r['target']:<14} {r['pair']:<40} {r['overall']:<12} "
         f"{'pass' if r['passed'] else 'FAIL'}"
         for r in body["results"]
     ]
     lines.append(f"total: {body['totals']['passed']}/{body['totals']['tasks']} passed")
-    _emit(config, payload, lines)
+    _emit(config, "sweep", body, lines)
     return 0 if body["overall_passed"] else 1
 
 
@@ -278,9 +281,10 @@ def _phase(tok, part):
         z = complex(part)
     except ValueError:
         raise ValueError(f"phase sample {tok!r}: {part!r} is not a complex number") from None
-    # the tolerance of repmodels.torus_model, which checks again for API callers;
-    # written so that nan fails too: every comparison with nan is false
-    if not abs(abs(z) - 1.0) <= 1e-12:
+    # repmodels.torus_model checks again for API callers; written so that nan
+    # fails too: every comparison with nan is false
+    from .repmodels import UNIT_CIRCLE_TOLERANCE
+    if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOLERANCE:
         raise ValueError(f"--phases sample {tok!r}: {part!r} is not on the unit circle")
     return z
 
@@ -292,8 +296,6 @@ MAX_WITNESS_DIM = 1024
 
 
 def cmd_witness(args, config: RunConfig) -> int:
-    if args.suite != "all" and args.suite not in verifier.INDEPENDENCE_SUITES:
-        raise KeyError(f"unknown witness suite {args.suite!r}")
     if args.dim > MAX_WITNESS_DIM:
         raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
     samples = _parse_phases(args.phases)
@@ -310,9 +312,6 @@ def cmd_witness(args, config: RunConfig) -> int:
     except (WitnessInvalid, DegenerateSamples) as exc:
         print(f"witness error: {exc}", file=sys.stderr)
         return 1
-    payload = config.envelope()
-    payload["task"] = "witness"
-    payload["report"] = report.to_json_dict(include_timings=args.timings)
     lines = []
     for c in report.checks:
         ev = c.certificate.nonzero_evidence or {}
@@ -320,7 +319,7 @@ def cmd_witness(args, config: RunConfig) -> int:
                      f"{ev.get('rank')}/{ev.get('expected_rank')} "
                      f"min-sv {min(ev.get('singular_values') or [0]):.3e}")
     lines.append(f"overall passed: {report.passed}")
-    _emit(config, payload, lines)
+    _emit(config, "witness", {"report": report.to_json_dict(include_timings=args.timings)}, lines)
     return 0 if report.passed else 1
 
 

@@ -148,9 +148,7 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        p = cls.__new__(cls)
-        p.terms = {(): 1}
-        return p
+        return cls({(): 1})
 
     @classmethod
     def from_word(cls, w: Word, c=1) -> "Poly":
@@ -158,11 +156,7 @@ class Poly:
 
     @classmethod
     def generator(cls, l: Letter) -> "Poly":
-        # built without the constructor's check: sweeps make hundreds of
-        # thousands of generators, and 1 is exact
-        p = cls.__new__(cls)
-        p.terms = {(l,): 1}
-        return p
+        return cls({(l,): 1})
 
     def items(self):
         return self.terms.items()

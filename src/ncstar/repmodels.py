@@ -39,6 +39,7 @@ __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model",
     "torus_model", "free_unitary_model", "o2plus_model", "direct_sum", "CONJUGATE_PRODUCTS",
+    "UNIT_CIRCLE_TOLERANCE",
     "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
     "WitnessInvalid", "UnassignedGenerator", "PresentationMismatch",
     "DegenerateSamples",
@@ -60,6 +61,9 @@ class PresentationMismatch(ValueError):
 class DegenerateSamples(ValueError):
     pass
 
+
+# how far from modulus 1 a torus phase sample may be
+UNIT_CIRCLE_TOLERANCE = 1e-12
 
 _EXACT_PHASES = {1: Q_ONE, -1: -Q_ONE, 1j: Q(0, 0, 1, 0), -1j: Q(0, 0, -1, 0)}
 
@@ -318,7 +322,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     for z1, z2 in samples:
         for z in (z1, z2):
             # written so that nan fails too: every comparison with nan is false
-            if not abs(abs(complex(z)) - 1.0) <= 1e-12:
+            if not abs(abs(complex(z)) - 1.0) <= UNIT_CIRCLE_TOLERANCE:
                 raise ValueError(f"phase {z} is not on the unit circle")
     pres = sphere_presentation(validate_pair([[0, 1], [1, 0]], [[1, 1], [1, 1]]))
     dim = len(samples)

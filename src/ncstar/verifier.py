@@ -314,26 +314,25 @@ def _x(i, star=False):
 
 
 # Each builder takes (probe, seed, dim, torus samples), where probe() returns the
-# probe pair model shared by the two probe suites of one call, and returns
-# (model, family, gate).  The family is expected to be linearly independent in
-# the model, so its expected rank is its length.
+# probe pair model and its gate, the model's eps relations, shared by the two
+# probe suites of one call; it returns (model, family, gate).  The family is
+# expected to be linearly independent in the model, so its expected rank is
+# its length.
 
 def _suite_probe_products(probe, seed, dim, samples):
     from . import repmodels
-    model = probe()
-    gate = [r for r in model.presentation.relations if r.rid.startswith("eps")]
+    model, gate = probe()
     return model, repmodels.CONJUGATE_PRODUCTS, gate
 
 
 def _suite_unit_squares(probe, seed, dim, samples):
-    model = probe()
-    gate = [r for r in model.presentation.relations if r.rid.startswith("eps")]
+    model, gate = probe()
     return model, [_x(2, True) * _x(2), _x(2) * _x(2, True), Poly.one()], gate
 
 
 def _suite_torus(probe, seed, dim, samples):
     from . import repmodels
-    model = repmodels.torus_model(samples or ((1, 1), (1, 1j)))
+    model = repmodels.torus_model(samples) if samples else repmodels.torus_model()
     return model, repmodels.CONJUGATE_PRODUCTS[:2], "all"
 
 
@@ -369,16 +368,19 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
     reached its expected rank above the threshold.  A model's residuals are
     computed once per suite and serve both the gate and `residual_max`.
     """
+    if suites != "all" and suites not in INDEPENDENCE_SUITES:
+        raise KeyError(f"unknown witness suite {suites!r}")
     from . import repmodels
     names = list(INDEPENDENCE_SUITES) if suites == "all" else [suites]
     report = VerificationReport("witness", {"suites": names, "seed": seed, "dim": dim})
-    probe = functools.cache(repmodels.probe_pair_model)
-    for name in names:
-        builder = INDEPENDENCE_SUITES.get(name)
-        if builder is None:
-            raise KeyError(f"unknown witness suite {name!r}")
 
-        def thunk(builder=builder):
+    @functools.cache
+    def probe():
+        model = repmodels.probe_pair_model()
+        return model, [r for r in model.presentation.relations if r.rid.startswith("eps")]
+
+    for name in names:
+        def thunk(builder=INDEPENDENCE_SUITES[name]):
             model, fam, gate = builder(probe, seed, dim, torus_samples)
             expected = len(fam)
             if residual_tolerance != model.residual_tolerance:
@@ -412,8 +414,11 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
 # regularization consistency
 # ---------------------------------------------------------------------------
 
-def verify_regularization_consistency(pair: CommutationPair,
-                                      product_bound: int = 4) -> VerificationReport:
+# the product bound of the regularization-consistency span
+REGULARIZATION_BOUND = 4
+
+
+def verify_regularization_consistency(pair: CommutationPair) -> VerificationReport:
     """Check which added relations of the regularized sphere are bounded consequences.
 
     Some added relations rest on operator-theoretic facts, not on
@@ -423,7 +428,7 @@ def verify_regularization_consistency(pair: CommutationPair,
     ProvedZero, 108 Inconclusive); the merge relations eps(i,j) / eta(i,j)
     almost never reduce (6 ProvedZero, 576 Inconclusive).
     All added relations are certified against one product span of the base
-    sphere, built when the first of them needs it.
+    sphere, built before the first of them.
     """
     report = VerificationReport("regularization-consistency", pair.to_json_dict())
     reg = regularize(pair)
@@ -433,15 +438,8 @@ def verify_regularization_consistency(pair: CommutationPair,
     base = sphere_presentation(pair)
     target = sphere_presentation(reg)
     base_keys = {frozenset(r.poly.terms.items()) for r in base.all_relations()}
-    span = None
+    span = build_quotient_basis(base, REGULARIZATION_BOUND)
     for rel in target.all_relations():
-        if frozenset(rel.poly.terms.items()) in base_keys:
-            continue
-
-        def thunk(rel=rel):
-            nonlocal span
-            if span is None:
-                span = build_quotient_basis(base, product_bound)
-            return span.certify(rel.poly)
-        _timed(report, rel.rid, thunk)
+        if frozenset(rel.poly.terms.items()) not in base_keys:
+            _timed(report, rel.rid, functools.partial(span.certify, rel.poly))
     return report

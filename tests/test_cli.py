@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ncstar import verifier
-from ncstar.cli import RunConfig, main
+from ncstar import cli, verifier
+from ncstar.cli import SWEEP_TARGETS, RunConfig, main, sweep_tasks
 from ncstar.ncalg import DimensionCap
 
 
@@ -243,6 +244,23 @@ def test_verify_tuple_action(pair_file):
     assert run_cli("verify", "tuple-action", "--input", path) == 0
 
 
+def test_verify_refuses_a_pair_above_the_cap(pair_file, monkeypatch, capsys):
+    built = []
+
+    def spy(pair):
+        built.append(pair)
+        raise AssertionError("a presentation was built for a pair above the cap")
+    monkeypatch.setattr(verifier, "unitary_qg_presentation", spy)
+    n = cli.MAX_VERIFY_N + 1
+    zero = [[0] * n for _ in range(n)]
+    path = pair_file("p.json", {"n": n, "epsilon": zero, "eta": zero})
+    assert run_cli("verify", "hopf", "--input", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"n={cli.MAX_VERIFY_N}" in err and f"n={n}" in err
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -266,6 +284,18 @@ def test_sweep_sphere_action_regular_subset(capsys):
                    "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["totals"]["tasks"] == 5  # the regular pairs only
+
+
+def test_sweep_task_lists_are_pinned():
+    # the order and the pair selection of every sweep target, sampled n = 4 included
+    levels = [sweep_tasks(n, SWEEP_TARGETS, RunConfig()) for n in (1, 2, 3)]
+    levels.append(sweep_tasks(4, SWEEP_TARGETS, RunConfig(), sample=50))
+    digest = hashlib.sha256()
+    for tasks in levels:
+        digest.update(json.dumps(tasks).encode())
+    assert digest.hexdigest() == "60c276f6feadd6cb02f4e258e7a5d4f2083c1c133a12ddeb4426408303848766"
+    counts = Counter(target for target, _, _ in levels[2])
+    assert counts == {"hopf": 512, "sphere-action": 98, "tuple-action": 8}
 
 
 def test_sweep_guards(capsys):
