@@ -393,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="suite name or 'all': " + ", ".join(verifier.INDEPENDENCE_SUITES))
     p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness "
                                                       f"(3 to {MAX_WITNESS_DIM})")
-    p.add_argument("--phases", nargs="*", default=None,
-                   help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j)")
+    p.add_argument("--phases", nargs="*", action="extend", default=None,
+                   help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j); repeated "
+                        "flags add up, and --phases=-1,1j gives a sample starting with '-'")
     _add_flags(p, "residual_tolerance", "svd_threshold", "seed", timings=True)
     return parser
 

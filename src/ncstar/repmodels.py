@@ -6,10 +6,11 @@ models keep an exact backing over Q(sqrt(2), i) so that residuals which vanish
 mathematically are reported as exactly 0; seeded pseudo-random models live in
 ordinary double precision.
 
-Exact evaluation is sparse: the witness matrices are mostly zero, so products
-and sums run over each row's nonzero entries only, and a word's product starts
-from its first letter's matrix.  An entry is skipped only when it is exactly
-zero (`QuadExact.is_zero`), never by a float tolerance, so every exact result
+Exact matrices are stored once, as sparse rows: one {column: QuadExact}
+dict per row, exact zeros never stored.  Products and sums run over each
+row's nonzero entries only, and a word's product starts from its first
+letter's matrix.  An entry is skipped only when it is exactly zero
+(`QuadExact.is_zero`), never by a float tolerance, so every exact result
 equals the dense product.
 
 This module, and with it numpy, is imported only by the commands that evaluate
@@ -24,7 +25,7 @@ independence computations they were written down for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -33,15 +34,15 @@ import numpy as np
 from .ncalg import Letter, Poly, word_str
 from .presentations import (Presentation, orthogonal_qg_presentation,
                             sphere_presentation, validate_pair)
-from .scalars import Q_ONE, Q_ZERO, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
+from .scalars import Q_ONE, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
 
 __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model",
-    "torus_model", "free_unitary_model", "o2plus_model", "direct_sum", "CONJUGATE_PRODUCTS",
+    "torus_model", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
     "UNIT_CIRCLE_TOLERANCE",
     "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
-    "WitnessInvalid", "UnassignedGenerator", "PresentationMismatch",
+    "WitnessInvalid", "UnassignedGenerator",
     "DegenerateSamples",
 ]
 
@@ -51,10 +52,6 @@ class WitnessInvalid(RuntimeError):
 
 
 class UnassignedGenerator(KeyError):
-    pass
-
-
-class PresentationMismatch(ValueError):
     pass
 
 
@@ -75,18 +72,20 @@ class MatrixModel:
     presentation: Presentation
     dim: int
     assignment: dict  # Letter (unstarred) -> np.ndarray
-    exact: Optional[dict] = None  # Letter -> tuple of tuples of QuadExact
+    exact: Optional[dict] = None  # Letter (unstarred) -> sparse rows of QuadExact
     residual_tolerance: float = 1e-9
     label: str = ""
     seed_used: Optional[int] = None
 
-    def matrix(self, letter: Letter) -> np.ndarray:
+    def matrix(self, letter: Letter):
+        """The letter's matrix, starred if the letter is: sparse exact rows
+        when the model has an exact backing, else the complex array."""
         base = letter.base()
-        m = self.assignment.get(base)
+        m = (self.assignment if self.exact is None else self.exact).get(base)
         if m is None:
             raise UnassignedGenerator(f"model {self.label!r} assigns nothing to {word_str((base,))}")
         if letter.starred:
-            return m.conj().T
+            return m.conj().T if self.exact is None else _exact_star(m)
         return m
 
     @cached_property
@@ -119,11 +118,6 @@ class IndependenceResult:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _exact_rows(a) -> list:
-    """Sparse rows of an exact matrix: one {column: entry} dict per row, exact zeros left out."""
-    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
-
-
 def _exact_matmul(a: list, b: list) -> list:
     """Product of two sparse-row matrices; only nonzero entries are ever multiplied."""
     out = []
@@ -136,84 +130,76 @@ def _exact_matmul(a: list, b: list) -> list:
     return out
 
 
-def _exact_dense(rows: list, width: int):
-    return tuple(tuple(row.get(j, Q_ZERO) for j in range(width)) for row in rows)
+def _exact_star(rows: list) -> list:
+    """Conjugate transpose of a square sparse-row matrix."""
+    out = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x.conjugate()
+    return out
 
 
-def _exact_star(a):
-    n = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(n)) for i in range(n))
-
-
-def _exact_to_complex(a) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+def _exact_to_complex(rows: list) -> np.ndarray:
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i, j] = complex(x)
+    return out
 
 
 def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def evaluate(p: Poly, model: MatrixModel):
+def _exact_evaluate(p: Poly, model: MatrixModel) -> list:
+    """Sparse rows of the image of p over Q(sqrt(2), i); an entry may be an
+    exact zero left by cancellation between terms."""
+    acc = [{} for _ in range(model.dim)]
+    for w, c in p.items():
+        term = None
+        for letter in w:
+            m = model.matrix(letter)
+            term = m if term is None else _exact_matmul(term, m)
+        if term is None:
+            term = [{i: Q_ONE} for i in range(model.dim)]
+        qc = QuadExact(c)
+        for row, out in zip(term, acc):
+            for j, x in row.items():
+                out[j] = out[j] + qc * x if j in out else qc * x
+    return acc
+
+
+def evaluate(p: Poly, model: MatrixModel) -> np.ndarray:
     """Evaluate a polynomial in the model; words become matrix products.
 
     Models with an exact backing are evaluated over Q(sqrt(2), i) and converted
-    to a complex array afterwards, so values like 1/2 come out bit-exact.  The
-    exact products run over sparse rows: an entry is skipped only when it is
-    exactly zero (`QuadExact.is_zero`), so the result equals the dense product.
-    Returns (matrix, exact_matrix_or_None).
+    to a complex array afterwards, so values like 1/2 come out bit-exact and
+    an image that vanishes exactly is the zero array.
     """
     if model.exact is not None:
-        letters = {}  # letter -> sparse rows of its (starred) matrix
-        acc = [{} for _ in range(model.dim)]
-        for w, c in p.items():
-            term = None
-            for letter in w:
-                m = letters.get(letter)
-                if m is None:
-                    m = model.exact.get(letter.base())
-                    if m is None:
-                        raise UnassignedGenerator(f"model {model.label!r} assigns nothing to {word_str((letter.base(),))}")
-                    if letter.starred:
-                        m = _exact_star(m)
-                    m = letters[letter] = _exact_rows(m)
-                term = m if term is None else _exact_matmul(term, m)
-            if term is None:
-                term = [{i: Q_ONE} for i in range(model.dim)]
-            qc = QuadExact(c)
-            for row, out in zip(term, acc):
-                for j, x in row.items():
-                    out[j] = out[j] + qc * x if j in out else qc * x
-        exact = _exact_dense(acc, model.dim)
-        return _exact_to_complex(exact), exact
+        return _exact_to_complex(_exact_evaluate(p, model))
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for w, c in p.items():
         term = np.eye(model.dim, dtype=complex)
         for letter in w:
             term = term @ model.matrix(letter)
         acc = acc + complex(c) * term
-    return acc, None
-
-
-def evaluate_matrix(p: Poly, model: MatrixModel) -> np.ndarray:
-    return evaluate(p, model)[0]
+    return acc
 
 
 def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) -> ResidualReport:
     """Operator-norm residual of each relation, by default every relation of
     the model's presentation (expanded sums included).
 
-    Exactly-zero evaluations report 0.0 regardless of floating point.
+    An exactly vanishing relation of an exact model evaluates to the zero
+    array, so it reports 0.0 regardless of floating point.
     """
     if relations is None:
         relations = model.presentation.all_relations()
     rows = []
     worst = 0.0
     for rel in relations:
-        mat, exact = evaluate(rel.poly, model)
-        if exact is not None and all(x.is_zero() for row in exact for x in row):
-            res = 0.0
-        else:
-            res = operator_norm(mat)
+        res = operator_norm(evaluate(rel.poly, model))
         rows.append((rel.describe(), res))
         worst = max(worst, res)
     return ResidualReport(tuple(rows), worst)
@@ -243,7 +229,7 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
     """
     if not family:
         raise ValueError("family must be nonempty")
-    rows = [evaluate_matrix(p, model).reshape(-1) for p in family]
+    rows = [evaluate(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())
     return IndependenceResult(rank, tuple(float(s) for s in sv))
@@ -262,22 +248,15 @@ CONJUGATE_PRODUCTS = tuple(Poly.from_word(w) for w in (
     (_X1.star(), _X2), (_X1, _X2.star()), (_X2.star(), _X1), (_X2, _X1.star())))
 
 
-def _finish_exact_model(pres, dim, exact_assignment, label) -> MatrixModel:
-    assignment = {g: _exact_to_complex(m) for g, m in exact_assignment.items()}
-    return MatrixModel(pres, dim, assignment, exact_assignment, label=label)
+def _finish_exact_model(pres, dim, exact_rows, label) -> MatrixModel:
+    assignment = {g: _exact_to_complex(rows) for g, rows in exact_rows.items()}
+    return MatrixModel(pres, dim, assignment, exact_rows, label=label)
 
 
-def _probe_pair_matrices():
+def _probe_pair_rows():
+    """a = e31 + c e44 and b = e21 + e32 + c e44 with c = sqrt2/2."""
     c = Q_SQRT2_OVER_2
-    a = [[Q_ZERO] * 4 for _ in range(4)]
-    b = [[Q_ZERO] * 4 for _ in range(4)]
-    a[2][0] = Q_ONE          # e_31
-    a[3][3] = c
-    b[1][0] = Q_ONE          # e_21
-    b[2][1] = Q_ONE          # e_32
-    b[3][3] = c
-    frz = lambda m: tuple(tuple(row) for row in m)
-    return frz(a), frz(b)
+    return [{}, {}, {0: Q_ONE}, {3: c}], [{}, {0: Q_ONE}, {1: Q_ONE}, {3: c}]
 
 
 def probe_pair_model() -> MatrixModel:
@@ -288,7 +267,7 @@ def probe_pair_model() -> MatrixModel:
     probe state and is only admitted for claims that rest on the commutation
     relations alone.
     """
-    a, b = _probe_pair_matrices()
+    a, b = _probe_pair_rows()
     pair = validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
     exact = {Letter("x", 1, 0): a, Letter("x", 2, 0): b}
@@ -302,9 +281,10 @@ def noninjectivity_sphere_model() -> MatrixModel:
     relation of this sphere hold exactly, while x1 x2* evaluates to
     diag(0, 0, 0, 1/2).
     """
-    a, b = _probe_pair_matrices()
+    a, b = _probe_pair_rows()
     pair = validate_pair([[0, 0], [0, 0]], [[0, 1], [1, 0]])
     pres = sphere_presentation(pair)
+    # b* = e12 + e23 + c e44
     exact = {Letter("x", 1, 0): a, Letter("x", 2, 0): _exact_star(b)}
     return _finish_exact_model(pres, 4, exact, "noninjectivity-4x4")
 
@@ -328,10 +308,8 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     dim = len(samples)
     exactable = all(z1 in _EXACT_PHASES and z2 in _EXACT_PHASES for z1, z2 in samples)
     if exactable:
-        x1 = tuple(tuple(Q_SQRT2_OVER_2 * _EXACT_PHASES[samples[i][0]] if i == j else Q_ZERO
-                         for j in range(dim)) for i in range(dim))
-        x2 = tuple(tuple(Q_SQRT2_OVER_2 * _EXACT_PHASES[samples[i][1]] if i == j else Q_ZERO
-                         for j in range(dim)) for i in range(dim))
+        x1 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z1]} for i, (z1, _) in enumerate(samples)]
+        x2 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z2]} for i, (_, z2) in enumerate(samples)]
         model = _finish_exact_model(pres, dim, {Letter("x", 1, 0): x1, Letter("x", 2, 0): x2},
                                     "torus-diagonal")
     else:
@@ -388,60 +366,13 @@ def o2plus_model() -> MatrixModel:
     """
     pres = orthogonal_qg_presentation([[0, 0], [0, 0]])
     c = Q_SQRT2_OVER_2
-    point = {
-        Letter("ou", 1, 1): ((c,),),
-        Letter("ou", 1, 2): ((c,),),
-        Letter("ou", 2, 1): ((c,),),
-        Letter("ou", 2, 2): ((-c,),),
+    # the 1x1 point (c, c; c, -c) in the first row and column, A and B after it
+    point_a = [{0: c}, {1: c}, {2: -c}]
+    point_b = [{0: c}, {2: c}, {1: c}]
+    exact = {
+        Letter("ou", 1, 1): point_a,
+        Letter("ou", 1, 2): point_b,
+        Letter("ou", 2, 1): point_b,
+        Letter("ou", 2, 2): [{0: -c}, {1: c}, {2: -c}],
     }
-    A = ((c, Q_ZERO), (Q_ZERO, -c))
-    B = ((Q_ZERO, c), (c, Q_ZERO))
-    pauli = {
-        Letter("ou", 1, 1): A,
-        Letter("ou", 1, 2): B,
-        Letter("ou", 2, 1): B,
-        Letter("ou", 2, 2): A,
-    }
-    m1 = _finish_exact_model(pres, 1, point, "o2plus-point")
-    m2 = _finish_exact_model(pres, 2, pauli, "o2plus-anticommuting")
-    return replace(direct_sum([m1, m2]), label="o2plus-point-plus-anticommuting")
-
-
-def direct_sum(models: Sequence[MatrixModel]) -> MatrixModel:
-    """Block-diagonal sum; any relation's residual is the max over the parts."""
-    if not models:
-        raise ValueError("need at least one model")
-    first = models[0]
-    for m in models[1:]:
-        if m.presentation.label != first.presentation.label:
-            raise PresentationMismatch(
-                f"cannot sum models of {m.presentation.label} and {first.presentation.label}")
-    dim = sum(m.dim for m in models)
-    gens = first.presentation.generators
-    assignment = {}
-    for g in gens:
-        blocks = []
-        for m in models:
-            if g not in m.assignment:
-                raise UnassignedGenerator(f"model {m.label!r} assigns nothing to {word_str((g,))}")
-            blocks.append(m.assignment[g])
-        out = np.zeros((dim, dim), dtype=complex)
-        pos = 0
-        for b in blocks:
-            out[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
-            pos += b.shape[0]
-        assignment[g] = out
-    exact = None
-    if all(m.exact is not None for m in models):
-        exact = {}
-        for g in gens:
-            rows = []
-            pos = 0
-            for m in models:
-                for r, row in enumerate(m.exact[g]):
-                    rows.append(tuple([Q_ZERO] * pos + list(row) + [Q_ZERO] * (dim - pos - m.dim)))
-                pos += m.dim
-            exact[g] = tuple(rows)
-    return MatrixModel(first.presentation, dim, assignment, exact,
-                       residual_tolerance=first.residual_tolerance,
-                       label="(+)".join(m.label for m in models))
+    return _finish_exact_model(pres, 3, exact, "o2plus-point-plus-anticommuting")

@@ -288,7 +288,7 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
                                detail=f"witness model residual {residuals.max:.3g} above tolerance")
         x1 = Poly.generator(Letter("x", 1, 0))
         x2s = Poly.generator(Letter("x", 2, 0, True))
-        image, _ = repmodels.evaluate(x1 * x2s, model)
+        image = repmodels.evaluate(x1 * x2s, model)
         norm = repmodels.operator_norm(image)
         diag = [float(image[i, i].real) for i in range(model.dim)]
         return Certificate(PROVED_NONZERO, nonzero_evidence={

@@ -239,7 +239,7 @@ def test_criterion_7_oracle_equivalence():
             if mz:
                 proved_zero += 1
                 for model in models:
-                    norm = float(np.linalg.norm(R.evaluate_matrix(poly, model), 2))
+                    norm = float(np.linalg.norm(R.evaluate(poly, model), 2))
                     if norm >= 1e-9:
                         failures.append(f"{pres.label}: certified zero has norm {norm:.2e} "
                                         f"in {model.label}")

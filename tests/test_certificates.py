@@ -59,8 +59,8 @@ def test_tensor_zero_soundness_fuzz():
     def tensor_eval_norm(t):
         total = np.zeros((qg_model.dim * sph_model.dim,) * 2, dtype=complex)
         for (wl, wr), c in t.items():
-            ml = R.evaluate_matrix(Poly.from_word(wl), qg_model)
-            mr = R.evaluate_matrix(Poly.from_word(wr), sph_model)
+            ml = R.evaluate(Poly.from_word(wl), qg_model)
+            mr = R.evaluate(Poly.from_word(wr), sph_model)
             total += complex(c) * np.kron(ml, mr)
         return float(np.linalg.norm(total, 2))
 

@@ -345,6 +345,15 @@ def test_witness_degenerate_phases_exit_1(capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def test_witness_phases_repeat_and_take_a_leading_minus(capsys):
+    # `-1,-1j` after a space would read as an option; the `=` form passes it,
+    # and a repeated flag adds its samples to the earlier ones
+    assert run_cli("witness", "torus", "--phases", "1,1", "1,1j", "--phases=-1,-1j",
+                   "--format", "json") == 0
+    ev = json.loads(capsys.readouterr().out)["report"]["checks"][0]["evidence"]["nonzero_evidence"]
+    assert (ev["dim"], ev["rank"], ev["expected_rank"], ev["residual_max"]) == (3, 2, 2, 0.0)
+
+
 def test_witness_malformed_phase_names_token(capsys):
     assert run_cli("witness", "torus", "--phases", "1,x") == 2
     assert "phase sample '1,x': 'x' is not a complex number" in capsys.readouterr().err
@@ -512,6 +521,16 @@ def test_cold_commands_load_numpy_only_for_models(pair_file, tmp_path):
 _PINNED_SHA256 = {
     ("witness", "all"): "f17e07d0604bfe025d8c2483938df25b600512c9724cce52708e4917270556b7",
     ("verify", "noninjectivity"): "f3ef8275fd987b0b28387ef1b8acf8e0fba6b686d78429a8aa14a17ab8404151",
+    # the float torus, the exact torus, the float free-unitary path, and a
+    # probe model whose tolerance is changed with replace()
+    ("witness", "torus", "--phases", "1,1", "0.6+0.8j,1j"):
+        "17c09e24ebb6450d3850cf1f45592eb15c33955d705c3594289c7543b999ce6a",
+    ("witness", "torus", "--phases", "1,1", "1,1j", "1j,-1j"):
+        "be854ac6897bfc85c80d8c60872a0ad41ba5a7ab5cb3f806b518eb2197c50fad",
+    ("witness", "free-unitary", "--dim", "6", "--seed", "3"):
+        "361b12b28db8f93fd5cb3d1474e4778e41c1dae9821ca3a0dd3c8c85d0556b48",
+    ("witness", "probe-products", "--tol", "1e-3"):
+        "e4af397f7aa9b2d214761c2b34332e39492e9c43d80f4651dfadea5b1a987ef6",
 }
 
 # the algebraic reports; the three verify targets run on a non-regular n = 3

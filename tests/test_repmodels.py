@@ -38,7 +38,7 @@ def test_probe_pair_model_products_match_direct_matrix_oracle():
     diff = a @ b.conj().T - b.conj().T @ a
     assert np.allclose(diff, E(3, 2) - E(2, 1))
     # the exact backing evaluates the product to a bit-exact half
-    prod = R.evaluate_matrix(g(x1g) * g(x2g), m)
+    prod = R.evaluate(g(x1g) * g(x2g), m)
     assert prod[3, 3] == 0.5
     assert np.linalg.norm(prod, 2) == 0.5
 
@@ -69,7 +69,7 @@ def test_probe_products_independent():
     res = R.check_independence(fam, m)
     assert res.rank == 4
     # images are e12, e32, e21, e23 each plus the 1/2 corner
-    imgs = [R.evaluate_matrix(p, m) for p in fam]
+    imgs = [R.evaluate(p, m) for p in fam]
     assert np.allclose(imgs[0], E(1, 2) + 0.5 * E(4, 4))
     assert np.allclose(imgs[1], E(3, 2) + 0.5 * E(4, 4))
     assert np.allclose(imgs[2], E(2, 1) + 0.5 * E(4, 4))
@@ -98,7 +98,7 @@ def test_noninjectivity_model_is_exact_witness():
     m = R.noninjectivity_sphere_model()
     assert not m.probe
     assert R.model_residuals(m).max == 0.0
-    image, exact = R.evaluate(g(x1g) * g(x2g).star(), m)
+    image = R.evaluate(g(x1g) * g(x2g).star(), m)
     assert image[3, 3] == 0.5  # bit-exact
     assert np.count_nonzero(image) == 1
 
@@ -110,8 +110,8 @@ def test_noninjectivity_model_is_exact_witness():
 def test_torus_default_samples():
     m = R.torus_model()
     assert R.model_residuals(m).max == 0.0
-    v1 = np.diag(R.evaluate_matrix(g(x1g).star() * g(x2g), m))
-    v2 = np.diag(R.evaluate_matrix(g(x1g) * g(x2g).star(), m))
+    v1 = np.diag(R.evaluate(g(x1g).star() * g(x2g), m))
+    v2 = np.diag(R.evaluate(g(x1g) * g(x2g).star(), m))
     assert np.allclose(v1, [0.5, 0.5j])
     assert np.allclose(v2, [0.5, -0.5j])
     fam = [g(x1g).star() * g(x2g), g(x1g) * g(x2g).star()]
@@ -187,7 +187,7 @@ def test_o2plus_product_difference():
     m = R.o2plus_model()
     v11 = g(Letter("ou", 1, 1))
     v21 = g(Letter("ou", 2, 1))
-    diff = R.evaluate_matrix(v11 * v21 - v21 * v11, m)
+    diff = R.evaluate(v11 * v21 - v21 * v11, m)
     # scalar block cancels, anticommuting block leaves 2AB = e12 - e21
     assert diff[0, 0] == 0
     assert np.allclose(diff[1:, 1:], np.array([[0, 1], [-1, 0]]))
@@ -204,7 +204,7 @@ def test_point_model_sphere_values():
     for i in (1, 2, 3):
         xi = g(Letter("x", i, 0))
         total = total + xi.star() * xi
-    assert R.evaluate_matrix(total, m) == np.array([[1.0 + 0j]])
+    assert R.evaluate(total, m) == np.array([[1.0 + 0j]])
     assert R.model_residuals(m).max == 0.0
 
 
@@ -213,41 +213,8 @@ def test_point_model_commutators_vanish():
                            [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     m = W.point_model_sphere(2, 3, pair)
     comm = g(Letter("x", 1, 0)) * g(Letter("x", 2, 0)) - g(Letter("x", 2, 0)) * g(Letter("x", 1, 0))
-    assert np.all(R.evaluate_matrix(comm, m) == 0)
+    assert np.all(R.evaluate(comm, m) == 0)
     assert R.model_residuals(m).max == 0.0
-
-
-# ---------------------------------------------------------------------------
-# direct sums
-# ---------------------------------------------------------------------------
-
-def test_direct_sum_duplicates_blocks():
-    m = R.noninjectivity_sphere_model()
-    d = R.direct_sum([m, m])
-    assert d.dim == 8
-    img = R.evaluate_matrix(g(x1g) * g(x2g).star(), d)
-    assert img[3, 3] == 0.5 and img[7, 7] == 0.5
-    assert R.model_residuals(d).max == 0.0
-
-
-def test_direct_sum_residual_is_max_of_parts():
-    probe = R.probe_pair_model()
-    valid_pair_model = W.point_model_sphere(1, 2, probe.presentation.source_pair)
-    s = R.direct_sum([probe, valid_pair_model])
-    assert s.probe
-    assert R.model_residuals(s).max == 1.0
-
-
-def test_direct_sum_presentation_mismatch():
-    with pytest.raises(R.PresentationMismatch):
-        R.direct_sum([R.probe_pair_model(), R.o2plus_model()])
-
-
-def test_direct_sum_rebuilds_paired_probe():
-    # the four-coordinate block model: coordinates (1,3) carry (a,b), (2,4) carry (0-padded) copies
-    probe = R.probe_pair_model()
-    d = R.direct_sum([probe, probe])
-    assert d.probe and len(d.violations) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +223,7 @@ def test_direct_sum_rebuilds_paired_probe():
 
 def test_evaluate_unit_is_identity():
     m = R.probe_pair_model()
-    assert np.array_equal(R.evaluate_matrix(Poly.one(), m), np.eye(4, dtype=complex))
+    assert np.array_equal(R.evaluate(Poly.one(), m), np.eye(4, dtype=complex))
 
 
 def test_evaluate_homomorphism_property():
@@ -271,16 +238,16 @@ def test_evaluate_homomorphism_property():
                 terms[w] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
             return Poly(terms)
         p, q = rand_poly(), rand_poly()
-        lhs = R.evaluate_matrix(p * q, m)
-        rhs = R.evaluate_matrix(p, m) @ R.evaluate_matrix(q, m)
+        lhs = R.evaluate(p * q, m)
+        rhs = R.evaluate(p, m) @ R.evaluate(q, m)
         assert np.linalg.norm(lhs - rhs) < 1e-12
-        assert np.linalg.norm(R.evaluate_matrix(p.star(), m) - R.evaluate_matrix(p, m).conj().T) < 1e-12
+        assert np.linalg.norm(R.evaluate(p.star(), m) - R.evaluate(p, m).conj().T) < 1e-12
 
 
 def test_evaluate_unassigned_generator():
     m = R.probe_pair_model()
     with pytest.raises(R.UnassignedGenerator):
-        R.evaluate_matrix(g(Letter("x", 3, 0)), m)
+        R.evaluate(g(Letter("x", 3, 0)), m)
 
 
 def test_check_independence_empty_family():
@@ -322,6 +289,15 @@ def _matrix(rows, cols):
                     min_size=rows, max_size=rows).map(tuple)
 
 
+def _rows(a):
+    """Sparse rows of a dense exact matrix, the form the models store."""
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
+
+
+def _dense(rows, width):
+    return tuple(tuple(row.get(j, Q_ZERO) for j in range(width)) for row in rows)
+
+
 def _dense_matmul(a, b):
     """Reference: every entry multiplied, zeros included."""
     out = []
@@ -356,10 +332,12 @@ def _matrix_pairs(draw):
 @example(((((QuadExact(0, Fraction(1, 2)),),), ((QuadExact(0, Fraction(1, 2)),),))))
 @example((_identity(4), _identity(4)))
 @example((_identity(2), ((QuadExact(1, 2, 3, 4), Q_ZERO), (Q_ZERO, QuadExact(0, 0, -1)))))
+# a nonzero product far below any float tolerance must be kept
+@example((((QuadExact(Fraction(1, 10**9)),),), ((QuadExact(Fraction(1, 10**9)),),)))
 def test_sparse_exact_matmul_equals_dense_product(ab):
     a, b = ab
-    product = R._exact_matmul(R._exact_rows(a), R._exact_rows(b))
-    assert R._exact_dense(product, len(b[0])) == _dense_matmul(a, b)
+    product = R._exact_matmul(_rows(a), _rows(b))
+    assert product == _rows(_dense_matmul(a, b))
 
 
 @st.composite
@@ -394,11 +372,10 @@ def test_sparse_exact_evaluate_equals_dense_reference(case):
     exact, p = case
     dim = len(exact[x1g])
     pres = P.sphere_presentation(P.validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]]))
-    model = R.MatrixModel(pres, dim, {g: R._exact_to_complex(m) for g, m in exact.items()}, exact)
-    image, got = R.evaluate(p, model)
+    model = R._finish_exact_model(pres, dim, {g: _rows(m) for g, m in exact.items()}, "")
     want = _dense_evaluate(p, exact, dim)
-    assert got == want
-    assert np.array_equal(image, R._exact_to_complex(want))
+    assert _dense(R._exact_evaluate(p, model), dim) == want
+    assert np.array_equal(R.evaluate(p, model), np.array([[complex(x) for x in row] for row in want]))
 
 
 def test_exactly_vanishing_relations_report_zero():
@@ -412,7 +389,7 @@ def test_exactly_vanishing_relations_report_zero():
     assert 0.0 < floats.max < 1e-12
     # a relation that vanishes only by cancellation between its terms
     sq = g(x1g).star() * g(x1g) + g(x2g).star() * g(x2g) - Poly.one()
-    assert all(x.is_zero() for row in R.evaluate(sq, m)[1] for x in row)
+    assert all(x.is_zero() for row in R._exact_evaluate(sq, m) for x in row.values())
     # a relation that does not vanish keeps a nonzero exact image and residual
     probe = R.probe_pair_model()
     assert dict(R.model_residuals(probe).per_relation)["Σ x_i* x_i = 1"] == 1.0

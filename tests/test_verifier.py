@@ -341,7 +341,7 @@ def test_proved_zero_relations_vanish_in_witness_models():
             assert R.model_residuals(model, pres.all_relations()).max <= 1e-9
         for rel in pres.all_relations():
             for model in models:
-                assert np.linalg.norm(R.evaluate_matrix(rel.poly, model), 2) < 1e-9
+                assert np.linalg.norm(R.evaluate(rel.poly, model), 2) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ncstar import repmodels as R
 from ncstar.ncalg import Letter
 from ncstar.presentations import (CommutationPair, Presentation, sphere_presentation,
                                   unitary_qg_presentation, validate_pair)
-from ncstar.scalars import Q_ONE, Q_ZERO
+from ncstar.scalars import Q_ONE
 
 
 def point_model_sphere(k: int, n: int, pair: CommutationPair = None) -> R.MatrixModel:
@@ -25,7 +25,7 @@ def point_model_sphere(k: int, n: int, pair: CommutationPair = None) -> R.Matrix
         raise ValueError(f"k={k} outside 1..{n}")
     if pair is None:
         pair = validate_pair([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
-    exact = {Letter("x", i, 0): ((Q_ONE if i == k else Q_ZERO,),) for i in range(1, n + 1)}
+    exact = {Letter("x", i, 0): [{0: Q_ONE} if i == k else {}] for i in range(1, n + 1)}
     return R._finish_exact_model(sphere_presentation(pair), 1, exact, f"sphere-point-{k}")
 
 
@@ -58,7 +58,7 @@ def signed_point_model(pres: Presentation, seed: int = 0) -> R.MatrixModel:
     rng = np.random.default_rng(seed)
     signs = rng.choice([Q_ONE, -Q_ONE], size=n)
     tag = "ou" if pres.kind == "orthogonal-qg" else "tx"
-    exact = {Letter(tag, i, j): ((signs[i - 1] if i == j else Q_ZERO,),)
+    exact = {Letter(tag, i, j): [{0: signs[i - 1]} if i == j else {}]
              for i in range(1, n + 1) for j in range(1, n + 1)}
     return R._finish_exact_model(pres, 1, exact, f"{pres.kind}-signed-point")
 
