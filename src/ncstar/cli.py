@@ -34,7 +34,7 @@ from .presentations import (CommutationPair, PairValidationError, TooLarge,
 @dataclass
 class RunConfig:
     degree_bound: int = 2  # total degree of the relation products m1*r*m2 spanned
-    residual_tolerance: float = 1e-9
+    residual_tolerance: float = verifier.RESIDUAL_TOLERANCE
     svd_threshold: float = 1e-6
     seed: int = 0
     jobs: int = 0  # 0 means: use available parallelism

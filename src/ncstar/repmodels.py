@@ -2,11 +2,11 @@
 
 A model assigns a complex matrix to every generator of a presentation; words
 evaluate to matrix products and stars to conjugate transposes.  The hand-built
-models keep an exact backing over Q(sqrt(2), i) so that residuals which vanish
+models are exact over Q(sqrt(2), i) so that residuals which vanish
 mathematically are reported as exactly 0; seeded pseudo-random models live in
-ordinary double precision.
+ordinary double precision.  Either way a model holds each matrix once.
 
-Exact matrices are stored once, as sparse rows: one {column: QuadExact}
+Exact matrices are sparse rows: one {column: QuadExact}
 dict per row, exact zeros never stored.  Products and sums run over each
 row's nonzero entries only, and a word's product starts from its first
 letter's matrix.  An entry is skipped only when it is exactly zero
@@ -17,16 +17,15 @@ This module, and with it numpy, is imported only by the commands that evaluate
 a model (`witness` and `verify noninjectivity`).
 
 A model may be a *probe*: it fails some presentation relations on purpose.
-Its violations are derived, on first read, from one residual report against
-its tolerance.  Probe models are barred from any claim that depends on the
-relations they violate, but remain usable for the pure commutation and
-independence computations they were written down for.
+A run gates each model, at its own residual tolerance, on only the relations
+its claim rests on, so a probe model is barred from any claim that depends
+on the relations it violates but remains usable for the pure commutation and
+independence computations it was written down for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,36 +66,26 @@ _EXACT_PHASES = {1: Q_ONE, -1: -Q_ONE, 1j: Q(0, 0, 1, 0), -1j: Q(0, 0, -1, 0)}
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """Assignment of dim x dim complex matrices to a presentation's generators."""
+    """Assignment of dim x dim matrices, exact or complex, to a presentation's generators."""
 
     presentation: Presentation
     dim: int
-    assignment: dict  # Letter (unstarred) -> np.ndarray
-    exact: Optional[dict] = None  # Letter (unstarred) -> sparse rows of QuadExact
-    residual_tolerance: float = 1e-9
+    # Letter (unstarred) -> sparse rows of QuadExact if exact, else np.ndarray
+    assignment: dict
+    exact: bool = False
     label: str = ""
     seed_used: Optional[int] = None
 
     def matrix(self, letter: Letter):
-        """The letter's matrix, starred if the letter is: sparse exact rows
-        when the model has an exact backing, else the complex array."""
+        """The letter's matrix, starred if the letter is, in the model's own
+        form: sparse exact rows or a complex array."""
         base = letter.base()
-        m = (self.assignment if self.exact is None else self.exact).get(base)
+        m = self.assignment.get(base)
         if m is None:
             raise UnassignedGenerator(f"model {self.label!r} assigns nothing to {word_str((base,))}")
         if letter.starred:
-            return m.conj().T if self.exact is None else _exact_star(m)
+            return _exact_star(m) if self.exact else m.conj().T
         return m
-
-    @cached_property
-    def violations(self) -> tuple:
-        """The relations whose residual exceeds the tolerance, computed on first read."""
-        return tuple(desc for desc, r in model_residuals(self).per_relation
-                     if r > self.residual_tolerance)
-
-    @property
-    def probe(self) -> bool:
-        return bool(self.violations)
 
 
 @dataclass(frozen=True)
@@ -172,11 +161,11 @@ def _exact_evaluate(p: Poly, model: MatrixModel) -> list:
 def evaluate(p: Poly, model: MatrixModel) -> np.ndarray:
     """Evaluate a polynomial in the model; words become matrix products.
 
-    Models with an exact backing are evaluated over Q(sqrt(2), i) and converted
-    to a complex array afterwards, so values like 1/2 come out bit-exact and
+    Exact models are evaluated over Q(sqrt(2), i) and converted to a complex
+    array afterwards, so values like 1/2 come out bit-exact and
     an image that vanishes exactly is the zero array.
     """
-    if model.exact is not None:
+    if model.exact:
         return _exact_to_complex(_exact_evaluate(p, model))
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for w, c in p.items():
@@ -205,7 +194,7 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
     return ResidualReport(tuple(rows), worst)
 
 
-def gated_residuals(model: MatrixModel, gate: object = "all") -> ResidualReport:
+def gated_residuals(model: MatrixModel, gate: object, tolerance: float) -> ResidualReport:
     """Residual report of the gated relations; raise WitnessInvalid if one exceeds tolerance.
 
     gate: "all" checks every presentation relation of the model, and a list of
@@ -213,7 +202,7 @@ def gated_residuals(model: MatrixModel, gate: object = "all") -> ResidualReport:
     on a relation subset).
     """
     report = model_residuals(model, None if gate == "all" else gate)
-    if report.max > model.residual_tolerance:
+    if report.max > tolerance:
         desc, res = report.worst()
         raise WitnessInvalid(
             f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}")
@@ -248,11 +237,6 @@ CONJUGATE_PRODUCTS = tuple(Poly.from_word(w) for w in (
     (_X1.star(), _X2), (_X1, _X2.star()), (_X2.star(), _X1), (_X2, _X1.star())))
 
 
-def _finish_exact_model(pres, dim, exact_rows, label) -> MatrixModel:
-    assignment = {g: _exact_to_complex(rows) for g, rows in exact_rows.items()}
-    return MatrixModel(pres, dim, assignment, exact_rows, label=label)
-
-
 def _probe_pair_rows():
     """a = e31 + c e44 and b = e21 + e32 + c e44 with c = sqrt2/2."""
     c = Q_SQRT2_OVER_2
@@ -260,18 +244,16 @@ def _probe_pair_rows():
 
 
 def probe_pair_model() -> MatrixModel:
-    """The explicit 4x4 probe pair: non-normal, commuting, with recorded violations.
+    """The explicit 4x4 probe pair: non-normal and commuting.
 
     Both normalization sums evaluate to matrices of operator norm exactly 1,
-    while the plain commutator holds exactly.  The model therefore stays in
-    probe state and is only admitted for claims that rest on the commutation
-    relations alone.
+    while the plain commutator holds exactly.  The model is therefore a probe,
+    only admitted for claims that rest on the commutation relations alone.
     """
     a, b = _probe_pair_rows()
     pair = validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
-    exact = {Letter("x", 1, 0): a, Letter("x", 2, 0): b}
-    return _finish_exact_model(pres, 4, exact, "probe-4x4")
+    return MatrixModel(pres, 4, {_X1: a, _X2: b}, True, "probe-4x4")
 
 
 def noninjectivity_sphere_model() -> MatrixModel:
@@ -285,8 +267,7 @@ def noninjectivity_sphere_model() -> MatrixModel:
     pair = validate_pair([[0, 0], [0, 0]], [[0, 1], [1, 0]])
     pres = sphere_presentation(pair)
     # b* = e12 + e23 + c e44
-    exact = {Letter("x", 1, 0): a, Letter("x", 2, 0): _exact_star(b)}
-    return _finish_exact_model(pres, 4, exact, "noninjectivity-4x4")
+    return MatrixModel(pres, 4, {_X1: a, _X2: _exact_star(b)}, True, "noninjectivity-4x4")
 
 
 def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
@@ -310,14 +291,11 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     if exactable:
         x1 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z1]} for i, (z1, _) in enumerate(samples)]
         x2 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z2]} for i, (_, z2) in enumerate(samples)]
-        model = _finish_exact_model(pres, dim, {Letter("x", 1, 0): x1, Letter("x", 2, 0): x2},
-                                    "torus-diagonal")
     else:
         half = complex(np.sqrt(0.5))
         x1 = np.diag([half * complex(z1) for z1, _ in samples])
         x2 = np.diag([half * complex(z2) for _, z2 in samples])
-        model = MatrixModel(pres, dim, {Letter("x", 1, 0): x1, Letter("x", 2, 0): x2},
-                            label="torus-diagonal")
+    model = MatrixModel(pres, dim, {_X1: x1, _X2: x2}, exactable, "torus-diagonal")
     probe_rank = check_independence(CONJUGATE_PRODUCTS[:2], model)
     if probe_rank.rank < 2:
         raise DegenerateSamples(
@@ -361,18 +339,17 @@ def o2plus_model() -> MatrixModel:
 
     Summand (i) is the rotation-by-45-degrees point, summand (ii) the pair
     A = diag(c, -c), B = c(e12 + e21) with c = sqrt2/2, which squares to 1/2
-    each and anticommutes.  All orthogonality relations hold exactly over the
-    exact backing, and the two products v11 v21, v21 v11 stay independent.
+    each and anticommutes.  All orthogonality relations hold exactly, and the two products v11 v21, v21 v11 stay independent.
     """
     pres = orthogonal_qg_presentation([[0, 0], [0, 0]])
     c = Q_SQRT2_OVER_2
     # the 1x1 point (c, c; c, -c) in the first row and column, A and B after it
     point_a = [{0: c}, {1: c}, {2: -c}]
     point_b = [{0: c}, {2: c}, {1: c}]
-    exact = {
+    rows = {
         Letter("ou", 1, 1): point_a,
         Letter("ou", 1, 2): point_b,
         Letter("ou", 2, 1): point_b,
         Letter("ou", 2, 2): [{0: -c}, {1: c}, {2: -c}],
     }
-    return _finish_exact_model(pres, 3, exact, "o2plus-point-plus-anticommuting")
+    return MatrixModel(pres, 3, rows, True, "o2plus-point-plus-anticommuting")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
@@ -109,6 +109,10 @@ class VerificationReport:
             "passed": self.passed,
             "notices": list(self.notices),
         }
+
+
+# The default residual tolerance of every witness model gate.
+RESIDUAL_TOLERANCE = 1e-9
 
 
 def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
@@ -283,7 +287,7 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
         from . import repmodels
         model = repmodels.noninjectivity_sphere_model()
         residuals = repmodels.model_residuals(model)
-        if residuals.max > model.residual_tolerance:
+        if residuals.max > RESIDUAL_TOLERANCE:
             return Certificate(INCONCLUSIVE,
                                detail=f"witness model residual {residuals.max:.3g} above tolerance")
         x1 = Poly.generator(Letter("x", 1, 0))
@@ -359,7 +363,7 @@ INDEPENDENCE_SUITES = {
 
 
 def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
-                              residual_tolerance: float = 1e-9,
+                              residual_tolerance: float = RESIDUAL_TOLERANCE,
                               seed: int = 0, dim: int = 4,
                               torus_samples=None) -> VerificationReport:
     """Run one named witness suite, or "all": build the model, gate on residuals, test rank.
@@ -383,9 +387,7 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
         def thunk(builder=INDEPENDENCE_SUITES[name]):
             model, fam, gate = builder(probe, seed, dim, torus_samples)
             expected = len(fam)
-            if residual_tolerance != model.residual_tolerance:
-                model = replace(model, residual_tolerance=residual_tolerance)
-            residuals = repmodels.gated_residuals(model, gate)
+            residuals = repmodels.gated_residuals(model, gate, residual_tolerance)
             result = repmodels.check_independence(fam, model, svd_threshold)
             evidence = {
                 "model": model.label,

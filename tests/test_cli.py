@@ -522,7 +522,7 @@ _PINNED_SHA256 = {
     ("witness", "all"): "f17e07d0604bfe025d8c2483938df25b600512c9724cce52708e4917270556b7",
     ("verify", "noninjectivity"): "f3ef8275fd987b0b28387ef1b8acf8e0fba6b686d78429a8aa14a17ab8404151",
     # the float torus, the exact torus, the float free-unitary path, and a
-    # probe model whose tolerance is changed with replace()
+    # probe model gated at a tolerance other than the default
     ("witness", "torus", "--phases", "1,1", "0.6+0.8j,1j"):
         "17c09e24ebb6450d3850cf1f45592eb15c33955d705c3594289c7543b999ce6a",
     ("witness", "torus", "--phases", "1,1", "1,1j", "1j,-1j"):

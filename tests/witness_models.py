@@ -26,7 +26,7 @@ def point_model_sphere(k: int, n: int, pair: CommutationPair = None) -> R.Matrix
     if pair is None:
         pair = validate_pair([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
     exact = {Letter("x", i, 0): [{0: Q_ONE} if i == k else {}] for i in range(1, n + 1)}
-    return R._finish_exact_model(sphere_presentation(pair), 1, exact, f"sphere-point-{k}")
+    return R.MatrixModel(sphere_presentation(pair), 1, exact, True, f"sphere-point-{k}")
 
 
 def diagonal_sphere_model(pair: CommutationPair, seed: int = 0, dim: int = 2) -> R.MatrixModel:
@@ -60,7 +60,7 @@ def signed_point_model(pres: Presentation, seed: int = 0) -> R.MatrixModel:
     tag = "ou" if pres.kind == "orthogonal-qg" else "tx"
     exact = {Letter(tag, i, j): [{0: signs[i - 1]} if i == j else {}]
              for i in range(1, n + 1) for j in range(1, n + 1)}
-    return R._finish_exact_model(pres, 1, exact, f"{pres.kind}-signed-point")
+    return R.MatrixModel(pres, 1, exact, True, f"{pres.kind}-signed-point")
 
 
 def witness_models_for(pres: Presentation, seed: int = 0) -> list:
