@@ -56,7 +56,7 @@ class RunConfig:
         if self.format not in ("json", "text"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.jobs < 0:
-            raise ValueError(f"jobs must be 0 (all cores) or positive, not {self.jobs}")
+            raise ValueError(f"{_field('jobs')} must be 0 (all cores) or positive, not {self.jobs}")
 
     def effective_jobs(self) -> int:
         if self.jobs > 0:
@@ -249,8 +249,8 @@ def cmd_sweep(args, config: RunConfig) -> int:
             raise ValueError(f"--targets names {t!r} more than once")
     if args.sample < 0:
         raise ValueError(f"--sample must be non-negative, not {args.sample}")
-    if args.n > 4:
-        raise TooLarge(f"sweeps are capped at n=4; got n={args.n}")
+    if not 1 <= args.n <= 4:
+        raise ValueError(f"--n must be between 1 and 4, not {args.n}")
     if args.n == 4 and not args.sample:
         raise TooLarge("n=4 sweeps require --sample N")
     body = run_sweep(args.n, targets, config, args.sample)

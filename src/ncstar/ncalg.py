@@ -728,8 +728,11 @@ def _star_closed_relations(pres):
 def replay_combination(p: Poly, pres, evidence: dict) -> bool:
     """Exactly recompute lhs_multiple * p == sum coeff_i * (m1_i r_i m2_i).
 
-    Every relation is rational, so a coefficient with a nonzero imaginary
-    part cannot be part of a valid combination.
+    The multiple must be a nonzero integer, or any p would replay against an
+    empty combination.  Every relation is rational, so a coefficient with a
+    nonzero imaginary part cannot be part of a valid combination.  Evidence
+    that cannot be read (an unknown relation or letter, a malformed number,
+    missing terms) replays as False.
     """
     rels = dict(_star_closed_relations(pres))
     letters = {word_str((l,)): l for l in _roster_letters(pres)}
@@ -739,14 +742,17 @@ def replay_combination(p: Poly, pres, evidence: dict) -> bool:
             return ()
         return tuple(letters[tok] for tok in text.split("."))
 
-    total = Poly.zero()
-    for term in evidence["terms"]:
-        rpoly = rels[term["relation"]]
-        m1 = parse_word(term["left"])
-        m2 = parse_word(term["right"])
-        c = parse_scalar(term["coefficient"])
-        if c.b:
-            return False
-        total = total + (Poly.from_word(m1) * rpoly * Poly.from_word(m2)).scale(c.re)
-    mult = int(evidence["lhs_multiple"])
-    return total == p.scale(mult)
+    try:
+        mult = int(str(evidence["lhs_multiple"]))
+        total = Poly.zero()
+        for term in evidence["terms"]:
+            rpoly = rels[term["relation"]]
+            m1 = parse_word(term["left"])
+            m2 = parse_word(term["right"])
+            c = parse_scalar(term["coefficient"])
+            if c.b:
+                return False
+            total = total + (Poly.from_word(m1) * rpoly * Poly.from_word(m2)).scale(c.re)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError):
+        return False
+    return mult != 0 and total == p.scale(mult)

@@ -114,6 +114,9 @@ class VerificationReport:
 # The default residual tolerance of every witness model gate.
 RESIDUAL_TOLERANCE = 1e-9
 
+# The operator norm a witness image must exceed to be reported nonzero.
+NONZERO_NORM_THRESHOLD = 1e-6
+
 
 def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
     t0 = time.perf_counter_ns()
@@ -295,15 +298,20 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
         image = repmodels.evaluate(x1 * x2s, model)
         norm = repmodels.operator_norm(image)
         diag = [float(image[i, i].real) for i in range(model.dim)]
-        return Certificate(PROVED_NONZERO, nonzero_evidence={
+        evidence = {
             "model": model.label,
             "dim": model.dim,
             "poly": "x1.x2*",
             "image_diagonal": diag,
             "image_norm": norm,
             "residual_max": residuals.max,
-            "threshold": 1e-6,
-        }, detail=f"witness image diag{tuple(diag)} with norm {norm}")
+            "threshold": NONZERO_NORM_THRESHOLD,
+        }
+        if norm <= NONZERO_NORM_THRESHOLD:
+            return Certificate(INCONCLUSIVE, nonzero_evidence=evidence,
+                               detail=f"witness image norm {norm} is not above the threshold")
+        return Certificate(PROVED_NONZERO, nonzero_evidence=evidence,
+                           detail=f"witness image diag{tuple(diag)} with norm {norm}")
 
     _timed(report, "x1x2*-nonzero", check_nonzero, expected=PROVED_NONZERO)
     return report

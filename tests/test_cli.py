@@ -51,7 +51,7 @@ def test_negative_jobs_rejected(capsys):
     with pytest.raises(ValueError):
         RunConfig(jobs=-1)
     assert run_cli("sweep", "--n", "2", "--jobs", "-1") == 2
-    assert "jobs must be 0 (all cores) or positive, not -1" in capsys.readouterr().err
+    assert "jobs (--jobs) must be 0 (all cores) or positive, not -1" in capsys.readouterr().err
 
 
 def test_config_hash_stable_and_sensitive():
@@ -299,7 +299,9 @@ def test_sweep_task_lists_are_pinned():
 
 
 def test_sweep_guards(capsys):
-    assert run_cli("sweep", "--n", "5") == 2
+    for n in ("0", "5"):
+        assert run_cli("sweep", "--n", n) == 2
+        assert capsys.readouterr().err == f"error: --n must be between 1 and 4, not {n}\n"
     assert run_cli("sweep", "--n", "4") == 2  # needs --sample
     capsys.readouterr()
     assert run_cli("sweep", "--n", "2", "--targets", "bogus") == 2

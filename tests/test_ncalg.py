@@ -344,6 +344,38 @@ def test_replay_refuses_a_nonreal_evidence_coefficient():
     assert not replay_combination(p, pres, evidence)
 
 
+def test_replay_refuses_a_vacuous_combination():
+    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
+    x1x2 = Poly.from_word((Letter("x", 1, 0), Letter("x", 2, 0)))
+    assert ideal_membership_bounded(x1x2, pres, 4).status == A.INCONCLUSIVE
+    assert not replay_combination(x1x2, pres, {"terms": [], "lhs_multiple": "0"})
+
+
+def _set_term(key, value):
+    def tamper(ev):
+        ev["terms"][0][key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_term("relation", "no-such-relation"),
+    _set_term("left", "y9"),
+    _set_term("coefficient", "one"),
+    lambda ev: ev.update(lhs_multiple="two"),
+    lambda ev: ev.update(lhs_multiple="0"),
+    lambda ev: ev.update(terms=None),
+    lambda ev: ev.pop("lhs_multiple"),
+], ids=["unknown-relation", "unknown-letter", "bad-coefficient", "bad-multiple",
+        "zero-multiple", "null-terms", "no-multiple"])
+def test_replay_refuses_malformed_evidence(tamper):
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    p = pres.all_relations()[0].poly
+    evidence = ideal_membership_bounded(p, pres, 2).zero_evidence
+    assert replay_combination(p, pres, evidence)
+    tamper(evidence)
+    assert not replay_combination(p, pres, evidence)
+
+
 def test_membership_vanishing_column_product_sum():
     # u11.u21* + u12.u22* is the uu*-sum at (1,2), so it collapses to twice the
     # canonical column product and certifies as zero with the factor visible

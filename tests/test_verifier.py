@@ -11,6 +11,7 @@ from ncstar import repmodels as R
 from ncstar import verifier as V
 from ncstar.ncalg import (INCONCLUSIVE, Letter, PROVED_NONZERO, PROVED_ZERO, Poly,
                           apply_tensor_hom, build_quotient_basis, is_zero_tensor)
+from ncstar.scalars import Q_ONE
 
 ZERO2 = [[0, 0], [0, 0]]
 OFF2 = [[0, 1], [1, 0]]
@@ -270,9 +271,26 @@ def test_noninjectivity_anchor():
         "sum:conj(u)conj(u)*(1,2)", "colprod-tie(1,2;2)"}
     assert nonzero_check.certificate.status == PROVED_NONZERO
     nev = nonzero_check.certificate.nonzero_evidence
+    assert nev["threshold"] == V.NONZERO_NORM_THRESHOLD
     assert nev["image_diagonal"] == [0.0, 0.0, 0.0, 0.5]
     assert abs(nev["image_norm"] - 0.5) <= 1e-12
     assert nev["residual_max"] == 0.0
+
+
+def test_noninjectivity_point_model_is_not_proved_nonzero(monkeypatch):
+    # x1 = 1, x2 = 0 is a valid 1x1 model of the mixed sphere, but x1 x2* = 0 in it
+    def point_model():
+        pres = P.sphere_presentation(_pair(ZERO2, OFF2))
+        return R.MatrixModel(pres, 1, {Letter("x", 1, 0): [{0: Q_ONE}], Letter("x", 2, 0): [{}]},
+                             True, "point")
+    monkeypatch.setattr(R, "noninjectivity_sphere_model", point_model)
+    report = V.verify_noninjectivity_example()
+    cert = report.checks[1].certificate
+    assert cert.status == INCONCLUSIVE
+    assert cert.nonzero_evidence["residual_max"] == 0.0
+    assert cert.nonzero_evidence["image_norm"] == 0.0
+    assert cert.nonzero_evidence["threshold"] == V.NONZERO_NORM_THRESHOLD
+    assert not report.passed
 
 
 def test_noninjectivity_guard_rejects_altered_pair():
