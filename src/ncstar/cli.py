@@ -335,7 +335,8 @@ _FLAGS = {
                                      help="total degree of the relation products m1*r*m2 "
                                           "each check reduces against (2 to 4, default 2)")),
     "residual_tolerance": ("--tol", dict(type=float, metavar="TOL",
-                                         help="residual tolerance for witnesses (default 1e-9)")),
+                                         help="residual tolerance for witnesses (default "
+                                              f"{verifier.RESIDUAL_TOLERANCE:g})")),
     "svd_threshold": ("--svd-threshold", dict(type=float,
                                               help="singular value threshold (default 1e-6)")),
     "seed": ("--seed", dict(type=int, help="seed for pseudo-random witnesses and sweep samples "

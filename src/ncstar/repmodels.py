@@ -17,7 +17,7 @@ This module, and with it numpy, is imported only by the commands that evaluate
 a model (`witness` and `verify noninjectivity`).
 
 A model may be a *probe*: it fails some presentation relations on purpose.
-A run gates each model, at its own residual tolerance, on only the relations
+A run gates each model, at the run's residual tolerance, on only the relations
 its claim rests on, so a probe model is barred from any claim that depends
 on the relations it violates but remains usable for the pure commutation and
 independence computations it was written down for.
