@@ -3,14 +3,16 @@
 Exit codes are stable across output formats:
 
 * 0 -- everything requested was certified,
-* 1 -- some check failed or stayed inconclusive (including witness rank
-       shortfalls and degenerate sample sets),
+* 1 -- some check failed or stayed inconclusive (including a witness
+       whose model exceeds the residual tolerance, or whose family falls
+       short of its rank, as a degenerate sample set does),
 * 2 -- usage or input errors (unparseable pair files, a path that cannot
        be read or written, unknown suites, out-of-range sweep sizes, a
        repeated sweep target, a --dim above its cap, a phase off the unit
        circle, a non-finite tolerance, a negative seed or sample, a bad
        NCSTAR_JOBS, a --bound outside 2..4 or one whose relation span
-       exceeds its size cap, a verify pair above MAX_VERIFY_N).
+       exceeds its size cap, a verify pair above MAX_VERIFY_N, --phases
+       with no sample or with a suite that takes none).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .presentations import (CommutationPair, PairValidationError, TooLarge,
 class RunConfig:
     degree_bound: int = 2  # total degree of the relation products m1*r*m2 spanned
     residual_tolerance: float = verifier.RESIDUAL_TOLERANCE
-    svd_threshold: float = 1e-6
+    svd_threshold: float = verifier.SVD_THRESHOLD
     seed: int = 0
     jobs: int = 0  # 0 means: use available parallelism
     output: str = ""
@@ -101,6 +103,11 @@ def _emit(config: RunConfig, task: str, body: dict, text_lines) -> None:
         sys.stdout.write(out)
 
 
+def _failure_detail(check) -> str:
+    """A failed check's certificate detail, as text lines append it."""
+    return f"  ({check.certificate.detail})" if check.certificate.detail and not check.passed else ""
+
+
 def _report_lines(report) -> list:
     lines = [f"task: {report.task}"]
     for notice in report.notices:
@@ -108,8 +115,7 @@ def _report_lines(report) -> list:
     width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
         mark = "ok " if c.passed else "FAIL"
-        lines.append(f"  [{mark}] {c.name:<{width}}  {c.certificate.status}"
-                     + (f"  ({c.certificate.detail})" if c.certificate.detail and not c.passed else ""))
+        lines.append(f"  [{mark}] {c.name:<{width}}  {c.certificate.status}" + _failure_detail(c))
     lines.append(f"overall: {report.overall}  passed: {report.passed}")
     return lines
 
@@ -222,7 +228,8 @@ def sweep_tasks(n: int, targets, config: RunConfig, sample: int = 0) -> list:
 
 def run_sweep(n: int, targets, config: RunConfig, sample: int = 0) -> dict:
     tasks = sweep_tasks(n, targets, config, sample)
-    jobs = config.effective_jobs()
+    # more workers than tasks or cores would only wait
+    jobs = min(config.effective_jobs(), len(tasks), os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 4:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
@@ -264,9 +271,13 @@ def cmd_sweep(args, config: RunConfig) -> int:
     return 0 if body["overall_passed"] else 1
 
 
-def _parse_phases(tokens):
-    if not tokens:
+def _parse_phases(tokens, suite):
+    if tokens is None:
         return None
+    if not tokens:
+        raise ValueError("--phases needs at least one sample z1,z2")
+    if suite not in ("torus", "all"):
+        raise ValueError(f"--phases applies only to the torus suite, not to {suite!r}")
     samples = []
     for tok in tokens:
         parts = tok.split(",")
@@ -298,26 +309,20 @@ MAX_WITNESS_DIM = 1024
 def cmd_witness(args, config: RunConfig) -> int:
     if args.dim > MAX_WITNESS_DIM:
         raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
-    samples = _parse_phases(args.phases)
-    from .repmodels import DegenerateSamples, WitnessInvalid
-    try:
-        report = verifier.verify_independence_suite(
-            args.suite,
-            svd_threshold=config.svd_threshold,
-            residual_tolerance=config.residual_tolerance,
-            seed=config.seed,
-            dim=args.dim,
-            torus_samples=samples,
-        )
-    except (WitnessInvalid, DegenerateSamples) as exc:
-        print(f"witness error: {exc}", file=sys.stderr)
-        return 1
+    report = verifier.verify_independence_suite(
+        args.suite,
+        svd_threshold=config.svd_threshold,
+        residual_tolerance=config.residual_tolerance,
+        seed=config.seed,
+        dim=args.dim,
+        torus_samples=_parse_phases(args.phases, args.suite),
+    )
     lines = []
     for c in report.checks:
         ev = c.certificate.nonzero_evidence or {}
         lines.append(f"[{'ok ' if c.passed else 'FAIL'}] {c.name}: rank "
                      f"{ev.get('rank')}/{ev.get('expected_rank')} "
-                     f"min-sv {min(ev.get('singular_values') or [0]):.3e}")
+                     f"min-sv {min(ev.get('singular_values') or [0]):.3e}" + _failure_detail(c))
     lines.append(f"overall passed: {report.passed}")
     _emit(config, "witness", {"report": report.to_json_dict(include_timings=args.timings)}, lines)
     return 0 if report.passed else 1
@@ -338,10 +343,12 @@ _FLAGS = {
                                          help="residual tolerance for witnesses (default "
                                               f"{verifier.RESIDUAL_TOLERANCE:g})")),
     "svd_threshold": ("--svd-threshold", dict(type=float,
-                                              help="singular value threshold (default 1e-6)")),
+                                              help="singular value threshold (default "
+                                                   f"{verifier.SVD_THRESHOLD:g})")),
     "seed": ("--seed", dict(type=int, help="seed for pseudo-random witnesses and sweep samples "
                                            "(default 0)")),
-    "jobs": ("--jobs", dict(type=int, help="parallel workers (default: NCSTAR_JOBS or all cores)")),
+    "jobs": ("--jobs", dict(type=int, help="parallel workers (default: NCSTAR_JOBS or all cores; "
+                                           "never more than the cores or the tasks)")),
     "format": ("--format", dict(choices=("json", "text"), help="report format (default text)")),
     "output": ("--output", dict(help="write the report to this path instead of stdout")),
 }
@@ -395,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness "
                                                       f"(3 to {MAX_WITNESS_DIM})")
     p.add_argument("--phases", nargs="*", action="extend", default=None,
-                   help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j); repeated "
-                        "flags add up, and --phases=-1,1j gives a sample starting with '-'")
+                   help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j), for the torus "
+                        "suite or all; repeated flags add up, and --phases=-1,1j gives a "
+                        "sample starting with '-'")
     _add_flags(p, "residual_tolerance", "svd_threshold", "seed", timings=True)
     return parser
 

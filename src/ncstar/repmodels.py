@@ -21,6 +21,10 @@ A run gates each model, at the run's residual tolerance, on only the relations
 its claim rests on, so a probe model is barred from any claim that depends
 on the relations it violates but remains usable for the pure commutation and
 independence computations it was written down for.
+
+A builder checks neither residuals nor rank.  The run that uses a model
+judges both, at its own tolerance and singular-value threshold, so a
+degenerate sample set shows up there as a rank shortfall.
 """
 
 from __future__ import annotations
@@ -40,21 +44,12 @@ __all__ = [
     "probe_pair_model", "noninjectivity_sphere_model",
     "torus_model", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
     "UNIT_CIRCLE_TOLERANCE",
-    "model_residuals", "gated_residuals", "evaluate", "operator_norm", "check_independence",
-    "WitnessInvalid", "UnassignedGenerator",
-    "DegenerateSamples",
+    "model_residuals", "evaluate", "operator_norm", "check_independence",
+    "UnassignedGenerator",
 ]
 
 
-class WitnessInvalid(RuntimeError):
-    """The witness model violates relations its claim depends on."""
-
-
 class UnassignedGenerator(KeyError):
-    pass
-
-
-class DegenerateSamples(ValueError):
     pass
 
 
@@ -194,27 +189,12 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
     return ResidualReport(tuple(rows), worst)
 
 
-def gated_residuals(model: MatrixModel, gate: object, tolerance: float) -> ResidualReport:
-    """Residual report of the gated relations; raise WitnessInvalid if one exceeds tolerance.
-
-    gate: "all" checks every presentation relation of the model, and a list of
-    Relations checks just those (used for probe models whose claims only rely
-    on a relation subset).
-    """
-    report = model_residuals(model, None if gate == "all" else gate)
-    if report.max > tolerance:
-        desc, res = report.worst()
-        raise WitnessInvalid(
-            f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}")
-    return report
-
-
 def check_independence(family: Sequence[Poly], model: MatrixModel,
-                       threshold: float = 1e-6) -> IndependenceResult:
-    """Numerical rank of the flattened family via singular values.
+                       threshold: float) -> IndependenceResult:
+    """Numerical rank of the flattened family: its singular values above threshold.
 
     The model's residuals are not checked here: a caller whose claim needs
-    them valid calls `gated_residuals` first.
+    them valid checks `model_residuals` too.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -274,12 +254,10 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     """Diagonal two-coordinate model from phase samples: x_i = (sqrt2/2) diag(z_i).
 
     All entries commute and are normal, so every two-coordinate sphere relation
-    holds; the sample set must separate the conjugate products or the model is
-    rejected as degenerate.
+    holds.  The conjugate products need two samples that separate them to
+    reach rank 2; fewer leave a rank shortfall for the caller to report.
     """
     samples = [tuple(s) for s in samples]
-    if len(samples) < 2:
-        raise DegenerateSamples("need at least 2 phase samples")
     for z1, z2 in samples:
         for z in (z1, z2):
             # written so that nan fails too: every comparison with nan is false
@@ -295,12 +273,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
         half = complex(np.sqrt(0.5))
         x1 = np.diag([half * complex(z1) for z1, _ in samples])
         x2 = np.diag([half * complex(z2) for _, z2 in samples])
-    model = MatrixModel(pres, dim, {_X1: x1, _X2: x2}, exactable, "torus-diagonal")
-    probe_rank = check_independence(CONJUGATE_PRODUCTS[:2], model)
-    if probe_rank.rank < 2:
-        raise DegenerateSamples(
-            f"samples {samples} only span rank {probe_rank.rank} on the conjugate products")
-    return model
+    return MatrixModel(pres, dim, {_X1: x1, _X2: x2}, exactable, "torus-diagonal")
 
 
 def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
@@ -308,30 +281,24 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
 
     In dimension 2 the four products are always dependent (the adjoint of a
     2x2 unitary is a polynomial of degree <= 1 in it), so dim >= 3 is required.
-    Degenerate draws re-sample deterministically with an incremented seed, at
-    most 16 times; the final seed is recorded on the model.
+    One draw per seed, recorded on the model; a draw whose products are
+    dependent is not replaced, and shows as a rank shortfall.
     """
     if dim < 3:
         raise ValueError(f"dim must be at least 3, got {dim}: the four products "
                          "cannot be independent below dimension 3")
     pair = validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
-    for attempt in range(16):
-        s = seed + attempt
-        rng = np.random.default_rng(s)
-        us = []
-        for _ in range(2):
-            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            q, r = np.linalg.qr(z)
-            q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-            us.append(q)
-        half = complex(np.sqrt(0.5))
-        model = MatrixModel(pres, dim,
-                            {_X1: half * us[0], _X2: half * us[1]},
-                            label=f"free-unitary-{dim}d", seed_used=s)
-        if check_independence(CONJUGATE_PRODUCTS, model).rank == 4:
-            return model
-    raise DegenerateSamples("no independent draw within 16 seeded attempts")
+    rng = np.random.default_rng(seed)
+    us = []
+    for _ in range(2):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+        us.append(q)
+    half = complex(np.sqrt(0.5))
+    return MatrixModel(pres, dim, {_X1: half * us[0], _X2: half * us[1]},
+                       label=f"free-unitary-{dim}d", seed_used=seed)
 
 
 def o2plus_model() -> MatrixModel:

@@ -114,6 +114,9 @@ class VerificationReport:
 # The default residual tolerance of every witness model gate.
 RESIDUAL_TOLERANCE = 1e-9
 
+# The default singular-value threshold of the independence suites' rank.
+SVD_THRESHOLD = 1e-6
+
 # The operator norm a witness image must exceed to be reported nonzero.
 NONZERO_NORM_THRESHOLD = 1e-6
 
@@ -325,60 +328,39 @@ def _x(i, star=False):
     return Poly.generator(Letter("x", i, 0, star))
 
 
-# Each builder takes (probe, seed, dim, torus samples), where probe() returns the
-# probe pair model and its gate, the model's eps relations, shared by the two
-# probe suites of one call; it returns (model, family, gate).  The family is
-# expected to be linearly independent in the model, so its expected rank is
-# its length.
-
-def _suite_probe_products(probe, seed, dim, samples):
-    from . import repmodels
-    model, gate = probe()
-    return model, repmodels.CONJUGATE_PRODUCTS, gate
+def _ou(i, j):
+    return Poly.generator(Letter("ou", i, j))
 
 
-def _suite_unit_squares(probe, seed, dim, samples):
-    model, gate = probe()
-    return model, [_x(2, True) * _x(2), _x(2) * _x(2, True), Poly.one()], gate
-
-
-def _suite_torus(probe, seed, dim, samples):
-    from . import repmodels
-    model = repmodels.torus_model(samples) if samples else repmodels.torus_model()
-    return model, repmodels.CONJUGATE_PRODUCTS[:2], "all"
-
-
-def _suite_free_unitary(probe, seed, dim, samples):
-    from . import repmodels
-    return repmodels.free_unitary_model(dim, seed), repmodels.CONJUGATE_PRODUCTS, "all"
-
-
-def _suite_o2plus(probe, seed, dim, samples):
-    from . import repmodels
-    model = repmodels.o2plus_model()
-    v11 = Poly.generator(Letter("ou", 1, 1))
-    v21 = Poly.generator(Letter("ou", 2, 1))
-    return model, [v11 * v21, v21 * v11], "all"
-
-
+# Each row takes (repmodels, seed, dim, torus samples) and returns (model,
+# family, gate).  The family is expected to be linearly independent in the
+# model, so its expected rank is its length; the gate is the rid prefix of the
+# relations the claim rests on, "" for all of them.  A row calls its builder
+# through the module, so a rebound attribute is seen.
 INDEPENDENCE_SUITES = {
-    "probe-products": _suite_probe_products,
-    "unit-squares": _suite_unit_squares,
-    "torus": _suite_torus,
-    "free-unitary": _suite_free_unitary,
-    "o2plus": _suite_o2plus,
+    "probe-products": lambda R, seed, dim, samples: (
+        R.probe_pair_model(), R.CONJUGATE_PRODUCTS, "eps"),
+    "unit-squares": lambda R, seed, dim, samples: (
+        R.probe_pair_model(), [_x(2, True) * _x(2), _x(2) * _x(2, True), Poly.one()], "eps"),
+    "torus": lambda R, seed, dim, samples: (
+        R.torus_model(samples) if samples else R.torus_model(), R.CONJUGATE_PRODUCTS[:2], ""),
+    "free-unitary": lambda R, seed, dim, samples: (
+        R.free_unitary_model(dim, seed), R.CONJUGATE_PRODUCTS, ""),
+    "o2plus": lambda R, seed, dim, samples: (
+        R.o2plus_model(), [_ou(1, 1) * _ou(2, 1), _ou(2, 1) * _ou(1, 1)], ""),
 }
 
 
-def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
+def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESHOLD,
                               residual_tolerance: float = RESIDUAL_TOLERANCE,
                               seed: int = 0, dim: int = 4,
                               torus_samples=None) -> VerificationReport:
     """Run one named witness suite, or "all": build the model, gate on residuals, test rank.
 
-    Each check reports the singular values; ProvedNonzero means the family
-    reached its expected rank above the threshold.  A model's residuals are
-    computed once per suite and serve both the gate and `residual_max`.
+    Each check reports the singular values; ProvedNonzero means the gated
+    relations hold within the tolerance and the family reached its expected
+    rank above the threshold.  Otherwise the check is Inconclusive, and its
+    detail names the worst gated relation or the rank shortfall.
     """
     if suites != "all" and suites not in INDEPENDENCE_SUITES:
         raise KeyError(f"unknown witness suite {suites!r}")
@@ -386,16 +368,12 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
     names = list(INDEPENDENCE_SUITES) if suites == "all" else [suites]
     report = VerificationReport("witness", {"suites": names, "seed": seed, "dim": dim})
 
-    @functools.cache
-    def probe():
-        model = repmodels.probe_pair_model()
-        return model, [r for r in model.presentation.relations if r.rid.startswith("eps")]
-
     for name in names:
-        def thunk(builder=INDEPENDENCE_SUITES[name]):
-            model, fam, gate = builder(probe, seed, dim, torus_samples)
+        def thunk(row=INDEPENDENCE_SUITES[name]):
+            model, fam, gate = row(repmodels, seed, dim, torus_samples)
             expected = len(fam)
-            residuals = repmodels.gated_residuals(model, gate, residual_tolerance)
+            residuals = repmodels.model_residuals(
+                model, [r for r in model.presentation.all_relations() if r.rid.startswith(gate)])
             result = repmodels.check_independence(fam, model, svd_threshold)
             evidence = {
                 "model": model.label,
@@ -408,8 +386,13 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = 1e-6,
             }
             if model.seed_used is not None:
                 evidence["seed"] = model.seed_used
-            if gate == "all":
+            if not gate:
                 evidence["residual_max"] = residuals.max
+            if residuals.max > residual_tolerance:
+                desc, res = residuals.worst()
+                return Certificate(INCONCLUSIVE, nonzero_evidence=evidence,
+                                   detail=f"model {model.label!r} violates gated relation "
+                                          f"{desc!r} with residual {res:.3g}")
             if result.rank == expected:
                 return Certificate(PROVED_NONZERO, nonzero_evidence=evidence,
                                    detail=f"rank {result.rank}/{expected}")

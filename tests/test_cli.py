@@ -69,6 +69,33 @@ def test_jobs_env_override(monkeypatch):
     assert RunConfig(jobs=2).effective_jobs() == 2
 
 
+@pytest.mark.parametrize("jobs,cores,size", [("5000", 64, 23), ("5000", 2, 2), ("3", 64, 3)])
+def test_sweep_pool_never_exceeds_cores_or_tasks(jobs, cores, size, monkeypatch, capsys):
+    # a stand-in pool records its size and maps in process, so no worker starts
+    import multiprocessing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    # the n = 2 sweep has 23 tasks
+    assert run_cli("sweep", "--n", "2", "--jobs", jobs) == 0
+    assert sizes == [size]
+    assert capsys.readouterr().out.endswith("total: 23/23 passed\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0"])
 def test_jobs_env_must_be_positive_integer(value, monkeypatch, capsys):
     monkeypatch.setenv("NCSTAR_JOBS", value)
@@ -344,7 +371,44 @@ def test_witness_single_suite_json(capsys):
 
 def test_witness_degenerate_phases_exit_1(capsys):
     assert run_cli("witness", "torus", "--phases", "1,1", "1,1") == 1
-    assert "rank" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ("[FAIL] torus: rank 1/2 min-sv 0.000e+00  (rank shortfall: 1/2)\n"
+                            "overall passed: False\n")
+    assert captured.err == ""
+
+
+def test_witness_over_tolerance_is_one_failed_row(capsys):
+    # the float free-unitary model's residuals are rounding errors near
+    # 6.5e-16; the exact models' are 0, so only its row fails
+    assert run_cli("witness", "all", "--tol", "1e-17") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and lines[-1] == "overall passed: False"
+    failed = [line for line in lines[:5] if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == ["[FAIL] free-unitary"]
+    assert failed[0].startswith("[FAIL] free-unitary: rank 4/4 min-sv ")
+    assert "(model 'free-unitary-4d' violates gated relation 'Σ " in failed[0]
+    residual = float(failed[0].rsplit("with residual ", 1)[1].rstrip(")"))
+    assert 1e-17 < residual < 1e-14
+
+
+def test_witness_near_degenerate_torus_passes_at_a_lower_threshold(capsys):
+    # two samples 1e-6 apart: rank 2 with min-sv 5e-7, judged at the run's threshold
+    argv = ("witness", "torus", "--phases", "1,1", "1,0.9999999999995+1e-06j")
+    assert run_cli(*argv, "--svd-threshold", "1e-9") == 0
+    assert capsys.readouterr().out == ("[ok ] torus: rank 2/2 min-sv 5.000e-07\n"
+                                       "overall passed: True\n")
+    assert run_cli(*argv) == 1
+    assert "(rank shortfall: 1/2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["torus", "--phases"], "--phases needs at least one sample z1,z2"),
+    (["probe-products", "--phases", "1,1", "1,1j"],
+     "--phases applies only to the torus suite, not to 'probe-products'"),
+], ids=["no-sample", "other-suite"])
+def test_witness_phases_refused_where_unread(argv, message, capsys):
+    assert run_cli("witness", *argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_witness_phases_repeat_and_take_a_leading_minus(capsys):
@@ -500,10 +564,10 @@ for argv in (["verify", "hopf"], ["verify", "tuple-action"], ["regularize"]):
 assert loaded() == [], f"loaded by an algebraic command: {loaded()}"
 assert cli.main(["witness", "all", "--output", out]) == 0
 assert cli.main(["verify", "noninjectivity", "--output", out]) == 0
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     code = cli.main(["witness", "torus", "--phases", "1,1", "1,1"])
-assert code == 1 and err.getvalue().startswith("witness error:"), (code, err.getvalue())
+assert code == 1 and out.getvalue().startswith("[FAIL] torus: rank 1/2"), (code, out.getvalue())
 print("ok")
 """
 

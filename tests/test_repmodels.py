@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import witness_models as W
 from ncstar import repmodels as R
 from ncstar import presentations as P
-from ncstar.verifier import RESIDUAL_TOLERANCE
-from ncstar.ncalg import Letter, Poly
+from ncstar import verifier as V
+from ncstar.verifier import RESIDUAL_TOLERANCE, SVD_THRESHOLD
+from ncstar.ncalg import INCONCLUSIVE, Letter, Poly
 from ncstar.scalars import Q_ONE, Q_ZERO, QuadExact
 
 x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)
@@ -67,8 +68,8 @@ def test_probe_products_independent():
     gate = [r for r in m.presentation.relations if r.rid.startswith("eps")]
     fam = [g(x1g).star() * g(x2g), g(x1g) * g(x2g).star(),
            g(x2g).star() * g(x1g), g(x2g) * g(x1g).star()]
-    R.gated_residuals(m, gate, RESIDUAL_TOLERANCE)
-    res = R.check_independence(fam, m)
+    assert R.model_residuals(m, gate).max <= RESIDUAL_TOLERANCE
+    res = R.check_independence(fam, m, SVD_THRESHOLD)
     assert res.rank == 4
     # images are e12, e32, e21, e23 each plus the 1/2 corner
     imgs = [R.evaluate(p, m) for p in fam]
@@ -82,14 +83,23 @@ def test_unit_vs_squares_rank_three():
     m = R.probe_pair_model()
     gate = [r for r in m.presentation.relations if r.rid.startswith("eps")]
     fam = [g(x2g).star() * g(x2g), g(x2g) * g(x2g).star(), Poly.one()]
-    R.gated_residuals(m, gate, RESIDUAL_TOLERANCE)
-    assert R.check_independence(fam, m).rank == 3
+    assert R.model_residuals(m, gate).max <= RESIDUAL_TOLERANCE
+    assert R.check_independence(fam, m, SVD_THRESHOLD).rank == 3
 
 
-def test_probe_model_barred_from_full_gate():
-    m = R.probe_pair_model()
-    with pytest.raises(R.WitnessInvalid):
-        R.gated_residuals(m, "all", RESIDUAL_TOLERANCE)
+def test_probe_model_barred_from_full_gate(monkeypatch):
+    # the normalization sums hold in the probe model only up to norm 1
+    assert R.model_residuals(R.probe_pair_model()).max > RESIDUAL_TOLERANCE
+    # so a suite gating it on every relation is Inconclusive, whatever its rank
+    monkeypatch.setitem(V.INDEPENDENCE_SUITES, "probe-products",
+                        lambda R, seed, dim, samples: (R.probe_pair_model(),
+                                                       R.CONJUGATE_PRODUCTS, ""))
+    report = V.verify_independence_suite("probe-products")
+    cert = report.checks[0].certificate
+    assert cert.status == INCONCLUSIVE and not report.passed
+    assert cert.nonzero_evidence["rank"] == 4
+    assert cert.detail.startswith("model 'probe-4x4' violates gated relation")
+    assert cert.detail.endswith("with residual 1")
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +126,16 @@ def test_torus_default_samples():
     assert np.allclose(v1, [0.5, 0.5j])
     assert np.allclose(v2, [0.5, -0.5j])
     fam = [g(x1g).star() * g(x2g), g(x1g) * g(x2g).star()]
-    assert R.check_independence(fam, m).rank == 2
+    assert R.check_independence(fam, m, SVD_THRESHOLD).rank == 2
 
 
 def test_torus_degenerate_cases():
-    with pytest.raises(R.DegenerateSamples):
-        R.torus_model([(1, 1)])
-    with pytest.raises(R.DegenerateSamples):
-        R.torus_model([(1, 1), (1, 1)])
+    # one sample, or two equal ones, cannot separate the two products
+    for samples in ([(1, 1)], [(1, 1), (1, 1)]):
+        m = R.torus_model(samples)
+        assert R.model_residuals(m).max == 0.0
+        assert R.check_independence(R.CONJUGATE_PRODUCTS[:2], m, SVD_THRESHOLD).rank == 1
+
 
 
 def test_torus_float_phases():
@@ -141,7 +153,7 @@ def test_free_unitary_default():
     assert R.model_residuals(m).max <= 1e-12
     fam = [g(x1g).star() * g(x2g), g(x1g) * g(x2g).star(),
            g(x2g).star() * g(x1g), g(x2g) * g(x1g).star()]
-    assert R.check_independence(fam, m).rank == 4
+    assert R.check_independence(fam, m, SVD_THRESHOLD).rank == 4
 
 
 def test_free_unitary_rejects_dim_two():
@@ -191,7 +203,7 @@ def test_o2plus_product_difference():
     # scalar block cancels, anticommuting block leaves 2AB = e12 - e21
     assert diff[0, 0] == 0
     assert np.allclose(diff[1:, 1:], np.array([[0, 1], [-1, 0]]))
-    assert R.check_independence([v11 * v21, v21 * v11], m).rank == 2
+    assert R.check_independence([v11 * v21, v21 * v11], m, SVD_THRESHOLD).rank == 2
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +264,7 @@ def test_evaluate_unassigned_generator():
 
 def test_check_independence_empty_family():
     with pytest.raises(ValueError):
-        R.check_independence([], R.probe_pair_model())
+        R.check_independence([], R.probe_pair_model(), SVD_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -324,8 +324,26 @@ def test_unknown_suite():
 
 
 def test_torus_suite_with_degenerate_phases():
-    with pytest.raises(R.DegenerateSamples):
-        V.verify_independence_suite("torus", torus_samples=[(1, 1), (1, 1)])
+    report = V.verify_independence_suite("torus", torus_samples=[(1, 1), (1, 1)])
+    cert = report.checks[0].certificate
+    assert cert.status == INCONCLUSIVE and not report.passed
+    assert cert.detail == "rank shortfall: 1/2"
+    assert (cert.nonzero_evidence["rank"], cert.nonzero_evidence["residual_max"]) == (1, 0.0)
+
+
+def test_suite_over_tolerance_is_one_inconclusive_row():
+    # the free-unitary model is a float model, so its residuals are rounding
+    # errors near 6.5e-16; the exact models' are 0
+    report = V.verify_independence_suite("all", residual_tolerance=1e-17)
+    statuses = {c.name: c.certificate.status for c in report.checks}
+    assert statuses == {name: PROVED_NONZERO for name in V.INDEPENDENCE_SUITES} | {
+        "free-unitary": INCONCLUSIVE}
+    cert = report.checks[list(V.INDEPENDENCE_SUITES).index("free-unitary")].certificate
+    ev = cert.nonzero_evidence
+    assert 1e-17 < ev["residual_max"] < 1e-14 and ev["rank"] == 4
+    # which normalization sum rounds worst depends on the float arithmetic
+    assert cert.detail.startswith("model 'free-unitary-4d' violates gated relation 'Σ ")
+    assert cert.detail.endswith(f"with residual {ev['residual_max']:.3g}")
 
 
 # ---------------------------------------------------------------------------
