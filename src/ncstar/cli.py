@@ -5,7 +5,8 @@ Exit codes are stable across output formats:
 * 0 -- everything requested was certified,
 * 1 -- some check failed or stayed inconclusive (including a witness
        whose model exceeds the residual tolerance, or whose family falls
-       short of its rank, as a degenerate sample set does),
+       short of its rank, as a degenerate sample set does), or a sweep
+       task raised: its row names the error and the other rows stand,
 * 2 -- usage or input errors (unparseable pair files, a path that cannot
        be read or written, unknown suites, out-of-range sweep sizes, a
        repeated sweep target, a --dim above its cap, a phase off the unit
@@ -198,9 +199,21 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 
 def _sweep_worker(task):
+    """One sweep row; a task that raises is one failing row naming the error.
+
+    DimensionCap still ends the sweep: the --bound is too large for it all.
+    """
     target, pair_dict, bound = task
     pair = pair_from_json_dict(pair_dict)
-    report = _TARGETS[target].run(pair, bound)
+    try:
+        report = _TARGETS[target].run(pair, bound)
+    except DimensionCap:
+        raise
+    except Exception as exc:  # one failing task must not end the sweep
+        import traceback
+        traceback.print_exc()
+        return {"target": target, "pair": pair.compact(),
+                "error": f"{type(exc).__name__}: {exc}", "passed": False}
     statuses = {}
     for c in report.checks:
         statuses[c.certificate.status] = statuses.get(c.certificate.status, 0) + 1
@@ -262,8 +275,8 @@ def cmd_sweep(args, config: RunConfig) -> int:
         raise TooLarge("n=4 sweeps require --sample N")
     body = run_sweep(args.n, targets, config, args.sample)
     lines = [
-        f"{r['target']:<14} {r['pair']:<40} {r['overall']:<12} "
-        f"{'pass' if r['passed'] else 'FAIL'}"
+        f"{r['target']:<14} {r['pair']:<40} {r.get('overall', 'error'):<12} "
+        f"{'pass' if r['passed'] else 'FAIL'}" + (f"  ({r['error']})" if "error" in r else "")
         for r in body["results"]
     ]
     lines.append(f"total: {body['totals']['passed']}/{body['totals']['tasks']} passed")

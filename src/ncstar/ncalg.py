@@ -48,6 +48,11 @@ HERMITIAN_TAGS = frozenset({"ou", "tx"})
 # read each time a span is built.
 SPAN_ENTRY_CAP = 2_000_000
 
+# Sorted letter roster -> {relation term key: (degree, {word code: coefficient})}.
+# A roster depends only on a presentation's kind and n, so a sweep codes each
+# relation once per roster, and every span inserts a copy of the row.
+_CODED_ROWS: dict = {}
+
 # Display names for tags (the orthogonal family prints as u, the tuple family as x).
 _TAG_DISPLAY = {"x": "x", "u": "u", "ou": "u", "tx": "x"}
 
@@ -580,18 +585,21 @@ class BoundedSpan:
         self._rows = 0
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
-        for rid, rpoly in _star_closed_relations(presentation):
-            row = {codes.code(w): c for w, c in rpoly.items()}
-            pad = bound - rpoly.degree()
+        coded = _CODED_ROWS.setdefault(codes.letters, {})
+        for rid, rpoly, key in _star_closed_relations(presentation):
+            hit = coded.get(key)
+            if hit is None:
+                hit = coded[key] = (rpoly.degree(), {codes.code(w): c for w, c in rpoly.items()})
+            degree, row = hit
+            pad = bound - degree
             if pad == 0:
-                # the relation's own row
-                self._insert(row, rid, 0, 0)
+                # the relation's own row, copied: inserting consumes it
+                self._insert(dict(row), rid, 0, 0)
                 continue
             # each term as (length, base-s value, coefficient); m1 and m2 run over
             # the words of length <= pad in ascending order, and m1 * w * m2 has
             # the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
-            terms = [(len(w), k - codes.offset(len(w)), c)
-                     for w, (k, c) in zip(rpoly.terms, row.items())]
+            terms = [(len(w), codes.code(w) - codes.offset(len(w)), c) for w, c in rpoly.items()]
             for d1 in range(pad + 1):
                 for v1 in range(power[d1]):
                     head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
@@ -713,15 +721,16 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
 
 
 def _star_closed_relations(pres):
+    """(rid, poly, term key) of each relation and its star, each polynomial once."""
     out = []
     seen = set()
     for rel in pres.all_relations():
-        for rid, poly in ((rel.rid, rel.poly), (f"star({rel.rid})", rel.poly.star())):
-            key = frozenset(poly.terms.items())
-            if key in seen or poly.is_zero():
+        key, star_key, _ = rel.keys
+        for rid, poly, k in ((rel.rid, rel.poly, key), (f"star({rel.rid})", rel.star, star_key)):
+            if k in seen or not k:
                 continue
-            seen.add(key)
-            out.append((rid, poly))
+            seen.add(k)
+            out.append((rid, poly, k))
     return out
 
 
@@ -734,7 +743,7 @@ def replay_combination(p: Poly, pres, evidence: dict) -> bool:
     that cannot be read (an unknown relation or letter, a malformed number,
     missing terms) replays as False.
     """
-    rels = dict(_star_closed_relations(pres))
+    rels = {rid: poly for rid, poly, _ in _star_closed_relations(pres)}
     letters = {word_str((l,)): l for l in _roster_letters(pres)}
 
     def parse_word(text):

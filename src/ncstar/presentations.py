@@ -15,11 +15,13 @@ words for lhs = rhs (x_i x_j = x_j x_i), one word for lhs = 0, or a sum of
 words equal to delta for the normalizations.  Its polynomial is written down
 from those words directly, with no polynomial arithmetic.
 
-All values are immutable; every operation here is a pure function.
+All values are immutable, and every operation here is a pure function: the
+builders' shared relation pool (`_POOL`) changes what is built only in speed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -193,7 +195,11 @@ def regularize(pair: CommutationPair) -> CommutationPair:
 
 @dataclass(frozen=True)
 class Relation:
-    """One relation polynomial asserted equal to zero."""
+    """One relation polynomial asserted equal to zero.
+
+    Builders share one Relation per word equation (`_POOL`), so its star and
+    keys are worked out once per process; nothing may mutate their terms.
+    """
 
     rid: str
     poly: Poly
@@ -201,6 +207,17 @@ class Relation:
 
     def describe(self) -> str:
         return self.description or f"{poly_str(self.poly)} = 0"
+
+    @functools.cached_property
+    def star(self) -> Poly:
+        return self.poly.star()
+
+    @functools.cached_property
+    def keys(self) -> tuple:
+        """The term sets of poly, of its star and of minus its star, as dict keys."""
+        star = self.star.terms
+        return (frozenset(self.poly.terms.items()), frozenset(star.items()),
+                frozenset((w, -c) for w, c in star.items()))
 
 
 @dataclass(frozen=True)
@@ -219,6 +236,12 @@ class Presentation:
         return f"{self.kind}[n={self.source_pair.n};{self.source_pair.compact()}]"
 
 
+# Every Relation the builders have handed out, keyed by its word equation.
+# Sweeps meet the same few hundred relations again and again; filled on
+# demand, so nothing is built at import.
+_POOL: dict = {}
+
+
 class _RelationBuilder:
     def __init__(self):
         self.relations = []
@@ -232,15 +255,24 @@ class _RelationBuilder:
         if key in self._seen:
             return
         self._seen.add(key)
-        self.relations.append(Relation(rid, Poly({lhs: 1} if rhs is None else {lhs: 1, rhs: -1})))
+        rel = _POOL.get((rid, lhs, rhs))
+        if rel is None:
+            rel = _POOL[rid, lhs, rhs] = Relation(
+                rid, Poly({lhs: 1} if rhs is None else {lhs: 1, rhs: -1}))
+        self.relations.append(rel)
 
 
 def _sum_relation(rid: str, words, delta: bool, description: str) -> Relation:
     """The relation "sum of the words = delta", delta being 0 or 1."""
-    terms = dict.fromkeys(words, 1)
-    if delta:
-        terms[()] = -1
-    return Relation(rid, Poly(terms), description)
+    words = tuple(words)
+    key = (rid, words, delta, description)
+    rel = _POOL.get(key)
+    if rel is None:
+        terms = dict.fromkeys(words, 1)
+        if delta:
+            terms[()] = -1
+        rel = _POOL[key] = Relation(rid, Poly(terms), description)
+    return rel
 
 
 def sphere_presentation(pair: CommutationPair) -> Presentation:

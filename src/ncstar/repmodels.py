@@ -193,6 +193,8 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
                        threshold: float) -> IndependenceResult:
     """Numerical rank of the flattened family: its singular values above threshold.
 
+    There is one singular value per member of the family: where the family
+    has more members than a matrix has entries, the missing ones are 0.
     The model's residuals are not checked here: a caller whose claim needs
     them valid checks `model_residuals` too.
     """
@@ -201,7 +203,7 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
     rows = [evaluate(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())
-    return IndependenceResult(rank, tuple(float(s) for s in sv))
+    return IndependenceResult(rank, tuple(float(s) for s in sv) + (0.0,) * (len(family) - len(sv)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ c = 0; the coproduct is the alpha coaction of the quantum unitary group on
 itself.  One routine, `_verify_hom`, pushes relations through it.  A
 relation's image depends only on its polynomial, n and the map, never on the
 pair, so the routine builds each image once per process and reuses it for
-every later pair.
+every later pair.  The relations themselves are pooled per process too
+(`presentations.Relation`), each with its star.
+
+Within one map and one pair of spans, a relation whose star is plus or minus
+one already certified ProvedZero is ProvedZero without a second reduction:
+the map is a *-homomorphism and both spans are star-closed, so an image
+vanishes leg-wise exactly when its leg-wise star does.  An Inconclusive is
+never reused, since its detail names a survivor of its own.
 
 The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
 the non-injectivity witness check and the independence suites import them, so
@@ -163,16 +170,27 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
     `family` is (name, n, side) and names the assignment; with the relation's
     terms it keys the image cache.  Each relation becomes one timed check; a
     nonempty side prefixes its name ("alpha:rid").
+    A star twin of an earlier ProvedZero in this call (see the module
+    docstring) gets its partner's verdict and term count, with fresh evidence.
     """
     side = family[2]
     lg, rg = left.presentation.generators, right.presentation.generators
+    proved: dict = {}  # term key of each ProvedZero relation so far -> its evidence
     for rel in relations:
         def thunk(rel=rel):
-            key = family + (frozenset(rel.poly.terms.items()),)
-            t = _IMAGE_CACHE.get(key)
-            if t is None:
-                t = _IMAGE_CACHE[key] = apply_tensor_hom(rel.poly, images, lg, rg)
-            return is_zero_tensor(t, left, right)
+            key, star_key, negated_star_key = rel.keys
+            partner = proved.get(star_key) or proved.get(negated_star_key)
+            if partner is not None:
+                cert = Certificate(PROVED_ZERO, zero_evidence={
+                    **partner, "left_basis": left.descriptor(), "right_basis": right.descriptor()})
+            else:
+                t = _IMAGE_CACHE.get(family + (key,))
+                if t is None:
+                    t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, lg, rg)
+                cert = is_zero_tensor(t, left, right)
+            if cert.status == PROVED_ZERO:
+                proved[key] = cert.zero_evidence
+            return cert
         _timed(report, f"{side}:{rel.rid}" if side else rel.rid, thunk)
 
 
@@ -430,9 +448,9 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
         return report
     base = sphere_presentation(pair)
     target = sphere_presentation(reg)
-    base_keys = {frozenset(r.poly.terms.items()) for r in base.all_relations()}
+    base_keys = {r.keys[0] for r in base.all_relations()}
     span = build_quotient_basis(base, REGULARIZATION_BOUND)
     for rel in target.all_relations():
-        if frozenset(rel.poly.terms.items()) not in base_keys:
+        if rel.keys[0] not in base_keys:
             _timed(report, rel.rid, functools.partial(span.certify, rel.poly))
     return report

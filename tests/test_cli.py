@@ -342,6 +342,44 @@ def test_sweep_n4_sample(capsys):
     assert payload["totals"]["passed"] == payload["totals"]["tasks"] > 0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_one_failing_sweep_task_is_one_failing_row(jobs, monkeypatch, capsys):
+    real = cli._TARGETS["hopf"]
+
+    def run(pair, bound):
+        if pair.epsilon[0][1]:
+            raise RuntimeError(f"injected at {pair.compact()}")
+        return real.run(pair, bound)
+    # the n = 2 hopf sweep has 16 tasks, enough for a real pool at --jobs 2
+    monkeypatch.setitem(cli._TARGETS, "hopf", real._replace(run=run))
+    assert run_cli("sweep", "--n", "2", "--targets", "hopf", "--jobs", jobs,
+                   "--format", "json") == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    pairs = [cli.pair_from_json_dict(d) for _, d, _ in sweep_tasks(2, ["hopf"], RunConfig())]
+    assert [r["pair"] for r in payload["results"]] == [p.compact() for p in pairs]
+    for pair, row in zip(pairs, payload["results"]):
+        if pair.epsilon[0][1]:
+            assert row == {"target": "hopf", "pair": pair.compact(),
+                           "error": f"RuntimeError: injected at {pair.compact()}", "passed": False}
+        else:
+            assert row["passed"] and row["overall"] == "ProvedZero"
+    assert payload["totals"] == {"tasks": 16, "passed": 8}
+    assert not payload["overall_passed"]
+    if jobs == "1":  # a pool worker's stderr is its own
+        assert captured.err.count("RuntimeError: injected at") == 8
+
+
+def test_failing_sweep_row_in_text(monkeypatch, capsys):
+    def run(pair, bound):
+        raise ValueError("bad")
+    monkeypatch.setitem(cli._TARGETS, "hopf", cli._TARGETS["hopf"]._replace(run=run))
+    assert run_cli("sweep", "--n", "1", "--targets", "hopf", "--jobs", "1") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["hopf", "eps=0;eta=0", "error", "FAIL", "(ValueError:", "bad)"]
+    assert lines[-1] == "total: 0/2 passed"
+
+
 def test_sweep_json_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("sweep", "--n", "2", "--targets", "tuple-action", "--jobs", "1",
@@ -375,6 +413,17 @@ def test_witness_degenerate_phases_exit_1(capsys):
     assert captured.out == ("[FAIL] torus: rank 1/2 min-sv 0.000e+00  (rank shortfall: 1/2)\n"
                             "overall passed: False\n")
     assert captured.err == ""
+
+
+def test_witness_single_phase_sample_shows_min_sv_zero(capsys):
+    # one sample makes a 1x1 model: two members, one matrix entry
+    assert run_cli("witness", "torus", "--phases", "1,1") == 1
+    assert capsys.readouterr().out == ("[FAIL] torus: rank 1/2 min-sv 0.000e+00  "
+                                       "(rank shortfall: 1/2)\noverall passed: False\n")
+    assert run_cli("witness", "torus", "--phases", "1,1", "--format", "json") == 1
+    ev = json.loads(capsys.readouterr().out)["report"]["checks"][0]["evidence"]["nonzero_evidence"]
+    assert (ev["dim"], ev["rank"], ev["expected_rank"]) == (1, 1, 2)
+    assert len(ev["singular_values"]) == 2 and ev["singular_values"][1] == 0.0
 
 
 def test_witness_over_tolerance_is_one_failed_row(capsys):

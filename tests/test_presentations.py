@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncstar import cli, ncalg
 from ncstar import presentations as P
 from ncstar.ncalg import Poly
 
@@ -300,6 +301,31 @@ def test_presentation_digest_is_pinned():
                 digest.update(repr((tag, r.rid, r.describe(), list(r.poly.terms.items()))).encode())
     assert count == 1082
     assert digest.hexdigest() == "13a93610b179a4a171d3b18738ac8ea3e6aaf932d3931a3a0b37a3b92e43453c"
+
+
+def test_relation_pool_survives_a_sweep_and_stays_within_its_kind(monkeypatch):
+    """After a full n = 3 sweep in this process, every pooled relation, its
+    star and every coded span row equal ones written down afresh, so no
+    consumer mutated shared terms; and no entry is shared across kinds."""
+    assert cli.run_sweep(3, cli.SWEEP_TARGETS, cli.RunConfig(jobs=1))["overall_passed"]
+    pooled = list(_all_presentations(3))
+    monkeypatch.setattr(P, "_POOL", {})
+    kinds = {}
+    for pres, fresh in zip(pooled, _all_presentations(3), strict=True):
+        letters = {l for g in pres.generators for l in (g, g.star())}
+        for rel, new in zip(pres.all_relations(), fresh.all_relations(), strict=True):
+            assert rel is not new
+            assert (rel.rid, rel.description, rel.poly) == (new.rid, new.description, new.poly)
+            assert rel.star == new.poly.star() and rel.keys == new.keys
+            assert {l for w in rel.poly.terms for l in w} <= letters, (pres.label, rel.rid)
+            kinds.setdefault(id(rel), set()).add(pres.kind)
+    assert all(len(k) == 1 for k in kinds.values())
+    assert ncalg._CODED_ROWS
+    for letters, rows in ncalg._CODED_ROWS.items():
+        codes = ncalg._WordCodes(letters)
+        for key, (degree, row) in rows.items():
+            assert degree == Poly(dict(key)).degree()
+            assert row == {codes.code(w): c for w, c in key}
 
 
 def test_builders_make_no_polynomial_arithmetic(monkeypatch):

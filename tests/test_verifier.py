@@ -1,5 +1,6 @@
 """End-to-end verification reports: coproduct, actions, anchor, suites."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -254,6 +255,74 @@ def test_basis_descriptor_is_copied_per_certificate():
     assert first["left_basis"] == second["left_basis"] == first["right_basis"]
     first["left_basis"]["rank"] = -1
     assert second["left_basis"]["rank"] > 0 and first["right_basis"]["rank"] > 0
+
+
+# ---------------------------------------------------------------------------
+# star twins: a relation whose star is plus or minus an earlier ProvedZero one
+# ---------------------------------------------------------------------------
+
+def _hom_checks(relations, span_pres, monkeypatch):
+    """The coproduct checks of relations against spans of span_pres, and the reductions they made."""
+    pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    reduced = []
+
+    def counted(t, left, right):
+        reduced.append(t)
+        return is_zero_tensor(t, left, right)
+    monkeypatch.setattr(V, "is_zero_tensor", counted)
+    basis = build_quotient_basis(span_pres)
+    images = V._coaction_images(pres, pres, "alpha")
+    report = V.VerificationReport("hopf", {})
+    V._verify_hom(report, relations, images, ("hopf", 2, ""), basis, basis)
+    direct = [is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators, pres.generators),
+                             basis, basis) for r in relations]
+    return [c.certificate for c in report.checks], direct, len(reduced)
+
+
+def _relation(rid, pres):
+    return next(r for r in pres.all_relations() if r.rid == rid)
+
+
+def test_star_twin_reuses_only_plus_or_minus_a_proved_zero(monkeypatch):
+    pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
+    # u11* u22 - u22 u11*, whose star is the twin
+    partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
+    assert twin.poly == partner.star
+    minus = P.Relation("minus", -partner.star)  # its star is minus the partner
+    # its star u11* u22 + u22 u11* has the partner's words, but is not plus or minus it
+    u22s, u11 = Letter("u", 2, 2, True), Letter("u", 1, 1)
+    other = P.Relation("other", Poly({(u22s, u11): 1, (u11, u22s): 1}))
+    certs, direct, reduced = _hom_checks([partner, twin, minus, other], pres, monkeypatch)
+    assert certs == direct
+    assert [c.status for c in certs] == [PROVED_ZERO] * 3 + [INCONCLUSIVE]
+    assert reduced == 2  # the partner and `other`
+
+
+def test_star_twin_evidence_is_its_own(monkeypatch):
+    pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
+    partner, twin = _relation("sum:u*u(1,2)", pres), _relation("sum:u*u(2,1)", pres)
+    (first, second), direct, reduced = _hom_checks([partner, twin], pres, monkeypatch)
+    assert reduced == 1 and [first, second] == direct
+    a, b = first.zero_evidence, second.zero_evidence
+    assert a is not b and a["left_basis"] is not b["left_basis"]
+    assert a["right_basis"] is not b["right_basis"]
+    b["left_basis"]["rank"] = b["right_basis"]["rank"] = -1
+    b["terms"] = -1
+    assert first == direct[0] and a["left_basis"]["rank"] > 0 and a["terms"] > 0
+
+
+def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch):
+    pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
+    partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
+    assert twin.poly == partner.star
+    # without the pair, neither image reduces to 0, and each keeps its own sample survivor
+    thin = dataclasses.replace(pres, relations=tuple(
+        r for r in pres.relations if r not in (partner, twin)))
+    certs, direct, reduced = _hom_checks([partner, twin], thin, monkeypatch)
+    assert reduced == 2 and certs == direct
+    assert [c.status for c in certs] == [INCONCLUSIVE] * 2
+    assert certs[0].detail != certs[1].detail
 
 
 # ---------------------------------------------------------------------------
