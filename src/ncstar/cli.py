@@ -13,7 +13,8 @@ Exit codes are stable across output formats:
        circle, a non-finite tolerance, a negative seed or sample, a bad
        NCSTAR_JOBS, a --bound outside 2..4 or one whose relation span
        exceeds its size cap, a verify pair above MAX_VERIFY_N, --phases
-       with no sample or with a suite that takes none).
+       with no sample or with a suite that takes none, --dim with a suite
+       that takes none).
 """
 
 from __future__ import annotations
@@ -320,15 +321,21 @@ MAX_WITNESS_DIM = 1024
 
 
 def cmd_witness(args, config: RunConfig) -> int:
-    if args.dim > MAX_WITNESS_DIM:
-        raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
+    # without --dim the suite's own default stands
+    dim = {}
+    if args.dim is not None:
+        if args.suite not in ("free-unitary", "all"):
+            raise ValueError(f"--dim applies only to the free-unitary suite, not to {args.suite!r}")
+        if args.dim > MAX_WITNESS_DIM:
+            raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
+        dim["dim"] = args.dim
     report = verifier.verify_independence_suite(
         args.suite,
         svd_threshold=config.svd_threshold,
         residual_tolerance=config.residual_tolerance,
         seed=config.seed,
-        dim=args.dim,
         torus_samples=_parse_phases(args.phases, args.suite),
+        **dim,
     )
     lines = []
     for c in report.checks:
@@ -412,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="run independence witness suites")
     p.add_argument("suite", help="suite name or 'all': " + ", ".join(verifier.INDEPENDENCE_SUITES))
-    p.add_argument("--dim", type=int, default=4, help="dimension for the seeded unitary witness "
-                                                      f"(3 to {MAX_WITNESS_DIM})")
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension for the seeded unitary witness, for the free-unitary suite "
+                        f"or all (3 to {MAX_WITNESS_DIM}, default 4)")
     p.add_argument("--phases", nargs="*", action="extend", default=None,
                    help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j), for the torus "
                         "suite or all; repeated flags add up, and --phases=-1,1j gives a "

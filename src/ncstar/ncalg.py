@@ -9,11 +9,13 @@ runs over Q, and star only reverses and stars words.  On top of the free
 * one degree-bounded relation span, `BoundedSpan`: the span of all products
   m1 * r * m2 of total degree <= bound, brought to echelon form once per
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
-  is the name verifications build it through).  The elimination runs on
-  integers: a word is keyed by its integer code over the sorted letter
-  roster (`_WordCodes`), which sorts like the word, with the coefficients
-  of the polynomials themselves; `GaussianRational` appears only at the
-  certificate boundary, to format and parse evidence coefficients,
+  is the name verifications build it through).  The elimination keys each
+  word by its integer code over the sorted letter roster (`_WordCodes`),
+  which sorts like the word, and keeps the coefficients of the polynomials
+  themselves; a residue is a list of (word code, coefficient) pairs, and a
+  word with a letter outside the roster raises `RosterMismatch`.
+  `GaussianRational` appears only at the certificate boundary, to format and
+  parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
   span (`is_zero_tensor`); `TensorPoly` is a plain value with no arithmetic,
   and relation images are built by `apply_tensor_hom` alone, and
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .scalars import GaussianRational, parse_scalar
@@ -367,20 +369,18 @@ class _WordCodes:
         s = self.base
         return d if s == 1 else (s ** d - 1) // (s - 1)
 
-    def code(self, w: Word) -> Optional[int]:
-        """The code of w, or None when a letter of w is not in the roster."""
+    def code(self, w: Word) -> int:
+        """The code of w; a letter outside the roster raises RosterMismatch."""
         v = 0
         for l in w:
             k = self.index.get(l)
             if k is None:
-                return None
+                raise RosterMismatch(f"letter {letter_str(l)} is not in the span's roster")
             v = v * self.base + k
         return self.offset(len(w)) + v
 
-    def word(self, key) -> Word:
-        """The word a code stands for; any other key is a word already."""
-        if not isinstance(key, int):
-            return key
+    def word(self, key: int) -> Word:
+        """The word a code stands for."""
         d = 0
         while self.offset(d + 1) <= key:
             d += 1
@@ -412,13 +412,19 @@ def _scale(row: dict, x) -> None:
         row[w] = v.numerator if v.denominator == 1 else v
 
 
-def _accumulate(acc: dict, x: int, r1: list, r2: list) -> None:
-    """acc += x * (r1 (x) r2) over pairs of keys, with int values, dropping zeros."""
+def _accumulate(acc: dict, x, r1: list, r2: list) -> None:
+    """acc += x * (r1 (x) r2), keyed by (m1, m2, denominator), with int numerators.
+
+    Each product keeps its own denominator in the key, so the loop runs on
+    ints only (Fraction arithmetic per product doubled the time of the
+    slowest n = 3 sweep tasks); zeros are dropped.
+    """
+    xn, xd = x.numerator, x.denominator
     for m1, n1 in r1:
-        x1 = x * n1
+        a1, d1 = xn * n1.numerator, xd * n1.denominator
         for m2, n2 in r2:
-            k = (m1, m2)
-            s = acc.get(k, 0) + x1 * n2
+            k = (m1, m2, d1 * n2.denominator)
+            s = acc.get(k, 0) + a1 * n2.numerator
             if s:
                 acc[k] = s
             else:
@@ -502,47 +508,47 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 
     ProvedZero is sound because both spans contain only genuine relations; a
     nonzero reduction is merely Inconclusive until a matrix witness exists.
-    t reduces to int numerators over one common denominator, keyed by pairs
-    of word codes.
+    t reduces to rational coefficients keyed by pairs of word codes; a word
+    with a letter outside its span's roster raises RosterMismatch.  The
+    products are summed as int numerators per denominator (`_accumulate`)
+    and folded into rationals once at the end.
     """
     if t.left_roster and tuple(t.left_roster) != tuple(left.presentation.generators):
         raise RosterMismatch("left leg roster does not match the left basis")
     if t.right_roster and tuple(t.right_roster) != tuple(right.presentation.generators):
         raise RosterMismatch("right leg roster does not match the right basis")
-    # int numerators over one common denominator
     acc: dict = {}
-    denominator = 1
     # residue_word's own cache, read here first: nearly every word is a hit
     cached1, cached2 = left._residue_cache.get, right._residue_cache.get
     for (w1, w2), c in t.items():
-        d1, r1 = cached1(w1) or left.residue_word(w1)
+        r1 = cached1(w1)
+        if r1 is None:
+            r1 = left.residue_word(w1)
         if not r1:
             continue
-        d2, r2 = cached2(w2) or right.residue_word(w2)
+        r2 = cached2(w2)
+        if r2 is None:
+            r2 = right.residue_word(w2)
         if not r2:
             continue
-        d = d1 * d2 * c.denominator
-        if denominator % d:
-            # a new denominator: bring every value so far onto the common one
-            f = d // gcd(denominator, d)
-            denominator *= f
-            for k in acc:
-                acc[k] *= f
-        _accumulate(acc, c.numerator * (denominator // d), r1, r2)
-    if not acc:
+        _accumulate(acc, c, r1, r2)
+    coords: dict = {}
+    for (m1, m2, d), v in acc.items():
+        _add_term(coords, (m1, m2), Fraction(v, d))
+    if not coords:
         return Certificate(PROVED_ZERO, zero_evidence={
             "kind": "tensor-quotient",
             "left_basis": left.descriptor(),
             "right_basis": right.descriptor(),
             "terms": len(t.terms),
         })
-    survivors = {(left._codes.word(k1), right._codes.word(k2)): (k1, k2) for k1, k2 in acc}
-    sample = min(survivors, key=lambda k: (word_key(k[0]), word_key(k[1])))
-    coefficient = Fraction(acc[survivors[sample]], denominator)
+    # codes sort like words, so this is the least surviving pair of words
+    k1, k2 = min(coords)
     return Certificate(
         INCONCLUSIVE,
-        detail=(f"{len(survivors)} coordinate(s) survive leg-wise reduction, "
-                f"e.g. {word_str(sample[0])} ⊗ {word_str(sample[1])} with coefficient {coefficient}"),
+        detail=(f"{len(coords)} coordinate(s) survive leg-wise reduction, "
+                f"e.g. {word_str(left._codes.word(k1))} ⊗ {word_str(right._codes.word(k2))} "
+                f"with coefficient {coords[k1, k2]}"),
     )
 
 
@@ -557,9 +563,10 @@ class BoundedSpan:
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
     echelon table is built once, at construction, over integer word codes
     (`_WordCodes`) with int coefficients, or Fraction ones where a value is
-    not integral (a `Poly` holds no other kind).  Tensor
-    legs reduce single words against it through a per-word residue cache
-    (`residue_word`), and `certify` decides membership of one polynomial.
+    not integral (a `Poly` holds no other kind).  Tensor legs reduce single
+    words against it through a per-word residue cache (`residue_word`), and
+    `certify` decides membership of one polynomial; both raise
+    RosterMismatch on a word with a letter outside the roster.
     With provenance, each pivot also tracks the exact combination of products
     it stands for, so ProvedZero can carry evidence.  Every relation of the
     presentations here has degree 2, so at bound 2 the span is that of the
@@ -638,21 +645,17 @@ class BoundedSpan:
     def descriptor(self) -> dict:
         return dict(self._descriptor)
 
-    def residue_word(self, w: Word):
-        """Reduced coordinates of a single word, as (d, [(key, n), ...]).
+    def residue_word(self, w: Word) -> list:
+        """Reduced coordinates of a single word, as [(word code, coefficient), ...].
 
-        The word reduces to (1/d) * sum n * key, with int numerators n over one
-        common denominator d.  A key is a word code; a word with a letter
-        outside the roster has no code and is its own residue, keyed by the
-        word itself.
+        Each coefficient is an int, or a Fraction where it is not integral;
+        the list is empty when the word lies in the span.  A word with a
+        letter outside the roster raises RosterMismatch.
         """
         res = self._residue_cache.get(w)
         if res is None:
-            k = self._codes.code(w)
-            row = {w: 1} if k is None else _rref_reduce(self._pivots, {k: 1})
-            d = lcm(*(v.denominator for v in row.values()))
-            res = self._residue_cache[w] = (d, [(m, v.numerator * (d // v.denominator))
-                                                for m, v in row.items()])
+            row = _rref_reduce(self._pivots, {self._codes.code(w): 1})
+            res = self._residue_cache[w] = list(row.items())
         return res
 
     def certify(self, p: Poly) -> Certificate:
@@ -664,22 +667,16 @@ class BoundedSpan:
         column-product computation.
         """
         _check_product_degree(p, self.bound)
-        row = {}
-        outside = 0
-        for w, c in p.items():
-            k = self._codes.code(w)
-            if k is None:
-                outside += 1
-            else:
-                row[k] = _rational(c)
+        code = self._codes.code
+        row = {code(w): _rational(c) for w, c in p.items()}
         used: dict = {}
         on_use = None
         if self.provenance:
             def on_use(c, pcombo):
                 _eliminate(used, -c, pcombo)
         residue = _rref_reduce(self._pivots, row, on_use)
-        if residue or outside:
-            return Certificate(INCONCLUSIVE, detail=f"{len(residue) + outside} monomial(s) "
+        if residue:
+            return Certificate(INCONCLUSIVE, detail=f"{len(residue)} monomial(s) "
                                                     "outside the bounded product span")
         if not self.provenance:
             return Certificate(PROVED_ZERO, zero_evidence={

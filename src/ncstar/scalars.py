@@ -118,9 +118,6 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational({self.exact_str()})"
 
-    def __str__(self) -> str:
-        return pretty_scalar(self)
-
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -142,18 +139,6 @@ def parse_scalar(text: str) -> GaussianRational:
                 im = -im
             return GaussianRational.from_fractions(re, im)
     raise ValueError(f"malformed scalar string: {text!r}")
-
-
-def pretty_scalar(c: GaussianRational) -> str:
-    """Human-friendly rendering, e.g. ``1``, ``-2``, ``1/2``, ``i``, ``(1+i)/2``."""
-    if c.b == 0:
-        return f"{c.a}" if c.q == 1 else f"{c.a}/{c.q}"
-    if c.a == 0:
-        num = "i" if c.b == 1 else ("-i" if c.b == -1 else f"{c.b}i")
-        return num if c.q == 1 else f"{num}/{c.q}"
-    sign = "+" if c.b > 0 else "-"
-    body = f"({c.a}{sign}{abs(c.b)}i)"
-    return body if c.q == 1 else f"{body}/{c.q}"
 
 
 # _QUAD_PRODUCT[p][q] = (k, f): basis element p times q is f times basis element k,

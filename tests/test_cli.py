@@ -500,7 +500,11 @@ def test_bad_numeric_flag_exit_2(argv, flag, capsys):
     (["witness", "torus", "--phases", "1,1", "2,1j"], "--phases sample '2,1j': '2' is not on the unit circle"),
     (["witness", "free-unitary", "--dim", "100000000"], "--dim"),
     (["sweep", "--n", "1", "--bound", "1", "--jobs", "1"], "--bound"),
-], ids=["repeated-target", "nan-phase", "off-circle-phase", "huge-dim", "bound-1"])
+    (["witness", "torus", "--dim", "7"], "--dim applies only to the free-unitary suite, not to 'torus'"),
+    (["witness", "probe-products", "--dim", "1"],
+     "--dim applies only to the free-unitary suite, not to 'probe-products'"),
+], ids=["repeated-target", "nan-phase", "off-circle-phase", "huge-dim", "bound-1",
+        "dim-torus", "dim-probe-products"])
 def test_bad_input_exit_2_names_it(argv, culprit, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()

@@ -1,14 +1,17 @@
 """Heavier module invariants that go beyond the per-operation unit tests."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import ncstar
 from ncstar import presentations as P
 from ncstar import verifier as V
+from ncstar import cli
 from ncstar.cli import RunConfig, run_sweep
 from ncstar.ncalg import INCONCLUSIVE, PROVED_ZERO
 
@@ -27,11 +30,13 @@ def test_regularization_consistency_all_n_le_3():
     4 or stay Inconclusive; they never produce a bogus nonzero verdict."""
     inconclusive_pairs = 0
     checked = 0
+    digest = hashlib.sha256()
     for n in (1, 2, 3):
         for pair in P.enumerate_pairs(n):
             if P.is_regular(pair).is_regular:
                 continue
             report = V.verify_regularization_consistency(pair)
+            digest.update(json.dumps(report.to_json_dict(include_timings=False)).encode())
             checked += 1
             assert report.checks, f"{pair.compact()}: regularize changed nothing?"
             statuses = {c.certificate.status for c in report.checks}
@@ -41,6 +46,20 @@ def test_regularization_consistency_all_n_le_3():
     assert checked > 400  # 1 + 11 + 414 non-regular pairs at n = 1, 2, 3
     # the conclusive cases exist (mostly forced normality) and so do the open ones
     assert 0 < inconclusive_pairs < checked
+    assert digest.hexdigest() == "7ad7510c9d08857d5dbe06f2f116f59cf861815c89b5a65e98c15203b074ba05"
+
+
+def test_sweep_reports_n2_n3_are_pinned():
+    """Every n = 2, 3 sweep report, byte for byte, in task order."""
+    digest = hashlib.sha256()
+    tasks = 0
+    for n in (2, 3):
+        for target, pair_dict, bound in cli.sweep_tasks(n, cli.SWEEP_TARGETS, RunConfig()):
+            report = cli._TARGETS[target].run(P.pair_from_json_dict(pair_dict), bound)
+            digest.update(json.dumps(report.to_json_dict(include_timings=False)).encode())
+            tasks += 1
+    assert tasks == 641
+    assert digest.hexdigest() == "29b14a2f9ab0407ffe549769b1922f152273ac7f88c8337d7f9e75edfc345d10"
 
 
 def test_sweep_results_independent_of_job_count():

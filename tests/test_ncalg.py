@@ -412,15 +412,16 @@ def test_membership_degree_guard():
         ideal_membership_bounded(x1 * x1 * x1, pres, 2)
 
 
-def _span_targets(pres, bound):
+def _span_targets(pres, bound, a, b):
+    """Targets over the generators a, b of pres: some in the span, some not."""
     rels = [r.poly for r in pres.all_relations()]
     half = Fraction(1, 2)
     targets = [
         rels[0],
         rels[-1].scale(half) + rels[0].scale(-3),
-        x1 * x2.star(),
-        x1 * rels[0] * x2.star(),
-        x2.star() * rels[-1] + rels[0] * x1.scale(half),
+        a * b.star(),
+        a * rels[0] * b.star(),
+        b.star() * rels[-1] + rels[0] * a.scale(half),
     ]
     return [p for p in targets if p.degree() <= bound]
 
@@ -433,9 +434,11 @@ def _span_targets(pres, bound):
 ])
 def test_bounded_span_reuse_matches_one_shot(pair, family, bound):
     pres = family(P.validate_pair(*pair))
-    targets = _span_targets(pres, bound)
     if family is P.unitary_qg_presentation:
+        targets = _span_targets(pres, bound, u(1, 2), u(2, 1))
         targets.append(u(1, 1) * u(2, 1, True) + u(1, 2) * u(2, 2, True))
+    else:
+        targets = _span_targets(pres, bound, x1, x2)
     proved = 0
     for provenance in (True, False):
         span = A.BoundedSpan(pres, bound, provenance=provenance)
@@ -550,18 +553,23 @@ def test_certify_matches_reference_on_rational_polys(case, data):
         assert replay_combination(p, pres, cert.zero_evidence)
 
 
-def test_word_with_foreign_letter_is_its_own_residue():
+def test_word_with_foreign_letter_raises_roster_mismatch():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     span = build_quotient_basis(pres, 2)
     y = Letter("y", 1, 0)
     w = (Letter("x", 1, 0), y)
-    assert span.residue_word(w) == (1, [(w, 1)])
-    rel = pres.all_relations()[0].poly
-    cert = span.certify(rel + Poly.from_word(w, 2))
-    assert cert.detail == "1 monomial(s) outside the bounded product span"
+    foreign = "letter y1 is not in the span's roster"
+    with pytest.raises(A.RosterMismatch, match=foreign):
+        span.residue_word(w)
+    p = pres.all_relations()[0].poly + Poly.from_word(w, 2)
+    with pytest.raises(A.RosterMismatch, match=foreign):
+        span.certify(p)
+    with pytest.raises(A.RosterMismatch, match=foreign):
+        ideal_membership_bounded(p, pres, 2)
+    # a tensor built with no rosters passes the roster checks and fails on the letter
     t = TensorPoly({((y,), ()): Fraction(1, 2)})
-    assert is_zero_tensor(t, span, span).detail == (
-        "1 coordinate(s) survive leg-wise reduction, e.g. y1 ⊗ 1 with coefficient 1/2")
+    with pytest.raises(A.RosterMismatch, match=foreign):
+        is_zero_tensor(t, span, span)
 
 
 def test_raw_constructors_refuse_inexact_coefficients():
@@ -588,7 +596,8 @@ def test_inconclusive_tensor_detail_is_pinned(scales, detail):
     zero3 = [[0] * 3 for _ in range(3)]
     pres = P.unitary_qg_presentation(P.validate_pair(zero3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     span = build_quotient_basis(pres, 2)
-    assert span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))[0] == 2
+    residue = span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))
+    assert any(c.denominator == 2 for _, c in residue)
     c1, c2 = scales
     terms = {}
     for p, q, c in ((u(1, 2) * u(1, 2, True), u(1, 3), c1), (u(1, 1) * u(1, 1, True), u(1, 3), c2),

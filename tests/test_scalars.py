@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ncstar.scalars import (GaussianRational, ONE, Q_ONE,
                             Q_SQRT2_OVER_2, Q_ZERO, QuadExact, ZERO,
-                            parse_scalar, pretty_scalar)
+                            parse_scalar)
 
 I = GaussianRational(0, 1)
 MINUS_ONE = GaussianRational(-1)
@@ -59,15 +59,6 @@ def test_field_distributivity(a, b, c):
 def test_conjugation_involutive(a):
     assert a.conjugate().conjugate() == a
     assert parse_scalar(a.exact_str()) == a
-
-
-def test_pretty_forms():
-    assert pretty_scalar(ONE) == "1"
-    assert pretty_scalar(GaussianRational(-2)) == "-2"
-    assert pretty_scalar(GaussianRational(1, 0, 2)) == "1/2"
-    assert pretty_scalar(I) == "i"
-    assert pretty_scalar(GaussianRational(0, -1)) == "-i"
-    assert pretty_scalar(GaussianRational(1, 1, 2)) == "(1+1i)/2"
 
 
 def test_quad_sqrt2_squares_to_half():
