@@ -7,14 +7,10 @@ Exit codes are stable across output formats:
        whose model exceeds the residual tolerance, or whose family falls
        short of its rank, as a degenerate sample set does), or a sweep
        task raised: its row names the error and the other rows stand,
-* 2 -- usage or input errors (unparseable pair files, a path that cannot
-       be read or written, unknown suites, out-of-range sweep sizes, a
-       repeated sweep target, a --dim above its cap, a phase off the unit
-       circle, a non-finite tolerance, a negative seed or sample, a bad
-       NCSTAR_JOBS, a --bound outside 2..4 or one whose relation span
-       exceeds its size cap, a verify pair above MAX_VERIFY_N, --phases
-       with no sample or with a suite that takes none, --dim with a suite
-       that takes none).
+* 2 -- a usage or input error: a ValueError or OSError raised on the
+       flags or the input files, or a DimensionCap (the --bound's relation
+       span exceeds its size cap).  Any other exception is a bug and shows
+       a traceback.
 """
 
 from __future__ import annotations
@@ -30,8 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__, presentations, verifier
 from .ncalg import DimensionCap
-from .presentations import (CommutationPair, PairValidationError, TooLarge,
-                            enumerate_pairs, is_regular, load_pair,
+from .presentations import (CommutationPair, enumerate_pairs, is_regular, load_pair,
                             pair_from_json_dict, regularize)
 
 
@@ -187,12 +182,12 @@ MAX_VERIFY_N = 11
 
 def cmd_verify(args, config: RunConfig) -> int:
     if args.target != "noninjectivity" and not args.input:
-        raise PairValidationError(f"target {args.target} requires --input PAIRFILE")
+        raise ValueError(f"target {args.target} requires --input PAIRFILE")
     if args.target == "noninjectivity" and hasattr(args, "degree_bound"):
         raise ValueError("target noninjectivity takes no --bound: its certificate is fixed at degree 2")
     pair = load_pair(args.input) if args.input else None
     if pair is not None and pair.n > MAX_VERIFY_N:
-        raise TooLarge(f"verify is capped at n={MAX_VERIFY_N}; got n={pair.n}")
+        raise ValueError(f"verify is capped at n={MAX_VERIFY_N}; got n={pair.n}")
     report = _TARGETS[args.target].run(pair, config.degree_bound)
     _emit(config, f"verify:{args.target}",
           {"report": report.to_json_dict(include_timings=args.timings)}, _report_lines(report))
@@ -265,7 +260,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     targets = args.targets.split(",") if args.targets else list(SWEEP_TARGETS)
     for k, t in enumerate(targets):
         if t not in SWEEP_TARGETS:
-            raise KeyError(f"unknown sweep target {t!r}")
+            raise ValueError(f"unknown sweep target {t!r}")
         if t in targets[:k]:
             raise ValueError(f"--targets names {t!r} more than once")
     if args.sample < 0:
@@ -273,7 +268,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     if not 1 <= args.n <= 4:
         raise ValueError(f"--n must be between 1 and 4, not {args.n}")
     if args.n == 4 and not args.sample:
-        raise TooLarge("n=4 sweeps require --sample N")
+        raise ValueError("n=4 sweeps require --sample N")
     body = run_sweep(args.n, targets, config, args.sample)
     lines = [
         f"{r['target']:<14} {r['pair']:<40} {r.get('overall', 'error'):<12} "
@@ -285,12 +280,12 @@ def cmd_sweep(args, config: RunConfig) -> int:
     return 0 if body["overall_passed"] else 1
 
 
-def _parse_phases(tokens, suite):
+def _parse_phases(tokens, suite, names):
     if tokens is None:
         return None
     if not tokens:
         raise ValueError("--phases needs at least one sample z1,z2")
-    if suite not in ("torus", "all"):
+    if "torus" not in names:
         raise ValueError(f"--phases applies only to the torus suite, not to {suite!r}")
     samples = []
     for tok in tokens:
@@ -321,10 +316,11 @@ MAX_WITNESS_DIM = 1024
 
 
 def cmd_witness(args, config: RunConfig) -> int:
+    names = verifier.witness_suites(args.suite)
     # without --dim the suite's own default stands
     dim = {}
     if args.dim is not None:
-        if args.suite not in ("free-unitary", "all"):
+        if "free-unitary" not in names:
             raise ValueError(f"--dim applies only to the free-unitary suite, not to {args.suite!r}")
         if args.dim > MAX_WITNESS_DIM:
             raise ValueError(f"--dim must be at most {MAX_WITNESS_DIM}, not {args.dim}")
@@ -334,7 +330,7 @@ def cmd_witness(args, config: RunConfig) -> int:
         svd_threshold=config.svd_threshold,
         residual_tolerance=config.residual_tolerance,
         seed=config.seed,
-        torus_samples=_parse_phases(args.phases, args.suite),
+        torus_samples=_parse_phases(args.phases, args.suite, names),
         **dim,
     )
     lines = []
@@ -446,19 +442,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](args, config)
     except DimensionCap as exc:
         print(f"error: the relation span at --bound {config.degree_bound} is too large: {exc}",
               file=sys.stderr)
         return 2
-    except (PairValidationError, TooLarge, KeyError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -620,7 +620,7 @@ class BoundedSpan:
         # descriptor() gets its own copy, so editing one certificate cannot
         # change another
         self._descriptor = {
-            "presentation": getattr(presentation, "label", presentation.kind),
+            "presentation": presentation.label,
             "degree_bound": bound,
             "relation_rows": self._rows,
             "rank": self.rank,

@@ -28,34 +28,12 @@ from dataclasses import dataclass
 
 from .ncalg import Letter, Poly, poly_str
 
-
-class PairValidationError(ValueError):
-    """Base class for commutation-pair validation failures."""
-
-
-class SizeMismatch(PairValidationError):
-    pass
-
-
-class NotSymmetric(PairValidationError):
-    pass
-
-
-class BadDiagonal(PairValidationError):
-    pass
-
-
-class BadEntry(PairValidationError):
-    pass
-
-
-class MalformedPairFile(PairValidationError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
+__all__ = [
+    "CommutationPair", "validate_pair", "RegularityReport", "is_regular", "regularize",
+    "Relation", "Presentation", "sphere_presentation", "unitary_qg_presentation",
+    "orthogonal_qg_presentation", "tuple_space_presentation", "enumerate_pairs",
+    "pair_from_json_dict", "load_pair", "save_pair",
+]
 
 Matrix = tuple  # tuple[tuple[int, ...], ...]
 
@@ -63,10 +41,10 @@ Matrix = tuple  # tuple[tuple[int, ...], ...]
 def _freeze(m, name: str = "matrix") -> Matrix:
     """m as nested tuples; m must be a list of rows, each itself a list."""
     if not isinstance(m, (list, tuple)):
-        raise SizeMismatch(f"{name} must be a list of rows, not {m!r}")
+        raise ValueError(f"{name} must be a list of rows, not {m!r}")
     for i, row in enumerate(m, start=1):
         if not isinstance(row, (list, tuple)):
-            raise SizeMismatch(f"{name} row {i} must be a list, not {row!r}")
+            raise ValueError(f"{name} row {i} must be a list, not {row!r}")
     return tuple(tuple(row) for row in m)
 
 
@@ -97,25 +75,25 @@ def validate_pair(epsilon, eta) -> CommutationPair:
     et = _freeze(eta, "eta")
     n = len(eps)
     if n < 1:
-        raise SizeMismatch("epsilon must be a nonempty square matrix")
+        raise ValueError("epsilon must be a nonempty square matrix")
     for name, m in (("epsilon", eps), ("eta", et)):
         if len(m) != n:
-            raise SizeMismatch(f"{name} has {len(m)} rows, expected {n}")
+            raise ValueError(f"{name} has {len(m)} rows, expected {n}")
         for i, row in enumerate(m, start=1):
             if len(row) != n:
-                raise SizeMismatch(f"{name} row {i} has length {len(row)}, expected {n}")
+                raise ValueError(f"{name} row {i} has length {len(row)}, expected {n}")
             for j, x in enumerate(row, start=1):
                 # type(), not isinstance(): True is an int, but not an entry
                 if type(x) is not int or x not in (0, 1):
-                    raise BadEntry(f"{name}[{i},{j}] = {x!r} is not in {{0, 1}}")
+                    raise ValueError(f"{name}[{i},{j}] = {x!r} is not in {{0, 1}}")
     for name, m in (("epsilon", eps), ("eta", et)):
         for i in range(n):
             for j in range(i + 1, n):
                 if m[i][j] != m[j][i]:
-                    raise NotSymmetric(f"{name} is not symmetric at ({i + 1},{j + 1})/({j + 1},{i + 1})")
+                    raise ValueError(f"{name} is not symmetric at ({i + 1},{j + 1})/({j + 1},{i + 1})")
     for i in range(n):
         if eps[i][i] != 0:
-            raise BadDiagonal(f"epsilon[{i + 1},{i + 1}] must be 0")
+            raise ValueError(f"epsilon[{i + 1},{i + 1}] must be 0")
     return CommutationPair(n, eps, et)
 
 
@@ -424,7 +402,7 @@ def enumerate_pairs(n: int) -> list:
         raise ValueError("n must be positive")
     count = 2 ** (n * n)
     if count > _PAIR_CAP:
-        raise TooLarge(f"{count} candidate pairs exceed the cap of {_PAIR_CAP} (n={n})")
+        raise ValueError(f"{count} candidate pairs exceed the cap of {_PAIR_CAP} (n={n})")
     off = [(i, j) for i in range(n) for j in range(i + 1, n)]
     diag = list(range(n))
     pairs = []
@@ -450,15 +428,15 @@ def enumerate_pairs(n: int) -> list:
 
 def pair_from_json_dict(data: dict) -> CommutationPair:
     if not isinstance(data, dict):
-        raise MalformedPairFile(f"a pair file must hold a JSON object, not {type(data).__name__}")
+        raise ValueError(f"a pair file must hold a JSON object, not {type(data).__name__}")
     if "epsilon" not in data:
-        raise MalformedPairFile("pair file is missing the 'epsilon' matrix")
+        raise ValueError("pair file is missing the 'epsilon' matrix")
     eps = _freeze(data["epsilon"], "epsilon")
     n = data.get("n", len(eps))
     if type(n) is not int:
-        raise SizeMismatch(f"n must be an integer, not {n!r}")
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n != len(eps):
-        raise SizeMismatch(f"declared n={n} but epsilon has {len(eps)} rows")
+        raise ValueError(f"declared n={n} but epsilon has {len(eps)} rows")
     eta = data.get("eta")
     if eta is None:
         eta = [[0] * n for _ in range(n)]

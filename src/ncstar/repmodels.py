@@ -45,12 +45,7 @@ __all__ = [
     "torus_model", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
     "UNIT_CIRCLE_TOLERANCE",
     "model_residuals", "evaluate", "operator_norm", "check_independence",
-    "UnassignedGenerator",
 ]
-
-
-class UnassignedGenerator(KeyError):
-    pass
 
 
 # how far from modulus 1 a torus phase sample may be
@@ -77,7 +72,7 @@ class MatrixModel:
         base = letter.base()
         m = self.assignment.get(base)
         if m is None:
-            raise UnassignedGenerator(f"model {self.label!r} assigns nothing to {word_str((base,))}")
+            raise KeyError(f"model {self.label!r} assigns nothing to {word_str((base,))}")
         if letter.starred:
             return _exact_star(m) if self.exact else m.conj().T
         return m

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, sqrt
 
+__all__ = ["GaussianRational", "parse_scalar", "QuadExact", "Q_ONE", "Q_SQRT2_OVER_2"]
+
 _SQRT2 = sqrt(2.0)
 
 
@@ -55,17 +57,11 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self.b, self.q)
 
+    # The arithmetic stays while perfbench/tracer.py patches it by name.
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.a * other.q + other.a * self.q,
             self.b * other.q + other.b * self.q,
-            self.q * other.q,
-        )
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.a * other.q - other.a * self.q,
-            self.b * other.q - other.b * self.q,
             self.q * other.q,
         )
 
@@ -75,9 +71,6 @@ class GaussianRational:
             self.a * other.b + self.b * other.a,
             self.q * other.q,
         )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.a, -self.b, self.q)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         n = other.a * other.a + other.b * other.b
@@ -89,9 +82,6 @@ class GaussianRational:
             (self.b * other.a - self.a * other.b) * other.q,
             self.q * n,
         )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.a, -self.b, self.q)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -107,9 +97,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.a, self.b, self.q))
 
-    def __complex__(self) -> complex:
-        return complex(self.a / self.q, self.b / self.q)
-
     def exact_str(self) -> str:
         """Canonical bit-exact form ``a/b+c/d i`` used in serialized certificates."""
         re, im = self.re, self.im
@@ -117,10 +104,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.exact_str()})"
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -165,9 +148,6 @@ class QuadExact:
     def __add__(self, other: "QuadExact") -> "QuadExact":
         return QuadExact(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
-    def __sub__(self, other: "QuadExact") -> "QuadExact":
-        return QuadExact(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
     def __neg__(self) -> "QuadExact":
         return QuadExact(-self.a, -self.b, -self.c, -self.d)
 
@@ -205,6 +185,5 @@ class QuadExact:
         return f"QuadExact({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-Q_ZERO = QuadExact()
 Q_ONE = QuadExact(1)
 Q_SQRT2_OVER_2 = QuadExact(0, Fraction(1, 2), 0, 0)

@@ -59,7 +59,7 @@ __all__ = [
     "CheckResult", "VerificationReport",
     "verify_comultiplication", "verify_sphere_action", "verify_tuple_action",
     "verify_noninjectivity_example", "verify_independence_suite",
-    "verify_regularization_consistency", "INDEPENDENCE_SUITES",
+    "verify_regularization_consistency", "INDEPENDENCE_SUITES", "witness_suites",
 ]
 
 
@@ -369,6 +369,15 @@ INDEPENDENCE_SUITES = {
 }
 
 
+def witness_suites(suite: str) -> list:
+    """The suite names that one suite name or "all" stands for."""
+    if suite == "all":
+        return list(INDEPENDENCE_SUITES)
+    if suite not in INDEPENDENCE_SUITES:
+        raise ValueError(f"unknown witness suite {suite!r}")
+    return [suite]
+
+
 def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESHOLD,
                               residual_tolerance: float = RESIDUAL_TOLERANCE,
                               seed: int = 0, dim: int = 4,
@@ -380,10 +389,8 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESH
     rank above the threshold.  Otherwise the check is Inconclusive, and its
     detail names the worst gated relation or the rank shortfall.
     """
-    if suites != "all" and suites not in INDEPENDENCE_SUITES:
-        raise KeyError(f"unknown witness suite {suites!r}")
+    names = witness_suites(suites)
     from . import repmodels
-    names = list(INDEPENDENCE_SUITES) if suites == "all" else [suites]
     report = VerificationReport("witness", {"suites": names, "seed": seed, "dim": dim})
 
     for name in names:

@@ -130,6 +130,16 @@ def test_dimension_cap_exit_2(pair_file, monkeypatch, capsys):
     assert run_cli("sweep", "--n", "1", "--jobs", "1") == 2
 
 
+def test_internal_error_is_not_a_usage_error(pair_file, monkeypatch):
+    # exit 2 is for bad flags and files; a KeyError inside a target is a bug
+    def run(pair, bound):
+        raise KeyError("internal")
+    monkeypatch.setitem(cli._TARGETS, "hopf", cli._TARGETS["hopf"]._replace(run=run))
+    path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
+    with pytest.raises(KeyError, match="internal"):
+        run_cli("verify", "hopf", "--input", path)
+
+
 def test_verify_and_sweep_share_the_target_table(pair_file, monkeypatch):
     # both commands look the verifier entry point up when they run
     calls = []
@@ -514,8 +524,10 @@ def test_bad_input_exit_2_names_it(argv, culprit, capsys):
 
 
 def test_witness_unknown_suite_exit_2(capsys):
-    assert run_cli("witness", "bogus") == 2
-    assert capsys.readouterr().err == "error: unknown witness suite 'bogus'\n"
+    # the suite is named before any flag is checked against it
+    for flags in ([], ["--phases", "1,1"], ["--dim", "5"]):
+        assert run_cli("witness", "bogus", *flags) == 2
+        assert capsys.readouterr().err == "error: unknown witness suite 'bogus'\n"
 
 
 def test_witness_json_byte_identical(tmp_path):

@@ -74,7 +74,9 @@ def test_every_all_entry_resolves():
     """A name deleted from a module must leave its __all__ too."""
     modules = [importlib.import_module(f"ncstar.{m.name}") for m in pkgutil.iter_modules(ncstar.__path__)]
     exported = [mod for mod in modules if hasattr(mod, "__all__")]
-    assert {mod.__name__ for mod in exported} >= {"ncstar.ncalg", "ncstar.repmodels", "ncstar.verifier"}
+    assert {mod.__name__ for mod in exported} >= {"ncstar.ncalg", "ncstar.presentations",
+                                                  "ncstar.repmodels", "ncstar.scalars",
+                                                  "ncstar.verifier"}
     for mod in exported:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names {missing}"
@@ -122,14 +124,14 @@ def _references_outside_own_definition(tree) -> set:
 
 def test_every_exported_name_has_a_caller():
     """No package API exists only for tests: each name in the __all__ of ncalg,
-    repmodels and verifier is read somewhere in the package outside its own
-    definition, or by the benchmark harness."""
+    presentations, repmodels, scalars and verifier is read somewhere in the
+    package outside its own definition, or by the benchmark harness."""
     root = Path(__file__).resolve().parent.parent
     sources = sorted((root / "src" / "ncstar").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     referenced = set()
     for path in sources:
         referenced |= _references_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
-    for module in ("ncalg", "repmodels", "verifier"):
+    for module in ("ncalg", "presentations", "repmodels", "scalars", "verifier"):
         mod = importlib.import_module(f"ncstar.{module}")
         unread = [name for name in mod.__all__ if name not in referenced]
         assert not unread, f"ncstar.{module}.__all__ names {unread}, which only tests read"

@@ -12,7 +12,7 @@ from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar.verifier import RESIDUAL_TOLERANCE, SVD_THRESHOLD
 from ncstar.ncalg import INCONCLUSIVE, Letter, Poly
-from ncstar.scalars import Q_ONE, Q_ZERO, QuadExact
+from ncstar.scalars import Q_ONE, QuadExact
 
 x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)
 g = Poly.generator
@@ -258,7 +258,7 @@ def test_evaluate_homomorphism_property():
 
 def test_evaluate_unassigned_generator():
     m = R.probe_pair_model()
-    with pytest.raises(R.UnassignedGenerator):
+    with pytest.raises(KeyError, match="assigns nothing to x3"):
         R.evaluate(g(Letter("x", 3, 0)), m)
 
 
@@ -292,7 +292,7 @@ def test_witness_models_are_valid(kind):
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 # mostly exact zeros, like the witness matrices
-_entry = st.one_of(st.just(Q_ZERO), st.just(Q_ZERO), st.just(Q_ZERO),
+_entry = st.one_of(st.just(QuadExact()), st.just(QuadExact()), st.just(QuadExact()),
                    st.builds(QuadExact, _small, _small, _small, _small))
 
 
@@ -307,7 +307,7 @@ def _rows(a):
 
 
 def _dense(rows, width):
-    return tuple(tuple(row.get(j, Q_ZERO) for j in range(width)) for row in rows)
+    return tuple(tuple(row.get(j, QuadExact()) for j in range(width)) for row in rows)
 
 
 def _dense_matmul(a, b):
@@ -316,7 +316,7 @@ def _dense_matmul(a, b):
     for i in range(len(a)):
         row = []
         for j in range(len(b[0])):
-            acc = Q_ZERO
+            acc = QuadExact()
             for t in range(len(b)):
                 acc = acc + a[i][t] * b[t][j]
             row.append(acc)
@@ -325,11 +325,11 @@ def _dense_matmul(a, b):
 
 
 def _identity(dim):
-    return tuple(tuple(Q_ONE if i == j else Q_ZERO for j in range(dim)) for i in range(dim))
+    return tuple(tuple(Q_ONE if i == j else QuadExact() for j in range(dim)) for i in range(dim))
 
 
 def _zero(dim):
-    return tuple(tuple(Q_ZERO for _ in range(dim)) for _ in range(dim))
+    return tuple(tuple(QuadExact() for _ in range(dim)) for _ in range(dim))
 
 
 @st.composite
@@ -343,7 +343,7 @@ def _matrix_pairs(draw):
 @example((_zero(3), _zero(3)))
 @example(((((QuadExact(0, Fraction(1, 2)),),), ((QuadExact(0, Fraction(1, 2)),),))))
 @example((_identity(4), _identity(4)))
-@example((_identity(2), ((QuadExact(1, 2, 3, 4), Q_ZERO), (Q_ZERO, QuadExact(0, 0, -1)))))
+@example((_identity(2), ((QuadExact(1, 2, 3, 4), QuadExact()), (QuadExact(), QuadExact(0, 0, -1)))))
 # a nonzero product far below any float tolerance must be kept
 @example((((QuadExact(Fraction(1, 10**9)),),), ((QuadExact(Fraction(1, 10**9)),),)))
 def test_sparse_exact_matmul_equals_dense_product(ab):

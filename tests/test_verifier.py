@@ -388,7 +388,7 @@ def test_all_suites_pass():
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown witness suite 'bogus'"):
         V.verify_independence_suite("bogus")
 
 
