@@ -10,15 +10,17 @@ runs over Q, and star only reverses and stars words.  On top of the free
   m1 * r * m2 of total degree <= bound, brought to echelon form once per
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
   is the name verifications build it through).  The elimination keys each
-  word by its integer code over the sorted letter roster (`_WordCodes`),
-  which sorts like the word, and keeps the coefficients of the polynomials
-  themselves; a residue is a list of (word code, coefficient) pairs, and a
+  word by its integer code over the sorted letter roster (`_WordCodes`, one
+  table per roster and process), which sorts like the word, and keeps the
+  coefficients of the polynomials themselves; a residue is a list of (word
+  code, coefficient) pairs, cached per span under the word's code, and a
   word with a letter outside the roster raises `RosterMismatch`.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
-  span (`is_zero_tensor`); `TensorPoly` is a plain value with no arithmetic,
-  and relation images are built by `apply_tensor_hom` alone, and
+  span (`is_zero_tensor`) on integer word codes; `TensorPoly` is a plain
+  value with no arithmetic, coded once per pair of code tables, and
+  relation images are built by `apply_tensor_hom` alone, and
 * degree-bounded two-sided ideal membership against the same span, with an
   explicit linear combination as evidence when the span tracks provenance;
   `ideal_membership_bounded` is the one-shot form.
@@ -49,6 +51,11 @@ HERMITIAN_TAGS = frozenset({"ou", "tx"})
 # The most monomials, and sparse pivot entries, one relation span may hold;
 # read each time a span is built.
 SPAN_ENTRY_CAP = 2_000_000
+
+# Sorted letter roster -> its `_WordCodes`, one table per roster and process.
+# Spans over one roster share it, so a tensor coded against it once (see
+# `TensorPoly`) reads every span's residue cache by the same codes.
+_CODES: dict = {}
 
 # Sorted letter roster -> {relation term key: (degree, {word code: coefficient})}.
 # A roster depends only on a presentation's kind and n, so a sweep codes each
@@ -272,18 +279,35 @@ class TensorPoly:
 
     terms maps (left word, right word) to a coefficient; each leg references
     only its own roster.  A value type: images are built by `apply_tensor_hom`
-    and reduced by `is_zero_tensor`.
+    and reduced by `is_zero_tensor`, which reads the terms as integer word
+    codes (`coded`).  The coded list is built once per pair of code tables
+    and kept, so an image the verifier caches is coded once per process;
+    nothing may mutate terms after that.
     """
 
-    __slots__ = ("terms", "left_roster", "right_roster")
+    __slots__ = ("terms", "left_roster", "right_roster", "_codings")
 
     def __init__(self, terms: Optional[dict] = None, *, left_roster=(), right_roster=()):
         self.left_roster = tuple(left_roster)
         self.right_roster = tuple(right_roster)
         self.terms = _rational_terms(terms)
+        self._codings: dict = {}
 
     def items(self):
         return self.terms.items()
+
+    def coded(self, left: _WordCodes, right: _WordCodes) -> list:
+        """The terms as [(left code, right code, coefficient), ...] over two code tables.
+
+        Every term is coded before the list is kept, so a letter outside
+        either table raises RosterMismatch, whichever leg it is in.
+        """
+        out = self._codings.get((left, right))
+        if out is None:
+            code1, code2 = left.code, right.code
+            out = self._codings[left, right] = [(code1(w1), code2(w2), c)
+                                              for (w1, w2), c in self.terms.items()]
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorPoly):
@@ -476,6 +500,15 @@ def _roster_letters(pres) -> list:
     return sorted({l for g in pres.generators for l in (g, g.star())})
 
 
+def _word_codes(pres) -> _WordCodes:
+    """The process's one code table for the roster of pres."""
+    letters = tuple(_roster_letters(pres))
+    codes = _CODES.get(letters)
+    if codes is None:
+        codes = _CODES[letters] = _WordCodes(letters)
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -508,27 +541,30 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 
     ProvedZero is sound because both spans contain only genuine relations; a
     nonzero reduction is merely Inconclusive until a matrix witness exists.
-    t reduces to rational coefficients keyed by pairs of word codes; a word
-    with a letter outside its span's roster raises RosterMismatch.  The
-    products are summed as int numerators per denominator (`_accumulate`)
-    and folded into rationals once at the end.
+    t is read as (left code, right code, coefficient) triples over the two
+    spans' code tables (`TensorPoly.coded`), all coded before any residue is
+    read, so a word with a letter outside its span's roster raises
+    RosterMismatch in either leg.  Each leg's residue comes from its span's
+    cache, keyed by word code; the products are summed as int numerators per
+    denominator (`_accumulate`) and folded into rationals once at the end.
     """
     if t.left_roster and tuple(t.left_roster) != tuple(left.presentation.generators):
         raise RosterMismatch("left leg roster does not match the left basis")
     if t.right_roster and tuple(t.right_roster) != tuple(right.presentation.generators):
         raise RosterMismatch("right leg roster does not match the right basis")
+    coded = t.coded(left._codes, right._codes)
     acc: dict = {}
-    # residue_word's own cache, read here first: nearly every word is a hit
+    # the residue cache read inline: nearly every code is a hit
     cached1, cached2 = left._residue_cache.get, right._residue_cache.get
-    for (w1, w2), c in t.items():
-        r1 = cached1(w1)
+    for k1, k2, c in coded:
+        r1 = cached1(k1)
         if r1 is None:
-            r1 = left.residue_word(w1)
+            r1 = left._residue(k1)
         if not r1:
             continue
-        r2 = cached2(w2)
+        r2 = cached2(k2)
         if r2 is None:
-            r2 = right.residue_word(w2)
+            r2 = right._residue(k2)
         if not r2:
             continue
         _accumulate(acc, c, r1, r2)
@@ -562,9 +598,10 @@ class BoundedSpan:
     r runs over the star-closed relations of one presentation and m1, m2 over
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
     echelon table is built once, at construction, over integer word codes
-    (`_WordCodes`) with int coefficients, or Fraction ones where a value is
-    not integral (a `Poly` holds no other kind).  Tensor legs reduce single
-    words against it through a per-word residue cache (`residue_word`), and
+    (`_WordCodes`, one table per roster and process) with int coefficients,
+    or Fraction ones where a value is not integral (a `Poly` holds no other
+    kind).  Tensor legs reduce single words against it through a residue
+    cache keyed by word code (`residue_word` codes a word and reads it), and
     `certify` decides membership of one polynomial; both raise
     RosterMismatch on a word with a letter outside the roster.
     With provenance, each pivot also tracks the exact combination of products
@@ -579,7 +616,7 @@ class BoundedSpan:
         self.presentation = presentation
         self.bound = bound
         self.provenance = provenance
-        codes = self._codes = _WordCodes(_roster_letters(presentation))
+        codes = self._codes = _word_codes(presentation)
         # the number of words of degree <= bound; the words themselves are never needed
         monomials = codes.offset(bound + 1)
         entry_cap = self._entry_cap = SPAN_ENTRY_CAP
@@ -650,12 +687,16 @@ class BoundedSpan:
 
         Each coefficient is an int, or a Fraction where it is not integral;
         the list is empty when the word lies in the span.  A word with a
-        letter outside the roster raises RosterMismatch.
+        letter outside the roster raises RosterMismatch.  The residue is
+        cached under the word's code, where `is_zero_tensor` reads it too.
         """
-        res = self._residue_cache.get(w)
-        if res is None:
-            row = _rref_reduce(self._pivots, {self._codes.code(w): 1})
-            res = self._residue_cache[w] = list(row.items())
+        key = self._codes.code(w)
+        res = self._residue_cache.get(key)
+        return self._residue(key) if res is None else res
+
+    def _residue(self, key: int) -> list:
+        """Reduce the word with this code, and cache its residue under the code."""
+        res = self._residue_cache[key] = list(_rref_reduce(self._pivots, {key: 1}).items())
         return res
 
     def certify(self, p: Poly) -> Certificate:
@@ -723,7 +764,7 @@ def _star_closed_relations(pres):
     seen = set()
     for rel in pres.all_relations():
         key, star_key, _ = rel.keys
-        for rid, poly, k in ((rel.rid, rel.poly, key), (f"star({rel.rid})", rel.star, star_key)):
+        for rid, poly, k in ((rel.rid, rel.poly, key), (rel.star_rid, rel.star, star_key)):
             if k in seen or not k:
                 continue
             seen.add(k)

@@ -16,7 +16,8 @@ words equal to delta for the normalizations.  Its polynomial is written down
 from those words directly, with no polynomial arithmetic.
 
 All values are immutable, and every operation here is a pure function: the
-builders' shared relation pool (`_POOL`) changes what is built only in speed.
+builders' shared pool (`_POOL`), keyed by relation template, changes what is
+built only in speed.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def regularize(pair: CommutationPair) -> CommutationPair:
 class Relation:
     """One relation polynomial asserted equal to zero.
 
-    Builders share one Relation per word equation (`_POOL`), so its star and
-    keys are worked out once per process; nothing may mutate their terms.
+    Builders share one Relation per relation template (`_POOL`), so its
+    star, keys and star rid are worked out once per process; nothing may
+    mutate their terms.
     """
 
     rid: str
@@ -189,6 +191,11 @@ class Relation:
     @functools.cached_property
     def star(self) -> Poly:
         return self.poly.star()
+
+    @functools.cached_property
+    def star_rid(self) -> str:
+        """The rid a span gives the star of this relation."""
+        return f"star({self.rid})"
 
     @functools.cached_property
     def keys(self) -> tuple:
@@ -214,10 +221,31 @@ class Presentation:
         return f"{self.kind}[n={self.source_pair.n};{self.source_pair.compact()}]"
 
 
-# Every Relation the builders have handed out, keyed by its word equation.
+# What the builders have handed out, keyed by template, so that a warm
+# rebuild makes no Letter, no rid and no Relation:
+# * (name, indices...) -> (dedup key, Relation) for a word equation, or
+#   (None, None) for a trivial lhs == rhs; "Reps-comm" is keyed by
+#   (i, j, k, l), and a tie by (i, j, k, k0), since its rid omits k0;
+# * (label, title, n, i, j) for a delta sum, (label, n) for a sphere sum;
+# * ("generators", tag, n) for a generator tuple.
 # Sweeps meet the same few hundred relations again and again; filled on
 # demand, so nothing is built at import.
 _POOL: dict = {}
+
+
+def _pooled(key: tuple, build):
+    """The pool entry under key; build() makes it on the first call in this process."""
+    entry = _POOL.get(key)
+    if entry is None:
+        entry = _POOL[key] = build()
+    return entry
+
+
+def _generators(tag: str, n: int) -> tuple:
+    """x_1..x_n for the sphere tag "x", else the n x n entries g_ij row by row."""
+    idx = range(1, n + 1)
+    cols = (0,) if tag == "x" else idx
+    return _pooled(("generators", tag, n), lambda: tuple(Letter(tag, i, j) for i in idx for j in cols))
 
 
 class _RelationBuilder:
@@ -225,65 +253,79 @@ class _RelationBuilder:
         self.relations = []
         self._seen = set()
 
-    def add(self, rid: str, lhs: tuple, rhs=None):
-        """The word equation lhs = rhs, or lhs = 0; dropped if trivial or already present up to sign."""
-        if lhs == rhs:
+    def add(self, key: tuple, equation):
+        """The word equation under template key; equation() gives (rid, lhs, rhs).
+
+        It stands for lhs = rhs, or lhs = 0 when rhs is None.  equation is
+        called once per process; a trivial equation is dropped, and so is
+        one already present up to sign.
+        """
+        entry = _POOL.get(key)
+        if entry is None:
+            # _pooled inline: this runs for every candidate relation of every build
+            entry = _POOL[key] = _equation_entry(*equation())
+        dedup, rel = entry
+        if rel is None or dedup in self._seen:
             return
-        key = lhs if rhs is None else frozenset((lhs, rhs))
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        rel = _POOL.get((rid, lhs, rhs))
-        if rel is None:
-            rel = _POOL[rid, lhs, rhs] = Relation(
-                rid, Poly({lhs: 1} if rhs is None else {lhs: 1, rhs: -1}))
+        self._seen.add(dedup)
         self.relations.append(rel)
+
+
+def _equation_entry(rid: str, lhs: tuple, rhs) -> tuple:
+    """(dedup key, Relation) for lhs = rhs or lhs = 0, or (None, None) if trivial."""
+    if lhs == rhs:
+        return None, None
+    if rhs is None:
+        return frozenset((lhs,)), Relation(rid, Poly({lhs: 1}))
+    return frozenset((lhs, rhs)), Relation(rid, Poly({lhs: 1, rhs: -1}))
 
 
 def _sum_relation(rid: str, words, delta: bool, description: str) -> Relation:
     """The relation "sum of the words = delta", delta being 0 or 1."""
-    words = tuple(words)
-    key = (rid, words, delta, description)
-    rel = _POOL.get(key)
-    if rel is None:
-        terms = dict.fromkeys(words, 1)
-        if delta:
-            terms[()] = -1
-        rel = _POOL[key] = Relation(rid, Poly(terms), description)
-    return rel
+    terms = dict.fromkeys(words, 1)
+    if delta:
+        terms[()] = -1
+    return Relation(rid, Poly(terms), description)
 
 
 def sphere_presentation(pair: CommutationPair) -> Presentation:
     """The noncommutative complex sphere on x_1..x_n for this pair."""
     n, eps, eta = pair.n, pair.epsilon, pair.eta
-    gens = tuple(Letter("x", i, 0) for i in range(1, n + 1))
+    gens = _generators("x", n)
     rb = _RelationBuilder()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if eps[i - 1][j - 1]:
-                rb.add(f"eps({i},{j})", (gens[i - 1], gens[j - 1]), (gens[j - 1], gens[i - 1]))
+                rb.add(("eps", i, j), lambda: (f"eps({i},{j})", (gens[i - 1], gens[j - 1]),
+                                               (gens[j - 1], gens[i - 1])))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if eta[i - 1][j - 1]:
-                xi_star = gens[i - 1].star()
-                rb.add(f"eta({i},{j})", (xi_star, gens[j - 1]), (gens[j - 1], xi_star))
-    sums = (_sum_relation("sum:x*x", [(x.star(), x) for x in gens], True, "Σ x_i* x_i = 1"),
-            _sum_relation("sum:xx*", [(x, x.star()) for x in gens], True, "Σ x_i x_i* = 1"))
+                rb.add(("eta", i, j), lambda: (f"eta({i},{j})", (gens[i - 1].star(), gens[j - 1]),
+                                               (gens[j - 1], gens[i - 1].star())))
+    sums = (_pooled(("sum:x*x", n), lambda: _sum_relation(
+                "sum:x*x", [(x.star(), x) for x in gens], True, "Σ x_i* x_i = 1")),
+            _pooled(("sum:xx*", n), lambda: _sum_relation(
+                "sum:xx*", [(x, x.star()) for x in gens], True, "Σ x_i x_i* = 1")))
     return Presentation("complex-sphere", gens, tuple(rb.relations), sums, pair)
 
 
-def _delta_sums(label: str, n: int, word_maker) -> tuple:
-    """For each (i,j): sum_k word_maker(i, j, k) = delta_ij, e.g. sum_k u_ik* u_jk = delta_ij."""
+def _delta_sums(label: str, n: int, word_maker, title: str = "") -> tuple:
+    """For each (i,j): sum_k word_maker(i, j, k) = delta_ij, e.g. sum_k u_ik* u_jk = delta_ij.
+
+    Each is described as "title (i,j)", by default "label entry (i,j)".
+    """
     idx = range(1, n + 1)
-    return tuple(_sum_relation(f"{label}({i},{j})", [word_maker(i, j, k) for k in idx], i == j,
-                               f"{label} entry ({i},{j})")
+    return tuple(_pooled((label, title, n, i, j), lambda: _sum_relation(
+                     f"{label}({i},{j})", [word_maker(i, j, k) for k in idx], i == j,
+                     f"{title or label + ' entry'} ({i},{j})"))
                  for i in idx for j in idx)
 
 
 def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
     """The partial-commutation quantum unitary group on n^2 entries u_ij."""
     n, eps, eta = pair.n, pair.epsilon, pair.eta
-    gens = tuple(Letter("u", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    gens = _generators("u", n)
     rb = _RelationBuilder()
 
     def u(i, j, s=False):
@@ -294,21 +336,26 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
     for i, j, k, l in itertools.product(idx, repeat=4):
         ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
         if ei and ek:
-            rb.add(f"Reps-comm({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, l), u(i, k)))
+            rb.add(("Reps-comm", i, j, k, l), lambda: (
+                f"Reps-comm({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, l), u(i, k))))
         elif ei:
-            rb.add(f"Reps-xrow({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, k), u(i, l)))
+            rb.add(("Reps-xrow", i, j, k, l), lambda: (
+                f"Reps-xrow({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, k), u(i, l))))
         elif ek:
-            rb.add(f"Reps-xcol({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(i, l), u(j, k)))
+            rb.add(("Reps-xcol", i, j, k, l), lambda: (
+                f"Reps-xcol({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(i, l), u(j, k))))
     # starred commutation family
     for i, j, k, l in itertools.product(idx, repeat=4):
         hi, hk = eta[i - 1][j - 1], eta[k - 1][l - 1]
         if hi and hk:
-            rb.add(f"Reta-comm({i},{j};{k},{l})",
-                   (u(i, k, True), u(j, l)), (u(j, l), u(i, k, True)))
+            rb.add(("Reta-comm", i, j, k, l), lambda: (
+                f"Reta-comm({i},{j};{k},{l})", (u(i, k, True), u(j, l)), (u(j, l), u(i, k, True))))
         elif (hi and k != l) or (hk and i != j):
             # exactly one of hi, hk is set here
-            rb.add(f"Reta-zero({i},{j};{k},{l}):su", (u(i, k, True), u(j, l)))
-            rb.add(f"Reta-zero({i},{j};{k},{l}):us", (u(i, k), u(j, l, True)))
+            rb.add(("Reta-zero:su", i, j, k, l), lambda: (
+                f"Reta-zero({i},{j};{k},{l}):su", (u(i, k, True), u(j, l)), None))
+            rb.add(("Reta-zero:us", i, j, k, l), lambda: (
+                f"Reta-zero({i},{j};{k},{l}):us", (u(i, k), u(j, l, True)), None))
     # fourfold equalities: column products u_ik* u_jk and row products u_ki* u_kj
     free = [k for k in idx if eta[k - 1][k - 1] == 0]
     if free:
@@ -318,15 +365,17 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
                 if not eta[i - 1][j - 1]:
                     continue
                 for k in free:
-                    rb.add(f"colprod-swap({i},{j};{k})",
-                           (u(i, k, True), u(j, k)), (u(j, k), u(i, k, True)))
-                    rb.add(f"rowprod-swap({i},{j};{k})",
-                           (u(k, i, True), u(k, j)), (u(k, j), u(k, i, True)))
+                    rb.add(("colprod-swap", i, j, k), lambda: (
+                        f"colprod-swap({i},{j};{k})", (u(i, k, True), u(j, k)), (u(j, k), u(i, k, True))))
+                    rb.add(("rowprod-swap", i, j, k), lambda: (
+                        f"rowprod-swap({i},{j};{k})", (u(k, i, True), u(k, j)), (u(k, j), u(k, i, True))))
                     if k != k0:
-                        rb.add(f"colprod-tie({i},{j};{k})",
-                               (u(i, k, True), u(j, k)), (u(i, k0, True), u(j, k0)))
-                        rb.add(f"rowprod-tie({i},{j};{k})",
-                               (u(k, i, True), u(k, j)), (u(k0, i, True), u(k0, j)))
+                        rb.add(("colprod-tie", i, j, k, k0), lambda: (
+                            f"colprod-tie({i},{j};{k})",
+                            (u(i, k, True), u(j, k)), (u(i, k0, True), u(j, k0))))
+                        rb.add(("rowprod-tie", i, j, k, k0), lambda: (
+                            f"rowprod-tie({i},{j};{k})",
+                            (u(k, i, True), u(k, j)), (u(k0, i, True), u(k0, j))))
     sums = (_delta_sums("sum:u*u", n, lambda i, j, k: (u(k, i, True), u(k, j)))
             + _delta_sums("sum:uu*", n, lambda i, j, k: (u(i, k), u(j, k, True)))
             + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: (u(i, k, True), u(j, k)))
@@ -339,16 +388,19 @@ def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) ->
 
     For each (i,j;k,l): if eps_ij and eps_kl, g_ik g_jl = g_jl g_ik; if just one
     of them is 1, g_ik g_jl = 0.  The orthogonal group and the tuple space both
-    carry it.
+    carry it, each under its own prefix.
     """
     idx = range(1, len(eps) + 1)
+    comm, zero = f"{prefix}-comm", f"{prefix}-zero"
     for i, j, k, l in itertools.product(idx, repeat=4):
-        a, b = Letter(tag, i, k), Letter(tag, j, l)
         ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
         if ei and ek:
-            rb.add(f"{prefix}-comm({i},{j};{k},{l})", (a, b), (b, a))
+            rb.add((comm, i, j, k, l), lambda: (
+                f"{comm}({i},{j};{k},{l})",
+                (Letter(tag, i, k), Letter(tag, j, l)), (Letter(tag, j, l), Letter(tag, i, k))))
         elif ei or ek:
-            rb.add(f"{prefix}-zero({i},{j};{k},{l})", (a, b))
+            rb.add((zero, i, j, k, l), lambda: (
+                f"{zero}({i},{j};{k},{l})", (Letter(tag, i, k), Letter(tag, j, l)), None))
 
 
 def _validate_epsilon(epsilon) -> CommutationPair:
@@ -362,7 +414,7 @@ def orthogonal_qg_presentation(epsilon) -> Presentation:
     """The partial-commutation quantum orthogonal group (self-adjoint entries)."""
     pair = _validate_epsilon(epsilon)
     n, eps = pair.n, pair.epsilon
-    gens = tuple(Letter("ou", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    gens = _generators("ou", n)
     rb = _RelationBuilder()
     _epsilon_family(rb, "ou", "Ro", eps)
 
@@ -378,17 +430,14 @@ def tuple_space_presentation(epsilon) -> Presentation:
     """The quantum space of n sphere columns with epsilon-conditioned mixing."""
     pair = _validate_epsilon(epsilon)
     n, eps = pair.n, pair.epsilon
-    gens = tuple(Letter("tx", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    gens = _generators("tx", n)
     rb = _RelationBuilder()
     _epsilon_family(rb, "tx", "Rt", eps)
 
     def x(i, j):
         return Letter("tx", i, j)
 
-    idx = range(1, n + 1)
-    col = tuple(_sum_relation(f"sum:col-orth({k},{l})", [(x(i, k), x(i, l)) for i in idx], k == l,
-                              f"column orthonormality ({k},{l})")
-                for k in idx for l in idx)
+    col = _delta_sums("sum:col-orth", n, lambda i, j, k: (x(k, i), x(k, j)), "column orthonormality")
     return Presentation("tuple-space", gens, tuple(rb.relations), col, pair)
 
 

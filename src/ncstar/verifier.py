@@ -142,7 +142,8 @@ def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
 
 # A relation's image depends only on its polynomial, n, the image family and
 # the side, never on the (epsilon, eta) pair, and sweeps meet the same few
-# hundred relations again and again; so each image is built once per process.
+# hundred relations again and again; so each image is built once per process,
+# and coded once for the reduction (`TensorPoly.coded`).
 _IMAGE_CACHE: dict = {}
 
 

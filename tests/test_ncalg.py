@@ -1,6 +1,7 @@
 """Word algebra, quotient bases, tensor reduction, ideal membership."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -570,6 +571,88 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
     t = TensorPoly({((y,), ()): Fraction(1, 2)})
     with pytest.raises(A.RosterMismatch, match=foreign):
         is_zero_tensor(t, span, span)
+    # a foreign letter is refused in either leg, even beside a word that lies in
+    # the span: u11*.u12 is the relation Reta-zero(1,1;1,2):su
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, [[1, 0], [0, 0]]))
+    assert "Reta-zero(1,1;1,2):su" in [r.rid for r in pres.relations]
+    span = build_quotient_basis(pres, 2)
+    zero_word, x9 = (Letter("u", 1, 1, True), Letter("u", 1, 2)), (Letter("x", 9, 0),)
+    assert span.residue_word(zero_word) == []
+    for terms in ({(zero_word, x9): 1}, {(x9, zero_word): 1}):
+        with pytest.raises(A.RosterMismatch, match="letter x9 is not in the span's roster"):
+            is_zero_tensor(TensorPoly(terms), span, span)
+
+
+def _reference_reduction(t: TensorPoly, left, right) -> tuple:
+    """Status and detail, which names the survivor count, of t summed word by
+    word from `residue_word` in Fraction arithmetic."""
+    coords: dict = {}
+    for (w1, w2), c in t.items():
+        for k1, c1 in left.residue_word(w1):
+            for k2, c2 in right.residue_word(w2):
+                coords[k1, k2] = coords.get((k1, k2), 0) + Fraction(c) * c1 * c2
+    coords = {k: v for k, v in coords.items() if v}
+    if not coords:
+        return A.PROVED_ZERO, ""
+    k1, k2 = min(coords)
+    return A.INCONCLUSIVE, (
+        f"{len(coords)} coordinate(s) survive leg-wise reduction, e.g. "
+        f"{A.word_str(left._codes.word(k1))} ⊗ {A.word_str(right._codes.word(k2))} "
+        f"with coefficient {coords[k1, k2]}")
+
+
+def _random_tensor(rng, pres) -> TensorPoly:
+    """A few relation-times-word terms and some free words, with Fraction coefficients."""
+    letters = A._roster_letters(pres)
+    # with x1 normal at n = 3, u12.u12* reduces to (1 - u11.u11*) / 2
+    words = [(Letter("u", 1, 2), Letter("u", 1, 2, True))]
+    words += [tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))) for _ in range(6)]
+    rels = [r.poly for r in pres.all_relations()]
+    terms: dict = {}
+
+    def add(p, q, c):
+        for w1, c1 in p.items():
+            for w2, c2 in q.items():
+                A._add_term(terms, (w1, w2), Fraction(c) * c1 * c2)
+
+    for _ in range(rng.randint(1, 3)):
+        rel, word = rng.choice(rels), Poly.from_word(rng.choice(words))
+        p, q = (rel, word) if rng.random() < 0.5 else (word, rel)
+        add(p, q, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    for _ in range(rng.randint(0, 3)):
+        add(Poly.from_word(rng.choice(words)), Poly.from_word(rng.choice(words)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return TensorPoly(terms, left_roster=pres.generators, right_roster=pres.generators)
+
+
+@pytest.mark.parametrize("eta", [[[1, 0], [0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+                         ids=["n2", "n3"])
+def test_coded_reduction_matches_word_level_reference(eta):
+    pres = P.unitary_qg_presentation(P.validate_pair([[0] * len(eta)] * len(eta), eta))
+    # two spans, so the reference fills no cache that the coded reduction reads
+    span, reference = build_quotient_basis(pres, 2), build_quotient_basis(pres, 2)
+    rng = random.Random(len(eta))
+    statuses = set()
+    for _ in range(60):
+        t = _random_tensor(rng, pres)
+        cert = is_zero_tensor(t, span, span)
+        assert (cert.status, cert.detail) == _reference_reduction(t, reference, reference)
+        statuses.add(cert.status)
+    assert statuses == {A.PROVED_ZERO, A.INCONCLUSIVE}
+    half = span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))
+    assert any(c.denominator == 2 for _, c in half) == (len(eta) == 3)
+
+
+def test_rosterless_tensor_is_coded_per_roster():
+    """One tensor without rosters, reduced over two rosters in turn, codes its
+    words over each; a coded form reused across rosters names other words."""
+    t = TensorPoly({((Letter("x", 1, 0), Letter("x", 1, 0, True)), (Letter("x", 2, 0),)): 1})
+    for n in (2, 3, 2):
+        pres = P.sphere_presentation(P.validate_pair([[0] * n] * n, [[0] * n] * n))
+        span = build_quotient_basis(pres, 2)
+        cert = is_zero_tensor(t, span, span)
+        assert cert.detail == _reference_reduction(t, span, span)[1]
+        assert "e.g. x1.x1* ⊗ x2 with coefficient 1" in cert.detail
 
 
 def test_raw_constructors_refuse_inexact_coefficients():

@@ -328,6 +328,46 @@ def test_relation_pool_survives_a_sweep_and_stays_within_its_kind(monkeypatch):
             assert row == {codes.code(w): c for w, c in key}
 
 
+def test_tie_relations_are_pooled_with_their_first_free_index(monkeypatch):
+    """colprod-tie(1,2;3) and rowprod-tie(1,2;3) tie index 3 to the first free
+    index k0, which their rid omits: k0 = 1 with x1 free, k0 = 2 with x1 normal."""
+    monkeypatch.setattr(P, "_POOL", {})
+    zero3 = [[0] * 3 for _ in range(3)]
+
+    def u(i, j, s=False):
+        return ncalg.Letter("u", i, j, s)
+
+    for diagonal, k0 in ((0, 1), (1, 2), (0, 1)):
+        eta = [[diagonal, 1, 0], [1, 0, 0], [0, 0, 0]]
+        rels = {r.rid: r.poly for r in P.unitary_qg_presentation(P.validate_pair(zero3, eta)).relations}
+        assert rels["colprod-tie(1,2;3)"] == Poly({(u(1, 3, True), u(2, 3)): 1,
+                                                   (u(1, k0, True), u(2, k0)): -1})
+        assert rels["rowprod-tie(1,2;3)"] == Poly({(u(3, 1, True), u(3, 2)): 1,
+                                                   (u(k0, 1, True), u(k0, 2)): -1})
+
+
+def test_warm_rebuild_adds_nothing_to_the_pool(monkeypatch):
+    """A second build of the 1,082 presentations with n <= 3 finds every
+    relation, sum and generator tuple in the pool and makes no Letter."""
+    monkeypatch.setattr(P, "_POOL", {})
+    first = list(_all_presentations(3))
+    pooled = dict(P._POOL)
+    letters = []
+
+    def counted(*args, cls=P.Letter):
+        letters.append(args)
+        return cls(*args)
+
+    monkeypatch.setattr(P, "Letter", counted)
+    second = list(_all_presentations(3))
+    assert len(second) == 1082 and letters == []
+    assert P._POOL.keys() == pooled.keys()
+    assert all(P._POOL[k] is v for k, v in pooled.items())
+    for a, b in zip(first, second, strict=True):
+        assert a.generators is b.generators
+        assert all(r is s for r, s in zip(a.all_relations(), b.all_relations(), strict=True))
+
+
 def test_builders_make_no_polynomial_arithmetic(monkeypatch):
     """Each relation is written down from its words, never computed."""
     calls = []
