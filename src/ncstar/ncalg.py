@@ -40,7 +40,8 @@ from .scalars import GaussianRational, parse_scalar
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
     "apply_tensor_hom",
-    "build_quotient_basis", "is_zero_tensor", "ideal_membership_bounded",
+    "build_quotient_basis", "is_zero_tensor", "zero_tensor_certificate",
+    "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
     "RosterMismatch", "DimensionCap",
 ]
@@ -536,6 +537,16 @@ class Certificate:
         return out
 
 
+def zero_tensor_certificate(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Certificate:
+    """The ProvedZero that `is_zero_tensor` gives t when t vanishes leg-wise."""
+    return Certificate(PROVED_ZERO, zero_evidence={
+        "kind": "tensor-quotient",
+        "left_basis": left.descriptor(),
+        "right_basis": right.descriptor(),
+        "terms": len(t.terms),
+    })
+
+
 def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Certificate:
     """Leg-wise quotient reduction of a tensor element.
 
@@ -572,12 +583,7 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
     for (m1, m2, d), v in acc.items():
         _add_term(coords, (m1, m2), Fraction(v, d))
     if not coords:
-        return Certificate(PROVED_ZERO, zero_evidence={
-            "kind": "tensor-quotient",
-            "left_basis": left.descriptor(),
-            "right_basis": right.descriptor(),
-            "terms": len(t.terms),
-        })
+        return zero_tensor_certificate(t, left, right)
     # codes sort like words, so this is the least surviving pair of words
     k1, k2 = min(coords)
     return Certificate(
@@ -760,16 +766,12 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
 
 def _star_closed_relations(pres):
     """(rid, poly, term key) of each relation and its star, each polynomial once."""
-    out = []
     seen = set()
     for rel in pres.all_relations():
-        key, star_key, _ = rel.keys
-        for rid, poly, k in ((rel.rid, rel.poly, key), (rel.star_rid, rel.star, star_key)):
-            if k in seen or not k:
-                continue
-            seen.add(k)
-            out.append((rid, poly, k))
-    return out
+        for entry in rel.star_closed:
+            if entry[2] not in seen:
+                seen.add(entry[2])
+                yield entry
 
 
 def replay_combination(p: Poly, pres, evidence: dict) -> bool:

@@ -177,8 +177,8 @@ class Relation:
     """One relation polynomial asserted equal to zero.
 
     Builders share one Relation per relation template (`_POOL`), so its
-    star, keys and star rid are worked out once per process; nothing may
-    mutate their terms.
+    star, keys, star rid and star-closed entries are worked out once per
+    process; nothing may mutate their terms.
     """
 
     rid: str
@@ -203,6 +203,15 @@ class Relation:
         star = self.star.terms
         return (frozenset(self.poly.terms.items()), frozenset(star.items()),
                 frozenset((w, -c) for w, c in star.items()))
+
+    @functools.cached_property
+    def star_closed(self) -> tuple:
+        """(rid, poly, term key) of the relation and of its star, each nonzero polynomial once."""
+        key, star_key, _ = self.keys
+        own = ((self.rid, self.poly, key),) if key else ()
+        if star_key and star_key != key:
+            return own + ((self.star_rid, self.star, star_key),)
+        return own
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,35 @@ the map is a *-homomorphism and both spans are star-closed, so an image
 vanishes leg-wise exactly when its leg-wise star does.  An Inconclusive is
 never reused, since its detail names a survivor of its own.
 
+A simultaneous permutation sigma of the indices maps the presentations of a
+pair (epsilon, eta) onto those of (sigma epsilon, sigma eta), by u_ij ->
+u_sigma(i)sigma(j), x_i -> x_sigma(i) and tx_ij -> tx_sigma(i)sigma(j), and it
+commutes with every coaction above.  So the coproduct and the actions are
+certified once per permutation orbit and process, at bound 2 (`_ORBITS`):
+the orbit of a task is the least relabeling of its matrices over S_n
+(`_canonical`); the sphere action takes the pair after `regularize`, the tuple
+action epsilon alone.  The first member of an orbit seen is reduced as
+above; if every check is ProvedZero, its presentations, its sigma and its
+span ranks are kept, and nothing else.  A later member builds its own
+presentations and spans, and is checked exactly against the first member
+(`_carries`): each span has the kept rank, and each relation of the first
+member, relabeled by tau^-1 onto this member's indices (tau takes this
+member's indices to the first member's), is plus or minus a relation of
+this member or certifies in this member's span.  If so, every check is
+ProvedZero with evidence of its own (its span descriptors and its image's
+term count), and no image is reduced; if not, the member is reduced as
+above.  This is sound: at bound 2 a span is the span of the star-closed
+relations themselves, so the check gives tau^-1(first span) within this
+span, and the equal ranks make the two equal; tau^-1 acts on both legs of
+each image as the coaction does, so it carries the first member's leg-wise
+kernel onto this member's, and every relation of this member lies in the
+relabeled span of the first member's relations, whose images all vanish.
+Above bound 2 the check would need the degree-2 span as well, since a
+relation that lies in a bound-b span need not have its products m1 r m2
+there; no task above bound 2 is carried.  An Inconclusive is never carried,
+and no verdict is ever upgraded: a member either gets the verdicts a direct
+reduction would give it or is reduced directly.
+
 The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
 the non-injectivity witness check and the independence suites import them, so
 the purely algebraic tasks never pay for numpy.
@@ -41,6 +70,7 @@ search did not settle the claim.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,7 +78,7 @@ from typing import Optional
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
                     PROVED_ZERO, Poly, TensorPoly, apply_tensor_hom,
                     build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
-                    poly_str, replay_combination, word_str)
+                    poly_str, replay_combination, word_str, zero_tensor_certificate)
 from .presentations import (CommutationPair, Presentation, is_regular,
                             orthogonal_qg_presentation, regularize,
                             sphere_presentation, tuple_space_presentation,
@@ -165,7 +195,7 @@ def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
 
 
 def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
-                left, right) -> None:
+                left, right, carried: bool = False) -> None:
     """Push each relation through the *-homomorphism `images` and reduce its image.
 
     `family` is (name, n, side) and names the assignment; with the relation's
@@ -173,6 +203,8 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
     nonempty side prefixes its name ("alpha:rid").
     A star twin of an earlier ProvedZero in this call (see the module
     docstring) gets its partner's verdict and term count, with fresh evidence.
+    When `carried`, the orbit check has shown that every image vanishes, so
+    each one gets the ProvedZero `is_zero_tensor` would give it, unreduced.
     """
     side = family[2]
     lg, rg = left.presentation.generators, right.presentation.generators
@@ -188,11 +220,128 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
                 t = _IMAGE_CACHE.get(family + (key,))
                 if t is None:
                     t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, lg, rg)
-                cert = is_zero_tensor(t, left, right)
+                cert = (zero_tensor_certificate if carried else is_zero_tensor)(t, left, right)
             if cert.status == PROVED_ZERO:
                 proved[key] = cert.zero_evidence
             return cert
         _timed(report, f"{side}:{rel.rid}" if side else rel.rid, thunk)
+
+
+# ---------------------------------------------------------------------------
+# permutation orbits
+# ---------------------------------------------------------------------------
+
+# (map, sides, canonical matrices) -> (sigma, presentations, span ranks) of the
+# first member of that orbit seen in this process whose checks all came out
+# ProvedZero at bound 2, with one presentation and rank per span; see the
+# module docstring.
+_ORBITS: dict = {}
+
+# the one product bound the orbit table serves: there the span is that of the
+# relations themselves, so the exact check below needs no second span
+_ORBIT_BOUND = 2
+
+
+def _canonical(matrices) -> tuple:
+    """(the least relabeling of the n x n matrices over S_n, a sigma that gives it).
+
+    sigma maps index i to sigma[i] (0-based); entry (sigma[i], sigma[j]) of a
+    relabeled matrix is entry (i, j) of the original.  A relabeling is
+    written as one flat tuple, the matrices' rows in order.  Brute force over
+    n! permutations, which is cheap for the n <= 4 of a sweep.
+    """
+    n = len(matrices[0])
+    best = None
+    for sigma in itertools.permutations(range(n)):
+        inverse = sorted(range(n), key=sigma.__getitem__)
+        image = [m[inverse[a]][inverse[b]] for m in matrices for a in range(n) for b in range(n)]
+        if best is None or image < best[0]:
+            best = (image, sigma)
+    return tuple(best[0]), best[1]
+
+
+# perm -> its `_Relabel`, one per permutation and process
+_RELABELS: dict = {}
+
+
+class _Relabel(dict):
+    """Word -> the word with each index i (1-based) replaced by perm[i - 1] + 1.
+
+    A sphere coordinate's column 0 stays 0.  Words are relabeled on first
+    use, each letter once; relations have degree 2, so both tables stay small.
+    """
+
+    def __init__(self, perm):
+        super().__init__()
+        self.perm = perm
+        self.letters = {}
+
+    def letter(self, letter):
+        out = self.letters.get(letter)
+        if out is None:
+            p = self.perm
+            out = self.letters[letter] = Letter(letter.tag, p[letter.row - 1] + 1,
+                                                letter.col and p[letter.col - 1] + 1, letter.starred)
+        return out
+
+    def __missing__(self, word):
+        out = self[word] = tuple(map(self.letter, word))
+        return out
+
+
+def _carries(record: tuple, sigma: tuple, spans: tuple) -> bool:
+    """Whether the recorded first member's ProvedZero verdicts carry to this member.
+
+    Each span must have the recorded rank, and each recorded relation,
+    relabeled onto this member's indices, must be plus or minus a relation
+    of this member (by term keys) or lie in its span.
+    """
+    first_sigma, presentations, ranks = record
+    # this member's index i is the first member's first_sigma^-1(sigma(i)), so
+    # the first member's index a is this member's sigma^-1(first_sigma(a))
+    inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+    perm = tuple(inverse[s] for s in first_sigma)
+    relabel = _RELABELS.get(perm)
+    if relabel is None:
+        relabel = _RELABELS[perm] = _Relabel(perm)
+    for pres, rank, span in zip(presentations, ranks, spans):
+        if span.rank != rank:
+            return False
+        keys = {rel.keys[0] for rel in span.presentation.all_relations()}
+        for rel in pres.all_relations():
+            terms = {relabel[w]: c for w, c in rel.poly.terms.items()}
+            if (frozenset(terms.items()) not in keys
+                    and frozenset((w, -c) for w, c in terms.items()) not in keys
+                    and span.certify(Poly(terms)).status != PROVED_ZERO):
+                return False
+    return True
+
+
+def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentation,
+                     space: Presentation, family: str, sides: tuple, bound: int) -> VerificationReport:
+    """Certify that the coaction of `qg` preserves every relation of `space`, on each side.
+
+    A side "" is the alpha coaction with unprefixed check names (the
+    coproduct, where `space` is `qg`).  `matrices` are the pair data the
+    presentations are built from, and place the task in its orbit.
+    """
+    left = build_quotient_basis(qg, bound)
+    spans = (left,) if space is qg else (left, build_quotient_basis(space, bound))
+    right = spans[-1]
+    key = sigma = record = None
+    if bound == _ORBIT_BOUND:
+        canonical, sigma = _canonical(matrices)
+        key = (family, sides, canonical)
+        record = _ORBITS.get(key)
+    carried = record is not None and _carries(record, sigma, spans)
+    first = len(report.checks)
+    for side in sides:
+        _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
+                    (family, qg.source_pair.n, side), left, right, carried)
+    if (key is not None and record is None
+            and all(c.certificate.status == PROVED_ZERO for c in report.checks[first:])):
+        _ORBITS[key] = (sigma, tuple(s.presentation for s in spans), tuple(s.rank for s in spans))
+    return report
 
 
 def verify_comultiplication(pair: CommutationPair, bound: int = 2) -> VerificationReport:
@@ -204,23 +353,13 @@ def verify_comultiplication(pair: CommutationPair, bound: int = 2) -> Verificati
     """
     pres = unitary_qg_presentation(pair)
     report = VerificationReport("hopf", pair.to_json_dict())
-    basis = build_quotient_basis(pres, bound)
-    _verify_hom(report, pres.all_relations(), _coaction_images(pres, pres, "alpha"),
-                ("hopf", pair.n, ""), basis, basis)
-    return report
+    return _verify_coaction(report, (pair.epsilon, pair.eta), pres, pres, "hopf", ("",), bound)
 
 
-def _verify_actions(report: VerificationReport, qg: Presentation, space: Presentation,
-                    family: str, side: str, bound: int) -> VerificationReport:
-    """Certify that the alpha and/or beta coaction of `qg` preserves every relation of `space`."""
+def _sides(side: str) -> tuple:
     if side not in ("alpha", "beta", "both"):
         raise ValueError(f"side must be alpha, beta, or both, not {side!r}")
-    left = build_quotient_basis(qg, bound)
-    right = build_quotient_basis(space, bound)
-    for s in (("alpha", "beta") if side == "both" else (side,)):
-        _verify_hom(report, space.all_relations(), _coaction_images(qg, space, s),
-                    (family, qg.source_pair.n, s), left, right)
-    return report
+    return ("alpha", "beta") if side == "both" else (side,)
 
 
 def verify_sphere_action(pair: CommutationPair, side: str = "both",
@@ -239,8 +378,8 @@ def verify_sphere_action(pair: CommutationPair, side: str = "both",
             f"(A violations {list(reg.violations_convention_A)}, "
             f"B violations {list(reg.violations_convention_B)})")
         report.subject = pair.to_json_dict()
-    return _verify_actions(report, unitary_qg_presentation(pair), sphere_presentation(pair),
-                           "sphere", side, bound)
+    return _verify_coaction(report, (pair.epsilon, pair.eta), unitary_qg_presentation(pair),
+                            sphere_presentation(pair), "sphere", _sides(side), bound)
 
 
 def verify_tuple_action(epsilon, side: str = "both", bound: int = 2) -> VerificationReport:
@@ -248,7 +387,8 @@ def verify_tuple_action(epsilon, side: str = "both", bound: int = 2) -> Verifica
     qg = orthogonal_qg_presentation(epsilon)
     eps = qg.source_pair.epsilon
     report = VerificationReport("tuple-action", {"n": len(eps), "epsilon": [list(r) for r in eps]})
-    return _verify_actions(report, qg, tuple_space_presentation(epsilon), "tuple", side, bound)
+    return _verify_coaction(report, (eps,), qg, tuple_space_presentation(epsilon), "tuple",
+                            _sides(side), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ def test_sweep_results_independent_of_job_count():
     body1 = run_sweep(2, ("hopf", "tuple-action"), config1)
     body2 = run_sweep(2, ("hopf", "tuple-action"), config2)
     assert body1 == body2
+    # most of these tasks are carried within their orbit, each worker by its own table
+    body1 = run_sweep(3, ("hopf", "sphere-action"), config1, sample=100)
+    body2 = run_sweep(3, ("hopf", "sphere-action"), config2, sample=100)
+    assert body1 == body2
 
 
 def test_every_all_entry_resolves():

@@ -1,0 +1,195 @@
+"""Permutation orbits: one reduction per orbit, carried to the others after an exact check."""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from ncstar import cli
+from ncstar import presentations as P
+from ncstar import verifier as V
+from ncstar.ncalg import INCONCLUSIVE, Certificate, Letter, Poly
+
+OFF2 = [[0, 1], [1, 0]]
+
+
+def _permuted(m, sigma):
+    """m relabeled by sigma: entry (sigma[i], sigma[j]) is entry (i, j) of m."""
+    n = len(m)
+    inverse = sorted(range(n), key=sigma.__getitem__)
+    return tuple(tuple(m[inverse[a]][inverse[b]] for b in range(n)) for a in range(n))
+
+
+def _flat(matrices):
+    return tuple(x for m in matrices for row in m for x in row)
+
+
+def _is_canonical(pair):
+    return V._canonical((pair.epsilon, pair.eta))[0] == _flat((pair.epsilon, pair.eta))
+
+
+@pytest.fixture
+def orbits(monkeypatch):
+    """An empty orbit table for the test, and a counter of the reductions made."""
+    table = {}
+    monkeypatch.setattr(V, "_ORBITS", table)
+    reduced = []
+    real = V.is_zero_tensor
+
+    def counted(t, left, right):
+        reduced.append(t)
+        return real(t, left, right)
+    monkeypatch.setattr(V, "is_zero_tensor", counted)
+    return table, reduced
+
+
+def _direct(run, *args):
+    """The report of one task reduced on its own, with the orbit table cleared."""
+    V._ORBITS.clear()
+    return run(*args).to_json_dict(include_timings=False)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_form_is_the_same_for_every_relabeling(n):
+    for pair in P.enumerate_pairs(n):
+        matrices = (pair.epsilon, pair.eta)
+        canonical, sigma = V._canonical(matrices)
+        assert _flat(_permuted(m, sigma) for m in matrices) == canonical
+        for tau in itertools.permutations(range(n)):
+            relabeled = tuple(_permuted(m, tau) for m in matrices)
+            assert V._canonical(relabeled)[0] == canonical, (pair.compact(), tau)
+
+
+@pytest.mark.parametrize("n,counts", [(2, (12, 5, 2)), (3, (120, 29, 4))])
+def test_orbit_counts(n, counts):
+    pairs = P.enumerate_pairs(n)
+    regular = [p for p in pairs if P.is_regular(p).is_regular]
+    assert (len({V._canonical((p.epsilon, p.eta))[0] for p in pairs}),
+            len({V._canonical((p.epsilon, p.eta))[0] for p in regular}),
+            len({V._canonical((p.epsilon,))[0] for p in pairs})) == counts
+
+
+# ---------------------------------------------------------------------------
+# carried reports equal direct ones
+# ---------------------------------------------------------------------------
+
+def test_shuffled_n3_sweep_equals_direct_reports(orbits, monkeypatch):
+    """The first member seen is often not the canonical one; no report may tell."""
+    table, _ = orbits
+    carried = []
+    real = V._carries
+
+    def spy(record, sigma, spans):
+        carried.append(real(record, sigma, spans))
+        return carried[-1]
+    monkeypatch.setattr(V, "_carries", spy)
+    tasks = cli.sweep_tasks(3, cli.SWEEP_TARGETS, cli.RunConfig())
+    random.Random(5).shuffle(tasks)
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
+    reports = [run(pair, bound).to_json_dict(include_timings=False) for run, pair, bound in runs]
+    assert len(table) == 120 + 29 + 4
+    assert carried.count(True) == len(carried) == 618 - len(table)
+    for (run, pair, bound), report in zip(runs, reports):
+        assert report == _direct(run, pair, bound), pair.compact()
+
+
+def test_a_member_with_a_dropped_relation_is_reduced_directly(orbits, monkeypatch):
+    table, reduced = orbits
+    first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
+    member = P.validate_pair(OFF2, [[1, 0], [0, 0]])  # first, with the indices swapped
+    assert _is_canonical(first) and not _is_canonical(member)
+    real = P.unitary_qg_presentation
+
+    def dropping(pair):
+        pres = real(pair)
+        if pair != member:
+            return pres
+        kept = tuple(r for r in pres.relations if r.rid != "Reps-xcol(1,1;1,2)")
+        assert len(kept) == len(pres.relations) - 1
+        return dataclasses.replace(pres, relations=kept)
+    monkeypatch.setattr(V, "unitary_qg_presentation", dropping)
+    direct = _direct(V.verify_comultiplication, member)
+    # without the relation the member does not certify, so a carried report would differ
+    assert direct["overall"] == INCONCLUSIVE
+
+    table.clear()
+    V.verify_comultiplication(first)
+    assert len(table) == 1
+    del reduced[:]
+    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
+    assert reduced
+
+
+def test_a_member_with_an_added_relation_is_reduced_directly(orbits, monkeypatch):
+    """Every relation of the first member lies in this member's span, but the span is larger."""
+    table, reduced = orbits
+    first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
+    member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
+    real = P.unitary_qg_presentation
+    extra = P.Relation("extra", Poly.from_word((Letter("u", 1, 1), Letter("u", 1, 2))))
+
+    def adding(pair):
+        pres = real(pair)
+        return dataclasses.replace(pres, relations=pres.relations + (extra,)) if pair == member else pres
+    monkeypatch.setattr(V, "unitary_qg_presentation", adding)
+    direct = _direct(V.verify_comultiplication, member)
+    table.clear()
+    V.verify_comultiplication(first)
+    del reduced[:]
+    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
+    assert reduced
+
+
+def test_an_inconclusive_first_member_passes_nothing_on(orbits, monkeypatch):
+    table, reduced = orbits
+    first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
+    member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
+    counted = V.is_zero_tensor
+    calls = []
+
+    def one_inconclusive(t, left, right):
+        calls.append(t)
+        if len(calls) == 1:
+            return Certificate(INCONCLUSIVE, detail="patched")
+        return counted(t, left, right)
+    monkeypatch.setattr(V, "is_zero_tensor", one_inconclusive)
+    assert V.verify_comultiplication(first).overall == INCONCLUSIVE
+    assert table == {}
+    monkeypatch.setattr(V, "is_zero_tensor", counted)
+    del reduced[:]
+    report = V.verify_comultiplication(member).to_json_dict(include_timings=False)
+    assert reduced  # reduced directly, as the orbit's first ProvedZero member
+    assert report == _direct(V.verify_comultiplication, member)
+
+
+def test_a_record_serves_only_its_own_sides(orbits):
+    table, reduced = orbits
+    zero = [[0] * 3 for _ in range(3)]
+    first = P.validate_pair(zero, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    member = P.validate_pair(zero, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert P.is_regular(first).is_regular and P.is_regular(member).is_regular
+    direct = _direct(V.verify_sphere_action, member, "both")
+    table.clear()
+    V.verify_sphere_action(first, "alpha")
+    del reduced[:]
+    # the alpha record says nothing of beta: the member is reduced, and recorded
+    assert V.verify_sphere_action(member, "both").to_json_dict(include_timings=False) == direct
+    assert reduced and len(table) == 2
+    del reduced[:]
+    V.verify_sphere_action(first, "both")
+    assert not reduced
+
+
+def test_bound_3_reports_equal_direct_ones(orbits):
+    table, reduced = orbits
+    pairs = P.enumerate_pairs(2)
+    reports = [V.verify_comultiplication(p, 3).to_json_dict(include_timings=False) for p in pairs]
+    for pair, report in zip(pairs, reports):
+        assert report == _direct(V.verify_comultiplication, pair, 3), pair.compact()
+    assert table == {}
+
