@@ -40,7 +40,7 @@ from .scalars import GaussianRational, parse_scalar
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
     "apply_tensor_hom",
-    "build_quotient_basis", "is_zero_tensor", "zero_tensor_certificate",
+    "build_quotient_basis", "span_descriptor", "is_zero_tensor", "zero_tensor_certificate",
     "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
     "RosterMismatch", "DimensionCap",
@@ -662,13 +662,7 @@ class BoundedSpan:
         # the span never changes after construction; every caller of
         # descriptor() gets its own copy, so editing one certificate cannot
         # change another
-        self._descriptor = {
-            "presentation": presentation.label,
-            "degree_bound": bound,
-            "relation_rows": self._rows,
-            "rank": self.rank,
-            "monomials": monomials,
-        }
+        self._descriptor = span_descriptor(presentation, bound, self._rows, self.rank)
 
     def _insert(self, row: dict, rid: str, m1: int, m2: int):
         combo = {(rid, m1, m2): 1} if self.provenance else None
@@ -741,6 +735,17 @@ class BoundedSpan:
             "lhs_multiple": str(mult),
             "terms": terms,
         })
+
+
+def span_descriptor(pres, bound: int, relation_rows: int, rank: int) -> dict:
+    """How a span of pres at this bound, with these row and rank counts, names itself in evidence."""
+    return {
+        "presentation": pres.label,
+        "degree_bound": bound,
+        "relation_rows": relation_rows,
+        "rank": rank,
+        "monomials": _word_codes(pres).offset(bound + 1),
+    }
 
 
 def build_quotient_basis(pres, bound: int = 2) -> BoundedSpan:

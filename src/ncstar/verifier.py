@@ -33,31 +33,23 @@ never reused, since its detail names a survivor of its own.
 A simultaneous permutation sigma of the indices maps the presentations of a
 pair (epsilon, eta) onto those of (sigma epsilon, sigma eta), by u_ij ->
 u_sigma(i)sigma(j), x_i -> x_sigma(i) and tx_ij -> tx_sigma(i)sigma(j), and it
-commutes with every coaction above.  So the coproduct and the actions are
-certified once per permutation orbit and process, at bound 2 (`_ORBITS`):
-the orbit of a task is the least relabeling of its matrices over S_n
-(`_canonical`); the sphere action takes the pair after `regularize`, the tuple
-action epsilon alone.  The first member of an orbit seen is reduced as
-above; if every check is ProvedZero, its presentations, its sigma and its
-span ranks are kept, and nothing else.  A later member builds its own
-presentations and spans, and is checked exactly against the first member
-(`_carries`): each span has the kept rank, and each relation of the first
-member, relabeled by tau^-1 onto this member's indices (tau takes this
-member's indices to the first member's), is plus or minus a relation of
-this member or certifies in this member's span.  If so, every check is
-ProvedZero with evidence of its own (its span descriptors and its image's
-term count), and no image is reduced; if not, the member is reduced as
-above.  This is sound: at bound 2 a span is the span of the star-closed
-relations themselves, so the check gives tau^-1(first span) within this
-span, and the equal ranks make the two equal; tau^-1 acts on both legs of
-each image as the coaction does, so it carries the first member's leg-wise
-kernel onto this member's, and every relation of this member lies in the
-relabeled span of the first member's relations, whose images all vanish.
-Above bound 2 the check would need the degree-2 span as well, since a
-relation that lies in a bound-b span need not have its products m1 r m2
-there; no task above bound 2 is carried.  An Inconclusive is never carried,
-and no verdict is ever upgraded: a member either gets the verdicts a direct
-reduction would give it or is reduced directly.
+commutes with every coaction above.  So at bound 2 the coproduct and the
+actions are reduced once per orbit key and process (`_ORBITS`).  A task's
+key is its map and sides, the least relabeling of its matrices over S_n
+(`_canonical`; the sphere action takes the pair after `regularize`, the
+tuple action epsilon alone), and each span's rows: its star-closed
+relations relabeled by the task's own sigma, each up to sign (`_rows`).  A
+task whose key is absent is reduced as above, and its span ranks are kept
+if every check is ProvedZero.  A task whose key is present builds no span
+and reduces no image: every check is ProvedZero with evidence of its own,
+its span descriptors (its presentation, its own row count, the kept rank)
+and its image's term count.  This is sound: at bound 2 a span's rows are its
+star-closed relations, each of degree 2, so equal rows up to sign make this
+task's spans the relabeled spans of the task that was reduced, and the
+relabeling, which acts on both legs of each image as the coaction does,
+carries that task's vanishing images onto this task's.  A relation of
+another degree, or a bound above 2, gives no key.  An Inconclusive is never
+carried, and no verdict is ever upgraded.
 
 The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
 the non-injectivity witness check and the independence suites import them, so
@@ -73,12 +65,13 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, TensorPoly, apply_tensor_hom,
+                    PROVED_ZERO, Poly, TensorPoly, _star_closed_relations, apply_tensor_hom,
                     build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
-                    poly_str, replay_combination, word_str, zero_tensor_certificate)
+                    poly_str, replay_combination, span_descriptor, word_str,
+                    zero_tensor_certificate)
 from .presentations import (CommutationPair, Presentation, is_regular,
                             orthogonal_qg_presentation, regularize,
                             sphere_presentation, tuple_space_presentation,
@@ -203,8 +196,9 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
     nonempty side prefixes its name ("alpha:rid").
     A star twin of an earlier ProvedZero in this call (see the module
     docstring) gets its partner's verdict and term count, with fresh evidence.
-    When `carried`, the orbit check has shown that every image vanishes, so
-    each one gets the ProvedZero `is_zero_tensor` would give it, unreduced.
+    When `carried`, the orbit table has shown that every image vanishes, so
+    each one gets the ProvedZero `is_zero_tensor` would give it, unreduced;
+    then `left` and `right` need only a presentation and a descriptor.
     """
     side = family[2]
     lg, rg = left.presentation.generators, right.presentation.generators
@@ -231,14 +225,15 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
 # permutation orbits
 # ---------------------------------------------------------------------------
 
-# (map, sides, canonical matrices) -> (sigma, presentations, span ranks) of the
-# first member of that orbit seen in this process whose checks all came out
-# ProvedZero at bound 2, with one presentation and rank per span; see the
-# module docstring.
+# (map, sides, canonical matrices, each span's rows) -> the span ranks of a task
+# reduced in this process whose checks all came out ProvedZero at bound 2; a
+# span's rows are its star-closed relations relabeled into canonical indices,
+# each up to sign, as a sorted tuple of row ids (`_rows`); see the module
+# docstring.
 _ORBITS: dict = {}
 
-# the one product bound the orbit table serves: there the span is that of the
-# relations themselves, so the exact check below needs no second span
+# the one product bound the orbit table serves: there each row of a span is
+# one of its star-closed relations, so equal rows make equal spans
 _ORBIT_BOUND = 2
 
 
@@ -260,61 +255,58 @@ def _canonical(matrices) -> tuple:
     return tuple(best[0]), best[1]
 
 
-# perm -> its `_Relabel`, one per permutation and process
-_RELABELS: dict = {}
+# relabeled row up to sign -> its id; the row is its (word, coefficient)
+# pairs, sorted, with the first coefficient positive, so p and -p get one id
+_ROW_IDS: dict = {}
+
+# sigma -> {term key of a star-closed relation: the id of its relabeled row}
+_RELABELED: dict = {}
 
 
-class _Relabel(dict):
-    """Word -> the word with each index i (1-based) replaced by perm[i - 1] + 1.
+def _row_id(poly: Poly, sigma: tuple) -> Optional[int]:
+    """The id of poly with each index i (1-based) relabeled to sigma[i - 1] + 1, up to sign.
 
-    A sphere coordinate's column 0 stays 0.  Words are relabeled on first
-    use, each letter once; relations have degree 2, so both tables stay small.
+    A sphere coordinate's column 0 stays 0.  None if poly does not have
+    degree 2: only there is a relation one row of its bound-2 span.
     """
-
-    def __init__(self, perm):
-        super().__init__()
-        self.perm = perm
-        self.letters = {}
-
-    def letter(self, letter):
-        out = self.letters.get(letter)
-        if out is None:
-            p = self.perm
-            out = self.letters[letter] = Letter(letter.tag, p[letter.row - 1] + 1,
-                                                letter.col and p[letter.col - 1] + 1, letter.starred)
-        return out
-
-    def __missing__(self, word):
-        out = self[word] = tuple(map(self.letter, word))
-        return out
+    if poly.degree() != _ORBIT_BOUND:
+        return None
+    row = sorted((tuple(Letter(l.tag, sigma[l.row - 1] + 1, l.col and sigma[l.col - 1] + 1, l.starred)
+                        for l in w), c) for w, c in poly.items())
+    if row[0][1] < 0:
+        row = [(w, -c) for w, c in row]
+    return _ROW_IDS.setdefault(tuple(row), len(_ROW_IDS))
 
 
-def _carries(record: tuple, sigma: tuple, spans: tuple) -> bool:
-    """Whether the recorded first member's ProvedZero verdicts carry to this member.
+def _rows(pres: Presentation, sigma: tuple) -> Optional[tuple]:
+    """(the sorted row ids of pres's bound-2 span under sigma, the span's row count).
 
-    Each span must have the recorded rank, and each recorded relation,
-    relabeled onto this member's indices, must be plus or minus a relation
-    of this member (by term keys) or lie in its span.
+    The count is that of the span's own star-closed relations, as a build
+    inserts them.  None if a relation does not have degree 2.
     """
-    first_sigma, presentations, ranks = record
-    # this member's index i is the first member's first_sigma^-1(sigma(i)), so
-    # the first member's index a is this member's sigma^-1(first_sigma(a))
-    inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
-    perm = tuple(inverse[s] for s in first_sigma)
-    relabel = _RELABELS.get(perm)
-    if relabel is None:
-        relabel = _RELABELS[perm] = _Relabel(perm)
-    for pres, rank, span in zip(presentations, ranks, spans):
-        if span.rank != rank:
-            return False
-        keys = {rel.keys[0] for rel in span.presentation.all_relations()}
-        for rel in pres.all_relations():
-            terms = {relabel[w]: c for w, c in rel.poly.terms.items()}
-            if (frozenset(terms.items()) not in keys
-                    and frozenset((w, -c) for w, c in terms.items()) not in keys
-                    and span.certify(Poly(terms)).status != PROVED_ZERO):
-                return False
-    return True
+    ids = _RELABELED.get(sigma)
+    if ids is None:
+        ids = _RELABELED[sigma] = {}
+    rows, count = set(), 0
+    for _, poly, key in _star_closed_relations(pres):
+        row = ids.get(key, -1)
+        if row == -1:
+            row = ids[key] = _row_id(poly, sigma)
+        if row is None:
+            return None
+        rows.add(row)
+        count += 1
+    return tuple(sorted(rows)), count
+
+
+class _Described(NamedTuple):
+    """A carried task's span: its presentation and descriptor, with no echelon table."""
+
+    presentation: Presentation
+    fields: dict
+
+    def descriptor(self) -> dict:
+        return dict(self.fields)
 
 
 def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentation,
@@ -325,22 +317,28 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
     coproduct, where `space` is `qg`).  `matrices` are the pair data the
     presentations are built from, and place the task in its orbit.
     """
-    left = build_quotient_basis(qg, bound)
-    spans = (left,) if space is qg else (left, build_quotient_basis(space, bound))
-    right = spans[-1]
-    key = sigma = record = None
+    presentations = (qg,) if space is qg else (qg, space)
+    key = spans = None
     if bound == _ORBIT_BOUND:
         canonical, sigma = _canonical(matrices)
-        key = (family, sides, canonical)
-        record = _ORBITS.get(key)
-    carried = record is not None and _carries(record, sigma, spans)
+        rows = [_rows(pres, sigma) for pres in presentations]
+        if None not in rows:
+            key = (family, sides, canonical) + tuple(ids for ids, _ in rows)
+            ranks = _ORBITS.get(key)
+            if ranks is not None:
+                spans = [_Described(pres, span_descriptor(pres, bound, count, rank))
+                         for pres, (_, count), rank in zip(presentations, rows, ranks)]
+    carried = spans is not None
+    if not carried:
+        spans = [build_quotient_basis(pres, bound) for pres in presentations]
+    left, right = spans[0], spans[-1]
     first = len(report.checks)
     for side in sides:
         _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
                     (family, qg.source_pair.n, side), left, right, carried)
-    if (key is not None and record is None
+    if (key is not None and not carried
             and all(c.certificate.status == PROVED_ZERO for c in report.checks[first:])):
-        _ORBITS[key] = (sigma, tuple(s.presentation for s in spans), tuple(s.rank for s in spans))
+        _ORBITS[key] = tuple(s.rank for s in spans)
     return report
 
 

@@ -123,6 +123,8 @@ def test_dimension_cap_exit_2(pair_file, monkeypatch, capsys):
     def too_large(pres, bound=2, **kw):
         raise DimensionCap("product span exceeded 10 sparse entries")
     monkeypatch.setattr(verifier, "build_quotient_basis", too_large)
+    # a task carried by the orbit table builds no span
+    monkeypatch.setattr(verifier, "_ORBITS", {})
     path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
     assert run_cli("verify", "hopf", "--input", path, "--bound", "3") == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Permutation orbits: one reduction per orbit, carried to the others after an exact check."""
+"""Permutation orbits: one reduction per orbit key, carried to every task with the same relabeled rows."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -80,20 +81,31 @@ def test_orbit_counts(n, counts):
 
 def test_shuffled_n3_sweep_equals_direct_reports(orbits, monkeypatch):
     """The first member seen is often not the canonical one; no report may tell."""
-    table, _ = orbits
-    carried = []
-    real = V._carries
+    table, reduced = orbits
+    built = []
+    real = V.build_quotient_basis
 
-    def spy(record, sigma, spans):
-        carried.append(real(record, sigma, spans))
-        return carried[-1]
-    monkeypatch.setattr(V, "_carries", spy)
+    def counted(pres, bound):
+        built.append(pres)
+        return real(pres, bound)
+    monkeypatch.setattr(V, "build_quotient_basis", counted)
     tasks = cli.sweep_tasks(3, cli.SWEEP_TARGETS, cli.RunConfig())
     random.Random(5).shuffle(tasks)
     runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
-    reports = [run(pair, bound).to_json_dict(include_timings=False) for run, pair, bound in runs]
-    assert len(table) == 120 + 29 + 4
-    assert carried.count(True) == len(carried) == 618 - len(table)
+    reports, carried = [], 0
+    for run, pair, bound in runs:
+        before = len(built)
+        reports.append(run(pair, bound).to_json_dict(include_timings=False))
+        carried += len(built) == before
+    # 138 + 44 + 4 keys: an orbit whose relations match only up to span splits
+    assert collections.Counter(key[0] for key in table) == {"hopf": 138, "sphere": 44, "tuple": 4}
+    assert carried == 618 - len(table) == 432
+    assert len(built) == 138 + 2 * 44 + 2 * 4 == 234
+    # a second pass finds every key: it builds no span and reduces no image
+    del built[:], reduced[:]
+    for run, pair, bound in runs:
+        run(pair, bound)
+    assert not built and not reduced
     for (run, pair, bound), report in zip(runs, reports):
         assert report == _direct(run, pair, bound), pair.compact()
 
@@ -193,3 +205,65 @@ def test_bound_3_reports_equal_direct_ones(orbits):
         assert report == _direct(V.verify_comultiplication, pair, 3), pair.compact()
     assert table == {}
 
+
+
+def test_an_orbit_mate_whose_ties_differ_gets_its_own_key(orbits):
+    """colprod-tie anchors at the first free index k0, which no relabeling moves along."""
+    table, reduced = orbits
+    zero = [[0] * 3 for _ in range(3)]
+    first = P.validate_pair(zero, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    mate = P.validate_pair(zero, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert V._canonical((first.epsilon, first.eta))[0] == V._canonical((mate.epsilon, mate.eta))[0]
+    direct = _direct(V.verify_comultiplication, mate)
+    table.clear()
+    V.verify_comultiplication(first)
+    del reduced[:]
+    assert V.verify_comultiplication(mate).to_json_dict(include_timings=False) == direct
+    assert reduced and len(table) == 2
+
+
+def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch):
+    """Minus a relation adds rows to the member's span but not to its rows up to sign."""
+    table, reduced = orbits
+    first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
+    member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
+    real = P.unitary_qg_presentation
+
+    def negating(pair):
+        pres = real(pair)
+        if pair != member:
+            return pres
+        negated = P.Relation("negated", -pres.relations[0].poly)
+        return dataclasses.replace(pres, relations=pres.relations + (negated,))
+    monkeypatch.setattr(V, "unitary_qg_presentation", negating)
+    direct = _direct(V.verify_comultiplication, member)
+    table.clear()
+    V.verify_comultiplication(first)
+    del reduced[:]
+    report = V.verify_comultiplication(member).to_json_dict(include_timings=False)
+    assert not reduced and report == direct
+    span = V.build_quotient_basis(negating(member), 2).descriptor()
+    assert span["relation_rows"] > V.build_quotient_basis(real(member), 2).descriptor()["relation_rows"]
+    for check in report["checks"]:
+        assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]
+
+
+def test_a_relation_below_degree_2_is_never_carried(orbits, monkeypatch):
+    """There a span's rows are more than its relations, so no row count is carried."""
+    table, reduced = orbits
+    first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
+    member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
+    real = P.unitary_qg_presentation
+    one = P.Relation("one", Poly.one())
+
+    def with_one(pair):
+        pres = real(pair)
+        return dataclasses.replace(pres, relations=pres.relations + (one,))
+    monkeypatch.setattr(V, "unitary_qg_presentation", with_one)
+    direct = _direct(V.verify_comultiplication, member)
+    assert direct["overall"] == "ProvedZero"  # every word of degree <= 2 lies in the span
+    V.verify_comultiplication(first)
+    assert table == {}
+    del reduced[:]
+    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
+    assert reduced
