@@ -11,16 +11,18 @@ runs over Q, and star only reverses and stars words.  On top of the free
   presentation by exact sparse Gaussian elimination (`build_quotient_basis`
   is the name verifications build it through).  The elimination keys each
   word by its integer code over the sorted letter roster (`_WordCodes`, one
-  table per roster and process), which sorts like the word, and keeps the
-  coefficients of the polynomials themselves; a residue is a list of (word
-  code, coefficient) pairs, cached per span under the word's code, and a
-  word with a letter outside the roster raises `RosterMismatch`.
+  table per roster and process from `_roster_codes`), which sorts like the
+  word, and keeps the coefficients of the polynomials themselves; a residue
+  is a list of (word code, coefficient) pairs, cached per span under the
+  word's code, and a word with a letter outside the roster raises
+  `RosterMismatch`.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
   span (`is_zero_tensor`) on integer word codes; `TensorPoly` is a plain
-  value with no arithmetic, coded once per pair of code tables, and
-  relation images are built by `apply_tensor_hom` alone, and
+  value with no arithmetic, its terms keyed by the codes of their two words
+  over the code tables of its two legs, and relation images are built by
+  `apply_tensor_hom` alone, and
 * degree-bounded two-sided ideal membership against the same span, with an
   explicit linear combination as evidence when the span tracks provenance;
   `ideal_membership_bounded` is the one-shot form.
@@ -53,9 +55,9 @@ HERMITIAN_TAGS = frozenset({"ou", "tx"})
 # read each time a span is built.
 SPAN_ENTRY_CAP = 2_000_000
 
-# Sorted letter roster -> its `_WordCodes`, one table per roster and process.
-# Spans over one roster share it, so a tensor coded against it once (see
-# `TensorPoly`) reads every span's residue cache by the same codes.
+# Generator tuple -> the `_WordCodes` of its words, one table per roster and
+# process (`_roster_codes`).  Spans and tensor legs over one roster share it,
+# so a tensor's codes read every such span's residue cache directly.
 _CODES: dict = {}
 
 # Sorted letter roster -> {relation term key: (degree, {word code: coefficient})}.
@@ -278,63 +280,45 @@ def poly_str(p: Poly) -> str:
 class TensorPoly:
     """Element of the algebraic tensor product of two word algebras.
 
-    terms maps (left word, right word) to a coefficient; each leg references
-    only its own roster.  A value type: images are built by `apply_tensor_hom`
-    and reduced by `is_zero_tensor`, which reads the terms as integer word
-    codes (`coded`).  The coded list is built once per pair of code tables
-    and kept, so an image the verifier caches is coded once per process;
-    nothing may mutate terms after that.
+    Built from {(left word, right word): coefficient} and the generator
+    tuples of its two legs, its rosters.  terms maps (left word code, right
+    word code) to a coefficient, over the two rosters' code tables `left` and
+    `right` (`_roster_codes`); each word is coded once, here, so a letter
+    outside its leg's roster raises RosterMismatch.  A value type: images are
+    built by `apply_tensor_hom` and reduced by `is_zero_tensor`; nothing may
+    mutate terms.
     """
 
-    __slots__ = ("terms", "left_roster", "right_roster", "_codings")
+    __slots__ = ("terms", "left", "right")
 
-    def __init__(self, terms: Optional[dict] = None, *, left_roster=(), right_roster=()):
-        self.left_roster = tuple(left_roster)
-        self.right_roster = tuple(right_roster)
-        self.terms = _rational_terms(terms)
-        self._codings: dict = {}
-
-    def items(self):
-        return self.terms.items()
-
-    def coded(self, left: _WordCodes, right: _WordCodes) -> list:
-        """The terms as [(left code, right code, coefficient), ...] over two code tables.
-
-        Every term is coded before the list is kept, so a letter outside
-        either table raises RosterMismatch, whichever leg it is in.
-        """
-        out = self._codings.get((left, right))
-        if out is None:
-            code1, code2 = left.code, right.code
-            out = self._codings[left, right] = [(code1(w1), code2(w2), c)
-                                              for (w1, w2), c in self.terms.items()]
-        return out
+    def __init__(self, terms: dict, left_roster, right_roster):
+        self.left, self.right = _roster_codes(tuple(left_roster)), _roster_codes(tuple(right_roster))
+        code1, code2 = self.left.code, self.right.code
+        self.terms = {(code1(w1), code2(w2)): c for (w1, w2), c in _rational_terms(terms).items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.left is other.left and self.right is other.right and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
             return "TensorPoly(0)"
-        parts = [
-            f"{c}·{word_str(a)}⊗{word_str(b)}"
-            for (a, b), c in sorted(self.terms.items(), key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1])))
-        ]
+        # codes sort like words
+        parts = [f"{c}·{word_str(self.left.word(k1))}⊗{word_str(self.right.word(k2))}"
+                 for (k1, k2), c in sorted(self.terms.items())]
         return "TensorPoly(" + " + ".join(parts) + ")"
 
 
 def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> TensorPoly:
-    """Extend a generator assignment Letter -> TensorPoly to p as a *-homomorphism.
+    """Extend a generator assignment to p as a *-homomorphism, over two rosters.
 
-    Each word expands over plain {(left word, right word): coefficient} dicts:
-    a starred letter takes the leg-wise star of its image (the coefficients
-    are rational, so they stay as they are), and a word maps to the leg-wise
-    product of its letters' images.  Every image must be built over the two
-    given rosters.
+    images maps each generator to {(left word, right word): coefficient}.  A
+    starred letter takes the leg-wise star of its image (the coefficients are
+    rational, so they stay as they are), and a word maps to the leg-wise
+    product of its letters' images.  The result is coded over the two rosters,
+    so a letter outside either raises RosterMismatch.
     """
-    rosters = (tuple(left_roster), tuple(right_roster))
     letters: dict = {}
     out: dict = {}
     for w, c in p.items():
@@ -342,12 +326,9 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
         for l in w:
             img = letters.get(l)
             if img is None:
-                base = images.get(l.base())
-                if base is None:
+                img = images.get(l.base())
+                if img is None:
                     raise RosterMismatch(f"no image assigned for generator {letter_str(l.base())}")
-                if (base.left_roster, base.right_roster) != rosters:
-                    raise RosterMismatch(f"image of {letter_str(l.base())} built over other rosters")
-                img = base.terms
                 if l.starred:
                     img = {(star_word(a), star_word(b)): v for (a, b), v in img.items()}
                 letters[l] = img
@@ -358,7 +339,7 @@ def apply_tensor_hom(p: Poly, images: dict, left_roster, right_roster) -> Tensor
             acc = prod
         for k, v in acc.items():
             _add_term(out, k, v)
-    return TensorPoly(out, left_roster=rosters[0], right_roster=rosters[1])
+    return TensorPoly(out, left_roster, right_roster)
 
 
 def _add_term(acc: dict, k, v) -> None:
@@ -400,7 +381,7 @@ class _WordCodes:
         for l in w:
             k = self.index.get(l)
             if k is None:
-                raise RosterMismatch(f"letter {letter_str(l)} is not in the span's roster")
+                raise RosterMismatch(f"letter {letter_str(l)} is not in the roster")
             v = v * self.base + k
         return self.offset(len(w)) + v
 
@@ -496,18 +477,20 @@ def _rref_reduce(pivots: dict, row: dict, on_use=None) -> dict:
         _eliminate(row, c, prow)
 
 
-def _roster_letters(pres) -> list:
-    """The generators and their stars, sorted; a self-adjoint generator is its own star."""
-    return sorted({l for g in pres.generators for l in (g, g.star())})
+def _roster_codes(generators: tuple) -> _WordCodes:
+    """The process's one code table for the words over these generators and their stars.
 
-
-def _word_codes(pres) -> _WordCodes:
-    """The process's one code table for the roster of pres."""
-    letters = tuple(_roster_letters(pres))
-    codes = _CODES.get(letters)
+    Its letters are sorted, and a self-adjoint generator is its own star.
+    """
+    codes = _CODES.get(generators)
     if codes is None:
-        codes = _CODES[letters] = _WordCodes(letters)
+        codes = _CODES[generators] = _WordCodes(sorted({l for g in generators for l in (g, g.star())}))
     return codes
+
+
+def _roster_letters(pres) -> tuple:
+    """The generators of pres and their stars, sorted."""
+    return _roster_codes(pres.generators).letters
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +535,18 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 
     ProvedZero is sound because both spans contain only genuine relations; a
     nonzero reduction is merely Inconclusive until a matrix witness exists.
-    t is read as (left code, right code, coefficient) triples over the two
-    spans' code tables (`TensorPoly.coded`), all coded before any residue is
-    read, so a word with a letter outside its span's roster raises
-    RosterMismatch in either leg.  Each leg's residue comes from its span's
-    cache, keyed by word code; the products are summed as int numerators per
-    denominator (`_accumulate`) and folded into rationals once at the end.
+    t's legs must be coded over the spans' own code tables, which is one
+    identity test, since there is one table per roster and process; its
+    terms' codes then key each span's residue cache directly.  The products
+    are summed as int numerators per denominator (`_accumulate`) and folded
+    into rationals once at the end.
     """
-    if t.left_roster and tuple(t.left_roster) != tuple(left.presentation.generators):
-        raise RosterMismatch("left leg roster does not match the left basis")
-    if t.right_roster and tuple(t.right_roster) != tuple(right.presentation.generators):
-        raise RosterMismatch("right leg roster does not match the right basis")
-    coded = t.coded(left._codes, right._codes)
+    if t.left is not left._codes or t.right is not right._codes:
+        raise RosterMismatch("the tensor's legs are not coded over the spans' rosters")
     acc: dict = {}
     # the residue cache read inline: nearly every code is a hit
     cached1, cached2 = left._residue_cache.get, right._residue_cache.get
-    for k1, k2, c in coded:
+    for (k1, k2), c in t.terms.items():
         r1 = cached1(k1)
         if r1 is None:
             r1 = left._residue(k1)
@@ -622,7 +601,7 @@ class BoundedSpan:
         self.presentation = presentation
         self.bound = bound
         self.provenance = provenance
-        codes = self._codes = _word_codes(presentation)
+        codes = self._codes = _roster_codes(presentation.generators)
         # the number of words of degree <= bound; the words themselves are never needed
         monomials = codes.offset(bound + 1)
         entry_cap = self._entry_cap = SPAN_ENTRY_CAP
@@ -744,7 +723,7 @@ def span_descriptor(pres, bound: int, relation_rows: int, rank: int) -> dict:
         "degree_bound": bound,
         "relation_rows": relation_rows,
         "rank": rank,
-        "monomials": _word_codes(pres).offset(bound + 1),
+        "monomials": _roster_codes(pres.generators).offset(bound + 1),
     }
 
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, TensorPoly, _star_closed_relations, apply_tensor_hom,
+                    PROVED_ZERO, Poly, _star_closed_relations, apply_tensor_hom,
                     build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
                     poly_str, replay_combination, span_descriptor, word_str,
                     zero_tensor_certificate)
@@ -165,26 +165,24 @@ def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
 
 # A relation's image depends only on its polynomial, n, the image family and
 # the side, never on the (epsilon, eta) pair, and sweeps meet the same few
-# hundred relations again and again; so each image is built once per process,
-# and coded once for the reduction (`TensorPoly.coded`).
+# hundred relations again and again; so each image is built, and its words
+# coded, once per process.
 _IMAGE_CACHE: dict = {}
 
 
 def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
-    """The coaction of `qg` on `space`, as a generator assignment.
+    """The coaction of `qg` on `space`, as a generator assignment for `apply_tensor_hom`.
 
     Each generator x_ic of `space` goes to sum_j q_ij (x) x_jc (alpha) or to
     sum_j q_ji (x) x_jc (beta), where q is the n x n generator matrix of `qg`
-    (u or ou) and sphere coordinates carry c = 0.  The coproduct is the alpha
+    (u or ou) and sphere coordinates carry c = 0, written as a plain
+    {(left word, right word): coefficient} dict.  The coproduct is the alpha
     coaction of the quantum unitary group on itself.
     """
     tag, n = qg.generators[0].tag, qg.source_pair.n
-    images = {}
-    for g in space.generators:
-        terms = {((Letter(tag, g.row, j) if side == "alpha" else Letter(tag, j, g.row),),
-                  (Letter(g.tag, j, g.col),)): 1 for j in range(1, n + 1)}
-        images[g] = TensorPoly(terms, left_roster=qg.generators, right_roster=space.generators)
-    return images
+    return {g: {((Letter(tag, g.row, j) if side == "alpha" else Letter(tag, j, g.row),),
+                 (Letter(g.tag, j, g.col),)): 1 for j in range(1, n + 1)}
+            for g in space.generators}
 
 
 def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,

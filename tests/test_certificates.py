@@ -56,9 +56,9 @@ def test_tensor_zero_soundness_fuzz():
     qg_model = W.diagonal_unitary_model(pair, seed=1)
     sph_model = W.diagonal_sphere_model(pair, seed=1)
 
-    def tensor_eval_norm(t):
+    def tensor_eval_norm(terms):
         total = np.zeros((qg_model.dim * sph_model.dim,) * 2, dtype=complex)
-        for (wl, wr), c in t.items():
+        for (wl, wr), c in terms.items():
             ml = R.evaluate(Poly.from_word(wl), qg_model)
             mr = R.evaluate(Poly.from_word(wr), sph_model)
             total += complex(c) * np.kron(ml, mr)
@@ -83,7 +83,7 @@ def test_tensor_zero_soundness_fuzz():
         t = TensorPoly(terms, left_roster=qg.generators, right_roster=sph.generators)
         cert = is_zero_tensor(t, left, right)
         assert cert.status == "ProvedZero"
-        assert tensor_eval_norm(t) < 1e-9
+        assert tensor_eval_norm(terms) < 1e-9
 
 
 def test_noninjectivity_guard_fuzz():

@@ -94,11 +94,39 @@ def test_benchmark_tracer_names_stay_bound():
     each is its original object and that verifier and ncalg share
     apply_tensor_hom, so a rename fails here instead of in every benchmark run.
     """
+    _load_tracer().assert_clean()
+
+
+def _load_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    tracer.assert_clean()
+    return tracer
+
+
+def test_benchmark_tracer_counts_what_it_reads_of_a_tensor(monkeypatch):
+    """The tracer reads len(tensor.terms) and key[0], key[1] of each term key.
+
+    These are its hom and reduce counters over cold coproduct and
+    sphere-action checks of the n = 2 pairs, as measured when tensors were
+    still keyed by words, so a tensor format that hands the tracer other
+    counts fails here and not only in a benchmark run.
+    """
+    tracing = _load_tracer()
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    monkeypatch.setattr(V, "_ORBITS", {})
+    tracer = tracing.Tracer()
+    with tracer:
+        for pair in P.enumerate_pairs(2):
+            V.verify_comultiplication(pair)
+            V.verify_sphere_action(pair)
+    tracing.assert_clean()
+    metrics = tracer.layer_metrics()
+    assert metrics["hom.tensor_terms"] == 380
+    assert metrics["reduce.word_queries"] == 4968
+    # 694 of the queried words are distinct per span
+    assert metrics["reduce.residue_hit_ratio"] == 1 - 694 / 4968
 
 
 def _references_outside_own_definition(tree) -> set:

@@ -28,10 +28,19 @@ def u(i, j, s=False):
     return Poly.generator(Letter("u", i, j, s))
 
 
-def tensor(p, q, roster=()):
+def product_terms(p, q):
+    """p (x) q as {(left word, right word): coefficient}."""
+    return {(w1, w2): c1 * c2 for w1, c1 in p.items() for w2, c2 in q.items()}
+
+
+def tensor(p, q, roster):
     """p (x) q, with both legs over one roster."""
-    terms = {(w1, w2): c1 * c2 for w1, c1 in p.items() for w2, c2 in q.items()}
-    return TensorPoly(terms, left_roster=roster, right_roster=roster)
+    return TensorPoly(product_terms(p, q), roster, roster)
+
+
+def decoded(t: TensorPoly) -> dict:
+    """The terms of t as {(left word, right word): coefficient}, decoded by its own code tables."""
+    return {(t.left.word(k1), t.right.word(k2)): c for (k1, k2), c in t.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +112,17 @@ def _coproduct(n):
 
 
 def test_comultiply_generator_n2():
-    t = _coproduct(2)[1][Letter("u", 1, 1)]
+    image = _coproduct(2)[1][Letter("u", 1, 1)]
     expected = {
         ((Letter("u", 1, 1),), (Letter("u", 1, 1),)): 1,
         ((Letter("u", 1, 2),), (Letter("u", 2, 1),)): 1,
     }
-    assert t.terms == expected
+    assert image == expected
 
 
 def test_comultiply_generator_n1():
-    t = _coproduct(1)[1][Letter("u", 1, 1)]
-    assert list(t.terms) == [((Letter("u", 1, 1),), (Letter("u", 1, 1),))]
+    image = _coproduct(1)[1][Letter("u", 1, 1)]
+    assert list(image) == [((Letter("u", 1, 1),), (Letter("u", 1, 1),))]
 
 
 def test_coproduct_of_degree_two_word_has_n_squared_terms():
@@ -125,7 +134,7 @@ def test_coproduct_of_degree_two_word_has_n_squared_terms():
     # spot-check one term: u_1r* u_2p (x) u_r2* u_p3
     key = ((Letter("u", 1, 1, True), Letter("u", 2, 2)),
            (Letter("u", 1, 2, True), Letter("u", 2, 3)))
-    assert key in t.terms
+    assert key in decoded(t)
 
 
 # A naive reference for apply_tensor_hom: tensor elements as plain
@@ -157,7 +166,7 @@ def _ref_hom(p, images):
     for w, c in p.items():
         term = {((), ()): c}
         for l in w:
-            img = images[l.base()].terms
+            img = images[l.base()]
             term = _ref_mul(term, _ref_star(img) if l.starred else img)
         out = _ref_add(out, term)
     return out
@@ -169,7 +178,8 @@ HOM_LETTERS = [g.star() if s else g for g in HOM_ROSTER for s in (False, True)]
 
 @st.composite
 def random_images(draw):
-    """An image for each roster letter, with nonzero Fraction coefficients."""
+    """A plain {(left word, right word): coefficient} image for each roster
+    letter, with nonzero Fraction coefficients."""
     images = {}
     for g in HOM_ROSTER:
         terms = {}
@@ -177,7 +187,7 @@ def random_images(draw):
             legs = tuple(tuple(draw(st.sampled_from(HOM_LETTERS)) for _ in range(draw(st.integers(0, 2))))
                          for _ in range(2))
             terms[legs] = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(1, 2)))
-        images[g] = TensorPoly(terms, left_roster=HOM_ROSTER, right_roster=HOM_ROSTER)
+        images[g] = terms
     return images
 
 
@@ -186,7 +196,7 @@ def random_images(draw):
 @settings(max_examples=60, deadline=None)
 def test_apply_tensor_hom_is_a_star_homomorphism(images, p, q):
     def hom(r):
-        return A.apply_tensor_hom(r, images, HOM_ROSTER, HOM_ROSTER).terms
+        return decoded(A.apply_tensor_hom(r, images, HOM_ROSTER, HOM_ROSTER))
 
     assert hom(p) == _ref_hom(p, images)
     assert hom(p * q) == _ref_mul(hom(p), hom(q))
@@ -196,12 +206,14 @@ def test_apply_tensor_hom_is_a_star_homomorphism(images, p, q):
 
 def test_apply_tensor_hom_needs_every_image_on_its_rosters():
     p = x1 * x2.star()
-    image = tensor(x1, x2, HOM_ROSTER)
+    image = product_terms(x1, x2)
     with pytest.raises(A.RosterMismatch, match="no image assigned for generator x2"):
         A.apply_tensor_hom(p, {HOM_ROSTER[0]: image}, HOM_ROSTER, HOM_ROSTER)
-    other = tensor(x1, x2, HOM_ROSTER[:1])
-    with pytest.raises(A.RosterMismatch):
-        A.apply_tensor_hom(p, {HOM_ROSTER[0]: image, HOM_ROSTER[1]: other}, HOM_ROSTER, HOM_ROSTER)
+    # an image with a letter off the rosters is refused in either leg
+    x3 = Poly.generator(Letter("x", 3, 0))
+    for other in (product_terms(x3, x1), product_terms(x1, x3)):
+        with pytest.raises(A.RosterMismatch, match="letter x3\\* is not in the roster"):
+            A.apply_tensor_hom(p, {HOM_ROSTER[0]: image, HOM_ROSTER[1]: other}, HOM_ROSTER, HOM_ROSTER)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +323,21 @@ def test_coproduct_images_of_starred_commutation_vanish_classical():
         rel = u(i, k, True) * u(j, l) - u(j, l) * u(i, k, True)
         t = A.apply_tensor_hom(rel, images, pres.generators, pres.generators)
         assert is_zero_tensor(t, qb, qb).status == A.PROVED_ZERO
+
+
+def test_tensors_over_other_rosters_are_not_equal():
+    """Equal codes over other code tables stand for other words, in either leg."""
+    sphere = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2)).generators
+    unitary = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2)).generators
+    # x1 and u11 are each the first letter of their roster, so they share a code
+    s, t = tensor(x1, x1, sphere), tensor(u(1, 1), u(1, 1), unitary)
+    assert s.terms == t.terms
+    assert s != t
+    assert s == tensor(x1, x1, sphere)
+    for (p, left), (q, right) in itertools.permutations(((x1, sphere), (u(1, 1), unitary))):
+        mixed = TensorPoly(product_terms(p, q), left, right)
+        assert mixed.terms == s.terms
+        assert mixed != s and mixed != t
 
 
 def test_tensor_roster_mismatch_against_basis():
@@ -559,7 +586,7 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
     span = build_quotient_basis(pres, 2)
     y = Letter("y", 1, 0)
     w = (Letter("x", 1, 0), y)
-    foreign = "letter y1 is not in the span's roster"
+    foreign = "letter y1 is not in the roster"
     with pytest.raises(A.RosterMismatch, match=foreign):
         span.residue_word(w)
     p = pres.all_relations()[0].poly + Poly.from_word(w, 2)
@@ -567,27 +594,28 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
         span.certify(p)
     with pytest.raises(A.RosterMismatch, match=foreign):
         ideal_membership_bounded(p, pres, 2)
-    # a tensor built with no rosters passes the roster checks and fails on the letter
-    t = TensorPoly({((y,), ()): Fraction(1, 2)})
-    with pytest.raises(A.RosterMismatch, match=foreign):
-        is_zero_tensor(t, span, span)
-    # a foreign letter is refused in either leg, even beside a word that lies in
-    # the span: u11*.u12 is the relation Reta-zero(1,1;1,2):su
+    # a tensor with a foreign letter in either leg is refused at construction
+    for terms in ({((y,), ()): Fraction(1, 2)}, {((), (y,)): Fraction(1, 2)}):
+        with pytest.raises(A.RosterMismatch, match=foreign):
+            TensorPoly(terms, pres.generators, pres.generators)
+    # even beside a word that lies in the span: u11*.u12 is the relation
+    # Reta-zero(1,1;1,2):su
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, [[1, 0], [0, 0]]))
     assert "Reta-zero(1,1;1,2):su" in [r.rid for r in pres.relations]
     span = build_quotient_basis(pres, 2)
     zero_word, x9 = (Letter("u", 1, 1, True), Letter("u", 1, 2)), (Letter("x", 9, 0),)
     assert span.residue_word(zero_word) == []
     for terms in ({(zero_word, x9): 1}, {(x9, zero_word): 1}):
-        with pytest.raises(A.RosterMismatch, match="letter x9 is not in the span's roster"):
-            is_zero_tensor(TensorPoly(terms), span, span)
+        with pytest.raises(A.RosterMismatch, match="letter x9 is not in the roster"):
+            TensorPoly(terms, pres.generators, pres.generators)
 
 
-def _reference_reduction(t: TensorPoly, left, right) -> tuple:
-    """Status and detail, which names the survivor count, of t summed word by
-    word from `residue_word` in Fraction arithmetic."""
+def _reference_reduction(terms: dict, left, right) -> tuple:
+    """Status and detail, which names the survivor count, of the tensor with
+    these {(left word, right word): coefficient} terms, summed word by word
+    from `residue_word` in Fraction arithmetic."""
     coords: dict = {}
-    for (w1, w2), c in t.items():
+    for (w1, w2), c in terms.items():
         for k1, c1 in left.residue_word(w1):
             for k2, c2 in right.residue_word(w2):
                 coords[k1, k2] = coords.get((k1, k2), 0) + Fraction(c) * c1 * c2
@@ -601,8 +629,9 @@ def _reference_reduction(t: TensorPoly, left, right) -> tuple:
         f"with coefficient {coords[k1, k2]}")
 
 
-def _random_tensor(rng, pres) -> TensorPoly:
-    """A few relation-times-word terms and some free words, with Fraction coefficients."""
+def _random_terms(rng, pres) -> dict:
+    """A few relation-times-word terms and some free words, with Fraction
+    coefficients, as {(left word, right word): coefficient}."""
     letters = A._roster_letters(pres)
     # with x1 normal at n = 3, u12.u12* reduces to (1 - u11.u11*) / 2
     words = [(Letter("u", 1, 2), Letter("u", 1, 2, True))]
@@ -622,7 +651,7 @@ def _random_tensor(rng, pres) -> TensorPoly:
     for _ in range(rng.randint(0, 3)):
         add(Poly.from_word(rng.choice(words)), Poly.from_word(rng.choice(words)),
             Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-    return TensorPoly(terms, left_roster=pres.generators, right_roster=pres.generators)
+    return terms
 
 
 @pytest.mark.parametrize("eta", [[[1, 0], [0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
@@ -634,25 +663,13 @@ def test_coded_reduction_matches_word_level_reference(eta):
     rng = random.Random(len(eta))
     statuses = set()
     for _ in range(60):
-        t = _random_tensor(rng, pres)
-        cert = is_zero_tensor(t, span, span)
-        assert (cert.status, cert.detail) == _reference_reduction(t, reference, reference)
+        terms = _random_terms(rng, pres)
+        cert = is_zero_tensor(TensorPoly(terms, pres.generators, pres.generators), span, span)
+        assert (cert.status, cert.detail) == _reference_reduction(terms, reference, reference)
         statuses.add(cert.status)
     assert statuses == {A.PROVED_ZERO, A.INCONCLUSIVE}
     half = span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))
     assert any(c.denominator == 2 for _, c in half) == (len(eta) == 3)
-
-
-def test_rosterless_tensor_is_coded_per_roster():
-    """One tensor without rosters, reduced over two rosters in turn, codes its
-    words over each; a coded form reused across rosters names other words."""
-    t = TensorPoly({((Letter("x", 1, 0), Letter("x", 1, 0, True)), (Letter("x", 2, 0),)): 1})
-    for n in (2, 3, 2):
-        pres = P.sphere_presentation(P.validate_pair([[0] * n] * n, [[0] * n] * n))
-        span = build_quotient_basis(pres, 2)
-        cert = is_zero_tensor(t, span, span)
-        assert cert.detail == _reference_reduction(t, span, span)[1]
-        assert "e.g. x1.x1* ⊗ x2 with coefficient 1" in cert.detail
 
 
 def test_raw_constructors_refuse_inexact_coefficients():
@@ -661,7 +678,7 @@ def test_raw_constructors_refuse_inexact_coefficients():
         with pytest.raises(TypeError, match="must be an int or a Fraction"):
             Poly({w: 1, w[::-1]: bad})
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
-        TensorPoly({(w, ()): 0.5})
+        TensorPoly({(w, ()): 0.5}, HOM_ROSTER, HOM_ROSTER)
     # a zero of the wrong type is refused too, not dropped
     with pytest.raises(TypeError):
         Poly({w: 0.0})
@@ -685,7 +702,7 @@ def test_inconclusive_tensor_detail_is_pinned(scales, detail):
     terms = {}
     for p, q, c in ((u(1, 2) * u(1, 2, True), u(1, 3), c1), (u(1, 1) * u(1, 1, True), u(1, 3), c2),
                     (u(2, 3), u(3, 2, True) * u(1, 1), c2)):
-        terms.update(tensor(p.scale(c), q).terms)
+        terms.update(product_terms(p.scale(c), q))
     t = TensorPoly(terms, left_roster=pres.generators, right_roster=pres.generators)
     assert is_zero_tensor(t, span, span).detail == detail
 
