@@ -41,7 +41,7 @@ from .scalars import GaussianRational, parse_scalar
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
-    "apply_tensor_hom",
+    "apply_tensor_hom", "relation_rows",
     "build_quotient_basis", "span_descriptor", "is_zero_tensor", "zero_tensor_certificate",
     "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
@@ -59,11 +59,6 @@ SPAN_ENTRY_CAP = 2_000_000
 # process (`_roster_codes`).  Spans and tensor legs over one roster share it,
 # so a tensor's codes read every such span's residue cache directly.
 _CODES: dict = {}
-
-# Sorted letter roster -> {relation term key: (degree, {word code: coefficient})}.
-# A roster depends only on a presentation's kind and n, so a sweep codes each
-# relation once per roster, and every span inserts a copy of the row.
-_CODED_ROWS: dict = {}
 
 # Display names for tags (the orthogonal family prints as u, the tuple family as x).
 _TAG_DISPLAY = {"x": "x", "u": "u", "ou": "u", "tx": "x"}
@@ -364,12 +359,15 @@ class _WordCodes:
     the same words as one keyed by the words themselves.
     """
 
-    __slots__ = ("letters", "index", "base")
+    __slots__ = ("letters", "index", "base", "rows")
 
     def __init__(self, letters: Sequence[Letter]):
         self.letters = tuple(letters)
         self.index = {l: k for k, l in enumerate(self.letters)}
         self.base = len(self.letters)
+        # relation term key -> (degree, {word code: coefficient}): a sweep codes each
+        # relation once per roster, and every span inserts a copy of the row
+        self.rows: dict = {}
 
     def offset(self, d: int) -> int:
         s = self.base
@@ -614,7 +612,7 @@ class BoundedSpan:
         self._rows = 0
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
-        coded = _CODED_ROWS.setdefault(codes.letters, {})
+        coded = codes.rows
         for rid, rpoly, key in _star_closed_relations(presentation):
             hit = coded.get(key)
             if hit is None:
@@ -625,8 +623,8 @@ class BoundedSpan:
                 # the relation's own row, copied: inserting consumes it
                 self._insert(dict(row), rid, 0, 0)
                 continue
-            # each term as (length, base-s value, coefficient); m1 and m2 run over
-            # the words of length <= pad in ascending order, and m1 * w * m2 has
+            # each term as (length, base-s value, coefficient); m1 and m2 run over the
+            # words with |m1| + |m2| <= pad (`relation_rows`) in order, and m1 * w * m2 has
             # the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
             terms = [(len(w), codes.code(w) - codes.offset(len(w)), c) for w, c in rpoly.items()]
             for d1 in range(pad + 1):
@@ -714,6 +712,13 @@ class BoundedSpan:
             "lhs_multiple": str(mult),
             "terms": terms,
         })
+
+
+def relation_rows(degree: int, bound: int, letters: int) -> int:
+    """The rows a span at this bound inserts for one relation r of this degree: the
+    products m1 * r * m2 with |m1| + |m2| = k <= bound - degree over a roster of this
+    many letters, so the sum over k of (k + 1) * letters^k, and none above the bound."""
+    return sum((k + 1) * letters ** k for k in range(bound - degree + 1))
 
 
 def span_descriptor(pres, bound: int, relation_rows: int, rank: int) -> dict:

@@ -33,23 +33,23 @@ never reused, since its detail names a survivor of its own.
 A simultaneous permutation sigma of the indices maps the presentations of a
 pair (epsilon, eta) onto those of (sigma epsilon, sigma eta), by u_ij ->
 u_sigma(i)sigma(j), x_i -> x_sigma(i) and tx_ij -> tx_sigma(i)sigma(j), and it
-commutes with every coaction above.  So at bound 2 the coproduct and the
-actions are reduced once per orbit key and process (`_ORBITS`).  A task's
-key is its map and sides, the least relabeling of its matrices over S_n
-(`_canonical`; the sphere action takes the pair after `regularize`, the
-tuple action epsilon alone), and each span's rows: its star-closed
-relations relabeled by the task's own sigma, each up to sign (`_rows`).  A
-task whose key is absent is reduced as above, and its span ranks are kept
-if every check is ProvedZero.  A task whose key is present builds no span
-and reduces no image: every check is ProvedZero with evidence of its own,
-its span descriptors (its presentation, its own row count, the kept rank)
-and its image's term count.  This is sound: at bound 2 a span's rows are its
-star-closed relations, each of degree 2, so equal rows up to sign make this
-task's spans the relabeled spans of the task that was reduced, and the
-relabeling, which acts on both legs of each image as the coaction does,
-carries that task's vanishing images onto this task's.  A relation of
-another degree, or a bound above 2, gives no key.  An Inconclusive is never
-carried, and no verdict is ever upgraded.
+commutes with every coaction above.  So the coproduct and the actions are
+reduced once per orbit key and process (`_ORBITS`).  A task's key is its map,
+sides and bound, the least relabeling of its matrices over S_n (`_canonical`;
+the sphere action takes the pair after `regularize`, the tuple action epsilon
+alone), and each span's rows: its star-closed relations relabeled by the
+task's own sigma, each up to sign (`_rows`).  A task whose key is absent is
+reduced as above, and its span ranks are kept if every check is ProvedZero.
+A task whose key is present builds no span and reduces no image: every check
+is ProvedZero with evidence of its own, its span descriptors (its
+presentation, its own row count, the kept rank) and its image's term count.
+Its row count is what a build would insert: each star-closed relation gives
+`relation_rows` of its degree at the bound.  This is sound at every bound: a
+span is spanned by the products m1 * r * m2 over its star-closed relations r,
+so equal rows up to sign make this task's spans the relabeled spans of the
+task that was reduced, and the relabeling, which acts on both legs of each
+image as the coaction does, carries that task's vanishing images onto this
+task's.  An Inconclusive is never carried, and no verdict is ever upgraded.
 
 The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
 the non-injectivity witness check and the independence suites import them, so
@@ -68,10 +68,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, _star_closed_relations, apply_tensor_hom,
-                    build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
-                    poly_str, replay_combination, span_descriptor, word_str,
-                    zero_tensor_certificate)
+                    PROVED_ZERO, Poly, _roster_letters, _star_closed_relations,
+                    apply_tensor_hom, build_quotient_basis, ideal_membership_bounded,
+                    is_zero_tensor, poly_str, relation_rows, replay_combination,
+                    span_descriptor, word_str, zero_tensor_certificate)
 from .presentations import (CommutationPair, Presentation, is_regular,
                             orthogonal_qg_presentation, regularize,
                             sphere_presentation, tuple_space_presentation,
@@ -223,16 +223,11 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
 # permutation orbits
 # ---------------------------------------------------------------------------
 
-# (map, sides, canonical matrices, each span's rows) -> the span ranks of a task
-# reduced in this process whose checks all came out ProvedZero at bound 2; a
-# span's rows are its star-closed relations relabeled into canonical indices,
-# each up to sign, as a sorted tuple of row ids (`_rows`); see the module
-# docstring.
+# (map, sides, bound, canonical matrices, each span's rows) -> the span ranks of
+# a task reduced in this process whose checks all came out ProvedZero; a span's
+# rows are its star-closed relations relabeled into canonical indices, each up
+# to sign, as a sorted tuple of row ids (`_rows`); see the module docstring.
 _ORBITS: dict = {}
-
-# the one product bound the orbit table serves: there each row of a span is
-# one of its star-closed relations, so equal rows make equal spans
-_ORBIT_BOUND = 2
 
 
 def _canonical(matrices) -> tuple:
@@ -257,18 +252,17 @@ def _canonical(matrices) -> tuple:
 # pairs, sorted, with the first coefficient positive, so p and -p get one id
 _ROW_IDS: dict = {}
 
-# sigma -> {term key of a star-closed relation: the id of its relabeled row}
+# (sigma, bound, roster size) -> {term key of a star-closed relation: (the id
+# of its relabeled row, the rows a span at the bound inserts for it)}, so a
+# warm task reads each relation once
 _RELABELED: dict = {}
 
 
-def _row_id(poly: Poly, sigma: tuple) -> Optional[int]:
+def _row_id(poly: Poly, sigma: tuple) -> int:
     """The id of poly with each index i (1-based) relabeled to sigma[i - 1] + 1, up to sign.
 
-    A sphere coordinate's column 0 stays 0.  None if poly does not have
-    degree 2: only there is a relation one row of its bound-2 span.
+    A sphere coordinate's column 0 stays 0.
     """
-    if poly.degree() != _ORBIT_BOUND:
-        return None
     row = sorted((tuple(Letter(l.tag, sigma[l.row - 1] + 1, l.col and sigma[l.col - 1] + 1, l.starred)
                         for l in w), c) for w, c in poly.items())
     if row[0][1] < 0:
@@ -276,24 +270,23 @@ def _row_id(poly: Poly, sigma: tuple) -> Optional[int]:
     return _ROW_IDS.setdefault(tuple(row), len(_ROW_IDS))
 
 
-def _rows(pres: Presentation, sigma: tuple) -> Optional[tuple]:
-    """(the sorted row ids of pres's bound-2 span under sigma, the span's row count).
+def _rows(pres: Presentation, sigma: tuple, bound: int) -> tuple:
+    """(the sorted ids of pres's star-closed relations under sigma, its span's row count).
 
-    The count is that of the span's own star-closed relations, as a build
-    inserts them.  None if a relation does not have degree 2.
+    The count is what a build of that span at this bound inserts: `relation_rows`
+    of each star-closed relation's degree, over pres's roster.
     """
-    ids = _RELABELED.get(sigma)
+    letters = len(_roster_letters(pres))
+    ids = _RELABELED.get((sigma, bound, letters))
     if ids is None:
-        ids = _RELABELED[sigma] = {}
+        ids = _RELABELED[sigma, bound, letters] = {}
     rows, count = set(), 0
     for _, poly, key in _star_closed_relations(pres):
-        row = ids.get(key, -1)
-        if row == -1:
-            row = ids[key] = _row_id(poly, sigma)
-        if row is None:
-            return None
-        rows.add(row)
-        count += 1
+        hit = ids.get(key)
+        if hit is None:
+            hit = ids[key] = (_row_id(poly, sigma), relation_rows(poly.degree(), bound, letters))
+        rows.add(hit[0])
+        count += hit[1]
     return tuple(sorted(rows)), count
 
 
@@ -316,26 +309,22 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
     presentations are built from, and place the task in its orbit.
     """
     presentations = (qg,) if space is qg else (qg, space)
-    key = spans = None
-    if bound == _ORBIT_BOUND:
-        canonical, sigma = _canonical(matrices)
-        rows = [_rows(pres, sigma) for pres in presentations]
-        if None not in rows:
-            key = (family, sides, canonical) + tuple(ids for ids, _ in rows)
-            ranks = _ORBITS.get(key)
-            if ranks is not None:
-                spans = [_Described(pres, span_descriptor(pres, bound, count, rank))
-                         for pres, (_, count), rank in zip(presentations, rows, ranks)]
-    carried = spans is not None
-    if not carried:
+    canonical, sigma = _canonical(matrices)
+    rows = [_rows(pres, sigma, bound) for pres in presentations]
+    key = (family, sides, bound, canonical) + tuple(ids for ids, _ in rows)
+    ranks = _ORBITS.get(key)
+    carried = ranks is not None
+    if carried:
+        spans = [_Described(pres, span_descriptor(pres, bound, count, rank))
+                 for pres, (_, count), rank in zip(presentations, rows, ranks)]
+    else:
         spans = [build_quotient_basis(pres, bound) for pres in presentations]
     left, right = spans[0], spans[-1]
     first = len(report.checks)
     for side in sides:
         _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
                     (family, qg.source_pair.n, side), left, right, carried)
-    if (key is not None and not carried
-            and all(c.certificate.status == PROVED_ZERO for c in report.checks[first:])):
+    if not carried and all(c.certificate.status == PROVED_ZERO for c in report.checks[first:]):
         _ORBITS[key] = tuple(s.rank for s in spans)
     return report
 

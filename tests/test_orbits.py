@@ -51,6 +51,18 @@ def _direct(run, *args):
     return run(*args).to_json_dict(include_timings=False)
 
 
+def _counted_builds(monkeypatch):
+    """A list that records the presentation of each span the verifier builds."""
+    built = []
+    real = V.build_quotient_basis
+
+    def counted(pres, bound):
+        built.append(pres)
+        return real(pres, bound)
+    monkeypatch.setattr(V, "build_quotient_basis", counted)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # the canonical form
 # ---------------------------------------------------------------------------
@@ -82,13 +94,7 @@ def test_orbit_counts(n, counts):
 def test_shuffled_n3_sweep_equals_direct_reports(orbits, monkeypatch):
     """The first member seen is often not the canonical one; no report may tell."""
     table, reduced = orbits
-    built = []
-    real = V.build_quotient_basis
-
-    def counted(pres, bound):
-        built.append(pres)
-        return real(pres, bound)
-    monkeypatch.setattr(V, "build_quotient_basis", counted)
+    built = _counted_builds(monkeypatch)
     tasks = cli.sweep_tasks(3, cli.SWEEP_TARGETS, cli.RunConfig())
     random.Random(5).shuffle(tasks)
     runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
@@ -197,14 +203,48 @@ def test_a_record_serves_only_its_own_sides(orbits):
     assert not reduced
 
 
-def test_bound_3_reports_equal_direct_ones(orbits):
+@pytest.mark.parametrize("bound", [3, 4])
+def test_reports_above_bound_2_equal_direct_ones(orbits, monkeypatch, bound):
+    """Equal rows give relabeled spans at every bound, so carrying needs no bound gate."""
     table, reduced = orbits
-    pairs = P.enumerate_pairs(2)
-    reports = [V.verify_comultiplication(p, 3).to_json_dict(include_timings=False) for p in pairs]
-    for pair, report in zip(pairs, reports):
-        assert report == _direct(V.verify_comultiplication, pair, 3), pair.compact()
-    assert table == {}
+    built = _counted_builds(monkeypatch)
+    tasks = cli.sweep_tasks(2, cli.SWEEP_TARGETS, cli.RunConfig())
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d)) for target, d, _ in tasks]
+    # a warm table: every bound-2 key is recorded, and none of them serves this bound
+    for run, pair in runs:
+        run(pair, 2)
+    warm = len(table)
+    random.Random(bound).shuffle(runs)
+    del built[:]
+    reports = [run(pair, bound).to_json_dict(include_timings=False) for run, pair in runs]
+    assert len(table) - warm == 19 and all(key[2] == bound for key in list(table)[warm:])
+    # 30 span builds without the table: 16 coproduct tasks, 5 sphere and 2 tuple actions
+    assert len(built) == 26
+    del built[:], reduced[:]
+    for run, pair in runs:
+        run(pair, bound)
+    assert not built and not reduced
+    for (run, pair), report in zip(runs, reports):
+        assert report == _direct(run, pair, bound), pair.compact()
 
+
+def test_two_n3_orbits_at_bound_3_equal_direct_reports(orbits, monkeypatch):
+    """The eta_12 = 1 orbit, whose tie-split members get two keys, and the epsilon_12 = 1 orbit."""
+    table, reduced = orbits
+    built = _counted_builds(monkeypatch)
+    zero = [[0] * 3 for _ in range(3)]
+    one_12 = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    orbit_keys = {V._canonical((zero, one_12))[0], V._canonical((one_12, zero))[0]}
+    members = [p for p in P.enumerate_pairs(3) if V._canonical((p.epsilon, p.eta))[0] in orbit_keys]
+    assert len(members) == 6
+    runs = [(cli._TARGETS[target].run, pair) for pair in members for target in ("hopf", "sphere-action")]
+    random.Random(3).shuffle(runs)
+    reports = [run(pair, 3).to_json_dict(include_timings=False) for run, pair in runs]
+    # 12 tasks and 18 span builds without the table
+    assert len(table) == 6 and all(key[2] == 3 for key in table)
+    assert len(built) == 9
+    for (run, pair), report in zip(runs, reports):
+        assert report == _direct(run, pair, 3), pair.compact()
 
 
 def test_an_orbit_mate_whose_ties_differ_gets_its_own_key(orbits):
@@ -248,8 +288,9 @@ def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch
         assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]
 
 
-def test_a_relation_below_degree_2_is_never_carried(orbits, monkeypatch):
-    """There a span's rows are more than its relations, so no row count is carried."""
+@pytest.mark.parametrize("bound", [2, 3])
+def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
+    """It gives its span more rows than one; the stand-in counts them as a build does."""
     table, reduced = orbits
     first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
     member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
@@ -260,10 +301,14 @@ def test_a_relation_below_degree_2_is_never_carried(orbits, monkeypatch):
         pres = real(pair)
         return dataclasses.replace(pres, relations=pres.relations + (one,))
     monkeypatch.setattr(V, "unitary_qg_presentation", with_one)
-    direct = _direct(V.verify_comultiplication, member)
-    assert direct["overall"] == "ProvedZero"  # every word of degree <= 2 lies in the span
-    V.verify_comultiplication(first)
-    assert table == {}
+    direct = _direct(V.verify_comultiplication, member, bound)
+    assert direct["overall"] == "ProvedZero"  # every word of degree <= bound lies in the span
+    V.verify_comultiplication(first, bound)
+    assert len(table) == 1
     del reduced[:]
-    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
-    assert reduced
+    report = V.verify_comultiplication(member, bound).to_json_dict(include_timings=False)
+    assert not reduced and report == direct
+    span = V.build_quotient_basis(with_one(member), bound).descriptor()
+    assert span["relation_rows"] > len(list(V._star_closed_relations(with_one(member))))
+    for check in report["checks"]:
+        assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]

@@ -320,12 +320,12 @@ def test_relation_pool_survives_a_sweep_and_stays_within_its_kind(monkeypatch):
             assert {l for w in rel.poly.terms for l in w} <= letters, (pres.label, rel.rid)
             kinds.setdefault(id(rel), set()).add(pres.kind)
     assert all(len(k) == 1 for k in kinds.values())
-    assert ncalg._CODED_ROWS
-    for letters, rows in ncalg._CODED_ROWS.items():
-        codes = ncalg._WordCodes(letters)
-        for key, (degree, row) in rows.items():
+    assert any(codes.rows for codes in ncalg._CODES.values())
+    for codes in ncalg._CODES.values():
+        fresh = ncalg._WordCodes(codes.letters)
+        for key, (degree, row) in codes.rows.items():
             assert degree == Poly(dict(key)).degree()
-            assert row == {codes.code(w): c for w, c in key}
+            assert row == {fresh.code(w): c for w, c in key}
 
 
 def test_tie_relations_are_pooled_with_their_first_free_index(monkeypatch):
