@@ -148,7 +148,7 @@ def cmd_regularize(args, config: RunConfig) -> int:
 
 
 class _Target(NamedTuple):
-    run: Callable  # (pair, bound) -> VerificationReport
+    run: Callable  # (pair, bound, orbit table or None) -> VerificationReport
     sweep: Optional[Callable]  # a sweep level's pairs -> the ones it runs; None: never swept
 
 
@@ -161,22 +161,23 @@ def _tuple_space_pairs(pairs) -> list:
 # Each row looks up the verifier function and `is_regular` when it runs, not
 # when this module is imported, so a rebound module attribute is seen.
 _TARGETS = {
-    "hopf": _Target(lambda pair, bound: verifier.verify_comultiplication(pair, bound),
+    "hopf": _Target(lambda pair, bound, orbits: verifier.verify_comultiplication(pair, bound, orbits),
                     lambda pairs: pairs),
     "sphere-action": _Target(
-        lambda pair, bound: verifier.verify_sphere_action(pair, "both", bound),
+        lambda pair, bound, orbits: verifier.verify_sphere_action(pair, "both", bound, orbits),
         lambda pairs: [p for p in pairs if is_regular(p).is_regular]),
     "tuple-action": _Target(
-        lambda pair, bound: verifier.verify_tuple_action(pair.epsilon, "both", bound),
+        lambda pair, bound, orbits: verifier.verify_tuple_action(pair.epsilon, "both", bound, orbits),
         _tuple_space_pairs),
-    "noninjectivity": _Target(lambda pair, bound: verifier.verify_noninjectivity_example(pair),
-                              None),
+    "noninjectivity": _Target(
+        lambda pair, bound, orbits: verifier.verify_noninjectivity_example(pair), None),
 }
 
 SWEEP_TARGETS = tuple(name for name, target in _TARGETS.items() if target.sweep)
+_SWEEP_ORBITS: dict = {}  # the orbit table of the running sweep
 
-# On the pair with every entry 1 at --bound 2, hopf at n = 11 takes about 20 s
-# and 1.5 GB on a 2-core host; at n = 12 it needs 2.5 GB.
+# At --bound 2 on a 2-core host, hopf at n = 11 takes about 20 s and 0.5 GB on
+# epsilon = 0, eta all ones (0.9 GB classical); at n = 12, 0.8 GB (1.4 GB).
 MAX_VERIFY_N = 11
 
 
@@ -188,7 +189,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     pair = load_pair(args.input) if args.input else None
     if pair is not None and pair.n > MAX_VERIFY_N:
         raise ValueError(f"verify is capped at n={MAX_VERIFY_N}; got n={pair.n}")
-    report = _TARGETS[args.target].run(pair, config.degree_bound)
+    report = _TARGETS[args.target].run(pair, config.degree_bound, None)
     _emit(config, f"verify:{args.target}",
           {"report": report.to_json_dict(include_timings=args.timings)}, _report_lines(report))
     return 0 if report.passed else 1
@@ -202,7 +203,7 @@ def _sweep_worker(task):
     target, pair_dict, bound = task
     pair = pair_from_json_dict(pair_dict)
     try:
-        report = _TARGETS[target].run(pair, bound)
+        report = _TARGETS[target].run(pair, bound, _SWEEP_ORBITS)
     except DimensionCap:
         raise
     except Exception as exc:  # one failing task must not end the sweep
@@ -237,6 +238,7 @@ def sweep_tasks(n: int, targets, config: RunConfig, sample: int = 0) -> list:
 
 def run_sweep(n: int, targets, config: RunConfig, sample: int = 0) -> dict:
     tasks = sweep_tasks(n, targets, config, sample)
+    _SWEEP_ORBITS.clear()  # before any pool forks, so each worker starts empty
     # more workers than tasks or cores would only wait
     jobs = min(config.effective_jobs(), len(tasks), os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 4:

@@ -33,8 +33,9 @@ never reused, since its detail names a survivor of its own.
 A simultaneous permutation sigma of the indices maps the presentations of a
 pair (epsilon, eta) onto those of (sigma epsilon, sigma eta), by u_ij ->
 u_sigma(i)sigma(j), x_i -> x_sigma(i) and tx_ij -> tx_sigma(i)sigma(j), and it
-commutes with every coaction above.  So the coproduct and the actions are
-reduced once per orbit key and process (`_ORBITS`).  A task's key is its map,
+commutes with every coaction above.  So a sweep reduces the coproduct and the
+actions once per orbit key, in one orbit table it hands every task; a one-shot
+`ncstar verify` hands None and computes no key.  A task's key is its map,
 sides and bound, the least relabeling of its matrices over S_n (`_canonical`;
 the sphere action takes the pair after `regularize`, the tuple action epsilon
 alone), and each span's rows: its star-closed relations relabeled by the
@@ -223,10 +224,10 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
 # permutation orbits
 # ---------------------------------------------------------------------------
 
-# (map, sides, bound, canonical matrices, each span's rows) -> the span ranks of
-# a task reduced in this process whose checks all came out ProvedZero; a span's
-# rows are its star-closed relations relabeled into canonical indices, each up
-# to sign, as a sorted tuple of row ids (`_rows`); see the module docstring.
+# An orbit table: (map, sides, bound, canonical matrices, each span's rows) ->
+# the span ranks of a task reduced with it whose checks all came out ProvedZero;
+# a span's rows are its star-closed relations relabeled into canonical indices,
+# each up to sign, as a sorted tuple of row ids (`_rows`).  This one is the default.
 _ORBITS: dict = {}
 
 
@@ -236,7 +237,7 @@ def _canonical(matrices) -> tuple:
     sigma maps index i to sigma[i] (0-based); entry (sigma[i], sigma[j]) of a
     relabeled matrix is entry (i, j) of the original.  A relabeling is
     written as one flat tuple, the matrices' rows in order.  Brute force over
-    n! permutations, which is cheap for the n <= 4 of a sweep.
+    n! permutations, reached only by sweeps (n <= 4) and callers with a table.
     """
     n = len(matrices[0])
     best = None
@@ -301,18 +302,20 @@ class _Described(NamedTuple):
 
 
 def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentation,
-                     space: Presentation, family: str, sides: tuple, bound: int) -> VerificationReport:
+                     space: Presentation, family: str, sides: tuple, bound: int,
+                     orbits: Optional[dict]) -> VerificationReport:
     """Certify that the coaction of `qg` preserves every relation of `space`, on each side.
 
     A side "" is the alpha coaction with unprefixed check names (the
-    coproduct, where `space` is `qg`).  `matrices` are the pair data the
-    presentations are built from, and place the task in its orbit.
+    coproduct, where `space` is `qg`).  `matrices`, the pair data, place the
+    task in its orbit in `orbits`; with None no key is computed.
     """
     presentations = (qg,) if space is qg else (qg, space)
-    canonical, sigma = _canonical(matrices)
-    rows = [_rows(pres, sigma, bound) for pres in presentations]
-    key = (family, sides, bound, canonical) + tuple(ids for ids, _ in rows)
-    ranks = _ORBITS.get(key)
+    if orbits is not None:
+        canonical, sigma = _canonical(matrices)
+        rows = [_rows(pres, sigma, bound) for pres in presentations]
+        key = (family, sides, bound, canonical) + tuple(ids for ids, _ in rows)
+    ranks = None if orbits is None else orbits.get(key)
     carried = ranks is not None
     if carried:
         spans = [_Described(pres, span_descriptor(pres, bound, count, rank))
@@ -324,21 +327,25 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
     for side in sides:
         _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
                     (family, qg.source_pair.n, side), left, right, carried)
-    if not carried and all(c.certificate.status == PROVED_ZERO for c in report.checks[first:]):
-        _ORBITS[key] = tuple(s.rank for s in spans)
+    if orbits is not None and not carried and all(c.passed for c in report.checks[first:]):
+        orbits[key] = tuple(s.rank for s in spans)
     return report
 
 
-def verify_comultiplication(pair: CommutationPair, bound: int = 2) -> VerificationReport:
+def verify_comultiplication(pair: CommutationPair, bound: int = 2,
+                            orbits: Optional[dict] = _ORBITS) -> VerificationReport:
     """Certify that the coproduct is a *-homomorphism on the quantum unitary algebra.
 
     Every defining relation (the exchange families, the starred families, and
     all four unitarity sums for the matrix and its conjugate) is pushed through
-    the coproduct and reduced leg-wise at the given degree bound.
+    the coproduct and reduced leg-wise at the given degree bound.  `orbits` is
+    an orbit table or None.  It, and both actions' `orbits`, default to
+    `_ORBITS` only because perfbench calls them positionally and its sweep-n3
+    rests on the carry; once perfbench runs through `cli._TARGETS`, drop it.
     """
     pres = unitary_qg_presentation(pair)
     report = VerificationReport("hopf", pair.to_json_dict())
-    return _verify_coaction(report, (pair.epsilon, pair.eta), pres, pres, "hopf", ("",), bound)
+    return _verify_coaction(report, (pair.epsilon, pair.eta), pres, pres, "hopf", ("",), bound, orbits)
 
 
 def _sides(side: str) -> tuple:
@@ -347,8 +354,8 @@ def _sides(side: str) -> tuple:
     return ("alpha", "beta") if side == "both" else (side,)
 
 
-def verify_sphere_action(pair: CommutationPair, side: str = "both",
-                         bound: int = 2) -> VerificationReport:
+def verify_sphere_action(pair: CommutationPair, side: str = "both", bound: int = 2,
+                         orbits: Optional[dict] = _ORBITS) -> VerificationReport:
     """Certify that the coordinate actions preserve all sphere relations.
 
     The statement assumes a regular pair; non-regular input is regularized
@@ -364,16 +371,17 @@ def verify_sphere_action(pair: CommutationPair, side: str = "both",
             f"B violations {list(reg.violations_convention_B)})")
         report.subject = pair.to_json_dict()
     return _verify_coaction(report, (pair.epsilon, pair.eta), unitary_qg_presentation(pair),
-                            sphere_presentation(pair), "sphere", _sides(side), bound)
+                            sphere_presentation(pair), "sphere", _sides(side), bound, orbits)
 
 
-def verify_tuple_action(epsilon, side: str = "both", bound: int = 2) -> VerificationReport:
+def verify_tuple_action(epsilon, side: str = "both", bound: int = 2,
+                        orbits: Optional[dict] = _ORBITS) -> VerificationReport:
     """Certify that the orthogonal quantum group acts on the tuple space."""
     qg = orthogonal_qg_presentation(epsilon)
     eps = qg.source_pair.epsilon
     report = VerificationReport("tuple-action", {"n": len(eps), "epsilon": [list(r) for r in eps]})
     return _verify_coaction(report, (eps,), qg, tuple_space_presentation(epsilon), "tuple",
-                            _sides(side), bound)
+                            _sides(side), bound, orbits)
 
 
 # ---------------------------------------------------------------------------

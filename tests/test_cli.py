@@ -123,8 +123,7 @@ def test_dimension_cap_exit_2(pair_file, monkeypatch, capsys):
     def too_large(pres, bound=2, **kw):
         raise DimensionCap("product span exceeded 10 sparse entries")
     monkeypatch.setattr(verifier, "build_quotient_basis", too_large)
-    # a task carried by the orbit table builds no span
-    monkeypatch.setattr(verifier, "_ORBITS", {})
+    # neither half can be carried: verify keeps no orbit table, and a sweep starts its own empty
     path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
     assert run_cli("verify", "hopf", "--input", path, "--bound", "3") == 2
     err = capsys.readouterr().err
@@ -134,7 +133,7 @@ def test_dimension_cap_exit_2(pair_file, monkeypatch, capsys):
 
 def test_internal_error_is_not_a_usage_error(pair_file, monkeypatch):
     # exit 2 is for bad flags and files; a KeyError inside a target is a bug
-    def run(pair, bound):
+    def run(pair, bound, orbits):
         raise KeyError("internal")
     monkeypatch.setitem(cli._TARGETS, "hopf", cli._TARGETS["hopf"]._replace(run=run))
     path = pair_file("p.json", {"n": 1, "epsilon": [[0]], "eta": [[1]]})
@@ -147,14 +146,49 @@ def test_verify_and_sweep_share_the_target_table(pair_file, monkeypatch):
     calls = []
     real = verifier.verify_tuple_action
 
-    def spy(epsilon, side, bound):
+    def spy(epsilon, side, bound, orbits):
         calls.append(bound)
-        return real(epsilon, side, bound)
+        return real(epsilon, side, bound, orbits)
     monkeypatch.setattr(verifier, "verify_tuple_action", spy)
     path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]]})
     assert run_cli("verify", "tuple-action", "--input", path, "--bound", "3") == 0
     assert run_cli("sweep", "--n", "2", "--targets", "tuple-action", "--jobs", "1") == 0
     assert calls == [3, 2, 2]  # n = 2 has two epsilon matrices
+
+
+def _counted(monkeypatch, name):
+    """A list that grows by one on each call of verifier.<name>."""
+    calls = []
+    real = getattr(verifier, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(verifier, name, counted)
+    return calls
+
+
+def test_verify_computes_no_orbit_key(pair_file, monkeypatch, capsys):
+    # a one-shot verify has no later task to carry, so it relabels nothing
+    canonical, rows = _counted(monkeypatch, "_canonical"), _counted(monkeypatch, "_rows")
+    path = pair_file("p.json", {"n": 2, "epsilon": [[0, 1], [1, 0]], "eta": [[1, 1], [1, 1]]})
+    for target in ("hopf", "sphere-action", "tuple-action"):
+        for bound in ("2", "3"):
+            assert run_cli("verify", target, "--input", path, "--bound", bound) == 0
+    assert not canonical and not rows
+    assert run_cli("sweep", "--n", "2", "--jobs", "1") == 0
+    assert canonical and rows
+
+
+def test_each_sweep_carries_only_its_own_reductions(monkeypatch, capsys):
+    # a second identical sweep in one process starts from an empty orbit table
+    built = _counted(monkeypatch, "build_quotient_basis")
+    counts = []
+    for _ in range(2):
+        assert run_cli("sweep", "--n", "2", "--jobs", "1") == 0
+        counts.append(len(built))
+        del built[:]
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +392,10 @@ def test_sweep_n4_sample(capsys):
 def test_one_failing_sweep_task_is_one_failing_row(jobs, monkeypatch, capsys):
     real = cli._TARGETS["hopf"]
 
-    def run(pair, bound):
+    def run(pair, bound, orbits):
         if pair.epsilon[0][1]:
             raise RuntimeError(f"injected at {pair.compact()}")
-        return real.run(pair, bound)
+        return real.run(pair, bound, orbits)
     # the n = 2 hopf sweep has 16 tasks, enough for a real pool at --jobs 2
     monkeypatch.setitem(cli._TARGETS, "hopf", real._replace(run=run))
     assert run_cli("sweep", "--n", "2", "--targets", "hopf", "--jobs", jobs,
@@ -383,7 +417,7 @@ def test_one_failing_sweep_task_is_one_failing_row(jobs, monkeypatch, capsys):
 
 
 def test_failing_sweep_row_in_text(monkeypatch, capsys):
-    def run(pair, bound):
+    def run(pair, bound, orbits):
         raise ValueError("bad")
     monkeypatch.setitem(cli._TARGETS, "hopf", cli._TARGETS["hopf"]._replace(run=run))
     assert run_cli("sweep", "--n", "1", "--targets", "hopf", "--jobs", "1") == 1

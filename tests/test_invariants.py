@@ -50,16 +50,24 @@ def test_regularization_consistency_all_n_le_3():
 
 
 def test_sweep_reports_n2_n3_are_pinned():
-    """Every n = 2, 3 sweep report, byte for byte, in task order."""
-    digest = hashlib.sha256()
-    tasks = 0
-    for n in (2, 3):
-        for target, pair_dict, bound in cli.sweep_tasks(n, cli.SWEEP_TARGETS, RunConfig()):
-            report = cli._TARGETS[target].run(P.pair_from_json_dict(pair_dict), bound)
-            digest.update(json.dumps(report.to_json_dict(include_timings=False)).encode())
-            tasks += 1
-    assert tasks == 641
-    assert digest.hexdigest() == "29b14a2f9ab0407ffe549769b1922f152273ac7f88c8337d7f9e75edfc345d10"
+    """Every n = 2, 3 sweep report, byte for byte, in task order.
+
+    Once with no orbit table, so every task is reduced, and once with one
+    fresh table, so 432 of the 618 n = 3 tasks are carried.
+    """
+    for orbits in (None, {}):
+        digest = hashlib.sha256()
+        tasks, keys = 0, {}
+        for n in (2, 3):
+            for target, pair_dict, bound in cli.sweep_tasks(n, cli.SWEEP_TARGETS, RunConfig()):
+                report = cli._TARGETS[target].run(P.pair_from_json_dict(pair_dict), bound, orbits)
+                digest.update(json.dumps(report.to_json_dict(include_timings=False)).encode())
+                tasks += 1
+            keys[n] = len(orbits or ())
+        assert tasks == 641
+        assert digest.hexdigest() == "29b14a2f9ab0407ffe549769b1922f152273ac7f88c8337d7f9e75edfc345d10"
+    # the carried run reduced one n = 3 task per key
+    assert keys[3] - keys[2] == 618 - 432
 
 
 def test_sweep_results_independent_of_job_count():
@@ -115,12 +123,12 @@ def test_benchmark_tracer_counts_what_it_reads_of_a_tensor(monkeypatch):
     """
     tracing = _load_tracer()
     monkeypatch.setattr(V, "_IMAGE_CACHE", {})
-    monkeypatch.setattr(V, "_ORBITS", {})
+    orbits = {}
     tracer = tracing.Tracer()
     with tracer:
         for pair in P.enumerate_pairs(2):
-            V.verify_comultiplication(pair)
-            V.verify_sphere_action(pair)
+            V.verify_comultiplication(pair, orbits=orbits)
+            V.verify_sphere_action(pair, orbits=orbits)
     tracing.assert_clean()
     metrics = tracer.layer_metrics()
     assert metrics["hom.tensor_terms"] == 380

@@ -34,7 +34,6 @@ def _is_canonical(pair):
 def orbits(monkeypatch):
     """An empty orbit table for the test, and a counter of the reductions made."""
     table = {}
-    monkeypatch.setattr(V, "_ORBITS", table)
     reduced = []
     real = V.is_zero_tensor
 
@@ -46,9 +45,8 @@ def orbits(monkeypatch):
 
 
 def _direct(run, *args):
-    """The report of one task reduced on its own, with the orbit table cleared."""
-    V._ORBITS.clear()
-    return run(*args).to_json_dict(include_timings=False)
+    """The report of one task reduced on its own, with no orbit table."""
+    return run(*args, orbits=None).to_json_dict(include_timings=False)
 
 
 def _counted_builds(monkeypatch):
@@ -101,7 +99,7 @@ def test_shuffled_n3_sweep_equals_direct_reports(orbits, monkeypatch):
     reports, carried = [], 0
     for run, pair, bound in runs:
         before = len(built)
-        reports.append(run(pair, bound).to_json_dict(include_timings=False))
+        reports.append(run(pair, bound, table).to_json_dict(include_timings=False))
         carried += len(built) == before
     # 138 + 44 + 4 keys: an orbit whose relations match only up to span splits
     assert collections.Counter(key[0] for key in table) == {"hopf": 138, "sphere": 44, "tuple": 4}
@@ -110,7 +108,7 @@ def test_shuffled_n3_sweep_equals_direct_reports(orbits, monkeypatch):
     # a second pass finds every key: it builds no span and reduces no image
     del built[:], reduced[:]
     for run, pair, bound in runs:
-        run(pair, bound)
+        run(pair, bound, table)
     assert not built and not reduced
     for (run, pair, bound), report in zip(runs, reports):
         assert report == _direct(run, pair, bound), pair.compact()
@@ -135,11 +133,10 @@ def test_a_member_with_a_dropped_relation_is_reduced_directly(orbits, monkeypatc
     # without the relation the member does not certify, so a carried report would differ
     assert direct["overall"] == INCONCLUSIVE
 
-    table.clear()
-    V.verify_comultiplication(first)
+    V.verify_comultiplication(first, orbits=table)
     assert len(table) == 1
     del reduced[:]
-    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
+    assert V.verify_comultiplication(member, orbits=table).to_json_dict(include_timings=False) == direct
     assert reduced
 
 
@@ -156,10 +153,9 @@ def test_a_member_with_an_added_relation_is_reduced_directly(orbits, monkeypatch
         return dataclasses.replace(pres, relations=pres.relations + (extra,)) if pair == member else pres
     monkeypatch.setattr(V, "unitary_qg_presentation", adding)
     direct = _direct(V.verify_comultiplication, member)
-    table.clear()
-    V.verify_comultiplication(first)
+    V.verify_comultiplication(first, orbits=table)
     del reduced[:]
-    assert V.verify_comultiplication(member).to_json_dict(include_timings=False) == direct
+    assert V.verify_comultiplication(member, orbits=table).to_json_dict(include_timings=False) == direct
     assert reduced
 
 
@@ -176,11 +172,11 @@ def test_an_inconclusive_first_member_passes_nothing_on(orbits, monkeypatch):
             return Certificate(INCONCLUSIVE, detail="patched")
         return counted(t, left, right)
     monkeypatch.setattr(V, "is_zero_tensor", one_inconclusive)
-    assert V.verify_comultiplication(first).overall == INCONCLUSIVE
+    assert V.verify_comultiplication(first, orbits=table).overall == INCONCLUSIVE
     assert table == {}
     monkeypatch.setattr(V, "is_zero_tensor", counted)
     del reduced[:]
-    report = V.verify_comultiplication(member).to_json_dict(include_timings=False)
+    report = V.verify_comultiplication(member, orbits=table).to_json_dict(include_timings=False)
     assert reduced  # reduced directly, as the orbit's first ProvedZero member
     assert report == _direct(V.verify_comultiplication, member)
 
@@ -192,14 +188,14 @@ def test_a_record_serves_only_its_own_sides(orbits):
     member = P.validate_pair(zero, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert P.is_regular(first).is_regular and P.is_regular(member).is_regular
     direct = _direct(V.verify_sphere_action, member, "both")
-    table.clear()
-    V.verify_sphere_action(first, "alpha")
+    V.verify_sphere_action(first, "alpha", orbits=table)
     del reduced[:]
     # the alpha record says nothing of beta: the member is reduced, and recorded
-    assert V.verify_sphere_action(member, "both").to_json_dict(include_timings=False) == direct
+    report = V.verify_sphere_action(member, "both", orbits=table)
+    assert report.to_json_dict(include_timings=False) == direct
     assert reduced and len(table) == 2
     del reduced[:]
-    V.verify_sphere_action(first, "both")
+    V.verify_sphere_action(first, "both", orbits=table)
     assert not reduced
 
 
@@ -212,17 +208,17 @@ def test_reports_above_bound_2_equal_direct_ones(orbits, monkeypatch, bound):
     runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d)) for target, d, _ in tasks]
     # a warm table: every bound-2 key is recorded, and none of them serves this bound
     for run, pair in runs:
-        run(pair, 2)
+        run(pair, 2, table)
     warm = len(table)
     random.Random(bound).shuffle(runs)
     del built[:]
-    reports = [run(pair, bound).to_json_dict(include_timings=False) for run, pair in runs]
+    reports = [run(pair, bound, table).to_json_dict(include_timings=False) for run, pair in runs]
     assert len(table) - warm == 19 and all(key[2] == bound for key in list(table)[warm:])
     # 30 span builds without the table: 16 coproduct tasks, 5 sphere and 2 tuple actions
     assert len(built) == 26
     del built[:], reduced[:]
     for run, pair in runs:
-        run(pair, bound)
+        run(pair, bound, table)
     assert not built and not reduced
     for (run, pair), report in zip(runs, reports):
         assert report == _direct(run, pair, bound), pair.compact()
@@ -239,7 +235,7 @@ def test_two_n3_orbits_at_bound_3_equal_direct_reports(orbits, monkeypatch):
     assert len(members) == 6
     runs = [(cli._TARGETS[target].run, pair) for pair in members for target in ("hopf", "sphere-action")]
     random.Random(3).shuffle(runs)
-    reports = [run(pair, 3).to_json_dict(include_timings=False) for run, pair in runs]
+    reports = [run(pair, 3, table).to_json_dict(include_timings=False) for run, pair in runs]
     # 12 tasks and 18 span builds without the table
     assert len(table) == 6 and all(key[2] == 3 for key in table)
     assert len(built) == 9
@@ -255,10 +251,9 @@ def test_an_orbit_mate_whose_ties_differ_gets_its_own_key(orbits):
     mate = P.validate_pair(zero, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert V._canonical((first.epsilon, first.eta))[0] == V._canonical((mate.epsilon, mate.eta))[0]
     direct = _direct(V.verify_comultiplication, mate)
-    table.clear()
-    V.verify_comultiplication(first)
+    V.verify_comultiplication(first, orbits=table)
     del reduced[:]
-    assert V.verify_comultiplication(mate).to_json_dict(include_timings=False) == direct
+    assert V.verify_comultiplication(mate, orbits=table).to_json_dict(include_timings=False) == direct
     assert reduced and len(table) == 2
 
 
@@ -277,10 +272,9 @@ def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch
         return dataclasses.replace(pres, relations=pres.relations + (negated,))
     monkeypatch.setattr(V, "unitary_qg_presentation", negating)
     direct = _direct(V.verify_comultiplication, member)
-    table.clear()
-    V.verify_comultiplication(first)
+    V.verify_comultiplication(first, orbits=table)
     del reduced[:]
-    report = V.verify_comultiplication(member).to_json_dict(include_timings=False)
+    report = V.verify_comultiplication(member, orbits=table).to_json_dict(include_timings=False)
     assert not reduced and report == direct
     span = V.build_quotient_basis(negating(member), 2).descriptor()
     assert span["relation_rows"] > V.build_quotient_basis(real(member), 2).descriptor()["relation_rows"]
@@ -303,10 +297,10 @@ def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
     monkeypatch.setattr(V, "unitary_qg_presentation", with_one)
     direct = _direct(V.verify_comultiplication, member, bound)
     assert direct["overall"] == "ProvedZero"  # every word of degree <= bound lies in the span
-    V.verify_comultiplication(first, bound)
+    V.verify_comultiplication(first, bound, orbits=table)
     assert len(table) == 1
     del reduced[:]
-    report = V.verify_comultiplication(member, bound).to_json_dict(include_timings=False)
+    report = V.verify_comultiplication(member, bound, orbits=table).to_json_dict(include_timings=False)
     assert not reduced and report == direct
     span = V.build_quotient_basis(with_one(member), bound).descriptor()
     assert span["relation_rows"] > len(list(V._star_closed_relations(with_one(member))))
