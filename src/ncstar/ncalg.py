@@ -41,7 +41,7 @@ from .scalars import GaussianRational, parse_scalar
 
 __all__ = [
     "Letter", "Word", "Poly", "TensorPoly", "BoundedSpan", "Certificate",
-    "apply_tensor_hom", "relation_rows",
+    "apply_tensor_hom",
     "build_quotient_basis", "span_descriptor", "is_zero_tensor", "zero_tensor_certificate",
     "ideal_membership_bounded",
     "replay_combination", "word_str", "poly_str",
@@ -225,9 +225,6 @@ class Poly:
         p = Poly.__new__(Poly)
         p.terms = out
         return p
-
-    def __rmul__(self, other) -> "Poly":
-        return self.scale(other)
 
     def star(self) -> "Poly":
         """Reverse and star every word; conjugation is the identity on Q."""
@@ -518,12 +515,12 @@ class Certificate:
         return out
 
 
-def zero_tensor_certificate(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Certificate:
-    """The ProvedZero that `is_zero_tensor` gives t when t vanishes leg-wise."""
+def zero_tensor_certificate(t: TensorPoly, left: dict, right: dict) -> Certificate:
+    """The ProvedZero `is_zero_tensor` gives t when t vanishes in spans with these descriptors."""
     return Certificate(PROVED_ZERO, zero_evidence={
         "kind": "tensor-quotient",
-        "left_basis": left.descriptor(),
-        "right_basis": right.descriptor(),
+        "left_basis": dict(left),
+        "right_basis": dict(right),
         "terms": len(t.terms),
     })
 
@@ -560,7 +557,7 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
     for (m1, m2, d), v in acc.items():
         _add_term(coords, (m1, m2), Fraction(v, d))
     if not coords:
-        return zero_tensor_certificate(t, left, right)
+        return zero_tensor_certificate(t, left._descriptor, right._descriptor)
     # codes sort like words, so this is the least surviving pair of words
     k1, k2 = min(coords)
     return Certificate(
@@ -624,7 +621,7 @@ class BoundedSpan:
                 self._insert(dict(row), rid, 0, 0)
                 continue
             # each term as (length, base-s value, coefficient); m1 and m2 run over the
-            # words with |m1| + |m2| <= pad (`relation_rows`) in order, and m1 * w * m2 has
+            # words with |m1| + |m2| <= pad in order, and m1 * w * m2 has
             # the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
             terms = [(len(w), codes.code(w) - codes.offset(len(w)), c) for w, c in rpoly.items()]
             for d1 in range(pad + 1):
@@ -712,13 +709,6 @@ class BoundedSpan:
             "lhs_multiple": str(mult),
             "terms": terms,
         })
-
-
-def relation_rows(degree: int, bound: int, letters: int) -> int:
-    """The rows a span at this bound inserts for one relation r of this degree: the
-    products m1 * r * m2 with |m1| + |m2| = k <= bound - degree over a roster of this
-    many letters, so the sum over k of (k + 1) * letters^k, and none above the bound."""
-    return sum((k + 1) * letters ** k for k in range(bound - degree + 1))
 
 
 def span_descriptor(pres, bound: int, relation_rows: int, rank: int) -> dict:

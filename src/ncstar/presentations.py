@@ -487,6 +487,9 @@ def enumerate_pairs(n: int) -> list:
 def pair_from_json_dict(data: dict) -> CommutationPair:
     if not isinstance(data, dict):
         raise ValueError(f"a pair file must hold a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - {"n", "epsilon", "eta"})
+    if unknown:
+        raise ValueError(f"pair file has unknown key {unknown[0]!r} (expected n, epsilon, eta)")
     if "epsilon" not in data:
         raise ValueError("pair file is missing the 'epsilon' matrix")
     eps = _freeze(data["epsilon"], "epsilon")

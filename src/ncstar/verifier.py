@@ -39,18 +39,17 @@ actions once per orbit key, in one orbit table it hands every task; a one-shot
 sides and bound, the least relabeling of its matrices over S_n (`_canonical`;
 the sphere action takes the pair after `regularize`, the tuple action epsilon
 alone), and each span's rows: its star-closed relations relabeled by the
-task's own sigma, each up to sign (`_rows`).  A task whose key is absent is
-reduced as above, and its span ranks are kept if every check is ProvedZero.
-A task whose key is present builds no span and reduces no image: every check
-is ProvedZero with evidence of its own, its span descriptors (its
-presentation, its own row count, the kept rank) and its image's term count.
-Its row count is what a build would insert: each star-closed relation gives
-`relation_rows` of its degree at the bound.  This is sound at every bound: a
-span is spanned by the products m1 * r * m2 over its star-closed relations r,
-so equal rows up to sign make this task's spans the relabeled spans of the
-task that was reduced, and the relabeling, which acts on both legs of each
-image as the coaction does, carries that task's vanishing images onto this
-task's.  An Inconclusive is never carried, and no verdict is ever upgraded.
+task's own sigma, each up to sign and each counted (`_rows`).  A task whose key
+is absent is reduced as above; if every check is ProvedZero, the key records
+each span's row count and rank.  A task whose key is present builds no span
+and reduces no image: every check is ProvedZero with evidence of its own, its
+span descriptors (its presentation, the recorded counts) and its image's term
+count.  This is sound at every bound: a span is spanned by the products
+m1 * r * m2 over its star-closed relations r, so equal rows make this task's
+spans, row for row, the relabeled spans of the task that was reduced, and the
+relabeling, which acts on both legs of each image as the coaction does,
+carries that task's vanishing images onto this task's.  An Inconclusive is
+never carried, and no verdict is ever upgraded.
 
 The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
 the non-injectivity witness check and the independence suites import them, so
@@ -66,13 +65,13 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, _roster_letters, _star_closed_relations,
-                    apply_tensor_hom, build_quotient_basis, ideal_membership_bounded,
-                    is_zero_tensor, poly_str, relation_rows, replay_combination,
-                    span_descriptor, word_str, zero_tensor_certificate)
+                    PROVED_ZERO, Poly, _star_closed_relations, apply_tensor_hom,
+                    build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
+                    poly_str, replay_combination, span_descriptor, word_str,
+                    zero_tensor_certificate)
 from .presentations import (CommutationPair, Presentation, is_regular,
                             orthogonal_qg_presentation, regularize,
                             sphere_presentation, tuple_space_presentation,
@@ -187,20 +186,17 @@ def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
 
 
 def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
-                left, right, carried: bool = False) -> None:
-    """Push each relation through the *-homomorphism `images` and reduce its image.
+                rosters: tuple, prove) -> None:
+    """Push each relation through the *-homomorphism `images` and prove its image zero.
 
     `family` is (name, n, side) and names the assignment; with the relation's
-    terms it keys the image cache.  Each relation becomes one timed check; a
-    nonempty side prefixes its name ("alpha:rid").
-    A star twin of an earlier ProvedZero in this call (see the module
-    docstring) gets its partner's verdict and term count, with fresh evidence.
-    When `carried`, the orbit table has shown that every image vanishes, so
-    each one gets the ProvedZero `is_zero_tensor` would give it, unreduced;
-    then `left` and `right` need only a presentation and a descriptor.
+    terms it keys the image cache.  `rosters` holds the two legs' generators,
+    and `prove(t)` certifies an image t.  Each relation becomes one timed check;
+    a nonempty side prefixes its name ("alpha:rid").  A star twin of an earlier
+    ProvedZero in this call (see the module docstring) gets its partner's
+    verdict, term count and span descriptors, with fresh evidence.
     """
     side = family[2]
-    lg, rg = left.presentation.generators, right.presentation.generators
     proved: dict = {}  # term key of each ProvedZero relation so far -> its evidence
     for rel in relations:
         def thunk(rel=rel):
@@ -208,12 +204,13 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
             partner = proved.get(star_key) or proved.get(negated_star_key)
             if partner is not None:
                 cert = Certificate(PROVED_ZERO, zero_evidence={
-                    **partner, "left_basis": left.descriptor(), "right_basis": right.descriptor()})
+                    **partner, "left_basis": dict(partner["left_basis"]),
+                    "right_basis": dict(partner["right_basis"])})
             else:
                 t = _IMAGE_CACHE.get(family + (key,))
                 if t is None:
-                    t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, lg, rg)
-                cert = (zero_tensor_certificate if carried else is_zero_tensor)(t, left, right)
+                    t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, *rosters)
+                cert = prove(t)
             if cert.status == PROVED_ZERO:
                 proved[key] = cert.zero_evidence
             return cert
@@ -225,9 +222,9 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
 # ---------------------------------------------------------------------------
 
 # An orbit table: (map, sides, bound, canonical matrices, each span's rows) ->
-# the span ranks of a task reduced with it whose checks all came out ProvedZero;
-# a span's rows are its star-closed relations relabeled into canonical indices,
-# each up to sign, as a sorted tuple of row ids (`_rows`).  This one is the default.
+# the (relation_rows, rank) of each span built by a task whose checks all came
+# out ProvedZero; a span's rows are its star-closed relations relabeled into
+# canonical indices, each up to sign, one row id each, sorted (`_rows`).
 _ORBITS: dict = {}
 
 
@@ -253,9 +250,8 @@ def _canonical(matrices) -> tuple:
 # pairs, sorted, with the first coefficient positive, so p and -p get one id
 _ROW_IDS: dict = {}
 
-# (sigma, bound, roster size) -> {term key of a star-closed relation: (the id
-# of its relabeled row, the rows a span at the bound inserts for it)}, so a
-# warm task reads each relation once
+# sigma -> {term key of a star-closed relation: the id of its relabeled row},
+# so a warm task reads each relation once
 _RELABELED: dict = {}
 
 
@@ -271,34 +267,16 @@ def _row_id(poly: Poly, sigma: tuple) -> int:
     return _ROW_IDS.setdefault(tuple(row), len(_ROW_IDS))
 
 
-def _rows(pres: Presentation, sigma: tuple, bound: int) -> tuple:
-    """(the sorted ids of pres's star-closed relations under sigma, its span's row count).
-
-    The count is what a build of that span at this bound inserts: `relation_rows`
-    of each star-closed relation's degree, over pres's roster.
-    """
-    letters = len(_roster_letters(pres))
-    ids = _RELABELED.get((sigma, bound, letters))
-    if ids is None:
-        ids = _RELABELED[sigma, bound, letters] = {}
-    rows, count = set(), 0
+def _rows(pres: Presentation, sigma: tuple) -> tuple:
+    """The sorted ids of pres's star-closed relations under sigma, one per relation."""
+    ids = _RELABELED.setdefault(sigma, {})
+    rows = []
     for _, poly, key in _star_closed_relations(pres):
-        hit = ids.get(key)
-        if hit is None:
-            hit = ids[key] = (_row_id(poly, sigma), relation_rows(poly.degree(), bound, letters))
-        rows.add(hit[0])
-        count += hit[1]
-    return tuple(sorted(rows)), count
-
-
-class _Described(NamedTuple):
-    """A carried task's span: its presentation and descriptor, with no echelon table."""
-
-    presentation: Presentation
-    fields: dict
-
-    def descriptor(self) -> dict:
-        return dict(self.fields)
+        rid = ids.get(key)
+        if rid is None:
+            rid = ids[key] = _row_id(poly, sigma)
+        rows.append(rid)
+    return tuple(sorted(rows))
 
 
 def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentation,
@@ -308,27 +286,30 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
 
     A side "" is the alpha coaction with unprefixed check names (the
     coproduct, where `space` is `qg`).  `matrices`, the pair data, place the
-    task in its orbit in `orbits`; with None no key is computed.
+    task in its orbit in `orbits`, whose record holds what its span builds
+    measured; with None no key is computed.
     """
     presentations = (qg,) if space is qg else (qg, space)
+    record = None
     if orbits is not None:
         canonical, sigma = _canonical(matrices)
-        rows = [_rows(pres, sigma, bound) for pres in presentations]
-        key = (family, sides, bound, canonical) + tuple(ids for ids, _ in rows)
-    ranks = None if orbits is None else orbits.get(key)
-    carried = ranks is not None
-    if carried:
-        spans = [_Described(pres, span_descriptor(pres, bound, count, rank))
-                 for pres, (_, count), rank in zip(presentations, rows, ranks)]
-    else:
+        key = (family, sides, bound, canonical) + tuple(_rows(pres, sigma) for pres in presentations)
+        record = orbits.get(key)
+    if record is None:
         spans = [build_quotient_basis(pres, bound) for pres in presentations]
-    left, right = spans[0], spans[-1]
+        left, right = spans[0], spans[-1]
+        prove = lambda t: is_zero_tensor(t, left, right)
+    else:
+        described = [span_descriptor(pres, bound, rows, rank)
+                     for pres, (rows, rank) in zip(presentations, record)]
+        left, right = described[0], described[-1]
+        prove = lambda t: zero_tensor_certificate(t, left, right)
     first = len(report.checks)
     for side in sides:
         _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
-                    (family, qg.source_pair.n, side), left, right, carried)
-    if orbits is not None and not carried and all(c.passed for c in report.checks[first:]):
-        orbits[key] = tuple(s.rank for s in spans)
+                    (family, qg.source_pair.n, side), (qg.generators, space.generators), prove)
+    if orbits is not None and record is None and all(c.passed for c in report.checks[first:]):
+        orbits[key] = tuple((s.descriptor()["relation_rows"], s.rank) for s in spans)
     return report
 
 

@@ -226,8 +226,10 @@ def test_regularize_malformed_exit_2(pair_file, capsys):
     ({"epsilon": [[0, 1.5], [1.5, 0]]}, "epsilon[1,2] = 1.5"),
     ({"epsilon": [[0, "1"], ["1", 0]]}, "epsilon[1,2] = '1'"),
     ({"epsilon": [[0, True], [True, 0]]}, "epsilon[1,2] = True"),
+    ({"epsilon": [[0, 1], [1, 0]], "Eta": [[1, 1], [1, 1]]},
+     "unknown key 'Eta' (expected n, epsilon, eta)"),
 ], ids=["scalar-file", "scalar-matrix", "null-entry", "scalar-eta", "float-n",
-        "float-entry", "string-entry", "bool-entry"])
+        "float-entry", "string-entry", "bool-entry", "misspelled-key"])
 def test_verify_malformed_pair_file_exit_2(payload, names, pair_file, capsys):
     path = pair_file("p.json", payload)
     assert run_cli("verify", "hopf", "--input", path) == 2

@@ -105,6 +105,24 @@ def test_benchmark_tracer_names_stay_bound():
     _load_tracer().assert_clean()
 
 
+def test_benchmark_reduce_hook_reads_cold_checks(monkeypatch):
+    """The tracer's reduce hook unpacks (tensor, left span, right span) from the
+    positional arguments of `is_zero_tensor`; cold coproduct and sphere-action
+    checks of one n = 2 pair must reach it, once per image built."""
+    tracing = _load_tracer()
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    pair = P.validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    tracer = tracing.Tracer()
+    with tracer:
+        V.verify_comultiplication(pair, 2, None)
+        V.verify_sphere_action(pair, "both", 2, None)
+    tracing.assert_clean()
+    metrics = tracer.layer_metrics()
+    assert metrics["span.calls"] == 3
+    assert metrics["hom.calls"] == metrics["reduce.calls"] > 0
+    assert metrics["reduce.errors"] == 0
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

@@ -492,34 +492,6 @@ def test_bounded_span_dimension_cap_at_build(monkeypatch):
         ideal_membership_bounded(x1, pres, 4)
 
 
-_KINDS = (P.unitary_qg_presentation, P.sphere_presentation,
-          lambda pair: P.orthogonal_qg_presentation(pair.epsilon),
-          lambda pair: P.tuple_space_presentation(pair.epsilon))
-
-
-@pytest.mark.parametrize("n,bounds,sample", [(2, (2, 3, 4), None), (3, (2, 3), 4)],
-                         ids=["n2", "n3-sample"])
-def test_relation_rows_counts_what_a_build_inserts(n, bounds, sample):
-    """The stand-in row count of a carried span is the real one, for every kind."""
-    pairs = P.enumerate_pairs(n)
-    if sample:
-        pairs = random.Random(25).sample(pairs, sample)
-    for kind in _KINDS:
-        for pres in {kind(pair).label: kind(pair) for pair in pairs}.values():
-            letters = len(A._roster_letters(pres))
-            for bound in bounds:
-                rows = sum(A.relation_rows(poly.degree(), bound, letters)
-                           for _, poly, _ in A._star_closed_relations(pres))
-                assert rows == A.BoundedSpan(pres, bound).descriptor()["relation_rows"], \
-                    (pres.label, bound)
-
-
-def test_relation_rows_of_each_degree():
-    # at bound b a relation of degree d gets sum over k <= b - d of (k + 1) s^k rows
-    assert [A.relation_rows(d, 2, 4) for d in (0, 1, 2, 3)] == [1 + 2 * 4 + 3 * 16, 1 + 2 * 4, 1, 0]
-    assert A.relation_rows(2, 4, 18) == 1 + 2 * 18 + 3 * 18 ** 2
-
-
 def test_oracle_agreement_sample():
     import random
     rng = random.Random(11)

@@ -257,8 +257,8 @@ def test_an_orbit_mate_whose_ties_differ_gets_its_own_key(orbits):
     assert reduced and len(table) == 2
 
 
-def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch):
-    """Minus a relation adds rows to the member's span but not to its rows up to sign."""
+def test_a_member_matching_up_to_sign_gets_its_own_key(orbits, monkeypatch):
+    """Minus a relation adds rows to the member's span, and a key counts each relation."""
     table, reduced = orbits
     first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
     member = P.validate_pair(OFF2, [[1, 0], [0, 0]])
@@ -275,7 +275,8 @@ def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch
     V.verify_comultiplication(first, orbits=table)
     del reduced[:]
     report = V.verify_comultiplication(member, orbits=table).to_json_dict(include_timings=False)
-    assert not reduced and report == direct
+    assert reduced and report == direct
+    assert len(table) == 2
     span = V.build_quotient_basis(negating(member), 2).descriptor()
     assert span["relation_rows"] > V.build_quotient_basis(real(member), 2).descriptor()["relation_rows"]
     for check in report["checks"]:
@@ -284,7 +285,7 @@ def test_a_member_matching_up_to_sign_describes_its_own_span(orbits, monkeypatch
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
-    """It gives its span more rows than one; the stand-in counts them as a build does."""
+    """It gives its span more rows than one; the carried descriptor shows the recorded count."""
     table, reduced = orbits
     first = P.validate_pair(OFF2, [[0, 0], [0, 1]])
     member = P.validate_pair(OFF2, [[1, 0], [0, 0]])

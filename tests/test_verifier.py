@@ -278,7 +278,8 @@ def _hom_checks(relations, span_pres, monkeypatch):
     basis = build_quotient_basis(span_pres)
     images = V._coaction_images(pres, pres, "alpha")
     report = V.VerificationReport("hopf", {})
-    V._verify_hom(report, relations, images, ("hopf", 2, ""), basis, basis)
+    V._verify_hom(report, relations, images, ("hopf", 2, ""), (pres.generators, pres.generators),
+                  lambda t: V.is_zero_tensor(t, basis, basis))
     direct = [is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators, pres.generators),
                              basis, basis) for r in relations]
     return [c.certificate for c in report.checks], direct, len(reduced)
