@@ -15,7 +15,10 @@ runs over Q, and star only reverses and stars words.  On top of the free
   word, and keeps the coefficients of the polynomials themselves; a residue
   is a list of (word code, coefficient) pairs, cached per span under the
   word's code, and a word with a letter outside the roster raises
-  `RosterMismatch`.
+  `RosterMismatch`.  When every relation keeps a word's charge (per
+  generator, its occurrences less those of its star), the span splits into
+  independent charge blocks, and a span given `targets` builds only the
+  blocks of the targets' terms, each exactly as the full span holds it.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -25,7 +28,8 @@ runs over Q, and star only reverses and stars words.  On top of the free
   `apply_tensor_hom` alone, and
 * degree-bounded two-sided ideal membership against the same span, with an
   explicit linear combination as evidence when the span tracks provenance;
-  `ideal_membership_bounded` is the one-shot form.
+  `ideal_membership_bounded` is the one-shot form, and builds only the
+  charge blocks of its query.
 
 Everything here is pure and exact; no floating point enters this module.
 """
@@ -59,6 +63,13 @@ SPAN_ENTRY_CAP = 2_000_000
 # process (`_roster_codes`).  Spans and tensor legs over one roster share it,
 # so a tensor's codes read every such span's residue cache directly.
 _CODES: dict = {}
+
+# A word's charge packs its per-generator counts (the occurrences of x_k less
+# those of x_k*) into one int, generator k at _CHARGE_BASE ** k.  A count never
+# exceeds the word's length; a roster with a starred letter has at least two
+# letters, so the monomial cap keeps its spans' words far shorter than
+# _CHARGE_BASE / 2.  No count carries into the next: equal ints, equal charges.
+_CHARGE_BASE = 1 << 16
 
 # Display names for tags (the orthogonal family prints as u, the tuple family as x).
 _TAG_DISPLAY = {"x": "x", "u": "u", "ou": "u", "tx": "x"}
@@ -356,7 +367,7 @@ class _WordCodes:
     the same words as one keyed by the words themselves.
     """
 
-    __slots__ = ("letters", "index", "base", "rows")
+    __slots__ = ("letters", "index", "base", "rows", "_letter_charges", "_charges", "_blocks")
 
     def __init__(self, letters: Sequence[Letter]):
         self.letters = tuple(letters)
@@ -365,6 +376,10 @@ class _WordCodes:
         # relation term key -> (degree, {word code: coefficient}): a sweep codes each
         # relation once per roster, and every span inserts a copy of the row
         self.rows: dict = {}
+        # filled by the first span restricted to some charges (`charge_tables`)
+        self._letter_charges = None
+        self._charges: list = []
+        self._blocks: list = []
 
     def offset(self, d: int) -> int:
         s = self.base
@@ -391,6 +406,52 @@ class _WordCodes:
             v, k = divmod(v, self.base)
             out.append(self.letters[k])
         return tuple(reversed(out))
+
+    def charge(self, w: Word) -> int:
+        """The charge of w, packed into one int (`_CHARGE_BASE`).
+
+        Per generator, the occurrences of it in w minus those of its star; a
+        letter outside the roster raises RosterMismatch.
+        """
+        per_letter = self._per_letter()
+        out = 0
+        for l in w:
+            k = self.index.get(l)
+            if k is None:
+                raise RosterMismatch(f"letter {letter_str(l)} is not in the roster")
+            out += per_letter[k]
+        return out
+
+    def _per_letter(self) -> list:
+        """Each letter's charge, by roster index; a self-adjoint letter has charge 0."""
+        if self._letter_charges is None:
+            bases = sorted({l.base() for l in self.letters})
+            self._letter_charges = [
+                0 if l.star() == l else (-1 if l.starred else 1) * _CHARGE_BASE ** bases.index(l.base())
+                for l in self.letters]
+        return self._letter_charges
+
+    def charge_tables(self, length: int) -> tuple:
+        """(charges, blocks), each a list indexed by word length d <= length.
+
+        charges[d][v] is the charge of the length-d word with base-s value v,
+        and blocks[d] maps a charge to the base-s values of the length-d
+        words that carry it, ascending.  Built once per roster, up to the
+        longest length asked for.
+        """
+        charges, blocks = self._charges, self._blocks
+        if not charges:
+            charges.append([0])
+            blocks.append({0: [0]})
+        per_letter = self._per_letter()
+        while len(charges) <= length:
+            row = [c + lc for c in charges[-1] for lc in per_letter]
+            block: dict = {}
+            for v, c in enumerate(row):
+                block.setdefault(c, []).append(v)
+            charges.append(row)
+            blocks.append(block)
+        return charges, blocks
 
 
 def _eliminate(row: dict, c, prow: dict) -> None:
@@ -588,9 +649,25 @@ class BoundedSpan:
     it stands for, so ProvedZero can carry evidence.  Every relation of the
     presentations here has degree 2, so at bound 2 the span is that of the
     relations themselves.
+
+    Charge blocks.  A word's charge counts, per generator, its occurrences
+    less those of its star (`_WordCodes.charge`).  When every star-closed
+    relation is charge-homogeneous, as the sphere relations are, each row
+    m1 * r * m2 lies in one charge, and rows of different charges share no
+    word, so the matrix splits into independent blocks (Faugère, F4, 1999).
+    Given `targets`, a sequence of polynomials, the span inserts only the
+    rows whose charge is that of some target term, each block's rows in the
+    order of the full build, so its pivots are the full span's of that charge:
+    residues and combinations inside a built block are exactly the full
+    span's, while `rank` and `relation_rows` count only the built blocks.
+    `certify` and `residue_word` raise ValueError on a word of a charge that
+    was not built.  If some relation is not charge-homogeneous (the unitary
+    sums over k of u_ik u_jk* with i != j), targets are ignored and every
+    row is built.  A span built without targets does no charge work.
     """
 
-    def __init__(self, presentation, bound: int, *, provenance: bool = False):
+    def __init__(self, presentation, bound: int, *, provenance: bool = False,
+                 targets: Optional[Sequence[Poly]] = None):
         if bound < 2:
             raise ValueError("degree bound must be at least 2")
         self.presentation = presentation
@@ -607,18 +684,27 @@ class BoundedSpan:
         self._residue_cache: dict = {}
         self._entries = 0
         self._rows = 0
+        relations = list(_star_closed_relations(presentation))
+        # the charges of the built blocks; None when every block is built
+        wanted = self._charges = None if targets is None else _target_charges(codes, relations, targets)
+        if wanted is not None:
+            charges, blocks = codes.charge_tables(bound)
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
         coded = codes.rows
-        for rid, rpoly, key in _star_closed_relations(presentation):
+        for rid, rpoly, key in relations:
             hit = coded.get(key)
             if hit is None:
                 hit = coded[key] = (rpoly.degree(), {codes.code(w): c for w, c in rpoly.items()})
             degree, row = hit
             pad = bound - degree
+            if wanted is not None:
+                # every term of r has this charge (`_target_charges`)
+                rcharge = codes.charge(next(iter(rpoly.terms)))
             if pad == 0:
                 # the relation's own row, copied: inserting consumes it
-                self._insert(dict(row), rid, 0, 0)
+                if wanted is None or rcharge in wanted:
+                    self._insert(dict(row), rid, 0, 0)
                 continue
             # each term as (length, base-s value, coefficient); m1 and m2 run over the
             # words with |m1| + |m2| <= pad in order, and m1 * w * m2 has
@@ -626,13 +712,25 @@ class BoundedSpan:
             terms = [(len(w), codes.code(w) - codes.offset(len(w)), c) for w, c in rpoly.items()]
             for d1 in range(pad + 1):
                 for v1 in range(power[d1]):
+                    if wanted is not None:
+                        # the charges an m2 must carry to land m1 * r * m2 in a built block
+                        need = [t - rcharge - charges[d1][v1] for t in wanted]
                     head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
                     for d2 in range(pad - d1 + 1):
                         p2 = power[d2]
+                        if wanted is None:
+                            tails = (range(p2),)
+                        else:
+                            # one ascending run of m2 per block, so each block's
+                            # rows keep the order of the full build
+                            tails = [blocks[d2][c] for c in need if c in blocks[d2]]
+                            if not tails:
+                                continue
                         shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
-                        for v2 in range(p2):
-                            self._insert({k + v2: c for k, c in shifted}, rid,
-                                         offset[d1] + v1, offset[d2] + v2)
+                        for tail in tails:
+                            for v2 in tail:
+                                self._insert({k + v2: c for k, c in shifted}, rid,
+                                             offset[d1] + v1, offset[d2] + v2)
         # the span never changes after construction; every caller of
         # descriptor() gets its own copy, so editing one certificate cannot
         # change another
@@ -656,13 +754,22 @@ class BoundedSpan:
     def descriptor(self) -> dict:
         return dict(self._descriptor)
 
+    def _check_built(self, words) -> None:
+        """Raise ValueError on a word whose charge block this span did not build."""
+        if self._charges is not None:
+            charge = self._codes.charge
+            for w in words:
+                if charge(w) not in self._charges:
+                    raise ValueError(f"{word_str(w)} lies in a charge block this span did not build")
+
     def residue_word(self, w: Word) -> list:
         """Reduced coordinates of a single word, as [(word code, coefficient), ...].
 
         Each coefficient is an int, or a Fraction where it is not integral;
         the list is empty when the word lies in the span.  A word with a
-        letter outside the roster raises RosterMismatch.  The residue is
-        cached under the word's code, where `is_zero_tensor` reads it too.
+        letter outside the roster raises RosterMismatch, and one of an
+        unbuilt charge ValueError.  The residue is cached under the word's
+        code, where `is_zero_tensor` reads it too.
         """
         key = self._codes.code(w)
         res = self._residue_cache.get(key)
@@ -670,6 +777,8 @@ class BoundedSpan:
 
     def _residue(self, key: int) -> list:
         """Reduce the word with this code, and cache its residue under the code."""
+        if self._charges is not None:
+            self._check_built((self._codes.word(key),))
         res = self._residue_cache[key] = list(_rref_reduce(self._pivots, {key: 1}).items())
         return res
 
@@ -679,11 +788,13 @@ class BoundedSpan:
         ProvedZero evidence (with provenance) carries the exact linear
         combination, with cleared denominators, so the certificate shows
         integer coefficients such as the factor 2 in the vanishing
-        column-product computation.
+        column-product computation.  A term of an unbuilt charge raises
+        ValueError.
         """
         _check_product_degree(p, self.bound)
         code = self._codes.code
         row = {code(w): _rational(c) for w, c in p.items()}
+        self._check_built(p.terms)
         used: dict = {}
         on_use = None
         if self.provenance:
@@ -722,9 +833,13 @@ def span_descriptor(pres, bound: int, relation_rows: int, rank: int) -> dict:
     }
 
 
-def build_quotient_basis(pres, bound: int = 2) -> BoundedSpan:
-    """The span every verification reduces against: products of total degree <= bound."""
-    return BoundedSpan(pres, bound)
+def build_quotient_basis(pres, bound: int = 2, *, targets: Optional[Sequence[Poly]] = None) -> BoundedSpan:
+    """The span every verification reduces against: products of total degree <= bound.
+
+    With targets, only the charge blocks of the targets' terms are built
+    (`BoundedSpan`); the queries must then lie in those blocks.
+    """
+    return BoundedSpan(pres, bound, targets=targets)
 
 
 def _check_product_degree(p: Poly, product_bound: int):
@@ -736,11 +851,22 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
                              want_combination: bool = True) -> Certificate:
     """One-shot membership of p in the span of m1 * r * m2, total degree <= product_bound.
 
-    Builds a BoundedSpan for this single query; callers with several targets
-    over one presentation should build the span once and certify each.
+    Builds a BoundedSpan for this single query, holding only the charge
+    blocks of p's terms where the relations allow it; the verdict and the
+    combination are the full span's.  Callers with several targets over one
+    presentation should build the span once and certify each.
     """
     _check_product_degree(p, product_bound)
-    return BoundedSpan(pres, product_bound, provenance=want_combination).certify(p)
+    return BoundedSpan(pres, product_bound, provenance=want_combination, targets=(p,)).certify(p)
+
+
+def _target_charges(codes: _WordCodes, relations: list, targets) -> Optional[set]:
+    """The charges of the targets' terms, or None if some relation is not charge-homogeneous."""
+    charge = codes.charge
+    for _, rpoly, _ in relations:
+        if len({charge(w) for w in rpoly.terms}) > 1:
+            return None
+    return {charge(w) for p in targets for w in p.terms}
 
 
 def _star_closed_relations(pres):

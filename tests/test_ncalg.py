@@ -488,6 +488,9 @@ def test_bounded_span_dimension_cap_at_build(monkeypatch):
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     with pytest.raises(A.DimensionCap):
         A.BoundedSpan(pres, 4)
+    # a span restricted to one charge block still counts every monomial up to its bound
+    with pytest.raises(A.DimensionCap):
+        A.BoundedSpan(pres, 4, targets=(x1 * x1.star(),))
     with pytest.raises(A.DimensionCap):
         ideal_membership_bounded(x1, pres, 4)
 
@@ -729,3 +732,85 @@ def test_span_kernel_makes_no_gaussian_arithmetic(monkeypatch):
                 assert is_zero_tensor(t, left, right).status == A.PROVED_ZERO, r.rid
     assert V.verify_regularization_consistency(P.validate_pair(OFF2, OFF2)).checks
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# charge blocks
+# ---------------------------------------------------------------------------
+
+def _words(pres, bound):
+    """Every word of degree <= bound over pres's roster, in code order."""
+    codes = A._roster_codes(pres.generators)
+    return [codes.word(k) for k in range(codes.offset(bound + 1))]
+
+
+def _spheres():
+    """Every n = 2 sphere and a seeded sample of n = 3 spheres."""
+    return [P.sphere_presentation(pair)
+            for pair in P.enumerate_pairs(2) + random.Random(28).sample(P.enumerate_pairs(3), 6)]
+
+
+def test_restricted_span_blocks_equal_the_full_span():
+    """Each built block reduces every word of its charge as the full span does."""
+    rng = random.Random(5)
+    for pres in _spheres():
+        charge = A._roster_codes(pres.generators).charge
+        for bound in (2, 3, 4):
+            full = A.BoundedSpan(pres, bound)
+            words = _words(pres, bound)
+            for size in (1, 2, 3):
+                targets = [Poly.from_word(w) for w in rng.sample(words, size)]
+                built = {charge(w) for p in targets for w in p.terms}
+                span = A.BoundedSpan(pres, bound, targets=targets)
+                inside = [w for w in words if charge(w) in built]
+                assert [span.residue_word(w) for w in inside] == [full.residue_word(w) for w in inside]
+                assert span.rank <= full.rank
+                assert span.descriptor()["monomials"] == full.descriptor()["monomials"]
+
+
+def test_restricted_span_refuses_a_word_of_an_unbuilt_charge():
+    pres = P.sphere_presentation(P.validate_pair(OFF2, OFF2))
+    a, a_star = Letter("x", 1, 0), Letter("x", 1, 0, True)
+    span = A.BoundedSpan(pres, 3, targets=(x1 * x1.star(),))
+    assert span.residue_word((a_star, a)) == A.BoundedSpan(pres, 3).residue_word((a_star, a))
+    assert span.certify(pres.sums[0].poly).status == A.PROVED_ZERO
+    for w in ((a,), (a, Letter("x", 2, 0))):
+        with pytest.raises(ValueError, match="charge block"):
+            span.residue_word(w)
+    # one term of an unbuilt charge is enough
+    with pytest.raises(ValueError, match="charge block"):
+        span.certify(x1 * x1.star() + x1 * x2 - x2 * x1)
+
+
+def test_targets_are_ignored_when_a_relation_moves_charge():
+    """The unitary sums over k of u_ik u_jk* (i != j) mix charges: every row is built."""
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    for bound in (2, 3):
+        full = A.BoundedSpan(pres, bound)
+        span = A.BoundedSpan(pres, bound, targets=(u(1, 1) * u(1, 1, True),))
+        assert span.rank == full.rank
+        assert span.descriptor()["relation_rows"] == full.descriptor()["relation_rows"]
+        w = (Letter("u", 1, 2), Letter("u", 2, 1))
+        assert span.residue_word(w) == full.residue_word(w)
+
+
+def test_restricted_membership_evidence_equals_the_full_span():
+    """Regularization's added relations: one-shot membership (charge blocks
+    only) gives the full span's verdict and combination, which replays."""
+    sample = [p for p in P.enumerate_pairs(3) if not P.is_regular(p).is_regular]
+    pairs = [p for n in (1, 2) for p in P.enumerate_pairs(n) if not P.is_regular(p).is_regular]
+    pairs += random.Random(3).sample(sample, 8)
+    proved = 0
+    for pair in pairs:
+        base = P.sphere_presentation(pair)
+        base_keys = {r.keys[0] for r in base.all_relations()}
+        full = A.BoundedSpan(base, V.REGULARIZATION_BOUND, provenance=True)
+        for rel in P.sphere_presentation(P.regularize(pair)).all_relations():
+            if rel.keys[0] in base_keys:
+                continue
+            cert = ideal_membership_bounded(rel.poly, base, V.REGULARIZATION_BOUND)
+            assert cert == full.certify(rel.poly), (pair.compact(), rel.rid)
+            if cert.status == A.PROVED_ZERO:
+                proved += 1
+                assert replay_combination(rel.poly, base, cert.zero_evidence)
+    assert proved > 10
