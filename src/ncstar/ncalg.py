@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -373,10 +374,11 @@ class _WordCodes:
         self.letters = tuple(letters)
         self.index = {l: k for k, l in enumerate(self.letters)}
         self.base = len(self.letters)
-        # relation term key -> (degree, {word code: coefficient}): a sweep codes each
-        # relation once per roster, and every span inserts a copy of the row
+        # relation term key -> `coded_relation`: a sweep codes each relation once
+        # per roster, and every span builds its rows from that
         self.rows: dict = {}
-        # filled by the first span restricted to some charges (`charge_tables`)
+        # the letters' charges are filled when the first relation is coded, and the
+        # charge tables by the first span restricted to some charges (`charge_tables`)
         self._letter_charges = None
         self._charges: list = []
         self._blocks: list = []
@@ -406,6 +408,19 @@ class _WordCodes:
             v, k = divmod(v, self.base)
             out.append(self.letters[k])
         return tuple(reversed(out))
+
+    def coded_relation(self, poly: Poly) -> tuple:
+        """(degree, row, terms, charge) of a relation polynomial.
+
+        row is {word code: coefficient}, and terms holds each term as
+        (length, base-s value, coefficient), both in the polynomial's order;
+        charge is that of every term, or None when the terms carry different
+        charges.
+        """
+        row = {self.code(w): c for w, c in poly.items()}
+        terms = tuple((len(w), self.code(w) - self.offset(len(w)), c) for w, c in poly.items())
+        charges = {self.charge(w) for w in poly.terms}
+        return poly.degree(), row, terms, charges.pop() if len(charges) == 1 else None
 
     def charge(self, w: Word) -> int:
         """The charge of w, packed into one int (`_CHARGE_BASE`).
@@ -664,6 +679,14 @@ class BoundedSpan:
     was not built.  If some relation is not charge-homogeneous (the unitary
     sums over k of u_ik u_jk* with i != j), targets are ignored and every
     row is built.  A span built without targets does no charge work.
+
+    One loop enumerates the rows: m1 ascending, then |m2|, then one run of
+    m2 per block, each ascending.  A full build takes every m1 and one run
+    of every m2 per length.  A restricted build reads a completion table,
+    local to the span and keyed by (relation charge, |m1|, pad), that lists
+    only the m1 some m2 completes into a built block, each with its runs of
+    m2 (`_completions`); relations of one charge share an entry, and an m1
+    without a completion is never visited.
     """
 
     def __init__(self, presentation, bound: int, *, provenance: bool = False,
@@ -684,48 +707,45 @@ class BoundedSpan:
         self._residue_cache: dict = {}
         self._entries = 0
         self._rows = 0
-        relations = list(_star_closed_relations(presentation))
-        # the charges of the built blocks; None when every block is built
-        wanted = self._charges = None if targets is None else _target_charges(codes, relations, targets)
-        if wanted is not None:
-            charges, blocks = codes.charge_tables(bound)
-        power = [codes.base ** d for d in range(bound + 1)]
-        offset = [codes.offset(d) for d in range(bound + 1)]
         coded = codes.rows
-        for rid, rpoly, key in relations:
+        relations = []
+        for rid, rpoly, key in _star_closed_relations(presentation):
             hit = coded.get(key)
             if hit is None:
-                hit = coded[key] = (rpoly.degree(), {codes.code(w): c for w, c in rpoly.items()})
-            degree, row = hit
+                hit = coded[key] = codes.coded_relation(rpoly)
+            relations.append((rid, hit))
+        # the charges of the built blocks; None when every block is built
+        wanted = self._charges = None if targets is None else _target_charges(codes, relations, targets)
+        power = [codes.base ** d for d in range(bound + 1)]
+        offset = [codes.offset(d) for d in range(bound + 1)]
+        if wanted is None:
+            # every m1 completes, with one run of every m2 per length |m2| <= rest
+            every = [[(d2, (range(power[d2]),)) for d2 in range(rest + 1)] for rest in range(bound + 1)]
+        else:
+            charges, blocks = codes.charge_tables(bound)
+            completions: dict = {}
+        for rid, (degree, row, terms, rcharge) in relations:
             pad = bound - degree
-            if wanted is not None:
-                # every term of r has this charge (`_target_charges`)
-                rcharge = codes.charge(next(iter(rpoly.terms)))
             if pad == 0:
                 # the relation's own row, copied: inserting consumes it
                 if wanted is None or rcharge in wanted:
                     self._insert(dict(row), rid, 0, 0)
                 continue
-            # each term as (length, base-s value, coefficient); m1 and m2 run over the
-            # words with |m1| + |m2| <= pad in order, and m1 * w * m2 has
-            # the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
-            terms = [(len(w), codes.code(w) - codes.offset(len(w)), c) for w, c in rpoly.items()]
+            # m1 and m2 run over the words with |m1| + |m2| <= pad in order, and
+            # m1 * w * m2 has the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
             for d1 in range(pad + 1):
-                for v1 in range(power[d1]):
-                    if wanted is not None:
-                        # the charges an m2 must carry to land m1 * r * m2 in a built block
-                        need = [t - rcharge - charges[d1][v1] for t in wanted]
+                if wanted is None:
+                    visits = zip(range(power[d1]), repeat(every[pad - d1]))
+                else:
+                    # every term of r has the charge rcharge (`_target_charges`)
+                    visits = completions.get((rcharge, d1, pad))
+                    if visits is None:
+                        visits = completions[rcharge, d1, pad] = _completions(
+                            charges, blocks, wanted, rcharge, d1, pad - d1)
+                for v1, runs in visits:
                     head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
-                    for d2 in range(pad - d1 + 1):
+                    for d2, tails in runs:
                         p2 = power[d2]
-                        if wanted is None:
-                            tails = (range(p2),)
-                        else:
-                            # one ascending run of m2 per block, so each block's
-                            # rows keep the order of the full build
-                            tails = [blocks[d2][c] for c in need if c in blocks[d2]]
-                            if not tails:
-                                continue
                         shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
                         for tail in tails:
                             for v2 in tail:
@@ -861,12 +881,39 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
 
 
 def _target_charges(codes: _WordCodes, relations: list, targets) -> Optional[set]:
-    """The charges of the targets' terms, or None if some relation is not charge-homogeneous."""
+    """The charges of the targets' terms, or None if some coded relation is not charge-homogeneous."""
+    if any(hit[-1] is None for _, hit in relations):
+        return None
     charge = codes.charge
-    for _, rpoly, _ in relations:
-        if len({charge(w) for w in rpoly.terms}) > 1:
-            return None
     return {charge(w) for p in targets for w in p.terms}
+
+
+def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int, rest: int) -> list:
+    """The left factors m1 of length d1 that some m2 completes, as (v1, runs) by ascending v1.
+
+    m1 * r * m2, with r of charge rcharge and |m2| <= rest, must land in a
+    wanted charge.  runs lists (|m2|, tails) by ascending length, where tails
+    holds one ascending run of m2 values per reachable block, in `wanted`
+    order; the m1 of one charge share their runs.
+    """
+    left = blocks[d1]
+    by_charge: dict = {}
+    for d2 in range(rest + 1):
+        right = blocks[d2]
+        # the pairs (c1, c2) with c1 + c2 + rcharge wanted, found from the smaller side
+        for t in wanted:
+            need = t - rcharge
+            if len(left) <= len(right):
+                found = [(c1, need - c1) for c1 in left if need - c1 in right]
+            else:
+                found = [(need - c2, c2) for c2 in right if need - c2 in left]
+            for c1, c2 in found:
+                runs = by_charge.setdefault(c1, [])
+                if not runs or runs[-1][0] != d2:
+                    runs.append((d2, []))
+                runs[-1][1].append(right[c2])
+    charge = charges[d1]
+    return [(v1, by_charge[charge[v1]]) for v1 in sorted(v for c1 in by_charge for v in left[c1])]
 
 
 def _star_closed_relations(pres):

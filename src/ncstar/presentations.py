@@ -498,15 +498,18 @@ def pair_from_json_dict(data: dict) -> CommutationPair:
         raise ValueError(f"n must be an integer, not {n!r}")
     if n != len(eps):
         raise ValueError(f"declared n={n} but epsilon has {len(eps)} rows")
-    eta = data.get("eta")
-    if eta is None:
-        eta = [[0] * n for _ in range(n)]
+    # only a missing eta means all-zero; a null one is refused like any non-list
+    eta = data["eta"] if "eta" in data else [[0] * n for _ in range(n)]
     return validate_pair(eps, eta)
 
 
 def load_pair(path) -> CommutationPair:
     with open(path, "r", encoding="utf-8") as fh:
-        return pair_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"pair file {str(path)!r} is not valid UTF-8 JSON: {exc}") from exc
+    return pair_from_json_dict(data)
 
 
 def save_pair(pair: CommutationPair, path) -> None:

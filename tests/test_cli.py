@@ -228,14 +228,26 @@ def test_regularize_malformed_exit_2(pair_file, capsys):
     ({"epsilon": [[0, True], [True, 0]]}, "epsilon[1,2] = True"),
     ({"epsilon": [[0, 1], [1, 0]], "Eta": [[1, 1], [1, 1]]},
      "unknown key 'Eta' (expected n, epsilon, eta)"),
+    ({"epsilon": [[0, 1], [1, 0]], "eta": None}, "eta must be a list of rows, not None"),
 ], ids=["scalar-file", "scalar-matrix", "null-entry", "scalar-eta", "float-n",
-        "float-entry", "string-entry", "bool-entry", "misspelled-key"])
+        "float-entry", "string-entry", "bool-entry", "misspelled-key", "null-eta"])
 def test_verify_malformed_pair_file_exit_2(payload, names, pair_file, capsys):
     path = pair_file("p.json", payload)
     assert run_cli("verify", "hopf", "--input", path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
+
+
+@pytest.mark.parametrize("raw", [b'{"n": 2,\n}', b'{"epsilon": [[0, 1], [1, 0]], "x": "\xff"}'],
+                         ids=["invalid-json", "not-utf8"])
+def test_undecodable_pair_file_exit_2_names_the_file(raw, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(raw)
+    assert run_cli("verify", "hopf", "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err
 
 
 def test_regularize_missing_file():

@@ -768,6 +768,60 @@ def test_restricted_span_blocks_equal_the_full_span():
                 assert span.descriptor()["monomials"] == full.descriptor()["monomials"]
 
 
+def _block_products(pres, bound, built):
+    """Every product m1 * r * m2 of degree <= bound whose charge is in built."""
+    codes = A._roster_codes(pres.generators)
+    charge = codes.charge
+    # every relation here has degree 2
+    words = _words(pres, bound - 2)
+    out = []
+    for _, rpoly, _ in A._star_closed_relations(pres):
+        rcharge = charge(next(iter(rpoly.terms)))
+        for m1 in words:
+            for m2 in words:
+                if (len(m1) + rpoly.degree() + len(m2) <= bound
+                        and charge(m1) + rcharge + charge(m2) in built):
+                    out.append(Poly.from_word(m1) * rpoly * Poly.from_word(m2))
+    return out
+
+
+def test_restricted_span_combinations_equal_the_full_span():
+    """A restricted provenance span certifies polynomials of its blocks with
+    the full span's combinations: its rows reach each block in the full order."""
+    rng = random.Random(29)
+    # even and odd charges: at bound 3 an even block holds only the relations themselves
+    target_sets = [(x1 * x2, x1 * x2.star() * x1), (x1 * x2.star(), x2, x1.star() * x1 + x2 * x2)]
+    pairs = P.enumerate_pairs(2) + random.Random(29).sample(P.enumerate_pairs(3), 3)
+    compared = 0
+    for pres in map(P.sphere_presentation, pairs):
+        charge = A._roster_codes(pres.generators).charge
+        for bound in (3, 4):
+            full = A.BoundedSpan(pres, bound, provenance=True)
+            for targets in target_sets:
+                built = {charge(w) for p in targets for w in p.terms}
+                assert len(built) >= 2 and built - {0}
+                span = A.BoundedSpan(pres, bound, provenance=True, targets=targets)
+                # each built block's pivot rows and their combinations are the full span's
+                assert all(full._pivots[lead] == pivot for lead, pivot in span._pivots.items())
+                products = _block_products(pres, bound, built)
+                mixed = []
+                for _ in range(6 if products else 0):
+                    p = Poly.zero()
+                    for q in rng.sample(products, min(3, len(products))):
+                        p = p + q.scale(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))))
+                    mixed.append(p)
+                for p in products + mixed:
+                    if p.is_zero():
+                        continue
+                    cert = span.certify(p)
+                    assert cert.status == A.PROVED_ZERO
+                    assert cert == full.certify(p), (pres.label, bound, A.poly_str(p))
+                    compared += 1
+                for p in targets:
+                    assert span.certify(p) == full.certify(p)
+    assert compared > 1000
+
+
 def test_restricted_span_refuses_a_word_of_an_unbuilt_charge():
     pres = P.sphere_presentation(P.validate_pair(OFF2, OFF2))
     a, a_star = Letter("x", 1, 0), Letter("x", 1, 0, True)

@@ -323,9 +323,12 @@ def test_relation_pool_survives_a_sweep_and_stays_within_its_kind(monkeypatch):
     assert any(codes.rows for codes in ncalg._CODES.values())
     for codes in ncalg._CODES.values():
         fresh = ncalg._WordCodes(codes.letters)
-        for key, (degree, row) in codes.rows.items():
+        for key, (degree, row, terms, charge) in codes.rows.items():
             assert degree == Poly(dict(key)).degree()
             assert row == {fresh.code(w): c for w, c in key}
+            assert {fresh.offset(d) + v: c for d, v, c in terms} == row
+            charges = {fresh.charge(w) for w, _ in key}
+            assert charge == (charges.pop() if len(charges) == 1 else None)
 
 
 def test_tie_relations_are_pooled_with_their_first_free_index(monkeypatch):
