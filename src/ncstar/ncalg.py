@@ -18,7 +18,8 @@ runs over Q, and star only reverses and stars words.  On top of the free
   `RosterMismatch`.  When every relation keeps a word's charge (per
   generator, its occurrences less those of its star), the span splits into
   independent charge blocks, and a span given `targets` builds only the
-  blocks of the targets' terms, each exactly as the full span holds it.
+  blocks of the targets' terms, each exactly as the full span holds it,
+  replaying each relation's rows from the roster's table for that charge set.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -36,9 +37,9 @@ Everything here is pure and exact; no floating point enters this module.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -368,7 +369,8 @@ class _WordCodes:
     the same words as one keyed by the words themselves.
     """
 
-    __slots__ = ("letters", "index", "base", "rows", "_letter_charges", "_charges", "_blocks")
+    __slots__ = ("letters", "index", "base", "rows", "restricted", "_letter_charges", "_charges",
+                 "_blocks")
 
     def __init__(self, letters: Sequence[Letter]):
         self.letters = tuple(letters)
@@ -377,6 +379,10 @@ class _WordCodes:
         # relation term key -> `coded_relation`: a sweep codes each relation once
         # per roster, and every span builds its rows from that
         self.rows: dict = {}
+        # (charge set, coded terms, bound) -> `_relation_rows`: a relation's rows in
+        # a span restricted to those charges, made by the first such span and
+        # replayed by every later one; a full build never touches it
+        self.restricted: dict = {}
         # the letters' charges are filled when the first relation is coded, and the
         # charge tables by the first span restricted to some charges (`charge_tables`)
         self._letter_charges = None
@@ -680,13 +686,17 @@ class BoundedSpan:
     sums over k of u_ik u_jk* with i != j), targets are ignored and every
     row is built.  A span built without targets does no charge work.
 
-    One loop enumerates the rows: m1 ascending, then |m2|, then one run of
-    m2 per block, each ascending.  A full build takes every m1 and one run
-    of every m2 per length.  A restricted build reads a completion table,
-    local to the span and keyed by (relation charge, |m1|, pad), that lists
-    only the m1 some m2 completes into a built block, each with its runs of
-    m2 (`_completions`); relations of one charge share an entry, and an m1
-    without a completion is never visited.
+    Rows come per relation in one order: m1 ascending, then |m2|, then one
+    run of m2 per block, each ascending.  A full build enumerates every m1
+    and every m2 of each length.  A restricted build replays each relation's
+    rows from its roster's table (`_WordCodes.restricted`), keyed by the
+    charge set, the relation's coded terms and the bound, as flat arrays of the
+    rows' word codes and their m1 and m2 codes (`_relation_rows`).  The first
+    restricted span to need an entry makes it, visiting only the m1 some m2
+    completes into a built block (`_completions`, shared inside that build
+    by relations of one charge); every later span over the roster and charge
+    set inserts the same rows in the same order, so its pivots, residues,
+    rank, `relation_rows` and combinations are those of the first.
     """
 
     def __init__(self, presentation, bound: int, *, provenance: bool = False,
@@ -718,39 +728,50 @@ class BoundedSpan:
         wanted = self._charges = None if targets is None else _target_charges(codes, relations, targets)
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
-        if wanted is None:
-            # every m1 completes, with one run of every m2 per length |m2| <= rest
-            every = [[(d2, (range(power[d2]),)) for d2 in range(rest + 1)] for rest in range(bound + 1)]
-        else:
+        if wanted is not None:
             charges, blocks = codes.charge_tables(bound)
+            table, charge_set = codes.restricted, frozenset(wanted)
+            # left factors for the rows the table lacks, shared by relations of one charge
             completions: dict = {}
+        insert = self._insert
         for rid, (degree, row, terms, rcharge) in relations:
             pad = bound - degree
             if pad == 0:
                 # the relation's own row, copied: inserting consumes it
                 if wanted is None or rcharge in wanted:
-                    self._insert(dict(row), rid, 0, 0)
+                    insert(dict(row), rid, 0, 0)
+                continue
+            if wanted is not None:
+                rows = table.get((charge_set, terms, bound))
+                if rows is None:
+                    visits = []
+                    for d1 in range(pad + 1):
+                        # every term of r has the charge rcharge (`_target_charges`)
+                        entry = completions.get((rcharge, d1, pad))
+                        if entry is None:
+                            entry = completions[rcharge, d1, pad] = _completions(
+                                charges, blocks, wanted, rcharge, d1, pad - d1)
+                        visits.append(entry)
+                    rows = table[charge_set, terms, bound] = _relation_rows(
+                        terms, visits, power, offset)
+                # each row is len(terms) word codes, one per term in order, and an m1, m2 pair
+                words, factors = rows
+                coefficients = [c for _, _, c in terms]
+                factor = iter(factors)
+                for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
+                    insert(dict(zip(ks, coefficients)), rid, m1, m2)
                 continue
             # m1 and m2 run over the words with |m1| + |m2| <= pad in order, and
             # m1 * w * m2 has the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
             for d1 in range(pad + 1):
-                if wanted is None:
-                    visits = zip(range(power[d1]), repeat(every[pad - d1]))
-                else:
-                    # every term of r has the charge rcharge (`_target_charges`)
-                    visits = completions.get((rcharge, d1, pad))
-                    if visits is None:
-                        visits = completions[rcharge, d1, pad] = _completions(
-                            charges, blocks, wanted, rcharge, d1, pad - d1)
-                for v1, runs in visits:
+                for v1 in range(power[d1]):
                     head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
-                    for d2, tails in runs:
+                    for d2 in range(pad - d1 + 1):
                         p2 = power[d2]
                         shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
-                        for tail in tails:
-                            for v2 in tail:
-                                self._insert({k + v2: c for k, c in shifted}, rid,
-                                             offset[d1] + v1, offset[d2] + v2)
+                        for v2 in range(p2):
+                            insert({k + v2: c for k, c in shifted}, rid,
+                                   offset[d1] + v1, offset[d2] + v2)
         # the span never changes after construction; every caller of
         # descriptor() gets its own copy, so editing one certificate cannot
         # change another
@@ -894,7 +915,9 @@ def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int
     m1 * r * m2, with r of charge rcharge and |m2| <= rest, must land in a
     wanted charge.  runs lists (|m2|, tails) by ascending length, where tails
     holds one ascending run of m2 values per reachable block, in `wanted`
-    order; the m1 of one charge share their runs.
+    order; the m1 of one charge share their runs.  Called only while a
+    restricted build makes rows its roster's table lacks (`_relation_rows`),
+    so a charge set's entries are made in the first pass over it, not per span.
     """
     left = blocks[d1]
     by_charge: dict = {}
@@ -914,6 +937,30 @@ def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int
                 runs[-1][1].append(right[c2])
     charge = charges[d1]
     return [(v1, by_charge[charge[v1]]) for v1 in sorted(v for c1 in by_charge for v in left[c1])]
+
+
+def _relation_rows(terms: tuple, visits: list, power: list, offset: list) -> tuple:
+    """The rows m1 * r * m2 of a restricted build, in insertion order, as (words, factors).
+
+    terms is r's coded terms and visits[|m1|] its `_completions` entry.  words
+    holds each row's word codes, one per term of r in terms order, and factors
+    each row's m1 and m2 codes; both are flat arrays, so a row is len(terms)
+    words and two factors.  m1 * w * m2 has the code
+    offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2.
+    """
+    words, factors = array("q"), array("q")
+    for d1, pairs in enumerate(visits):
+        for v1, runs in pairs:
+            m1 = offset[d1] + v1
+            head = [(d1 + d, v1 * power[d] + v) for d, v, _ in terms]
+            for d2, tails in runs:
+                p2 = power[d2]
+                shifted = [offset[d + d2] + v * p2 for d, v in head]
+                for tail in tails:
+                    for v2 in tail:
+                        words.extend([k + v2 for k in shifted])
+                        factors.extend((m1, offset[d2] + v2))
+    return words, factors
 
 
 def _star_closed_relations(pres):

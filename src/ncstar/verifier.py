@@ -565,7 +565,9 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
     charge, so that span holds only the charge blocks of the added
     relations' terms (`BoundedSpan`), which gives each the verdict and
     combination of the full span: over the 426 pairs, 51,744 rows instead
-    of 497,020.
+    of 497,020.  Those rows are 9,815 distinct ones: each span replays the
+    rows its roster's table keeps per charge set, relation and bound, and
+    makes only those no earlier span over the same charges has made.
     """
     report = VerificationReport("regularization-consistency", pair.to_json_dict())
     reg = regularize(pair)

@@ -6,9 +6,11 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import random
 from pathlib import Path
 
 import ncstar
+from ncstar import ncalg as A
 from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar import cli
@@ -31,12 +33,13 @@ def test_regularization_consistency_all_n_le_3(monkeypatch):
 
     Each span holds only the charge blocks of its pair's added relations:
     51,744 rows over the 426 pairs, where the full spans hold 497,020."""
-    rows = []
+    rows, ranks = [], []
     build = V.build_quotient_basis
 
     def counted(*args, **kwargs):
         span = build(*args, **kwargs)
         rows.append(span.descriptor()["relation_rows"])
+        ranks.append(span.rank)
         return span
     monkeypatch.setattr(V, "build_quotient_basis", counted)
     inconclusive_pairs = 0
@@ -59,6 +62,76 @@ def test_regularization_consistency_all_n_le_3(monkeypatch):
     assert 0 < inconclusive_pairs < checked
     assert digest.hexdigest() == "7ad7510c9d08857d5dbe06f2f116f59cf861815c89b5a65e98c15203b074ba05"
     assert (len(rows), sum(rows)) == (checked, 51_744)
+    assert sum(ranks) == 43_397
+
+
+def _regularization_pass(pairs, monkeypatch) -> list:
+    """(report, relation rows, rank) of each pair's regularization check, in order."""
+    out, built = [], []
+    build = V.build_quotient_basis
+
+    def counted(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+    with monkeypatch.context() as m:
+        m.setattr(V, "build_quotient_basis", counted)
+        for pair in pairs:
+            report = V.verify_regularization_consistency(pair)
+            (span,) = built
+            built.clear()
+            out.append((json.dumps(report.to_json_dict(include_timings=False)),
+                        span.descriptor()["relation_rows"], span.rank))
+    return out
+
+
+def _restricted_rows():
+    """Every (roster, key) of the restricted-row tables, with its row count."""
+    return {(roster, key): len(factors) // 2 for roster, codes in A._CODES.items()
+            for key, (_, factors) in codes.restricted.items()}
+
+
+def test_replayed_rows_give_the_reports_of_made_ones(monkeypatch):
+    """The 426 regularization checks, from a fresh table and then in reverse,
+    when every span replays rows other spans made, give the same reports,
+    row counts and ranks; so does provenance membership, whose combinations
+    name each row's m1 and m2 from the table."""
+    monkeypatch.setattr(A, "_CODES", {})
+    pairs = [pair for n in (1, 2, 3) for pair in P.enumerate_pairs(n) if not P.is_regular(pair).is_regular]
+    cold = _regularization_pass(pairs, monkeypatch)
+    made = _restricted_rows()
+    # the 51,744 rows the spans insert are these 9,815 distinct ones
+    assert (len(made), sum(made.values())) == (719, 9_815)
+    warm = _regularization_pass(pairs[::-1], monkeypatch)[::-1]
+    assert _restricted_rows() == made
+    assert warm == cold
+    digest = hashlib.sha256()
+    for report, _, _ in warm:
+        digest.update(report.encode())
+    assert digest.hexdigest() == "7ad7510c9d08857d5dbe06f2f116f59cf861815c89b5a65e98c15203b074ba05"
+    assert (sum(rows for _, rows, _ in warm), sum(rank for _, _, rank in warm)) == (51_744, 43_397)
+    queries = []
+    for pair in pairs[:12] + random.Random(30).sample(pairs[12:], 12):
+        base = P.sphere_presentation(pair)
+        base_keys = {r.keys[0] for r in base.all_relations()}
+        sphere = P.sphere_presentation(P.regularize(pair))
+        queries += [(base, rel.poly) for rel in sphere.all_relations() if rel.keys[0] not in base_keys]
+    warm_certs = [A.ideal_membership_bounded(p, base, V.REGULARIZATION_BOUND) for base, p in queries]
+    # each query replays only rows the checks above made
+    assert _restricted_rows() == made
+    for (base, p), cert in zip(queries, warm_certs):
+        monkeypatch.setattr(A, "_CODES", {})
+        assert cert == A.ideal_membership_bounded(p, base, V.REGULARIZATION_BOUND)
+    assert sum(cert.status == PROVED_ZERO for cert in warm_certs) > 10
+
+
+def test_full_builds_never_fill_the_restricted_row_table(monkeypatch):
+    """Sweeps and bound-3 `verify` build full spans: they make no restricted row."""
+    monkeypatch.setattr(A, "_CODES", {})
+    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+    assert run_sweep(2, cli.SWEEP_TARGETS, RunConfig(jobs=1))["overall_passed"]
+    pair = P.validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    assert V.verify_comultiplication(pair, 3, None).overall == PROVED_ZERO
+    assert A._CODES and not _restricted_rows()
 
 
 def test_sweep_reports_n2_n3_are_pinned():

@@ -868,3 +868,24 @@ def test_restricted_membership_evidence_equals_the_full_span():
                 proved += 1
                 assert replay_combination(rel.poly, base, cert.zero_evidence)
     assert proved > 10
+
+
+def test_restricted_rows_are_kept_per_charge_set_and_bound(monkeypatch):
+    """Each build after the first reads rows an earlier build made for one of
+    its relations: under another charge set at the same bound, or under the
+    same charge set at another bound.  Every build has the pivots and
+    combinations of one on a fresh table, and of the full span."""
+    target_sets = [(x1 * x2, x1 * x2.star() * x1), (x1 * x2.star(), x2, x1.star() * x1 + x2 * x2)]
+    builds = [(3, target_sets[0]), (3, target_sets[1]), (4, target_sets[1]), (4, target_sets[0])]
+    for pair in P.enumerate_pairs(2):
+        pres = P.sphere_presentation(pair)
+        monkeypatch.setattr(A, "_CODES", {})
+        spans = [A.BoundedSpan(pres, bound, provenance=True, targets=targets) for bound, targets in builds]
+        # the table holds rows for four (charge set, bound) pairs
+        assert len({key[0::2] for key in A._roster_codes(pres.generators).restricted}) == 4
+        for (bound, targets), span in zip(builds, spans):
+            monkeypatch.setattr(A, "_CODES", {})
+            fresh = A.BoundedSpan(pres, bound, provenance=True, targets=targets)
+            assert span._pivots == fresh._pivots, (pair.compact(), bound)
+            full = A.BoundedSpan(pres, bound, provenance=True)
+            assert all(full._pivots[lead] == pivot for lead, pivot in span._pivots.items())
