@@ -964,9 +964,14 @@ def _relation_rows(terms: tuple, visits: list, power: list, offset: list) -> tup
 
 
 def _star_closed_relations(pres):
-    """(rid, poly, term key) of each relation and its star, each polynomial once."""
+    """(rid, poly, term key) of each relation of pres and its star, each polynomial once."""
+    return _star_closed(pres.all_relations())
+
+
+def _star_closed(relations):
+    """(rid, poly, term key) of each of the relations and its star, each polynomial once."""
     seen = set()
-    for rel in pres.all_relations():
+    for rel in relations:
         for entry in rel.star_closed:
             if entry[2] not in seen:
                 seen.add(entry[2])

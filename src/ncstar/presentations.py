@@ -15,9 +15,11 @@ words for lhs = rhs (x_i x_j = x_j x_i), one word for lhs = 0, or a sum of
 words equal to delta for the normalizations.  Its polynomial is written down
 from those words directly, with no polynomial arithmetic.
 
+A presentation is assembled from pooled relation families, each a function
+of one part of the pair: the epsilon family (n and epsilon), the eta family
+(n and eta) and the sums (n alone); its relations are their concatenation.
 All values are immutable, and every operation here is a pure function: the
-builders' shared pool (`_POOL`), keyed by relation template, changes what is
-built only in speed.
+builders' shared pool (`_POOL`) changes what is built only in speed.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ncalg import Letter, Poly, poly_str
 
 __all__ = [
     "CommutationPair", "validate_pair", "RegularityReport", "is_regular", "regularize",
-    "Relation", "Presentation", "sphere_presentation", "unitary_qg_presentation",
+    "Relation", "RelationFamily", "Presentation", "sphere_presentation", "unitary_qg_presentation",
     "orthogonal_qg_presentation", "tuple_space_presentation", "enumerate_pairs",
     "pair_from_json_dict", "load_pair", "save_pair",
 ]
@@ -214,6 +216,18 @@ class Relation:
         return own
 
 
+@dataclass(frozen=True, eq=False)
+class RelationFamily:
+    """A pooled run of relations that depends on one part of a pair.
+
+    One object per family and process (`_POOL`); it compares and hashes by
+    identity, so a consumer may keep what it derives from a family's
+    relations under the family itself.
+    """
+
+    relations: tuple  # tuple[Relation, ...]
+
+
 @dataclass(frozen=True)
 class Presentation:
     kind: str  # complex-sphere | unitary-qg | orthogonal-qg | tuple-space
@@ -221,24 +235,38 @@ class Presentation:
     relations: tuple  # tuple[Relation, ...]
     sums: tuple  # tuple[Relation, ...]: the normalization and delta-sum relations
     source_pair: CommutationPair
+    # the families the builder assembled relations + sums from, sums last
+    families: tuple = field(compare=False, repr=False)
 
     def all_relations(self) -> tuple:
         return self.relations + self.sums
+
+    def pooled_families(self) -> tuple:
+        """The families, if all_relations() is still their concatenation; else ().
+
+        A presentation edited after its build (`dataclasses.replace`) keeps
+        its builder's families but not their relations, so it gets ().
+        """
+        joined = tuple(itertools.chain.from_iterable(f.relations for f in self.families))
+        return self.families if joined == self.all_relations() else ()
 
     @property
     def label(self) -> str:
         return f"{self.kind}[n={self.source_pair.n};{self.source_pair.compact()}]"
 
 
-# What the builders have handed out, keyed by template, so that a warm
-# rebuild makes no Letter, no rid and no Relation:
+# What the builders have handed out, so that a warm rebuild makes no Letter,
+# no rid, no Relation and no family:
+# * (kind, part, argument) -> RelationFamily, for the part "epsilon", "eta"
+#   or "sums" of a presentation kind, whose argument is epsilon, eta or n;
 # * (name, indices...) -> (dedup key, Relation) for a word equation, or
-#   (None, None) for a trivial lhs == rhs; "Reps-comm" is keyed by
-#   (i, j, k, l), and a tie by (i, j, k, k0), since its rid omits k0;
-# * (label, title, n, i, j) for a delta sum, (label, n) for a sphere sum;
+#   (None, None) for a trivial lhs == rhs, so that every family holding a
+#   relation holds one Relation, which works out its star and keys once;
+#   "Reps-comm" is keyed by (i, j, k, l), and a tie by (i, j, k, k0), since
+#   its rid omits k0;
 # * ("generators", tag, n) for a generator tuple.
-# Sweeps meet the same few hundred relations again and again; filled on
-# demand, so nothing is built at import.
+# Sweeps meet the same few families again and again; filled on demand, so
+# nothing is built at import.
 _POOL: dict = {}
 
 
@@ -257,7 +285,20 @@ def _generators(tag: str, n: int) -> tuple:
     return _pooled(("generators", tag, n), lambda: tuple(Letter(tag, i, j) for i in idx for j in cols))
 
 
+def _presentation(kind: str, tag: str, pair: CommutationPair, parts) -> Presentation:
+    """kind's presentation of pair, assembled from one pooled family per part.
+
+    parts lists (part, argument, build); the family is pooled under (kind,
+    part, argument) and build(argument) makes it.  The last part is the sums.
+    """
+    families = tuple(_pooled((kind, part, arg), lambda: build(arg)) for part, arg, build in parts)
+    relations = tuple(itertools.chain.from_iterable(f.relations for f in families[:-1]))
+    return Presentation(kind, _generators(tag, pair.n), relations, families[-1].relations, pair, families)
+
+
 class _RelationBuilder:
+    """The relations of one family, in order, each present once up to sign."""
+
     def __init__(self):
         self.relations = []
         self._seen = set()
@@ -269,15 +310,14 @@ class _RelationBuilder:
         called once per process; a trivial equation is dropped, and so is
         one already present up to sign.
         """
-        entry = _POOL.get(key)
-        if entry is None:
-            # _pooled inline: this runs for every candidate relation of every build
-            entry = _POOL[key] = _equation_entry(*equation())
-        dedup, rel = entry
+        dedup, rel = _pooled(key, lambda: _equation_entry(*equation()))
         if rel is None or dedup in self._seen:
             return
         self._seen.add(dedup)
         self.relations.append(rel)
+
+    def family(self) -> RelationFamily:
+        return RelationFamily(tuple(self.relations))
 
 
 def _equation_entry(rid: str, lhs: tuple, rhs) -> tuple:
@@ -297,26 +337,35 @@ def _sum_relation(rid: str, words, delta: bool, description: str) -> Relation:
     return Relation(rid, Poly(terms), description)
 
 
+def _sphere_family(name: str, m: Matrix) -> RelationFamily:
+    """x_i x_j = x_j x_i where epsilon_ij = 1 (name "eps"), x_i* x_j = x_j x_i* where eta_ij = 1 ("eta")."""
+    gens = _generators("x", len(m))
+
+    def equation(i, j):
+        a, b = gens[i - 1], gens[j - 1]
+        if name == "eta":
+            a = a.star()
+        return f"{name}({i},{j})", (a, b), (b, a)
+
+    rb = _RelationBuilder()
+    for i, j in itertools.combinations_with_replacement(range(1, len(m) + 1), 2):
+        if m[i - 1][j - 1]:
+            rb.add((name, i, j), functools.partial(equation, i, j))
+    return rb.family()
+
+
+def _sphere_sums(n: int) -> RelationFamily:
+    gens = _generators("x", n)
+    return RelationFamily((_sum_relation("sum:x*x", [(x.star(), x) for x in gens], True, "Σ x_i* x_i = 1"),
+                           _sum_relation("sum:xx*", [(x, x.star()) for x in gens], True, "Σ x_i x_i* = 1")))
+
+
 def sphere_presentation(pair: CommutationPair) -> Presentation:
     """The noncommutative complex sphere on x_1..x_n for this pair."""
-    n, eps, eta = pair.n, pair.epsilon, pair.eta
-    gens = _generators("x", n)
-    rb = _RelationBuilder()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if eps[i - 1][j - 1]:
-                rb.add(("eps", i, j), lambda: (f"eps({i},{j})", (gens[i - 1], gens[j - 1]),
-                                               (gens[j - 1], gens[i - 1])))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if eta[i - 1][j - 1]:
-                rb.add(("eta", i, j), lambda: (f"eta({i},{j})", (gens[i - 1].star(), gens[j - 1]),
-                                               (gens[j - 1], gens[i - 1].star())))
-    sums = (_pooled(("sum:x*x", n), lambda: _sum_relation(
-                "sum:x*x", [(x.star(), x) for x in gens], True, "Σ x_i* x_i = 1")),
-            _pooled(("sum:xx*", n), lambda: _sum_relation(
-                "sum:xx*", [(x, x.star()) for x in gens], True, "Σ x_i x_i* = 1")))
-    return Presentation("complex-sphere", gens, tuple(rb.relations), sums, pair)
+    return _presentation("complex-sphere", "x", pair, (
+        ("epsilon", pair.epsilon, functools.partial(_sphere_family, "eps")),
+        ("eta", pair.eta, functools.partial(_sphere_family, "eta")),
+        ("sums", pair.n, _sphere_sums)))
 
 
 def _delta_sums(label: str, n: int, word_maker, title: str = "") -> tuple:
@@ -325,46 +374,47 @@ def _delta_sums(label: str, n: int, word_maker, title: str = "") -> tuple:
     Each is described as "title (i,j)", by default "label entry (i,j)".
     """
     idx = range(1, n + 1)
-    return tuple(_pooled((label, title, n, i, j), lambda: _sum_relation(
-                     f"{label}({i},{j})", [word_maker(i, j, k) for k in idx], i == j,
-                     f"{title or label + ' entry'} ({i},{j})"))
+    return tuple(_sum_relation(f"{label}({i},{j})", [word_maker(i, j, k) for k in idx], i == j,
+                               f"{title or label + ' entry'} ({i},{j})")
                  for i in idx for j in idx)
 
 
-def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
-    """The partial-commutation quantum unitary group on n^2 entries u_ij."""
-    n, eps, eta = pair.n, pair.epsilon, pair.eta
-    gens = _generators("u", n)
+def _u(i, j, s=False):
+    return Letter("u", i, j, s)
+
+
+def _unitary_epsilon(eps: Matrix) -> RelationFamily:
+    """The plain exchange family of the unitary group: three epsilon-conditioned cases."""
     rb = _RelationBuilder()
-
-    def u(i, j, s=False):
-        return Letter("u", i, j, s)
-
-    idx = range(1, n + 1)
-    # plain exchange family: three epsilon-conditioned cases
-    for i, j, k, l in itertools.product(idx, repeat=4):
+    for i, j, k, l in itertools.product(range(1, len(eps) + 1), repeat=4):
         ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
         if ei and ek:
             rb.add(("Reps-comm", i, j, k, l), lambda: (
-                f"Reps-comm({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, l), u(i, k))))
+                f"Reps-comm({i},{j};{k},{l})", (_u(i, k), _u(j, l)), (_u(j, l), _u(i, k))))
         elif ei:
             rb.add(("Reps-xrow", i, j, k, l), lambda: (
-                f"Reps-xrow({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(j, k), u(i, l))))
+                f"Reps-xrow({i},{j};{k},{l})", (_u(i, k), _u(j, l)), (_u(j, k), _u(i, l))))
         elif ek:
             rb.add(("Reps-xcol", i, j, k, l), lambda: (
-                f"Reps-xcol({i},{j};{k},{l})", (u(i, k), u(j, l)), (u(i, l), u(j, k))))
-    # starred commutation family
+                f"Reps-xcol({i},{j};{k},{l})", (_u(i, k), _u(j, l)), (_u(i, l), _u(j, k))))
+    return rb.family()
+
+
+def _unitary_eta(eta: Matrix) -> RelationFamily:
+    """The starred commutation family of the unitary group and its fourfold equalities."""
+    rb = _RelationBuilder()
+    idx = range(1, len(eta) + 1)
     for i, j, k, l in itertools.product(idx, repeat=4):
         hi, hk = eta[i - 1][j - 1], eta[k - 1][l - 1]
         if hi and hk:
             rb.add(("Reta-comm", i, j, k, l), lambda: (
-                f"Reta-comm({i},{j};{k},{l})", (u(i, k, True), u(j, l)), (u(j, l), u(i, k, True))))
+                f"Reta-comm({i},{j};{k},{l})", (_u(i, k, True), _u(j, l)), (_u(j, l), _u(i, k, True))))
         elif (hi and k != l) or (hk and i != j):
             # exactly one of hi, hk is set here
             rb.add(("Reta-zero:su", i, j, k, l), lambda: (
-                f"Reta-zero({i},{j};{k},{l}):su", (u(i, k, True), u(j, l)), None))
+                f"Reta-zero({i},{j};{k},{l}):su", (_u(i, k, True), _u(j, l)), None))
             rb.add(("Reta-zero:us", i, j, k, l), lambda: (
-                f"Reta-zero({i},{j};{k},{l}):us", (u(i, k), u(j, l, True)), None))
+                f"Reta-zero({i},{j};{k},{l}):us", (_u(i, k), _u(j, l, True)), None))
     # fourfold equalities: column products u_ik* u_jk and row products u_ki* u_kj
     free = [k for k in idx if eta[k - 1][k - 1] == 0]
     if free:
@@ -375,33 +425,44 @@ def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
                     continue
                 for k in free:
                     rb.add(("colprod-swap", i, j, k), lambda: (
-                        f"colprod-swap({i},{j};{k})", (u(i, k, True), u(j, k)), (u(j, k), u(i, k, True))))
+                        f"colprod-swap({i},{j};{k})", (_u(i, k, True), _u(j, k)), (_u(j, k), _u(i, k, True))))
                     rb.add(("rowprod-swap", i, j, k), lambda: (
-                        f"rowprod-swap({i},{j};{k})", (u(k, i, True), u(k, j)), (u(k, j), u(k, i, True))))
+                        f"rowprod-swap({i},{j};{k})", (_u(k, i, True), _u(k, j)), (_u(k, j), _u(k, i, True))))
                     if k != k0:
                         rb.add(("colprod-tie", i, j, k, k0), lambda: (
                             f"colprod-tie({i},{j};{k})",
-                            (u(i, k, True), u(j, k)), (u(i, k0, True), u(j, k0))))
+                            (_u(i, k, True), _u(j, k)), (_u(i, k0, True), _u(j, k0))))
                         rb.add(("rowprod-tie", i, j, k, k0), lambda: (
                             f"rowprod-tie({i},{j};{k})",
-                            (u(k, i, True), u(k, j)), (u(k0, i, True), u(k0, j))))
-    sums = (_delta_sums("sum:u*u", n, lambda i, j, k: (u(k, i, True), u(k, j)))
-            + _delta_sums("sum:uu*", n, lambda i, j, k: (u(i, k), u(j, k, True)))
-            + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: (u(i, k, True), u(j, k)))
-            + _delta_sums("sum:conj(u)*conj(u)", n, lambda i, j, k: (u(k, i), u(k, j, True))))
-    return Presentation("unitary-qg", gens, tuple(rb.relations), sums, pair)
+                            (_u(k, i, True), _u(k, j)), (_u(k0, i, True), _u(k0, j))))
+    return rb.family()
 
 
-def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) -> None:
+def _unitary_sums(n: int) -> RelationFamily:
+    return RelationFamily(
+        _delta_sums("sum:u*u", n, lambda i, j, k: (_u(k, i, True), _u(k, j)))
+        + _delta_sums("sum:uu*", n, lambda i, j, k: (_u(i, k), _u(j, k, True)))
+        + _delta_sums("sum:conj(u)conj(u)*", n, lambda i, j, k: (_u(i, k, True), _u(j, k)))
+        + _delta_sums("sum:conj(u)*conj(u)", n, lambda i, j, k: (_u(k, i), _u(k, j, True))))
+
+
+def unitary_qg_presentation(pair: CommutationPair) -> Presentation:
+    """The partial-commutation quantum unitary group on n^2 entries u_ij."""
+    return _presentation("unitary-qg", "u", pair, (("epsilon", pair.epsilon, _unitary_epsilon),
+                                                   ("eta", pair.eta, _unitary_eta),
+                                                   ("sums", pair.n, _unitary_sums)))
+
+
+def _epsilon_family(tag: str, prefix: str, eps: Matrix) -> RelationFamily:
     """The epsilon-conditioned exchange family of n x n self-adjoint generators g.
 
     For each (i,j;k,l): if eps_ij and eps_kl, g_ik g_jl = g_jl g_ik; if just one
     of them is 1, g_ik g_jl = 0.  The orthogonal group and the tuple space both
     carry it, each under its own prefix.
     """
-    idx = range(1, len(eps) + 1)
+    rb = _RelationBuilder()
     comm, zero = f"{prefix}-comm", f"{prefix}-zero"
-    for i, j, k, l in itertools.product(idx, repeat=4):
+    for i, j, k, l in itertools.product(range(1, len(eps) + 1), repeat=4):
         ei, ek = eps[i - 1][j - 1], eps[k - 1][l - 1]
         if ei and ek:
             rb.add((comm, i, j, k, l), lambda: (
@@ -410,6 +471,7 @@ def _epsilon_family(rb: _RelationBuilder, tag: str, prefix: str, eps: Matrix) ->
         elif ei or ek:
             rb.add((zero, i, j, k, l), lambda: (
                 f"{zero}({i},{j};{k},{l})", (Letter(tag, i, k), Letter(tag, j, l)), None))
+    return rb.family()
 
 
 def _validate_epsilon(epsilon) -> CommutationPair:
@@ -419,35 +481,36 @@ def _validate_epsilon(epsilon) -> CommutationPair:
     return validate_pair(eps, zeros)
 
 
-def orthogonal_qg_presentation(epsilon) -> Presentation:
-    """The partial-commutation quantum orthogonal group (self-adjoint entries)."""
-    pair = _validate_epsilon(epsilon)
-    n, eps = pair.n, pair.epsilon
-    gens = _generators("ou", n)
-    rb = _RelationBuilder()
-    _epsilon_family(rb, "ou", "Ro", eps)
-
+def _orthogonal_sums(n: int) -> RelationFamily:
     def v(i, j):
         return Letter("ou", i, j)
 
-    sums = (_delta_sums("sum:row-orth", n, lambda i, j, k: (v(i, k), v(j, k)))
-            + _delta_sums("sum:col-orth", n, lambda i, j, k: (v(k, i), v(k, j))))
-    return Presentation("orthogonal-qg", gens, tuple(rb.relations), sums, pair)
+    return RelationFamily(_delta_sums("sum:row-orth", n, lambda i, j, k: (v(i, k), v(j, k)))
+                          + _delta_sums("sum:col-orth", n, lambda i, j, k: (v(k, i), v(k, j))))
+
+
+def orthogonal_qg_presentation(epsilon) -> Presentation:
+    """The partial-commutation quantum orthogonal group (self-adjoint entries)."""
+    pair = _validate_epsilon(epsilon)
+    return _presentation("orthogonal-qg", "ou", pair, (
+        ("epsilon", pair.epsilon, functools.partial(_epsilon_family, "ou", "Ro")),
+        ("sums", pair.n, _orthogonal_sums)))
+
+
+def _tuple_sums(n: int) -> RelationFamily:
+    def x(i, j):
+        return Letter("tx", i, j)
+
+    return RelationFamily(_delta_sums("sum:col-orth", n, lambda i, j, k: (x(k, i), x(k, j)),
+                                      "column orthonormality"))
 
 
 def tuple_space_presentation(epsilon) -> Presentation:
     """The quantum space of n sphere columns with epsilon-conditioned mixing."""
     pair = _validate_epsilon(epsilon)
-    n, eps = pair.n, pair.epsilon
-    gens = _generators("tx", n)
-    rb = _RelationBuilder()
-    _epsilon_family(rb, "tx", "Rt", eps)
-
-    def x(i, j):
-        return Letter("tx", i, j)
-
-    col = _delta_sums("sum:col-orth", n, lambda i, j, k: (x(k, i), x(k, j)), "column orthonormality")
-    return Presentation("tuple-space", gens, tuple(rb.relations), col, pair)
+    return _presentation("tuple-space", "tx", pair, (
+        ("epsilon", pair.epsilon, functools.partial(_epsilon_family, "tx", "Rt")),
+        ("sums", pair.n, _tuple_sums)))
 
 
 # the most candidate pairs enumerate_pairs will list: 2^16 at n = 4

@@ -22,7 +22,9 @@ itself.  One routine, `_verify_hom`, pushes relations through it.  A
 relation's image depends only on its polynomial, n and the map, never on the
 pair, so the routine builds each image once per process and reuses it for
 every later pair.  The relations themselves are pooled per process too
-(`presentations.Relation`), each with its star.
+(`presentations.Relation`), each with its star, in families
+(`presentations.RelationFamily`), and so is each coaction's generator
+assignment.
 
 Within one map and one pair of spans, a relation whose star is plus or minus
 one already certified ProvedZero is ProvedZero without a second reduction:
@@ -39,7 +41,10 @@ actions once per orbit key, in one orbit table it hands every task; a one-shot
 sides and bound, the least relabeling of its matrices over S_n (`_canonical`;
 the sphere action takes the pair after `regularize`, the tuple action epsilon
 alone), and each span's rows: its star-closed relations relabeled by the
-task's own sigma, each up to sign and each counted (`_rows`).  A task whose key
+task's own sigma, each up to sign and each counted (`_rows`).  A family's
+rows under a sigma are relabeled once per process and merged; a presentation
+whose relations are no longer its families' is relabeled relation by
+relation, so the rows always are those of its own relations.  A task whose key
 is absent is reduced as above; if every check is ProvedZero, the key records
 each span's row count and rank.  A task whose key is present builds no span
 and reduces no image: every check is ProvedZero with evidence of its own, its
@@ -68,7 +73,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, _star_closed_relations, apply_tensor_hom,
+                    PROVED_ZERO, Poly, _star_closed, _star_closed_relations, apply_tensor_hom,
                     build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
                     poly_str, replay_combination, span_descriptor, word_str,
                     zero_tensor_certificate)
@@ -169,6 +174,10 @@ def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
 # coded, once per process.
 _IMAGE_CACHE: dict = {}
 
+# (qg generators, space generators, side) -> the coaction's generator
+# assignment, made once per process; nothing may mutate one
+_COACTIONS: dict = {}
+
 
 def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
     """The coaction of `qg` on `space`, as a generator assignment for `apply_tensor_hom`.
@@ -179,10 +188,15 @@ def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
     {(left word, right word): coefficient} dict.  The coproduct is the alpha
     coaction of the quantum unitary group on itself.
     """
-    tag, n = qg.generators[0].tag, qg.source_pair.n
-    return {g: {((Letter(tag, g.row, j) if side == "alpha" else Letter(tag, j, g.row),),
+    key = (qg.generators, space.generators, side)
+    images = _COACTIONS.get(key)
+    if images is None:
+        tag, n = qg.generators[0].tag, qg.source_pair.n
+        images = _COACTIONS[key] = {
+            g: {((Letter(tag, g.row, j) if side == "alpha" else Letter(tag, j, g.row),),
                  (Letter(g.tag, j, g.col),)): 1 for j in range(1, n + 1)}
             for g in space.generators}
+    return images
 
 
 def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
@@ -197,24 +211,25 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
     verdict, term count and span descriptors, with fresh evidence.
     """
     side = family[2]
+    prefix = f"{side}:" if side else ""
+    checks, clock = report.checks, time.perf_counter_ns
     proved: dict = {}  # term key of each ProvedZero relation so far -> its evidence
     for rel in relations:
-        def thunk(rel=rel):
-            key, star_key, negated_star_key = rel.keys
-            partner = proved.get(star_key) or proved.get(negated_star_key)
-            if partner is not None:
-                cert = Certificate(PROVED_ZERO, zero_evidence={
-                    **partner, "left_basis": dict(partner["left_basis"]),
-                    "right_basis": dict(partner["right_basis"])})
-            else:
-                t = _IMAGE_CACHE.get(family + (key,))
-                if t is None:
-                    t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, *rosters)
-                cert = prove(t)
-            if cert.status == PROVED_ZERO:
-                proved[key] = cert.zero_evidence
-            return cert
-        _timed(report, f"{side}:{rel.rid}" if side else rel.rid, thunk)
+        t0 = clock()
+        key, star_key, negated_star_key = rel.keys
+        partner = proved.get(star_key) or proved.get(negated_star_key)
+        if partner is not None:
+            cert = Certificate(PROVED_ZERO, zero_evidence={
+                **partner, "left_basis": dict(partner["left_basis"]),
+                "right_basis": dict(partner["right_basis"])})
+        else:
+            t = _IMAGE_CACHE.get(family + (key,))
+            if t is None:
+                t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, *rosters)
+            cert = prove(t)
+        if cert.status == PROVED_ZERO:
+            proved[key] = cert.zero_evidence
+        checks.append(CheckResult(prefix + rel.rid, cert, PROVED_ZERO, (clock() - t0) // 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +266,7 @@ def _canonical(matrices) -> tuple:
 _ROW_IDS: dict = {}
 
 # sigma -> {term key of a star-closed relation: the id of its relabeled row},
-# so a warm task reads each relation once
+# so each relation is relabeled once per sigma, whichever families hold it
 _RELABELED: dict = {}
 
 
@@ -267,15 +282,41 @@ def _row_id(poly: Poly, sigma: tuple) -> int:
     return _ROW_IDS.setdefault(tuple(row), len(_ROW_IDS))
 
 
-def _rows(pres: Presentation, sigma: tuple) -> tuple:
-    """The sorted ids of pres's star-closed relations under sigma, one per relation."""
+# (family, sigma) -> the ids of the family's star-closed relations under
+# sigma; a `RelationFamily` hashes by identity, so an entry serves no other
+_FAMILY_ROWS: dict = {}
+
+
+def _row_ids(entries, sigma: tuple) -> tuple:
+    """The id under sigma of each star-closed entry (rid, poly, term key)."""
     ids = _RELABELED.setdefault(sigma, {})
     rows = []
-    for _, poly, key in _star_closed_relations(pres):
+    for _, poly, key in entries:
         rid = ids.get(key)
         if rid is None:
             rid = ids[key] = _row_id(poly, sigma)
         rows.append(rid)
+    return tuple(rows)
+
+
+def _rows(pres: Presentation, sigma: tuple) -> tuple:
+    """The sorted ids of pres's star-closed relations under sigma, one per relation.
+
+    No polynomial of a builder's family, nor its star, lies in another
+    family of the same presentation (their words differ in stars, terms or
+    signs), so the walk splits by family: a presentation whose relations are
+    still its families' (`Presentation.pooled_families`) reads each family's
+    ids from `_FAMILY_ROWS`.  Any other is walked relation by relation.
+    """
+    families = pres.pooled_families()
+    if not families:
+        return tuple(sorted(_row_ids(_star_closed_relations(pres), sigma)))
+    rows = []
+    for family in families:
+        ids = _FAMILY_ROWS.get((family, sigma))
+        if ids is None:
+            ids = _FAMILY_ROWS[family, sigma] = _row_ids(_star_closed(family.relations), sigma)
+        rows += ids
     return tuple(sorted(rows))
 
 

@@ -86,6 +86,55 @@ def test_orbit_counts(n, counts):
 
 
 # ---------------------------------------------------------------------------
+# orbit rows
+# ---------------------------------------------------------------------------
+
+def _walked_rows(pres, sigma, ids=None):
+    """The rows of pres under sigma, by a plain walk over its star-closed relations.
+
+    ids, if given, keeps each relabeled row's id by (term key, sigma) across calls.
+    """
+    ids = {} if ids is None else ids
+    rows = []
+    for _, poly, key in V._star_closed_relations(pres):
+        if (key, sigma) not in ids:
+            ids[key, sigma] = V._row_id(poly, sigma)
+        rows.append(ids[key, sigma])
+    return tuple(sorted(rows))
+
+
+def _presentations(n):
+    for pair in P.enumerate_pairs(n):
+        yield P.sphere_presentation(pair)
+        yield P.unitary_qg_presentation(pair)
+    for eps in sorted({pair.epsilon for pair in P.enumerate_pairs(n)}):
+        yield P.orthogonal_qg_presentation(eps)
+        yield P.tuple_space_presentation(eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_rows_merge_to_the_walked_rows(n, monkeypatch):
+    monkeypatch.setattr(V, "_FAMILY_ROWS", {})
+    ids = {}
+    for pres in _presentations(n):
+        assert pres.pooled_families()
+        for sigma in itertools.permutations(range(n)):
+            assert V._rows(pres, sigma) == _walked_rows(pres, sigma, ids), (pres.label, sigma)
+    assert V._FAMILY_ROWS
+
+
+def test_an_edited_presentation_reads_no_family_rows(monkeypatch):
+    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, [[0, 0], [0, 1]]))
+    extra = P.Relation("extra", Poly.from_word((Letter("u", 1, 1), Letter("u", 1, 2))))
+    for relations in (pres.relations[1:], pres.relations + (extra,), pres.relations[::-1]):
+        edited = dataclasses.replace(pres, relations=relations)
+        assert edited.families == pres.families and edited.pooled_families() == ()
+        monkeypatch.setattr(V, "_FAMILY_ROWS", {})
+        assert V._rows(edited, (1, 0)) == _walked_rows(edited, (1, 0))
+        assert V._FAMILY_ROWS == {}
+
+
+# ---------------------------------------------------------------------------
 # carried reports equal direct ones
 # ---------------------------------------------------------------------------
 
@@ -307,3 +356,25 @@ def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
     assert span["relation_rows"] > len(list(V._star_closed_relations(with_one(member))))
     for check in report["checks"]:
         assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]
+
+
+def test_a_warm_carried_task_builds_nothing(orbits, monkeypatch):
+    """Once a pass has carried it, a task pays for its key and its checks alone."""
+    table, reduced = orbits
+    tasks = cli.sweep_tasks(2, cli.SWEEP_TARGETS, cli.RunConfig())
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
+    for run, pair, bound in runs:
+        run(pair, bound, table)
+    made = []
+
+    def counting(name):
+        real = getattr(V, name)
+        monkeypatch.setattr(V, name, lambda *args, **kwargs: made.append(name) or real(*args, **kwargs))
+    for name in ("apply_tensor_hom", "build_quotient_basis", "Letter", "_row_id"):
+        counting(name)
+    pooled = (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE))
+    del reduced[:]
+    reports = [run(pair, bound, table) for run, pair, bound in runs]
+    assert made == [] and not reduced
+    assert (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE)) == pooled
+    assert all(report.passed for report in reports)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +330,58 @@ def test_relation_pool_survives_a_sweep_and_stays_within_its_kind(monkeypatch):
             assert {fresh.offset(d) + v: c for d, v, c in terms} == row
             charges = {fresh.charge(w) for w, _ in key}
             assert charge == (charges.pop() if len(charges) == 1 else None)
+
+
+def _four_presentations(pair):
+    return (P.sphere_presentation(pair), P.unitary_qg_presentation(pair),
+            P.orthogonal_qg_presentation(pair.epsilon), P.tuple_space_presentation(pair.epsilon))
+
+
+def _random_pairs(n, count, seed):
+    """count pairs of size n, each entry above the diagonal (and eta's diagonal) a coin flip."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        eps, eta = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for i in range(n):
+            eta[i][i] = rng.randint(0, 1)
+            for j in range(i + 1, n):
+                eps[i][j] = eps[j][i] = rng.randint(0, 1)
+                eta[i][j] = eta[j][i] = rng.randint(0, 1)
+        pairs.append(P.validate_pair(eps, eta))
+    return pairs
+
+
+def _up_to_sign(poly):
+    terms = sorted(poly.terms.items())
+    return tuple((w, -c) for w, c in terms) if terms[0][1] < 0 else tuple(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_families_pooled_by_other_pairs_give_a_fresh_build(n, monkeypatch):
+    """Each family depends only on its own part of the pair: a presentation
+    assembled from families that earlier pairs pooled holds the relations of
+    one built into an empty pool, in the same order.  No relation of one
+    family is, up to sign, a relation of another, and no star-closed
+    polynomial is shared either, which is what lets orbit rows split by
+    family."""
+    pairs = P.enumerate_pairs(n) if n < 4 else _random_pairs(4, 200, seed=31)
+    monkeypatch.setattr(P, "_POOL", {})
+    warm = [_four_presentations(pair) for pair in pairs]
+    assembled = set()
+    for pair, built in zip(pairs, warm):
+        monkeypatch.setattr(P, "_POOL", {})
+        for pres, fresh in zip(built, _four_presentations(pair), strict=True):
+            assert pres.pooled_families() == pres.families and len(pres.families) in (2, 3)
+            assert [(r.rid, r.description, r.poly) for r in pres.all_relations()] == [
+                (r.rid, r.description, r.poly) for r in fresh.all_relations()], pres.label
+            if pres.families in assembled:
+                continue
+            assembled.add(pres.families)
+            signed = [{_up_to_sign(r.poly) for r in f.relations} for f in pres.families]
+            closed = [{key for _, _, key in ncalg._star_closed(f.relations)} for f in pres.families]
+            for sets in (signed, closed):
+                assert sum(map(len, sets)) == len(set().union(*sets)), pres.label
 
 
 def test_tie_relations_are_pooled_with_their_first_free_index(monkeypatch):
