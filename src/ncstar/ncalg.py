@@ -597,13 +597,14 @@ class Certificate:
         return out
 
 
-def zero_tensor_certificate(t: TensorPoly, left: dict, right: dict) -> Certificate:
-    """The ProvedZero `is_zero_tensor` gives t when t vanishes in spans with these descriptors."""
+def zero_tensor_certificate(terms: int, left: dict, right: dict) -> Certificate:
+    """The ProvedZero `is_zero_tensor` gives a tensor of this many terms that vanishes
+    in spans with these descriptors; each call makes fresh evidence dicts."""
     return Certificate(PROVED_ZERO, zero_evidence={
         "kind": "tensor-quotient",
         "left_basis": dict(left),
         "right_basis": dict(right),
-        "terms": len(t.terms),
+        "terms": terms,
     })
 
 
@@ -639,7 +640,7 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
     for (m1, m2, d), v in acc.items():
         _add_term(coords, (m1, m2), Fraction(v, d))
     if not coords:
-        return zero_tensor_certificate(t, left._descriptor, right._descriptor)
+        return zero_tensor_certificate(len(t.terms), left._descriptor, right._descriptor)
     # codes sort like words, so this is the least surviving pair of words
     k1, k2 = min(coords)
     return Certificate(

@@ -49,7 +49,20 @@ is absent is reduced as above; if every check is ProvedZero, the key records
 each span's row count and rank.  A task whose key is present builds no span
 and reduces no image: every check is ProvedZero with evidence of its own, its
 span descriptors (its presentation, the recorded counts) and its image's term
-count.  This is sound at every bound: a span is spanned by the products
+count, as `is_zero_tensor` states it (`zero_tensor_certificate`), and takes
+0 microseconds.  Its checks are made family by family from per-process rows,
+each relation's check name and image term count under one (family, map, n,
+side), made once from the cached images (`_CHECK_ROWS`); a presentation
+whose relations are no longer its families' gets its own relations' rows,
+uncached.  A star twin's
+row takes its partner's count, as a reduced twin does, and builds no image:
+the counts are equal, since the map is a *-homomorphism, so the image of r*
+is the leg-wise star (a (x) b -> a* (x) b*) of the image of r, and the
+leg-wise star maps the word pairs of one one to one onto those of the other;
+negating r* keeps its word pairs.  A task that records its key makes its
+rows at once, from the images it has just built.
+
+This is sound at every bound: a span is spanned by the products
 m1 * r * m2 over its star-closed relations r, so equal rows make this task's
 spans, row for row, the relabeled spans of the task that was reduced, and the
 relabeling, which acts on both legs of each image as the coaction does,
@@ -93,6 +106,8 @@ __all__ = [
 
 @dataclass
 class CheckResult:
+    """One relation's verdict; `micros` is the time spent on it, 0 for a carried check."""
+
     name: str
     certificate: Certificate
     expected: str = PROVED_ZERO
@@ -124,10 +139,10 @@ class VerificationReport:
 
     @property
     def overall(self) -> str:
-        statuses = [c.certificate.status for c in self.checks]
-        if any(s == INCONCLUSIVE for s in statuses):
+        statuses = {c.certificate.status for c in self.checks}
+        if INCONCLUSIVE in statuses:
             return INCONCLUSIVE
-        if all(s == PROVED_ZERO for s in statuses):
+        if statuses <= {PROVED_ZERO}:
             return PROVED_ZERO
         return PROVED_NONZERO
 
@@ -199,16 +214,28 @@ def _coaction_images(qg: Presentation, space: Presentation, side: str) -> dict:
     return images
 
 
+def _image(rel, images: dict, family: tuple, rosters: tuple):
+    """rel's image under `images`, read from `_IMAGE_CACHE` and built on a miss.
+
+    `family` is (map, n, side) and names the assignment; with the relation's
+    terms it keys the cache.  `rosters` holds the two legs' generators.
+    """
+    key = family + (rel.keys[0],)
+    t = _IMAGE_CACHE.get(key)
+    if t is None:
+        t = _IMAGE_CACHE[key] = apply_tensor_hom(rel.poly, images, *rosters)
+    return t
+
+
 def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
                 rosters: tuple, prove) -> None:
     """Push each relation through the *-homomorphism `images` and prove its image zero.
 
-    `family` is (name, n, side) and names the assignment; with the relation's
-    terms it keys the image cache.  `rosters` holds the two legs' generators,
-    and `prove(t)` certifies an image t.  Each relation becomes one timed check;
-    a nonempty side prefixes its name ("alpha:rid").  A star twin of an earlier
-    ProvedZero in this call (see the module docstring) gets its partner's
-    verdict, term count and span descriptors, with fresh evidence.
+    `family` and `rosters` are as in `_image`, and `prove(t)` certifies an
+    image t.  Each relation becomes one timed check; a nonempty side prefixes
+    its name ("alpha:rid").  A star twin of an earlier ProvedZero in this call
+    (see the module docstring) gets its partner's verdict, term count and span
+    descriptors, with fresh evidence.
     """
     side = family[2]
     prefix = f"{side}:" if side else ""
@@ -223,13 +250,59 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
                 **partner, "left_basis": dict(partner["left_basis"]),
                 "right_basis": dict(partner["right_basis"])})
         else:
-            t = _IMAGE_CACHE.get(family + (key,))
-            if t is None:
-                t = _IMAGE_CACHE[family + (key,)] = apply_tensor_hom(rel.poly, images, *rosters)
-            cert = prove(t)
+            cert = prove(_image(rel, images, family, rosters))
         if cert.status == PROVED_ZERO:
             proved[key] = cert.zero_evidence
         checks.append(CheckResult(prefix + rel.rid, cert, PROVED_ZERO, (clock() - t0) // 1000))
+
+
+# (relation family, map, n, side) -> the (check name, image term count) of
+# each of the family's relations, in order, for carried checks; a
+# `RelationFamily` hashes by identity, so an entry serves no other
+_CHECK_ROWS: dict = {}
+
+
+def _check_rows(relations, qg: Presentation, space: Presentation, family: tuple) -> tuple:
+    """(check name, image term count) of each relation under the coaction `family` names.
+
+    `family` is (map, n, side) as in `_image`; a nonempty side prefixes the
+    name as in `_verify_hom`.  A star twin of an earlier relation takes its
+    partner's count, which equals its own (see the module docstring), so no
+    image is built that `_verify_hom` would not build.
+    """
+    side = family[2]
+    prefix = f"{side}:" if side else ""
+    images, rosters = _coaction_images(qg, space, side or "alpha"), (qg.generators, space.generators)
+    counts: dict = {}  # term key of each relation so far -> its image's term count
+    rows = []
+    for rel in relations:
+        key, star_key, negated_star_key = rel.keys
+        terms = counts.get(star_key, counts.get(negated_star_key))
+        if terms is None:
+            terms = len(_image(rel, images, family, rosters).terms)
+        counts[key] = terms
+        rows.append((prefix + rel.rid, terms))
+    return tuple(rows)
+
+
+def _family_check_rows(qg: Presentation, space: Presentation, family: tuple) -> list:
+    """The check rows of space's relations, one tuple per family (`_check_rows`).
+
+    A presentation whose relations are still its families' reads each
+    family's rows from `_CHECK_ROWS`; any other gets its own relations'
+    rows, uncached, as one tuple.
+    """
+    families = space.pooled_families()
+    if not families:
+        return [_check_rows(space.all_relations(), qg, space, family)]
+    rows = []
+    for fam in families:
+        key = (fam,) + family
+        fam_rows = _CHECK_ROWS.get(key)
+        if fam_rows is None:
+            fam_rows = _CHECK_ROWS[key] = _check_rows(fam.relations, qg, space, family)
+        rows.append(fam_rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +401,36 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
     A side "" is the alpha coaction with unprefixed check names (the
     coproduct, where `space` is `qg`).  `matrices`, the pair data, place the
     task in its orbit in `orbits`, whose record holds what its span builds
-    measured; with None no key is computed.
+    measured; with None no key is computed.  A recorded task gets its checks
+    from the check rows of `space`'s families and reduces nothing.
     """
     presentations = (qg,) if space is qg else (qg, space)
+    n = qg.source_pair.n
     record = None
     if orbits is not None:
         canonical, sigma = _canonical(matrices)
         key = (family, sides, bound, canonical) + tuple(_rows(pres, sigma) for pres in presentations)
         record = orbits.get(key)
-    if record is None:
-        spans = [build_quotient_basis(pres, bound) for pres in presentations]
-        left, right = spans[0], spans[-1]
-        prove = lambda t: is_zero_tensor(t, left, right)
-    else:
+    if record is not None:
         described = [span_descriptor(pres, bound, rows, rank)
                      for pres, (rows, rank) in zip(presentations, record)]
         left, right = described[0], described[-1]
-        prove = lambda t: zero_tensor_certificate(t, left, right)
+        report.checks += [
+            CheckResult(name, zero_tensor_certificate(terms, left, right))
+            for side in sides for rows in _family_check_rows(qg, space, (family, n, side))
+            for name, terms in rows]
+        return report
+    spans = [build_quotient_basis(pres, bound) for pres in presentations]
+    left, right = spans[0], spans[-1]
     first = len(report.checks)
     for side in sides:
         _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
-                    (family, qg.source_pair.n, side), (qg.generators, space.generators), prove)
-    if orbits is not None and record is None and all(c.passed for c in report.checks[first:]):
+                    (family, n, side), (qg.generators, space.generators),
+                    lambda t: is_zero_tensor(t, left, right))
+    if orbits is not None and all(c.passed for c in report.checks[first:]):
         orbits[key] = tuple((s.descriptor()["relation_rows"], s.rank) for s in spans)
+        for side in sides:  # from the images just built, for the tasks this one carries
+            _family_check_rows(qg, space, (family, n, side))
     return report
 
 

@@ -124,10 +124,9 @@ def test_replayed_rows_give_the_reports_of_made_ones(monkeypatch):
     assert sum(cert.status == PROVED_ZERO for cert in warm_certs) > 10
 
 
-def test_full_builds_never_fill_the_restricted_row_table(monkeypatch):
+def test_full_builds_never_fill_the_restricted_row_table(monkeypatch, empty_tables):
     """Sweeps and bound-3 `verify` build full spans: they make no restricted row."""
     monkeypatch.setattr(A, "_CODES", {})
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
     assert run_sweep(2, cli.SWEEP_TARGETS, RunConfig(jobs=1))["overall_passed"]
     pair = P.validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     assert V.verify_comultiplication(pair, 3, None).overall == PROVED_ZERO
@@ -208,12 +207,11 @@ def test_benchmark_tracer_names_stay_bound():
     _load_tracer().assert_clean()
 
 
-def test_benchmark_reduce_hook_reads_cold_checks(monkeypatch):
+def test_benchmark_reduce_hook_reads_cold_checks(empty_tables):
     """The tracer's reduce hook unpacks (tensor, left span, right span) from the
     positional arguments of `is_zero_tensor`; cold coproduct and sphere-action
     checks of one n = 2 pair must reach it, once per image built."""
     tracing = _load_tracer()
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
     pair = P.validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     tracer = tracing.Tracer()
     with tracer:
@@ -234,7 +232,7 @@ def _load_tracer():
     return tracer
 
 
-def test_benchmark_tracer_counts_what_it_reads_of_a_tensor(monkeypatch):
+def test_benchmark_tracer_counts_what_it_reads_of_a_tensor(empty_tables):
     """The tracer reads len(tensor.terms) and key[0], key[1] of each term key.
 
     These are its hom and reduce counters over cold coproduct and
@@ -243,7 +241,6 @@ def test_benchmark_tracer_counts_what_it_reads_of_a_tensor(monkeypatch):
     counts fails here and not only in a benchmark run.
     """
     tracing = _load_tracer()
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
     orbits = {}
     tracer = tracing.Tracer()
     with tracer:

@@ -134,6 +134,15 @@ def test_an_edited_presentation_reads_no_family_rows(monkeypatch):
         assert V._FAMILY_ROWS == {}
 
 
+def test_an_edited_presentation_makes_its_own_check_rows(empty_tables):
+    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, [[0, 0], [0, 1]]))
+    for relations in (pres.relations[1:], pres.relations[::-1]):
+        edited = dataclasses.replace(pres, relations=relations)
+        rows = V._family_check_rows(edited, edited, ("hopf", 2, ""))
+        assert [name for family in rows for name, _ in family] == [r.rid for r in edited.all_relations()]
+        assert V._CHECK_ROWS == {}
+
+
 # ---------------------------------------------------------------------------
 # carried reports equal direct ones
 # ---------------------------------------------------------------------------
@@ -358,7 +367,7 @@ def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
         assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]
 
 
-def test_a_warm_carried_task_builds_nothing(orbits, monkeypatch):
+def test_a_warm_carried_task_builds_nothing(orbits, monkeypatch, empty_tables):
     """Once a pass has carried it, a task pays for its key and its checks alone."""
     table, reduced = orbits
     tasks = cli.sweep_tasks(2, cli.SWEEP_TARGETS, cli.RunConfig())
@@ -370,11 +379,15 @@ def test_a_warm_carried_task_builds_nothing(orbits, monkeypatch):
     def counting(name):
         real = getattr(V, name)
         monkeypatch.setattr(V, name, lambda *args, **kwargs: made.append(name) or real(*args, **kwargs))
-    for name in ("apply_tensor_hom", "build_quotient_basis", "Letter", "_row_id"):
+    for name in ("apply_tensor_hom", "is_zero_tensor", "build_quotient_basis", "Letter", "_row_id"):
         counting(name)
-    pooled = (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE))
+    pooled = (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE),
+              len(V._CHECK_ROWS))
     del reduced[:]
     reports = [run(pair, bound, table) for run, pair, bound in runs]
     assert made == [] and not reduced
-    assert (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE)) == pooled
+    assert (len(P._POOL), len(V._COACTIONS), len(V._FAMILY_ROWS), len(V._IMAGE_CACHE),
+            len(V._CHECK_ROWS)) == pooled
     assert all(report.passed for report in reports)
+    # a carried check reduces nothing, so it states no time
+    assert all(check.micros == 0 for report in reports for check in report.checks)

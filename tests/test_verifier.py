@@ -167,11 +167,11 @@ def _checks(report):
 
 
 @pytest.mark.parametrize("target", ["hopf", "sphere-action", "tuple-action"])
-def test_image_cache_cold_warm_and_direct_agree(target, monkeypatch):
+def test_image_cache_cold_warm_and_direct_agree(target, empty_tables):
     pairs = P.enumerate_pairs(1) + P.enumerate_pairs(2)
     cold = {}
     for pair in pairs:
-        monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+        empty_tables()
         cold[pair] = _checks(_run_target(target, pair))
     # one cache, warmed by every pair above, serves every pair again
     for pair in pairs:
@@ -183,8 +183,7 @@ def _cached_images(family_name):
     return {key: image for key, image in V._IMAGE_CACHE.items() if key[0] == family_name}
 
 
-def test_image_cache_keeps_sides_apart(monkeypatch):
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+def test_image_cache_keeps_sides_apart(empty_tables):
     pair = _pair(OFF2, ONES2)
     V.verify_sphere_action(pair)
     qg, sph = P.unitary_qg_presentation(pair), P.sphere_presentation(pair)
@@ -197,8 +196,7 @@ def test_image_cache_keeps_sides_apart(monkeypatch):
         assert image == apply_tensor_hom(Poly(dict(terms)), images, qg.generators, sph.generators)
 
 
-def test_image_cache_keeps_sizes_apart(monkeypatch):
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
+def test_image_cache_keeps_sizes_apart(empty_tables):
     V.verify_comultiplication(_pair(OFF2, ONES2))
     eps3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     V.verify_comultiplication(_pair(eps3, [[1] * 3] * 3))
@@ -266,9 +264,11 @@ def test_basis_descriptor_is_copied_per_certificate():
 # ---------------------------------------------------------------------------
 
 def _hom_checks(relations, span_pres, monkeypatch):
-    """The coproduct checks of relations against spans of span_pres, and the reductions they made."""
+    """The coproduct checks of relations against spans of span_pres, and the reductions they made.
+
+    Its callers empty the per-process tables first (`empty_tables`).
+    """
     pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
-    monkeypatch.setattr(V, "_IMAGE_CACHE", {})
     reduced = []
 
     def counted(t, left, right):
@@ -289,7 +289,7 @@ def _relation(rid, pres):
     return next(r for r in pres.all_relations() if r.rid == rid)
 
 
-def test_star_twin_reuses_only_plus_or_minus_a_proved_zero(monkeypatch):
+def test_star_twin_reuses_only_plus_or_minus_a_proved_zero(monkeypatch, empty_tables):
     pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
     # u11* u22 - u22 u11*, whose star is the twin
     partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
@@ -304,7 +304,7 @@ def test_star_twin_reuses_only_plus_or_minus_a_proved_zero(monkeypatch):
     assert reduced == 2  # the partner and `other`
 
 
-def test_star_twin_evidence_is_its_own(monkeypatch):
+def test_star_twin_evidence_is_its_own(monkeypatch, empty_tables):
     pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
     partner, twin = _relation("sum:u*u(1,2)", pres), _relation("sum:u*u(2,1)", pres)
     (first, second), direct, reduced = _hom_checks([partner, twin], pres, monkeypatch)
@@ -317,7 +317,7 @@ def test_star_twin_evidence_is_its_own(monkeypatch):
     assert first == direct[0] and a["left_basis"]["rank"] > 0 and a["terms"] > 0
 
 
-def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch):
+def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch, empty_tables):
     pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
     partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
     assert twin.poly == partner.star
@@ -328,6 +328,42 @@ def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch):
     assert reduced == 2 and certs == direct
     assert [c.status for c in certs] == [INCONCLUSIVE] * 2
     assert certs[0].detail != certs[1].detail
+
+
+def _coactions(n):
+    """(map, side, acting presentation, space) of each coaction on every presentation at n."""
+    for pair in P.enumerate_pairs(n):
+        unitary = P.unitary_qg_presentation(pair)
+        yield "hopf", "alpha", unitary, unitary
+        for side in ("alpha", "beta"):
+            yield "sphere", side, unitary, P.sphere_presentation(pair)
+    for eps in sorted({pair.epsilon for pair in P.enumerate_pairs(n)}):
+        for side in ("alpha", "beta"):
+            yield "tuple", side, P.orthogonal_qg_presentation(eps), P.tuple_space_presentation(eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_star_twins_have_equal_image_term_counts(n):
+    """A relation and its star, or minus its star, in one presentation have images with
+    equal term counts under every coaction: a carried twin's check may state its partner's."""
+    counts, twins = {}, set()
+
+    def count(name, side, rel, qg, space, images):
+        key = (name, side, rel.keys[0])
+        if key not in counts:
+            counts[key] = len(apply_tensor_hom(rel.poly, images, qg.generators, space.generators).terms)
+        return counts[key]
+    for name, side, qg, space in _coactions(n):
+        images = V._coaction_images(qg, space, side)
+        by_key = {rel.keys[0]: rel for rel in space.all_relations()}
+        for rel in space.all_relations():
+            for twin in [by_key[k] for k in rel.keys[1:] if k in by_key and by_key[k] is not rel]:
+                twins.add((name, side, rel.keys[0], twin.keys[0]))
+                assert (count(name, side, rel, qg, space, images)
+                        == count(name, side, twin, qg, space, images)), (space.label, side, rel.rid, twin.rid)
+    # sphere relations have no twins; the others do once n > 1
+    expected = {("hopf", "alpha")} | ({("tuple", "alpha"), ("tuple", "beta")} if n > 1 else set())
+    assert {(name, side) for name, side, _, _ in twins} == expected
 
 
 # ---------------------------------------------------------------------------
