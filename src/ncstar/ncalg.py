@@ -38,7 +38,6 @@ Everything here is pure and exact; no floating point enters this module.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -579,17 +578,48 @@ PROVED_NONZERO = "ProvedNonzero"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
 class Certificate:
-    status: str
-    zero_evidence: Optional[dict] = None
-    nonzero_evidence: Optional[dict] = None
-    detail: str = ""
+    """A verdict with its evidence: status, zero or nonzero evidence, and a detail line.
+
+    Two certificates are equal when their status, both evidences and detail
+    are.  A tensor-quotient ProvedZero (`zero_tensor_certificate`) keeps only
+    its term count and span descriptors, and builds its zero evidence the
+    first time it is read; that evidence is then its own, to read or edit.
+    """
+
+    __slots__ = ("status", "nonzero_evidence", "detail", "_zero_evidence", "_tensor")
+
+    def __init__(self, status: str, zero_evidence: Optional[dict] = None,
+                 nonzero_evidence: Optional[dict] = None, detail: str = ""):
+        self.status = status
+        self._zero_evidence = zero_evidence
+        self.nonzero_evidence = nonzero_evidence
+        self.detail = detail
+        self._tensor = None  # (terms, left descriptor, right descriptor) until zero evidence is read
+
+    @property
+    def zero_evidence(self) -> Optional[dict]:
+        if self._zero_evidence is None and self._tensor is not None:
+            terms, left, right = self._tensor
+            self._zero_evidence = {"kind": "tensor-quotient", "left_basis": dict(left),
+                                   "right_basis": dict(right), "terms": terms}
+        return self._zero_evidence
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return ((self.status, self.zero_evidence, self.nonzero_evidence, self.detail)
+                == (other.status, other.zero_evidence, other.nonzero_evidence, other.detail))
+
+    def __repr__(self) -> str:
+        return (f"Certificate(status={self.status!r}, zero_evidence={self.zero_evidence!r}, "
+                f"nonzero_evidence={self.nonzero_evidence!r}, detail={self.detail!r})")
 
     def to_json_dict(self) -> dict:
         out = {"status": self.status}
-        if self.zero_evidence is not None:
-            out["zero_evidence"] = self.zero_evidence
+        zero_evidence = self.zero_evidence
+        if zero_evidence is not None:
+            out["zero_evidence"] = zero_evidence
         if self.nonzero_evidence is not None:
             out["nonzero_evidence"] = self.nonzero_evidence
         if self.detail:
@@ -599,13 +629,14 @@ class Certificate:
 
 def zero_tensor_certificate(terms: int, left: dict, right: dict) -> Certificate:
     """The ProvedZero `is_zero_tensor` gives a tensor of this many terms that vanishes
-    in spans with these descriptors; each call makes fresh evidence dicts."""
-    return Certificate(PROVED_ZERO, zero_evidence={
-        "kind": "tensor-quotient",
-        "left_basis": dict(left),
-        "right_basis": dict(right),
-        "terms": terms,
-    })
+    in spans with these descriptors.
+
+    It keeps the count and the two dicts, which no one may edit afterwards,
+    and builds its evidence, with fresh copies of both, on first read.
+    """
+    cert = Certificate(PROVED_ZERO)
+    cert._tensor = (terms, left, right)
+    return cert
 
 
 def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Certificate:

@@ -244,11 +244,16 @@ class Presentation:
     def pooled_families(self) -> tuple:
         """The families, if all_relations() is still their concatenation; else ().
 
-        A presentation edited after its build (`dataclasses.replace`) keeps
-        its builder's families but not their relations, so it gets ().
+        Worked out on the first call and kept.  A presentation edited after
+        its build (`dataclasses.replace`, which makes a new object) keeps its
+        builder's families but not their relations, so it gets ().
         """
-        joined = tuple(itertools.chain.from_iterable(f.relations for f in self.families))
-        return self.families if joined == self.all_relations() else ()
+        pooled = self.__dict__.get("_pooled")
+        if pooled is None:  # on demand, not at init: a membership query's presentations never ask
+            joined = tuple(itertools.chain.from_iterable(f.relations for f in self.families))
+            # stored past the frozen __setattr__; it is no field, so no comparison sees it
+            pooled = self.__dict__["_pooled"] = self.families if joined == self.all_relations() else ()
+        return pooled
 
     @property
     def label(self) -> str:

@@ -50,12 +50,14 @@ each span's row count and rank.  A task whose key is present builds no span
 and reduces no image: every check is ProvedZero with evidence of its own, its
 span descriptors (its presentation, the recorded counts) and its image's term
 count, as `is_zero_tensor` states it (`zero_tensor_certificate`), and takes
-0 microseconds.  Its checks are made family by family from per-process rows,
-each relation's check name and image term count under one (family, map, n,
-side), made once from the cached images (`_CHECK_ROWS`); a presentation
-whose relations are no longer its families' gets its own relations' rows,
-uncached.  A star twin's
-row takes its partner's count, as a reduced twin does, and builds no image:
+0 microseconds.  That certificate keeps only the count and the task's two
+descriptors, and builds its evidence dict, with fresh copies of both, the
+first time it is read; a sweep row reads only statuses, so it builds none.
+Its checks are made family by family from per-process rows, each relation's
+check name and image term count under one (family, map, n, side), made once
+from the cached images (`_CHECK_ROWS`); a presentation whose relations are
+no longer its families' gets its own relations' rows, uncached.  A star
+twin's row takes its partner's count, as a reduced twin does, and builds no image:
 the counts are equal, since the map is a *-homomorphism, so the image of r*
 is the leg-wise star (a (x) b -> a* (x) b*) of the image of r, and the
 leg-wise star maps the word pairs of one one to one onto those of the other;
@@ -104,7 +106,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     """One relation's verdict; `micros` is the time spent on it, 0 for a carried check."""
 
@@ -233,26 +235,24 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
 
     `family` and `rosters` are as in `_image`, and `prove(t)` certifies an
     image t.  Each relation becomes one timed check; a nonempty side prefixes
-    its name ("alpha:rid").  A star twin of an earlier ProvedZero in this call
-    (see the module docstring) gets its partner's verdict, term count and span
-    descriptors, with fresh evidence.
+    its name ("alpha:rid").  A star twin of an earlier tensor-quotient
+    ProvedZero in this call (see the module docstring) gets its partner's
+    term count and span descriptors, through `zero_tensor_certificate`.
     """
     side = family[2]
     prefix = f"{side}:" if side else ""
     checks, clock = report.checks, time.perf_counter_ns
-    proved: dict = {}  # term key of each ProvedZero relation so far -> its evidence
+    proved: dict = {}  # term key of each ProvedZero relation so far -> (terms, left, right)
     for rel in relations:
         t0 = clock()
         key, star_key, negated_star_key = rel.keys
         partner = proved.get(star_key) or proved.get(negated_star_key)
         if partner is not None:
-            cert = Certificate(PROVED_ZERO, zero_evidence={
-                **partner, "left_basis": dict(partner["left_basis"]),
-                "right_basis": dict(partner["right_basis"])})
+            cert = zero_tensor_certificate(*partner)
         else:
             cert = prove(_image(rel, images, family, rosters))
-        if cert.status == PROVED_ZERO:
-            proved[key] = cert.zero_evidence
+        if cert._tensor is not None:  # a tensor-quotient ProvedZero
+            proved[key] = cert._tensor
         checks.append(CheckResult(prefix + rel.rid, cert, PROVED_ZERO, (clock() - t0) // 1000))
 
 
@@ -321,17 +321,38 @@ def _canonical(matrices) -> tuple:
 
     sigma maps index i to sigma[i] (0-based); entry (sigma[i], sigma[j]) of a
     relabeled matrix is entry (i, j) of the original.  A relabeling is
-    written as one flat tuple, the matrices' rows in order.  Brute force over
-    n! permutations, reached only by sweeps (n <= 4) and callers with a table.
+    written as one flat tuple, the matrices' rows in order; of the sigmas
+    that give the least one, the first in `itertools.permutations` order is
+    returned.  Brute force over n! permutations, each dropped at its first
+    entry above the least so far; reached only by sweeps (n <= 4) and
+    callers with a table.
     """
     n = len(matrices[0])
-    best = None
+    best = least = None
     for sigma in itertools.permutations(range(n)):
-        inverse = sorted(range(n), key=sigma.__getitem__)
-        image = [m[inverse[a]][inverse[b]] for m in matrices for a in range(n) for b in range(n)]
-        if best is None or image < best[0]:
-            best = (image, sigma)
-    return tuple(best[0]), best[1]
+        inverse = [0] * n
+        for i, s in enumerate(sigma):
+            inverse[s] = i
+        rows = [m[a] for m in matrices for a in inverse]
+        if best is None or _precedes(rows, inverse, best):
+            best, least = [row[b] for row in rows for b in inverse], sigma
+    return tuple(best), least
+
+
+def _precedes(rows, inverse: list, best: list) -> bool:
+    """Whether the relabeling with these original rows and inverse sigma is below best.
+
+    Compared entry by entry, stopping at the first that differs; a tie is
+    not below.
+    """
+    k = 0
+    for row in rows:
+        for b in inverse:
+            x = row[b]
+            if x != best[k]:
+                return x < best[k]
+            k += 1
+    return False
 
 
 # relabeled row up to sign -> its id; the row is its (word, coefficient)

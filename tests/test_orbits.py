@@ -76,6 +76,27 @@ def test_canonical_form_is_the_same_for_every_relabeling(n):
             assert V._canonical(relabeled)[0] == canonical, (pair.compact(), tau)
 
 
+def _least_relabeling(matrices):
+    """The reference canonical form: every sigma's whole relabeling, the first least one kept."""
+    images = [(_flat(_permuted(m, sigma) for m in matrices), sigma)
+              for sigma in itertools.permutations(range(len(matrices[0])))]
+    least = min(image for image, _ in images)
+    return least, next(sigma for image, sigma in images if image == least)
+
+
+def test_canonical_form_matches_the_reference():
+    sample = random.Random(4).sample(P.enumerate_pairs(4), 300)
+    identity = tuple(range(4))
+    # pairs that a sigma other than the identity fixes: their least relabeling has ties
+    symmetric = [p for p in sample if any(
+        _permuted(p.epsilon, tau) == p.epsilon and _permuted(p.eta, tau) == p.eta
+        for tau in itertools.permutations(range(4)) if tau != identity)]
+    assert len(symmetric) >= 10
+    for pair in [p for n in (1, 2, 3) for p in P.enumerate_pairs(n)] + sample:
+        for matrices in ((pair.epsilon, pair.eta), (pair.epsilon,)):
+            assert V._canonical(matrices) == _least_relabeling(matrices), pair.compact()
+
+
 @pytest.mark.parametrize("n,counts", [(2, (12, 5, 2)), (3, (120, 29, 4))])
 def test_orbit_counts(n, counts):
     pairs = P.enumerate_pairs(n)

@@ -2,16 +2,19 @@
 
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
 
 import witness_models as W
+from ncstar import cli
 from ncstar import presentations as P
 from ncstar import repmodels as R
 from ncstar import verifier as V
-from ncstar.ncalg import (INCONCLUSIVE, Letter, PROVED_NONZERO, PROVED_ZERO, Poly,
-                          apply_tensor_hom, build_quotient_basis, is_zero_tensor)
+from ncstar.ncalg import (INCONCLUSIVE, Certificate, Letter, PROVED_NONZERO, PROVED_ZERO, Poly,
+                          apply_tensor_hom, build_quotient_basis, is_zero_tensor,
+                          zero_tensor_certificate)
 from ncstar.scalars import Q_ONE
 
 ZERO2 = [[0, 0], [0, 0]]
@@ -257,6 +260,63 @@ def test_basis_descriptor_is_copied_per_certificate():
     assert first["left_basis"] == second["left_basis"] == first["right_basis"]
     first["left_basis"]["rank"] = -1
     assert second["left_basis"]["rank"] > 0 and first["right_basis"]["rank"] > 0
+
+
+# ---------------------------------------------------------------------------
+# tensor-quotient evidence, built on first read
+# ---------------------------------------------------------------------------
+
+def test_a_deferred_certificate_equals_its_eager_twin():
+    descriptor = build_quotient_basis(P.unitary_qg_presentation(_pair(OFF2, ONES2))).descriptor()
+
+    def eager(terms):
+        return Certificate(PROVED_ZERO, zero_evidence={
+            "kind": "tensor-quotient", "left_basis": dict(descriptor),
+            "right_basis": dict(descriptor), "terms": terms})
+    deferred = zero_tensor_certificate(7, descriptor, descriptor)
+    # serialized before anything compares it, and byte for byte
+    assert json.dumps(deferred.to_json_dict()) == json.dumps(eager(7).to_json_dict())
+    assert zero_tensor_certificate(7, descriptor, descriptor) == eager(7)
+    assert eager(7) == zero_tensor_certificate(7, descriptor, descriptor)
+    assert zero_tensor_certificate(8, descriptor, descriptor) != eager(7)
+    assert zero_tensor_certificate(7, descriptor, descriptor) != Certificate(PROVED_ZERO)
+
+
+def test_editing_materialized_evidence_touches_no_other_evidence():
+    pair = _pair(OFF2, ONES2)
+    pres = P.unitary_qg_presentation(pair)
+    span = build_quotient_basis(pres)
+    descriptor = span.descriptor()
+    images = V._coaction_images(pres, pres, "alpha")
+    reduced = [is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators, pres.generators),
+                              span, span) for r in pres.all_relations()[:2]]
+    table = {}
+    V.verify_comultiplication(pair, 2, table)
+    carried = [c.certificate for c in V.verify_comultiplication(pair, 2, table).checks[:2]]
+    for first, second in (reduced, carried):
+        evidence = first.zero_evidence
+        evidence["left_basis"]["rank"] = evidence["right_basis"]["rank"] = evidence["terms"] = -1
+        assert first.zero_evidence is evidence  # materialized once, then kept
+        other = second.zero_evidence
+        assert other["left_basis"] == other["right_basis"] == descriptor and other["terms"] > 0
+    assert span.descriptor() == descriptor
+
+
+def test_a_warm_carried_pass_builds_no_evidence():
+    tasks = cli.sweep_tasks(2, cli.SWEEP_TARGETS, cli.RunConfig())
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
+    table = {}
+    for run, pair, bound in runs:
+        run(pair, bound, table)
+    certificates = []
+    for run, pair, bound in runs:
+        report = run(pair, bound, table)
+        # what a sweep row reads: names and statuses
+        assert len({c.name: c.certificate.status for c in report.checks}) == len(report.checks)
+        assert report.passed and report.overall == PROVED_ZERO
+        certificates += [c.certificate for c in report.checks]
+    assert certificates
+    assert all(c._tensor is not None and c._zero_evidence is None for c in certificates)
 
 
 # ---------------------------------------------------------------------------
