@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Median time of a warm carried n = 4 coproduct (hopf) task, in-process.
+"""Median time of a warm carried sweep task, per target, in-process.
 
-Samples n = 4 pairs with a seed, as `ncstar sweep --n 4 --sample` does, and
-runs each pair's coproduct task once against an empty orbit table: that cold
+Samples pairs at one n with a seed, as `ncstar sweep --sample` does, and runs
+each pair's task of each target once against an empty orbit table: that cold
 pass reduces one task per orbit key and carries the rest.  It then times
 warm passes over the same tasks, in which every task is carried.  A timed
-task reads each check's name and status, as a sweep row and perfbench's
-sweep-n3 do, and nothing else.  The script prints the median over every
-warm task, and the median of each pass.
+task reads each check's name and status and the report's overall verdict,
+as a sweep row and perfbench's sweep-n3 do, and nothing else.  The script
+prints, per target, the median over every warm task and the median of each
+pass.
 
-Run:  PYTHONPATH=src python scripts/bench_carried.py [--sample 600] [--seed 0] [--passes 3]
+The default is the n = 4 coproduct (hopf).  `--n 3 --targets
+hopf,sphere-action,tuple-action` times the warm path of perfbench's sweep-n3
+(n = 3 has 512 pairs, so the default sample takes them all: 618 tasks).
+
+Run:  PYTHONPATH=src python scripts/bench_carried.py [--n 4] [--targets hopf]
+                                                     [--sample 600] [--seed 0] [--passes 3]
 
 For steadier numbers pin it to one CPU (`taskset -c 0`) and alternate runs
 of the trees being compared.
@@ -19,45 +25,58 @@ import argparse
 import statistics
 import time
 
-from ncstar import cli, verifier
+from ncstar import cli
+from ncstar.ncalg import PROVED_ZERO
 from ncstar.presentations import pair_from_json_dict
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sample", type=int, default=600, help="n = 4 pairs to sample")
+    parser.add_argument("--n", type=int, choices=(3, 4), default=4, help="matrix size of the pairs")
+    parser.add_argument("--targets", default="hopf",
+                        help="comma-separated sweep targets, from " + ",".join(cli.SWEEP_TARGETS))
+    parser.add_argument("--sample", type=int, default=600, help="pairs to sample")
     parser.add_argument("--seed", type=int, default=0, help="seed of the pair sample")
     parser.add_argument("--passes", type=int, default=3, help="warm passes to time")
     args = parser.parse_args(argv)
+    targets = args.targets.split(",")
+    for t in targets:
+        if t not in cli.SWEEP_TARGETS:
+            parser.error(f"unknown sweep target {t!r}")
 
-    tasks = [(pair_from_json_dict(d), bound) for _, d, bound in
-             cli.sweep_tasks(4, ("hopf",), cli.RunConfig(seed=args.seed), args.sample)]
+    tasks = [(target, cli._TARGETS[target].run, pair_from_json_dict(d), bound) for target, d, bound in
+             cli.sweep_tasks(args.n, targets, cli.RunConfig(seed=args.seed), args.sample)]
     table: dict = {}
     t0 = time.perf_counter()
-    for pair, bound in tasks:
-        verifier.verify_comultiplication(pair, bound, table)
+    for _, run, pair, bound in tasks:
+        run(pair, bound, table)
     cold_s = time.perf_counter() - t0
     keys = len(table)
 
     clock = time.perf_counter_ns
-    medians, times = [], []
+    medians = {t: [] for t in targets}
+    times = {t: [] for t in targets}
     for _ in range(args.passes):
-        pass_times = []
-        for pair, bound in tasks:
+        pass_times = {t: [] for t in targets}
+        for target, run, pair, bound in tasks:
             t0 = clock()
-            report = verifier.verify_comultiplication(pair, bound, table)
+            report = run(pair, bound, table)
             statuses = {c.name: c.certificate.status for c in report.checks}
-            pass_times.append(clock() - t0)
-            if not report.passed or len(statuses) != len(report.checks):
-                raise SystemExit(f"{pair.compact()}: the warm task did not pass")
-        medians.append(statistics.median(pass_times) / 1e6)
-        times += pass_times
+            overall = report.overall
+            pass_times[target].append(clock() - t0)
+            if not report.passed or len(statuses) != len(report.checks) or overall != PROVED_ZERO:
+                raise SystemExit(f"{target} {pair.compact()}: the warm task did not pass")
+        for t in targets:
+            medians[t].append(statistics.median(pass_times[t]) / 1e6)
+            times[t] += pass_times[t]
     if len(table) != keys:
         raise SystemExit("a warm pass recorded a new orbit key, so it reduced a task")
 
-    print(f"warm carried n=4 hopf task: median {statistics.median(times) / 1e6:.3f} ms "
-          f"(per pass {', '.join(f'{m:.3f}' for m in medians)} ms)")
-    print(f"{len(tasks)} pairs, seed {args.seed}, {keys} orbit keys, cold pass {cold_s:.1f} s")
+    for t in targets:
+        per_pass = ", ".join(f"{m:.3f}" for m in medians[t])
+        print(f"warm carried n={args.n} {t} task: median {statistics.median(times[t]) / 1e6:.3f} ms "
+              f"(per pass {per_pass} ms, {len(times[t]) // args.passes} tasks)")
+    print(f"{len(tasks)} tasks, seed {args.seed}, {keys} orbit keys, cold pass {cold_s:.1f} s")
 
 
 if __name__ == "__main__":

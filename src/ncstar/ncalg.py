@@ -583,8 +583,10 @@ class Certificate:
 
     Two certificates are equal when their status, both evidences and detail
     are.  A tensor-quotient ProvedZero (`zero_tensor_certificate`) keeps only
-    its term count and span descriptors, and builds its zero evidence the
-    first time it is read; that evidence is then its own, to read or edit.
+    its term count and span descriptors, and builds its zero evidence afresh
+    on every read, so it is a value: what a reader edits is the reader's own,
+    and one object may stand for every check with the same count and spans.
+    A certificate built with explicit evidence keeps and returns that dict.
     """
 
     __slots__ = ("status", "nonzero_evidence", "detail", "_zero_evidence", "_tensor")
@@ -595,15 +597,15 @@ class Certificate:
         self._zero_evidence = zero_evidence
         self.nonzero_evidence = nonzero_evidence
         self.detail = detail
-        self._tensor = None  # (terms, left descriptor, right descriptor) until zero evidence is read
+        self._tensor = None  # (terms, left descriptor, right descriptor) of a tensor-quotient ProvedZero
 
     @property
     def zero_evidence(self) -> Optional[dict]:
-        if self._zero_evidence is None and self._tensor is not None:
-            terms, left, right = self._tensor
-            self._zero_evidence = {"kind": "tensor-quotient", "left_basis": dict(left),
-                                   "right_basis": dict(right), "terms": terms}
-        return self._zero_evidence
+        if self._tensor is None:
+            return self._zero_evidence
+        terms, left, right = self._tensor
+        return {"kind": "tensor-quotient", "left_basis": dict(left), "right_basis": dict(right),
+                "terms": terms}
 
     def __eq__(self, other):
         if not isinstance(other, Certificate):
@@ -632,7 +634,8 @@ def zero_tensor_certificate(terms: int, left: dict, right: dict) -> Certificate:
     in spans with these descriptors.
 
     It keeps the count and the two dicts, which no one may edit afterwards,
-    and builds its evidence, with fresh copies of both, on first read.
+    and builds its evidence, with fresh copies of both, on every read; so
+    checks with equal (terms, left, right) may share one certificate.
     """
     cert = Certificate(PROVED_ZERO)
     cert._tensor = (terms, left, right)

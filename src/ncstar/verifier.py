@@ -47,16 +47,18 @@ whose relations are no longer its families' is relabeled relation by
 relation, so the rows always are those of its own relations.  A task whose key
 is absent is reduced as above; if every check is ProvedZero, the key records
 each span's row count and rank.  A task whose key is present builds no span
-and reduces no image: every check is ProvedZero with evidence of its own, its
+and reduces no image: every check is ProvedZero with the evidence of its
 span descriptors (its presentation, the recorded counts) and its image's term
 count, as `is_zero_tensor` states it (`zero_tensor_certificate`), and takes
 0 microseconds.  That certificate keeps only the count and the task's two
-descriptors, and builds its evidence dict, with fresh copies of both, the
-first time it is read; a sweep row reads only statuses, so it builds none.
-Its checks are made family by family from per-process rows, each relation's
-check name and image term count under one (family, map, n, side), made once
-from the cached images (`_CHECK_ROWS`); a presentation whose relations are
-no longer its families' gets its own relations' rows, uncached.  A star
+descriptors, and builds its evidence dict, with fresh copies of both, each
+time it is read, so the task makes one per distinct term count and its checks
+with that count share it; a sweep row reads only statuses, so it builds no
+evidence.  Its checks are made family by family from per-process rows, each
+relation's check name and image term count under one (family, map, n, side),
+made once from the cached images (`_CHECK_ROWS`); a presentation whose
+relations are no longer its families' gets its own relations' rows,
+uncached.  A star
 twin's row takes its partner's count, as a reduced twin does, and builds no image:
 the counts are equal, since the map is a *-homomorphism, so the image of r*
 is the leg-wise star (a (x) b -> a* (x) b*) of the image of r, and the
@@ -236,23 +238,21 @@ def _verify_hom(report: VerificationReport, relations, images: dict, family: tup
     `family` and `rosters` are as in `_image`, and `prove(t)` certifies an
     image t.  Each relation becomes one timed check; a nonempty side prefixes
     its name ("alpha:rid").  A star twin of an earlier tensor-quotient
-    ProvedZero in this call (see the module docstring) gets its partner's
-    term count and span descriptors, through `zero_tensor_certificate`.
+    ProvedZero in this call (see the module docstring) shares its partner's
+    certificate, whose term count and span descriptors are its own too.
     """
     side = family[2]
     prefix = f"{side}:" if side else ""
     checks, clock = report.checks, time.perf_counter_ns
-    proved: dict = {}  # term key of each ProvedZero relation so far -> (terms, left, right)
+    proved: dict = {}  # term key of each tensor-quotient ProvedZero relation so far -> its certificate
     for rel in relations:
         t0 = clock()
         key, star_key, negated_star_key = rel.keys
-        partner = proved.get(star_key) or proved.get(negated_star_key)
-        if partner is not None:
-            cert = zero_tensor_certificate(*partner)
-        else:
+        cert = proved.get(star_key) or proved.get(negated_star_key)
+        if cert is None:
             cert = prove(_image(rel, images, family, rosters))
-        if cert._tensor is not None:  # a tensor-quotient ProvedZero
-            proved[key] = cert._tensor
+        if cert._tensor is not None:
+            proved[key] = cert
         checks.append(CheckResult(prefix + rel.rid, cert, PROVED_ZERO, (clock() - t0) // 1000))
 
 
@@ -323,23 +323,31 @@ def _canonical(matrices) -> tuple:
     relabeled matrix is entry (i, j) of the original.  A relabeling is
     written as one flat tuple, the matrices' rows in order; of the sigmas
     that give the least one, the first in `itertools.permutations` order is
-    returned.  Brute force over n! permutations, each dropped at its first
-    entry above the least so far; reached only by sweeps (n <= 4) and
-    callers with a table.
+    returned.  Brute force over n! permutations (`_permutations`), each
+    dropped at its first entry above the least so far; reached only by
+    sweeps (n <= 4) and callers with a table.
     """
-    n = len(matrices[0])
     best = least = None
-    for sigma in itertools.permutations(range(n)):
-        inverse = [0] * n
-        for i, s in enumerate(sigma):
-            inverse[s] = i
+    for sigma, inverse in _permutations(len(matrices[0])):
         rows = [m[a] for m in matrices for a in inverse]
         if best is None or _precedes(rows, inverse, best):
             best, least = [row[b] for row in rows for b in inverse], sigma
     return tuple(best), least
 
 
-def _precedes(rows, inverse: list, best: list) -> bool:
+@functools.cache
+def _permutations(n: int) -> tuple:
+    """(sigma, its inverse) for each sigma of S_n, in `itertools.permutations` order."""
+    pairs = []
+    for sigma in itertools.permutations(range(n)):
+        inverse = [0] * n
+        for i, s in enumerate(sigma):
+            inverse[s] = i
+        pairs.append((sigma, tuple(inverse)))
+    return tuple(pairs)
+
+
+def _precedes(rows, inverse: tuple, best: list) -> bool:
     """Whether the relabeling with these original rows and inverse sigma is below best.
 
     Compared entry by entry, stopping at the first that differs; a tie is
@@ -436,10 +444,15 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
         described = [span_descriptor(pres, bound, rows, rank)
                      for pres, (rows, rank) in zip(presentations, record)]
         left, right = described[0], described[-1]
-        report.checks += [
-            CheckResult(name, zero_tensor_certificate(terms, left, right))
-            for side in sides for rows in _family_check_rows(qg, space, (family, n, side))
-            for name, terms in rows]
+        shared: dict = {}  # image term count -> the certificate of every check with it
+        append = report.checks.append
+        for side in sides:
+            for rows in _family_check_rows(qg, space, (family, n, side)):
+                for name, terms in rows:
+                    cert = shared.get(terms)
+                    if cert is None:
+                        cert = shared[terms] = zero_tensor_certificate(terms, left, right)
+                    append(CheckResult(name, cert))
         return report
     spans = [build_quotient_basis(pres, bound) for pres in presentations]
     left, right = spans[0], spans[-1]

@@ -296,7 +296,7 @@ def test_editing_materialized_evidence_touches_no_other_evidence():
     for first, second in (reduced, carried):
         evidence = first.zero_evidence
         evidence["left_basis"]["rank"] = evidence["right_basis"]["rank"] = evidence["terms"] = -1
-        assert first.zero_evidence is evidence  # materialized once, then kept
+        assert first.zero_evidence["terms"] > 0  # built afresh on every read, so the edit stays the reader's
         other = second.zero_evidence
         assert other["left_basis"] == other["right_basis"] == descriptor and other["terms"] > 0
     assert span.descriptor() == descriptor
@@ -317,6 +317,63 @@ def test_a_warm_carried_pass_builds_no_evidence():
         certificates += [c.certificate for c in report.checks]
     assert certificates
     assert all(c._tensor is not None and c._zero_evidence is None for c in certificates)
+
+
+def test_a_sweep_reads_no_evidence(monkeypatch):
+    """A sweep row reads only statuses, so no certificate, reduced or carried, builds its evidence."""
+    read = []
+    evidence = Certificate.zero_evidence
+    monkeypatch.setattr(Certificate, "zero_evidence",
+                        property(lambda cert: read.append(cert) or evidence.fget(cert)))
+    assert cli.run_sweep(2, cli.SWEEP_TARGETS, cli.RunConfig(jobs=1))["overall_passed"]
+    assert read == []
+
+
+def test_a_carried_report_shares_one_certificate_per_term_count():
+    tasks = cli.sweep_tasks(2, cli.SWEEP_TARGETS, cli.RunConfig())
+    tasks += cli.sweep_tasks(3, cli.SWEEP_TARGETS, cli.RunConfig(seed=1), 12)
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
+    table = {}
+    for run, pair, bound in runs:
+        run(pair, bound, table)
+    for run, pair, bound in runs:
+        carried, direct = run(pair, bound, table), run(pair, bound, None)
+        assert [c.name for c in carried.checks] == [c.name for c in direct.checks]
+        shared = {}
+        for check, twin in zip(carried.checks, direct.checks):
+            assert shared.setdefault(twin.certificate.zero_evidence["terms"], check.certificate) \
+                is check.certificate, (pair.compact(), check.name)
+            assert check.certificate == twin.certificate, (pair.compact(), check.name)
+        assert len({id(c.certificate) for c in carried.checks}) == len(shared)
+
+
+def test_editing_read_evidence_reaches_no_certificate_sharing_it():
+    pair = _pair(ZERO2, OFF2)
+    pres = P.unitary_qg_presentation(pair)
+    span = build_quotient_basis(pres)
+    descriptor = span.descriptor()
+    report = V.VerificationReport("hopf", {})
+    V._verify_hom(report, pres.all_relations(), V._coaction_images(pres, pres, "alpha"),
+                  ("hopf", 2, ""), (pres.generators, pres.generators),
+                  lambda t: is_zero_tensor(t, span, span))
+    table = {}
+    V.verify_comultiplication(pair, 2, table)
+    carried = V.verify_comultiplication(pair, 2, table)
+    for checks in (report.checks, carried.checks):
+        siblings = {}
+        for c in checks:
+            siblings.setdefault(id(c.certificate), []).append(c)
+        group = max(siblings.values(), key=len)
+        assert len(group) > 1
+        cert = group[0].certificate
+        unedited = cert.zero_evidence
+        evidence = cert.zero_evidence
+        evidence["left_basis"]["rank"] = evidence["right_basis"]["rank"] = evidence["terms"] = -1
+        evidence["kind"] = "edited"
+        assert cert.zero_evidence == unedited and unedited["terms"] > 0
+        assert all(c.certificate.zero_evidence == unedited for c in group)
+        assert unedited["left_basis"] == unedited["right_basis"] == descriptor
+    assert span.descriptor() == descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +432,13 @@ def test_star_twin_evidence_is_its_own(monkeypatch, empty_tables):
     b["left_basis"]["rank"] = b["right_basis"]["rank"] = -1
     b["terms"] = -1
     assert first == direct[0] and a["left_basis"]["rank"] > 0 and a["terms"] > 0
+
+
+def test_a_reduced_star_twin_shares_its_partner_certificate(monkeypatch, empty_tables):
+    pres = P.unitary_qg_presentation(_pair(ZERO2, OFF2))
+    partner, twin = _relation("sum:u*u(1,2)", pres), _relation("sum:u*u(2,1)", pres)
+    (first, second), direct, reduced = _hom_checks([partner, twin], pres, monkeypatch)
+    assert reduced == 1 and second is first and [first, second] == direct
 
 
 def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch, empty_tables):
