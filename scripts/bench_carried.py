@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Median time of a warm carried sweep task, per target, in-process.
+"""Median time of a warm carried sweep task, and of a cold reduced one, per target, in-process.
 
 Samples pairs at one n with a seed, as `ncstar sweep --sample` does, and runs
 each pair's task of each target once against an empty orbit table: that cold
-pass reduces one task per orbit key and carries the rest.  It then times
-warm passes over the same tasks, in which every task is carried.  A timed
-task reads each check's name and status and the report's overall verdict,
-as a sweep row and perfbench's sweep-n3 do, and nothing else.  The script
+pass reduces one task per orbit key, and is timed for those (the tasks that
+record a key), and carries the rest.  It then times warm passes over the same
+tasks, in which every task is carried.  A warm task reads each check's name
+and status and the report's overall verdict, as a sweep row and perfbench's
+sweep-n3 do, and nothing else.  The script
 prints, per target, the median over every warm task and the median of each
-pass.
+pass, beside the median reduced task of the cold pass.
 
 The default is the n = 4 coproduct (hopf).  `--n 3 --targets
 hopf,sphere-action,tuple-action` times the warm path of perfbench's sweep-n3
@@ -46,14 +47,18 @@ def main(argv=None):
 
     tasks = [(target, cli._TARGETS[target].run, pair_from_json_dict(d), bound) for target, d, bound in
              cli.sweep_tasks(args.n, targets, cli.RunConfig(seed=args.seed), args.sample)]
+    clock = time.perf_counter_ns
     table: dict = {}
+    reduced = {t: [] for t in targets}  # cold task times of the tasks that recorded a key
     t0 = time.perf_counter()
-    for _, run, pair, bound in tasks:
+    for target, run, pair, bound in tasks:
+        before, t1 = len(table), clock()
         run(pair, bound, table)
+        if len(table) > before:
+            reduced[target].append(clock() - t1)
     cold_s = time.perf_counter() - t0
     keys = len(table)
 
-    clock = time.perf_counter_ns
     medians = {t: [] for t in targets}
     times = {t: [] for t in targets}
     for _ in range(args.passes):
@@ -75,7 +80,8 @@ def main(argv=None):
     for t in targets:
         per_pass = ", ".join(f"{m:.3f}" for m in medians[t])
         print(f"warm carried n={args.n} {t} task: median {statistics.median(times[t]) / 1e6:.3f} ms "
-              f"(per pass {per_pass} ms, {len(times[t]) // args.passes} tasks)")
+              f"(per pass {per_pass} ms, {len(times[t]) // args.passes} tasks); cold reduced task: "
+              f"median {statistics.median(reduced[t]) / 1e6:.3f} ms ({len(reduced[t])} tasks)")
     print(f"{len(tasks)} tasks, seed {args.seed}, {keys} orbit keys, cold pass {cold_s:.1f} s")
 
 

@@ -17,7 +17,7 @@ from those words directly, with no polynomial arithmetic.
 
 A presentation is assembled from pooled relation families, each a function
 of one part of the pair: the epsilon family (n and epsilon), the eta family
-(n and eta) and the sums (n alone); its relations are their concatenation.
+(n and eta) and the sums (n alone), and it holds its relations only there.
 All values are immutable, and every operation here is a pure function: the
 builders' shared pool (`_POOL`) changes what is built only in speed.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ncalg import Letter, Poly, poly_str
 
@@ -230,30 +230,36 @@ class RelationFamily:
 
 @dataclass(frozen=True)
 class Presentation:
+    """A presentation as the union of its relation families, the sums last.
+
+    The families are the only place its relations are held; equal
+    presentations have the same family objects.  To edit one, replace one of
+    its families (`dataclasses.replace(pres, families=...)`).
+    """
+
     kind: str  # complex-sphere | unitary-qg | orthogonal-qg | tuple-space
     generators: tuple  # tuple[Letter, ...], unstarred
-    relations: tuple  # tuple[Relation, ...]
-    sums: tuple  # tuple[Relation, ...]: the normalization and delta-sum relations
+    families: tuple  # tuple[RelationFamily, ...], the sums last
     source_pair: CommutationPair
-    # the families the builder assembled relations + sums from, sums last
-    families: tuple = field(compare=False, repr=False)
 
     def all_relations(self) -> tuple:
         return self.relations + self.sums
 
-    def pooled_families(self) -> tuple:
-        """The families, if all_relations() is still their concatenation; else ().
+    @property
+    def relations(self) -> tuple:
+        """The relations of every family but the sums."""
+        # joined by +, not tuple(chain(...)): a tuple built from an iterator
+        # grows by reallocation, and over repeated regularization passes
+        # that raised the peak RSS pass after pass
+        relations = ()
+        for family in self.families[:-1]:
+            relations += family.relations
+        return relations
 
-        Worked out on the first call and kept.  A presentation edited after
-        its build (`dataclasses.replace`, which makes a new object) keeps its
-        builder's families but not their relations, so it gets ().
-        """
-        pooled = self.__dict__.get("_pooled")
-        if pooled is None:  # on demand, not at init: a membership query's presentations never ask
-            joined = tuple(itertools.chain.from_iterable(f.relations for f in self.families))
-            # stored past the frozen __setattr__; it is no field, so no comparison sees it
-            pooled = self.__dict__["_pooled"] = self.families if joined == self.all_relations() else ()
-        return pooled
+    @property
+    def sums(self) -> tuple:
+        """The normalization and delta-sum relations."""
+        return self.families[-1].relations
 
     @property
     def label(self) -> str:
@@ -297,8 +303,7 @@ def _presentation(kind: str, tag: str, pair: CommutationPair, parts) -> Presenta
     part, argument) and build(argument) makes it.  The last part is the sums.
     """
     families = tuple(_pooled((kind, part, arg), lambda: build(arg)) for part, arg, build in parts)
-    relations = tuple(itertools.chain.from_iterable(f.relations for f in families[:-1]))
-    return Presentation(kind, _generators(tag, pair.n), relations, families[-1].relations, pair, families)
+    return Presentation(kind, _generators(tag, pair.n), families, pair)
 
 
 class _RelationBuilder:

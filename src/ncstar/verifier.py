@@ -18,19 +18,28 @@ tuple space) are one coaction rule, `_coaction_images`: x_ic goes to
 sum_j q_ij (x) x_jc (alpha) or to sum_j q_ji (x) x_jc (beta), where q is the
 generator matrix of the acting quantum group and sphere coordinates carry
 c = 0; the coproduct is the alpha coaction of the quantum unitary group on
-itself.  One routine, `_verify_hom`, pushes relations through it.  A
-relation's image depends only on its polynomial, n and the map, never on the
-pair, so the routine builds each image once per process and reuses it for
+itself.  A relation's image depends only on its polynomial, n and the map,
+never on the pair, so each image is built once per process and reused for
 every later pair.  The relations themselves are pooled per process too
-(`presentations.Relation`), each with its star, in families
-(`presentations.RelationFamily`), and so is each coaction's generator
-assignment.
+(`presentations.Relation`), each with its star, and a presentation is the
+union of its relation families (`presentations.RelationFamily`): the
+epsilon relations, the eta relations and the sums, each fixed by one part of
+the pair.  So is each coaction's generator assignment.
 
-Within one map and one pair of spans, a relation whose star is plus or minus
-one already certified ProvedZero is ProvedZero without a second reduction:
-the map is a *-homomorphism and both spans are star-closed, so an image
-vanishes leg-wise exactly when its leg-wise star does.  An Inconclusive is
-never reused, since its detail names a survivor of its own.
+A relation family is the unit of the walk.  Its check rows under one (map,
+n, side), each relation's check name, image term count and star-twin
+partner, are made once per process from the cached images (`_check_rows`,
+kept in `_CHECK_ROWS`), and every task, reduced or carried, walks them.  A
+relation's partner is an earlier relation of its family whose polynomial is
+plus or minus its star.  The map is a *-homomorphism and both spans are
+star-closed, so an image vanishes leg-wise exactly when its leg-wise star
+does; and the image of r* is the leg-wise star (a (x) b -> a* (x) b*) of
+the image of r, which maps the word pairs of one one to one onto those of
+the other, so twins have equal term counts (negating r* keeps its word
+pairs).  A twin takes its partner's count and builds no image.  A reduced
+task (`_verify_hom`) reduces each row's image, except that a twin shares
+its partner's certificate if that is a tensor-quotient ProvedZero.  An
+Inconclusive is never reused, since its detail names a survivor of its own.
 
 A simultaneous permutation sigma of the indices maps the presentations of a
 pair (epsilon, eta) onto those of (sigma epsilon, sigma eta), by u_ij ->
@@ -40,31 +49,19 @@ actions once per orbit key, in one orbit table it hands every task; a one-shot
 `ncstar verify` hands None and computes no key.  A task's key is its map,
 sides and bound, the least relabeling of its matrices over S_n (`_canonical`;
 the sphere action takes the pair after `regularize`, the tuple action epsilon
-alone), and each span's rows: its star-closed relations relabeled by the
-task's own sigma, each up to sign and each counted (`_rows`).  A family's
-rows under a sigma are relabeled once per process and merged; a presentation
-whose relations are no longer its families' is relabeled relation by
-relation, so the rows always are those of its own relations.  A task whose key
-is absent is reduced as above; if every check is ProvedZero, the key records
-each span's row count and rank.  A task whose key is present builds no span
-and reduces no image: every check is ProvedZero with the evidence of its
-span descriptors (its presentation, the recorded counts) and its image's term
-count, as `is_zero_tensor` states it (`zero_tensor_certificate`), and takes
-0 microseconds.  That certificate keeps only the count and the task's two
+alone), and each span's rows: per family, its star-closed relations
+relabeled by the task's own sigma, each up to sign and each counted, sorted
+once per (family, sigma) (`_rows`).  A task whose key is absent is reduced
+as above; if every check is ProvedZero, the key records each span's row
+count and rank.  A task whose key is present builds no span and reduces no
+image: every check is ProvedZero with the evidence of its span descriptors
+(its presentation, the recorded counts) and its row's image term count, as
+`is_zero_tensor` states it (`zero_tensor_certificate`), and takes 0
+microseconds.  That certificate keeps only the count and the task's two
 descriptors, and builds its evidence dict, with fresh copies of both, each
-time it is read, so the task makes one per distinct term count and its checks
-with that count share it; a sweep row reads only statuses, so it builds no
-evidence.  Its checks are made family by family from per-process rows, each
-relation's check name and image term count under one (family, map, n, side),
-made once from the cached images (`_CHECK_ROWS`); a presentation whose
-relations are no longer its families' gets its own relations' rows,
-uncached.  A star
-twin's row takes its partner's count, as a reduced twin does, and builds no image:
-the counts are equal, since the map is a *-homomorphism, so the image of r*
-is the leg-wise star (a (x) b -> a* (x) b*) of the image of r, and the
-leg-wise star maps the word pairs of one one to one onto those of the other;
-negating r* keeps its word pairs.  A task that records its key makes its
-rows at once, from the images it has just built.
+time it is read, so the task makes one per distinct term count and its
+checks with that count share it; a sweep row reads only statuses, so it
+builds no evidence.
 
 This is sound at every bound: a span is spanned by the products
 m1 * r * m2 over its star-closed relations r, so equal rows make this task's
@@ -90,7 +87,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
-                    PROVED_ZERO, Poly, _star_closed, _star_closed_relations, apply_tensor_hom,
+                    PROVED_ZERO, Poly, _star_closed, apply_tensor_hom,
                     build_quotient_basis, ideal_membership_bounded, is_zero_tensor,
                     poly_str, replay_combination, span_descriptor, word_str,
                     zero_tensor_certificate)
@@ -110,7 +107,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class CheckResult:
-    """One relation's verdict; `micros` is the time spent on it, 0 for a carried check."""
+    """One check's verdict.
+
+    `micros` is the time its certificate took: for a reduced relation, its
+    image's reduction (not the image's build, which its check row paid); 0
+    for a carried check.
+    """
 
     name: str
     certificate: Certificate
@@ -231,72 +233,63 @@ def _image(rel, images: dict, family: tuple, rosters: tuple):
     return t
 
 
-def _verify_hom(report: VerificationReport, relations, images: dict, family: tuple,
+def _verify_hom(report: VerificationReport, rows: tuple, images: dict, family: tuple,
                 rosters: tuple, prove) -> None:
-    """Push each relation through the *-homomorphism `images` and prove its image zero.
+    """Prove zero the image under the *-homomorphism `images` of each check row's relation.
 
-    `family` and `rosters` are as in `_image`, and `prove(t)` certifies an
-    image t.  Each relation becomes one timed check; a nonempty side prefixes
-    its name ("alpha:rid").  A star twin of an earlier tensor-quotient
-    ProvedZero in this call (see the module docstring) shares its partner's
-    certificate, whose term count and span descriptors are its own too.
+    `rows` are one relation family's check rows (`_check_rows`), `family`
+    and `rosters` are as in `_image`, and `prove(t)` certifies an image t.
+    Each row becomes one timed check.  A row whose partner's certificate is
+    a tensor-quotient ProvedZero shares it, since a star twin's term count
+    and span descriptors are its partner's (see the module docstring); every
+    other row's image is reduced.  A check's `micros` covers its reduction:
+    its row's image was built when the row was made, unless it is a twin's.
     """
-    side = family[2]
-    prefix = f"{side}:" if side else ""
     checks, clock = report.checks, time.perf_counter_ns
-    proved: dict = {}  # term key of each tensor-quotient ProvedZero relation so far -> its certificate
-    for rel in relations:
+    certs = []
+    for name, _, rel, partner in rows:
         t0 = clock()
-        key, star_key, negated_star_key = rel.keys
-        cert = proved.get(star_key) or proved.get(negated_star_key)
-        if cert is None:
+        cert = None if partner is None else certs[partner]
+        if cert is None or cert._tensor is None:
             cert = prove(_image(rel, images, family, rosters))
-        if cert._tensor is not None:
-            proved[key] = cert
-        checks.append(CheckResult(prefix + rel.rid, cert, PROVED_ZERO, (clock() - t0) // 1000))
+        certs.append(cert)
+        checks.append(CheckResult(name, cert, PROVED_ZERO, (clock() - t0) // 1000))
 
 
-# (relation family, map, n, side) -> the (check name, image term count) of
-# each of the family's relations, in order, for carried checks; a
-# `RelationFamily` hashes by identity, so an entry serves no other
+# (relation family, map, n, side) -> the family's check rows (`_check_rows`),
+# made once per process; a `RelationFamily` hashes by identity, so an entry
+# serves no other
 _CHECK_ROWS: dict = {}
 
 
 def _check_rows(relations, qg: Presentation, space: Presentation, family: tuple) -> tuple:
-    """(check name, image term count) of each relation under the coaction `family` names.
+    """(check name, image term count, relation, partner index or None) of each relation.
 
-    `family` is (map, n, side) as in `_image`; a nonempty side prefixes the
-    name as in `_verify_hom`.  A star twin of an earlier relation takes its
-    partner's count, which equals its own (see the module docstring), so no
-    image is built that `_verify_hom` would not build.
+    `family` is (map, n, side) as in `_image`, and names the coaction of qg
+    on space; a nonempty side prefixes the name ("alpha:rid").  A relation's
+    partner is the first earlier one whose term key is plus or minus that of
+    its star: it is a star twin, and takes its partner's count, which equals
+    its own (see the module docstring), so no image is built for it.  Every
+    other relation's image is built.
     """
     side = family[2]
     prefix = f"{side}:" if side else ""
     images, rosters = _coaction_images(qg, space, side or "alpha"), (qg.generators, space.generators)
-    counts: dict = {}  # term key of each relation so far -> its image's term count
+    first: dict = {}  # term key -> the index of the first row with it
     rows = []
     for rel in relations:
         key, star_key, negated_star_key = rel.keys
-        terms = counts.get(star_key, counts.get(negated_star_key))
-        if terms is None:
-            terms = len(_image(rel, images, family, rosters).terms)
-        counts[key] = terms
-        rows.append((prefix + rel.rid, terms))
+        partner = first.get(star_key, first.get(negated_star_key))
+        terms = len(_image(rel, images, family, rosters).terms) if partner is None else rows[partner][1]
+        first.setdefault(key, len(rows))
+        rows.append((prefix + rel.rid, terms, rel, partner))
     return tuple(rows)
 
 
 def _family_check_rows(qg: Presentation, space: Presentation, family: tuple) -> list:
-    """The check rows of space's relations, one tuple per family (`_check_rows`).
-
-    A presentation whose relations are still its families' reads each
-    family's rows from `_CHECK_ROWS`; any other gets its own relations'
-    rows, uncached, as one tuple.
-    """
-    families = space.pooled_families()
-    if not families:
-        return [_check_rows(space.all_relations(), qg, space, family)]
+    """The check rows of each of space's relation families, read from `_CHECK_ROWS`."""
     rows = []
-    for fam in families:
+    for fam in space.families:
         key = (fam,) + family
         fam_rows = _CHECK_ROWS.get(key)
         if fam_rows is None:
@@ -384,42 +377,40 @@ def _row_id(poly: Poly, sigma: tuple) -> int:
     return _ROW_IDS.setdefault(tuple(row), len(_ROW_IDS))
 
 
-# (family, sigma) -> the ids of the family's star-closed relations under
-# sigma; a `RelationFamily` hashes by identity, so an entry serves no other
+# (family, sigma) -> the sorted ids of the family's star-closed relations
+# under sigma; a `RelationFamily` hashes by identity, so an entry serves no
+# other
 _FAMILY_ROWS: dict = {}
 
 
-def _row_ids(entries, sigma: tuple) -> tuple:
-    """The id under sigma of each star-closed entry (rid, poly, term key)."""
+def _row_ids(family, sigma: tuple) -> tuple:
+    """The sorted ids of the family's star-closed relations under sigma."""
     ids = _RELABELED.setdefault(sigma, {})
     rows = []
-    for _, poly, key in entries:
+    for _, poly, key in _star_closed(family.relations):
         rid = ids.get(key)
         if rid is None:
             rid = ids[key] = _row_id(poly, sigma)
         rows.append(rid)
-    return tuple(rows)
+    return tuple(sorted(rows))
 
 
 def _rows(pres: Presentation, sigma: tuple) -> tuple:
-    """The sorted ids of pres's star-closed relations under sigma, one per relation.
+    """The ids of pres's star-closed relations under sigma, one sorted tuple per family.
 
-    No polynomial of a builder's family, nor its star, lies in another
-    family of the same presentation (their words differ in stars, terms or
-    signs), so the walk splits by family: a presentation whose relations are
-    still its families' (`Presentation.pooled_families`) reads each family's
-    ids from `_FAMILY_ROWS`.  Any other is walked relation by relation.
+    Equal per-family multisets give an equal whole multiset, so a key made
+    of them carries no more than one made of the whole.  It carries no less
+    either: a relabeling keeps each word's stars and each polynomial's terms
+    and signs, so no relabeled polynomial of a builder's family, nor its
+    star, is one of another family.
     """
-    families = pres.pooled_families()
-    if not families:
-        return tuple(sorted(_row_ids(_star_closed_relations(pres), sigma)))
     rows = []
-    for family in families:
+    for family in pres.families:
         ids = _FAMILY_ROWS.get((family, sigma))
         if ids is None:
-            ids = _FAMILY_ROWS[family, sigma] = _row_ids(_star_closed(family.relations), sigma)
-        rows += ids
-    return tuple(sorted(rows))
+            ids = _FAMILY_ROWS[family, sigma] = _row_ids(family, sigma)
+        rows.append(ids)
+    return tuple(rows)
 
 
 def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentation,
@@ -448,7 +439,7 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
         append = report.checks.append
         for side in sides:
             for rows in _family_check_rows(qg, space, (family, n, side)):
-                for name, terms in rows:
+                for name, terms, _, _ in rows:
                     cert = shared.get(terms)
                     if cert is None:
                         cert = shared[terms] = zero_tensor_certificate(terms, left, right)
@@ -456,15 +447,15 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
         return report
     spans = [build_quotient_basis(pres, bound) for pres in presentations]
     left, right = spans[0], spans[-1]
+    rosters = (qg.generators, space.generators)
     first = len(report.checks)
     for side in sides:
-        _verify_hom(report, space.all_relations(), _coaction_images(qg, space, side or "alpha"),
-                    (family, n, side), (qg.generators, space.generators),
-                    lambda t: is_zero_tensor(t, left, right))
+        images = _coaction_images(qg, space, side or "alpha")
+        for rows in _family_check_rows(qg, space, (family, n, side)):
+            _verify_hom(report, rows, images, (family, n, side), rosters,
+                        lambda t: is_zero_tensor(t, left, right))
     if orbits is not None and all(c.passed for c in report.checks[first:]):
         orbits[key] = tuple((s.descriptor()["relation_rows"], s.rank) for s in spans)
-        for side in sides:  # from the images just built, for the tasks this one carries
-            _family_check_rows(qg, space, (family, n, side))
     return report
 
 

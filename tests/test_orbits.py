@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ncstar import cli
+from ncstar import cli, ncalg
 from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar.ncalg import INCONCLUSIVE, Certificate, Letter, Poly
@@ -110,18 +110,27 @@ def test_orbit_counts(n, counts):
 # orbit rows
 # ---------------------------------------------------------------------------
 
-def _walked_rows(pres, sigma, ids=None):
-    """The rows of pres under sigma, by a plain walk over its star-closed relations.
+def _walked_rows(pres, sigma, ids):
+    """The rows of pres under sigma by a plain walk: per family, and over the whole presentation.
 
-    ids, if given, keeps each relabeled row's id by (term key, sigma) across calls.
+    ids keeps each relabeled row's id by (term key, sigma) across calls.
     """
-    ids = {} if ids is None else ids
-    rows = []
-    for _, poly, key in V._star_closed_relations(pres):
-        if (key, sigma) not in ids:
-            ids[key, sigma] = V._row_id(poly, sigma)
-        rows.append(ids[key, sigma])
-    return tuple(sorted(rows))
+    def walk(entries):
+        rows = []
+        for _, poly, key in entries:
+            if (key, sigma) not in ids:
+                ids[key, sigma] = V._row_id(poly, sigma)
+            rows.append(ids[key, sigma])
+        return sorted(rows)
+    return (tuple(tuple(walk(ncalg._star_closed(f.relations))) for f in pres.families),
+            walk(ncalg._star_closed_relations(pres)))
+
+
+def _edited(pres, index, edit):
+    """pres with edit(relations) as the relations of its family at index; the sums stay last."""
+    families = list(pres.families)
+    families[index] = P.RelationFamily(tuple(edit(families[index].relations)))
+    return dataclasses.replace(pres, families=tuple(families))
 
 
 def _presentations(n):
@@ -131,37 +140,41 @@ def _presentations(n):
     for eps in sorted({pair.epsilon for pair in P.enumerate_pairs(n)}):
         yield P.orthogonal_qg_presentation(eps)
         yield P.tuple_space_presentation(eps)
+    # and edited ones: a relation dropped, one added, and the order reversed
+    pres = P.unitary_qg_presentation(P.enumerate_pairs(n)[-1])
+    extra = P.Relation("extra", Poly.from_word((Letter("u", 1, 1), Letter("u", 1, n))))
+    for edit in (lambda rels: rels[1:], lambda rels: rels + (extra,), lambda rels: rels[::-1]):
+        yield _edited(pres, 0, edit)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_family_rows_merge_to_the_walked_rows(n, monkeypatch):
+    """Each family's rows are its own walked rows; merged, they are the whole
+    presentation's, so no star-closed polynomial lies in two families."""
     monkeypatch.setattr(V, "_FAMILY_ROWS", {})
     ids = {}
     for pres in _presentations(n):
-        assert pres.pooled_families()
         for sigma in itertools.permutations(range(n)):
-            assert V._rows(pres, sigma) == _walked_rows(pres, sigma, ids), (pres.label, sigma)
+            by_family, whole = _walked_rows(pres, sigma, ids)
+            rows = V._rows(pres, sigma)
+            assert rows == by_family, (pres.label, sigma)
+            assert sorted(itertools.chain.from_iterable(rows)) == whole, (pres.label, sigma)
     assert V._FAMILY_ROWS
 
 
-def test_an_edited_presentation_reads_no_family_rows(monkeypatch):
-    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, [[0, 0], [0, 1]]))
-    extra = P.Relation("extra", Poly.from_word((Letter("u", 1, 1), Letter("u", 1, 2))))
-    for relations in (pres.relations[1:], pres.relations + (extra,), pres.relations[::-1]):
-        edited = dataclasses.replace(pres, relations=relations)
-        assert edited.families == pres.families and edited.pooled_families() == ()
-        monkeypatch.setattr(V, "_FAMILY_ROWS", {})
-        assert V._rows(edited, (1, 0)) == _walked_rows(edited, (1, 0))
-        assert V._FAMILY_ROWS == {}
-
-
-def test_an_edited_presentation_makes_its_own_check_rows(empty_tables):
-    pres = P.unitary_qg_presentation(P.validate_pair(OFF2, [[0, 0], [0, 1]]))
-    for relations in (pres.relations[1:], pres.relations[::-1]):
-        edited = dataclasses.replace(pres, relations=relations)
-        rows = V._family_check_rows(edited, edited, ("hopf", 2, ""))
-        assert [name for family in rows for name, _ in family] == [r.rid for r in edited.all_relations()]
-        assert V._CHECK_ROWS == {}
+def test_n4_hopf_sample_keys_are_pinned():
+    """No tier-1 sweep reaches n = 4, so a key that split orbits there would
+    go unseen: 600 sampled coproduct tasks have 555 keys, made without
+    reducing anything, and merging each key's family rows joins none."""
+    tasks = cli.sweep_tasks(4, ["hopf"], cli.RunConfig(), 600)
+    keys, merged = set(), set()
+    for _, data, bound in tasks:
+        pair = P.pair_from_json_dict(data)
+        canonical, sigma = V._canonical((pair.epsilon, pair.eta))
+        rows = V._rows(V.unitary_qg_presentation(pair), sigma)
+        keys.add((bound, canonical, rows))
+        merged.add((bound, canonical, tuple(sorted(itertools.chain.from_iterable(rows)))))
+    assert len(tasks) == 600 and len(keys) == len(merged) == 555
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +217,9 @@ def test_a_member_with_a_dropped_relation_is_reduced_directly(orbits, monkeypatc
         pres = real(pair)
         if pair != member:
             return pres
-        kept = tuple(r for r in pres.relations if r.rid != "Reps-xcol(1,1;1,2)")
-        assert len(kept) == len(pres.relations) - 1
-        return dataclasses.replace(pres, relations=kept)
+        edited = _edited(pres, 0, lambda rels: tuple(r for r in rels if r.rid != "Reps-xcol(1,1;1,2)"))
+        assert len(edited.all_relations()) == len(pres.all_relations()) - 1
+        return edited
     monkeypatch.setattr(V, "unitary_qg_presentation", dropping)
     direct = _direct(V.verify_comultiplication, member)
     # without the relation the member does not certify, so a carried report would differ
@@ -229,7 +242,7 @@ def test_a_member_with_an_added_relation_is_reduced_directly(orbits, monkeypatch
 
     def adding(pair):
         pres = real(pair)
-        return dataclasses.replace(pres, relations=pres.relations + (extra,)) if pair == member else pres
+        return _edited(pres, -2, lambda rels: rels + (extra,)) if pair == member else pres
     monkeypatch.setattr(V, "unitary_qg_presentation", adding)
     direct = _direct(V.verify_comultiplication, member)
     V.verify_comultiplication(first, orbits=table)
@@ -348,7 +361,7 @@ def test_a_member_matching_up_to_sign_gets_its_own_key(orbits, monkeypatch):
         if pair != member:
             return pres
         negated = P.Relation("negated", -pres.relations[0].poly)
-        return dataclasses.replace(pres, relations=pres.relations + (negated,))
+        return _edited(pres, -2, lambda rels: rels + (negated,))
     monkeypatch.setattr(V, "unitary_qg_presentation", negating)
     direct = _direct(V.verify_comultiplication, member)
     V.verify_comultiplication(first, orbits=table)
@@ -373,7 +386,7 @@ def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
 
     def with_one(pair):
         pres = real(pair)
-        return dataclasses.replace(pres, relations=pres.relations + (one,))
+        return _edited(pres, -2, lambda rels: rels + (one,))
     monkeypatch.setattr(V, "unitary_qg_presentation", with_one)
     direct = _direct(V.verify_comultiplication, member, bound)
     assert direct["overall"] == "ProvedZero"  # every word of degree <= bound lies in the span
@@ -383,7 +396,7 @@ def test_a_degree_0_relation_is_carried(orbits, monkeypatch, bound):
     report = V.verify_comultiplication(member, bound, orbits=table).to_json_dict(include_timings=False)
     assert not reduced and report == direct
     span = V.build_quotient_basis(with_one(member), bound).descriptor()
-    assert span["relation_rows"] > len(list(V._star_closed_relations(with_one(member))))
+    assert span["relation_rows"] > len(list(ncalg._star_closed_relations(with_one(member))))
     for check in report["checks"]:
         assert check["evidence"]["zero_evidence"]["left_basis"] == span, check["relation"]
 

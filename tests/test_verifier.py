@@ -353,9 +353,9 @@ def test_editing_read_evidence_reaches_no_certificate_sharing_it():
     span = build_quotient_basis(pres)
     descriptor = span.descriptor()
     report = V.VerificationReport("hopf", {})
-    V._verify_hom(report, pres.all_relations(), V._coaction_images(pres, pres, "alpha"),
-                  ("hopf", 2, ""), (pres.generators, pres.generators),
-                  lambda t: is_zero_tensor(t, span, span))
+    V._verify_hom(report, V._check_rows(pres.all_relations(), pres, pres, ("hopf", 2, "")),
+                  V._coaction_images(pres, pres, "alpha"), ("hopf", 2, ""),
+                  (pres.generators, pres.generators), lambda t: is_zero_tensor(t, span, span))
     table = {}
     V.verify_comultiplication(pair, 2, table)
     carried = V.verify_comultiplication(pair, 2, table)
@@ -395,7 +395,8 @@ def _hom_checks(relations, span_pres, monkeypatch):
     basis = build_quotient_basis(span_pres)
     images = V._coaction_images(pres, pres, "alpha")
     report = V.VerificationReport("hopf", {})
-    V._verify_hom(report, relations, images, ("hopf", 2, ""), (pres.generators, pres.generators),
+    V._verify_hom(report, V._check_rows(relations, pres, pres, ("hopf", 2, "")), images,
+                  ("hopf", 2, ""), (pres.generators, pres.generators),
                   lambda t: V.is_zero_tensor(t, basis, basis))
     direct = [is_zero_tensor(apply_tensor_hom(r.poly, images, pres.generators, pres.generators),
                              basis, basis) for r in relations]
@@ -446,8 +447,8 @@ def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch, e
     partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
     assert twin.poly == partner.star
     # without the pair, neither image reduces to 0, and each keeps its own sample survivor
-    thin = dataclasses.replace(pres, relations=tuple(
-        r for r in pres.relations if r not in (partner, twin)))
+    thin = dataclasses.replace(pres, families=tuple(
+        P.RelationFamily(tuple(r for r in f.relations if r not in (partner, twin))) for f in pres.families))
     certs, direct, reduced = _hom_checks([partner, twin], thin, monkeypatch)
     assert reduced == 2 and certs == direct
     assert [c.status for c in certs] == [INCONCLUSIVE] * 2
@@ -466,11 +467,18 @@ def _coactions(n):
             yield "tuple", side, P.orthogonal_qg_presentation(eps), P.tuple_space_presentation(eps)
 
 
+def _term_keys(poly):
+    return frozenset(poly.terms.items()), frozenset((-poly).terms.items())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_star_twins_have_equal_image_term_counts(n):
     """A relation and its star, or minus its star, in one presentation have images with
-    equal term counts under every coaction: a carried twin's check may state its partner's."""
-    counts, twins = {}, set()
+    equal term counts under every coaction: a carried twin's check may state its partner's.
+    Each family's check rows name a partner exactly for such a twin: a row with partner k
+    is plus or minus the star of row k, with row k's count, and a row with none has no
+    earlier plus or minus star in its family."""
+    counts, twins, walked, partnered = {}, set(), set(), set()
 
     def count(name, side, rel, qg, space, images):
         key = (name, side, rel.keys[0])
@@ -485,9 +493,26 @@ def test_star_twins_have_equal_image_term_counts(n):
                 twins.add((name, side, rel.keys[0], twin.keys[0]))
                 assert (count(name, side, rel, qg, space, images)
                         == count(name, side, twin, qg, space, images)), (space.label, side, rel.rid, twin.rid)
+        family_rows = V._family_check_rows(qg, space, (name, n, "" if name == "hopf" else side))
+        for family, rows in zip(space.families, family_rows, strict=True):
+            if (family, name, side) in walked:
+                continue
+            walked.add((family, name, side))
+            earlier = set()
+            for i, (check, terms, rel, partner) in enumerate(rows):
+                assert rel is family.relations[i] and check.endswith(rel.rid)
+                star = rel.poly.star()
+                if partner is None:
+                    assert earlier.isdisjoint(_term_keys(star)), (space.label, side, rel.rid)
+                else:
+                    _, partner_terms, other, _ = rows[partner]
+                    assert partner < i and star in (other.poly, -other.poly), (space.label, rel.rid)
+                    assert terms == partner_terms == count(name, side, rel, qg, space, images)
+                    partnered.add((name, side))
+                earlier.add(_term_keys(rel.poly)[0])
     # sphere relations have no twins; the others do once n > 1
     expected = {("hopf", "alpha")} | ({("tuple", "alpha"), ("tuple", "beta")} if n > 1 else set())
-    assert {(name, side) for name, side, _, _ in twins} == expected
+    assert {(name, side) for name, side, _, _ in twins} == partnered == expected
 
 
 # ---------------------------------------------------------------------------
