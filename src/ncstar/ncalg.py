@@ -15,11 +15,11 @@ runs over Q, and star only reverses and stars words.  On top of the free
   word, and keeps the coefficients of the polynomials themselves; a residue
   is a list of (word code, coefficient) pairs, cached per span under the
   word's code, and a word with a letter outside the roster raises
-  `RosterMismatch`.  When every relation keeps a word's charge (per
-  generator, its occurrences less those of its star), the span splits into
-  independent charge blocks, and a span given `targets` builds only the
-  blocks of the targets' terms, each exactly as the full span holds it,
-  replaying each relation's rows from the roster's table for that charge set.
+  `RosterMismatch`.  Every relation keeps a word's charge (g_ij carries a row
+  charge e_i and a column charge f_j), so the span splits into independent
+  charge blocks, and a span given `targets` builds only the blocks of the
+  targets' terms, each exactly as the full span holds it, replaying each
+  relation's rows from the roster's table for that charge set.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -65,11 +65,11 @@ SPAN_ENTRY_CAP = 2_000_000
 # so a tensor's codes read every such span's residue cache directly.
 _CODES: dict = {}
 
-# A word's charge packs its per-generator counts (the occurrences of x_k less
-# those of x_k*) into one int, generator k at _CHARGE_BASE ** k.  A count never
-# exceeds the word's length; a roster with a starred letter has at least two
-# letters, so the monomial cap keeps its spans' words far shorter than
-# _CHARGE_BASE / 2.  No count carries into the next: equal ints, equal charges.
+# A word's charge packs its row and column counts into one int, one digit each
+# (`_WordCodes`).  A count never exceeds the word's length; a roster with a
+# starred letter has at least two letters, so the monomial cap keeps its spans'
+# words far shorter than _CHARGE_BASE / 2.  No count carries into the next:
+# equal ints, equal charges.
 _CHARGE_BASE = 1 << 16
 
 # Display names for tags (the orthogonal family prints as u, the tuple family as x).
@@ -382,9 +382,17 @@ class _WordCodes:
         # a span restricted to those charges, made by the first such span and
         # replayed by every later one; a full build never touches it
         self.restricted: dict = {}
-        # the letters' charges are filled when the first relation is coded, and the
-        # charge tables by the first span restricted to some charges (`charge_tables`)
-        self._letter_charges = None
+        # each letter's charge, by index: g_ij carries e_i + f_j, its star the
+        # negative, and a self-adjoint letter 0; e_i and f_j are digits i and n + j
+        # over the n rows, then the nonzero columns (the torus x -> D x of a
+        # sphere, u -> D1 u D2 of a matrix)
+        digit = {axis: _CHARGE_BASE ** k for k, axis in enumerate(sorted(
+            {(0, l.row) for l in self.letters} | {(1, l.col) for l in self.letters if l.col}))}
+        self._letter_charges = [
+            0 if l.star() == l else (-1 if l.starred else 1) * (digit[0, l.row] + digit.get((1, l.col), 0))
+            for l in self.letters]
+        # the charge tables are filled by the first span restricted to some charges
+        # (`charge_tables`)
         self._charges: list = []
         self._blocks: list = []
 
@@ -419,21 +427,22 @@ class _WordCodes:
 
         row is {word code: coefficient}, and terms holds each term as
         (length, base-s value, coefficient), both in the polynomial's order;
-        charge is that of every term, or None when the terms carry different
-        charges.
+        charge is that of every term, and terms of different charges raise
+        ValueError.
         """
         row = {self.code(w): c for w, c in poly.items()}
         terms = tuple((len(w), self.code(w) - self.offset(len(w)), c) for w, c in poly.items())
         charges = {self.charge(w) for w in poly.terms}
-        return poly.degree(), row, terms, charges.pop() if len(charges) == 1 else None
+        if len(charges) > 1:
+            raise ValueError(f"relation {poly_str(poly)} = 0 mixes charges")
+        return poly.degree(), row, terms, charges.pop()
 
     def charge(self, w: Word) -> int:
-        """The charge of w, packed into one int (`_CHARGE_BASE`).
+        """The sum of w's letter charges, packed into one int (`_CHARGE_BASE`).
 
-        Per generator, the occurrences of it in w minus those of its star; a
-        letter outside the roster raises RosterMismatch.
+        A letter outside the roster raises RosterMismatch.
         """
-        per_letter = self._per_letter()
+        per_letter = self._letter_charges
         out = 0
         for l in w:
             k = self.index.get(l)
@@ -441,15 +450,6 @@ class _WordCodes:
                 raise RosterMismatch(f"letter {letter_str(l)} is not in the roster")
             out += per_letter[k]
         return out
-
-    def _per_letter(self) -> list:
-        """Each letter's charge, by roster index; a self-adjoint letter has charge 0."""
-        if self._letter_charges is None:
-            bases = sorted({l.base() for l in self.letters})
-            self._letter_charges = [
-                0 if l.star() == l else (-1 if l.starred else 1) * _CHARGE_BASE ** bases.index(l.base())
-                for l in self.letters]
-        return self._letter_charges
 
     def charge_tables(self, length: int) -> tuple:
         """(charges, blocks), each a list indexed by word length d <= length.
@@ -463,7 +463,7 @@ class _WordCodes:
         if not charges:
             charges.append([0])
             blocks.append({0: [0]})
-        per_letter = self._per_letter()
+        per_letter = self._letter_charges
         while len(charges) <= length:
             row = [c + lc for c in charges[-1] for lc in per_letter]
             block: dict = {}
@@ -706,20 +706,19 @@ class BoundedSpan:
     presentations here has degree 2, so at bound 2 the span is that of the
     relations themselves.
 
-    Charge blocks.  A word's charge counts, per generator, its occurrences
-    less those of its star (`_WordCodes.charge`).  When every star-closed
-    relation is charge-homogeneous, as the sphere relations are, each row
-    m1 * r * m2 lies in one charge, and rows of different charges share no
-    word, so the matrix splits into independent blocks (Faugère, F4, 1999).
-    Given `targets`, a sequence of polynomials, the span inserts only the
-    rows whose charge is that of some target term, each block's rows in the
-    order of the full build, so its pivots are the full span's of that charge:
-    residues and combinations inside a built block are exactly the full
-    span's, while `rank` and `relation_rows` count only the built blocks.
-    `certify` and `residue_word` raise ValueError on a word of a charge that
-    was not built.  If some relation is not charge-homogeneous (the unitary
-    sums over k of u_ik u_jk* with i != j), targets are ignored and every
-    row is built.  A span built without targets does no charge work.
+    Charge blocks.  A word's charge sums its letters' (`_WordCodes.charge`):
+    g_ij carries a row charge e_i and a column charge f_j, its star the
+    negative, a self-adjoint letter none.  Every relation family keeps it (it
+    grades the diagonal torus u -> D1 u D2), and `coded_relation` refuses a
+    relation that does not, so each row m1 * r * m2 lies in one charge, and
+    rows of different charges share no word: the matrix splits into
+    independent blocks (Faugère, F4, 1999).  Given `targets`, a sequence of
+    polynomials, the span inserts only the rows whose charge is that of some
+    target term, each block's rows in the order of the full build, so its
+    pivots are the full span's of that charge: residues and combinations
+    inside a built block are exactly the full span's, while `rank` and
+    `relation_rows` count only the built blocks.  `certify` and
+    `residue_word` raise ValueError on a word of a charge that was not built.
 
     Rows come per relation in one order: m1 ascending, then |m2|, then one
     run of m2 per block, each ascending.  A full build enumerates every m1
@@ -760,7 +759,8 @@ class BoundedSpan:
                 hit = coded[key] = codes.coded_relation(rpoly)
             relations.append((rid, hit))
         # the charges of the built blocks; None when every block is built
-        wanted = self._charges = None if targets is None else _target_charges(codes, relations, targets)
+        wanted = self._charges = None if targets is None else {
+            codes.charge(w) for p in targets for w in p.terms}
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
         if wanted is not None:
@@ -781,7 +781,7 @@ class BoundedSpan:
                 if rows is None:
                     visits = []
                     for d1 in range(pad + 1):
-                        # every term of r has the charge rcharge (`_target_charges`)
+                        # every term of r has the charge rcharge (`coded_relation`)
                         entry = completions.get((rcharge, d1, pad))
                         if entry is None:
                             entry = completions[rcharge, d1, pad] = _completions(
@@ -913,7 +913,8 @@ def build_quotient_basis(pres, bound: int = 2, *, targets: Optional[Sequence[Pol
     """The span every verification reduces against: products of total degree <= bound.
 
     With targets, only the charge blocks of the targets' terms are built
-    (`BoundedSpan`); the queries must then lie in those blocks.
+    (`BoundedSpan`), on any presentation; the queries must then lie in those
+    blocks.  A relation that mixes charges raises ValueError.
     """
     return BoundedSpan(pres, bound, targets=targets)
 
@@ -928,20 +929,12 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
     """One-shot membership of p in the span of m1 * r * m2, total degree <= product_bound.
 
     Builds a BoundedSpan for this single query, holding only the charge
-    blocks of p's terms where the relations allow it; the verdict and the
-    combination are the full span's.  Callers with several targets over one
-    presentation should build the span once and certify each.
+    blocks of p's terms; the verdict and the combination are the full
+    span's.  Callers with several targets over one presentation should build
+    the span once and certify each.
     """
     _check_product_degree(p, product_bound)
     return BoundedSpan(pres, product_bound, provenance=want_combination, targets=(p,)).certify(p)
-
-
-def _target_charges(codes: _WordCodes, relations: list, targets) -> Optional[set]:
-    """The charges of the targets' terms, or None if some coded relation is not charge-homogeneous."""
-    if any(hit[-1] is None for _, hit in relations):
-        return None
-    charge = codes.charge
-    return {charge(w) for p in targets for w in p.terms}
 
 
 def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int, rest: int) -> list:

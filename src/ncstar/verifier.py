@@ -234,11 +234,13 @@ def _image(rel, images: dict, family: tuple, rosters: tuple):
 
 
 def _verify_hom(report: VerificationReport, rows: tuple, images: dict, family: tuple,
-                rosters: tuple, prove) -> None:
+                rosters: tuple, left, right) -> None:
     """Prove zero the image under the *-homomorphism `images` of each check row's relation.
 
     `rows` are one relation family's check rows (`_check_rows`), `family`
-    and `rosters` are as in `_image`, and `prove(t)` certifies an image t.
+    and `rosters` are as in `_image`, and each image is reduced against the
+    spans `left` and `right` by this module's `is_zero_tensor`, read at each
+    call, so a wrapper bound over that name sees every reduction.
     Each row becomes one timed check.  A row whose partner's certificate is
     a tensor-quotient ProvedZero shares it, since a star twin's term count
     and span descriptors are its partner's (see the module docstring); every
@@ -251,7 +253,7 @@ def _verify_hom(report: VerificationReport, rows: tuple, images: dict, family: t
         t0 = clock()
         cert = None if partner is None else certs[partner]
         if cert is None or cert._tensor is None:
-            cert = prove(_image(rel, images, family, rosters))
+            cert = is_zero_tensor(_image(rel, images, family, rosters), left, right)
         certs.append(cert)
         checks.append(CheckResult(name, cert, PROVED_ZERO, (clock() - t0) // 1000))
 
@@ -452,8 +454,7 @@ def _verify_coaction(report: VerificationReport, matrices: tuple, qg: Presentati
     for side in sides:
         images = _coaction_images(qg, space, side or "alpha")
         for rows in _family_check_rows(qg, space, (family, n, side)):
-            _verify_hom(report, rows, images, (family, n, side), rosters,
-                        lambda t: is_zero_tensor(t, left, right))
+            _verify_hom(report, rows, images, (family, n, side), rosters, left, right)
     if orbits is not None and all(c.passed for c in report.checks[first:]):
         orbits[key] = tuple((s.descriptor()["relation_rows"], s.rank) for s in spans)
     return report
@@ -707,7 +708,7 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
     ProvedZero, 108 Inconclusive); the merge relations eps(i,j) / eta(i,j)
     almost never reduce (6 ProvedZero, 576 Inconclusive).
     All added relations are certified against one product span of the base
-    sphere, built before the first of them.  The sphere relations conserve
+    sphere, built before the first of them.  Every relation conserves
     charge, so that span holds only the charge blocks of the added
     relations' terms (`BoundedSpan`), which gives each the verdict and
     combination of the full span: over the 426 pairs, 51,744 rows instead

@@ -1,7 +1,9 @@
 """Word algebra, quotient bases, tensor reduction, ideal membership."""
 
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -750,11 +752,19 @@ def _spheres():
             for pair in P.enumerate_pairs(2) + random.Random(28).sample(P.enumerate_pairs(3), 6)]
 
 
+def _unitaries():
+    """Every n = 2 unitary presentation."""
+    return [P.unitary_qg_presentation(pair) for pair in P.enumerate_pairs(2)]
+
+
 def test_restricted_span_blocks_equal_the_full_span():
-    """Each built block reduces every word of its charge as the full span does."""
+    """Each built block has the full span's pivots of its charges and reduces
+    every word of its charge as the full span does, on spheres and on unitary
+    presentations, whose letters carry a row and a column charge."""
     rng = random.Random(5)
-    for pres in _spheres():
-        charge = A._roster_codes(pres.generators).charge
+    for pres in _spheres() + _unitaries():
+        codes = A._roster_codes(pres.generators)
+        charge = codes.charge
         for bound in (2, 3, 4):
             full = A.BoundedSpan(pres, bound)
             words = _words(pres, bound)
@@ -762,6 +772,8 @@ def test_restricted_span_blocks_equal_the_full_span():
                 targets = [Poly.from_word(w) for w in rng.sample(words, size)]
                 built = {charge(w) for p in targets for w in p.terms}
                 span = A.BoundedSpan(pres, bound, targets=targets)
+                assert span._pivots == {lead: pivot for lead, pivot in full._pivots.items()
+                                        if charge(codes.word(lead)) in built}
                 inside = [w for w in words if charge(w) in built]
                 assert [span.residue_word(w) for w in inside] == [full.residue_word(w) for w in inside]
                 assert span.rank <= full.rank
@@ -785,17 +797,28 @@ def _block_products(pres, bound, built):
     return out
 
 
+def _combination_cases():
+    """(presentation, bounds, target sets): n = 2 and sampled n = 3 spheres, and
+    sampled n = 3 unitary presentations, whose targets carry nonzero row
+    charges (u11.u21* and u11*.u21, the column products) and column charges."""
+    # even and odd charges: at bound 3 an even block holds only the relations themselves
+    spheres = [(x1 * x2, x1 * x2.star() * x1), (x1 * x2.star(), x2, x1.star() * x1 + x2 * x2)]
+    unitaries = [(u(1, 1) * u(2, 1, True), u(1, 1, True) * u(2, 1)),
+                 (u(1, 1) * u(1, 2, True), u(2, 1), u(1, 1) * u(2, 2) - u(1, 2) * u(2, 1))]
+    pairs = P.enumerate_pairs(2) + random.Random(29).sample(P.enumerate_pairs(3), 3)
+    return ([(P.sphere_presentation(pair), (3, 4), spheres) for pair in pairs]
+            + [(P.unitary_qg_presentation(pair), (3,), unitaries)
+               for pair in random.Random(36).sample(P.enumerate_pairs(3), 2)])
+
+
 def test_restricted_span_combinations_equal_the_full_span():
     """A restricted provenance span certifies polynomials of its blocks with
     the full span's combinations: its rows reach each block in the full order."""
     rng = random.Random(29)
-    # even and odd charges: at bound 3 an even block holds only the relations themselves
-    target_sets = [(x1 * x2, x1 * x2.star() * x1), (x1 * x2.star(), x2, x1.star() * x1 + x2 * x2)]
-    pairs = P.enumerate_pairs(2) + random.Random(29).sample(P.enumerate_pairs(3), 3)
     compared = 0
-    for pres in map(P.sphere_presentation, pairs):
+    for pres, bounds, target_sets in _combination_cases():
         charge = A._roster_codes(pres.generators).charge
-        for bound in (3, 4):
+        for bound in bounds:
             full = A.BoundedSpan(pres, bound, provenance=True)
             for targets in target_sets:
                 built = {charge(w) for p in targets for w in p.terms}
@@ -836,16 +859,48 @@ def test_restricted_span_refuses_a_word_of_an_unbuilt_charge():
         span.certify(x1 * x1.star() + x1 * x2 - x2 * x1)
 
 
-def test_targets_are_ignored_when_a_relation_moves_charge():
-    """The unitary sums over k of u_ik u_jk* (i != j) mix charges: every row is built."""
+def test_a_relation_that_mixes_charges_is_refused():
+    """Every relation must keep a word's charge: a presentation edited so that
+    one family holds x1.x1* - x1.x2 builds no span, full or restricted, and
+    the error names that relation."""
+    pres = P.sphere_presentation(P.validate_pair(OFF2, OFF2))
+    mixed = P.Relation("mixed", x1 * x1.star() - x1 * x2)
+    first = P.RelationFamily(pres.families[0].relations + (mixed,))
+    edited = dataclasses.replace(pres, families=(first,) + pres.families[1:])
+    named = re.escape(A.poly_str(mixed.poly))
+    for targets in (None, (x1 * x1.star(),)):
+        assert A.BoundedSpan(pres, 3, targets=targets).rank > 0
+        with pytest.raises(ValueError, match=named):
+            A.BoundedSpan(edited, 3, targets=targets)
+    with pytest.raises(ValueError, match=named):
+        ideal_membership_bounded(x1 * x1.star(), edited, 2)
+
+
+def test_anchor_membership_builds_one_unitary_block(monkeypatch):
+    """The non-injectivity cross-check's query u11*.u21 inserts only the rows
+    of its charge block, fewer than the full unitary span, and gets the full
+    span's certificate."""
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
-    for bound in (2, 3):
-        full = A.BoundedSpan(pres, bound)
-        span = A.BoundedSpan(pres, bound, targets=(u(1, 1) * u(1, 1, True),))
-        assert span.rank == full.rank
-        assert span.descriptor()["relation_rows"] == full.descriptor()["relation_rows"]
-        w = (Letter("u", 1, 2), Letter("u", 2, 1))
-        assert span.residue_word(w) == full.residue_word(w)
+    p = u(1, 1, True) * u(2, 1)
+    charge = A._roster_codes(pres.generators).charge
+    # at bound 2 a block's rows are its relations themselves
+    block = sum(charge(next(iter(rpoly.terms))) == charge(*p.terms)
+                for _, rpoly, _ in A._star_closed_relations(pres))
+    inserted = []
+    real = A._rref_insert
+
+    def counted(pivots, row, combo=None):
+        inserted.append(row)
+        return real(pivots, row, combo)
+    monkeypatch.setattr(A, "_rref_insert", counted)
+    for combination in (False, True):
+        inserted.clear()
+        cert = ideal_membership_bounded(p, pres, 2, want_combination=combination)
+        assert len(inserted) == block == 5
+        full = A.BoundedSpan(pres, 2, provenance=combination)
+        assert full.descriptor()["relation_rows"] == 32
+        assert cert.status == A.PROVED_ZERO
+        assert cert == full.certify(p)
 
 
 def test_restricted_membership_evidence_equals_the_full_span():
