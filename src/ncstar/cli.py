@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, presentations, verifier
@@ -30,17 +29,27 @@ from .presentations import (CommutationPair, enumerate_pairs, is_regular, load_p
                             pair_from_json_dict, regularize)
 
 
-@dataclass
 class RunConfig:
-    degree_bound: int = 2  # total degree of the relation products m1*r*m2 spanned
-    residual_tolerance: float = verifier.RESIDUAL_TOLERANCE
-    svd_threshold: float = verifier.SVD_THRESHOLD
-    seed: int = 0
-    jobs: int = 0  # 0 means: use available parallelism
-    output: str = ""
-    format: str = "text"
+    """A run's settings, validated when made.
 
-    def __post_init__(self):
+    A report's envelope records them in the order of `__slots__`, all but
+    the output path.
+    """
+
+    __slots__ = ("degree_bound", "residual_tolerance", "svd_threshold", "seed", "jobs",
+                 "output", "format")
+
+    def __init__(self, degree_bound: int = 2,
+                 residual_tolerance: float = verifier.RESIDUAL_TOLERANCE,
+                 svd_threshold: float = verifier.SVD_THRESHOLD, seed: int = 0, jobs: int = 0,
+                 output: str = "", format: str = "text"):
+        self.degree_bound = degree_bound  # total degree of the relation products m1*r*m2 spanned
+        self.residual_tolerance = residual_tolerance
+        self.svd_threshold = svd_threshold
+        self.seed = seed
+        self.jobs = jobs  # 0 means: use available parallelism
+        self.output = output
+        self.format = format
         if not 2 <= self.degree_bound <= 4:
             side = "above the cap of 4" if self.degree_bound > 4 else "below the minimum of 2"
             raise ValueError(f"{_field('degree_bound')}: bound {self.degree_bound} is {side}")
@@ -73,7 +82,7 @@ class RunConfig:
 
     def _recorded(self) -> dict:
         """The fields a report records: all but the output path."""
-        return {k: v for k, v in asdict(self).items() if k != "output"}
+        return {k: getattr(self, k) for k in self.__slots__ if k != "output"}
 
     def hash(self) -> str:
         body = {**self._recorded(), "version": __version__}

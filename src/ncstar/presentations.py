@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ncalg import Letter, Poly, poly_str
 
@@ -51,8 +51,7 @@ def _freeze(m, name: str = "matrix") -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True)
-class CommutationPair:
+class CommutationPair(NamedTuple):
     """Validated (epsilon, eta) data: symmetric 0/1 matrices, epsilon zero-diagonal."""
 
     n: int
@@ -100,8 +99,7 @@ def validate_pair(epsilon, eta) -> CommutationPair:
     return CommutationPair(n, eps, et)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     is_regular: bool
     violations_convention_A: tuple  # pairs (i, j), 1-based, i < j
     violations_convention_B: tuple  # indices i, 1-based
@@ -174,18 +172,24 @@ def regularize(pair: CommutationPair) -> CommutationPair:
 # presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Relation:
     """One relation polynomial asserted equal to zero.
 
     Builders share one Relation per relation template (`_POOL`), so its
     star, keys, star rid and star-closed entries are worked out once per
-    process; nothing may mutate their terms.
+    process; nothing may mutate it or its terms.  Two relations are equal
+    when their rid, polynomial and description are.
     """
 
-    rid: str
-    poly: Poly
-    description: str = ""
+    def __init__(self, rid: str, poly: Poly, description: str = ""):
+        self.rid = rid
+        self.poly = poly
+        self.description = description
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.rid, self.poly, self.description) == (other.rid, other.poly, other.description)
 
     def describe(self) -> str:
         return self.description or f"{poly_str(self.poly)} = 0"
@@ -216,7 +220,6 @@ class Relation:
         return own
 
 
-@dataclass(frozen=True, eq=False)
 class RelationFamily:
     """A pooled run of relations that depends on one part of a pair.
 
@@ -225,16 +228,18 @@ class RelationFamily:
     relations under the family itself.
     """
 
-    relations: tuple  # tuple[Relation, ...]
+    __slots__ = ("relations",)
+
+    def __init__(self, relations: tuple):
+        self.relations = relations  # tuple[Relation, ...]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A presentation as the union of its relation families, the sums last.
 
     The families are the only place its relations are held; equal
     presentations have the same family objects.  To edit one, replace one of
-    its families (`dataclasses.replace(pres, families=...)`).
+    its families (`pres._replace(families=...)`).
     """
 
     kind: str  # complex-sphere | unitary-qg | orthogonal-qg | tuple-space

@@ -13,8 +13,12 @@ letter's matrix.  An entry is skipped only when it is exactly zero
 (`QuadExact.is_zero`), never by a float tolerance, so every exact result
 equals the dense product.
 
-This module, and with it numpy, is imported only by the commands that evaluate
-a model (`witness` and `verify noninjectivity`).
+This module is imported only by the commands that evaluate a model
+(`witness` and `verify noninjectivity`), and it imports numpy only on the
+float paths: evaluating a model to a complex array, the rank of a family,
+the float torus and the seeded unitaries.  An exact model's residuals and
+norms are judged on its exact entries (`operator_norm`), so
+`verify noninjectivity` never loads numpy.
 
 A model may be a *probe*: it fails some presentation relations on purpose.
 A run gates each model, at the run's residual tolerance, on only the relations
@@ -29,10 +33,7 @@ degenerate sample set shows up there as a rank shortfall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 from .ncalg import Letter, Poly, word_str
 from .presentations import (Presentation, orthogonal_qg_presentation,
@@ -54,13 +55,12 @@ UNIT_CIRCLE_TOLERANCE = 1e-12
 _EXACT_PHASES = {1: Q_ONE, -1: -Q_ONE, 1j: Q(0, 0, 1, 0), -1j: Q(0, 0, -1, 0)}
 
 
-@dataclass(frozen=True)
-class MatrixModel:
+class MatrixModel(NamedTuple):
     """Assignment of dim x dim matrices, exact or complex, to a presentation's generators."""
 
     presentation: Presentation
     dim: int
-    # Letter (unstarred) -> sparse rows of QuadExact if exact, else np.ndarray
+    # Letter (unstarred) -> sparse rows of QuadExact if exact, else a numpy array
     assignment: dict
     exact: bool = False
     label: str = ""
@@ -78,8 +78,7 @@ class MatrixModel:
         return m
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     per_relation: tuple  # ((description, residual), ...)
     max: float
 
@@ -87,8 +86,7 @@ class ResidualReport:
         return max(self.per_relation, key=lambda kv: kv[1]) if self.per_relation else ("", 0.0)
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     rank: int
     singular_values: tuple
 
@@ -118,7 +116,8 @@ def _exact_star(rows: list) -> list:
     return out
 
 
-def _exact_to_complex(rows: list) -> np.ndarray:
+def _exact_to_complex(rows: list):
+    import numpy as np
     out = np.zeros((len(rows), len(rows)), dtype=complex)
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -126,7 +125,22 @@ def _exact_to_complex(rows: list) -> np.ndarray:
     return out
 
 
-def operator_norm(m: np.ndarray) -> float:
+def operator_norm(m) -> float:
+    """The 2-norm of a complex array or of exact sparse rows.
+
+    Exact rows whose entries are all exactly zero have norm 0.0.  Exact rows
+    with at most one nonzero entry in every row and every column have as norm
+    their largest entry modulus.  Any other matrix goes through numpy.
+    """
+    if isinstance(m, list):
+        rows = [[(j, x) for j, x in row.items() if not x.is_zero()] for row in m]
+        nonzero = [entry for row in rows for entry in row]
+        if not nonzero:
+            return 0.0
+        if all(len(row) <= 1 for row in rows) and len({j for j, _ in nonzero}) == len(nonzero):
+            return max(abs(complex(x)) for _, x in nonzero)
+        m = _exact_to_complex(m)
+    import numpy as np
     return float(np.linalg.norm(m, 2))
 
 
@@ -148,7 +162,7 @@ def _exact_evaluate(p: Poly, model: MatrixModel) -> list:
     return acc
 
 
-def evaluate(p: Poly, model: MatrixModel) -> np.ndarray:
+def evaluate(p: Poly, model: MatrixModel):
     """Evaluate a polynomial in the model; words become matrix products.
 
     Exact models are evaluated over Q(sqrt(2), i) and converted to a complex
@@ -157,6 +171,7 @@ def evaluate(p: Poly, model: MatrixModel) -> np.ndarray:
     """
     if model.exact:
         return _exact_to_complex(_exact_evaluate(p, model))
+    import numpy as np
     acc = np.zeros((model.dim, model.dim), dtype=complex)
     for w, c in p.items():
         term = np.eye(model.dim, dtype=complex)
@@ -170,15 +185,16 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
     """Operator-norm residual of each relation, by default every relation of
     the model's presentation (expanded sums included).
 
-    An exactly vanishing relation of an exact model evaluates to the zero
-    array, so it reports 0.0 regardless of floating point.
+    An exact model's relations are judged on their exact images, so an
+    exactly vanishing relation reports 0.0 regardless of floating point.
     """
     if relations is None:
         relations = model.presentation.all_relations()
+    image = _exact_evaluate if model.exact else evaluate
     rows = []
     worst = 0.0
     for rel in relations:
-        res = operator_norm(evaluate(rel.poly, model))
+        res = operator_norm(image(rel.poly, model))
         rows.append((rel.describe(), res))
         worst = max(worst, res)
     return ResidualReport(tuple(rows), worst)
@@ -195,6 +211,7 @@ def check_independence(family: Sequence[Poly], model: MatrixModel,
     """
     if not family:
         raise ValueError("family must be nonempty")
+    import numpy as np
     rows = [evaluate(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     rank = int((sv > threshold).sum())
@@ -267,6 +284,7 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
         x1 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z1]} for i, (z1, _) in enumerate(samples)]
         x2 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z2]} for i, (_, z2) in enumerate(samples)]
     else:
+        import numpy as np
         half = complex(np.sqrt(0.5))
         x1 = np.diag([half * complex(z1) for z1, _ in samples])
         x2 = np.diag([half * complex(z2) for _, z2 in samples])
@@ -285,6 +303,7 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
         raise ValueError(f"dim must be at least 3, got {dim}: the four products "
                          "cannot be independent below dimension 3")
     pair = validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    import numpy as np
     pres = sphere_presentation(pair)
     rng = np.random.default_rng(seed)
     us = []

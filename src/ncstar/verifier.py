@@ -70,9 +70,11 @@ relabeling, which acts on both legs of each image as the coaction does,
 carries that task's vanishing images onto this task's.  An Inconclusive is
 never carried, and no verdict is ever upgraded.
 
-The matrix models (`repmodels`, and with it numpy) are loaded on demand: only
-the non-injectivity witness check and the independence suites import them, so
-the purely algebraic tasks never pay for numpy.
+The matrix models (`repmodels`) are loaded on demand: only the
+non-injectivity witness check and the independence suites import them.  The
+non-injectivity model is exact, and its residuals, image norm and image
+diagonal are read from its exact entries, so only the independence suites
+(`witness`) load numpy, for their ranks and float models.
 
 Inconclusive is never conflated with failure: it means the bounded certificate
 search did not settle the claim.
@@ -83,7 +85,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .ncalg import (Certificate, INCONCLUSIVE, Letter, PROVED_NONZERO,
@@ -105,7 +106,6 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class CheckResult:
     """One check's verdict.
 
@@ -114,10 +114,14 @@ class CheckResult:
     for a carried check.
     """
 
-    name: str
-    certificate: Certificate
-    expected: str = PROVED_ZERO
-    micros: int = 0
+    __slots__ = ("name", "certificate", "expected", "micros")
+
+    def __init__(self, name: str, certificate: Certificate, expected: str = PROVED_ZERO,
+                 micros: int = 0):
+        self.name = name
+        self.certificate = certificate
+        self.expected = expected
+        self.micros = micros
 
     @property
     def passed(self) -> bool:
@@ -136,12 +140,14 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    task: str
-    subject: dict
-    checks: list = field(default_factory=list)
-    notices: list = field(default_factory=list)
+    """A task's checks, in the order they ran, and its notices."""
+
+    def __init__(self, task: str, subject: dict):
+        self.task = task
+        self.subject = subject
+        self.checks = []
+        self.notices = []
 
     @property
     def overall(self) -> str:
@@ -578,9 +584,9 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
                                detail=f"witness model residual {residuals.max:.3g} above tolerance")
         x1 = Poly.generator(Letter("x", 1, 0))
         x2s = Poly.generator(Letter("x", 2, 0, True))
-        image = repmodels.evaluate(x1 * x2s, model)
+        image = repmodels._exact_evaluate(x1 * x2s, model)
         norm = repmodels.operator_norm(image)
-        diag = [float(image[i, i].real) for i in range(model.dim)]
+        diag = [complex(row[i]).real if i in row else 0.0 for i, row in enumerate(image)]
         evidence = {
             "model": model.label,
             "dim": model.dim,

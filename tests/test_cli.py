@@ -659,13 +659,14 @@ def test_witness_flags(flag, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold commands: the matrix models load only where they are evaluated
+# cold commands: the matrix models load only where they are evaluated, and
+# numpy only where a model is evaluated in floating point
 # ---------------------------------------------------------------------------
 
 _COLD_SCRIPT = r"""
 import contextlib, io, sys
 
-HEAVY = ("numpy", "ncstar.repmodels", "multiprocessing")
+HEAVY = ("numpy", "ncstar.repmodels", "multiprocessing", "dataclasses", "inspect")
 
 def loaded():
     return [m for m in HEAVY if m in sys.modules]
@@ -677,8 +678,11 @@ assert loaded() == [], f"loaded by import ncstar.cli: {loaded()}"
 for argv in (["verify", "hopf"], ["verify", "tuple-action"], ["regularize"]):
     assert cli.main(argv + ["--input", pair, "--output", out]) == 0, argv
 assert loaded() == [], f"loaded by an algebraic command: {loaded()}"
-assert cli.main(["witness", "all", "--output", out]) == 0
+# the non-injectivity witness is exact: its residuals and norm need no numpy
 assert cli.main(["verify", "noninjectivity", "--output", out]) == 0
+assert loaded() == ["ncstar.repmodels"], f"loaded by verify noninjectivity: {loaded()}"
+assert cli.main(["witness", "all", "--output", out]) == 0
+assert "numpy" in sys.modules, "witness all ranks its families without numpy"
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["witness", "torus", "--phases", "1,1", "1,1"])

@@ -1,6 +1,5 @@
 """Word algebra, quotient bases, tensor reduction, ideal membership."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -866,7 +865,7 @@ def test_a_relation_that_mixes_charges_is_refused():
     pres = P.sphere_presentation(P.validate_pair(OFF2, OFF2))
     mixed = P.Relation("mixed", x1 * x1.star() - x1 * x2)
     first = P.RelationFamily(pres.families[0].relations + (mixed,))
-    edited = dataclasses.replace(pres, families=(first,) + pres.families[1:])
+    edited = pres._replace(families=(first,) + pres.families[1:])
     named = re.escape(A.poly_str(mixed.poly))
     for targets in (None, (x1 * x1.star(),)):
         assert A.BoundedSpan(pres, 3, targets=targets).rank > 0

@@ -1,7 +1,6 @@
 """Permutation orbits: one reduction per orbit key, carried to every task with the same relabeled rows."""
 
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -130,7 +129,7 @@ def _edited(pres, index, edit):
     """pres with edit(relations) as the relations of its family at index; the sums stay last."""
     families = list(pres.families)
     families[index] = P.RelationFamily(tuple(edit(families[index].relations)))
-    return dataclasses.replace(pres, families=tuple(families))
+    return pres._replace(families=tuple(families))
 
 
 def _presentations(n):

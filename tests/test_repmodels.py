@@ -406,3 +406,38 @@ def test_exactly_vanishing_relations_report_zero():
     # a relation that does not vanish keeps a nonzero exact image and residual
     probe = R.probe_pair_model()
     assert dict(R.model_residuals(probe).per_relation)["Σ x_i* x_i = 1"] == 1.0
+
+
+def _exact_norm_inputs():
+    """(model, poly) for every relation, witness-family member and the x1 x2* image
+    of each exact model."""
+    sphere_family = list(R.CONJUGATE_PRODUCTS) + [
+        g(x2g).star() * g(x2g), g(x2g) * g(x2g).star(), Poly.one(), g(x1g) * g(x2g).star()]
+    v11, v21 = g(Letter("ou", 1, 1)), g(Letter("ou", 2, 1))
+    models = [(R.probe_pair_model(), sphere_family),
+              (R.noninjectivity_sphere_model(), sphere_family),
+              (R.torus_model(), sphere_family),
+              (R.torus_model(((1, -1), (1j, -1j), (-1, 1j), (-1j, 1))), sphere_family),
+              (R.o2plus_model(), [v11 * v21, v21 * v11])]
+    for model, family in models:
+        assert model.exact, model.label
+        polys = [rel.poly for rel in model.presentation.all_relations()] + family
+        yield from ((model, p) for p in polys)
+
+
+def test_exact_operator_norm_equals_numpy_bit_for_bit():
+    norms = []
+    for model, p in _exact_norm_inputs():
+        norm = R.operator_norm(R._exact_evaluate(p, model))
+        assert norm == float(np.linalg.norm(R.evaluate(p, model), 2)), (model.label, p)
+        norms.append(norm)
+    # the probe's sums leave norm 1, and the non-injectivity image is 1/2
+    assert {0.0, 0.5, 1.0} <= set(norms)
+    # a zero image, and matrices with two nonzero entries in one row or one
+    # column, whose norm is not their largest entry modulus
+    one = QuadExact(1)
+    for rows, want in (([{}, {}], 0.0), ([{0: one, 1: one}, {}], 2 ** 0.5),
+                       ([{0: one}, {0: one}], 2 ** 0.5)):
+        dense = np.array([[complex(row.get(j, QuadExact())) for j in range(2)] for row in rows])
+        assert R.operator_norm(rows) == float(np.linalg.norm(dense, 2))
+        assert abs(R.operator_norm(rows) - want) < 1e-15

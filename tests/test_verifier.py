@@ -1,6 +1,5 @@
 """End-to-end verification reports: coproduct, actions, anchor, suites."""
 
-import dataclasses
 import functools
 import json
 
@@ -446,7 +445,7 @@ def test_star_twin_of_an_inconclusive_partner_is_reduced_directly(monkeypatch, e
     partner, twin = _relation("Reta-comm(1,2;1,2)", pres), _relation("Reta-comm(2,1;2,1)", pres)
     assert twin.poly == partner.star
     # without the pair, neither image reduces to 0, and each keeps its own sample survivor
-    thin = dataclasses.replace(pres, families=tuple(
+    thin = pres._replace(families=tuple(
         P.RelationFamily(tuple(r for r in f.relations if r not in (partner, twin))) for f in pres.families))
     certs, direct, reduced = _hom_checks([partner, twin], thin, monkeypatch)
     assert reduced == 2 and certs == direct
