@@ -4,12 +4,15 @@
 Samples pairs at one n with a seed, as `ncstar sweep --sample` does, and runs
 each pair's task of each target once against an empty orbit table: that cold
 pass reduces one task per orbit key, and is timed for those (the tasks that
-record a key), and carries the rest.  It then times warm passes over the same
-tasks, in which every task is carried.  A warm task reads each check's name
-and status and the report's overall verdict, as a sweep row and perfbench's
-sweep-n3 do, and nothing else.  The script
-prints, per target, the median over every warm task and the median of each
-pass, beside the median reduced task of the cold pass.
+record a key), and carries the rest.  For the cold pass it also prints the
+tail as perfbench's `task_tail_ms` takes it (the task time with 10 slower
+tasks above it), and how many charge blocks the pass built into the shared
+block table (`ncalg._BLOCKS`) and how many lookups found one built.  It then
+times warm passes over the same tasks, in which every task is carried.  A
+warm task reads each check's name and status and the report's overall
+verdict, as a sweep row and perfbench's sweep-n3 do, and nothing else.  The
+script prints, per target, the median over every warm task and the median of
+each pass, beside the median reduced task of the cold pass.
 
 The default is the n = 4 coproduct (hopf).  `--n 3 --targets
 hopf,sphere-action,tuple-action` times the warm path of perfbench's sweep-n3
@@ -26,9 +29,22 @@ import argparse
 import statistics
 import time
 
-from ncstar import cli
+from ncstar import cli, ncalg
 from ncstar.ncalg import PROVED_ZERO
 from ncstar.presentations import pair_from_json_dict
+
+TAIL_BEYOND = 10  # as perfbench/run.py: the tail sample has this many slower ones above it
+
+
+class _CountedBlocks(dict):
+    """The shared block table, counting the lookups that find a block built."""
+
+    found = 0
+
+    def get(self, key, default=None):
+        block = super().get(key, default)
+        self.found += block is not None
+        return block
 
 
 def main(argv=None):
@@ -50,14 +66,19 @@ def main(argv=None):
     clock = time.perf_counter_ns
     table: dict = {}
     reduced = {t: [] for t in targets}  # cold task times of the tasks that recorded a key
+    cold = []  # every cold task time
+    # a span reads the table through the module at each build, so this one sees every lookup
+    blocks = ncalg._BLOCKS = _CountedBlocks()
     t0 = time.perf_counter()
     for target, run, pair, bound in tasks:
         before, t1 = len(table), clock()
         run(pair, bound, table)
+        cold.append(clock() - t1)
         if len(table) > before:
-            reduced[target].append(clock() - t1)
+            reduced[target].append(cold[-1])
     cold_s = time.perf_counter() - t0
     keys = len(table)
+    built, reused = len(blocks), blocks.found
 
     medians = {t: [] for t in targets}
     times = {t: [] for t in targets}
@@ -83,6 +104,10 @@ def main(argv=None):
               f"(per pass {per_pass} ms, {len(times[t]) // args.passes} tasks); cold reduced task: "
               f"median {statistics.median(reduced[t]) / 1e6:.3f} ms ({len(reduced[t])} tasks)")
     print(f"{len(tasks)} tasks, seed {args.seed}, {keys} orbit keys, cold pass {cold_s:.1f} s")
+    if len(cold) > TAIL_BEYOND:
+        tail = sorted(cold)[-TAIL_BEYOND - 1] / 1e6
+        print(f"cold pass tail {tail:.3f} ms ({TAIL_BEYOND} slower tasks above it); "
+              f"{built} charge blocks built, {reused} reused")
 
 
 if __name__ == "__main__":

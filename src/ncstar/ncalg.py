@@ -12,14 +12,16 @@ runs over Q, and star only reverses and stars words.  On top of the free
   is the name verifications build it through).  The elimination keys each
   word by its integer code over the sorted letter roster (`_WordCodes`, one
   table per roster and process from `_roster_codes`), which sorts like the
-  word, and keeps the coefficients of the polynomials themselves; a residue
-  is a list of (word code, coefficient) pairs, cached per span under the
-  word's code, and a word with a letter outside the roster raises
-  `RosterMismatch`.  Every relation keeps a word's charge (g_ij carries a row
-  charge e_i and a column charge f_j), so the span splits into independent
-  charge blocks, and a span given `targets` builds only the blocks of the
-  targets' terms, each exactly as the full span holds it, replaying each
-  relation's rows from the roster's table for that charge set.
+  word, and keeps the coefficients of the polynomials themselves; a word
+  with a letter outside the roster raises `RosterMismatch`.  Every relation
+  keeps a word's charge (g_ij carries a row charge e_i and a column charge
+  f_j), so a span is a set of independent charge blocks, each with its own
+  pivots and residue cache; a residue is a list of (word code, coefficient)
+  pairs, cached in its word's block.  A full bound-2 span without
+  provenance takes its blocks from one per-process table (`_BLOCKS`) and
+  builds only those the table lacks, and a span given `targets` builds only
+  the blocks of the targets' terms, each exactly as the full span holds it,
+  replaying each relation's rows from the roster's table for that charge set.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -369,7 +371,7 @@ class _WordCodes:
     """
 
     __slots__ = ("letters", "index", "base", "rows", "restricted", "_letter_charges", "_charges",
-                 "_blocks")
+                 "_blocks", "_by_code")
 
     def __init__(self, letters: Sequence[Letter]):
         self.letters = tuple(letters)
@@ -391,10 +393,11 @@ class _WordCodes:
         self._letter_charges = [
             0 if l.star() == l else (-1 if l.starred else 1) * (digit[0, l.row] + digit.get((1, l.col), 0))
             for l in self.letters]
-        # the charge tables are filled by the first span restricted to some charges
-        # (`charge_tables`)
+        # the charge tables are filled by the first span built over the roster
+        # (`charge_tables`, `code_charges`)
         self._charges: list = []
         self._blocks: list = []
+        self._by_code: list = []
 
     def offset(self, d: int) -> int:
         s = self.base
@@ -472,6 +475,23 @@ class _WordCodes:
             charges.append(row)
             blocks.append(block)
         return charges, blocks
+
+    def code_charges(self, length: int) -> list:
+        """The charge of every word of length <= length, in a list indexed by word code.
+
+        The codes of the length-d words run from offset(d) on, in base-s
+        value order, so the list is `charge_tables`' rows end to end; built
+        once per roster, up to the longest length asked for.
+        """
+        by_code = self._by_code
+        if len(by_code) < self.offset(length + 1):
+            charges = self.charge_tables(length)[0]
+            d = 0
+            while self.offset(d) < len(by_code):
+                d += 1
+            for row in charges[d:length + 1]:
+                by_code.extend(row)
+        return by_code
 
 
 def _eliminate(row: dict, c, prow: dict) -> None:
@@ -689,12 +709,37 @@ def is_zero_tensor(t: TensorPoly, left: BoundedSpan, right: BoundedSpan) -> Cert
 # bounded product spans
 # ---------------------------------------------------------------------------
 
+# (code table, bound, the term keys of one charge's relations in build order)
+# -> that charge's `_Block`, made by the first span that needs it and taken by
+# every later one; only spans that share blocks read or fill it (`BoundedSpan`)
+_BLOCKS: dict = {}
+
+
+class _Block:
+    """One charge block of a span: its echelon pivots, its residue cache, and counts.
+
+    pivots maps a lead word code to (row, combination) as `_rref_insert`
+    stores it; residues maps a word code of this charge to its residue;
+    rows counts the rows inserted.  entries, the sparse entries its pivot
+    rows hold, is set on a shared block, which every span that takes it
+    counts against its cap.
+    """
+
+    __slots__ = ("pivots", "residues", "rows", "entries")
+
+    def __init__(self):
+        self.pivots: dict = {}
+        self.residues: dict = {}
+        self.rows = 0
+        self.entries = 0
+
+
 class BoundedSpan:
     """The span of all products m1 * r * m2 of total degree <= bound.
 
     r runs over the star-closed relations of one presentation and m1, m2 over
     words in its letters; this is a Macaulay matrix in the sense of F4.  The
-    echelon table is built once, at construction, over integer word codes
+    echelon tables are built once, at construction, over integer word codes
     (`_WordCodes`, one table per roster and process) with int coefficients,
     or Fraction ones where a value is not integral (a `Poly` holds no other
     kind).  Tensor legs reduce single words against it through a residue
@@ -712,13 +757,41 @@ class BoundedSpan:
     grades the diagonal torus u -> D1 u D2), and `coded_relation` refuses a
     relation that does not, so each row m1 * r * m2 lies in one charge, and
     rows of different charges share no word: the matrix splits into
-    independent blocks (Faugère, F4, 1999).  Given `targets`, a sequence of
-    polynomials, the span inserts only the rows whose charge is that of some
-    target term, each block's rows in the order of the full build, so its
-    pivots are the full span's of that charge: residues and combinations
-    inside a built block are exactly the full span's, while `rank` and
-    `relation_rows` count only the built blocks.  `certify` and
-    `residue_word` raise ValueError on a word of a charge that was not built.
+    independent blocks (Faugère, F4, 1999).  A span is its blocks, one
+    `_Block` per charge some row reaches, each with its own pivots, residue
+    cache and counts; `rank` and `relation_rows` are sums over them.  A word
+    is reduced against the block of its charge only (`_residue` finds it by
+    `_WordCodes.code_charges`), and a word of a charge no row reaches is its
+    own residue.
+
+    Shared blocks.  A full build (no `targets`) without provenance, in which
+    every star-closed relation has degree equal to the bound, as in every
+    bound-2 span of the four presentation builders, takes its blocks from one
+    per-process table (`_BLOCKS`) and makes only the ones it lacks.  Each row
+    is then a relation itself, so a block's rows are its charge's relations,
+    and the table keys it by the code table, the bound and those relations'
+    exact term keys in build order: equal keys, equal rows in equal order,
+    equal pivots.  Without provenance no pivot names a relation id, and a
+    residue is the unique element of w + span holding no pivot lead, so every
+    span with the block may read and fill its residue cache; a span's own
+    cache starts with every residue its blocks hold.  A sweep's tasks meet
+    the same few hundred blocks again and again (the 234 span builds of an
+    n = 3 sweep take 12,198 blocks, 347 of them distinct), and a
+    `sphere-action` task takes the unitary blocks its pair's `hopf` task
+    made.  Every other build keeps private blocks: a combination names
+    relation ids, which two presentations may give one polynomial
+    differently; below the bound's degree a block also holds products of
+    relations of other charges, which its key would have to name; and
+    targeted builds (regularization's bound-4 spans) repeat no block within
+    a pass, so keeping theirs alive would only hold memory.
+
+    Given `targets`, a sequence of polynomials, the span inserts only the
+    rows whose charge is that of some target term, each block's rows in the
+    order of the full build, so each block it builds is the full span's of
+    that charge: residues and combinations inside a built block are exactly
+    the full span's, while `rank` and `relation_rows` count only the built
+    blocks.  `certify` and `residue_word` raise ValueError on a word of a
+    charge that was not built.
 
     Rows come per relation in one order: m1 ascending, then |m2|, then one
     run of m2 per block, each ascending.  A full build enumerates every m1
@@ -747,34 +820,68 @@ class BoundedSpan:
         if monomials > entry_cap:
             raise DimensionCap(f"{monomials} monomials up to degree {bound} exceed "
                                f"the configured cap {entry_cap}")
-        self._pivots: dict = {}
+        blocks = self._blocks = {}  # charge -> `_Block`
         self._residue_cache: dict = {}
         self._entries = 0
-        self._rows = 0
         coded = codes.rows
         relations = []
+        # charge -> the term keys of its relations, in order, while every relation
+        # so far may share blocks
+        shared = {} if targets is None and not provenance else None
         for rid, rpoly, key in _star_closed_relations(presentation):
             hit = coded.get(key)
             if hit is None:
                 hit = coded[key] = codes.coded_relation(rpoly)
             relations.append((rid, hit))
+            if shared is not None:
+                if hit[0] == bound:
+                    shared.setdefault(hit[3], []).append(key)
+                else:
+                    shared = None
         # the charges of the built blocks; None when every block is built
         wanted = self._charges = None if targets is None else {
             codes.charge(w) for p in targets for w in p.terms}
+        # each word's charge by code, up to the bound: for the factors m1 and m2
+        # of a row, and for `_residue`
+        by_code = self._by_code = codes.code_charges(bound)
+        insert = self._insert
+        if shared is not None:
+            for charge, keys in shared.items():
+                table_key = (codes, bound, tuple(keys))
+                block = _BLOCKS.get(table_key)
+                if block is None:
+                    block, before = _Block(), self._entries
+                    for key in keys:
+                        insert(block, dict(coded[key][1]), None, 0, 0)
+                    block.entries = self._entries - before
+                    # stored only once whole: a build stopped by the cap leaves no block
+                    _BLOCKS[table_key] = block
+                else:
+                    self._entries += block.entries
+                    # the span's residue cache starts with every residue its blocks hold
+                    self._residue_cache.update(block.residues)
+                blocks[charge] = block
+            if self._entries > self._entry_cap:
+                self._over_cap()
+            self._finish()
+            return
         power = [codes.base ** d for d in range(bound + 1)]
         offset = [codes.offset(d) for d in range(bound + 1)]
         if wanted is not None:
-            charges, blocks = codes.charge_tables(bound)
+            charges, charge_blocks = codes.charge_tables(bound)
             table, charge_set = codes.restricted, frozenset(wanted)
             # left factors for the rows the table lacks, shared by relations of one charge
             completions: dict = {}
-        insert = self._insert
+            # every row lands in a wanted block; those no row reached are dropped below
+            for charge in wanted:
+                blocks[charge] = _Block()
+        block_of = self._block
         for rid, (degree, row, terms, rcharge) in relations:
             pad = bound - degree
             if pad == 0:
                 # the relation's own row, copied: inserting consumes it
                 if wanted is None or rcharge in wanted:
-                    insert(dict(row), rid, 0, 0)
+                    insert(block_of(rcharge), dict(row), rid, 0, 0)
                 continue
             if wanted is not None:
                 rows = table.get((charge_set, terms, bound))
@@ -785,47 +892,69 @@ class BoundedSpan:
                         entry = completions.get((rcharge, d1, pad))
                         if entry is None:
                             entry = completions[rcharge, d1, pad] = _completions(
-                                charges, blocks, wanted, rcharge, d1, pad - d1)
+                                charges, charge_blocks, wanted, rcharge, d1, pad - d1)
                         visits.append(entry)
                     rows = table[charge_set, terms, bound] = _relation_rows(
                         terms, visits, power, offset)
-                # each row is len(terms) word codes, one per term in order, and an m1, m2 pair
+                # each row is len(terms) word codes, one per term in order, and an m1, m2
+                # pair; a row's words all have its charge
                 words, factors = rows
                 coefficients = [c for _, _, c in terms]
                 factor = iter(factors)
                 for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
-                    insert(dict(zip(ks, coefficients)), rid, m1, m2)
+                    insert(blocks[by_code[ks[0]]], dict(zip(ks, coefficients)), rid, m1, m2)
                 continue
             # m1 and m2 run over the words with |m1| + |m2| <= pad in order, and
             # m1 * w * m2 has the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
             for d1 in range(pad + 1):
                 for v1 in range(power[d1]):
+                    m1 = offset[d1] + v1
+                    left = rcharge + by_code[m1]
                     head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
                     for d2 in range(pad - d1 + 1):
-                        p2 = power[d2]
+                        p2, o2 = power[d2], offset[d2]
                         shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
                         for v2 in range(p2):
-                            insert({k + v2: c for k, c in shifted}, rid,
-                                   offset[d1] + v1, offset[d2] + v2)
-        # the span never changes after construction; every caller of
-        # descriptor() gets its own copy, so editing one certificate cannot
-        # change another
-        self._descriptor = span_descriptor(presentation, bound, self._rows, self.rank)
+                            insert(block_of(left + by_code[o2 + v2]), {k + v2: c for k, c in shifted},
+                                   rid, m1, o2 + v2)
+        if wanted is not None:
+            self._blocks = {charge: b for charge, b in blocks.items() if b.rows}
+        self._finish()
 
-    def _insert(self, row: dict, rid: str, m1: int, m2: int):
+    def _block(self, charge: int) -> _Block:
+        """This span's block of the charge, made empty on first use."""
+        block = self._blocks.get(charge)
+        if block is None:
+            block = self._blocks[charge] = _Block()
+        return block
+
+    def _insert(self, block: _Block, row: dict, rid, m1: int, m2: int):
+        """Insert the row m1 * r * m2 into the block of its charge."""
         combo = {(rid, m1, m2): 1} if self.provenance else None
-        _rref_insert(self._pivots, row, combo)
-        self._rows += 1
+        _rref_insert(block.pivots, row, combo)
+        block.rows += 1
         # row is consumed: what is left of it is the new pivot row, and pivot
         # rows never change once stored, so a running count is exact
         self._entries += len(row)
         if self._entries > self._entry_cap:
-            raise DimensionCap(f"product span at bound {self.bound} exceeded "
-                               f"{self._entry_cap} sparse entries")
+            self._over_cap()
 
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+    def _over_cap(self):
+        """Raise DimensionCap: the span's sparse entries passed the cap."""
+        raise DimensionCap(f"product span at bound {self.bound} exceeded "
+                           f"{self._entry_cap} sparse entries")
+
+    def _finish(self) -> None:
+        """Sum the blocks' ranks and rows into the span's rank and descriptor."""
+        rank = rows = 0
+        for block in self._blocks.values():
+            rank += len(block.pivots)
+            rows += block.rows
+        self.rank = rank
+        # the span never changes after construction; every caller of
+        # descriptor() gets its own copy, so editing one certificate cannot
+        # change another
+        self._descriptor = span_descriptor(self.presentation, self.bound, rows, rank)
 
     def descriptor(self) -> dict:
         return dict(self._descriptor)
@@ -845,21 +974,34 @@ class BoundedSpan:
         the list is empty when the word lies in the span.  A word with a
         letter outside the roster raises RosterMismatch, and one of an
         unbuilt charge ValueError.  The residue is cached under the word's
-        code, where `is_zero_tensor` reads it too.
+        code, where `is_zero_tensor` reads it too; nothing may mutate it.
         """
         key = self._codes.code(w)
         res = self._residue_cache.get(key)
         return self._residue(key) if res is None else res
 
     def _residue(self, key: int) -> list:
-        """Reduce the word with this code, and cache its residue under the code."""
-        if self._charges is not None:
-            self._check_built((self._codes.word(key),))
-        res = self._residue_cache[key] = list(_rref_reduce(self._pivots, {key: 1}).items())
+        """The residue of the word with this code, read from or cached in its block.
+
+        Cached in this span under the code as well, where `is_zero_tensor`
+        reads it first; a word of a charge with no block is its own residue.
+        """
+        by_code, codes = self._by_code, self._codes
+        charge = by_code[key] if key < len(by_code) else codes.charge(codes.word(key))
+        if self._charges is not None and charge not in self._charges:
+            self._check_built((codes.word(key),))
+        block = self._blocks.get(charge)
+        if block is None:
+            res = [(key, 1)]
+        else:
+            res = block.residues.get(key)
+            if res is None:
+                res = block.residues[key] = list(_rref_reduce(block.pivots, {key: 1}).items())
+        self._residue_cache[key] = res
         return res
 
     def certify(self, p: Poly) -> Certificate:
-        """Membership of p in the span.
+        """Membership of p in the span, decided block by block.
 
         ProvedZero evidence (with provenance) carries the exact linear
         combination, with cleared denominators, so the certificate shows
@@ -868,17 +1010,23 @@ class BoundedSpan:
         ValueError.
         """
         _check_product_degree(p, self.bound)
-        code = self._codes.code
-        row = {code(w): _rational(c) for w, c in p.items()}
-        self._check_built(p.terms)
+        code, charge_of = self._codes.code, self._codes.charge
+        parts: dict = {}  # charge -> {word code: coefficient}
+        for w, c in p.items():
+            parts.setdefault(charge_of(w), {})[code(w)] = _rational(c)
+        if self._charges is not None and not self._charges.issuperset(parts):
+            self._check_built(p.terms)
         used: dict = {}
         on_use = None
         if self.provenance:
             def on_use(c, pcombo):
                 _eliminate(used, -c, pcombo)
-        residue = _rref_reduce(self._pivots, row, on_use)
+        residue = 0
+        for charge, row in parts.items():
+            block = self._blocks.get(charge)
+            residue += len(row if block is None else _rref_reduce(block.pivots, row, on_use))
         if residue:
-            return Certificate(INCONCLUSIVE, detail=f"{len(residue)} monomial(s) "
+            return Certificate(INCONCLUSIVE, detail=f"{residue} monomial(s) "
                                                     "outside the bounded product span")
         if not self.provenance:
             return Certificate(PROVED_ZERO, zero_evidence={

@@ -3,7 +3,14 @@
 Each verification builds a degree-bounded relation span (`build_quotient_basis`)
 for each algebra involved, pushes every defining relation through the map
 under test, and certifies that the image vanishes leg-wise in the tensor
-quotient:
+quotient.  A span is a set of charge blocks (`ncalg.BoundedSpan`); at bound
+2, where every relation here has degree 2, a block's rows are the relations
+of its charge, so the full spans of every task take their blocks, pivots
+and cached residues alike, from one per-process table and build only the
+blocks it lacks: a sphere-action task takes the unitary blocks its pair's
+coproduct task built.  The regularization check's targeted bound-4 spans
+keep private blocks: within a pass none of their blocks repeats, so keeping
+them would only hold memory.  The facts checked:
 
 * the coproduct u_ij -> sum_k u_ik (x) u_kj respects every quantum-unitary
   relation (so the pair really carries a quantum group structure),

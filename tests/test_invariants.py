@@ -32,7 +32,9 @@ def test_regularization_consistency_all_n_le_3(monkeypatch):
     4 or stay Inconclusive; they never produce a bogus nonzero verdict.
 
     Each span holds only the charge blocks of its pair's added relations:
-    51,744 rows over the 426 pairs, where the full spans hold 497,020."""
+    51,744 rows over the 426 pairs, where the full spans hold 497,020.  Those
+    targeted spans keep private blocks: the pass adds no shared block."""
+    monkeypatch.setattr(A, "_BLOCKS", {})
     rows, ranks = [], []
     build = V.build_quotient_basis
 
@@ -63,6 +65,7 @@ def test_regularization_consistency_all_n_le_3(monkeypatch):
     assert digest.hexdigest() == "7ad7510c9d08857d5dbe06f2f116f59cf861815c89b5a65e98c15203b074ba05"
     assert (len(rows), sum(rows)) == (checked, 51_744)
     assert sum(ranks) == 43_397
+    assert A._BLOCKS == {}
 
 
 def _regularization_pass(pairs, monkeypatch) -> list:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import span_reference
+from ncstar import cli
 from ncstar import ncalg as A
 from ncstar import presentations as P
 from ncstar import verifier as V
@@ -756,6 +757,20 @@ def _unitaries():
     return [P.unitary_qg_presentation(pair) for pair in P.enumerate_pairs(2)]
 
 
+def _block_tables(span):
+    """Each of span's blocks as (pivots, row count), by charge, after checking
+    that every pivot lead has its block's charge."""
+    codes = span._codes
+    for charge, block in span._blocks.items():
+        assert all(codes.charge(codes.word(lead)) == charge for lead in block.pivots)
+    return {charge: (block.pivots, block.rows) for charge, block in span._blocks.items()}
+
+
+def _built_blocks(full, built):
+    """full's block tables (`_block_tables`) of the charges in built."""
+    return {charge: table for charge, table in _block_tables(full).items() if charge in built}
+
+
 def test_restricted_span_blocks_equal_the_full_span():
     """Each built block has the full span's pivots of its charges and reduces
     every word of its charge as the full span does, on spheres and on unitary
@@ -771,8 +786,7 @@ def test_restricted_span_blocks_equal_the_full_span():
                 targets = [Poly.from_word(w) for w in rng.sample(words, size)]
                 built = {charge(w) for p in targets for w in p.terms}
                 span = A.BoundedSpan(pres, bound, targets=targets)
-                assert span._pivots == {lead: pivot for lead, pivot in full._pivots.items()
-                                        if charge(codes.word(lead)) in built}
+                assert _block_tables(span) == _built_blocks(full, built)
                 inside = [w for w in words if charge(w) in built]
                 assert [span.residue_word(w) for w in inside] == [full.residue_word(w) for w in inside]
                 assert span.rank <= full.rank
@@ -824,7 +838,7 @@ def test_restricted_span_combinations_equal_the_full_span():
                 assert len(built) >= 2 and built - {0}
                 span = A.BoundedSpan(pres, bound, provenance=True, targets=targets)
                 # each built block's pivot rows and their combinations are the full span's
-                assert all(full._pivots[lead] == pivot for lead, pivot in span._pivots.items())
+                assert _block_tables(span) == _built_blocks(full, built)
                 products = _block_products(pres, bound, built)
                 mixed = []
                 for _ in range(6 if products else 0):
@@ -940,6 +954,121 @@ def test_restricted_rows_are_kept_per_charge_set_and_bound(monkeypatch):
         for (bound, targets), span in zip(builds, spans):
             monkeypatch.setattr(A, "_CODES", {})
             fresh = A.BoundedSpan(pres, bound, provenance=True, targets=targets)
-            assert span._pivots == fresh._pivots, (pair.compact(), bound)
+            assert _block_tables(span) == _block_tables(fresh), (pair.compact(), bound)
             full = A.BoundedSpan(pres, bound, provenance=True)
-            assert all(full._pivots[lead] == pivot for lead, pivot in span._pivots.items())
+            built = {A._roster_codes(pres.generators).charge(w) for p in targets for w in p.terms}
+            assert _block_tables(span) == _built_blocks(full, built)
+
+
+# ---------------------------------------------------------------------------
+# shared blocks
+# ---------------------------------------------------------------------------
+
+def test_unitaries_differing_in_one_relation_share_every_other_block(monkeypatch):
+    """Two unitary presentations that differ in one relation of one charge,
+    scaled or dropped, share every block but that charge's; equal keys give
+    one block, whose residue cache every span with it reads."""
+    monkeypatch.setattr(A, "_BLOCKS", {})
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    codes = A._roster_codes(pres.generators)
+    sums = pres.sums
+    # a relation that is its own star, so that editing it changes one charge only
+    k, rel = next((k, r) for k, r in enumerate(sums) if len(r.star_closed) == 1)
+    charge = codes.charge(next(iter(rel.poly.terms)))
+    span = build_quotient_basis(pres, 2)
+    assert len(A._BLOCKS) == len(span._blocks) > 1
+    w = (Letter("u", 1, 1), Letter("u", 2, 1, True))
+    res = span.residue_word(w)
+    again = build_quotient_basis(pres, 2)
+    assert set(again._blocks) == set(span._blocks)
+    assert all(again._blocks[c] is b for c, b in span._blocks.items())
+    assert again._blocks[codes.charge(w)].residues[codes.code(w)] is res
+    assert again.residue_word(w) is res == A.BoundedSpan(pres, 2, provenance=True).residue_word(w)
+    for edit, rows in ((P.Relation(rel.rid, rel.poly.scale(2)), 0), (None, -1)):
+        relations = sums[:k] + ((edit,) if edit else ()) + sums[k + 1:]
+        edited = pres._replace(families=pres.families[:-1] + (P.RelationFamily(relations),))
+        before = len(A._BLOCKS)
+        other = build_quotient_basis(edited, 2)
+        assert len(A._BLOCKS) == before + 1
+        assert set(other._blocks) == set(span._blocks)
+        assert {c for c, b in span._blocks.items() if other._blocks[c] is not b} == {charge}
+        assert (other.descriptor()["relation_rows"] - span.descriptor()["relation_rows"]) == rows
+
+
+def test_targeted_provenance_and_low_degree_builds_keep_private_blocks(monkeypatch):
+    """Only a full build without provenance whose relations all have the
+    bound's degree reads or fills the block table."""
+    monkeypatch.setattr(A, "_BLOCKS", {})
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
+    low = P.RelationFamily(pres.families[0].relations + (P.Relation("low", u(1, 1)),))
+    edited = pres._replace(families=(low,) + pres.families[1:])
+    for bound, kwargs, over in ((2, {"targets": (u(1, 1) * u(2, 1, True),)}, pres),
+                                (2, {"provenance": True}, pres), (3, {}, pres), (2, {}, edited)):
+        assert A.BoundedSpan(over, bound, **kwargs).rank > 0
+        assert A._BLOCKS == {}, (bound, kwargs, over is pres)
+    shared = build_quotient_basis(pres, 2)
+    assert len(A._BLOCKS) == len(shared._blocks)
+    private = A.BoundedSpan(pres, 2, provenance=True)
+    assert set(private._blocks) == set(shared._blocks)
+    assert not any(b is shared._blocks[c] for c, b in private._blocks.items())
+
+
+def test_a_build_stopped_inside_a_block_shares_no_part_of_it(monkeypatch):
+    """A shared build stopped inside a block (by the entry cap, or by any
+    error) stores only the blocks it finished, so the next build over the
+    same relations takes every row."""
+    monkeypatch.setattr(A, "_BLOCKS", {})
+    pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
+    # private blocks with the shared build's rows, made in its order
+    whole = A.BoundedSpan(pres, 2, provenance=True)
+    finished, stop = 0, 0
+    for block in whole._blocks.values():
+        if block.rows >= 2:
+            stop += 2
+            break
+        finished, stop = finished + 1, stop + block.rows
+    inserted, real = [], A._rref_insert
+
+    def stopping(pivots, row, combo=None):
+        inserted.append(row)
+        if len(inserted) == stop:
+            raise A.DimensionCap("stopped inside a block")
+        return real(pivots, row, combo)
+    with monkeypatch.context() as m:
+        m.setattr(A, "_rref_insert", stopping)
+        with pytest.raises(A.DimensionCap):
+            build_quotient_basis(pres, 2)
+    assert len(A._BLOCKS) == finished
+    span = build_quotient_basis(pres, 2)
+    assert {c: b.rows for c, b in span._blocks.items()} == {c: b.rows for c, b in whole._blocks.items()}
+    assert span.descriptor() == whole.descriptor()
+
+
+def _sweep_passes(runs, empty_blocks, monkeypatch) -> list:
+    """Each task's report over a cold and a warm pass with one fresh orbit
+    table; with empty_blocks, each task starts from an emptied block table."""
+    orbits, out = {}, []
+    for _ in range(2):
+        for run, pair, bound in runs:
+            if empty_blocks:
+                monkeypatch.setattr(A, "_BLOCKS", {})
+            out.append(run(pair, bound, orbits).to_json_dict(include_timings=False))
+    return out
+
+
+def test_shared_blocks_change_no_sweep_report(monkeypatch):
+    """A whole shuffled n = 3 sweep, cold pass and warm pass, against a warm
+    block table gives every task the report it gets against an emptied one."""
+    tasks = cli.sweep_tasks(3, cli.SWEEP_TARGETS, cli.RunConfig())
+    random.Random(38).shuffle(tasks)
+    runs = [(cli._TARGETS[target].run, P.pair_from_json_dict(d), bound) for target, d, bound in tasks]
+    monkeypatch.setattr(A, "_BLOCKS", {})
+    orbits = {}
+    for run, pair, bound in runs:
+        run(pair, bound, orbits)
+    # the 12,198 blocks that the 234 cold span builds take are these distinct ones
+    blocks = dict(A._BLOCKS)
+    assert len(blocks) == 351
+    shared = _sweep_passes(runs, False, monkeypatch)
+    assert A._BLOCKS == blocks and all(A._BLOCKS[key] is b for key, b in blocks.items())
+    assert shared == _sweep_passes(runs, True, monkeypatch)
