@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Median wall time of each cold command kind, as separate `python -m ncstar.cli` processes.
+"""Median wall time and peak RSS of each cold command kind, one `python -m ncstar.cli` process each.
 
 Times the six command kinds of perfbench's oneshot-cli workload, each a new
 process: `verify noninjectivity`, `witness all`, `verify hopf`,
@@ -8,7 +8,12 @@ process: `verify noninjectivity`, `witness all`, `verify hopf`,
 each kind once.  With `--against OTHER_SRC`, each round runs every kind
 against both source trees, alternating which goes first, and the script
 prints each kind's medians and the median of its per-round ratios
-(this tree over the other).
+(this tree over the other).  Each kind also shows its peak RSS: the largest
+of its commands' own, read per child with os.wait4.  On Linux a child's peak
+also counts the process that spawned it, whose pages it shares until its
+exec, so no command reads below this script's own peak, about 17 MB.
+perfbench's oneshot-cli `peak_rss_mb` is the largest child's too, and its
+floor is its worker's peak, which imports numpy.
 
 The process pins itself, and with it every command, to one CPU (`--cpu`).
 Whether the interpreter may cache bytecode (PYTHONDONTWRITEBYTECODE) is left
@@ -52,16 +57,22 @@ def commands(workdir, seed):
 
 
 def timed(src, argv):
-    """Wall seconds of one cold command run from src; a nonzero exit ends the script."""
+    """(wall seconds, peak RSS in MB) of one cold command run from src; a
+    nonzero exit ends the script.  The peak RSS is the child's own, from
+    os.wait4."""
     env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "ncstar.cli", *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "ncstar.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - t0
+    proc.stderr.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: {' '.join(argv)} exited {proc.returncode}\n"
-                         + proc.stderr.decode(errors="replace"))
-    return elapsed
+                         + err.decode(errors="replace"))
+    return elapsed, usage.ru_maxrss / 1024
 
 
 def main(argv=None):
@@ -88,10 +99,12 @@ def main(argv=None):
                     times[kind, t].append(timed(trees[t], cmd))
 
     for kind, _ in kinds:
-        line = f"{kind:<15} {statistics.median(times[kind, 0]) * 1e3:7.1f} ms"
+        secs = [[t for t, _ in times[kind, k]] for k in range(len(trees))]
+        peak = [max(rss for _, rss in times[kind, k]) for k in range(len(trees))]
+        line = f"{kind:<15} {statistics.median(secs[0]) * 1e3:7.1f} ms {peak[0]:6.2f} MB"
         if len(trees) == 2:
-            ratios = [a / b for a, b in zip(times[kind, 0], times[kind, 1])]
-            line += (f"  against {statistics.median(times[kind, 1]) * 1e3:7.1f} ms"
+            ratios = [a / b for a, b in zip(secs[0], secs[1])]
+            line += (f"  against {statistics.median(secs[1]) * 1e3:7.1f} ms {peak[1]:6.2f} MB"
                      f"  paired ratio {statistics.median(ratios):.3f}")
         print(line)
     print(f"{args.rounds} rounds, seed {args.seed}, CPU {args.cpu}"

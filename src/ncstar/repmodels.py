@@ -1,10 +1,13 @@
 """Finite-dimensional matrix models used as nonvanishing and independence witnesses.
 
 A model assigns a complex matrix to every generator of a presentation; words
-evaluate to matrix products and stars to conjugate transposes.  The hand-built
-models are exact over Q(sqrt(2), i) so that residuals which vanish
-mathematically are reported as exactly 0; seeded pseudo-random models live in
-ordinary double precision.  Either way a model holds each matrix once.
+evaluate to matrix products and stars to conjugate transposes.  Every
+default model is exact over Q(sqrt(2), i): the hand-built ones, the torus on
+the phases 1, -1, i and -i, and the free-unitary model, whose two seeded
+unitaries are Cayley transforms U = (I - S)(I + S)^-1 of skew-Hermitian S
+with small Gaussian-integer entries, exactly unitary over Q(i).  Only a
+torus on other phases is a float model, in double precision.  Either way a
+model holds each matrix once.
 
 Exact matrices are sparse rows: one {column: QuadExact}
 dict per row, exact zeros never stored.  Products and sums run over each
@@ -13,26 +16,34 @@ letter's matrix.  An entry is skipped only when it is exactly zero
 (`QuadExact.is_zero`), never by a float tolerance, so every exact result
 equals the dense product.
 
+An exact model is judged exactly.  `model_residuals` names every relation
+whose exact image is not exactly zero, and a gate fails on any of them
+whatever its tolerance (`ResidualReport.violations`).  `check_independence`
+ranks a family by elimination over Q(sqrt(2), i) and names a nonzero minor
+of that size: the family members and the matrix entries (row, col) it
+takes.  A float model is gated at a tolerance and ranked by its singular
+values above a threshold.
+
 This module is imported only by the commands that evaluate a model
 (`witness` and `verify noninjectivity`), and it imports numpy only on the
-float paths: evaluating a model to a complex array, the rank of a family,
-the float torus and the seeded unitaries.  An exact model's residuals and
-norms are judged on its exact entries (`operator_norm`), so
-`verify noninjectivity` never loads numpy.
+float paths: evaluating a model to a complex array, the float torus and its
+rank, and the 2-norm of an exact matrix with two nonzero entries in one row
+or column, which only a failing gate reports.  So neither
+`verify noninjectivity` nor any default witness suite loads numpy.
 
 A model may be a *probe*: it fails some presentation relations on purpose.
-A run gates each model, at the run's residual tolerance, on only the relations
-its claim rests on, so a probe model is barred from any claim that depends
-on the relations it violates but remains usable for the pure commutation and
-independence computations it was written down for.
+A run gates each model on only the relations its claim rests on, so a probe
+model is barred from any claim that depends on the relations it violates
+but remains usable for the pure commutation and independence computations
+it was written down for.
 
 A builder checks neither residuals nor rank.  The run that uses a model
-judges both, at its own tolerance and singular-value threshold, so a
-degenerate sample set shows up there as a rank shortfall.
+judges both, so a degenerate sample set shows up there as a rank shortfall.
 """
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple, Optional, Sequence
 
 from .ncalg import Letter, Poly, word_str
@@ -81,14 +92,27 @@ class MatrixModel(NamedTuple):
 class ResidualReport(NamedTuple):
     per_relation: tuple  # ((description, residual), ...)
     max: float
+    # an exact model's rows whose exact image is not exactly zero; None for a
+    # float model
+    nonzero: Optional[tuple] = None
 
-    def worst(self):
-        return max(self.per_relation, key=lambda kv: kv[1]) if self.per_relation else ("", 0.0)
+    def violations(self, tolerance: float) -> tuple:
+        """The rows that fail a gate at this tolerance: on an exact model,
+        every relation whose exact image is nonzero, however small its float
+        norm (an entry of 1e-400 has norm 0.0); on a float model, every
+        residual above the tolerance."""
+        if self.nonzero is not None:
+            return self.nonzero
+        return tuple(row for row in self.per_relation if row[1] > tolerance)
 
 
 class IndependenceResult(NamedTuple):
     rank: int
-    singular_values: tuple
+    # a float model's singular values, one per family member
+    singular_values: Optional[tuple] = None
+    # an exact model's nonzero rank x rank minor: the family members (indices
+    # into the family) and the matrix entries (row, col) it takes
+    minor: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +210,77 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
     the model's presentation (expanded sums included).
 
     An exact model's relations are judged on their exact images, so an
-    exactly vanishing relation reports 0.0 regardless of floating point.
+    exactly vanishing relation reports 0.0 regardless of floating point, and
+    the report names every relation whose exact image is not exactly zero.
     """
     if relations is None:
         relations = model.presentation.all_relations()
-    image = _exact_evaluate if model.exact else evaluate
     rows = []
+    nonzero = []
     worst = 0.0
     for rel in relations:
-        res = operator_norm(image(rel.poly, model))
-        rows.append((rel.describe(), res))
-        worst = max(worst, res)
-    return ResidualReport(tuple(rows), worst)
+        if model.exact:
+            image = _exact_evaluate(rel.poly, model)
+            row = (rel.describe(), operator_norm(image))
+            if any(not x.is_zero() for entries in image for x in entries.values()):
+                nonzero.append(row)
+        else:
+            row = (rel.describe(), operator_norm(evaluate(rel.poly, model)))
+        rows.append(row)
+        worst = max(worst, row[1])
+    return ResidualReport(tuple(rows), worst, tuple(nonzero) if model.exact else None)
+
+
+def _pivots(vectors: Sequence) -> tuple:
+    """Gaussian elimination of sparse exact vectors ({index: QuadExact}), in order.
+
+    Each vector is reduced by the pivots before it; one that stays nonzero
+    becomes a pivot at its least nonzero index.  Returns the vectors that did
+    (their positions) and their pivot indices.  On those vectors and indices
+    the reduced vectors are triangular with a nonzero diagonal, and they
+    differ from the originals by a unitriangular change of basis, so the
+    original minor is nonzero and its size is the rank.
+    """
+    pivots = []  # (index, reduced vector scaled to 1 there)
+    members = []
+    for k, vector in enumerate(vectors):
+        v = dict(vector)
+        for col, p in pivots:
+            f = v.get(col)
+            if f is None or f.is_zero():
+                continue
+            for j, y in p.items():
+                v[j] = v[j] - f * y if j in v else -(f * y)
+        v = {j: x for j, x in v.items() if not x.is_zero()}
+        if v:
+            col = min(v)
+            inv = v[col].inverse()
+            pivots.append((col, {j: x * inv for j, x in v.items()}))
+            members.append(k)
+    return tuple(members), tuple(col for col, _ in pivots)
 
 
 def check_independence(family: Sequence[Poly], model: MatrixModel,
                        threshold: float) -> IndependenceResult:
-    """Numerical rank of the flattened family: its singular values above threshold.
+    """Rank of the flattened family.
 
-    There is one singular value per member of the family: where the family
-    has more members than a matrix has entries, the missing ones are 0.
+    An exact model is ranked exactly, by elimination over Q(sqrt(2), i), and
+    the result names a nonzero minor of that size; the threshold is not
+    read.  A float model's rank is its number of singular values above the
+    threshold, with one singular value per member of the family: where the
+    family has more members than a matrix has entries, the missing ones are 0.
     The model's residuals are not checked here: a caller whose claim needs
     them valid checks `model_residuals` too.
     """
     if not family:
         raise ValueError("family must be nonempty")
+    dim = model.dim
+    if model.exact:
+        vectors = [{i * dim + j: x for i, row in enumerate(_exact_evaluate(p, model))
+                    for j, x in row.items()} for p in family]
+        members, cols = _pivots(vectors)
+        return IndependenceResult(len(members),
+                                  minor=(members, tuple(divmod(c, dim) for c in cols)))
     import numpy as np
     rows = [evaluate(p, model).reshape(-1) for p in family]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
@@ -291,29 +361,55 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     return MatrixModel(pres, dim, {_X1: x1, _X2: x2}, exactable, "torus-diagonal")
 
 
-def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
-    """Seeded pseudo-random unitaries scaled by sqrt2/2 as a free-sphere witness.
+def _cayley_unitary(rng, dim: int) -> list:
+    """U = (I + S)^-1 (I - S) for a seeded skew-Hermitian S with Gaussian-integer
+    entries of real and imaginary part in -2..2, as sparse rows over Q(i).
 
-    In dimension 2 the four products are always dependent (the adjoint of a
-    2x2 unitary is a polynomial of degree <= 1 in it), so dim >= 3 is required.
-    One draw per seed, recorded on the model; a draw whose products are
-    dependent is not replaced, and shows as a rank shortfall.
+    S has imaginary eigenvalues, so I + S is invertible.  Since S* = -S,
+    U* = (I + S)(I - S)^-1, and as I + S, I - S and their inverses commute,
+    U* U = U U* = I exactly (Cayley).  U is found by Gauss-Jordan elimination
+    of [I + S | I - S].
+    """
+    s = [[Q()] * dim for _ in range(dim)]
+    for i in range(dim):
+        s[i][i] = Q(0, 0, rng.randint(-2, 2))
+        for j in range(i + 1, dim):
+            s[i][j] = Q(rng.randint(-2, 2), 0, rng.randint(-2, 2))
+            s[j][i] = -s[i][j].conjugate()
+    eye = [[Q_ONE if i == j else Q() for j in range(dim)] for i in range(dim)]
+    aug = [[eye[i][j] + s[i][j] for j in range(dim)] + [eye[i][j] - s[i][j] for j in range(dim)]
+           for i in range(dim)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if not aug[r][col].is_zero())
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(dim):
+            f = aug[r][col]
+            if r != col and not f.is_zero():
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [{j: x for j, x in enumerate(row[dim:]) if not x.is_zero()} for row in aug]
+
+
+def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
+    """Two seeded Cayley unitaries scaled by sqrt2/2 as a free-sphere witness.
+
+    Each unitary is exact over Q(i) (`_cayley_unitary`), so the model is
+    exact and every sphere relation holds exactly.  In dimension 2 the four
+    products are always dependent (the adjoint of a 2x2 unitary is a
+    polynomial of degree <= 1 in it), so dim >= 3 is required.  One draw per
+    seed, from `random.Random(seed)`, recorded on the model; a draw whose
+    products are dependent is not replaced, and shows as a rank shortfall.
     """
     if dim < 3:
         raise ValueError(f"dim must be at least 3, got {dim}: the four products "
                          "cannot be independent below dimension 3")
     pair = validate_pair([[0, 0], [0, 0]], [[0, 0], [0, 0]])
-    import numpy as np
     pres = sphere_presentation(pair)
-    rng = np.random.default_rng(seed)
-    us = []
-    for _ in range(2):
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(z)
-        q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        us.append(q)
-    half = complex(np.sqrt(0.5))
-    return MatrixModel(pres, dim, {_X1: half * us[0], _X2: half * us[1]},
+    rng = random.Random(seed)
+    x1, x2 = ([{j: Q_SQRT2_OVER_2 * x for j, x in row.items()} for row in _cayley_unitary(rng, dim)]
+              for _ in range(2))
+    return MatrixModel(pres, dim, {_X1: x1, _X2: x2}, True,
                        label=f"free-unitary-{dim}d", seed_used=seed)
 
 

@@ -124,62 +124,106 @@ def parse_scalar(text: str) -> GaussianRational:
     raise ValueError(f"malformed scalar string: {text!r}")
 
 
-# _QUAD_PRODUCT[p][q] = (k, f): basis element p times q is f times basis element k,
-# over the basis 1, r, i, ri of Q(sqrt2, i) with r = sqrt2 (r*r = 2, i*i = -1).
-_QUAD_PRODUCT = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, 2), (3, 1), (2, 2)),
-    ((2, 1), (3, 1), (0, -1), (1, -1)),
-    ((3, 1), (2, 2), (1, -1), (0, -2)),
-)
+def _quad(n0: int, n1: int, n2: int, n3: int, den: int) -> "QuadExact":
+    """(n0 + n1*r + (n2 + n3*r)*i) / den with r = sqrt2, reduced to lowest terms."""
+    g = gcd(n0, n1, n2, n3, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        n2 //= g
+        n3 //= g
+        den //= g
+    x = object.__new__(QuadExact)
+    x._n = (n0, n1, n2, n3)
+    x._den = den
+    return x
 
 
 class QuadExact:
-    """Element (a + b*sqrt(2)) + (c + d*sqrt(2))*i of Q(sqrt(2), i)."""
+    """Element (a + b*sqrt(2)) + (c + d*sqrt(2))*i of Q(sqrt(2), i).
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored as four int numerators over one positive int denominator, with no
+    common factor, so equal elements have equal fields.  The components
+    `a`..`d` are read back as Fractions.
+    """
+
+    __slots__ = ("_n", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        parts = [x if type(x) is int else Fraction(x) for x in (a, b, c, d)]
+        den = 1
+        for x in parts:
+            if type(x) is not int:
+                den = den * x.denominator // gcd(den, x.denominator)
+        y = _quad(*(int(x * den) for x in parts), den)
+        self._n = y._n
+        self._den = y._den
+
+    a = property(lambda self: Fraction(self._n[0], self._den))
+    b = property(lambda self: Fraction(self._n[1], self._den))
+    c = property(lambda self: Fraction(self._n[2], self._den))
+    d = property(lambda self: Fraction(self._n[3], self._den))
 
     def __add__(self, other: "QuadExact") -> "QuadExact":
-        return QuadExact(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        (a, b, c, d), p = self._n, self._den
+        (e, f, g, h), q = other._n, other._den
+        if p == q:
+            return _quad(a + e, b + f, c + g, d + h, p)
+        return _quad(a * q + e * p, b * q + f * p, c * q + g * p, d * q + h * p, p * q)
+
+    def __sub__(self, other: "QuadExact") -> "QuadExact":
+        return self + -other
 
     def __neg__(self) -> "QuadExact":
-        return QuadExact(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._n
+        return _quad(-a, -b, -c, -d, self._den)
 
     def __mul__(self, other: "QuadExact") -> "QuadExact":
-        # Over the basis 1, r, i, ri (r = sqrt2), multiply only nonzero
-        # components: every witness entry (1, i, sqrt2/2) has just one.
-        out = [0, 0, 0, 0]
-        ys = [(q, y) for q, y in enumerate((other.a, other.b, other.c, other.d)) if y]
-        for p, x in enumerate((self.a, self.b, self.c, self.d)):
-            if x:
-                for q, y in ys:
-                    k, f = _QUAD_PRODUCT[p][q]
-                    out[k] += f * (x * y)
-        return QuadExact(*out)
+        # (X + Y i)(U + V i) = (XU - YV) + (XV + YU) i over Q(sqrt2), r*r = 2
+        a, b, c, d = self._n
+        e, f, g, h = other._n
+        return _quad(a * e + 2 * b * f - c * g - 2 * d * h,
+                     a * f + b * e - c * h - d * g,
+                     a * g + 2 * b * h + c * e + 2 * d * f,
+                     a * h + b * g + c * f + d * e,
+                     self._den * other._den)
+
+    def inverse(self) -> "QuadExact":
+        """1/x = conj(x) / |x|^2, where |x|^2 = p + q*sqrt2 has inverse
+        (p - q*sqrt2) / (p^2 - 2 q^2); the norm p^2 - 2 q^2 is nonzero
+        because sqrt2 is irrational."""
+        a, b, c, d = self._n
+        if not (a or b or c or d):
+            raise ZeroDivisionError("inverse of zero")
+        p = a * a + 2 * b * b + c * c + 2 * d * d
+        q = 2 * (a * b + c * d)
+        den = self._den
+        return _quad(den * (a * p - 2 * b * q), den * (b * p - a * q),
+                     -den * (c * p - 2 * d * q), -den * (d * p - c * q), p * p - 2 * q * q)
 
     def conjugate(self) -> "QuadExact":
-        return QuadExact(self.a, self.b, -self.c, -self.d)
+        a, b, c, d = self._n
+        return _quad(a, b, -c, -d, self._den)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        a, b, c, d = self._n
+        return not (a or b or c or d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadExact):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return self._n == other._n and self._den == other._den
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.a) + float(self.b) * _SQRT2,
-                       float(self.c) + float(self.d) * _SQRT2)
+        # int / int rounds correctly, as float(Fraction) does
+        a, b, c, d = self._n
+        den = self._den
+        return complex(a / den + b / den * _SQRT2, c / den + d / den * _SQRT2)
 
     def __repr__(self) -> str:
         return f"QuadExact({self.a}, {self.b}, {self.c}, {self.d})"

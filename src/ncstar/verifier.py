@@ -78,10 +78,15 @@ carries that task's vanishing images onto this task's.  An Inconclusive is
 never carried, and no verdict is ever upgraded.
 
 The matrix models (`repmodels`) are loaded on demand: only the
-non-injectivity witness check and the independence suites import them.  The
-non-injectivity model is exact, and its residuals, image norm and image
-diagonal are read from its exact entries, so only the independence suites
-(`witness`) load numpy, for their ranks and float models.
+non-injectivity witness check and the independence suites import them.  An
+exact model passes its residual gate only if every gated relation vanishes
+exactly (`_gate_failure`).  The non-injectivity model is exact, and its
+residuals, image norm and image diagonal are read from its exact entries.
+Every default independence suite's model is exact too, and its
+ProvedNonzero names a nonzero minor of the family's images, found by exact
+elimination, in place of singular values above a threshold.  So numpy is
+loaded only by a witness run on a float model: a torus whose phases are not
+all 1, -1, i or -i.
 
 Inconclusive is never conflated with failure: it means the bounded certificate
 search did not settle the claim.
@@ -188,6 +193,17 @@ SVD_THRESHOLD = 1e-6
 
 # The operator norm a witness image must exceed to be reported nonzero.
 NONZERO_NORM_THRESHOLD = 1e-6
+
+
+def _gate_failure(model, residuals, tolerance: float) -> Optional[str]:
+    """The detail of a model failing its residual gate, naming the worst
+    violated relation; None if it passes.  An exact model passes only if
+    every gated relation vanishes exactly, whatever the tolerance."""
+    violations = residuals.violations(tolerance)
+    if not violations:
+        return None
+    desc, res = max(violations, key=lambda row: row[1])
+    return f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}"
 
 
 def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
@@ -586,9 +602,9 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
         from . import repmodels
         model = repmodels.noninjectivity_sphere_model()
         residuals = repmodels.model_residuals(model)
-        if residuals.max > RESIDUAL_TOLERANCE:
-            return Certificate(INCONCLUSIVE,
-                               detail=f"witness model residual {residuals.max:.3g} above tolerance")
+        failure = _gate_failure(model, residuals, RESIDUAL_TOLERANCE)
+        if failure:
+            return Certificate(INCONCLUSIVE, detail=failure)
         x1 = Poly.generator(Letter("x", 1, 0))
         x2s = Poly.generator(Letter("x", 2, 0, True))
         image = repmodels._exact_evaluate(x1 * x2s, model)
@@ -659,10 +675,14 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESH
                               torus_samples=None) -> VerificationReport:
     """Run one named witness suite, or "all": build the model, gate on residuals, test rank.
 
-    Each check reports the singular values; ProvedNonzero means the gated
-    relations hold within the tolerance and the family reached its expected
-    rank above the threshold.  Otherwise the check is Inconclusive, and its
-    detail names the worst gated relation or the rank shortfall.
+    ProvedNonzero means the gated relations hold and the family reached its
+    expected rank.  An exact model's gated relations must vanish exactly, and
+    its rank is exact: its evidence names a nonzero minor of that size, by
+    the family members and the matrix entries (row, col) it takes.  A float
+    model's gated residuals must be within the tolerance, and its evidence
+    reports the singular values and the threshold its rank is counted above.
+    Otherwise the check is Inconclusive, and its detail names the worst
+    gated relation or the rank shortfall.
     """
     names = witness_suites(suites)
     from . import repmodels
@@ -681,18 +701,21 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESH
                 "family": [poly_str(p) for p in fam],
                 "rank": result.rank,
                 "expected_rank": expected,
-                "singular_values": list(result.singular_values),
-                "threshold": svd_threshold,
             }
+            if result.minor is not None:
+                members, entries = result.minor
+                evidence["minor"] = {"members": list(members),
+                                     "entries": [list(e) for e in entries]}
+            else:
+                evidence["singular_values"] = list(result.singular_values)
+                evidence["threshold"] = svd_threshold
             if model.seed_used is not None:
                 evidence["seed"] = model.seed_used
             if not gate:
                 evidence["residual_max"] = residuals.max
-            if residuals.max > residual_tolerance:
-                desc, res = residuals.worst()
-                return Certificate(INCONCLUSIVE, nonzero_evidence=evidence,
-                                   detail=f"model {model.label!r} violates gated relation "
-                                          f"{desc!r} with residual {res:.3g}")
+            failure = _gate_failure(model, residuals, residual_tolerance)
+            if failure:
+                return Certificate(INCONCLUSIVE, nonzero_evidence=evidence, detail=failure)
             if result.rank == expected:
                 return Certificate(PROVED_NONZERO, nonzero_evidence=evidence,
                                    detail=f"rank {result.rank}/{expected}")

@@ -136,7 +136,7 @@ def test_criterion_4_noninjectivity_anchor():
 
 
 # ---------------------------------------------------------------------------
-# criterion 5: witness suite ranks at threshold 1e-6
+# criterion 5: witness suite ranks, exact on every default model
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_witness_suite(sweep_run):
@@ -153,8 +153,9 @@ def test_criterion_5_witness_suite(sweep_run):
         ev = check.certificate.nonzero_evidence
         if ev["rank"] != want or ev["expected_rank"] != want:
             failures.append(f"{name}: rank {ev['rank']}/{want}")
-        if ev["threshold"] != 1e-6:
-            failures.append(f"{name}: threshold {ev['threshold']}")
+        minor = ev.get("minor")
+        if minor is None or len(minor["members"]) != want:
+            failures.append(f"{name}: minor {minor} is not {want}x{want}")
     o2 = R.model_residuals(R.o2plus_model())
     if o2.max != 0.0:
         failures.append(f"o2plus residual {o2.max} not exactly zero")

@@ -468,36 +468,48 @@ def test_witness_single_suite_json(capsys):
 
 
 def test_witness_degenerate_phases_exit_1(capsys):
+    # the torus is exact on these phases: its row names the size of its minor
     assert run_cli("witness", "torus", "--phases", "1,1", "1,1") == 1
     captured = capsys.readouterr()
-    assert captured.out == ("[FAIL] torus: rank 1/2 min-sv 0.000e+00  (rank shortfall: 1/2)\n"
+    assert captured.out == ("[FAIL] torus: rank 1/2 minor 1x1  (rank shortfall: 1/2)\n"
                             "overall passed: False\n")
     assert captured.err == ""
 
 
-def test_witness_single_phase_sample_shows_min_sv_zero(capsys):
+def test_witness_single_phase_sample_shows_a_1x1_minor(capsys):
     # one sample makes a 1x1 model: two members, one matrix entry
     assert run_cli("witness", "torus", "--phases", "1,1") == 1
-    assert capsys.readouterr().out == ("[FAIL] torus: rank 1/2 min-sv 0.000e+00  "
+    assert capsys.readouterr().out == ("[FAIL] torus: rank 1/2 minor 1x1  "
                                        "(rank shortfall: 1/2)\noverall passed: False\n")
     assert run_cli("witness", "torus", "--phases", "1,1", "--format", "json") == 1
     ev = json.loads(capsys.readouterr().out)["report"]["checks"][0]["evidence"]["nonzero_evidence"]
     assert (ev["dim"], ev["rank"], ev["expected_rank"]) == (1, 1, 2)
-    assert len(ev["singular_values"]) == 2 and ev["singular_values"][1] == 0.0
+    assert ev["minor"] == {"members": [0], "entries": [[0, 0]]}
+    assert "singular_values" not in ev and "threshold" not in ev
 
 
 def test_witness_over_tolerance_is_one_failed_row(capsys):
-    # the float free-unitary model's residuals are rounding errors near
-    # 6.5e-16; the exact models' are 0, so only its row fails
-    assert run_cli("witness", "all", "--tol", "1e-17") == 1
+    # the float torus's residuals are rounding errors near 2.2e-16; every
+    # other model is exact, with exactly vanishing relations, so only its row fails
+    assert run_cli("witness", "all", "--phases", "1,1", "0.6+0.8j,1j", "--tol", "1e-17") == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6 and lines[-1] == "overall passed: False"
     failed = [line for line in lines[:5] if line.startswith("[FAIL]")]
-    assert [line.split(":")[0] for line in failed] == ["[FAIL] free-unitary"]
-    assert failed[0].startswith("[FAIL] free-unitary: rank 4/4 min-sv ")
-    assert "(model 'free-unitary-4d' violates gated relation 'Σ " in failed[0]
+    assert [line.split(":")[0] for line in failed] == ["[FAIL] torus"]
+    assert failed[0].startswith("[FAIL] torus: rank 2/2 min-sv ")
+    assert "(model 'torus-diagonal' violates gated relation 'Σ " in failed[0]
     residual = float(failed[0].rsplit("with residual ", 1)[1].rstrip(")"))
     assert 1e-17 < residual < 1e-14
+    # the exact rows pass at any tolerance
+    assert run_cli("witness", "all", "--tol", "1e-300") == 0
+    capsys.readouterr()
+
+
+def test_witness_dim_cap(capsys):
+    dim = cli.MAX_WITNESS_DIM + 1
+    assert run_cli("witness", "free-unitary", "--dim", str(dim)) == 2
+    assert capsys.readouterr() == ("", f"error: --dim must be at most {cli.MAX_WITNESS_DIM}, "
+                                       f"not {dim}\n")
 
 
 def test_witness_near_degenerate_torus_passes_at_a_lower_threshold(capsys):
@@ -681,12 +693,17 @@ assert loaded() == [], f"loaded by an algebraic command: {loaded()}"
 # the non-injectivity witness is exact: its residuals and norm need no numpy
 assert cli.main(["verify", "noninjectivity", "--output", out]) == 0
 assert loaded() == ["ncstar.repmodels"], f"loaded by verify noninjectivity: {loaded()}"
+# every default witness model is exact: exact gates and exact ranks
 assert cli.main(["witness", "all", "--output", out]) == 0
-assert "numpy" in sys.modules, "witness all ranks its families without numpy"
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
+assert loaded() == ["ncstar.repmodels"], f"loaded by witness all: {loaded()}"
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
     code = cli.main(["witness", "torus", "--phases", "1,1", "1,1"])
-assert code == 1 and out.getvalue().startswith("[FAIL] torus: rank 1/2"), (code, out.getvalue())
+assert code == 1 and text.getvalue().startswith("[FAIL] torus: rank 1/2"), (code, text.getvalue())
+assert loaded() == ["ncstar.repmodels"], f"loaded by an exact torus: {loaded()}"
+# only a torus on phases other than 1, -1, i, -i is a float model
+assert cli.main(["witness", "torus", "--phases", "1,1", "0.6+0.8j,1j", "--output", out]) == 0
+assert "numpy" in sys.modules, "the float torus ranks its family without numpy"
 print("ok")
 """
 
@@ -701,21 +718,24 @@ def test_cold_commands_load_numpy_only_for_models(pair_file, tmp_path):
     assert proc.stdout.strip() == "ok"
 
 
-# sha256 of the default JSON reports, taken from the dense exact evaluation;
-# the sparse one must reproduce them byte for byte
+# sha256 of the default JSON reports.  The exact witness reports (exact
+# gates, and ranks that name a nonzero minor) were taken when the
+# free-unitary model became exact; the others from the dense exact evaluation,
+# which the sparse one reproduces byte for byte
 _PINNED_SHA256 = {
-    ("witness", "all"): "f17e07d0604bfe025d8c2483938df25b600512c9724cce52708e4917270556b7",
+    ("witness", "all"): "4bc1d60932d6c1cd2f5ff7d418cdbbe5cbd8f0a2a21c8777485f7fce65cb027d",
     ("verify", "noninjectivity"): "f3ef8275fd987b0b28387ef1b8acf8e0fba6b686d78429a8aa14a17ab8404151",
-    # the float torus, the exact torus, the float free-unitary path, and a
-    # probe model gated at a tolerance other than the default
+    # the float torus (singular values), the exact torus, the exact
+    # free-unitary model at another dim and seed, and a probe model gated at a
+    # tolerance other than the default, which an exact gate does not read
     ("witness", "torus", "--phases", "1,1", "0.6+0.8j,1j"):
         "17c09e24ebb6450d3850cf1f45592eb15c33955d705c3594289c7543b999ce6a",
     ("witness", "torus", "--phases", "1,1", "1,1j", "1j,-1j"):
-        "be854ac6897bfc85c80d8c60872a0ad41ba5a7ab5cb3f806b518eb2197c50fad",
+        "d6a0d04c1bb6ab9802e4618a67e032de97390e82f2780e303ee5fa4e5b134113",
     ("witness", "free-unitary", "--dim", "6", "--seed", "3"):
-        "361b12b28db8f93fd5cb3d1474e4778e41c1dae9821ca3a0dd3c8c85d0556b48",
+        "d19762674c82af71e50472834533d8eb4ca92db36dc452375980b4c7cdde0e21",
     ("witness", "probe-products", "--tol", "1e-3"):
-        "e4af397f7aa9b2d214761c2b34332e39492e9c43d80f4651dfadea5b1a987ef6",
+        "ea3bb67a0ef69d4f5259735e5c0352ff264faf7853c30ff41c29ceb4a4fead27",
 }
 
 # the algebraic reports; the three verify targets run on a non-regular n = 3

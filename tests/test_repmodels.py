@@ -441,3 +441,115 @@ def test_exact_operator_norm_equals_numpy_bit_for_bit():
         dense = np.array([[complex(row.get(j, QuadExact())) for j in range(2)] for row in rows])
         assert R.operator_norm(rows) == float(np.linalg.norm(dense, 2))
         assert abs(R.operator_norm(rows) - want) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# exact ranks: the minor each one names, checked apart from the elimination
+# ---------------------------------------------------------------------------
+
+def _cofactor_det(m):
+    """Determinant by expansion along the first row, in QuadExact alone."""
+    if not m:
+        return Q_ONE
+    total = QuadExact()
+    for j, x in enumerate(m[0]):
+        if not x.is_zero():
+            term = x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _minor_det(model, family, members, entries):
+    """The determinant of the minor, from dense images of the family members."""
+    exact = {x: _dense(rows, model.dim) for x, rows in model.assignment.items()}
+    images = [_dense_evaluate(family[k], exact, model.dim) for k in members]
+    return _cofactor_det([[image[r][c] for r, c in entries] for image in images])
+
+
+def _exact_cases():
+    """(label, model, family) for every default suite and for free-unitary
+    seeds 0-9 at dims 3, 4 and 6, plus the degenerate tori."""
+    for name, row in V.INDEPENDENCE_SUITES.items():
+        model, family, _ = row(R, 0, 4, None)
+        yield name, model, family
+    for samples in ([(1, 1)], [(1, 1), (1, 1)]):
+        yield f"torus {samples}", R.torus_model(samples), R.CONJUGATE_PRODUCTS[:2]
+    for dim in (3, 4, 6):
+        for seed in range(10):
+            yield f"free-unitary {dim} {seed}", R.free_unitary_model(dim, seed), R.CONJUGATE_PRODUCTS
+
+
+def test_reported_minors_are_nonzero_by_cofactor_expansion():
+    # the minors a witness report names
+    report = V.verify_independence_suite("all")
+    for check in report.checks:
+        ev = check.certificate.nonzero_evidence
+        model, family, _ = V.INDEPENDENCE_SUITES[check.name](R, 0, 4, None)
+        minor = ev["minor"]
+        assert len(minor["members"]) == ev["rank"] == ev["expected_rank"], check.name
+        assert not _minor_det(model, family, minor["members"], minor["entries"]).is_zero()
+    # and every exact rank's minor, the rank shortfalls' included
+    for label, model, family in _exact_cases():
+        result = R.check_independence(family, model, SVD_THRESHOLD)
+        members, entries = result.minor
+        assert result.singular_values is None
+        assert len(members) == len(entries) == result.rank, label
+        assert not _minor_det(model, family, members, entries).is_zero(), label
+
+
+def test_a_tampered_minor_is_rejected():
+    tampered = 0
+    for name, row in V.INDEPENDENCE_SUITES.items():
+        model, family, _ = row(R, 0, 4, None)
+        members, entries = R.check_independence(family, model, SVD_THRESHOLD).minor
+        images = [R._exact_evaluate(family[k], model) for k in members]
+        # an entry at which every member's image is exactly zero
+        zero = next(((r, c) for r in range(model.dim) for c in range(model.dim)
+                     if all(c not in image[r] for image in images)), None)
+        if zero is None:
+            continue
+        for k in range(len(entries)):
+            moved = entries[:k] + (zero,) + entries[k + 1:]
+            assert _minor_det(model, family, members, moved).is_zero(), (name, moved)
+            tampered += 1
+    # the probe's, the torus's and o2plus's minors all have one
+    assert tampered >= 4 + 3 + 2 + 2
+
+
+def test_exact_rank_equals_numpy_svd_rank():
+    for label, model, family in _exact_cases():
+        flat = np.array([R.evaluate(p, model).reshape(-1) for p in family])
+        sv = np.linalg.svd(flat, compute_uv=False)
+        want = int((sv > SVD_THRESHOLD).sum())
+        assert R.check_independence(family, model, SVD_THRESHOLD).rank == want, label
+
+
+def test_free_unitary_is_an_exact_cayley_pair():
+    for dim, seed in ((3, 0), (4, 0), (6, 3)):
+        m = R.free_unitary_model(dim, seed)
+        assert m.exact and m.seed_used == seed and m.label == f"free-unitary-{dim}d"
+        rep = R.model_residuals(m)
+        assert rep.max == 0.0 and rep.nonzero == ()
+        for x in m.assignment:
+            # x = (sqrt2/2) U with U unitary over Q(i): x* x = x x* = 1/2 exactly
+            for word in ((x.star(), x), (x, x.star())):
+                image = R._exact_evaluate(Poly.from_word(word), m)
+                assert image == [{i: QuadExact(Fraction(1, 2))} for i in range(dim)]
+
+
+def test_a_perturbed_cayley_model_fails_the_exact_gate(monkeypatch):
+    base = R.free_unitary_model(4, 0)
+    for delta in (Fraction(1, 1000), Fraction(1, 10 ** 400)):
+        rows = [dict(row) for row in base.assignment[x1g]]
+        rows[0][0] = rows[0][0] + QuadExact(delta)
+        model = base._replace(assignment={**base.assignment, x1g: rows})
+        rep = R.model_residuals(model)
+        assert len(rep.nonzero) == 2  # both normalization sums
+        assert rep.violations(1.0) == rep.nonzero
+        # 1e-400 is below every float: its norms read 0.0, yet the gate fails
+        assert (rep.max == 0.0) == (delta < Fraction(1, 10 ** 300))
+        monkeypatch.setitem(V.INDEPENDENCE_SUITES, "free-unitary",
+                            lambda R, seed, dim, samples: (model, R.CONJUGATE_PRODUCTS, ""))
+        cert = V.verify_independence_suite("free-unitary", residual_tolerance=1e300).checks[0].certificate
+        assert cert.status == INCONCLUSIVE, delta
+        assert cert.detail.startswith("model 'free-unitary-4d' violates gated relation 'Σ ")

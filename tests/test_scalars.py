@@ -92,3 +92,44 @@ quads = st.builds(QuadExact, _sparse, _sparse, _sparse, _sparse)
 @given(quads, quads)
 def test_quad_sparse_product_matches_full_formula(x, y):
     assert x * y == _full_product(x, y)
+
+
+# a component-wise reference: four Fractions, as QuadExact once stored them
+def _components(x):
+    return (x.a, x.b, x.c, x.d)
+
+
+@given(quads, quads)
+def test_quad_sum_and_difference_match_the_components(x, y):
+    assert _components(x + y) == tuple(p + q for p, q in zip(_components(x), _components(y)))
+    assert _components(x - y) == tuple(p - q for p, q in zip(_components(x), _components(y)))
+    assert _components(-x) == tuple(-p for p in _components(x))
+    assert _components(x.conjugate()) == (x.a, x.b, -x.c, -x.d)
+
+
+@given(quads)
+def test_quad_reads_back_fractions_with_their_hash_and_complex_value(x):
+    assert all(type(p) is Fraction for p in _components(x))
+    assert x == QuadExact(*_components(x))
+    assert hash(x) == hash(_components(x))
+    want = complex(float(x.a) + float(x.b) * 2 ** 0.5, float(x.c) + float(x.d) * 2 ** 0.5)
+    assert complex(x) == want  # bit for bit
+    assert x.is_zero() == (_components(x) == (0, 0, 0, 0))
+
+
+def test_quad_equal_values_are_equal_however_written():
+    x = QuadExact(Fraction(1, 2), Fraction(1, 3), 0, -1)
+    assert x == QuadExact(Fraction(2, 4), Fraction(-2, -6), Fraction(0, 5), Fraction(-3, 3))
+    assert hash(x) == hash(QuadExact("1/2", "1/3", 0, -1))
+    assert QuadExact(Fraction(1, 3)) + QuadExact(Fraction(2, 3)) == Q_ONE
+    assert (QuadExact(Fraction(1, 3)) - QuadExact(Fraction(1, 3))) == QuadExact()
+
+
+@given(quads, quads)
+def test_quad_inverse(x, y):
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert x * x.inverse() == Q_ONE
+    assert y * x.inverse() * x == y

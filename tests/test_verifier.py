@@ -571,8 +571,13 @@ def test_all_suites_pass():
     assert by_name["free-unitary"]["rank"] == 4
     assert by_name["o2plus"]["rank"] == 2
     assert by_name["o2plus"]["residual_max"] == 0.0
+    # every default model is exact: each rank rests on a nonzero minor of
+    # full size (its determinant is recomputed in test_repmodels), not on
+    # singular values above a threshold
     for ev in by_name.values():
-        assert min(ev["singular_values"][:ev["expected_rank"]]) > 1e-6
+        minor = ev["minor"]
+        assert len(minor["members"]) == len(minor["entries"]) == ev["expected_rank"]
+        assert "singular_values" not in ev and "threshold" not in ev
 
 
 def test_unknown_suite():
@@ -589,17 +594,18 @@ def test_torus_suite_with_degenerate_phases():
 
 
 def test_suite_over_tolerance_is_one_inconclusive_row():
-    # the free-unitary model is a float model, so its residuals are rounding
-    # errors near 6.5e-16; the exact models' are 0
-    report = V.verify_independence_suite("all", residual_tolerance=1e-17)
+    # a torus on the phase 0.6+0.8j is a float model, so its residuals are
+    # rounding errors near 2.2e-16; the exact models' relations vanish exactly
+    report = V.verify_independence_suite("all", residual_tolerance=1e-17,
+                                         torus_samples=[(1, 1), (0.6 + 0.8j, 1j)])
     statuses = {c.name: c.certificate.status for c in report.checks}
     assert statuses == {name: PROVED_NONZERO for name in V.INDEPENDENCE_SUITES} | {
-        "free-unitary": INCONCLUSIVE}
-    cert = report.checks[list(V.INDEPENDENCE_SUITES).index("free-unitary")].certificate
+        "torus": INCONCLUSIVE}
+    cert = report.checks[list(V.INDEPENDENCE_SUITES).index("torus")].certificate
     ev = cert.nonzero_evidence
-    assert 1e-17 < ev["residual_max"] < 1e-14 and ev["rank"] == 4
+    assert 1e-17 < ev["residual_max"] < 1e-14 and ev["rank"] == 2
     # which normalization sum rounds worst depends on the float arithmetic
-    assert cert.detail.startswith("model 'free-unitary-4d' violates gated relation 'Σ ")
+    assert cert.detail.startswith("model 'torus-diagonal' violates gated relation 'Σ ")
     assert cert.detail.endswith(f"with residual {ev['residual_max']:.3g}")
 
 
