@@ -19,9 +19,10 @@ runs over Q, and star only reverses and stars words.  On top of the free
   pivots and residue cache; a residue is a list of (word code, coefficient)
   pairs, cached in its word's block.  A full bound-2 span without
   provenance takes its blocks from one per-process table (`_BLOCKS`) and
-  builds only those the table lacks, and a span given `targets` builds only
-  the blocks of the targets' terms, each exactly as the full span holds it,
-  replaying each relation's rows from the roster's table for that charge set.
+  builds only those the table lacks.  Every other span replays each
+  relation's rows from the roster's row table for its charge set, and a span
+  given `targets` builds only the blocks of the targets' terms, each exactly
+  as the full span holds it.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -40,6 +41,7 @@ Everything here is pure and exact; no floating point enters this module.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -370,7 +372,7 @@ class _WordCodes:
     the same words as one keyed by the words themselves.
     """
 
-    __slots__ = ("letters", "index", "base", "rows", "restricted", "_letter_charges", "_charges",
+    __slots__ = ("letters", "index", "base", "rows", "row_table", "_letter_charges", "_charges",
                  "_blocks", "_by_code")
 
     def __init__(self, letters: Sequence[Letter]):
@@ -381,9 +383,10 @@ class _WordCodes:
         # per roster, and every span builds its rows from that
         self.rows: dict = {}
         # (charge set, coded terms, bound) -> `_relation_rows`: a relation's rows in
-        # a span restricted to those charges, made by the first such span and
-        # replayed by every later one; a full build never touches it
-        self.restricted: dict = {}
+        # a span that builds those charges' blocks (None: every block), made by the
+        # first such span and replayed by every later one; a span that takes
+        # shared blocks (`_BLOCKS`) never touches it
+        self.row_table: dict = {}
         # each letter's charge, by index: g_ij carries e_i + f_j, its star the
         # negative, and a self-adjoint letter 0; e_i and f_j are digits i and n + j
         # over the n rows, then the nonzero columns (the torus x -> D x of a
@@ -743,9 +746,9 @@ class BoundedSpan:
     (`_WordCodes`, one table per roster and process) with int coefficients,
     or Fraction ones where a value is not integral (a `Poly` holds no other
     kind).  Tensor legs reduce single words against it through a residue
-    cache keyed by word code (`residue_word` codes a word and reads it), and
-    `certify` decides membership of one polynomial; both raise
-    RosterMismatch on a word with a letter outside the roster.
+    cache keyed by word code (`_residue`), and `certify` decides membership
+    of one polynomial, raising RosterMismatch on a word with a letter
+    outside the roster.
     With provenance, each pivot also tracks the exact combination of products
     it stands for, so ProvedZero can carry evidence.  Every relation of the
     presentations here has degree 2, so at bound 2 the span is that of the
@@ -790,20 +793,23 @@ class BoundedSpan:
     order of the full build, so each block it builds is the full span's of
     that charge: residues and combinations inside a built block are exactly
     the full span's, while `rank` and `relation_rows` count only the built
-    blocks.  `certify` and `residue_word` raise ValueError on a word of a
-    charge that was not built.
+    blocks.  `certify` and `_residue` raise ValueError on a word of a charge
+    that was not built.
 
-    Rows come per relation in one order: m1 ascending, then |m2|, then one
-    run of m2 per block, each ascending.  A full build enumerates every m1
-    and every m2 of each length.  A restricted build replays each relation's
-    rows from its roster's table (`_WordCodes.restricted`), keyed by the
-    charge set, the relation's coded terms and the bound, as flat arrays of the
-    rows' word codes and their m1 and m2 codes (`_relation_rows`).  The first
-    restricted span to need an entry makes it, visiting only the m1 some m2
-    completes into a built block (`_completions`, shared inside that build
-    by relations of one charge); every later span over the roster and charge
-    set inserts the same rows in the same order, so its pivots, residues,
-    rank, `relation_rows` and combinations are those of the first.
+    Every build that does not share blocks has one row path: it replays each
+    relation's rows from its roster's table (`_WordCodes.row_table`), keyed
+    by the charge set (None for a full build, which builds every block), the
+    relation's coded terms and the bound, as flat arrays of the rows' word
+    codes and their m1 and m2 codes (`_relation_rows`).  Rows come per
+    relation in one order: m1 ascending, then |m2|, then one run of m2 per
+    block, each ascending; a full build's one run per length is every m2 of
+    that length.  The first span to need an entry makes it, visiting only
+    the m1 some m2 completes into a built block (`_completions`, shared
+    inside that build by relations of one charge); every later span over the
+    roster and charge set inserts the same rows in the same order, so its
+    pivots, residues, rank, `relation_rows` and combinations are those of
+    the first.  A block's rows arrive in the same order under every charge
+    set that builds it, so a targeted build's blocks are the full build's.
     """
 
     def __init__(self, presentation, bound: int, *, provenance: bool = False,
@@ -863,35 +869,27 @@ class BoundedSpan:
                 blocks[charge] = block
             if self._entries > self._entry_cap:
                 self._over_cap()
-            self._finish()
-            return
-        power = [codes.base ** d for d in range(bound + 1)]
-        offset = [codes.offset(d) for d in range(bound + 1)]
-        if wanted is not None:
+        else:
+            # charge -> `_Block`, made by the first row that reaches it
+            blocks = defaultdict(_Block)
+            power = [codes.base ** d for d in range(bound + 1)]
+            offset = [codes.offset(d) for d in range(bound + 1)]
             charges, charge_blocks = codes.charge_tables(bound)
-            table, charge_set = codes.restricted, frozenset(wanted)
-            # left factors for the rows the table lacks, shared by relations of one charge
+            table, charge_set = codes.row_table, None if wanted is None else frozenset(wanted)
+            # left factors for the rows the table lacks, shared by relations of one
+            # charge; a full build's do not depend on the charge
             completions: dict = {}
-            # every row lands in a wanted block; those no row reached are dropped below
-            for charge in wanted:
-                blocks[charge] = _Block()
-        block_of = self._block
-        for rid, (degree, row, terms, rcharge) in relations:
-            pad = bound - degree
-            if pad == 0:
-                # the relation's own row, copied: inserting consumes it
-                if wanted is None or rcharge in wanted:
-                    insert(block_of(rcharge), dict(row), rid, 0, 0)
-                continue
-            if wanted is not None:
+            for rid, (degree, _, terms, rcharge) in relations:
+                pad = bound - degree
                 rows = table.get((charge_set, terms, bound))
                 if rows is None:
+                    ckey = None if wanted is None else rcharge
                     visits = []
                     for d1 in range(pad + 1):
                         # every term of r has the charge rcharge (`coded_relation`)
-                        entry = completions.get((rcharge, d1, pad))
+                        entry = completions.get((ckey, d1, pad))
                         if entry is None:
-                            entry = completions[rcharge, d1, pad] = _completions(
+                            entry = completions[ckey, d1, pad] = _completions(
                                 charges, charge_blocks, wanted, rcharge, d1, pad - d1)
                         visits.append(entry)
                     rows = table[charge_set, terms, bound] = _relation_rows(
@@ -903,30 +901,8 @@ class BoundedSpan:
                 factor = iter(factors)
                 for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
                     insert(blocks[by_code[ks[0]]], dict(zip(ks, coefficients)), rid, m1, m2)
-                continue
-            # m1 and m2 run over the words with |m1| + |m2| <= pad in order, and
-            # m1 * w * m2 has the code offset(|m1 w m2|) + (v1 * s^|w| + v_w) * s^|m2| + v2
-            for d1 in range(pad + 1):
-                for v1 in range(power[d1]):
-                    m1 = offset[d1] + v1
-                    left = rcharge + by_code[m1]
-                    head = [(d1 + d, v1 * power[d] + v, c) for d, v, c in terms]
-                    for d2 in range(pad - d1 + 1):
-                        p2, o2 = power[d2], offset[d2]
-                        shifted = [(offset[d + d2] + v * p2, c) for d, v, c in head]
-                        for v2 in range(p2):
-                            insert(block_of(left + by_code[o2 + v2]), {k + v2: c for k, c in shifted},
-                                   rid, m1, o2 + v2)
-        if wanted is not None:
-            self._blocks = {charge: b for charge, b in blocks.items() if b.rows}
+            self._blocks = dict(blocks)
         self._finish()
-
-    def _block(self, charge: int) -> _Block:
-        """This span's block of the charge, made empty on first use."""
-        block = self._blocks.get(charge)
-        if block is None:
-            block = self._blocks[charge] = _Block()
-        return block
 
     def _insert(self, block: _Block, row: dict, rid, m1: int, m2: int):
         """Insert the row m1 * r * m2 into the block of its charge."""
@@ -966,19 +942,6 @@ class BoundedSpan:
             for w in words:
                 if charge(w) not in self._charges:
                     raise ValueError(f"{word_str(w)} lies in a charge block this span did not build")
-
-    def residue_word(self, w: Word) -> list:
-        """Reduced coordinates of a single word, as [(word code, coefficient), ...].
-
-        Each coefficient is an int, or a Fraction where it is not integral;
-        the list is empty when the word lies in the span.  A word with a
-        letter outside the roster raises RosterMismatch, and one of an
-        unbuilt charge ValueError.  The residue is cached under the word's
-        code, where `is_zero_tensor` reads it too; nothing may mutate it.
-        """
-        key = self._codes.code(w)
-        res = self._residue_cache.get(key)
-        return self._residue(key) if res is None else res
 
     def _residue(self, key: int) -> list:
         """The residue of the word with this code, read from or cached in its block.
@@ -1085,16 +1048,22 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
     return BoundedSpan(pres, product_bound, provenance=want_combination, targets=(p,)).certify(p)
 
 
-def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int, rest: int) -> list:
+def _completions(charges: list, blocks: list, wanted: Optional[set], rcharge: int, d1: int,
+                 rest: int) -> list:
     """The left factors m1 of length d1 that some m2 completes, as (v1, runs) by ascending v1.
 
     m1 * r * m2, with r of charge rcharge and |m2| <= rest, must land in a
     wanted charge.  runs lists (|m2|, tails) by ascending length, where tails
     holds one ascending run of m2 values per reachable block, in `wanted`
-    order; the m1 of one charge share their runs.  Called only while a
-    restricted build makes rows its roster's table lacks (`_relation_rows`),
-    so a charge set's entries are made in the first pass over it, not per span.
+    order; the m1 of one charge share their runs.  With wanted None every
+    charge is wanted: every m1, each with one run of every m2 per length.
+    Called only while a build makes rows its roster's table lacks
+    (`_relation_rows`), so a charge set's entries are made in the first pass
+    over it, not per span.
     """
+    if wanted is None:
+        runs = [(d2, [range(len(charges[d2]))]) for d2 in range(rest + 1)]
+        return [(v1, runs) for v1 in range(len(charges[d1]))]
     left = blocks[d1]
     by_charge: dict = {}
     for d2 in range(rest + 1):
@@ -1116,7 +1085,7 @@ def _completions(charges: list, blocks: list, wanted: set, rcharge: int, d1: int
 
 
 def _relation_rows(terms: tuple, visits: list, power: list, offset: list) -> tuple:
-    """The rows m1 * r * m2 of a restricted build, in insertion order, as (words, factors).
+    """The rows m1 * r * m2 of a span build, in insertion order, as (words, factors).
 
     terms is r's coded terms and visits[|m1|] its `_completions` entry.  words
     holds each row's word codes, one per term of r in terms order, and factors
@@ -1130,12 +1099,11 @@ def _relation_rows(terms: tuple, visits: list, power: list, offset: list) -> tup
             m1 = offset[d1] + v1
             head = [(d1 + d, v1 * power[d] + v) for d, v, _ in terms]
             for d2, tails in runs:
-                p2 = power[d2]
+                p2, o2 = power[d2], offset[d2]
                 shifted = [offset[d + d2] + v * p2 for d, v in head]
                 for tail in tails:
-                    for v2 in tail:
-                        words.extend([k + v2 for k in shifted])
-                        factors.extend((m1, offset[d2] + v2))
+                    words.extend([k + v2 for v2 in tail for k in shifted])
+                    factors.extend([m for v2 in tail for m in (m1, o2 + v2)])
     return words, factors
 
 

@@ -92,8 +92,9 @@ class MatrixModel(NamedTuple):
 class ResidualReport(NamedTuple):
     per_relation: tuple  # ((description, residual), ...)
     max: float
-    # an exact model's rows whose exact image is not exactly zero; None for a
-    # float model
+    # an exact model's rows whose exact image is not exactly zero, each with
+    # one nonzero entry, the first found row by row: ((description, residual,
+    # (row, col)), ...); None for a float model
     nonzero: Optional[tuple] = None
 
     def violations(self, tolerance: float) -> tuple:
@@ -211,7 +212,8 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
 
     An exact model's relations are judged on their exact images, so an
     exactly vanishing relation reports 0.0 regardless of floating point, and
-    the report names every relation whose exact image is not exactly zero.
+    the report names every relation whose exact image is not exactly zero,
+    with one nonzero entry of it, the first found row by row.
     """
     if relations is None:
         relations = model.presentation.all_relations()
@@ -222,8 +224,10 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
         if model.exact:
             image = _exact_evaluate(rel.poly, model)
             row = (rel.describe(), operator_norm(image))
-            if any(not x.is_zero() for entries in image for x in entries.values()):
-                nonzero.append(row)
+            entry = next(((i, j) for i, entries in enumerate(image)
+                          for j, x in entries.items() if not x.is_zero()), None)
+            if entry is not None:
+                nonzero.append(row + (entry,))
         else:
             row = (rel.describe(), operator_norm(evaluate(rel.poly, model)))
         rows.append(row)

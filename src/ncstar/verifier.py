@@ -198,11 +198,18 @@ NONZERO_NORM_THRESHOLD = 1e-6
 def _gate_failure(model, residuals, tolerance: float) -> Optional[str]:
     """The detail of a model failing its residual gate, naming the worst
     violated relation; None if it passes.  An exact model passes only if
-    every gated relation vanishes exactly, whatever the tolerance."""
+    every gated relation vanishes exactly, whatever the tolerance, and a
+    failure names a nonzero entry of the exact image, whose float residual
+    may read 0 (an entry of 1e-400)."""
     violations = residuals.violations(tolerance)
     if not violations:
         return None
-    desc, res = max(violations, key=lambda row: row[1])
+    worst = max(violations, key=lambda row: row[1])
+    if residuals.nonzero is not None:
+        desc, _, (i, j) = worst
+        return (f"model {model.label!r} violates gated relation {desc!r}: "
+                f"its exact image is nonzero at entry ({i}, {j})")
+    desc, res = worst
     return f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}"
 
 

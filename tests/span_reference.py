@@ -1,10 +1,13 @@
-"""Reference check for bound-2 relation-span membership.
+"""Reference check for bounded product-span membership.
 
-Decides whether p is a Q-linear combination of a presentation's relations and
-their stars, by exact Fraction elimination written here, so that it shares no
-elimination code with `ncstar.ncalg`.
+Enumerates every product m1 * r * m2 of degree <= bound, for r over a
+presentation's relations and their stars and m1, m2 over words in its letters
+and their stars, and decides membership and rank by exact Fraction
+elimination written here, so that it shares no enumeration or elimination
+code with `ncstar.ncalg`.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -19,17 +22,31 @@ def _reduce(basis, row: dict) -> dict:
     return {w: v for w, v in row.items() if v}
 
 
-def relation_basis(pres) -> list:
-    """Echelon rows (pivot word, word -> Fraction) spanning the relations and their stars."""
-    basis = []
+def _products(pres, bound: int):
+    """Every product m1 * r * m2 of degree <= bound, as {word: Fraction}."""
+    letters = sorted({l for g in pres.generators for l in (g, g.star())})
+    words = [list(itertools.product(letters, repeat=d)) for d in range(bound + 1)]
     for rel in pres.all_relations():
         for poly in (rel.poly, rel.poly.star()):
-            assert poly.degree() == 2, f"{rel.rid}: bound 2 spans only degree-2 relations"
-            row = _reduce(basis, {w: Fraction(c) for w, c in poly.terms.items()})
-            if row:
-                pivot = next(iter(row))
-                inv = 1 / row[pivot]
-                basis.append((pivot, {w: v * inv for w, v in row.items()}))
+            pad = bound - poly.degree()
+            for d1 in range(pad + 1):
+                for d2 in range(pad - d1 + 1):
+                    for m1 in words[d1]:
+                        for m2 in words[d2]:
+                            yield {m1 + w + m2: Fraction(c) for w, c in poly.terms.items()}
+
+
+def relation_basis(pres, bound: int = 2) -> list:
+    """Echelon rows (pivot word, word -> Fraction) spanning every product
+    m1 * r * m2 of degree <= bound; at bound 2, with every relation of degree
+    2, the relations and their stars themselves."""
+    basis = []
+    for product in _products(pres, bound):
+        row = _reduce(basis, product)
+        if row:
+            pivot = next(iter(row))
+            inv = 1 / row[pivot]
+            basis.append((pivot, {w: v * inv for w, v in row.items()}))
     return basis
 
 

@@ -87,10 +87,10 @@ def _regularization_pass(pairs, monkeypatch) -> list:
     return out
 
 
-def _restricted_rows():
-    """Every (roster, key) of the restricted-row tables, with its row count."""
+def _table_rows():
+    """Every (roster, key) of the row tables, with its row count."""
     return {(roster, key): len(factors) // 2 for roster, codes in A._CODES.items()
-            for key, (_, factors) in codes.restricted.items()}
+            for key, (_, factors) in codes.row_table.items()}
 
 
 def test_replayed_rows_give_the_reports_of_made_ones(monkeypatch):
@@ -101,11 +101,11 @@ def test_replayed_rows_give_the_reports_of_made_ones(monkeypatch):
     monkeypatch.setattr(A, "_CODES", {})
     pairs = [pair for n in (1, 2, 3) for pair in P.enumerate_pairs(n) if not P.is_regular(pair).is_regular]
     cold = _regularization_pass(pairs, monkeypatch)
-    made = _restricted_rows()
+    made = _table_rows()
     # the 51,744 rows the spans insert are these 9,815 distinct ones
     assert (len(made), sum(made.values())) == (719, 9_815)
     warm = _regularization_pass(pairs[::-1], monkeypatch)[::-1]
-    assert _restricted_rows() == made
+    assert _table_rows() == made
     assert warm == cold
     digest = hashlib.sha256()
     for report, _, _ in warm:
@@ -120,20 +120,34 @@ def test_replayed_rows_give_the_reports_of_made_ones(monkeypatch):
         queries += [(base, rel.poly) for rel in sphere.all_relations() if rel.keys[0] not in base_keys]
     warm_certs = [A.ideal_membership_bounded(p, base, V.REGULARIZATION_BOUND) for base, p in queries]
     # each query replays only rows the checks above made
-    assert _restricted_rows() == made
+    assert _table_rows() == made
     for (base, p), cert in zip(queries, warm_certs):
         monkeypatch.setattr(A, "_CODES", {})
         assert cert == A.ideal_membership_bounded(p, base, V.REGULARIZATION_BOUND)
     assert sum(cert.status == PROVED_ZERO for cert in warm_certs) > 10
 
 
-def test_full_builds_never_fill_the_restricted_row_table(monkeypatch, empty_tables):
-    """Sweeps and bound-3 `verify` build full spans: they make no restricted row."""
+def test_only_builds_without_shared_blocks_fill_the_row_table(monkeypatch, empty_tables):
+    """A bound-2 sweep takes shared blocks and makes no row-table entry.  A
+    full bound-3 build makes one entry per relation, keyed by no charge set;
+    a second such build of the presentation replays them, makes no new
+    entry, and has the descriptor of the first and of a build on a fresh table."""
     monkeypatch.setattr(A, "_CODES", {})
     assert run_sweep(2, cli.SWEEP_TARGETS, RunConfig(jobs=1))["overall_passed"]
+    assert A._CODES and not _table_rows()
     pair = P.validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     assert V.verify_comultiplication(pair, 3, None).overall == PROVED_ZERO
-    assert A._CODES and not _restricted_rows()
+    pres = P.unitary_qg_presentation(pair)
+    first = A.BoundedSpan(pres, 3)
+    made = _table_rows()
+    assert len(made) == len(list(A._star_closed_relations(pres)))
+    assert {key[0] for _, key in made} == {None} and {key[2] for _, key in made} == {3}
+    second = A.BoundedSpan(pres, 3)
+    assert _table_rows() == made
+    monkeypatch.setattr(A, "_CODES", {})
+    fresh = A.BoundedSpan(pres, 3)
+    assert second.descriptor() == first.descriptor() == fresh.descriptor()
+    assert second.descriptor()["relation_rows"] == sum(made.values())
 
 
 def test_sweep_reports_n2_n3_are_pinned():

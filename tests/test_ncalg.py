@@ -586,6 +586,11 @@ def test_certify_matches_reference_on_rational_polys(case, data):
         assert replay_combination(p, pres, cert.zero_evidence)
 
 
+def _residue_word(span, w) -> list:
+    """The residue of one word in span, as [(word code, coefficient), ...]."""
+    return span._residue(span._codes.code(w))
+
+
 def test_word_with_foreign_letter_raises_roster_mismatch():
     pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
     span = build_quotient_basis(pres, 2)
@@ -593,7 +598,7 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
     w = (Letter("x", 1, 0), y)
     foreign = "letter y1 is not in the roster"
     with pytest.raises(A.RosterMismatch, match=foreign):
-        span.residue_word(w)
+        _residue_word(span, w)
     p = pres.all_relations()[0].poly + Poly.from_word(w, 2)
     with pytest.raises(A.RosterMismatch, match=foreign):
         span.certify(p)
@@ -609,7 +614,7 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
     assert "Reta-zero(1,1;1,2):su" in [r.rid for r in pres.relations]
     span = build_quotient_basis(pres, 2)
     zero_word, x9 = (Letter("u", 1, 1, True), Letter("u", 1, 2)), (Letter("x", 9, 0),)
-    assert span.residue_word(zero_word) == []
+    assert _residue_word(span, zero_word) == []
     for terms in ({(zero_word, x9): 1}, {(x9, zero_word): 1}):
         with pytest.raises(A.RosterMismatch, match="letter x9 is not in the roster"):
             TensorPoly(terms, pres.generators, pres.generators)
@@ -618,11 +623,11 @@ def test_word_with_foreign_letter_raises_roster_mismatch():
 def _reference_reduction(terms: dict, left, right) -> tuple:
     """Status and detail, which names the survivor count, of the tensor with
     these {(left word, right word): coefficient} terms, summed word by word
-    from `residue_word` in Fraction arithmetic."""
+    from `_residue_word` in Fraction arithmetic."""
     coords: dict = {}
     for (w1, w2), c in terms.items():
-        for k1, c1 in left.residue_word(w1):
-            for k2, c2 in right.residue_word(w2):
+        for k1, c1 in _residue_word(left, w1):
+            for k2, c2 in _residue_word(right, w2):
                 coords[k1, k2] = coords.get((k1, k2), 0) + Fraction(c) * c1 * c2
     coords = {k: v for k, v in coords.items() if v}
     if not coords:
@@ -673,7 +678,7 @@ def test_coded_reduction_matches_word_level_reference(eta):
         assert (cert.status, cert.detail) == _reference_reduction(terms, reference, reference)
         statuses.add(cert.status)
     assert statuses == {A.PROVED_ZERO, A.INCONCLUSIVE}
-    half = span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))
+    half = _residue_word(span, (Letter("u", 1, 2), Letter("u", 1, 2, True)))
     assert any(c.denominator == 2 for _, c in half) == (len(eta) == 3)
 
 
@@ -701,7 +706,7 @@ def test_inconclusive_tensor_detail_is_pinned(scales, detail):
     zero3 = [[0] * 3 for _ in range(3)]
     pres = P.unitary_qg_presentation(P.validate_pair(zero3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     span = build_quotient_basis(pres, 2)
-    residue = span.residue_word((Letter("u", 1, 2), Letter("u", 1, 2, True)))
+    residue = _residue_word(span, (Letter("u", 1, 2), Letter("u", 1, 2, True)))
     assert any(c.denominator == 2 for _, c in residue)
     c1, c2 = scales
     terms = {}
@@ -788,9 +793,84 @@ def test_restricted_span_blocks_equal_the_full_span():
                 span = A.BoundedSpan(pres, bound, targets=targets)
                 assert _block_tables(span) == _built_blocks(full, built)
                 inside = [w for w in words if charge(w) in built]
-                assert [span.residue_word(w) for w in inside] == [full.residue_word(w) for w in inside]
+                assert ([_residue_word(span, w) for w in inside]
+                        == [_residue_word(full, w) for w in inside])
                 assert span.rank <= full.rank
                 assert span.descriptor()["monomials"] == full.descriptor()["monomials"]
+
+
+def _reference_queries(pres, bound, rng) -> list:
+    """Seeded polynomials of degree <= bound: sums of scaled products m1 * r * m2,
+    which lie in the span, each again with a free word added, and that word."""
+    letters = A._roster_letters(pres)
+    rels = [r.poly for r in pres.all_relations()]
+
+    def word(length):
+        return Poly.from_word(tuple(rng.choice(letters) for _ in range(length)))
+    out = []
+    for _ in range(6):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 3)):
+            r = rng.choice(rels)
+            d1 = rng.randint(0, bound - r.degree())
+            product = word(d1) * r * word(rng.randint(0, bound - r.degree() - d1))
+            p = p + product.scale(Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
+        w = word(rng.randint(0, bound))
+        out += [p, p + w, w]
+    return [p for p in out if not p.is_zero()]
+
+
+def _reference_mismatches(span, basis, queries) -> list:
+    """Where span and a `span_reference` basis disagree: the rank, then each query's membership."""
+    out = [] if span.rank == len(basis) else [("rank", span.rank, len(basis))]
+    return out + [A.poly_str(p) for p in queries
+                  if (span.certify(p).status == A.PROVED_ZERO) != span_reference.in_span(basis, p)]
+
+
+def test_spans_above_bound_2_match_an_independent_reference():
+    """Full spans of every n = 2 sphere at bounds 3 and 4, of sampled n = 2
+    unitary presentations at bound 3 and of sampled non-regular n = 3 spheres
+    at bound 4 have the rank and the memberships of products m1 * r * m2
+    enumerated and eliminated in `span_reference`; so do the one-shot
+    membership queries of those spheres' regularizations."""
+    rng = random.Random(40)
+    nonregular = [pair for pair in P.enumerate_pairs(3) if not P.is_regular(pair).is_regular]
+    cases = ([(P.sphere_presentation(pair), bound) for pair in P.enumerate_pairs(2) for bound in (3, 4)]
+             + [(P.unitary_qg_presentation(pair), 3) for pair in rng.sample(P.enumerate_pairs(2), 4)]
+             + [(P.sphere_presentation(pair), V.REGULARIZATION_BOUND) for pair in rng.sample(nonregular, 3)])
+    verdicts = []
+    for pres, bound in cases:
+        basis = span_reference.relation_basis(pres, bound)
+        queries = _reference_queries(pres, bound, rng)
+        assert _reference_mismatches(A.BoundedSpan(pres, bound), basis, queries) == [], (pres.label, bound)
+        verdicts += [span_reference.in_span(basis, p) for p in queries]
+        if pres.source_pair.n == 3:
+            base_keys = {r.keys[0] for r in pres.all_relations()}
+            added = [rel.poly for rel in P.sphere_presentation(P.regularize(pres.source_pair)).all_relations()
+                     if rel.keys[0] not in base_keys]
+            assert added
+            for p in added:
+                cert = ideal_membership_bounded(p, pres, bound)
+                assert (cert.status == A.PROVED_ZERO) == span_reference.in_span(basis, p), A.poly_str(p)
+    assert len(cases) == 39 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_the_span_reference_disagrees_with_a_span_missing_one_relation():
+    """On two n = 2 spheres where no relation follows from the others at
+    bound 3, the reference built without any one relation differs from the
+    full span, in rank or in a membership."""
+    rng = random.Random(41)
+    for eps, eta in ((OFF2, [[1, 0], [0, 0]]), (ZERO2, [[0, 1], [1, 1]])):
+        pres = P.sphere_presentation(P.validate_pair(eps, eta))
+        span = A.BoundedSpan(pres, 3)
+        queries = _reference_queries(pres, 3, rng)
+        assert _reference_mismatches(span, span_reference.relation_basis(pres, 3), queries) == []
+        for k, family in enumerate(pres.families):
+            for rel in family.relations:
+                kept = P.RelationFamily(tuple(r for r in family.relations if r is not rel))
+                dropped = pres._replace(families=pres.families[:k] + (kept,) + pres.families[k + 1:])
+                basis = span_reference.relation_basis(dropped, 3)
+                assert _reference_mismatches(span, basis, queries + [rel.poly]), rel.rid
 
 
 def _block_products(pres, bound, built):
@@ -862,11 +942,11 @@ def test_restricted_span_refuses_a_word_of_an_unbuilt_charge():
     pres = P.sphere_presentation(P.validate_pair(OFF2, OFF2))
     a, a_star = Letter("x", 1, 0), Letter("x", 1, 0, True)
     span = A.BoundedSpan(pres, 3, targets=(x1 * x1.star(),))
-    assert span.residue_word((a_star, a)) == A.BoundedSpan(pres, 3).residue_word((a_star, a))
+    assert _residue_word(span, (a_star, a)) == _residue_word(A.BoundedSpan(pres, 3), (a_star, a))
     assert span.certify(pres.sums[0].poly).status == A.PROVED_ZERO
     for w in ((a,), (a, Letter("x", 2, 0))):
         with pytest.raises(ValueError, match="charge block"):
-            span.residue_word(w)
+            _residue_word(span, w)
     # one term of an unbuilt charge is enough
     with pytest.raises(ValueError, match="charge block"):
         span.certify(x1 * x1.star() + x1 * x2 - x2 * x1)
@@ -950,7 +1030,7 @@ def test_restricted_rows_are_kept_per_charge_set_and_bound(monkeypatch):
         monkeypatch.setattr(A, "_CODES", {})
         spans = [A.BoundedSpan(pres, bound, provenance=True, targets=targets) for bound, targets in builds]
         # the table holds rows for four (charge set, bound) pairs
-        assert len({key[0::2] for key in A._roster_codes(pres.generators).restricted}) == 4
+        assert len({key[0::2] for key in A._roster_codes(pres.generators).row_table}) == 4
         for (bound, targets), span in zip(builds, spans):
             monkeypatch.setattr(A, "_CODES", {})
             fresh = A.BoundedSpan(pres, bound, provenance=True, targets=targets)
@@ -978,12 +1058,12 @@ def test_unitaries_differing_in_one_relation_share_every_other_block(monkeypatch
     span = build_quotient_basis(pres, 2)
     assert len(A._BLOCKS) == len(span._blocks) > 1
     w = (Letter("u", 1, 1), Letter("u", 2, 1, True))
-    res = span.residue_word(w)
+    res = _residue_word(span, w)
     again = build_quotient_basis(pres, 2)
     assert set(again._blocks) == set(span._blocks)
     assert all(again._blocks[c] is b for c, b in span._blocks.items())
     assert again._blocks[codes.charge(w)].residues[codes.code(w)] is res
-    assert again.residue_word(w) is res == A.BoundedSpan(pres, 2, provenance=True).residue_word(w)
+    assert _residue_word(again, w) is res == _residue_word(A.BoundedSpan(pres, 2, provenance=True), w)
     for edit, rows in ((P.Relation(rel.rid, rel.poly.scale(2)), 0), (None, -1)):
         relations = sums[:k] + ((edit,) if edit else ()) + sums[k + 1:]
         edited = pres._replace(families=pres.families[:-1] + (P.RelationFamily(relations),))

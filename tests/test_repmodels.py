@@ -98,8 +98,9 @@ def test_probe_model_barred_from_full_gate(monkeypatch):
     cert = report.checks[0].certificate
     assert cert.status == INCONCLUSIVE and not report.passed
     assert cert.nonzero_evidence["rank"] == 4
-    assert cert.detail.startswith("model 'probe-4x4' violates gated relation")
-    assert cert.detail.endswith("with residual 1")
+    # an exact model's failure names a nonzero entry of the exact image
+    assert cert.detail == ("model 'probe-4x4' violates gated relation 'Σ x_i* x_i = 1': "
+                           "its exact image is nonzero at entry (0, 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -552,4 +553,9 @@ def test_a_perturbed_cayley_model_fails_the_exact_gate(monkeypatch):
                             lambda R, seed, dim, samples: (model, R.CONJUGATE_PRODUCTS, ""))
         cert = V.verify_independence_suite("free-unitary", residual_tolerance=1e300).checks[0].certificate
         assert cert.status == INCONCLUSIVE, delta
-        assert cert.detail.startswith("model 'free-unitary-4d' violates gated relation 'Σ ")
+        # the detail names a nonzero entry of the exact image, not a residual
+        # that reads 0 at 1e-400
+        assert cert.detail == ("model 'free-unitary-4d' violates gated relation 'Σ x_i* x_i = 1': "
+                               "its exact image is nonzero at entry (0, 0)"), delta
+        (rel,) = [r for r in model.presentation.all_relations() if r.describe() == "Σ x_i* x_i = 1"]
+        assert not R._exact_evaluate(rel.poly, model)[0][0].is_zero()
