@@ -7,17 +7,18 @@ runs over Q, and star only reverses and stars words.  On top of the free
 *-algebra the module provides:
 
 * one degree-bounded relation span, `BoundedSpan`: the span of all products
-  m1 * r * m2 of total degree <= bound, brought to echelon form once per
-  presentation by exact sparse Gaussian elimination (`build_quotient_basis`
-  is the name verifications build it through).  The elimination keys each
+  m1 * r * m2 of total degree <= bound, built once per presentation
+  (`build_quotient_basis` is the name verifications build it through): the
+  one- and two-term rows join words into signed classes, and only the wider
+  rows go through exact sparse Gaussian elimination.  The span keys each
   word by its integer code over the sorted letter roster (`_WordCodes`, one
   table per roster and process from `_roster_codes`), which sorts like the
   word, and keeps the coefficients of the polynomials themselves; a word
   with a letter outside the roster raises `RosterMismatch`.  Every relation
   keeps a word's charge (g_ij carries a row charge e_i and a column charge
   f_j), so a span is a set of independent charge blocks, each with its own
-  pivots and residue cache; a residue is a list of (word code, coefficient)
-  pairs, cached in its word's block.  A full bound-2 span without
+  classes, pivots and residue cache; a residue is a list of (word code,
+  coefficient) pairs, cached in its word's block.  A full bound-2 span without
   provenance takes its blocks from one per-process table (`_BLOCKS`) and
   builds only those the table lacks.  Every other span replays each
   relation's rows from the roster's row table for its charge set, and a span
@@ -43,6 +44,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,8 +62,9 @@ __all__ = [
 # Letter tags whose generators are self-adjoint; star() leaves them unstarred.
 HERMITIAN_TAGS = frozenset({"ou", "tx"})
 
-# The most monomials, and sparse pivot entries, one relation span may hold;
-# read each time a span is built.
+# The most monomials, and sparse entries, one relation span may hold: a pivot
+# row's entries count one each, and so does each class link (`_Block`); read
+# each time a span is built.
 SPAN_ENTRY_CAP = 2_000_000
 
 # Generator tuple -> the `_WordCodes` of its words, one table per roster and
@@ -536,6 +539,123 @@ def _accumulate(acc: dict, x, r1: list, r2: list) -> None:
                 del acc[k]
 
 
+def _exact(x):
+    """x, an int or a Fraction, as an int where it is integral."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
+def _ratio(x, y):
+    """x / y exactly, for a nonzero y: an int where it is integral."""
+    if y == 1 or y == -1:
+        return x * y
+    return _exact(Fraction(x) / y)
+
+
+# The root of every zero class of a `_Block`; no word code is negative, so it is
+# less than every word and a class joined with it keeps it as root.
+_ZERO = -1
+
+
+def _find(links: dict, w: int) -> tuple:
+    """(root, multiplier, combination) of w's class: w - multiplier * root lies in the span.
+
+    The combination says how; it is None without provenance, and for a root,
+    which is its own root with multiplier 1.  The root `_ZERO` (a zero
+    class) has multiplier 0.
+    Compresses the path: every link on it is replaced by its resolved one,
+    whose combination sums those along the path, so the resolved values do
+    not depend on which words were looked up before.
+    """
+    hit = links.get(w)
+    if hit is None:
+        return w, 1, None
+    up = links.get(hit[0])
+    if up is None:
+        return hit
+    path = [w]
+    while up is not None:
+        path.append(hit[0])
+        hit, up = up, links.get(up[0])
+    # hit is the link of path[-1], and names the root; resolve the rest top down:
+    # node - pm * parent = pc and parent - m * root = combo
+    root, m, combo = hit
+    for node in reversed(path[:-1]):
+        _, pm, pc = links[node]
+        m = _exact(pm * m)
+        if pc is not None:
+            pc = dict(pc)
+            _eliminate(pc, -pm, combo)
+        combo = pc
+        links[node] = (root, m, combo)
+    return links[w]
+
+
+def _join(links: dict, w1: int, w2: int, m, combo: Optional[dict]) -> bool:
+    """Join the classes of w1 and w2, given that w1 - m * w2 lies in the span.
+
+    combo is that combination (None without provenance), and is consumed.
+    The larger root links to the smaller; a class whose multipliers clash
+    goes to zero, and so does one joined with a zero class.  With w2 `_ZERO`
+    and m 0, w1 lies in the span, and its class goes to zero.  False when
+    the row follows from the classes already.
+    """
+    # each word's link read inline unless it is a root or there is a path to compress
+    hit = links.get(w1)
+    r1, a, c1 = (w1, 1, None) if hit is None else hit if hit[0] not in links else _find(links, w1)
+    hit = links.get(w2)
+    r2, b, c2 = (w2, 1, None) if hit is None else hit if hit[0] not in links else _find(links, w2)
+    # a * r1 - m * b * r2 lies in the span, by combo - c1 + m * c2
+    mb = _exact(m * b)
+    if r1 == r2:
+        k = _exact(a - mb)
+        if not k:
+            return False
+        # k * r1 lies in the span
+        node, root, mult, scale = r1, _ZERO, 0, k
+    elif r1 > r2:
+        node, root, mult, scale = r1, r2, _ratio(mb, a), a
+    else:
+        node, root, mult, scale = r2, r1, _ratio(a, mb), -mb
+    if combo is not None:
+        if c1:
+            _eliminate(combo, 1, c1)
+        if c2:
+            _eliminate(combo, -m, c2)
+        _scale(combo, _ratio(1, scale))
+    links[node] = (root, mult, combo)
+    return True
+
+
+def _normalize(links: dict, terms, combo: Optional[dict]) -> dict:
+    """The row of these (word code, coefficient) terms, each word of a class
+    written as its multiple of the class's root.
+
+    Words of zero classes drop out.  combo, the row's combination (None
+    where none is kept), loses c times each word's link combination, so
+    that it stays the combination of the row returned.
+    """
+    out: dict = {}
+    get = links.get
+    for w, c in terms:
+        hit = get(w)
+        if hit is not None:
+            # the link read inline unless there is a path to compress
+            w, m, wc = hit if hit[0] not in links else _find(links, w)
+            if combo is not None:
+                _eliminate(combo, c, wc)
+            if not m:
+                continue
+            c = c * m
+        s = out.get(w, 0) + c
+        if s.__class__ is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
+            out[w] = s
+        else:
+            del out[w]
+    return out
+
+
 def _rref_insert(pivots: dict, row: dict, combo: Optional[dict] = None):
     """Insert one row {code: coefficient} into an exact echelon pivot table.
 
@@ -719,18 +839,25 @@ _BLOCKS: dict = {}
 
 
 class _Block:
-    """One charge block of a span: its echelon pivots, its residue cache, and counts.
+    """One charge block of a span: its word classes, the pivots of its wider
+    rows, its residue cache, and counts.
 
-    pivots maps a lead word code to (row, combination) as `_rref_insert`
-    stores it; residues maps a word code of this charge to its residue;
-    rows counts the rows inserted.  entries, the sparse entries its pivot
-    rows hold, is set on a shared block, which every span that takes it
-    counts against its cap.
+    links holds the signed word classes that the one- and two-term rows make
+    (`_join`): it maps each word code that is not its class's
+    root, the least code of the class, to (parent, multiplier, combination),
+    and each root of a zero class to (`_ZERO`, 0, combination); `_find`
+    resolves a word.  pivots maps a lead word code to (row, combination) as
+    `_rref_insert` stores the rows of three or more terms, each first
+    normalized through the classes (`_normalize`).  residues maps a word code
+    of this charge to its residue; rows counts the rows put in.  entries, the
+    sparse entries its links and pivot rows hold, is set on a shared block,
+    which every span that takes it counts against its cap.
     """
 
-    __slots__ = ("pivots", "residues", "rows", "entries")
+    __slots__ = ("links", "pivots", "residues", "rows", "entries")
 
     def __init__(self):
+        self.links: dict = {}
         self.pivots: dict = {}
         self.residues: dict = {}
         self.rows = 0
@@ -741,18 +868,37 @@ class BoundedSpan:
     """The span of all products m1 * r * m2 of total degree <= bound.
 
     r runs over the star-closed relations of one presentation and m1, m2 over
-    words in its letters; this is a Macaulay matrix in the sense of F4.  The
-    echelon tables are built once, at construction, over integer word codes
-    (`_WordCodes`, one table per roster and process) with int coefficients,
-    or Fraction ones where a value is not integral (a `Poly` holds no other
-    kind).  Tensor legs reduce single words against it through a residue
-    cache keyed by word code (`_residue`), and `certify` decides membership
-    of one polynomial, raising RosterMismatch on a word with a letter
-    outside the roster.
-    With provenance, each pivot also tracks the exact combination of products
-    it stands for, so ProvedZero can carry evidence.  Every relation of the
-    presentations here has degree 2, so at bound 2 the span is that of the
-    relations themselves.
+    words in its letters; this is a Macaulay matrix in the sense of F4.  It
+    is built once, at construction, over integer word codes (`_WordCodes`,
+    one table per roster and process) with int coefficients, or Fraction
+    ones where a value is not integral (a `Poly` holds no other kind).
+    Tensor legs reduce single words against it through a residue cache
+    keyed by word code (`_residue`), and `certify` decides membership of one
+    polynomial, raising RosterMismatch on a word with a letter outside the
+    roster.  With provenance, each class link and each pivot also tracks the
+    exact combination of products it stands for, so ProvedZero can carry
+    evidence.  Every relation of the presentations here has degree 2, so at
+    bound 2 the span is that of the relations themselves.
+
+    Word classes.  Every relation but the sums is a binomial (w1 = +-w2,
+    with rational multipliers in general) or a monomial (w = 0), and so is
+    each of its rows; rows of that kind only say that two words are equal up
+    to a factor, as in a partially commutative monoid (Diekert, Combinatorics
+    on Traces, 1990).  Each block keeps them as signed classes (`_Block`,
+    `_join`): each class is represented by its least word code, every other
+    word maps to (representative, multiplier), and a class goes to zero when
+    the multipliers of a cycle clash or a one-term row meets it.  Only the
+    rows of three or more terms are eliminated (`_rref_insert`), each first
+    normalized: every word becomes its multiple of its class's
+    representative, and words of zero classes drop out (`_normalize`).  In
+    the max-code order the leads of the class rows are every word that is
+    not a representative and every word of a zero class, and the normalized
+    wider rows hold none of them; so the leads of the span are the two sets
+    side by side, the rank is the number of class links plus the number of
+    pivots, and a word's residue, its normalized form reduced by the pivots,
+    is the unique element of w + span that holds no lead.  Ranks, residues
+    and membership do not depend on the order rows go in, only the
+    combinations do.
 
     Charge blocks.  A word's charge sums its letters' (`_WordCodes.charge`):
     g_ij carries a row charge e_i and a column charge f_j, its star the
@@ -761,8 +907,8 @@ class BoundedSpan:
     relation that does not, so each row m1 * r * m2 lies in one charge, and
     rows of different charges share no word: the matrix splits into
     independent blocks (Faugère, F4, 1999).  A span is its blocks, one
-    `_Block` per charge some row reaches, each with its own pivots, residue
-    cache and counts; `rank` and `relation_rows` are sums over them.  A word
+    `_Block` per charge some row reaches, each with its own classes, pivots,
+    residue cache and counts; `rank` and `relation_rows` are sums over them.  A word
     is reduced against the block of its charge only (`_residue` finds it by
     `_WordCodes.code_charges`), and a word of a charge no row reaches is its
     own residue.
@@ -774,8 +920,9 @@ class BoundedSpan:
     is then a relation itself, so a block's rows are its charge's relations,
     and the table keys it by the code table, the bound and those relations'
     exact term keys in build order: equal keys, equal rows in equal order,
-    equal pivots.  Without provenance no pivot names a relation id, and a
-    residue is the unique element of w + span holding no pivot lead, so every
+    equal classes and pivots.  Without provenance no link or pivot names a
+    relation id, and a residue is the unique element of w + span holding no
+    lead, so every
     span with the block may read and fill its residue cache; a span's own
     cache starts with every residue its blocks hold.  A sweep's tasks meet
     the same few hundred blocks again and again (the 234 span builds of an
@@ -800,16 +947,19 @@ class BoundedSpan:
     relation's rows from its roster's table (`_WordCodes.row_table`), keyed
     by the charge set (None for a full build, which builds every block), the
     relation's coded terms and the bound, as flat arrays of the rows' word
-    codes and their m1 and m2 codes (`_relation_rows`).  Rows come per
-    relation in one order: m1 ascending, then |m2|, then one run of m2 per
-    block, each ascending; a full build's one run per length is every m2 of
-    that length.  The first span to need an entry makes it, visiting only
-    the m1 some m2 completes into a built block (`_completions`, shared
-    inside that build by relations of one charge); every later span over the
-    roster and charge set inserts the same rows in the same order, so its
-    pivots, residues, rank, `relation_rows` and combinations are those of
-    the first.  A block's rows arrive in the same order under every charge
-    set that builds it, so a targeted build's blocks are the full build's.
+    codes and their m1 and m2 codes (`_relation_rows`).  The relations of
+    one or two terms go first, each joining the classes of its rows as it
+    reads the arrays in pairs (`_join_rows`); then the wider ones, each row
+    normalized and eliminated.  Rows come per relation in one order: m1
+    ascending, then |m2|, then one run of m2 per block, each ascending; a
+    full build's one run per length is every m2 of that length.  The first
+    span to need an entry makes it, visiting only the m1 some m2 completes
+    into a built block (`_completions`, shared inside that build by
+    relations of one charge); every later span over the roster and charge
+    set puts in the same rows in the same order, so its classes, pivots,
+    residues, rank, `relation_rows` and combinations are those of the first.
+    A block's rows arrive in the same order under every charge set that
+    builds it, so a targeted build's blocks are the full build's.
     """
 
     def __init__(self, presentation, bound: int, *, provenance: bool = False,
@@ -844,6 +994,9 @@ class BoundedSpan:
                     shared.setdefault(hit[3], []).append(key)
                 else:
                     shared = None
+        # a block's one- and two-term rows make its classes first (`_join_rows`), and
+        # its wider rows go in normalized through them (`_insert`)
+        relations.sort(key=lambda entry: len(entry[1][2]) > 2)
         # the charges of the built blocks; None when every block is built
         wanted = self._charges = None if targets is None else {
             codes.charge(w) for p in targets for w in p.terms}
@@ -856,9 +1009,14 @@ class BoundedSpan:
                 table_key = (codes, bound, tuple(keys))
                 block = _BLOCKS.get(table_key)
                 if block is None:
-                    block, before = _Block(), self._entries
-                    for key in keys:
-                        insert(block, dict(coded[key][1]), None, 0, 0)
+                    block = blocks[charge] = _Block()
+                    before = self._entries
+                    for key in sorted(keys, key=lambda key: len(coded[key][2]) > 2):
+                        row = coded[key][1]
+                        if len(row) > 2:
+                            insert(block, row.items(), None)
+                        else:
+                            self._join_rows(blocks, list(row), (0, 0), list(row.values()), None)
                     block.entries = self._entries - before
                     # stored only once whole: a build stopped by the cap leaves no block
                     _BLOCKS[table_key] = block
@@ -879,6 +1037,7 @@ class BoundedSpan:
             # left factors for the rows the table lacks, shared by relations of one
             # charge; a full build's do not depend on the charge
             completions: dict = {}
+            provenance = self.provenance
             for rid, (degree, _, terms, rcharge) in relations:
                 pad = bound - degree
                 rows = table.get((charge_set, terms, bound))
@@ -898,15 +1057,54 @@ class BoundedSpan:
                 # pair; a row's words all have its charge
                 words, factors = rows
                 coefficients = [c for _, _, c in terms]
+                if len(terms) <= 2:
+                    self._join_rows(blocks, words, factors, coefficients, rid)
+                    continue
                 factor = iter(factors)
                 for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
-                    insert(blocks[by_code[ks[0]]], dict(zip(ks, coefficients)), rid, m1, m2)
+                    insert(blocks[by_code[ks[0]]], zip(ks, coefficients),
+                           {(rid, m1, m2): 1} if provenance else None)
             self._blocks = dict(blocks)
         self._finish()
 
-    def _insert(self, block: _Block, row: dict, rid, m1: int, m2: int):
-        """Insert the row m1 * r * m2 into the block of its charge."""
-        combo = {(rid, m1, m2): 1} if self.provenance else None
+    def _join_rows(self, blocks: dict, words, factors, coefficients: list, rid) -> None:
+        """Join the classes of each row m1 * r * m2 of a relation r of one or two terms.
+
+        words holds the rows' word codes, len(coefficients) per row, and
+        factors their m1 and m2 codes (`_relation_rows`); each row goes to
+        the block of its charge.  A row c1 * w1 + c2 * w2 says that
+        w1 = -(c2 / c1) * w2, and a row c1 * w1 that w1 = 0.  Each class link
+        made counts as one sparse entry.
+        """
+        by_code, provenance = self._by_code, self.provenance
+        factor, added = iter(factors), 0
+        # a one-term row pairs its word with `_ZERO`, less than every word, by 0
+        c1, c2 = coefficients if len(coefficients) == 2 else (coefficients[0], 0)
+        m, x1 = _ratio(-c2, c1), _ratio(1, c1)
+        inverse, x2 = (_ratio(1, m), _ratio(1, c2)) if c2 else (None, None)
+        word = iter(words)
+        for k1, k2, m1, m2 in zip(word, word if c2 else repeat(_ZERO), factor, factor):
+            block = blocks[by_code[k1]]
+            block.rows += 1
+            links = block.links
+            if k1 in links or k2 in links:
+                added += _join(links, k1, k2, m, {(rid, m1, m2): x1} if provenance else None)
+            # two roots, so two classes: the larger links to the smaller
+            elif k1 > k2:
+                links[k1] = (k2, m, {(rid, m1, m2): x1} if provenance else None)
+                added += 1
+            else:
+                links[k2] = (k1, inverse, {(rid, m1, m2): x2} if provenance else None)
+                added += 1
+        self._entries += added
+        if self._entries > self._entry_cap:
+            self._over_cap()
+
+    def _insert(self, block: _Block, terms, combo: Optional[dict]):
+        """Insert a row of three or more (word code, coefficient) terms, with its
+        combination (None without provenance), into its block's pivots, once
+        normalized through the block's classes."""
+        row = _normalize(block.links, terms, combo)
         _rref_insert(block.pivots, row, combo)
         block.rows += 1
         # row is consumed: what is left of it is the new pivot row, and pivot
@@ -924,7 +1122,7 @@ class BoundedSpan:
         """Sum the blocks' ranks and rows into the span's rank and descriptor."""
         rank = rows = 0
         for block in self._blocks.values():
-            rank += len(block.pivots)
+            rank += len(block.links) + len(block.pivots)
             rows += block.rows
         self.rank = rank
         # the span never changes after construction; every caller of
@@ -959,7 +1157,8 @@ class BoundedSpan:
         else:
             res = block.residues.get(key)
             if res is None:
-                res = block.residues[key] = list(_rref_reduce(block.pivots, {key: 1}).items())
+                row = _normalize(block.links, ((key, 1),), None)
+                res = block.residues[key] = list(_rref_reduce(block.pivots, row).items())
         self._residue_cache[key] = res
         return res
 
@@ -987,7 +1186,13 @@ class BoundedSpan:
         residue = 0
         for charge, row in parts.items():
             block = self._blocks.get(charge)
-            residue += len(row if block is None else _rref_reduce(block.pivots, row, on_use))
+            if block is not None:
+                # what normalizing takes out of p is the words' link combinations
+                taken = {} if self.provenance else None
+                row = _rref_reduce(block.pivots, _normalize(block.links, row.items(), taken), on_use)
+                if taken:
+                    _eliminate(used, 1, taken)
+            residue += len(row)
         if residue:
             return Certificate(INCONCLUSIVE, detail=f"{residue} monomial(s) "
                                                     "outside the bounded product span")

@@ -2,9 +2,9 @@
 
 Enumerates every product m1 * r * m2 of degree <= bound, for r over a
 presentation's relations and their stars and m1, m2 over words in its letters
-and their stars, and decides membership and rank by exact Fraction
-elimination written here, so that it shares no enumeration or elimination
-code with `ncstar.ncalg`.
+and their stars, and decides membership, rank and residues by exact
+Fraction elimination written here, so that it shares no enumeration or
+elimination code with `ncstar.ncalg`.
 """
 
 import itertools
@@ -39,17 +39,25 @@ def _products(pres, bound: int):
 def relation_basis(pres, bound: int = 2) -> list:
     """Echelon rows (pivot word, word -> Fraction) spanning every product
     m1 * r * m2 of degree <= bound; at bound 2, with every relation of degree
-    2, the relations and their stars themselves."""
+    2, the relations and their stars themselves.  Each pivot is its row's
+    greatest word, longer words first, then by letters, so the pivots are
+    the greatest words of the span's elements."""
     basis = []
     for product in _products(pres, bound):
         row = _reduce(basis, product)
         if row:
-            pivot = next(iter(row))
+            pivot = max(row, key=lambda w: (len(w), w))
             inv = 1 / row[pivot]
             basis.append((pivot, {w: v * inv for w, v in row.items()}))
     return basis
 
 
+def residue(basis, p) -> dict:
+    """The element of p + span holding no pivot of basis; one element has
+    that property, so with `relation_basis`' pivots it is p's normal form."""
+    return _reduce(basis, {w: Fraction(c) for w, c in p.terms.items()})
+
+
 def in_span(basis, p) -> bool:
     """Whether p is a Q-linear combination of the rows of basis."""
-    return not _reduce(basis, {w: Fraction(c) for w, c in p.terms.items()})
+    return not residue(basis, p)

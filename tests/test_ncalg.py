@@ -762,13 +762,25 @@ def _unitaries():
     return [P.unitary_qg_presentation(pair) for pair in P.enumerate_pairs(2)]
 
 
+def _classes(block) -> dict:
+    """Each word of a class in block but its root, resolved to (root, multiplier,
+    combination), after checking that the root is the least word of the class.
+
+    Path compression changes the raw links and never the resolved values.
+    """
+    classes = {w: A._find(block.links, w) for w in list(block.links)}
+    assert all(root < w and root not in block.links for w, (root, _, _) in classes.items())
+    return classes
+
+
 def _block_tables(span):
-    """Each of span's blocks as (pivots, row count), by charge, after checking
-    that every pivot lead has its block's charge."""
+    """Each of span's blocks as (resolved classes, pivots, row count), by
+    charge, after checking that every class word and pivot lead has its
+    block's charge."""
     codes = span._codes
     for charge, block in span._blocks.items():
-        assert all(codes.charge(codes.word(lead)) == charge for lead in block.pivots)
-    return {charge: (block.pivots, block.rows) for charge, block in span._blocks.items()}
+        assert all(codes.charge(codes.word(w)) == charge for w in (*block.links, *block.pivots))
+    return {charge: (_classes(block), block.pivots, block.rows) for charge, block in span._blocks.items()}
 
 
 def _built_blocks(full, built):
@@ -829,15 +841,19 @@ def _reference_mismatches(span, basis, queries) -> list:
 
 def test_spans_above_bound_2_match_an_independent_reference():
     """Full spans of every n = 2 sphere at bounds 3 and 4, of sampled n = 2
-    unitary presentations at bound 3 and of sampled non-regular n = 3 spheres
-    at bound 4 have the rank and the memberships of products m1 * r * m2
+    unitary presentations at bound 3, of sampled non-regular n = 3 spheres
+    at bound 4, and of the n = 2 orthogonal and tuple-space presentations at
+    bound 3, with their one-term and w1 + w2 rows, have the rank and the
+    memberships of products m1 * r * m2
     enumerated and eliminated in `span_reference`; so do the one-shot
     membership queries of those spheres' regularizations."""
     rng = random.Random(40)
     nonregular = [pair for pair in P.enumerate_pairs(3) if not P.is_regular(pair).is_regular]
     cases = ([(P.sphere_presentation(pair), bound) for pair in P.enumerate_pairs(2) for bound in (3, 4)]
              + [(P.unitary_qg_presentation(pair), 3) for pair in rng.sample(P.enumerate_pairs(2), 4)]
-             + [(P.sphere_presentation(pair), V.REGULARIZATION_BOUND) for pair in rng.sample(nonregular, 3)])
+             + [(P.sphere_presentation(pair), V.REGULARIZATION_BOUND) for pair in rng.sample(nonregular, 3)]
+             + [(build(eps), 3) for eps in (ZERO2, OFF2)
+                for build in (P.orthogonal_qg_presentation, P.tuple_space_presentation)])
     verdicts = []
     for pres, bound in cases:
         basis = span_reference.relation_basis(pres, bound)
@@ -852,7 +868,7 @@ def test_spans_above_bound_2_match_an_independent_reference():
             for p in added:
                 cert = ideal_membership_bounded(p, pres, bound)
                 assert (cert.status == A.PROVED_ZERO) == span_reference.in_span(basis, p), A.poly_str(p)
-    assert len(cases) == 39 and 0 < sum(verdicts) < len(verdicts)
+    assert len(cases) == 43 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_the_span_reference_disagrees_with_a_span_missing_one_relation():
@@ -871,6 +887,81 @@ def test_the_span_reference_disagrees_with_a_span_missing_one_relation():
                 dropped = pres._replace(families=pres.families[:k] + (kept,) + pres.families[k + 1:])
                 basis = span_reference.relation_basis(dropped, 3)
                 assert _reference_mismatches(span, basis, queries + [rel.poly]), rel.rid
+
+
+def _edited_free_sphere(*polys):
+    """The free n = 2 sphere with one more family, of these relations, put first."""
+    pres = P.sphere_presentation(P.validate_pair(ZERO2, ZERO2))
+    family = P.RelationFamily(tuple(P.Relation(f"edit{k}", p) for k, p in enumerate(polys)))
+    return pres._replace(families=(family,) + pres.families)
+
+
+def _residue_count(cert) -> int:
+    """How many monomials `BoundedSpan.certify` left outside the span."""
+    return 0 if cert.status == A.PROVED_ZERO else int(cert.detail.split()[0])
+
+
+def _resolved(span) -> list:
+    """(root, multiplier) of every class word but the roots, over span's blocks."""
+    return [(root, m) for block in span._blocks.values() for root, m, _ in _classes(block).values()]
+
+
+def test_word_classes_the_sphere_spans_never_reach_match_the_reference():
+    """Edited n = 2 spheres make classes that no sphere makes: a sign clash
+    (x1.x2 - x2.x1 with x1.x2 + x2.x1), a one-term row that meets a class
+    (before or after the class's rows), Fraction multipliers (2 and -3),
+    anticommuting letters, and rows whose words share a class already.  At
+    bounds 2 to 4 each span has the reference's rank, every product of an
+    edited relation is ProvedZero, each seeded query has the reference's
+    membership and residue count, and every provenance ProvedZero, full or
+    one-shot, replays."""
+    a, b, x1s = x1 * x2, x2 * x1, x1.star()
+
+    def zero_class(span, _):
+        return (A._ZERO, 0) in _resolved(span)
+    cases = {
+        "sign clash": ((a - b, a + b), zero_class),
+        # the larger word first: x2.x1 + x1.x2 links it to x1.x2 with multiplier -1
+        "sign clash, larger word first": ((b + a, a - b), zero_class),
+        "zero then class": ((b, a - b), zero_class),
+        "class then zero": ((a - b, b), zero_class),
+        "fraction multipliers": ((a.scale(2) - b.scale(3), (x1 * x1s).scale(2) - (x1s * x1).scale(3),
+                                  (x2 * x1s).scale(2) - (x1s * x2).scale(3)),
+                                 lambda span, _: any(isinstance(m, Fraction) for _, m in _resolved(span))),
+        "fraction clash": ((a - b, a.scale(2) - b.scale(3)), zero_class),
+        # x1 and x2 anticommute, and so do x2 and x1*: nonzero classes with
+        # multipliers -1, joined through words of other classes
+        "anticommuting": ((b + a, x1 * x1s - x1s * x1, x2 * x1s + x1s * x2),
+                          lambda span, _: (A._ZERO, 0) not in _resolved(span)
+                          and any(m == -1 for _, m in _resolved(span))),
+        # a - b again, scaled: every row of it follows from the classes already
+        "shared class": ((a - b, a.scale(2) - b.scale(2)), lambda span, plain: span.rank == plain),
+    }
+    rng = random.Random(42)
+    for bound in (2, 3, 4):
+        plain = A.BoundedSpan(_edited_free_sphere(a - b), bound).rank
+        for name, (polys, reached) in cases.items():
+            pres = _edited_free_sphere(*polys)
+            basis = span_reference.relation_basis(pres, bound)
+            span, full = A.BoundedSpan(pres, bound), A.BoundedSpan(pres, bound, provenance=True)
+            assert span.rank == full.rank == len(basis), (name, bound)
+            assert reached(span, plain), (name, bound)
+            # every product of an edited relation lies in the span
+            words = _words(pres, bound - 2)
+            for q in polys:
+                for r in (q, q.star()):
+                    for m1, m2 in itertools.product(words, words):
+                        if len(m1) + len(m2) <= bound - 2:
+                            product = Poly.from_word(m1) * r * Poly.from_word(m2)
+                            assert span.certify(product).status == A.PROVED_ZERO, (name, bound)
+            for p in _reference_queries(pres, bound, rng) + list(polys):
+                cert = span.certify(p)
+                expected = len(span_reference.residue(basis, p))
+                assert _residue_count(cert) == expected, (name, bound, A.poly_str(p))
+                for proved in (full.certify(p), ideal_membership_bounded(p, pres, bound)):
+                    assert proved.status == cert.status
+                    if proved.status == A.PROVED_ZERO:
+                        assert replay_combination(p, pres, proved.zero_evidence), (name, A.poly_str(p))
 
 
 def _block_products(pres, bound, built):
@@ -969,8 +1060,8 @@ def test_a_relation_that_mixes_charges_is_refused():
         ideal_membership_bounded(x1 * x1.star(), edited, 2)
 
 
-def test_anchor_membership_builds_one_unitary_block(monkeypatch):
-    """The non-injectivity cross-check's query u11*.u21 inserts only the rows
+def test_anchor_membership_builds_one_unitary_block():
+    """The non-injectivity cross-check's query u11*.u21 puts in only the rows
     of its charge block, fewer than the full unitary span, and gets the full
     span's certificate."""
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, OFF2))
@@ -979,21 +1070,14 @@ def test_anchor_membership_builds_one_unitary_block(monkeypatch):
     # at bound 2 a block's rows are its relations themselves
     block = sum(charge(next(iter(rpoly.terms))) == charge(*p.terms)
                 for _, rpoly, _ in A._star_closed_relations(pres))
-    inserted = []
-    real = A._rref_insert
-
-    def counted(pivots, row, combo=None):
-        inserted.append(row)
-        return real(pivots, row, combo)
-    monkeypatch.setattr(A, "_rref_insert", counted)
     for combination in (False, True):
-        inserted.clear()
+        span = A.BoundedSpan(pres, 2, provenance=combination, targets=(p,))
+        assert [b.rows for b in span._blocks.values()] == [block] == [5]
         cert = ideal_membership_bounded(p, pres, 2, want_combination=combination)
-        assert len(inserted) == block == 5
         full = A.BoundedSpan(pres, 2, provenance=combination)
         assert full.descriptor()["relation_rows"] == 32
         assert cert.status == A.PROVED_ZERO
-        assert cert == full.certify(p)
+        assert cert == span.certify(p) == full.certify(p)
 
 
 def test_restricted_membership_evidence_equals_the_full_span():
@@ -1095,30 +1179,35 @@ def test_targeted_provenance_and_low_degree_builds_keep_private_blocks(monkeypat
 
 def test_a_build_stopped_inside_a_block_shares_no_part_of_it(monkeypatch):
     """A shared build stopped inside a block (by the entry cap, or by any
-    error) stores only the blocks it finished, so the next build over the
-    same relations takes every row."""
+    error), here while it makes the block's second class link, stores only
+    the blocks it finished, so the next build over the same relations takes
+    every row."""
     monkeypatch.setattr(A, "_BLOCKS", {})
     pres = P.unitary_qg_presentation(P.validate_pair(ZERO2, ZERO2))
-    # private blocks with the shared build's rows, made in its order
+    # private blocks with the shared build's rows
     whole = A.BoundedSpan(pres, 2, provenance=True)
-    finished, stop = 0, 0
-    for block in whole._blocks.values():
-        if block.rows >= 2:
-            stop += 2
-            break
-        finished, stop = finished + 1, stop + block.rows
-    inserted, real = [], A._rref_insert
+    made = []
 
-    def stopping(pivots, row, combo=None):
-        inserted.append(row)
-        if len(inserted) == stop:
-            raise A.DimensionCap("stopped inside a block")
-        return real(pivots, row, combo)
+    class Stopping(dict):
+        def __setitem__(self, key, value):
+            if self:
+                raise A.DimensionCap("stopped inside a block's classes")
+            super().__setitem__(key, value)
+
+    class StoppingBlock(A._Block):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.links = Stopping()
+            made.append(self)
     with monkeypatch.context() as m:
-        m.setattr(A, "_rref_insert", stopping)
+        m.setattr(A, "_Block", StoppingBlock)
         with pytest.raises(A.DimensionCap):
             build_quotient_basis(pres, 2)
-    assert len(A._BLOCKS) == finished
+    # the first block has no class; the second stopped after its first link
+    assert len(made) == 2 and len(made[-1].links) == 1
+    assert list(A._BLOCKS.values()) == made[:1]
     span = build_quotient_basis(pres, 2)
     assert {c: b.rows for c, b in span._blocks.items()} == {c: b.rows for c, b in whole._blocks.items()}
     assert span.descriptor() == whole.descriptor()
