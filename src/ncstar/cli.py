@@ -4,11 +4,12 @@ Exit codes are stable across output formats:
 
 * 0 -- everything requested was certified,
 * 1 -- some check failed or stayed inconclusive (including a witness
-       whose model exceeds the residual tolerance, or whose family falls
-       short of its rank, as a degenerate sample set does), or a sweep
+       whose model fails a gated relation, or whose family falls short of
+       its rank, as a degenerate sample set does), or a sweep
        task raised: its row names the error and the other rows stand,
 * 2 -- a usage or input error: a ValueError or OSError raised on the
-       flags or the input files, or a DimensionCap (the --bound's relation
+       flags or the input files (a torus phase not exactly on the unit
+       circle among them), or a DimensionCap (the --bound's relation
        span exceeds its size cap).  Any other exception is a bug and shows
        a traceback.
 """
@@ -18,15 +19,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, presentations, verifier
 from .ncalg import DimensionCap
 from .presentations import (CommutationPair, enumerate_pairs, is_regular, load_pair,
                             pair_from_json_dict, regularize)
+from .scalars import Q_ONE, QuadExact
 
 
 class RunConfig:
@@ -36,16 +39,11 @@ class RunConfig:
     the output path.
     """
 
-    __slots__ = ("degree_bound", "residual_tolerance", "svd_threshold", "seed", "jobs",
-                 "output", "format")
+    __slots__ = ("degree_bound", "seed", "jobs", "output", "format")
 
-    def __init__(self, degree_bound: int = 2,
-                 residual_tolerance: float = verifier.RESIDUAL_TOLERANCE,
-                 svd_threshold: float = verifier.SVD_THRESHOLD, seed: int = 0, jobs: int = 0,
+    def __init__(self, degree_bound: int = 2, seed: int = 0, jobs: int = 0,
                  output: str = "", format: str = "text"):
         self.degree_bound = degree_bound  # total degree of the relation products m1*r*m2 spanned
-        self.residual_tolerance = residual_tolerance
-        self.svd_threshold = svd_threshold
         self.seed = seed
         self.jobs = jobs  # 0 means: use available parallelism
         self.output = output
@@ -53,12 +51,6 @@ class RunConfig:
         if not 2 <= self.degree_bound <= 4:
             side = "above the cap of 4" if self.degree_bound > 4 else "below the minimum of 2"
             raise ValueError(f"{_field('degree_bound')}: bound {self.degree_bound} is {side}")
-        for name in ("residual_tolerance", "svd_threshold"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{_field(name)} must be finite, not {value}")
-            if value <= 0:
-                raise ValueError(f"{_field(name)} must be strictly positive")
         if self.seed < 0:
             raise ValueError(f"{_field('seed')} must be non-negative, not {self.seed}")
         if self.format not in ("json", "text"):
@@ -307,16 +299,39 @@ def _parse_phases(tokens, suite, names):
     return samples
 
 
+# a phase part whose decimal exponent is larger than this in size is refused
+# (so phases of at most 100 decimal places are read), so that a spelling like
+# 1e-999999999j cannot ask for a denominator of 10**999999999
+_MAX_PHASE_EXPONENT = 100
+
+
 def _phase(tok, part):
+    """One phase of a sample, read exactly: each spelling that complex()
+    accepts, with its real and imaginary parts read as exact decimals (0.6 is
+    3/5), refused unless exactly on the unit circle."""
     try:
-        z = complex(part)
+        complex(part)
     except ValueError:
         raise ValueError(f"phase sample {tok!r}: {part!r} is not a complex number") from None
-    # repmodels.torus_model checks again for API callers; written so that nan
-    # fails too: every comparison with nan is false
-    from .repmodels import UNIT_CIRCLE_TOLERANCE
-    if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOLERANCE:
-        raise ValueError(f"--phases sample {tok!r}: {part!r} is not on the unit circle")
+    body = part.strip()
+    if body.startswith("("):
+        body = body[1:-1].strip()
+    real, imag = body, "0"
+    if body[-1] in "jJ":
+        body = body[:-1]
+        # the imaginary part starts at the last sign that is not an exponent's
+        k = max((i for i, ch in enumerate(body) if ch in "+-" and body[i - 1:i] not in ("e", "E")),
+                default=0)
+        real, imag = body[:k] or "0", body[k:]
+        if imag in ("", "+", "-"):
+            imag += "1"
+    parts = [Decimal(x) for x in (real, imag)]
+    z = None
+    if all(x.is_finite() and abs(x.as_tuple().exponent) <= _MAX_PHASE_EXPONENT for x in parts):
+        z = QuadExact(Fraction(parts[0]), 0, Fraction(parts[1]))
+    # repmodels.torus_model checks again for API callers
+    if z is None or z * z.conjugate() != Q_ONE:
+        raise ValueError(f"--phases sample {tok!r}: {part!r} is not exactly on the unit circle")
     return z
 
 
@@ -339,23 +354,16 @@ def cmd_witness(args, config: RunConfig) -> int:
         dim["dim"] = args.dim
     report = verifier.verify_independence_suite(
         args.suite,
-        svd_threshold=config.svd_threshold,
-        residual_tolerance=config.residual_tolerance,
         seed=config.seed,
         torus_samples=_parse_phases(args.phases, args.suite, names),
         **dim,
     )
     lines = []
     for c in report.checks:
-        ev = c.certificate.nonzero_evidence or {}
-        # an exact rank rests on a minor, a float one on its least singular value
-        if "minor" in ev:
-            size = len(ev["minor"]["members"])
-            basis = f"minor {size}x{size}"
-        else:
-            basis = f"min-sv {min(ev.get('singular_values') or [0]):.3e}"
+        ev = c.certificate.nonzero_evidence
+        size = len(ev["minor"]["members"])
         lines.append(f"[{'ok ' if c.passed else 'FAIL'}] {c.name}: rank "
-                     f"{ev.get('rank')}/{ev.get('expected_rank')} {basis}" + _failure_detail(c))
+                     f"{ev['rank']}/{ev['expected_rank']} minor {size}x{size}" + _failure_detail(c))
     lines.append(f"overall passed: {report.passed}")
     _emit(config, "witness", {"report": report.to_json_dict(include_timings=args.timings)}, lines)
     return 0 if report.passed else 1
@@ -372,15 +380,6 @@ _FLAGS = {
     "degree_bound": ("--bound", dict(type=int, metavar="BOUND",
                                      help="total degree of the relation products m1*r*m2 "
                                           "each check reduces against (2 to 4, default 2)")),
-    "residual_tolerance": ("--tol", dict(type=float, metavar="TOL",
-                                         help="residual tolerance for float witness models; "
-                                              "an exact model's relations must vanish exactly "
-                                              f"(default {verifier.RESIDUAL_TOLERANCE:g})")),
-    "svd_threshold": ("--svd-threshold", dict(type=float,
-                                              help="singular value threshold of a float witness "
-                                                   "model's rank; an exact model is ranked "
-                                                   "exactly (default "
-                                                   f"{verifier.SVD_THRESHOLD:g})")),
     "seed": ("--seed", dict(type=int, help="seed for pseudo-random witnesses and sweep samples "
                                            "(default 0)")),
     "jobs": ("--jobs", dict(type=int, help="parallel workers (default: NCSTAR_JOBS or all cores; "
@@ -439,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension for the seeded unitary witness, for the free-unitary suite "
                         f"or all (3 to {MAX_WITNESS_DIM}, default 4)")
     p.add_argument("--phases", nargs="*", action="extend", default=None,
-                   help="torus phase samples, each as z1,z2 (e.g. 1,1 1,1j), for the torus "
-                        "suite or all; repeated flags add up, and --phases=-1,1j gives a "
-                        "sample starting with '-'")
-    _add_flags(p, "residual_tolerance", "svd_threshold", "seed", timings=True)
+                   help="torus phase samples, each as z1,z2 (e.g. 1,1 0.6+0.8j,1j), for the "
+                        "torus suite or all; each part is read as an exact decimal, and each "
+                        "phase must lie exactly on the unit circle; repeated flags add up, and "
+                        "--phases=-1,1j gives a sample starting with '-'")
+    _add_flags(p, "seed", timings=True)
     return parser
 
 

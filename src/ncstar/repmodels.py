@@ -1,35 +1,29 @@
 """Finite-dimensional matrix models used as nonvanishing and independence witnesses.
 
-A model assigns a complex matrix to every generator of a presentation; words
-evaluate to matrix products and stars to conjugate transposes.  Every
-default model is exact over Q(sqrt(2), i): the hand-built ones, the torus on
-the phases 1, -1, i and -i, and the free-unitary model, whose two seeded
+A model assigns a matrix to every generator of a presentation; words
+evaluate to matrix products and stars to conjugate transposes.  Every model
+is exact over Q(sqrt(2), i): the hand-built ones, the torus on phases
+exactly on the unit circle, and the free-unitary model, whose two seeded
 unitaries are Cayley transforms U = (I - S)(I + S)^-1 of skew-Hermitian S
-with small Gaussian-integer entries, exactly unitary over Q(i).  Only a
-torus on other phases is a float model, in double precision.  Either way a
-model holds each matrix once.
+with small Gaussian-integer entries, exactly unitary over Q(i).  A model
+holds each matrix once.
 
-Exact matrices are sparse rows: one {column: QuadExact}
-dict per row, exact zeros never stored.  Products and sums run over each
-row's nonzero entries only, and a word's product starts from its first
-letter's matrix.  An entry is skipped only when it is exactly zero
-(`QuadExact.is_zero`), never by a float tolerance, so every exact result
-equals the dense product.
+Matrices are sparse rows: one {column: QuadExact} dict per row, exact zeros
+never stored.  Products and sums run over each row's nonzero entries only,
+and a word's product starts from its first letter's matrix.  An entry is
+skipped only when it is exactly zero (`QuadExact.is_zero`), never by a
+float tolerance, so every result equals the dense product.
 
-An exact model is judged exactly.  `model_residuals` names every relation
-whose exact image is not exactly zero, and a gate fails on any of them
-whatever its tolerance (`ResidualReport.violations`).  `check_independence`
-ranks a family by elimination over Q(sqrt(2), i) and names a nonzero minor
-of that size: the family members and the matrix entries (row, col) it
-takes.  A float model is gated at a tolerance and ranked by its singular
-values above a threshold.
+A model is judged exactly.  `model_residuals` names every relation whose
+image is not exactly zero, and a gate fails on any of them
+(`ResidualReport.violations`).  `check_independence` ranks a family by
+elimination over Q(sqrt(2), i) and names a nonzero minor of that size: the
+family members and the matrix entries (row, col) it takes.  Floats appear
+only as evidence: a residual's or an image's largest entry modulus
+(`operator_norm`), which no verdict reads.
 
 This module is imported only by the commands that evaluate a model
-(`witness` and `verify noninjectivity`), and it imports numpy only on the
-float paths: evaluating a model to a complex array, the float torus and its
-rank, and the 2-norm of an exact matrix with two nonzero entries in one row
-or column, which only a failing gate reports.  So neither
-`verify noninjectivity` nor any default witness suite loads numpy.
+(`witness` and `verify noninjectivity`), and it imports no numpy.
 
 A model may be a *probe*: it fails some presentation relations on purpose.
 A run gates each model on only the relations its claim rests on, so a probe
@@ -44,6 +38,7 @@ judges both, so a degenerate sample set shows up there as a rank shortfall.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .ncalg import Letter, Poly, word_str
@@ -55,65 +50,47 @@ __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model",
     "torus_model", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
-    "UNIT_CIRCLE_TOLERANCE",
     "model_residuals", "evaluate", "operator_norm", "check_independence",
 ]
 
 
-# how far from modulus 1 a torus phase sample may be
-UNIT_CIRCLE_TOLERANCE = 1e-12
-
-_EXACT_PHASES = {1: Q_ONE, -1: -Q_ONE, 1j: Q(0, 0, 1, 0), -1j: Q(0, 0, -1, 0)}
-
-
 class MatrixModel(NamedTuple):
-    """Assignment of dim x dim matrices, exact or complex, to a presentation's generators."""
+    """Assignment of dim x dim exact matrices to a presentation's generators."""
 
     presentation: Presentation
     dim: int
-    # Letter (unstarred) -> sparse rows of QuadExact if exact, else a numpy array
+    # Letter (unstarred) -> sparse rows of QuadExact
     assignment: dict
-    exact: bool = False
     label: str = ""
     seed_used: Optional[int] = None
 
-    def matrix(self, letter: Letter):
-        """The letter's matrix, starred if the letter is, in the model's own
-        form: sparse exact rows or a complex array."""
+    def matrix(self, letter: Letter) -> list:
+        """The letter's sparse rows, starred if the letter is."""
         base = letter.base()
         m = self.assignment.get(base)
         if m is None:
             raise KeyError(f"model {self.label!r} assigns nothing to {word_str((base,))}")
-        if letter.starred:
-            return _exact_star(m) if self.exact else m.conj().T
-        return m
+        return _exact_star(m) if letter.starred else m
 
 
 class ResidualReport(NamedTuple):
     per_relation: tuple  # ((description, residual), ...)
     max: float
-    # an exact model's rows whose exact image is not exactly zero, each with
-    # one nonzero entry, the first found row by row: ((description, residual,
-    # (row, col)), ...); None for a float model
-    nonzero: Optional[tuple] = None
+    # the rows whose image is not exactly zero, each with one nonzero entry,
+    # the first found row by row: ((description, residual, (row, col)), ...)
+    nonzero: tuple
 
-    def violations(self, tolerance: float) -> tuple:
-        """The rows that fail a gate at this tolerance: on an exact model,
-        every relation whose exact image is nonzero, however small its float
-        norm (an entry of 1e-400 has norm 0.0); on a float model, every
-        residual above the tolerance."""
-        if self.nonzero is not None:
-            return self.nonzero
-        return tuple(row for row in self.per_relation if row[1] > tolerance)
+    def violations(self) -> tuple:
+        """The rows that fail a gate: every relation whose image is nonzero,
+        however small its float residual (an entry of 1e-400 reads 0.0)."""
+        return self.nonzero
 
 
 class IndependenceResult(NamedTuple):
     rank: int
-    # a float model's singular values, one per family member
-    singular_values: Optional[tuple] = None
-    # an exact model's nonzero rank x rank minor: the family members (indices
-    # into the family) and the matrix entries (row, col) it takes
-    minor: Optional[tuple] = None
+    # a nonzero rank x rank minor: the family members (indices into the
+    # family) and the matrix entries (row, col) it takes
+    minor: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +118,23 @@ def _exact_star(rows: list) -> list:
     return out
 
 
-def _exact_to_complex(rows: list):
-    import numpy as np
-    out = np.zeros((len(rows), len(rows)), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[i, j] = complex(x)
-    return out
+def operator_norm(rows: list) -> float:
+    """The largest entry modulus of sparse rows, 0.0 if every entry is exactly zero.
 
-
-def operator_norm(m) -> float:
-    """The 2-norm of a complex array or of exact sparse rows.
-
-    Exact rows whose entries are all exactly zero have norm 0.0.  Exact rows
-    with at most one nonzero entry in every row and every column have as norm
-    their largest entry modulus.  Any other matrix goes through numpy.
+    On a zero or monomial matrix (at most one nonzero entry in every row and
+    every column), as every residual and image a default report prints is,
+    that is the 2-norm; on any other it is a lower bound of the 2-norm.  An
+    exact gate fails on any nonzero entry, so the value is only ever
+    evidence.
     """
-    if isinstance(m, list):
-        rows = [[(j, x) for j, x in row.items() if not x.is_zero()] for row in m]
-        nonzero = [entry for row in rows for entry in row]
-        if not nonzero:
-            return 0.0
-        if all(len(row) <= 1 for row in rows) and len({j for j, _ in nonzero}) == len(nonzero):
-            return max(abs(complex(x)) for _, x in nonzero)
-        m = _exact_to_complex(m)
-    import numpy as np
-    return float(np.linalg.norm(m, 2))
+    return max((abs(complex(x)) for row in rows for x in row.values() if not x.is_zero()),
+               default=0.0)
 
 
-def _exact_evaluate(p: Poly, model: MatrixModel) -> list:
-    """Sparse rows of the image of p over Q(sqrt(2), i); an entry may be an
-    exact zero left by cancellation between terms."""
+def evaluate(p: Poly, model: MatrixModel) -> list:
+    """Sparse rows of the image of p over Q(sqrt(2), i); words become matrix
+    products, and an entry may be an exact zero left by cancellation
+    between terms."""
     acc = [{} for _ in range(model.dim)]
     for w, c in p.items():
         term = None
@@ -187,33 +150,13 @@ def _exact_evaluate(p: Poly, model: MatrixModel) -> list:
     return acc
 
 
-def evaluate(p: Poly, model: MatrixModel):
-    """Evaluate a polynomial in the model; words become matrix products.
-
-    Exact models are evaluated over Q(sqrt(2), i) and converted to a complex
-    array afterwards, so values like 1/2 come out bit-exact and
-    an image that vanishes exactly is the zero array.
-    """
-    if model.exact:
-        return _exact_to_complex(_exact_evaluate(p, model))
-    import numpy as np
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for w, c in p.items():
-        term = np.eye(model.dim, dtype=complex)
-        for letter in w:
-            term = term @ model.matrix(letter)
-        acc = acc + complex(c) * term
-    return acc
-
-
 def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) -> ResidualReport:
-    """Operator-norm residual of each relation, by default every relation of
-    the model's presentation (expanded sums included).
+    """The residual (`operator_norm`) of each relation's image, by default of
+    every relation of the model's presentation (expanded sums included).
 
-    An exact model's relations are judged on their exact images, so an
-    exactly vanishing relation reports 0.0 regardless of floating point, and
-    the report names every relation whose exact image is not exactly zero,
-    with one nonzero entry of it, the first found row by row.
+    An exactly vanishing relation reports 0.0, and the report names every
+    relation whose image is not exactly zero, with one nonzero entry of it,
+    the first found row by row.
     """
     if relations is None:
         relations = model.presentation.all_relations()
@@ -221,18 +164,15 @@ def model_residuals(model: MatrixModel, relations: Optional[Sequence] = None) ->
     nonzero = []
     worst = 0.0
     for rel in relations:
-        if model.exact:
-            image = _exact_evaluate(rel.poly, model)
-            row = (rel.describe(), operator_norm(image))
-            entry = next(((i, j) for i, entries in enumerate(image)
-                          for j, x in entries.items() if not x.is_zero()), None)
-            if entry is not None:
-                nonzero.append(row + (entry,))
-        else:
-            row = (rel.describe(), operator_norm(evaluate(rel.poly, model)))
+        image = evaluate(rel.poly, model)
+        row = (rel.describe(), operator_norm(image))
+        entry = next(((i, j) for i, entries in enumerate(image)
+                      for j, x in entries.items() if not x.is_zero()), None)
+        if entry is not None:
+            nonzero.append(row + (entry,))
         rows.append(row)
         worst = max(worst, row[1])
-    return ResidualReport(tuple(rows), worst, tuple(nonzero) if model.exact else None)
+    return ResidualReport(tuple(rows), worst, tuple(nonzero))
 
 
 def _pivots(vectors: Sequence) -> tuple:
@@ -264,32 +204,20 @@ def _pivots(vectors: Sequence) -> tuple:
     return tuple(members), tuple(col for col, _ in pivots)
 
 
-def check_independence(family: Sequence[Poly], model: MatrixModel,
-                       threshold: float) -> IndependenceResult:
-    """Rank of the flattened family.
+def check_independence(family: Sequence[Poly], model: MatrixModel) -> IndependenceResult:
+    """Rank of the flattened family, by elimination over Q(sqrt(2), i).
 
-    An exact model is ranked exactly, by elimination over Q(sqrt(2), i), and
-    the result names a nonzero minor of that size; the threshold is not
-    read.  A float model's rank is its number of singular values above the
-    threshold, with one singular value per member of the family: where the
-    family has more members than a matrix has entries, the missing ones are 0.
-    The model's residuals are not checked here: a caller whose claim needs
-    them valid checks `model_residuals` too.
+    The result names a nonzero minor of that size.  The model's residuals
+    are not checked here: a caller whose claim needs them valid checks
+    `model_residuals` too.
     """
     if not family:
         raise ValueError("family must be nonempty")
     dim = model.dim
-    if model.exact:
-        vectors = [{i * dim + j: x for i, row in enumerate(_exact_evaluate(p, model))
-                    for j, x in row.items()} for p in family]
-        members, cols = _pivots(vectors)
-        return IndependenceResult(len(members),
-                                  minor=(members, tuple(divmod(c, dim) for c in cols)))
-    import numpy as np
-    rows = [evaluate(p, model).reshape(-1) for p in family]
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    rank = int((sv > threshold).sum())
-    return IndependenceResult(rank, tuple(float(s) for s in sv) + (0.0,) * (len(family) - len(sv)))
+    vectors = [{i * dim + j: x for i, row in enumerate(evaluate(p, model)) for j, x in row.items()}
+               for p in family]
+    members, cols = _pivots(vectors)
+    return IndependenceResult(len(members), (members, tuple(divmod(c, dim) for c in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +249,7 @@ def probe_pair_model() -> MatrixModel:
     a, b = _probe_pair_rows()
     pair = validate_pair([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     pres = sphere_presentation(pair)
-    return MatrixModel(pres, 4, {_X1: a, _X2: b}, True, "probe-4x4")
+    return MatrixModel(pres, 4, {_X1: a, _X2: b}, "probe-4x4")
 
 
 def noninjectivity_sphere_model() -> MatrixModel:
@@ -335,34 +263,46 @@ def noninjectivity_sphere_model() -> MatrixModel:
     pair = validate_pair([[0, 0], [0, 0]], [[0, 1], [1, 0]])
     pres = sphere_presentation(pair)
     # b* = e12 + e23 + c e44
-    return MatrixModel(pres, 4, {_X1: a, _X2: _exact_star(b)}, True, "noninjectivity-4x4")
+    return MatrixModel(pres, 4, {_X1: a, _X2: _exact_star(b)}, "noninjectivity-4x4")
+
+
+def _unit_phase(z) -> QuadExact:
+    """z as an element of Q(sqrt(2), i), refused unless exactly on the unit circle.
+
+    z is a QuadExact, an int or a Fraction, or a complex or float whose parts
+    are read exactly, as the binary fractions they are: 1j passes, while the
+    double nearest 0.6 + 0.8i lies just off the circle and QuadExact(3/5, 0,
+    4/5) lies on it.
+    """
+    if isinstance(z, QuadExact):
+        q = z
+    elif isinstance(z, (int, Fraction)):
+        q = Q(z)
+    else:
+        c = complex(z)
+        try:
+            q = Q(Fraction(c.real), 0, Fraction(c.imag))
+        except (ValueError, OverflowError):  # a nan or an infinite part
+            q = None
+    if q is None or q * q.conjugate() != Q_ONE:
+        raise ValueError(f"phase {z} is not exactly on the unit circle")
+    return q
 
 
 def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     """Diagonal two-coordinate model from phase samples: x_i = (sqrt2/2) diag(z_i).
 
-    All entries commute and are normal, so every two-coordinate sphere relation
-    holds.  The conjugate products need two samples that separate them to
-    reach rank 2; fewer leave a rank shortfall for the caller to report.
+    Each phase is exact and exactly on the unit circle (`_unit_phase`), and a
+    ValueError names the first that is not.  All entries commute and are
+    normal, so every two-coordinate sphere relation holds exactly.  The
+    conjugate products need two samples that separate them to reach rank 2;
+    fewer leave a rank shortfall for the caller to report.
     """
-    samples = [tuple(s) for s in samples]
-    for z1, z2 in samples:
-        for z in (z1, z2):
-            # written so that nan fails too: every comparison with nan is false
-            if not abs(abs(complex(z)) - 1.0) <= UNIT_CIRCLE_TOLERANCE:
-                raise ValueError(f"phase {z} is not on the unit circle")
+    samples = [tuple(_unit_phase(z) for z in s) for s in samples]
     pres = sphere_presentation(validate_pair([[0, 1], [1, 0]], [[1, 1], [1, 1]]))
-    dim = len(samples)
-    exactable = all(z1 in _EXACT_PHASES and z2 in _EXACT_PHASES for z1, z2 in samples)
-    if exactable:
-        x1 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z1]} for i, (z1, _) in enumerate(samples)]
-        x2 = [{i: Q_SQRT2_OVER_2 * _EXACT_PHASES[z2]} for i, (_, z2) in enumerate(samples)]
-    else:
-        import numpy as np
-        half = complex(np.sqrt(0.5))
-        x1 = np.diag([half * complex(z1) for z1, _ in samples])
-        x2 = np.diag([half * complex(z2) for _, z2 in samples])
-    return MatrixModel(pres, dim, {_X1: x1, _X2: x2}, exactable, "torus-diagonal")
+    x1 = [{i: Q_SQRT2_OVER_2 * z1} for i, (z1, _) in enumerate(samples)]
+    x2 = [{i: Q_SQRT2_OVER_2 * z2} for i, (_, z2) in enumerate(samples)]
+    return MatrixModel(pres, len(samples), {_X1: x1, _X2: x2}, "torus-diagonal")
 
 
 def _cayley_unitary(rng, dim: int) -> list:
@@ -413,7 +353,7 @@ def free_unitary_model(dim: int = 4, seed: int = 0) -> MatrixModel:
     rng = random.Random(seed)
     x1, x2 = ([{j: Q_SQRT2_OVER_2 * x for j, x in row.items()} for row in _cayley_unitary(rng, dim)]
               for _ in range(2))
-    return MatrixModel(pres, dim, {_X1: x1, _X2: x2}, True,
+    return MatrixModel(pres, dim, {_X1: x1, _X2: x2},
                        label=f"free-unitary-{dim}d", seed_used=seed)
 
 
@@ -435,4 +375,4 @@ def o2plus_model() -> MatrixModel:
         Letter("ou", 2, 1): point_b,
         Letter("ou", 2, 2): [{0: -c}, {1: c}, {2: -c}],
     }
-    return MatrixModel(pres, 3, rows, True, "o2plus-point-plus-anticommuting")
+    return MatrixModel(pres, 3, rows, "o2plus-point-plus-anticommuting")

@@ -78,15 +78,12 @@ carries that task's vanishing images onto this task's.  An Inconclusive is
 never carried, and no verdict is ever upgraded.
 
 The matrix models (`repmodels`) are loaded on demand: only the
-non-injectivity witness check and the independence suites import them.  An
-exact model passes its residual gate only if every gated relation vanishes
-exactly (`_gate_failure`).  The non-injectivity model is exact, and its
-residuals, image norm and image diagonal are read from its exact entries.
-Every default independence suite's model is exact too, and its
-ProvedNonzero names a nonzero minor of the family's images, found by exact
-elimination, in place of singular values above a threshold.  So numpy is
-loaded only by a witness run on a float model: a torus whose phases are not
-all 1, -1, i or -i.
+non-injectivity witness check and the independence suites import them.
+Every model is exact, and passes its residual gate only if every gated
+relation vanishes exactly (`_gate_failure`).  The non-injectivity model's
+residuals, image norm and image diagonal are read from its exact entries,
+and an independence suite's ProvedNonzero names a nonzero minor of the
+family's images, found by exact elimination.
 
 Inconclusive is never conflated with failure: it means the bounded certificate
 search did not settle the claim.
@@ -185,32 +182,21 @@ class VerificationReport:
         }
 
 
-# The default residual tolerance of every witness model gate.
-RESIDUAL_TOLERANCE = 1e-9
-
-# The default singular-value threshold of the independence suites' rank.
-SVD_THRESHOLD = 1e-6
-
 # The operator norm a witness image must exceed to be reported nonzero.
 NONZERO_NORM_THRESHOLD = 1e-6
 
 
-def _gate_failure(model, residuals, tolerance: float) -> Optional[str]:
+def _gate_failure(model, residuals) -> Optional[str]:
     """The detail of a model failing its residual gate, naming the worst
-    violated relation; None if it passes.  An exact model passes only if
-    every gated relation vanishes exactly, whatever the tolerance, and a
-    failure names a nonzero entry of the exact image, whose float residual
-    may read 0 (an entry of 1e-400)."""
-    violations = residuals.violations(tolerance)
+    violated relation; None if it passes.  A model passes only if every
+    gated relation vanishes exactly, and a failure names a nonzero entry of
+    the exact image, whose float residual may read 0 (an entry of 1e-400)."""
+    violations = residuals.violations()
     if not violations:
         return None
-    worst = max(violations, key=lambda row: row[1])
-    if residuals.nonzero is not None:
-        desc, _, (i, j) = worst
-        return (f"model {model.label!r} violates gated relation {desc!r}: "
-                f"its exact image is nonzero at entry ({i}, {j})")
-    desc, res = worst
-    return f"model {model.label!r} violates gated relation {desc!r} with residual {res:.3g}"
+    desc, _, (i, j) = max(violations, key=lambda row: row[1])
+    return (f"model {model.label!r} violates gated relation {desc!r}: "
+            f"its exact image is nonzero at entry ({i}, {j})")
 
 
 def _timed(report: VerificationReport, name: str, thunk, expected=PROVED_ZERO):
@@ -609,12 +595,12 @@ def verify_noninjectivity_example(pair: Optional[CommutationPair] = None) -> Ver
         from . import repmodels
         model = repmodels.noninjectivity_sphere_model()
         residuals = repmodels.model_residuals(model)
-        failure = _gate_failure(model, residuals, RESIDUAL_TOLERANCE)
+        failure = _gate_failure(model, residuals)
         if failure:
             return Certificate(INCONCLUSIVE, detail=failure)
         x1 = Poly.generator(Letter("x", 1, 0))
         x2s = Poly.generator(Letter("x", 2, 0, True))
-        image = repmodels._exact_evaluate(x1 * x2s, model)
+        image = repmodels.evaluate(x1 * x2s, model)
         norm = repmodels.operator_norm(image)
         diag = [complex(row[i]).real if i in row else 0.0 for i, row in enumerate(image)]
         evidence = {
@@ -676,20 +662,15 @@ def witness_suites(suite: str) -> list:
     return [suite]
 
 
-def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESHOLD,
-                              residual_tolerance: float = RESIDUAL_TOLERANCE,
-                              seed: int = 0, dim: int = 4,
+def verify_independence_suite(suites="all", *, seed: int = 0, dim: int = 4,
                               torus_samples=None) -> VerificationReport:
     """Run one named witness suite, or "all": build the model, gate on residuals, test rank.
 
-    ProvedNonzero means the gated relations hold and the family reached its
-    expected rank.  An exact model's gated relations must vanish exactly, and
-    its rank is exact: its evidence names a nonzero minor of that size, by
-    the family members and the matrix entries (row, col) it takes.  A float
-    model's gated residuals must be within the tolerance, and its evidence
-    reports the singular values and the threshold its rank is counted above.
-    Otherwise the check is Inconclusive, and its detail names the worst
-    gated relation or the rank shortfall.
+    ProvedNonzero means the gated relations vanish exactly and the family
+    reached its expected rank.  The rank is exact: its evidence names a
+    nonzero minor of that size, by the family members and the matrix
+    entries (row, col) it takes.  Otherwise the check is Inconclusive, and
+    its detail names the worst gated relation or the rank shortfall.
     """
     names = witness_suites(suites)
     from . import repmodels
@@ -701,26 +682,21 @@ def verify_independence_suite(suites="all", *, svd_threshold: float = SVD_THRESH
             expected = len(fam)
             residuals = repmodels.model_residuals(
                 model, [r for r in model.presentation.all_relations() if r.rid.startswith(gate)])
-            result = repmodels.check_independence(fam, model, svd_threshold)
+            result = repmodels.check_independence(fam, model)
+            members, entries = result.minor
             evidence = {
                 "model": model.label,
                 "dim": model.dim,
                 "family": [poly_str(p) for p in fam],
                 "rank": result.rank,
                 "expected_rank": expected,
+                "minor": {"members": list(members), "entries": [list(e) for e in entries]},
             }
-            if result.minor is not None:
-                members, entries = result.minor
-                evidence["minor"] = {"members": list(members),
-                                     "entries": [list(e) for e in entries]}
-            else:
-                evidence["singular_values"] = list(result.singular_values)
-                evidence["threshold"] = svd_threshold
             if model.seed_used is not None:
                 evidence["seed"] = model.seed_used
             if not gate:
                 evidence["residual_max"] = residuals.max
-            failure = _gate_failure(model, residuals, residual_tolerance)
+            failure = _gate_failure(model, residuals)
             if failure:
                 return Certificate(INCONCLUSIVE, nonzero_evidence=evidence, detail=failure)
             if result.rank == expected:

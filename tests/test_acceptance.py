@@ -39,8 +39,7 @@ def _full_sweep():
         t0 = time.perf_counter()
         levels[n] = run_sweep(n, SWEEP_TARGETS, CONFIG)
         timings[n] = time.perf_counter() - t0
-    witness = V.verify_independence_suite(
-        "all", svd_threshold=CONFIG.svd_threshold, seed=CONFIG.seed)
+    witness = V.verify_independence_suite("all", seed=CONFIG.seed)
     payload = CONFIG.envelope()
     payload["task"] = "full-sweep"
     payload["levels"] = [levels[n] for n in (1, 2, 3)]
@@ -174,7 +173,7 @@ def test_criterion_6_anomaly_record():
     failures = []
     model = R.probe_pair_model()
     report = R.model_residuals(model)
-    violations = [d for d, r in report.per_relation if r > V.RESIDUAL_TOLERANCE]
+    violations = [d for d, _, _ in report.violations()]
     sums = {d: r for d, r in report.per_relation if d.startswith("Σ")}
     for desc, res in sums.items():
         if res != 1.0:
@@ -239,7 +238,7 @@ def test_criterion_7_oracle_equivalence():
             if mz:
                 proved_zero += 1
                 for model in models:
-                    norm = float(np.linalg.norm(R.evaluate(poly, model), 2))
+                    norm = float(np.linalg.norm(W.evaluate(poly, model), 2))
                     if norm >= 1e-9:
                         failures.append(f"{pres.label}: certified zero has norm {norm:.2e} "
                                         f"in {model.label}")

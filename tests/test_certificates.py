@@ -8,7 +8,6 @@ import numpy as np
 import witness_models as W
 from ncstar import ncalg as A
 from ncstar import presentations as P
-from ncstar import repmodels as R
 from ncstar.ncalg import (Poly, TensorPoly, build_quotient_basis,
                           ideal_membership_bounded, is_zero_tensor,
                           replay_combination)
@@ -59,8 +58,8 @@ def test_tensor_zero_soundness_fuzz():
     def tensor_eval_norm(terms):
         total = np.zeros((qg_model.dim * sph_model.dim,) * 2, dtype=complex)
         for (wl, wr), c in terms.items():
-            ml = R.evaluate(Poly.from_word(wl), qg_model)
-            mr = R.evaluate(Poly.from_word(wr), sph_model)
+            ml = W.evaluate(Poly.from_word(wl), qg_model)
+            mr = W.evaluate(Poly.from_word(wr), sph_model)
             total += complex(c) * np.kron(ml, mr)
         return float(np.linalg.norm(total, 2))
 
