@@ -21,9 +21,9 @@ runs over Q, and star only reverses and stars words.  On top of the free
   coefficient) pairs, cached in its word's block.  A full bound-2 span without
   provenance takes its blocks from one per-process table (`_BLOCKS`) and
   builds only those the table lacks.  Every other span replays each
-  relation's rows from the roster's row table for its charge set, and a span
-  given `targets` builds only the blocks of the targets' terms, each exactly
-  as the full span holds it.
+  relation's rows from the roster's row table, one entry per built charge
+  (or one for every charge), and a span given `targets` builds only the
+  blocks of the targets' terms, each exactly as the full span holds it.
   `GaussianRational` appears only at the certificate boundary, to format and
   parse evidence coefficients,
 * two-leg tensor polynomials, certified zero by reducing each leg against a
@@ -385,9 +385,10 @@ class _WordCodes:
         # relation term key -> `coded_relation`: a sweep codes each relation once
         # per roster, and every span builds its rows from that
         self.rows: dict = {}
-        # (charge set, coded terms, bound) -> `_relation_rows`: a relation's rows in
-        # a span that builds those charges' blocks (None: every block), made by the
-        # first such span and replayed by every later one; a span that takes
+        # (charge, coded terms, bound) -> `_relation_rows`: a relation's rows in that
+        # charge's block (charge None: in every block, for a full build), made by
+        # the first span that builds it and replayed by every later one, whatever
+        # other charges either builds; an entry may hold no row; a span that takes
         # shared blocks (`_BLOCKS`) never touches it
         self.row_table: dict = {}
         # each letter's charge, by index: g_ij carries e_i + f_j, its star the
@@ -945,20 +946,22 @@ class BoundedSpan:
 
     Every build that does not share blocks has one row path: it replays each
     relation's rows from its roster's table (`_WordCodes.row_table`), keyed
-    by the charge set (None for a full build, which builds every block), the
-    relation's coded terms and the bound, as flat arrays of the rows' word
-    codes and their m1 and m2 codes (`_relation_rows`).  The relations of
-    one or two terms go first, each joining the classes of its rows as it
-    reads the arrays in pairs (`_join_rows`); then the wider ones, each row
-    normalized and eliminated.  Rows come per relation in one order: m1
-    ascending, then |m2|, then one run of m2 per block, each ascending; a
-    full build's one run per length is every m2 of that length.  The first
+    by one built charge (None for a full build, which builds every block),
+    the relation's coded terms and the bound, as flat arrays of the rows'
+    word codes and their m1 and m2 codes (`_relation_rows`); a targeted
+    build reads one entry per relation and built charge, in ascending
+    charge order.  The relations of one or two terms go first, each joining
+    the classes of its rows as it reads the arrays in pairs (`_join_rows`);
+    then the wider ones, each row normalized and eliminated.  Rows come per
+    entry in one order: m1 ascending, then |m2|, then m2 ascending, one run
+    per length; a full build's run is every m2 of that length.  The first
     span to need an entry makes it, visiting only the m1 some m2 completes
-    into a built block (`_completions`, shared inside that build by
-    relations of one charge); every later span over the roster and charge
-    set puts in the same rows in the same order, so its classes, pivots,
-    residues, rank, `relation_rows` and combinations are those of the first.
-    A block's rows arrive in the same order under every charge set that
+    into the entry's block (`_completions`, shared inside that build by
+    relations whose charge leaves m1 * m2 one charge to carry); every later
+    span that builds the charge puts in the same rows in the same order,
+    whatever other charges it builds, so its classes, pivots, residues,
+    rank, `relation_rows` and combinations there are those of the first.  A
+    block's rows arrive in the same order under every charge set that
     builds it, so a targeted build's blocks are the full build's.
     """
 
@@ -1015,8 +1018,13 @@ class BoundedSpan:
                         row = coded[key][1]
                         if len(row) > 2:
                             insert(block, row.items(), None)
-                        else:
-                            self._join_rows(blocks, list(row), (0, 0), list(row.values()), None)
+                            continue
+                        # a one-term row pairs its word with `_ZERO` by 0 (`_join_rows`)
+                        (k1, c1), (k2, c2) = (*row.items(), (_ZERO, 0))[:2]
+                        block.rows += 1
+                        self._entries += _join(block.links, k1, k2, _ratio(-c2, c1), None)
+                    if self._entries > self._entry_cap:
+                        self._over_cap()
                     block.entries = self._entries - before
                     # stored only once whole: a build stopped by the cap leaves no block
                     _BLOCKS[table_key] = block
@@ -1033,37 +1041,43 @@ class BoundedSpan:
             power = [codes.base ** d for d in range(bound + 1)]
             offset = [codes.offset(d) for d in range(bound + 1)]
             charges, charge_blocks = codes.charge_tables(bound)
-            table, charge_set = codes.row_table, None if wanted is None else frozenset(wanted)
-            # left factors for the rows the table lacks, shared by relations of one
-            # charge; a full build's do not depend on the charge
+            table = codes.row_table
+            # the charge each table entry builds: None, every charge
+            parts = (None,) if wanted is None else sorted(wanted)
+            # left factors for the rows the table lacks, by the charge m1 * m2 must
+            # carry: shared by relations whose charge leaves one need
             completions: dict = {}
             provenance = self.provenance
             for rid, (degree, _, terms, rcharge) in relations:
                 pad = bound - degree
-                rows = table.get((charge_set, terms, bound))
-                if rows is None:
-                    ckey = None if wanted is None else rcharge
-                    visits = []
-                    for d1 in range(pad + 1):
-                        # every term of r has the charge rcharge (`coded_relation`)
-                        entry = completions.get((ckey, d1, pad))
-                        if entry is None:
-                            entry = completions[ckey, d1, pad] = _completions(
-                                charges, charge_blocks, wanted, rcharge, d1, pad - d1)
-                        visits.append(entry)
-                    rows = table[charge_set, terms, bound] = _relation_rows(
-                        terms, visits, power, offset)
-                # each row is len(terms) word codes, one per term in order, and an m1, m2
-                # pair; a row's words all have its charge
-                words, factors = rows
                 coefficients = [c for _, _, c in terms]
-                if len(terms) <= 2:
-                    self._join_rows(blocks, words, factors, coefficients, rid)
-                    continue
-                factor = iter(factors)
-                for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
-                    insert(blocks[by_code[ks[0]]], zip(ks, coefficients),
-                           {(rid, m1, m2): 1} if provenance else None)
+                for part in parts:
+                    rows = table.get((part, terms, bound))
+                    if rows is None:
+                        # every term of r has the charge rcharge (`coded_relation`)
+                        need = None if part is None else part - rcharge
+                        visits = []
+                        for d1 in range(pad + 1):
+                            entry = completions.get((need, d1, pad))
+                            if entry is None:
+                                entry = completions[need, d1, pad] = _completions(
+                                    charges, charge_blocks, need, d1, pad - d1)
+                            visits.append(entry)
+                        # kept even when it reaches no row, so it is never made again
+                        rows = table[part, terms, bound] = _relation_rows(
+                            terms, visits, power, offset)
+                    # each row is len(terms) word codes, one per term in order, and an
+                    # m1, m2 pair; a row's words all have its charge
+                    words, factors = rows
+                    if not factors:
+                        continue
+                    if len(terms) <= 2:
+                        self._join_rows(blocks, words, factors, coefficients, rid)
+                        continue
+                    factor = iter(factors)
+                    for ks, m1, m2 in zip(zip(*[iter(words)] * len(terms)), factor, factor):
+                        insert(blocks[by_code[ks[0]]], zip(ks, coefficients),
+                               {(rid, m1, m2): 1} if provenance else None)
             self._blocks = dict(blocks)
         self._finish()
 
@@ -1253,38 +1267,31 @@ def ideal_membership_bounded(p: Poly, pres, product_bound: int = 2, *,
     return BoundedSpan(pres, product_bound, provenance=want_combination, targets=(p,)).certify(p)
 
 
-def _completions(charges: list, blocks: list, wanted: Optional[set], rcharge: int, d1: int,
-                 rest: int) -> list:
+def _completions(charges: list, blocks: list, need: Optional[int], d1: int, rest: int) -> list:
     """The left factors m1 of length d1 that some m2 completes, as (v1, runs) by ascending v1.
 
-    m1 * r * m2, with r of charge rcharge and |m2| <= rest, must land in a
-    wanted charge.  runs lists (|m2|, tails) by ascending length, where tails
-    holds one ascending run of m2 values per reachable block, in `wanted`
-    order; the m1 of one charge share their runs.  With wanted None every
-    charge is wanted: every m1, each with one run of every m2 per length.
-    Called only while a build makes rows its roster's table lacks
-    (`_relation_rows`), so a charge set's entries are made in the first pass
-    over it, not per span.
+    m1 * m2, with |m2| <= rest, must carry the charge need: the built block's
+    less the relation's.  runs lists (|m2|, run) by ascending length, each
+    run the ascending m2 values of that length whose charge completes m1's;
+    the m1 of one charge share their runs.  With need None every charge is
+    built: every m1, each with every m2 of each length.  Called only while a
+    build makes rows its roster's table lacks (`_relation_rows`), so a
+    charge's entries are made in the first pass that builds it, not per span.
     """
-    if wanted is None:
-        runs = [(d2, [range(len(charges[d2]))]) for d2 in range(rest + 1)]
+    if need is None:
+        runs = [(d2, range(len(charges[d2]))) for d2 in range(rest + 1)]
         return [(v1, runs) for v1 in range(len(charges[d1]))]
     left = blocks[d1]
     by_charge: dict = {}
     for d2 in range(rest + 1):
         right = blocks[d2]
-        # the pairs (c1, c2) with c1 + c2 + rcharge wanted, found from the smaller side
-        for t in wanted:
-            need = t - rcharge
-            if len(left) <= len(right):
-                found = [(c1, need - c1) for c1 in left if need - c1 in right]
-            else:
-                found = [(need - c2, c2) for c2 in right if need - c2 in left]
-            for c1, c2 in found:
-                runs = by_charge.setdefault(c1, [])
-                if not runs or runs[-1][0] != d2:
-                    runs.append((d2, []))
-                runs[-1][1].append(right[c2])
+        # the pairs (c1, c2) with c1 + c2 = need, found from the smaller side
+        if len(left) <= len(right):
+            found = [(c1, need - c1) for c1 in left if need - c1 in right]
+        else:
+            found = [(need - c2, c2) for c2 in right if need - c2 in left]
+        for c1, c2 in found:
+            by_charge.setdefault(c1, []).append((d2, right[c2]))
     charge = charges[d1]
     return [(v1, by_charge[charge[v1]]) for v1 in sorted(v for c1 in by_charge for v in left[c1])]
 
@@ -1303,12 +1310,11 @@ def _relation_rows(terms: tuple, visits: list, power: list, offset: list) -> tup
         for v1, runs in pairs:
             m1 = offset[d1] + v1
             head = [(d1 + d, v1 * power[d] + v) for d, v, _ in terms]
-            for d2, tails in runs:
+            for d2, run in runs:
                 p2, o2 = power[d2], offset[d2]
                 shifted = [offset[d + d2] + v * p2 for d, v in head]
-                for tail in tails:
-                    words.extend([k + v2 for v2 in tail for k in shifted])
-                    factors.extend([m for v2 in tail for m in (m1, o2 + v2)])
+                words.extend([k + v2 for v2 in run for k in shifted])
+                factors.extend([m for v2 in run for m in (m1, o2 + v2)])
     return words, factors
 
 

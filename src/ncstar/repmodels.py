@@ -44,12 +44,12 @@ from typing import NamedTuple, Optional, Sequence
 from .ncalg import Letter, Poly, word_str
 from .presentations import (Presentation, orthogonal_qg_presentation,
                             sphere_presentation, validate_pair)
-from .scalars import Q_ONE, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
+from .scalars import GaussianRational, Q_ONE, QuadExact, Q_SQRT2_OVER_2, QuadExact as Q
 
 __all__ = [
     "MatrixModel", "ResidualReport", "IndependenceResult",
     "probe_pair_model", "noninjectivity_sphere_model",
-    "torus_model", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
+    "torus_model", "phase_text", "free_unitary_model", "o2plus_model", "CONJUGATE_PRODUCTS",
     "model_residuals", "evaluate", "operator_norm", "check_independence",
 ]
 
@@ -303,6 +303,20 @@ def torus_model(samples: Sequence = ((1, 1), (1, 1j))) -> MatrixModel:
     x1 = [{i: Q_SQRT2_OVER_2 * z1} for i, (z1, _) in enumerate(samples)]
     x2 = [{i: Q_SQRT2_OVER_2 * z2} for i, (_, z2) in enumerate(samples)]
     return MatrixModel(pres, len(samples), {_X1: x1, _X2: x2}, "torus-diagonal")
+
+
+def phase_text(z) -> str:
+    """A torus phase, read as `torus_model` reads it, as exact text.
+
+    A phase in Q(i), as every `witness --phases` phase is, is written as
+    `GaussianRational.exact_str` writes it, and `parse_scalar` reads it
+    back; one with a sqrt(2) part, which only a QuadExact argument gives,
+    as its QuadExact repr.  A phase off the unit circle raises ValueError.
+    """
+    q = _unit_phase(z)
+    if q.b or q.d:
+        return repr(q)
+    return GaussianRational.from_fractions(q.a, q.c).exact_str()
 
 
 def _cayley_unitary(rng, dim: int) -> list:

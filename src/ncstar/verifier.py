@@ -694,6 +694,9 @@ def verify_independence_suite(suites="all", *, seed: int = 0, dim: int = 4,
             }
             if model.seed_used is not None:
                 evidence["seed"] = model.seed_used
+            if name == "torus" and torus_samples:
+                # each sample's phases, exactly, so a checker can rebuild the torus
+                evidence["phases"] = [[repmodels.phase_text(z) for z in s] for s in torus_samples]
             if not gate:
                 evidence["residual_max"] = residuals.max
             failure = _gate_failure(model, residuals)
@@ -731,9 +734,9 @@ def verify_regularization_consistency(pair: CommutationPair) -> VerificationRepo
     charge, so that span holds only the charge blocks of the added
     relations' terms (`BoundedSpan`), which gives each the verdict and
     combination of the full span: over the 426 pairs, 51,744 rows instead
-    of 497,020.  Those rows are 9,815 distinct ones: each span replays the
-    rows its roster's table keeps per charge set, relation and bound, and
-    makes only those no earlier span over the same charges has made.
+    of 497,020.  Those rows are 677 distinct ones: each span replays the
+    rows its roster's table keeps per charge, relation and bound, and makes
+    only those no earlier span that built the same charge has made.
     """
     report = VerificationReport("regularization-consistency", pair.to_json_dict())
     reg = regularize(pair)

@@ -15,6 +15,7 @@ from ncstar import cli, verifier
 from ncstar import repmodels as R
 from ncstar.cli import SWEEP_TARGETS, RunConfig, main, sweep_tasks
 from ncstar.ncalg import DimensionCap
+from ncstar.scalars import QuadExact, parse_scalar
 
 
 def run_cli(*argv):
@@ -555,6 +556,32 @@ def test_witness_phases_repeat_and_take_a_leading_minus(capsys):
     assert (ev["dim"], ev["rank"], ev["expected_rank"], ev["residual_max"]) == (3, 2, 2, 0.0)
 
 
+def _witness_evidence(capsys, *argv) -> dict:
+    """Each check's nonzero evidence of one JSON witness run, by check name."""
+    assert run_cli("witness", *argv, "--format", "json") == 0
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    return {c["relation"]: c["evidence"]["nonzero_evidence"] for c in checks}
+
+
+def test_witness_torus_records_its_phases_exactly(capsys):
+    # given --phases, the torus evidence names each sample's phases as
+    # exact_str writes them, and the torus rebuilt from them has the
+    # report's rank and minor; without --phases, no report records any
+    ev = _witness_evidence(capsys, "torus", "--phases", "1,1", "0.6+0.8j,1j", "--phases=-1,-1j")["torus"]
+    assert ev["phases"] == [["1/1+0/1i", "1/1+0/1i"], ["3/5+4/5i", "0/1+1/1i"],
+                            ["-1/1+0/1i", "0/1-1/1i"]]
+    samples = [[QuadExact(z.re, 0, z.im) for z in map(parse_scalar, s)] for s in ev["phases"]]
+    rebuilt = R.check_independence(R.CONJUGATE_PRODUCTS[:2], R.torus_model(samples))
+    members, entries = rebuilt.minor
+    assert (rebuilt.rank, list(members), [list(e) for e in entries]) == (
+        ev["rank"], ev["minor"]["members"], ev["minor"]["entries"])
+    suites = _witness_evidence(capsys, "all", "--phases", "1,1", "0.6+0.8j,1j")
+    assert [name for name, e in suites.items() if "phases" in e] == ["torus"]
+    assert suites["torus"]["phases"] == ev["phases"][:2]
+    for argv in (("torus",), ("all",)):
+        assert not any("phases" in e for e in _witness_evidence(capsys, *argv).values())
+
+
 def test_witness_malformed_phase_names_token(capsys):
     assert run_cli("witness", "torus", "--phases", "1,x") == 2
     assert "phase sample '1,x': 'x' is not a complex number" in capsys.readouterr().err
@@ -754,13 +781,14 @@ def test_no_package_module_imports_numpy():
 _PINNED_SHA256 = {
     ("witness", "all"): "386ffa51b3a536190aa2a4d1d2c3755a699339b21a59d6d108b794b4900558ec",
     ("verify", "noninjectivity"): "3cfd8a3a8a4e054589b04a04de328cbb736c75193d13a7f6e7f57ed2c2735322",
-    # a torus on a rational phase (its report equals the default torus's,
-    # which records no phases), a torus on the phases 1, -1, i and -i, the
-    # free-unitary model at another dim and seed, and the probe model
+    # a torus on a rational phase and one on the phases 1, -1, i and -i,
+    # each recording its phases (re-taken when the torus evidence gained
+    # them), the free-unitary model at another dim and seed, and the probe
+    # model
     ("witness", "torus", "--phases", "1,1", "0.6+0.8j,1j"):
-        "86dd9869f70e83c6582a76b24df2835800b10824c60a172d66d2aa63c2761e3e",
+        "22fdeac8bfa46aaa3fbd22572238118a7f17a6a68d808967e328f035f38042ed",
     ("witness", "torus", "--phases", "1,1", "1,1j", "1j,-1j"):
-        "e91b82e615c35165902b64916255bd21d3affbe6da6ceff853526994cfb820f4",
+        "a76ed1d9b43cfb13dc5bc20b1f84dfa86f51101f95dc537dbaaea188a3ae2dd2",
     ("witness", "free-unitary", "--dim", "6", "--seed", "3"):
         "d382e2e85a29929051797bc1bd67f0c66715f3af0d139e2ce3076299781134a4",
     ("witness", "probe-products"):

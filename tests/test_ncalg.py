@@ -1102,19 +1102,32 @@ def test_restricted_membership_evidence_equals_the_full_span():
     assert proved > 10
 
 
-def test_restricted_rows_are_kept_per_charge_set_and_bound(monkeypatch):
-    """Each build after the first reads rows an earlier build made for one of
-    its relations: under another charge set at the same bound, or under the
-    same charge set at another bound.  Every build has the pivots and
-    combinations of one on a fresh table, and of the full span."""
+def test_restricted_rows_are_kept_per_charge_and_bound(monkeypatch):
+    """A targeted build keeps each relation's rows per built charge and bound:
+    four builds make entries for the union of their (charge, bound) pairs
+    only, and a build whose charges earlier builds covered makes none.
+    Every build has the pivots and combinations of one on a fresh table,
+    and of the full span."""
     target_sets = [(x1 * x2, x1 * x2.star() * x1), (x1 * x2.star(), x2, x1.star() * x1 + x2 * x2)]
     builds = [(3, target_sets[0]), (3, target_sets[1]), (4, target_sets[1]), (4, target_sets[0])]
+    # charges e1 + e2 and e1 - e2: one from each set the bound-3 builds took
+    covered = (x2 * x1, x2.star() * x1)
     for pair in P.enumerate_pairs(2):
         pres = P.sphere_presentation(pair)
         monkeypatch.setattr(A, "_CODES", {})
+        codes = A._roster_codes(pres.generators)
         spans = [A.BoundedSpan(pres, bound, provenance=True, targets=targets) for bound, targets in builds]
-        # the table holds rows for four (charge set, bound) pairs
-        assert len({key[0::2] for key in A._roster_codes(pres.generators).row_table}) == 4
+        made = {(codes.charge(w), bound) for bound, targets in builds for p in targets for w in p.terms}
+        relations = len(list(A._star_closed_relations(pres)))
+        # one entry per relation and (charge, bound), even one that reaches no row
+        assert {key[0::2] for key in codes.row_table} == made
+        assert len(codes.row_table) == relations * len(made)
+        table = dict(codes.row_table)
+        replayed = A.BoundedSpan(pres, 3, provenance=True, targets=covered)
+        assert codes.row_table == table
+        # rows two builds of other charge sets made give the full span's blocks
+        charges = {codes.charge(w) for p in covered for w in p.terms}
+        assert _block_tables(replayed) == _built_blocks(A.BoundedSpan(pres, 3, provenance=True), charges)
         for (bound, targets), span in zip(builds, spans):
             monkeypatch.setattr(A, "_CODES", {})
             fresh = A.BoundedSpan(pres, bound, provenance=True, targets=targets)

@@ -11,7 +11,7 @@ from ncstar import repmodels as R
 from ncstar import presentations as P
 from ncstar import verifier as V
 from ncstar.ncalg import INCONCLUSIVE, Letter, Poly
-from ncstar.scalars import Q_ONE, Q_SQRT2_OVER_2, QuadExact
+from ncstar.scalars import Q_ONE, Q_SQRT2_OVER_2, QuadExact, parse_scalar
 
 x1g, x2g = Letter("x", 1, 0), Letter("x", 2, 0)
 g = Poly.generator
@@ -149,6 +149,20 @@ def test_torus_reads_exact_phases():
     # 3/5 + 4/5 i separates the two products, as i does
     m = R.torus_model([(1, 1), (1, z)])
     assert R.check_independence(R.CONJUGATE_PRODUCTS[:2], m).rank == 2
+
+
+def test_phase_text_is_exact():
+    # a phase in Q(i) is written as exact_str writes it and parses back; one
+    # with a sqrt(2) part keeps its QuadExact repr; one off the circle is refused
+    half = Fraction(1, 2)
+    for phase, text in ((1, "1/1+0/1i"), (Fraction(-1), "-1/1+0/1i"), (-1j, "0/1-1/1i"),
+                        (QuadExact(Fraction(3, 5), 0, Fraction(-4, 5)), "3/5-4/5i")):
+        assert R.phase_text(phase) == text, phase
+        z = parse_scalar(text)
+        assert R.torus_model([(1, phase)]) == R.torus_model([(1, QuadExact(z.re, 0, z.im))])
+    assert R.phase_text(QuadExact(0, half, 0, half)) == "QuadExact(0, 1/2, 0, 1/2)"
+    with pytest.raises(ValueError, match="is not exactly on the unit circle"):
+        R.phase_text(0.6 + 0.8j)
 
 
 @pytest.mark.parametrize("phase", [
